@@ -66,14 +66,12 @@ from .integrals import (
 from .connection import (
     ConnectionForm,
     ExcludedLocusError,
-    LinearForm,
     TreeMatrix,
     build_connection,
     check_commutation,
     check_flatness,
     connection_coefficients,
     connection_matrices_numeric,
-    linear_form,
     omega_cycle,
     omega_path,
     transport,

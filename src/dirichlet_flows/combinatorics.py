@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import DirectedGraph, require_valid
+from .graphs import DirectedGraph
 from .rationals import mat_rank, mat_solve
 
 
@@ -33,9 +33,16 @@ class SignedEdgeSet:
     def sign(self, edge_id: str) -> int:
         return self.signs.get(edge_id, 0)
 
-    def indicator(self) -> dict[str, int]:
-        """Signed indicator vector (nonzero only on the member edges)."""
-        return dict(self.signs)
+    def form(self, lam):
+        """The set's linear form sum_e sign(e) * lam[e] at lam.
+
+        Added left to right (not with sum(), which compensates float rounding
+        on Python >= 3.12), so float results do not depend on the version.
+        """
+        total = 0
+        for eid, s in self.signs.items():
+            total = total + s * lam[eid]
+        return total
 
     def reoriented(self, along: str) -> "SignedEdgeSet":
         """Same cycle with signs flipped, if needed, so that `along` gets +1."""
@@ -107,14 +114,14 @@ def _canonical_cycle(edge_signs: dict[str, int], walk: tuple[str, ...], directed
     return SignedEdgeSet(frozenset(edge_signs), edge_signs, "cycle", directed, walk)
 
 
-def enumerate_cycles(g: DirectedGraph, within: frozenset[str] | None = None) -> list[SignedEdgeSet]:
+def enumerate_cycles(g: DirectedGraph) -> list[SignedEdgeSet]:
     """All simple cycles of the underlying multigraph, canonically oriented.
 
     A cycle is a set of >= 2 edges whose underlying closed walk visits distinct
     vertices; it is directed when some orientation traverses every edge
-    forwards.  `within` restricts to cycles using only the given edge ids.
+    forwards.
     """
-    adj = _undirected_adjacency(g, within)
+    adj = _undirected_adjacency(g)
     order = {v: i for i, v in enumerate(sorted(g.vertices))}
     found: dict[frozenset, SignedEdgeSet] = {}
 
@@ -176,22 +183,32 @@ def enumerate_paths(g: DirectedGraph) -> list[SignedEdgeSet]:
     return sorted(results, key=lambda p: tuple(sorted(p.edges)))
 
 
-def _is_tree(g: DirectedGraph, edge_ids) -> bool:
-    parent = {v: v for v in g.vertices}
+def _closing_edges(g: DirectedGraph, edge_ids) -> int:
+    """How many of the edges close a cycle when added one by one (union-find)."""
+    parent: dict[str, str] = {}
 
     def find(v):
+        parent.setdefault(v, v)
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
         return v
 
+    closing = 0
     for eid in edge_ids:
         e = g.edge_by_id[eid]
         a, b = find(e.tail), find(e.head)
         if a == b:
-            return False
-        parent[a] = b
-    return True
+            closing += 1
+        else:
+            parent[a] = b
+    return closing
+
+
+def is_spanning_tree(g: DirectedGraph, edge_ids) -> bool:
+    """Whether the edge ids form a spanning tree: |V| - 1 edges and no cycle."""
+    edge_ids = frozenset(edge_ids)
+    return len(edge_ids) == len(g.vertices) - 1 and _closing_edges(g, edge_ids) == 0
 
 
 def _is_directed_tree(g: DirectedGraph, edge_ids) -> bool:
@@ -206,7 +223,7 @@ def enumerate_spanning_trees(g: DirectedGraph, directed_only: bool = False) -> l
     n = len(g.vertices)
     trees = []
     for combo in combinations(sorted(g.edge_ids), n - 1):
-        if _is_tree(g, combo):
+        if is_spanning_tree(g, combo):
             directed = _is_directed_tree(g, combo)
             if directed_only and not directed:
                 continue
@@ -270,19 +287,13 @@ def tree_path(g: DirectedGraph, tree: SpanningTree) -> SignedEdgeSet:
 
 
 def genus(g: DirectedGraph, subset) -> int:
-    """Dimension of the span of signed cycle indicators contained in the subset."""
-    subset = frozenset(subset)
-    cycles = enumerate_cycles(g, within=subset)
-    if not cycles:
-        return 0
-    index = {eid: k for k, eid in enumerate(sorted(subset))}
-    rows = []
-    for c in cycles:
-        row = [0] * len(index)
-        for eid, s in c.signs.items():
-            row[index[eid]] = s
-        rows.append(row)
-    return mat_rank(rows)
+    """Cyclomatic number |S| - |V(S)| + c(S) of the edge subset S.
+
+    Every edge that closes no cycle merges two components, so union-find
+    counts it as the edges that do.  It equals the dimension of the cycle
+    space of S: the rank of the signed indicators of the cycles inside S.
+    """
+    return _closing_edges(g, frozenset(subset))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +399,7 @@ def tree_orientation_sign(g: DirectedGraph, tree: SpanningTree) -> int:
 def cycle_space_basis(g: DirectedGraph) -> list[dict[str, int]]:
     """A basis of signed cycle indicators: fundamental cycles of the first tree."""
     ref = tree_basis(g)[0]
-    return [fundamental_cycle(g, ref, e0).indicator() for e0 in cotree(g, ref)]
+    return [dict(fundamental_cycle(g, ref, e0).signs) for e0 in cotree(g, ref)]
 
 
 def coordinate_family_is_basis(g: DirectedGraph, subset) -> bool:
@@ -405,6 +416,3 @@ def coordinate_family_is_basis(g: DirectedGraph, subset) -> bool:
     rows = [[chi.get(eid, 0) for chi in basis] for eid in subset]
     return mat_rank(rows) == d
 
-
-def assert_valid(g: DirectedGraph) -> DirectedGraph:
-    return require_valid(g)

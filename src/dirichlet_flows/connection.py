@@ -6,6 +6,10 @@ and the total matrix 1-form is
 
     Omega = sum_paths d(path form) * P_path + sum_cycles dlog(cycle form) * Q_cycle.
 
+Each term is built once, as a (SignedEdgeSet, TreeMatrix) pair whose set's
+signs are the coefficients of the term's linear form (`SignedEdgeSet.form`).
+`ConnectionForm.terms` weighs the pairs into one coefficient M_e.
+
 Matrices follow the endomorphism convention: column T holds the image of the
 basis vector of tree T.  The vector of tree-chart integrals pairs with the
 basis as a covector, so it solves dI = -Omega^T I; `transport` applies the
@@ -42,32 +46,11 @@ from .rationals import (
     sp_scale,
     sp_set,
     sp_to_dense,
-    sp_transpose,
 )
 
 
 class ExcludedLocusError(ValueError):
     """The rate point lies on (or the path crosses) a cycle-form kernel."""
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """Signed sum of edge coordinates attached to a cycle or path."""
-    coeffs: dict[str, int]
-
-    def __call__(self, lam):
-        total = 0
-        for eid, s in self.coeffs.items():
-            total = total + s * lam[eid]
-        return total
-
-    def coefficient(self, edge_id: str) -> int:
-        return self.coeffs.get(edge_id, 0)
-
-
-def linear_form(generator: SignedEdgeSet) -> LinearForm:
-    """The linear form whose coefficients are the generator's traversal signs."""
-    return LinearForm(dict(generator.signs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,14 +66,11 @@ class TreeMatrix:
     def to_dense(self, as_float: bool = False):
         return sp_to_dense(self.rows, self.size, as_float)
 
-    def to_numpy(self, transpose: bool = False) -> np.ndarray:
+    def to_numpy(self) -> np.ndarray:
         m = np.zeros((self.size, self.size))
         for i, row in self.rows.items():
             for j, v in row.items():
-                if transpose:
-                    m[j, i] = float(v)
-                else:
-                    m[i, j] = float(v)
+                m[i, j] = float(v)
         return m
 
     def as_triplets(self, basis=None) -> dict:
@@ -153,8 +133,8 @@ def omega_cycle(g: DirectedGraph, cycle: SignedEdgeSet, w,
 class ConnectionForm:
     graph: DirectedGraph
     basis: tuple[SpanningTree, ...]
-    path_terms: tuple[tuple[SignedEdgeSet, LinearForm, TreeMatrix], ...]
-    cycle_terms: tuple[tuple[SignedEdgeSet, LinearForm, TreeMatrix], ...]
+    path_terms: tuple[tuple[SignedEdgeSet, TreeMatrix], ...]
+    cycle_terms: tuple[tuple[SignedEdgeSet, TreeMatrix], ...]
 
     @property
     def size(self) -> int:
@@ -165,22 +145,29 @@ class ConnectionForm:
         return self.graph.edge_ids
 
     def check_membership(self, lam) -> None:
-        for cyc, form, _ in self.cycle_terms:
-            if form(lam) == 0:
+        for cyc, _ in self.cycle_terms:
+            if cyc.form(lam) == 0:
                 raise ExcludedLocusError(
                     f"rates lie on the kernel of the form of {cyc!r}")
+
+    def terms(self, eid: str, lam):
+        """(weight, matrix) pairs whose weighted sum is the coefficient M_eid at lam.
+
+        A path term weighs its sign s_sigma(e), a cycle term s_c(e) / L_c(lam);
+        terms without the edge are skipped.
+        """
+        for term, mat in self.path_terms + self.cycle_terms:
+            s = term.sign(eid)
+            if s:
+                yield (s / term.form(lam) if term.kind == "cycle" else s), mat
 
 
 def build_connection(g: DirectedGraph, w) -> ConnectionForm:
     """All path and cycle terms of the connection over the full tree basis."""
     require_valid(g)
     basis = tree_basis(g)
-    paths = tuple(
-        (s, linear_form(s), omega_path(g, s, basis)) for s in enumerate_paths(g)
-    )
-    cycles = tuple(
-        (c, linear_form(c), omega_cycle(g, c, w, basis)) for c in enumerate_cycles(g)
-    )
+    paths = tuple((s, omega_path(g, s, basis)) for s in enumerate_paths(g))
+    cycles = tuple((c, omega_cycle(g, c, w, basis)) for c in enumerate_cycles(g))
     return ConnectionForm(g, tuple(basis), paths, cycles)
 
 
@@ -195,46 +182,24 @@ def connection_coefficients(conn: ConnectionForm, lam) -> list[TreeMatrix]:
     out = []
     for eid in conn.edge_ids:
         m: Sparse = {}
-        for sigma, form, mat in conn.path_terms:
-            c = form.coefficient(eid)
-            if c:
-                m = sp_add(m, sp_scale(mat.rows, Fraction(c)))
-        for cyc, form, mat in conn.cycle_terms:
-            c = form.coefficient(eid)
-            if c:
-                m = sp_add(m, sp_scale(mat.rows, Fraction(c) / form(lam)))
+        for weight, mat in conn.terms(eid, lam):
+            for i, row in mat.rows.items():
+                for j, v in row.items():
+                    sp_set(m, i, j, weight * v)
         out.append(TreeMatrix(conn.size, m, f"coefficient:{eid}"))
     return out
 
 
-def _numeric_terms(conn: ConnectionForm, transpose: bool):
-    paths = [(form, mat.to_numpy(transpose)) for _, form, mat in conn.path_terms]
-    cycles = [(form, mat.to_numpy(transpose)) for _, form, mat in conn.cycle_terms]
-    return paths, cycles
-
-
-def connection_matrices_numeric(conn: ConnectionForm, lam, transpose: bool = False) -> np.ndarray:
+def connection_matrices_numeric(conn: ConnectionForm, lam) -> np.ndarray:
     """Float/complex stack of the coefficient matrices, one per edge coordinate."""
     vals = {k: complex(v) for k, v in lam.items()}
-    paths, cycles = _numeric_terms(conn, transpose)
-    n = conn.size
+    conn.check_membership(vals)
     cplx = any(v.imag != 0 for v in vals.values())
-    out = np.zeros((len(conn.edge_ids), n, n), dtype=complex if cplx else float)
+    dense = {mat: mat.to_numpy() for _, mat in conn.path_terms + conn.cycle_terms}
+    out = np.zeros((len(conn.edge_ids), conn.size, conn.size), dtype=complex if cplx else float)
     for k, eid in enumerate(conn.edge_ids):
-        acc = np.zeros((n, n), dtype=out.dtype)
-        for form, mat in paths:
-            c = form.coefficient(eid)
-            if c:
-                acc += c * mat
-        for form, mat in cycles:
-            c = form.coefficient(eid)
-            if c:
-                denom = form(vals)
-                if denom == 0:
-                    raise ExcludedLocusError(f"rates on a cycle-form kernel at edge {eid!r}")
-                coef = c / denom
-                acc += (coef.real if out.dtype == float else coef) * mat
-        out[k] = acc
+        for weight, mat in conn.terms(eid, vals):
+            out[k] += (weight if cplx else weight.real) * dense[mat]
     return out
 
 
@@ -250,11 +215,10 @@ def check_commutation(g: DirectedGraph, w) -> dict:
     observed commutation status.
     """
     alpha = _alpha_map(w)
-    basis = tree_basis(g)
-    cycles = enumerate_cycles(g)
-    paths = enumerate_paths(g)
-    q = {c: omega_cycle(g, c, alpha, basis).rows for c in cycles}
-    p = {s: omega_path(g, s, basis).rows for s in paths}
+    conn = build_connection(g, alpha)
+    p = {s: mat.rows for s, mat in conn.path_terms}
+    q = {c: mat.rows for c, mat in conn.cycle_terms}
+    paths, cycles = list(p), list(q)
     items = []
 
     def record(relation, members, claimed, residual_zero):
@@ -269,17 +233,12 @@ def check_commutation(g: DirectedGraph, w) -> dict:
     # projector identities
     for s in paths:
         sq = sp_matmul(p[s], p[s])
-        ok = sp_max_abs(sp_add(sq, sp_scale(p[s], Fraction(-1)))) == 0
-        items.append({"relation": "projector-path",
-                      "members": [",".join(sorted(s.edges))],
-                      "claimed": True, "commutes": ok, "ok": ok})
+        record("projector-path", [s], True,
+               sp_max_abs(sp_add(sq, sp_scale(p[s], Fraction(-1)))) == 0)
     for c in cycles:
         total = sum((alpha[e] for e in c.edges), Fraction(0))
         sq = sp_matmul(q[c], q[c])
-        ok = sp_max_abs(sp_add(sq, sp_scale(q[c], -total))) == 0
-        items.append({"relation": "projector-cycle",
-                      "members": [",".join(sorted(c.edges))],
-                      "claimed": True, "commutes": ok, "ok": ok})
+        record("projector-cycle", [c], True, sp_max_abs(sp_add(sq, sp_scale(q[c], -total))) == 0)
 
     # (i) cycle pairs
     genus2_pairs = []
@@ -412,24 +371,27 @@ def transport(conn: ConnectionForm, start_vector, waypoints, tol: float = 1e-10)
             if wp[eid].real < 0:
                 raise ValueError(f"rate of edge {eid!r} has negative real part on the path")
 
-    paths, cycles = _numeric_terms(conn, transpose=True)
+    # transposed matrices: the integrals solve dI = -Omega^T I
+    paths = [(sigma, mat.to_numpy().T) for sigma, mat in conn.path_terms]
+    cycles = [(cyc, mat.to_numpy().T) for cyc, mat in conn.cycle_terms]
     y = np.asarray(start_vector, dtype=complex)
     if y.shape != (conn.size,):
         raise ValueError(f"start vector must have length {conn.size}")
 
     for wa, wb in zip(pts, pts[1:]):
         vel = {eid: wb[eid] - wa[eid] for eid in conn.edge_ids}
-        # membership along the whole segment, not just its ends
-        for cyc, form, _ in conn.cycle_terms:
-            a, b = form(wa), form(vel)
+        # each cycle weight is b / (a + t b); membership along the whole
+        # segment, not just its ends
+        cyc_data = []
+        for cyc, mat in cycles:
+            a, b = cyc.form(wa), cyc.form(vel)
             if _segment_guard(a, b) < 1e-12 * max(1.0, abs(a), abs(b)):
                 raise ExcludedLocusError(
                     f"path crosses the form kernel of {cyc!r}")
-
+            cyc_data.append((complex(a), complex(b), mat))
         const = np.zeros((conn.size, conn.size), dtype=complex)
-        for form, mat in paths:
-            const += complex(form(vel)) * mat
-        cyc_data = [(complex(form(wa)), complex(form(vel)), mat) for form, mat in cycles]
+        for sigma, mat in paths:
+            const += complex(sigma.form(vel)) * mat
 
         def rhs(t, y):
             m = const.copy()

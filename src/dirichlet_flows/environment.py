@@ -105,12 +105,9 @@ def philox_stream(seed: int, kind: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed % 2**64, (kind << 48) + index]))
 
 
-_rng = philox_stream
-
-
 def sample_environment_batch(g: DirectedGraph, w: DirichletWeights, n: int, seed: int) -> np.ndarray:
     """(n, |E|) matrix of exit probabilities, rows independent environments."""
-    rng = _rng(seed, _ENV)
+    rng = philox_stream(seed, _ENV)
     gams = np.empty((n, len(g.edge_ids)))
     for j, eid in enumerate(g.edge_ids):
         gams[:, j] = rng.standard_gamma(float(w.alpha[eid]), size=n)
@@ -220,7 +217,7 @@ def simulate_chain(g: DirectedGraph, env: Environment, seed: int, _tables=None,
                    _index: int = 0) -> list[str]:
     """One trajectory of the chain from the base until absorption, as edge ids."""
     tables = _tables or _WalkTables(g, env)
-    rng = _rng(seed, _CHAIN, _index)
+    rng = philox_stream(seed, _CHAIN, _index)
     x = g.base
     path = []
     for _ in range(STEP_CAP):
@@ -260,7 +257,7 @@ def wilson_sample_tree(g: DirectedGraph, env: Environment, seed: int, _tables=No
                        _index: int = 0) -> SpanningTree:
     """One directed spanning tree via loop-erased walks rooted at the cemetery."""
     tables = _tables or _WalkTables(g, env)
-    rng = _rng(seed, _WILSON, _index)
+    rng = philox_stream(seed, _WILSON, _index)
     in_tree = {g.cemetery}
     nxt_edge: dict[str, str] = {}
     budget = STEP_CAP

@@ -31,10 +31,10 @@ from .combinatorics import (
     cotree,
     enumerate_cycles,
     fundamental_cycle,
+    is_spanning_tree,
     tree_coordinate_map,
     tree_path,
     _is_directed_tree,
-    _is_tree,
 )
 from .environment import DirichletWeights, mc_estimate_rhs, philox_stream
 from .graphs import DirectedGraph, SplitGraph, split_graph
@@ -63,7 +63,7 @@ class IntegrandSpec:
 
     def validate(self) -> None:
         g = self.graph
-        if len(self.tree.edges) != len(g.vertices) - 1 or not _is_tree(g, sorted(self.tree.edges)):
+        if not is_spanning_tree(g, self.tree.edges):
             raise ValueError("chart tree is not a spanning tree of the graph")
         for eid in g.edge_ids:
             if eid not in self.alpha:
@@ -354,13 +354,6 @@ def constant_C_alpha(g: DirectedGraph, w: DirichletWeights) -> float:
     return float(math.exp(logc))
 
 
-def _form_value(signs: dict[str, int], lam: dict):
-    total = 0
-    for eid, s in signs.items():
-        total = total + s * lam[eid]
-    return total
-
-
 def pairing_identity_check(g: DirectedGraph, tree: SpanningTree, z: FlowPoint, lam) -> object:
     """Residual of <z, rates> = path form + sum of cotree coordinates times cycle forms.
 
@@ -368,10 +361,10 @@ def pairing_identity_check(g: DirectedGraph, tree: SpanningTree, z: FlowPoint, l
     their defining cotree edge, the tree path from base to cemetery.
     """
     sigma = tree_path(g, tree)
-    total = _form_value(sigma.signs, lam)
+    total = sigma.form(lam)
     for e0 in cotree(g, tree):
         cyc = fundamental_cycle(g, tree, e0)
-        total = total + z[e0] * _form_value(cyc.signs, lam)
+        total = total + z[e0] * cyc.form(lam)
     inner = 0
     for eid in g.edge_ids:
         inner = inner + z[eid] * lam[eid]
@@ -411,8 +404,7 @@ def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, tree: Spannin
     }
 
 
-def integral_vector(g: DirectedGraph, alpha, lam, trees, quad_tol: float = 1e-8,
-                    mc_fallback: tuple[int, int] | None = None):
+def integral_vector(g: DirectedGraph, alpha, lam, trees, quad_tol: float = 1e-8):
     """Tree-chart integrals over a list of trees, flagging nonconvergent ones.
 
     Returns (values, errors, ok_flags); a tree whose integral does not
@@ -425,14 +417,7 @@ def integral_vector(g: DirectedGraph, alpha, lam, trees, quad_tol: float = 1e-8,
         try:
             est = integrate_quadrature(spec, quad_tol)
         except QuadratureNonConvergence:
-            if mc_fallback is not None:
-                n, seed = mc_fallback
-                try:
-                    est = integrate_mc(spec, n, seed)
-                except ValueError:
-                    est = None
-            else:
-                est = None
+            est = None
         if est is None or not math.isfinite(est.value):
             values.append(float("nan"))
             errors.append(float("nan"))
@@ -456,7 +441,7 @@ def cohomology_identity_check(spec: IntegrandSpec, e0: str, tol: float = 1e-6,
         raise ValueError(f"edge {e0!r} is in the chart tree")
     g = spec.graph
     cyc = fundamental_cycle(g, spec.tree, e0)
-    l_c = float(_form_value(cyc.signs, spec.lam))
+    l_c = float(cyc.form(spec.lam))
     weighted = integrate_quadrature(spec, quad_tol, weight_edge=e0)
     lhs = l_c * weighted.value
     lhs_err = abs(l_c) * weighted.error

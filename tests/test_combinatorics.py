@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dirichlet_flows import (
     tree_path,
 )
 from dirichlet_flows.combinatorics import SpanningTree, tree_coordinate_map
+from dirichlet_flows.rationals import mat_rank
 
 from conftest import (
     bundled_graphs,
@@ -77,7 +79,7 @@ def test_cycle_canonical_orientation():
 
 def test_tree_subgraphs_have_no_cycles(triangle):
     for t in enumerate_spanning_trees(triangle):
-        assert enumerate_cycles(triangle, within=t.edges) == []
+        assert genus(triangle, t.edges) == 0
 
 
 def test_two_edge_paths(two_edge):
@@ -149,6 +151,18 @@ def test_genus_triangle(triangle):
     assert genus(triangle, {"e1", "e2"}) == 1
     assert genus(triangle, triangle.edge_ids) == 2
     assert genus(triangle, {"e3", "e4"}) == 0
+
+
+def test_genus_matches_cycle_indicator_rank():
+    # the reference definition: rank of the signed indicators of the cycles in S
+    for g in bundled_graphs() + random_graphs(seed=23, count=8):
+        ids = sorted(g.edge_ids)
+        cycles = enumerate_cycles(g)
+        for r in range(len(ids) + 1):
+            for subset in combinations(ids, r):
+                inside = [c for c in cycles if c.edges <= set(subset)]
+                rank = mat_rank([[c.sign(eid) for eid in ids] for c in inside])
+                assert genus(g, subset) == rank, (g.edge_ids, subset)
 
 
 def test_genus_formula_property():

@@ -14,7 +14,6 @@ from dirichlet_flows import (
     enumerate_cycles,
     enumerate_paths,
     integral_vector,
-    linear_form,
     omega_cycle,
     omega_path,
     split_graph,
@@ -44,16 +43,14 @@ def figure_eight():
 
 def test_linear_form_two_edge_cycle(two_edge):
     cyc = enumerate_cycles(two_edge)[0].reoriented(along="e2")
-    form = linear_form(cyc)
-    assert form({"e1": 3, "e2": 10}) == 7  # lam2 - lam1
+    assert cyc.form({"e1": 3, "e2": 10}) == 7  # lam2 - lam1
 
 
 def test_linear_form_triangle_path(triangle):
     paths = {frozenset(p.edges): p for p in enumerate_paths(triangle)}
-    form = linear_form(paths[frozenset({"e2", "e4"})])
-    assert form({"e1": 0, "e2": 5, "e3": 0, "e4": 2}) == -3  # -lam2 + lam4
-    direct = linear_form(paths[frozenset({"e3"})])
-    assert direct({"e1": 0, "e2": 0, "e3": 4, "e4": 0}) == 4
+    # -lam2 + lam4
+    assert paths[frozenset({"e2", "e4"})].form({"e1": 0, "e2": 5, "e3": 0, "e4": 2}) == -3
+    assert paths[frozenset({"e3"})].form({"e1": 0, "e2": 0, "e3": 4, "e4": 0}) == 4
 
 
 # ---------------------------------------------------------------------------
