@@ -86,22 +86,29 @@ class IntegralEstimate:
                 "method": self.method, "n_evals": self.n_evals}
 
 
+def split_exponents(split: SplitGraph, w: DirichletWeights) -> dict:
+    """Edge exponents on the vertex-split graph from weights of the original graph.
+
+    Original edges keep their weights; each bridge gets minus the total weight
+    of its vertex's out-edges.
+    """
+    alpha = dict(w.alpha)
+    for x, bid in split.bridge_of.items():
+        out_ids = [e.id for e in split.graph.out_edges[f"{x}+"]]
+        alpha[bid] = -sum((w.alpha[eid] for eid in out_ids), Fraction(0))
+    return alpha
+
+
 def split_integrand_spec(split: SplitGraph, w: DirichletWeights, lam,
                          tree: SpanningTree) -> IntegrandSpec:
     """Integrand on the vertex-split graph for a tree of the original graph.
 
-    Exponents come from the weights: original edges keep theirs, each bridge
-    gets minus the vertex total.  The tree is extended by every bridge edge;
-    rates vanish on bridges (their coordinates are sums of original ones, so
-    nothing is lost).
+    Exponents come from `split_exponents`.  The tree is extended by every
+    bridge edge; rates vanish on bridges (their coordinates are sums of
+    original ones, so nothing is lost).
     """
     g = split.graph
-    alpha: dict = {}
-    for x, bid in split.bridge_of.items():
-        out_ids = [e.id for e in g.out_edges[f"{x}+"]]
-        alpha[bid] = -sum((w.alpha[eid] for eid in out_ids), Fraction(0))
-        for eid in out_ids:
-            alpha[eid] = w.alpha[eid]
+    alpha = split_exponents(split, w)
     lam_hat = {eid: lam.get(eid, 0) for eid in g.edge_ids}
     for bid in split.bridge_ids:
         if complex(lam_hat[bid]) != 0:
@@ -354,6 +361,17 @@ def constant_C_alpha(g: DirectedGraph, w: DirichletWeights) -> float:
     return float(math.exp(logc))
 
 
+def agreement(diff: float, err_a: float, err_b: float, slack: float) -> dict:
+    """Verdict on two estimates that differ by diff and carry errors err_a, err_b.
+
+    They agree when diff is within three times the summed errors plus an
+    absolute slack.  Every comparison of two error-carrying estimates (both
+    sides of Theorem 2.1, of an exchange identity, of a transport) uses it.
+    """
+    bound = 3.0 * (err_a + err_b) + slack
+    return {"diff": diff, "bound": bound, "pass": bool(diff <= bound)}
+
+
 def pairing_identity_check(g: DirectedGraph, tree: SpanningTree, z: FlowPoint, lam) -> object:
     """Residual of <z, rates> = path form + sum of cotree coordinates times cycle forms.
 
@@ -393,14 +411,10 @@ def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, tree: Spannin
     lhs = c_alpha * est.value
     lhs_err = c_alpha * est.error
     rhs = mc_estimate_rhs(g, w, lam, tree, n, seed)
-    diff = abs(lhs - rhs.value)
-    bound = 3.0 * (lhs_err + rhs.std_error) + tol
     return {
         "lhs": {"value": lhs, "error": lhs_err, "method": est.method},
         "rhs": rhs.as_dict(),
-        "diff": diff,
-        "bound": bound,
-        "pass": bool(diff <= bound),
+        **agreement(abs(lhs - rhs.value), lhs_err, rhs.std_error, tol),
     }
 
 
@@ -459,12 +473,8 @@ def cohomology_identity_check(spec: IntegrandSpec, e0: str, tol: float = 1e-6,
         rhs_err += abs(coef) * est.error
         terms.append({"edge": eid, "coefficient": coef, "integral": est.value})
 
-    diff = abs(lhs - rhs)
-    bound = 3.0 * (lhs_err + rhs_err) + tol
     return {
         "lhs": {"value": lhs, "error": lhs_err},
         "rhs": {"value": rhs, "error": rhs_err, "terms": terms},
-        "diff": diff,
-        "bound": bound,
-        "pass": bool(diff <= bound),
+        **agreement(abs(lhs - rhs), lhs_err, rhs_err, tol),
     }

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from dirichlet_flows.builtin_graphs import BUILTIN
-from dirichlet_flows.cli import PARSE_ERROR, main
+from dirichlet_flows.builtin_graphs import BUILTIN, builtin_graph
+from dirichlet_flows.cli import PARSE_ERROR, build_parser, main
+from dirichlet_flows.graphs import graph_to_dict
 
 GRAPHS = sorted(BUILTIN)
 
@@ -61,3 +65,74 @@ def test_verify_thm21_rejects_non_tree(capsys, graph, tree):
     status, report = run_twice(capsys, ["verify-thm21", "--graph", graph, "--tree", *tree])
     assert status == PARSE_ERROR
     assert report["pass"] is False and "--tree" in report["error"]
+
+
+# The options each command reads, besides --graph and --out which all take.
+OPTIONS = {
+    "validate": "",
+    "enumerate": "",
+    "sample-env": "alpha seed",
+    "verify-thm21": "alpha lambda tree seed samples tol quad-tol",
+    "verify-identities": "alpha lambda seed samples tol quad-tol",
+    "check-commutation": "alpha",
+    "check-flatness": "alpha seed samples float",
+    "transport": "alpha lambda tol quad-tol waypoint split",
+    "wilson-test": "prob seed samples",
+    "laplace": "alpha lambda seed samples",
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    taken = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, p in sub.choices.items()}
+    assert taken == {name: {f"--{o}" for o in ("graph out " + opts).split()}
+                     for name, opts in OPTIONS.items()}
+    assert sum(map(len, taken.values())) == 53
+
+
+@pytest.mark.parametrize("argv", [
+    ["laplace", "--tree", "e1"],
+    ["check-commutation", "--seed", "1"],
+    ["sample-env", "--float"],
+    ["check-flatness", "--exact"],
+    ["laplace", "--samples", "0"],
+    ["verify-thm21", "--tol", "-1e-6"],
+    ["transport", "--quad-tol", "nan"],
+    ["check-commutation", "--alpha", "e1"],
+    ["laplace", "--lambda", "e1=1/0"],
+])
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--graph", "chain"])
+    assert exc.value.code == PARSE_ERROR
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("graph", ["two-edge", "triangle"])
+def test_wilson_path_gate_at_small_n(capsys, graph, seed):
+    main(["wilson-test", "--graph", graph, "--samples", "2000", "--seed", str(seed)])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["path_pass"] is True and results["path_p_value"] >= 1e-3
+
+
+def test_split_transport_reads_alpha(capsys, tmp_path):
+    """--alpha on the split graph acts as a graph file with that weight does."""
+    g = builtin_graph("two-edge")
+    heavy = replace(g, edges=(replace(g.edges[0], alpha=Fraction(3)),) + g.edges[1:])
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(graph_to_dict(heavy)))
+    starts = []
+    for argv in (["--graph", "two-edge"], ["--graph", "two-edge", "--alpha", "e1=3"],
+                 ["--graph", str(path)]):
+        assert main(["transport", "--split", "--lambda", "e1=2,e2=1", *argv]) == 0
+        starts.append(json.loads(capsys.readouterr().out)["results"]["start"])
+    assert starts[1] == starts[2] != starts[0]
+
+
+def test_nonconvergence_is_a_fail_report(capsys):
+    status = main(["verify-identities", "--graph", "two-diamond"])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 1 and report["pass"] is False and "error" not in report
+    assert "panels" in report["results"]["nonconvergence"]
