@@ -39,8 +39,10 @@ from .environment import (
     edge_occupation,
     green_function,
     loop_erase,
+    loop_erased_paths,
     mc_estimate_rhs,
     mc_laplace,
+    mc_laplace_by_tree,
     sample_environment,
     simulate_chain,
     simulate_chains,

@@ -294,22 +294,28 @@ def _cmd_transport(g, args):
 
 
 def _cmd_wilson_test(g, args):
+    """Sample directed spanning trees with Wilson's algorithm and check them by two
+    chi-square gates at level 1e-3: the tree frequencies against the exact tree
+    law, and the base-to-cemetery paths of the sampled trees against the
+    loop-erased paths of as many chains.  gof_cells and path_cells count the
+    cells of each gate; a gate with one cell always passes and checks nothing,
+    as on graphs with a single directed tree."""
     env = _environment(g, args)
     n = args.samples
     trees = env_mod.directed_trees(g)
     probs = [float(env_mod.tree_probability(g, env, t)) for t in trees]
 
-    sampled = env_mod.wilson_sample_trees(g, env, n, args.seed)
-    counts = Counter(t.edges for t in sampled)
+    counts = Counter(t.edges for t in env_mod.wilson_sample_trees(g, env, n, args.seed))
     observed = [counts[t.edges] for t in trees]
     expected = [p * n for p in probs]
     stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
     pvalue, gof_ok = _chi2_gate(stat, len(trees))
 
     # tree-path marginal vs loop-erased chains: two-sample chi-square homogeneity
-    path_counts = Counter(frozenset(comb.tree_path(g, t).edges) for t in sampled)
-    lerw_counts = Counter(frozenset(env_mod.loop_erase(g, traj))
-                          for traj in env_mod.simulate_chains(g, env, n, args.seed))
+    path_counts = Counter()
+    for edges, c in counts.items():
+        path_counts[frozenset(comb.tree_path(g, comb.SpanningTree(edges, True)).edges)] += c
+    lerw_counts = env_mod.loop_erased_paths(g, env, n, args.seed)
     keys = sorted(path_counts | lerw_counts, key=sorted)
     pairs = [(path_counts[k], lerw_counts[k]) for k in keys]
     tv = 0.5 * sum(abs(a - b) for a, b in pairs) / n
@@ -322,10 +328,12 @@ def _cmd_wilson_test(g, args):
         "observed_counts": observed,
         "chi2": stat,
         "p_value": pvalue,
+        "gof_cells": len(trees),
         "gof_pass": gof_ok,
         "path_marginal_tv": tv,
         "path_chi2": path_stat,
         "path_p_value": path_pvalue,
+        "path_cells": len(keys),
         "path_pass": path_ok,
     }
     return results, gof_ok and path_ok
@@ -334,12 +342,11 @@ def _cmd_wilson_test(g, args):
 def _cmd_laplace(g, args):
     w = _weights(g, args)
     lam = _rates(g, args)
-    n = args.samples
-    total = env_mod.mc_laplace(g, w, lam, n, args.seed)
+    trees = env_mod.directed_trees(g)
+    total, estimates = env_mod.mc_laplace_by_tree(g, w, lam, trees, args.samples, args.seed)
     per_tree = {}
     acc = 0.0
-    for t in env_mod.directed_trees(g):
-        est = env_mod.mc_estimate_rhs(g, w, lam, t, n, args.seed)
+    for t, est in zip(trees, estimates):
         per_tree[",".join(t.key)] = est.as_dict()
         acc += est.value
     consistency = abs(acc - total.value)
@@ -457,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, description=command.run.__doc__)
         p.add_argument("--graph", required=True,
                        help=f"graph file path or builtin name ({', '.join(sorted(BUILTIN))})")
         p.add_argument("--out", help="also write the JSON report to this file")

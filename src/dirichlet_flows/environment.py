@@ -7,14 +7,19 @@ of the chain killed at the cemetery turns an environment into an edge-
 occupation flow, and the weighted-tree functionals estimated here are the
 probabilistic side of the integral identities checked in `integrals`.
 
-Randomness contract: all draws come from counter-based Philox streams keyed
-(seed, substream), so results are bit-identical per seed.  Vectorized
-estimators use substream 0 with a fixed draw order (one gamma vector per edge,
-in graph edge order); per-trajectory samplers use substream = sample index.
+Randomness contract: every draw comes from a counter-based Philox stream
+keyed (seed, kind), one stream per kind of draw, so results are bit-identical
+per seed.  The environment batch draws one gamma vector per edge, in graph
+edge order.  The walkers move all n samples in lockstep: every lockstep step
+draws one uniform per walker still moving, in walker order.  Sample i thus
+depends on n and on the other samples' walks, and a batch of one is a single
+walk.  The chain walks of `simulate_chains` and `loop_erased_paths` at one
+seed are the same walks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,6 +76,8 @@ class Environment:
 
 
 def check_environment(g: DirectedGraph, env: Environment, tol: float = 1e-14) -> None:
+    """Raise ValueError unless the exit probabilities at every interior vertex sum
+    to one and every interior vertex reaches the cemetery along positive ones."""
     for x in g.interior:
         total = sum(env.p[e.id] for e in g.out_edges[x])
         if isinstance(total, Fraction):
@@ -78,6 +85,15 @@ def check_environment(g: DirectedGraph, env: Environment, tol: float = 1e-14) ->
                 raise ValueError(f"exit probabilities at {x!r} sum to {total}, not 1")
         elif abs(total - 1.0) > tol:
             raise ValueError(f"exit probabilities at {x!r} sum to {total!r}, not 1")
+    reached, frontier = {g.cemetery}, [g.cemetery]
+    while frontier:
+        for e in g.in_edges[frontier.pop()]:
+            if env.p[e.id] > 0 and e.tail not in reached:
+                reached.add(e.tail)
+                frontier.append(e.tail)
+    stuck = [x for x in g.interior if x not in reached]
+    if stuck:
+        raise ValueError(f"no positive-probability path from {stuck} to the cemetery")
 
 
 @dataclass(frozen=True)
@@ -96,13 +112,13 @@ class McEstimate:
         }
 
 
-# substream namespaces; the second Philox key word is (kind << 48) + index
+# stream kinds; the second Philox key word is kind << 48
 _ENV, _CHAIN, _WILSON = 0, 1, 2
 
 
-def philox_stream(seed: int, kind: int, index: int = 0) -> np.random.Generator:
-    """Counter-based generator for substream (seed, kind, index); bit-stable."""
-    return np.random.Generator(np.random.Philox(key=[seed % 2**64, (kind << 48) + index]))
+def philox_stream(seed: int, kind: int) -> np.random.Generator:
+    """Counter-based generator of stream (seed, kind); bit-stable."""
+    return np.random.Generator(np.random.Philox(key=[seed % 2**64, kind << 48]))
 
 
 def sample_environment_batch(g: DirectedGraph, w: DirichletWeights, n: int, seed: int) -> np.ndarray:
@@ -131,51 +147,84 @@ def sample_environment(g: DirectedGraph, w: DirichletWeights, seed: int) -> Envi
 # ---------------------------------------------------------------------------
 
 def transition_matrix(g: DirectedGraph, env: Environment):
-    """Interior-to-interior transition matrix as a list of rows (env's scalar type)."""
+    """Interior-to-interior transition matrix of an exact environment, as a list of rows."""
     idx = {x: i for i, x in enumerate(g.interior)}
     k = len(idx)
-    zero = Fraction(0) if env.is_exact() else 0.0
-    rows = [[zero] * k for _ in range(k)]
+    rows = [[Fraction(0)] * k for _ in range(k)]
     for e in g.edges:
         if e.head != g.cemetery:
             rows[idx[e.tail]][idx[e.head]] += env.p[e.id]
     return rows
 
 
+def _survival_matrices(g: DirectedGraph, p: np.ndarray) -> np.ndarray:
+    """(n, k, k) stack of I - P over the interior, one per row of exit probabilities."""
+    vidx = {x: i for i, x in enumerate(g.interior)}
+    n, k = p.shape[0], len(vidx)
+    pu = np.zeros((n, k, k))
+    for j, e in enumerate(g.edges):
+        if e.head != g.cemetery:
+            pu[:, vidx[e.tail], vidx[e.head]] += p[:, j]
+    return np.broadcast_to(np.eye(k), (n, k, k)) - pu
+
+
+def _occupation_batch(g: DirectedGraph, p: np.ndarray):
+    """det(I - P) and the edge-occupation flows of a batch of environments."""
+    a = _survival_matrices(g, p)
+    det = np.linalg.det(a)
+    rhs = np.zeros((len(p), len(g.interior), 1))
+    rhs[:, g.interior.index(g.base), 0] = 1.0
+    # Green-function row at the base, via the transposed survival system
+    visits = np.linalg.solve(np.transpose(a, (0, 2, 1)), rhs)[:, :, 0]
+    tails = np.array([g.interior.index(e.tail) for e in g.edges])
+    return det, visits[:, tails] * p
+
+
+def _as_batch(g: DirectedGraph, env: Environment) -> np.ndarray:
+    return np.array([[float(env.p[eid]) for eid in g.edge_ids]])
+
+
+_SINGULAR = "survival system is singular; environment does not reach the cemetery"
+
+
 def green_function(g: DirectedGraph, env: Environment) -> np.ndarray:
     """Expected visit counts before absorption, as a dense interior matrix."""
-    p = np.array([[float(v) for v in row] for row in transition_matrix(g, env)])
-    a = np.eye(len(g.interior)) - p
     try:
-        return np.linalg.inv(a)
+        return np.linalg.inv(_survival_matrices(g, _as_batch(g, env))[0])
     except np.linalg.LinAlgError as exc:
-        raise ValueError("survival system is singular; environment does not reach the cemetery") from exc
+        raise ValueError(_SINGULAR) from exc
+
+
+def _float_occupation(g: DirectedGraph, env: Environment):
+    """det(I - P) and the edge-occupation flow of one environment, as a batch of one."""
+    try:
+        det, z = _occupation_batch(g, _as_batch(g, env))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(_SINGULAR) from exc
+    return float(det[0]), dict(zip(g.edge_ids, z[0].tolist()))
 
 
 def edge_occupation(g: DirectedGraph, env: Environment) -> FlowPoint:
     """Expected crossing counts per edge; exact when the environment is exact."""
+    if not env.is_exact():
+        return FlowPoint(_float_occupation(g, env)[1])
     interior = list(g.interior)
-    if env.is_exact():
-        rows = transition_matrix(g, env)
-        k = len(interior)
-        # row of the Green function at the base: solve (I - P)^T w = e_base
-        at = [[ (1 if i == j else 0) - rows[j][i] for j in range(k)] for i in range(k)]
-        rhs = [Fraction(1) if x == g.base else Fraction(0) for x in interior]
-        walks = mat_solve(at, rhs)
-        visits = dict(zip(interior, walks))
-        return FlowPoint({e.id: visits[e.tail] * env.p[e.id] for e in g.edges})
-    green = green_function(g, env)
-    visits = dict(zip(interior, green[interior.index(g.base)]))
+    rows = transition_matrix(g, env)
+    k = len(interior)
+    # row of the Green function at the base: solve (I - P)^T w = e_base
+    at = [[(1 if i == j else 0) - rows[j][i] for j in range(k)] for i in range(k)]
+    rhs = [Fraction(1) if x == g.base else Fraction(0) for x in interior]
+    visits = dict(zip(interior, mat_solve(at, rhs)))
     return FlowPoint({e.id: visits[e.tail] * env.p[e.id] for e in g.edges})
 
 
 def survival_determinant(g: DirectedGraph, env: Environment):
     """det(I - P) for the killed chain; exact Fraction for exact environments."""
+    if not env.is_exact():
+        return _float_occupation(g, env)[0]
     rows = transition_matrix(g, env)
     k = len(rows)
-    if env.is_exact():
-        return mat_det([[(1 if i == j else 0) - rows[i][j] for j in range(k)] for i in range(k)])
-    return float(np.linalg.det(np.eye(k) - np.array(rows, dtype=float)))
+    return mat_det([[(1 if i == j else 0) - rows[i][j] for j in range(k)] for i in range(k)])
 
 
 def tree_probability(g: DirectedGraph, env: Environment, tree: SpanningTree):
@@ -191,46 +240,76 @@ def tree_probability(g: DirectedGraph, env: Environment, tree: SpanningTree):
 # ---------------------------------------------------------------------------
 # trajectory samplers
 # ---------------------------------------------------------------------------
+# All n walkers move in lockstep.  Vertices are numbered in g.interior order
+# with the cemetery last, edges in g.edges order.
 
-class _WalkTables:
-    """Per-vertex out-edge lists with cumulative probabilities, for fast stepping."""
+def _random_exits(g: DirectedGraph, env: Environment, rng):
+    """The head vertex of every edge, and a chooser that draws one exit edge for
+    each walker in walker order, one uniform each, from the chain in `env`."""
+    check_environment(g, env)
+    k = len(g.interior)
+    width = max(len(g.out_edges[x]) for x in g.interior)
+    # Row i: cumulative exit probabilities of vertex i with the last replaced by
+    # +inf, so the count of entries <= u is the slot of the exit taken and the
+    # last edge takes whatever u the rounded sum leaves over.
+    cum = np.full((k, width), np.inf)
+    slot = np.zeros((k, width), dtype=np.intp)
+    eidx = {eid: j for j, eid in enumerate(g.edge_ids)}
+    for i, x in enumerate(g.interior):
+        out = g.out_edges[x]
+        cum[i, :len(out) - 1] = np.cumsum([float(env.p[e.id]) for e in out[:-1]])
+        slot[i, :len(out)] = [eidx[e.id] for e in out]
+    vidx = {x: i for i, x in enumerate(g.interior + (g.cemetery,))}
+    head = np.array([vidx[e.head] for e in g.edges], dtype=np.intp)
 
-    def __init__(self, g: DirectedGraph, env: Environment):
-        check_environment(g, env)
-        self.g = g
-        self.edges = {}
-        self.cum = {}
-        for x in g.interior:
-            out = g.out_edges[x]
-            probs = np.array([float(env.p[e.id]) for e in out])
-            self.edges[x] = out
-            self.cum[x] = np.cumsum(probs)
-
-    def step(self, x: str, rng) -> tuple[str, str]:
-        j = int(np.searchsorted(self.cum[x], rng.random(), side="right"))
-        j = min(j, len(self.edges[x]) - 1)
-        e = self.edges[x][j]
-        return e.id, e.head
+    def choose(walkers, x):
+        return slot[x, (cum[x] <= rng.random(len(walkers))[:, None]).sum(axis=1)]
+    return head, choose
 
 
-def simulate_chain(g: DirectedGraph, env: Environment, seed: int, _tables=None,
-                   _index: int = 0) -> list[str]:
-    """One trajectory of the chain from the base until absorption, as edge ids."""
-    tables = _tables or _WalkTables(g, env)
-    rng = philox_stream(seed, _CHAIN, _index)
-    x = g.base
-    path = []
-    for _ in range(STEP_CAP):
-        eid, x = tables.step(x, rng)
-        path.append(eid)
-        if x == g.cemetery:
-            return path
-    raise IterationCapExceeded(f"no absorption within {STEP_CAP} steps")
+def _lockstep(head: np.ndarray, choose, walkers: np.ndarray, x: np.ndarray, stop: np.ndarray,
+              cap: int):
+    """Move each walker from its vertex in x along the edge choose(walkers, x)
+    picks until walker w stands on a vertex v with stop[w, v]; yields
+    (walkers, tails, edges) of every lockstep step.  A walker still moving
+    after `cap` steps raises IterationCapExceeded."""
+    for _ in range(cap):
+        if not len(walkers):
+            return
+        e = choose(walkers, x)
+        yield walkers, x, e
+        x = head[e]
+        going = ~stop[walkers, x]
+        walkers, x = walkers[going], x[going]
+    if len(walkers):
+        raise IterationCapExceeded(f"a walk did not stop within {cap} steps")
+
+
+def _chains(g: DirectedGraph, env: Environment, n: int, seed: int):
+    """n chains from the base until absorption: their lockstep steps, the head
+    table, the start vertices and the stop table (the cemetery only)."""
+    head, choose = _random_exits(g, env, philox_stream(seed, _CHAIN))
+    k = len(g.interior)
+    stop = np.zeros((1, k + 1), dtype=bool)
+    stop[0, k] = True
+    stop = np.broadcast_to(stop, (n, k + 1))
+    start = np.full(n, g.interior.index(g.base))
+    return _lockstep(head, choose, np.arange(n), start, stop, STEP_CAP), head, start, stop
 
 
 def simulate_chains(g: DirectedGraph, env: Environment, n: int, seed: int) -> list[list[str]]:
-    tables = _WalkTables(g, env)
-    return [simulate_chain(g, env, seed, _tables=tables, _index=i) for i in range(n)]
+    """n trajectories of the chain from the base until absorption, as edge ids."""
+    trajectories: list[list[str]] = [[] for _ in range(n)]
+    steps, *_ = _chains(g, env, n, seed)
+    for walkers, _, edges in steps:
+        for w, e in zip(walkers.tolist(), edges.tolist()):
+            trajectories[w].append(g.edge_ids[e])
+    return trajectories
+
+
+def simulate_chain(g: DirectedGraph, env: Environment, seed: int) -> list[str]:
+    """One trajectory of the chain from the base until absorption, as edge ids."""
+    return simulate_chains(g, env, 1, seed)[0]
 
 
 def loop_erase(g: DirectedGraph, trajectory: list[str]) -> list[str]:
@@ -253,35 +332,68 @@ def loop_erase(g: DirectedGraph, trajectory: list[str]) -> list[str]:
     return edges
 
 
-def wilson_sample_tree(g: DirectedGraph, env: Environment, seed: int, _tables=None,
-                       _index: int = 0) -> SpanningTree:
-    """One directed spanning tree via loop-erased walks rooted at the cemetery."""
-    tables = _tables or _WalkTables(g, env)
-    rng = philox_stream(seed, _WILSON, _index)
-    in_tree = {g.cemetery}
-    nxt_edge: dict[str, str] = {}
-    budget = STEP_CAP
-    for start in g.interior:
-        if start in in_tree:
-            continue
-        x = start
-        while x not in in_tree:  # cycle-popping walk
-            eid, y = tables.step(x, rng)
-            nxt_edge[x] = eid
-            x = y
-            budget -= 1
-            if budget <= 0:
-                raise IterationCapExceeded(f"Wilson sampling exceeded {STEP_CAP} steps")
-        x = start
-        while x not in in_tree:
-            in_tree.add(x)
-            x = g.edge_by_id[nxt_edge[x]].head
-    return SpanningTree(frozenset(nxt_edge[x] for x in g.interior), directed=True)
+def _distinct_rows(a: np.ndarray):
+    """The distinct rows of a 2-D array, in lexicographic order, and the position
+    of each row of `a` among them (np.unique(a, axis=0, return_inverse=True),
+    which sorts the rows as opaque bytes and is many times slower)."""
+    order = np.lexsort(a.T[::-1])
+    rows = a[order]
+    fresh = np.ones(len(a), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
+    return rows[fresh], inverse
+
+
+def loop_erased_paths(g: DirectedGraph, env: Environment, n: int, seed: int) -> Counter:
+    """Counts of the loop-erased paths of n chains, each path an edge-id frozenset.
+
+    The chronological loop erasure of a walk from the base leaves every vertex
+    on it by the walk's last exit from that vertex, so the walkers record only
+    their last exits and the erased path follows them from the base.  The
+    walks are those of `simulate_chains` at the same seed.
+    """
+    steps, head, start, stop = _chains(g, env, n, seed)
+    last = np.zeros((n, len(g.interior)), dtype=np.intp)
+    for walkers, x, e in steps:
+        last[walkers, x] = e
+    on_path = np.zeros((n, len(g.edges)), dtype=bool)
+    # an erased path is simple, so it ends within |interior| steps
+    for walkers, _, e in _lockstep(head, lambda w, x: last[w, x], np.arange(n), start, stop,
+                                   len(g.interior)):
+        on_path[walkers, e] = True
+    rows, inverse = _distinct_rows(on_path)
+    return Counter({frozenset(g.edge_ids[j] for j in np.flatnonzero(row)): int(c)
+                    for row, c in zip(rows, np.bincount(inverse))})
 
 
 def wilson_sample_trees(g: DirectedGraph, env: Environment, n: int, seed: int) -> list[SpanningTree]:
-    tables = _WalkTables(g, env)
-    return [wilson_sample_tree(g, env, seed, _tables=tables, _index=i) for i in range(n)]
+    """n directed spanning trees via loop-erased walks rooted at the cemetery (Wilson).
+
+    For each start vertex in g.interior order, every sample whose tree lacks
+    the start walks until it hits its tree, recording its last exit from each
+    vertex; the path that follows those exits from the start joins the tree.
+    """
+    head, choose = _random_exits(g, env, philox_stream(seed, _WILSON))
+    k = len(g.interior)
+    in_tree = np.zeros((n, k + 1), dtype=bool)
+    in_tree[:, k] = True
+    exits = np.zeros((n, k), dtype=np.intp)
+    for s in range(k):
+        walkers = np.flatnonzero(~in_tree[:, s])
+        start = np.full(len(walkers), s)
+        for w, x, e in _lockstep(head, choose, walkers, start, in_tree, STEP_CAP):
+            exits[w, x] = e
+        for w, x, _ in _lockstep(head, lambda w, x: exits[w, x], walkers, start, in_tree, k):
+            in_tree[w, x] = True
+    rows, inverse = _distinct_rows(exits)
+    trees = [SpanningTree(frozenset(g.edge_ids[j] for j in row), directed=True) for row in rows]
+    return [trees[i] for i in inverse]
+
+
+def wilson_sample_tree(g: DirectedGraph, env: Environment, seed: int) -> SpanningTree:
+    """One directed spanning tree via loop-erased walks rooted at the cemetery."""
+    return wilson_sample_trees(g, env, 1, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,40 +415,36 @@ def _lambda_vector(g: DirectedGraph, lam) -> np.ndarray:
     return vec
 
 
-def _occupation_batch(g: DirectedGraph, p: np.ndarray):
-    """Vectorized det(I-P) and edge-occupation flows for a batch of environments."""
-    interior = list(g.interior)
-    vidx = {x: i for i, x in enumerate(interior)}
-    n, k = p.shape[0], len(interior)
-    pu = np.zeros((n, k, k))
-    for j, e in enumerate(g.edges):
-        if e.head != g.cemetery:
-            pu[:, vidx[e.tail], vidx[e.head]] += p[:, j]
-    a = np.broadcast_to(np.eye(k), (n, k, k)) - pu
-    det = np.linalg.det(a)
-    rhs = np.zeros((n, k, 1))
-    rhs[:, vidx[g.base], 0] = 1.0
-    # Green-function row at the base, via the transposed survival system
-    visits = np.linalg.solve(np.transpose(a, (0, 2, 1)), rhs)[:, :, 0]
-    tails = np.array([vidx[e.tail] for e in g.edges])
-    z = visits[:, tails] * p
-    return det, z
+def _estimate(vals: np.ndarray, seed: int) -> McEstimate:
+    n = len(vals)
+    err = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
+    return McEstimate(float(vals.mean()), err, n, seed)
 
 
-def mc_estimate_rhs(g: DirectedGraph, w: DirichletWeights, lam, tree: SpanningTree,
-                    n: int, seed: int) -> McEstimate:
-    """Average of exp(-<rates, occupation>) times the directed tree's probability weight."""
-    if not tree.directed:
+def mc_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int,
+                       seed: int) -> tuple[McEstimate, list[McEstimate]]:
+    """Average of exp(-<rates, occupation>) over sampled environments, and the
+    average of the same values times each directed tree's probability weight,
+    all from one environment batch."""
+    if not all(t.directed for t in trees):
         raise ValueError("the tree-weighted estimator needs a directed spanning tree")
     if n <= 0:
         raise ValueError("no samples")
     lvec = _lambda_vector(g, lam)
     p = sample_environment_batch(g, w, n, seed)
     det, z = _occupation_batch(g, p)
-    tree_cols = [j for j, eid in enumerate(g.edge_ids) if eid in tree.edges]
-    vals = np.exp(-(z @ lvec)) * p[:, tree_cols].prod(axis=1) / det
-    err = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return McEstimate(float(vals.mean()), err, n, seed)
+    laplace = np.exp(-(z @ lvec))
+    per_tree = []
+    for t in trees:
+        tree_cols = [j for j, eid in enumerate(g.edge_ids) if eid in t.edges]
+        per_tree.append(_estimate(laplace * p[:, tree_cols].prod(axis=1) / det, seed))
+    return _estimate(laplace, seed), per_tree
+
+
+def mc_estimate_rhs(g: DirectedGraph, w: DirichletWeights, lam, tree: SpanningTree,
+                    n: int, seed: int) -> McEstimate:
+    """Average of exp(-<rates, occupation>) times the directed tree's probability weight."""
+    return mc_laplace_by_tree(g, w, lam, [tree], n, seed)[1][0]
 
 
 def mc_laplace(g: DirectedGraph, w: DirichletWeights, lam, n: int, seed: int) -> McEstimate:
@@ -345,14 +453,7 @@ def mc_laplace(g: DirectedGraph, w: DirichletWeights, lam, n: int, seed: int) ->
     Uses the same environment batch as mc_estimate_rhs at the same (n, seed),
     so the per-directed-tree estimates sum to this one up to float roundoff.
     """
-    if n <= 0:
-        raise ValueError("no samples")
-    lvec = _lambda_vector(g, lam)
-    p = sample_environment_batch(g, w, n, seed)
-    _, z = _occupation_batch(g, p)
-    vals = np.exp(-(z @ lvec))
-    err = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return McEstimate(float(vals.mean()), err, n, seed)
+    return mc_laplace_by_tree(g, w, lam, [], n, seed)[0]
 
 
 def directed_trees(g: DirectedGraph) -> list[SpanningTree]:

@@ -136,3 +136,41 @@ def test_nonconvergence_is_a_fail_report(capsys):
     report = json.loads(capsys.readouterr().out)
     assert status == 1 and report["pass"] is False and "error" not in report
     assert "panels" in report["results"]["nonconvergence"]
+
+
+def test_wilson_test_rejects_unreachable_cemetery(capsys):
+    """x0 and a only hand the walk to each other: an error report, no walk."""
+    status, report = run_twice(capsys, ["wilson-test", "--graph", "triangle",
+                                        "--prob", "e1=1,e3=0", "--prob", "e2=1,e4=0"])
+    assert status == PARSE_ERROR and report["pass"] is False
+    assert "to the cemetery" in report["error"]
+
+
+@pytest.mark.parametrize("graph, cells", [("two-edge", (2, 2)), ("triangle", (3, 2)),
+                                          ("two-diamond", (1, 1)), ("chain", (1, 1))])
+def test_wilson_test_reports_gate_cells(capsys, graph, cells):
+    main(["wilson-test", "--graph", graph, "--samples", "2000"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["gof_cells"], results["path_cells"]) == cells
+
+
+def test_wilson_test_help_says_one_cell_checks_nothing(capsys):
+    with pytest.raises(SystemExit):
+        main(["wilson-test", "--help"])
+    assert "one cell always passes and checks nothing" in " ".join(capsys.readouterr().out.split())
+
+
+def test_laplace_report_is_unchanged(capsys):
+    """The results of laplace from one environment batch, as printed when the
+    total and each tree's estimate drew their own batches."""
+    main(["laplace", "--graph", "triangle", "--samples", "2000", "--seed", "5",
+          "--lambda", "e1=1,e2=2,e3=1/2", "--alpha", "e1=2,e4=1/2"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert json.dumps(results, sort_keys=True) == (
+        '{"laplace": {"n_samples": 2000, "seed": 5, "std_error": 0.003217668041067575, '
+        '"value": 0.11475890955049518}, "pass": true, "per_tree": {"e1,e4": {"n_samples": '
+        '2000, "seed": 5, "std_error": 0.0015860852903826148, "value": 0.04306260667444111}, '
+        '"e2,e3": {"n_samples": 2000, "seed": 5, "std_error": 0.001640053532247321, "value": '
+        '0.038838297792077724}, "e3,e4": {"n_samples": 2000, "seed": 5, "std_error": '
+        '0.0014969998071060733, "value": 0.03285800508397635}}, "sum_consistency": 0.0, '
+        '"tree_sum": 0.11475890955049518}')

@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
 from dirichlet_flows import (
     DirichletWeights,
@@ -12,8 +14,10 @@ from dirichlet_flows import (
     enumerate_spanning_trees,
     green_function,
     loop_erase,
+    loop_erased_paths,
     mc_estimate_rhs,
     mc_laplace,
+    mc_laplace_by_tree,
     sample_environment,
     simulate_chain,
     simulate_chains,
@@ -23,7 +27,8 @@ from dirichlet_flows import (
     wilson_sample_trees,
 )
 from dirichlet_flows import environment as env_mod
-from dirichlet_flows.combinatorics import SpanningTree
+from dirichlet_flows.combinatorics import SpanningTree, enumerate_paths
+from dirichlet_flows.graphs import DirectedGraph, Edge
 
 from conftest import bundled_graphs, random_graphs, random_rational_environment
 
@@ -170,6 +175,32 @@ def test_step_cap(chain, monkeypatch):
     env = Environment({"e1": 1.0, "e2": 1.0})
     with pytest.raises(IterationCapExceeded):
         simulate_chain(chain, env, seed=0)
+    with pytest.raises(IterationCapExceeded):
+        wilson_sample_trees(chain, env, 10, seed=0)
+    with pytest.raises(IterationCapExceeded):
+        loop_erased_paths(chain, env, 10, seed=0)
+
+
+def test_step_cap_allows_walks_at_the_cap(chain, monkeypatch):
+    monkeypatch.setattr(env_mod, "STEP_CAP", 2)  # the chain's walk takes exactly 2 steps
+    env = Environment({"e1": 1.0, "e2": 1.0})
+    assert simulate_chains(chain, env, 3, seed=0) == [["e1", "e2"]] * 3
+    assert loop_erased_paths(chain, env, 3, seed=0) == {frozenset({"e1", "e2"}): 3}
+
+
+def test_unreachable_cemetery_is_rejected(triangle):
+    """x0 and a only hand the walk to each other, so no walk would ever end."""
+    env = Environment({"e1": Fraction(1), "e3": Fraction(0),
+                       "e2": Fraction(1), "e4": Fraction(0)})
+    for sample in (lambda: env_mod.check_environment(triangle, env),
+                   lambda: wilson_sample_trees(triangle, env, 10, seed=0),
+                   lambda: loop_erased_paths(triangle, env, 10, seed=0),
+                   lambda: simulate_chains(triangle, env, 10, seed=0)):
+        with pytest.raises(ValueError, match=r"from \['x0', 'a'\] to the cemetery"):
+            sample()
+    # a zero exit probability alone is fine while another path remains
+    env_mod.check_environment(triangle, Environment({"e1": Fraction(1), "e3": Fraction(0),
+                                                     "e2": Fraction(1, 2), "e4": Fraction(1, 2)}))
 
 
 def test_loop_erase_hand_case(triangle):
@@ -201,6 +232,74 @@ def test_wilson_frequencies_rough(triangle):
                            enumerate_spanning_trees(triangle, directed_only=True)}
     for c in counts.values():
         assert abs(c / n - 1 / 3) < 0.025
+
+
+# exit probabilities far from uniform; tree law (1/9, 2/9, 2/3)
+SKEWED = {"e1": Fraction(1, 3), "e3": Fraction(2, 3), "e2": Fraction(3, 4), "e4": Fraction(1, 4)}
+
+
+def complete_digraph() -> DirectedGraph:
+    """Every ordered pair of x0, a, b, plus an edge from each to the cemetery."""
+    inner = ("x0", "a", "b")
+    pairs = [(t, h) for t in inner for h in inner if t != h] + [(t, "delta") for t in inner]
+    return DirectedGraph(inner + ("delta",), "delta", "x0", tuple(
+        Edge(f"e{i + 1}", t, h, Fraction(1)) for i, (t, h) in enumerate(pairs)))
+
+
+def lockstep_cases(triangle, two_diamond):
+    """(graph, environment) pairs for the lockstep samplers: the skewed triangle,
+    two-diamond, the complete digraph on three vertices and random graphs, the
+    last two with random rational environments."""
+    rng = np.random.default_rng(37)
+    cases = [(triangle, Environment(SKEWED)), (two_diamond, Environment({
+        "e1": Fraction(2, 3), "e5": Fraction(1, 3), "e2": Fraction(1),
+        "e3": Fraction(1), "e4": Fraction(3, 5), "e6": Fraction(2, 5)}))]
+    return cases + [(g, random_rational_environment(g, rng))
+                    for g in [complete_digraph()] + random_graphs(seed=38, count=6)]
+
+
+def chi2_pvalue(counts: Counter, law: dict, n: int) -> float:
+    """p-value of the chi-square goodness of fit of n counts to an exact law."""
+    assert set(counts) <= set(law) and sum(law.values()) == 1
+    stat = sum((counts[k] - n * float(p)) ** 2 / (n * float(p)) for k, p in law.items())
+    return float(chdtrc(max(len(law) - 1, 1), stat))
+
+
+def test_wilson_tree_law(triangle, two_diamond):
+    n = 20_000
+    for g, env in lockstep_cases(triangle, two_diamond):
+        law = {t.edges: tree_probability(g, env, t)
+               for t in enumerate_spanning_trees(g, directed_only=True)}
+        counts = Counter(t.edges for t in wilson_sample_trees(g, env, n, seed=21))
+        assert chi2_pvalue(counts, law, n) >= 1e-3, g
+
+
+def test_loop_erased_path_law(triangle, two_diamond):
+    """The loop-erased path has the law of the base path of the random tree: the
+    probability of a path is that of the directed trees containing it."""
+    n = 20_000
+    for g, env in lockstep_cases(triangle, two_diamond):
+        trees = enumerate_spanning_trees(g, directed_only=True)
+        law = {frozenset(p.edges): sum((tree_probability(g, env, t) for t in trees
+                                        if p.edges <= t.edges), Fraction(0))
+               for p in enumerate_paths(g) if p.directed}
+        law = {path: prob for path, prob in law.items() if prob > 0}
+        assert chi2_pvalue(loop_erased_paths(g, env, n, seed=22), law, n) >= 1e-3, g
+
+
+def test_last_exit_erasure_is_loop_erase(triangle, two_diamond):
+    """loop_erased_paths erases the very walks of simulate_chains at the same seed."""
+    for g, env in lockstep_cases(triangle, two_diamond):
+        erased = Counter(frozenset(loop_erase(g, traj))
+                         for traj in simulate_chains(g, env, 3000, seed=23))
+        assert loop_erased_paths(g, env, 3000, seed=23) == erased
+
+
+def test_lockstep_samplers_deterministic(triangle):
+    env = Environment(SKEWED)
+    assert simulate_chains(triangle, env, 200, seed=4) == simulate_chains(triangle, env, 200, seed=4)
+    assert simulate_chains(triangle, env, 200, seed=4) != simulate_chains(triangle, env, 200, seed=5)
+    assert loop_erased_paths(triangle, env, 200, seed=4) == loop_erased_paths(triangle, env, 200, 4)
 
 
 def test_mc_estimate_rhs_symmetric_mean(two_edge):
@@ -263,3 +362,13 @@ def test_mc_bit_identical_per_seed(triangle):
     a = mc_laplace(triangle, w, lam, 5000, seed=14)
     b = mc_laplace(triangle, w, lam, 5000, seed=14)
     assert a == b
+
+
+def test_mc_laplace_by_tree_is_the_separate_calls(triangle):
+    w = DirichletWeights.from_graph(triangle, {"e1": 2, "e4": Fraction(1, 2)})
+    lam = {"e1": 1.0, "e2": 2.0, "e3": 0.5, "e4": 0.0}
+    trees = enumerate_spanning_trees(triangle, directed_only=True)
+    total, per_tree = mc_laplace_by_tree(triangle, w, lam, trees, 3000, seed=15)
+    assert total == mc_laplace(triangle, w, lam, 3000, seed=15)
+    assert per_tree == [mc_estimate_rhs(triangle, w, lam, t, 3000, seed=15) for t in trees]
+
