@@ -417,8 +417,7 @@ def _lambda_vector(g: DirectedGraph, lam) -> np.ndarray:
 
 def _estimate(vals: np.ndarray, seed: int) -> McEstimate:
     n = len(vals)
-    err = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return McEstimate(float(vals.mean()), err, n, seed)
+    return McEstimate(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n)), n, seed)
 
 
 def mc_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int,
@@ -428,8 +427,8 @@ def mc_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int
     all from one environment batch."""
     if not all(t.directed for t in trees):
         raise ValueError("the tree-weighted estimator needs a directed spanning tree")
-    if n <= 0:
-        raise ValueError("no samples")
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {n}")
     lvec = _lambda_vector(g, lam)
     p = sample_environment_batch(g, w, n, seed)
     det, z = _occupation_batch(g, p)

@@ -12,8 +12,11 @@ Laplace identity on the vertex-split graph and of the two structural
 identities behind the flat connection (the divergence pairing, which is exact,
 and the cohomological exchange between adjacent tree integrals).
 
-The integrand returns 0 outside the chamber, so both quadrature over a
-bounding box and rejection-style Monte Carlo are correct as-is.
+Quadrature runs over the chamber itself: Fourier-Motzkin elimination of the
+chamber inequalities, in exact rationals, gives each nested level the interval
+of its coordinate given the outer ones, so no Gauss-Kronrod panel lies where
+the integrand vanishes.  The integrand returns 0 outside the chamber, so Monte
+Carlo proposals that leave it simply get weight zero.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .combinatorics import (
     FlowPoint,
     SpanningTree,
     cotree,
-    enumerate_cycles,
     fundamental_cycle,
     is_spanning_tree,
     tree_coordinate_map,
@@ -125,8 +127,9 @@ class _Evaluator:
         g = spec.graph
         free_ids, rows = tree_coordinate_map(g, spec.tree)
         self.free_ids = free_ids
-        self.offset = np.array([float(rows[eid][0]) for eid in g.edge_ids])
-        self.coeffs = np.array([[float(c) for c in rows[eid][1]] for eid in g.edge_ids])
+        self.rows = [rows[eid] for eid in g.edge_ids]  # exact (offset, coefficients)
+        self.offset = np.array([float(off) for off, _ in self.rows])
+        self.coeffs = np.array([[float(c) for c in coeffs] for _, coeffs in self.rows])
         self.lam = np.array([_real_rate(spec.lam[eid], eid) for eid in g.edge_ids])
         exps = []
         for eid in g.edge_ids:
@@ -248,14 +251,105 @@ def _adaptive_1d(node_fn, tol: float):
     return value, err
 
 
+def _scaled(b: Fraction, a: tuple) -> tuple:
+    """The row b + a.u > 0 scaled to max |a_j| = 1; a row with a = 0 is left as is."""
+    m = max(map(abs, a), default=0)
+    return (b, a) if m == 0 else (b / m, tuple(c / m for c in a))
+
+
+def _bound_rows(rows, k: int):
+    """Each row b + a.u > 0 with a_k != 0 solved for u_k: the offsets and prefix
+    coefficients of -(b + a_0 u_0 + ... + a_{k-1} u_{k-1}) / a_k, in floats."""
+    offsets = np.array([float(-b / a[k]) for b, a in rows])
+    coeffs = np.array([[float(-c / a[k]) for c in a[:k]] for _, a in rows])
+    return offsets, coeffs.reshape(len(rows), k)
+
+
+class _ChamberLimits:
+    """Exact limits of each coordinate on the chamber offset + C.u > 0.
+
+    Fourier-Motzkin elimination of u_{d-1}, ..., u_1 in exact rationals: the
+    rows with a zero u_k coefficient are kept, each row with a positive one is
+    combined with each row with a negative one, and the results are scaled to
+    max |coefficient| = 1 and deduplicated.  The rows eliminated at step k are
+    the limits of level k: given u_0..u_{k-1}, u_k lies above every bound of a
+    positive row and below every bound of a negative one.  Each free coordinate
+    is an edge flow, so its own row u_k > 0 keeps every lower limit finite.
+    The chamber is empty when a row without coefficients has offset <= 0.
+    """
+
+    def __init__(self, rows, d: int):
+        system = {_scaled(b, tuple(a)) for b, a in rows}
+        self.levels = [None] * d
+        for k in reversed(range(d)):
+            kept = {(b, a[:k]) for b, a in system if a[k] == 0}
+            lower = [(b, a) for b, a in system if a[k] > 0]
+            upper = [(b, a) for b, a in system if a[k] < 0]
+            self.levels[k] = (_bound_rows(lower, k), _bound_rows(upper, k))
+            for bp, ap in lower:
+                for bn, an in upper:
+                    s, t = -an[k], ap[k]
+                    kept.add(_scaled(s * bp + t * bn,
+                                     tuple(s * x + t * y for x, y in zip(ap[:k], an[:k]))))
+            system = kept
+        self.empty = any(b <= 0 for b, _ in system)
+
+    def interval(self, k: int, prefix) -> tuple[float, float]:
+        """(lo, hi) of u_k given u_0..u_{k-1}; hi is inf where nothing bounds u_k above."""
+        (lo_b, lo_a), (hi_b, hi_a) = self.levels[k]
+        prefix = np.asarray(prefix, dtype=float)
+        lo = float(np.max(lo_b + lo_a @ prefix))
+        hi = float(np.min(hi_b + hi_a @ prefix)) if len(hi_b) else math.inf
+        return lo, hi
+
+
+def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefix: tuple,
+                     tol: float, counter: list) -> tuple[float, float]:
+    """Integral over u_k..u_{d-1} at fixed u_0..u_{k-1}, with its error bound.
+
+    u_k runs over its exact interval (lo, hi): affinely from (0, 1) where hi is
+    finite, as lo + t/(1-t) where it is not.  An empty interval gives 0.
+    """
+    lo, hi = limits.interval(k, prefix)
+    if not hi > lo:
+        return 0.0, 0.0
+    d = ev.dim
+
+    def node_fn(pts):
+        if math.isinf(hi):
+            with np.errstate(over="ignore", divide="ignore"):
+                us = lo + pts / (1.0 - pts)
+                jac = 1.0 / (1.0 - pts) ** 2
+        else:
+            us = lo + (hi - lo) * pts
+            jac = np.full_like(pts, hi - lo)
+        if k == d - 1:
+            batch = np.empty((len(us), d))
+            batch[:, :k] = prefix
+            batch[:, k] = us
+            counter[0] += len(us)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return ev(batch) * jac, np.zeros_like(us)
+        vals = np.empty(len(us))
+        deltas = np.empty(len(us))
+        for i, u in enumerate(us):
+            v, e = _integrate_level(ev, limits, k + 1, prefix + (u,), tol * _INNER_FRAC,
+                                    counter)
+            vals[i] = v * jac[i]
+            deltas[i] = e * jac[i]
+        return vals, deltas
+
+    return _adaptive_1d(node_fn, tol)
+
+
 def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
                          weight_edge: str | None = None) -> IntegralEstimate:
-    """Nested adaptive quadrature over the cotree coordinates.
+    """Nested adaptive quadrature over the chamber in the cotree coordinates.
 
-    Coordinates whose edge lies on a directed cycle are unbounded and get the
-    v/(1-v) map; every other occupation coordinate is at most the unit base
-    mass, so (0,1) covers it.  The reported error sums the panel estimates and
-    the weighted errors of inner evaluations.
+    Level k integrates u_k over its exact interval given the outer
+    coordinates (`_ChamberLimits`), so every Gauss-Kronrod panel lies where
+    the integrand is positive and smooth.  The reported error sums the panel
+    estimates and the weighted errors of inner evaluations.
     """
     ev = _Evaluator(spec, weight_edge)
     d = ev.dim
@@ -264,41 +358,11 @@ def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
     if d == 0:
         val = float(ev(np.zeros((1, 0)))[0])
         return IntegralEstimate(val, 0.0, "quadrature", 1)
-
-    on_cycle = set()
-    for c in enumerate_cycles(spec.graph):
-        if c.directed:
-            on_cycle |= c.edges
-    unbounded = [eid in on_cycle for eid in ev.free_ids]
-
+    limits = _ChamberLimits(ev.rows, d)
+    if limits.empty:
+        return IntegralEstimate(0.0, 0.0, "quadrature", 0)
     counter = [0]
-
-    def level(k: int, prefix: tuple, tol_k: float):
-        def node_fn(pts):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                if unbounded[k]:
-                    us = pts / (1.0 - pts)
-                    jac = 1.0 / (1.0 - pts) ** 2
-                else:
-                    us, jac = pts, np.ones_like(pts)
-            if k == d - 1:
-                batch = np.empty((len(us), d))
-                batch[:, :k] = prefix
-                batch[:, k] = us
-                counter[0] += len(us)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return ev(batch) * jac, np.zeros_like(us)
-            vals = np.empty(len(us))
-            deltas = np.empty(len(us))
-            for i, u in enumerate(us):
-                v, e = level(k + 1, prefix + (u,), tol_k * _INNER_FRAC)
-                vals[i] = v * jac[i]
-                deltas[i] = e * jac[i]
-            return vals, deltas
-
-        return _adaptive_1d(node_fn, tol_k)
-
-    value, err = level(0, (), tol)
+    value, err = _integrate_level(ev, limits, 0, (), tol, counter)
     return IntegralEstimate(value, err, "quadrature", counter[0])
 
 
@@ -314,8 +378,8 @@ def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
     rate = lambda_e (the exponential tilt of the integrand), falling back to
     rate 1 where lambda_e = 0; points outside the chamber get weight zero.
     """
-    if n <= 0:
-        raise ValueError("no samples")
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {n}")
     ev = _Evaluator(spec, weight_edge)
     d = ev.dim
     if d == 0:
@@ -343,7 +407,7 @@ def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
     logq = (shapes * np.log(rates) - gammaln(shapes)
             + (shapes - 1.0) * np.log(u[inside]) - rates * u[inside]).sum(axis=1)
     vals[inside] = np.exp(logv - logq)
-    err = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    err = float(vals.std(ddof=1) / math.sqrt(n))
     return IntegralEstimate(float(vals.mean()), err, "monte-carlo", n)
 
 

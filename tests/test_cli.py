@@ -138,6 +138,37 @@ def test_nonconvergence_is_a_fail_report(capsys):
     assert "panels" in report["results"]["nonconvergence"]
 
 
+@pytest.mark.parametrize("command", ["verify-thm21", "verify-identities"])
+def test_quadrature_commands_pass_on_triangle(capsys, command):
+    """The triangle's charts are slanted (0 < u1 - u2 < 1 on {e3, e4}); at the
+    default arguments both sides of every identity agree."""
+    status, report = run_twice(capsys, [command, "--graph", "triangle"])
+    assert status == 0 and report["pass"] is True
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+@pytest.mark.parametrize("command", ["verify-thm21", "verify-identities", "transport"])
+def test_quadrature_commands_print_strict_json(capsys, command, graph):
+    """One JSON object without NaN or Infinity, whatever the verdict."""
+    main([command, "--graph", graph])
+    json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-thm21", "--graph", "two-edge", "--samples", "1", "--lambda", "e1=5"],
+    ["laplace", "--graph", "two-edge", "--samples", "1"],
+])
+def test_one_sample_is_an_error_report(capsys, argv):
+    """One sample has no standard error; an infinite one would pass every gate."""
+    status, report = run_twice(capsys, argv)
+    assert status == PARSE_ERROR and report["pass"] is False
+    assert "at least 2 samples" in report["error"]
+
+
 def test_wilson_test_rejects_unreachable_cemetery(capsys):
     """x0 and a only hand the walk to each other: an error report, no walk."""
     status, report = run_twice(capsys, ["wilson-test", "--graph", "triangle",

@@ -332,6 +332,11 @@ def test_mc_estimate_rejects_bad_input(two_edge):
                         tree_of("e1", directed=False), 10, 0)
     with pytest.raises(ValueError, match="samples"):
         mc_estimate_rhs(two_edge, w, {"e1": 1.0, "e2": 1.0}, tree_of("e1"), 0, 0)
+    # one sample has no standard error; an infinite one would pass every gate
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        mc_estimate_rhs(two_edge, w, {"e1": 1.0, "e2": 1.0}, tree_of("e1"), 1, 0)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        mc_laplace(two_edge, w, {"e1": 1.0, "e2": 1.0}, 1, 0)
 
 
 def test_mc_laplace_normalization(triangle):

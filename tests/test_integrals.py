@@ -103,12 +103,98 @@ def test_quadrature_zero_dimensional(chain):
     assert est.error == 0.0 and est.n_evals == 1
 
 
-def test_quadrature_matches_mc_triangle(triangle):
-    lam = {"e1": 1.0, "e2": 1.0, "e3": 1.0, "e4": 1.0}
-    spec = spec_for(triangle, ones(triangle), lam, tree_of("e3", "e4"))
+def _triangle_chart_closed_form(l1, l2, l3, l4):
+    """The triangle chart {e3, e4} integral at unit weights.
+
+    z3 = 1 - u1 + u2 and z4 = s = u1 - u2 with 0 < s < 1, so integrating out
+    u2 > 0 leaves exp(-l3) / (l1 + l2) * int_0^1 exp(-c s) s (1 - s) ds with
+    c = l1 + l4 - l3, and that integral is (c - 2 + (c + 2) exp(-c)) / c^3.
+    """
+    c = l1 + l4 - l3
+    return math.exp(-l3) / (l1 + l2) * (c - 2 + (c + 2) * math.exp(-c)) / c ** 3
+
+
+@pytest.mark.parametrize("rates", [(1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0)],
+                         ids=["unit", "1234"])
+def test_quadrature_triangle_closed_form(triangle, rates):
+    """A slanted chart: 0 < u1 - u2 < 1 with both coordinates unbounded."""
+    spec = spec_for(triangle, ones(triangle), dict(zip(triangle.edge_ids, rates)),
+                    tree_of("e3", "e4"))
+    exact = _triangle_chart_closed_form(*rates)
     quad = integrate_quadrature(spec, tol=1e-8)
+    assert abs(quad.value - exact) <= 1e-10 * exact
+    assert abs(quad.value - exact) <= quad.error
     mc = integrate_mc(spec, n=400_000, seed=3)
-    assert abs(quad.value - mc.value) <= 3 * mc.error + 1e-7
+    assert abs(mc.value - exact) <= 3 * mc.error
+
+
+def _chamber_systems():
+    """Exact chamber rows (offset, coefficients) and their dimension: every chart
+    of the builtins, of their split graphs and of random graphs, then random
+    integer systems whose eliminations meet coefficients other than +-1."""
+    graphs = bundled_graphs()
+    graphs += [split_graph(g).graph for g in graphs] + random_graphs(seed=12, count=8)
+    for g in graphs:
+        for t in enumerate_spanning_trees(g):
+            ev = int_mod._Evaluator(spec_for(g, ones(g), zeros(g), t))
+            if ev.dim:
+                yield ev.rows, ev.dim
+    rng = np.random.default_rng(14)
+    for _ in range(30):
+        d = int(rng.integers(2, 5))
+        rows = [(Fraction(0), tuple(Fraction(int(j == k)) for j in range(d))) for k in range(d)]
+        rows += [(Fraction(int(rng.integers(1, 5))),
+                  tuple(Fraction(int(c)) for c in rng.integers(-3, 4, size=d)))
+                 for _ in range(4)]
+        yield rows, d
+
+
+def test_chamber_limits_match_chamber():
+    """A point lies in the chamber exactly when each coordinate lies in its
+    level's interval given the coordinates before it, and every prefix that
+    lies in its levels' intervals leaves the next coordinate a nonempty one."""
+    rng = np.random.default_rng(13)
+    seen = {True: 0, False: 0}
+    for rows, d in _chamber_systems():
+        limits = int_mod._ChamberLimits(rows, d)
+        assert not limits.empty
+        offset = np.array([float(b) for b, _ in rows])
+        coeffs = np.array([[float(c) for c in a] for _, a in rows])
+        pts = rng.uniform(-0.25, 2.0, size=(100, d))
+        for u, inside in zip(pts, (offset + pts @ coeffs.T > 0).all(axis=1)):
+            within = True
+            for k in range(d):
+                lo, hi = limits.interval(k, u[:k])
+                assert math.isfinite(lo)
+                assert hi > lo or not within
+                within &= bool(lo < u[k] < hi)
+            assert within == inside
+            seen[bool(inside)] += 1
+    assert min(seen.values()) > 1000
+
+
+def test_empty_inner_interval_contributes_zero(triangle):
+    # chart {e3, e4}: u1 (z2) lies in (max(0, u0 - 1), u0), empty for u0 <= 0
+    spec = spec_for(triangle, ones(triangle), ones(triangle), tree_of("e3", "e4"))
+    ev = int_mod._Evaluator(spec)
+    limits = int_mod._ChamberLimits(ev.rows, ev.dim)
+    lo, hi = limits.interval(1, (-0.5,))
+    assert hi <= lo
+    counter = [0]
+    assert int_mod._integrate_level(ev, limits, 1, (-0.5,), 1e-8, counter) == (0.0, 0.0)
+    assert counter == [0]
+
+
+def test_quadrature_empty_chamber_is_zero():
+    # nothing flows into a, so conservation at a forces z2 = 0
+    g = DirectedGraph(
+        ("x0", "a", "delta"), "delta", "x0",
+        (Edge("e1", "x0", "delta", Fraction(1)), Edge("e2", "a", "x0", Fraction(1)),
+         Edge("e3", "x0", "delta", Fraction(1))),
+    )
+    spec = spec_for(g, ones(g), ones(g), tree_of("e1", "e2"))
+    est = integrate_quadrature(spec)
+    assert (est.value, est.error, est.n_evals) == (0.0, 0.0, 0)
 
 
 def test_quadrature_matches_mc_two_edge(two_edge):
@@ -158,6 +244,9 @@ def test_mc_requires_samples(two_edge):
     spec = spec_for(two_edge, ones(two_edge), zeros(two_edge), tree_of("e1"))
     with pytest.raises(ValueError, match="samples"):
         integrate_mc(spec, 0, 0)
+    # one sample has no standard error; an infinite one would pass every gate
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        integrate_mc(spec, 1, 0)
 
 
 def test_mc_rejects_nonpositive_proposal_shape(triangle):
