@@ -15,8 +15,8 @@ Exit status:
   1  a check failed; a quadrature that does not converge is a failed check,
      with its message under ``results``
   2  usage error: a bad option or option value (argparse prints the usage to
-     stderr), or an unknown edge, unreadable graph file or excluded rate point
-     (printed as {command, error, pass: false})
+     stderr), or an unknown edge, unreadable graph file, rate too large for a
+     float or excluded rate point (printed as {command, error, pass: false})
   3  the graph violates the standing assumptions
 """
 
@@ -55,10 +55,12 @@ def _weights(g: DirectedGraph, args) -> env_mod.DirichletWeights:
 
 
 def _rates(g: DirectedGraph, args) -> dict:
-    """Rate map: overrides on top of the default (1 on the first edge id, else 0)."""
+    """Rate map: overrides on top of the default 1 + 2^-(k+3) on the k-th edge of
+    the graph (1-based).  Every cycle form is a signed sum of distinct powers of
+    two plus an integer, so no default lies on a cycle-form kernel."""
     _check_edge_refs(g, args.lambda_overrides, "--lambda")
-    first = min(g.edge_ids)
-    return {eid: float(args.lambda_overrides.get(eid, eid == first)) for eid in g.edge_ids}
+    return {eid: float(args.lambda_overrides.get(eid, 1 + 2.0 ** -(k + 3)))
+            for k, eid in enumerate(g.edge_ids, start=1)}
 
 
 def _tree_from_ids(g: DirectedGraph, ids) -> comb.SpanningTree:
@@ -245,11 +247,13 @@ def _cmd_transport(g, args):
             pts.append({**lam0, **wp, **bridge_zero})
         loop = False
     else:
-        # default: a small contractible rectangle in the first two coordinates
+        # default: a small contractible rectangle in the first two coordinates,
+        # with a step that moves each cycle form by at most half its value
         e_ids = sorted(g.edge_ids)[:2]
+        step = min([0.25] + [abs(cyc.form(lam0)) / 4 for cyc, _ in conn.cycle_terms])
 
         def moved(*eids):
-            return {**lam0, **{eid: lam0[eid] + 0.25 for eid in eids}}
+            return {**lam0, **{eid: lam0[eid] + step for eid in eids}}
         pts = [dict(lam0), moved(e_ids[0]), moved(*e_ids), moved(e_ids[-1]), dict(lam0)]
         loop = True
 
@@ -404,6 +408,14 @@ def _assignments(parse):
     return assignments
 
 
+def _rate(text: str):
+    """A rate like 2/3 or 0.25, exact, or complex like 1.5+0.5j."""
+    try:
+        return parse_scalar(text)
+    except ValueError:
+        return complex(text)
+
+
 def _positive(cast):
     """Argument type of a number that must be positive."""
     def positive(text: str):
@@ -430,7 +442,7 @@ def _overrides(dest: str, what: str) -> dict:
 _OPTIONS = {
     "alpha": _overrides("alpha_overrides", "edge weights"),
     "lambda": _overrides("lambda_overrides",
-                         "rates (default: 1 on the first edge id, 0 elsewhere)"),
+                         "rates (default: 1 + 2^-(k+3) on the k-th edge of the graph)"),
     "prob": _overrides("prob_overrides", "exit probabilities, all or none of a vertex's "
                                          "out-edges (default: uniform)"),
     "tree": dict(nargs="+", metavar="EDGE",
@@ -443,12 +455,13 @@ _OPTIONS = {
                      "ODE to min(tol, 1e-9) (default: %(default)s)"),
     "quad-tol": dict(type=_positive(float), default=1e-8,
                      help="error target of the nested quadrature (default: %(default)s)"),
-    "waypoint": dict(dest="waypoints", type=_assignments(complex), action="append",
+    "waypoint": dict(dest="waypoints", type=_assignments(_rate), action="append",
                      metavar="EDGE=VAL[,...]",
                      help="rates of one transport waypoint on top of the --lambda rates, "
                           "repeatable; the first is the start and must be real, values may "
-                          "be complex like 1.5+0.5j (default: a closed loop of step 0.25 in "
-                          "the first two edge ids)"),
+                          "be like 2/3 or complex like 1.5+0.5j (default: a closed loop in "
+                          "the first two edge ids, of step 0.25 or a quarter of the smallest "
+                          "cycle form at the start if that is less)"),
     "split": dict(action="store_true",
                   help="transport on the vertex-split companion graph"),
     "float": dict(action="store_true",
@@ -487,7 +500,7 @@ def main(argv=None) -> int:
             results, ok = _COMMANDS[args.command].run(g, args)
     except int_mod.QuadratureNonConvergence as exc:
         results, ok = {"nonconvergence": str(exc)}, False
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(json.dumps({"command": args.command, "error": str(exc), "pass": False},
                          sort_keys=True))
         return PARSE_ERROR

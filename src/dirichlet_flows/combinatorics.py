@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .graphs import DirectedGraph
-from .rationals import mat_rank, mat_solve
+from .rationals import mat_det, mat_rank, mat_solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,21 +321,18 @@ def _coordinate_map_cached(g: DirectedGraph, tree_edges: frozenset):
         if e.head in vindex:
             m[vindex[e.head]][j] -= 1
 
-    def solve(rhs):
-        return mat_solve(m, rhs)
-
-    base_rhs = [Fraction(1) if v == g.base else Fraction(0) for v in interior]
-    offset = solve(base_rhs)  # tree values at u = 0
-
-    columns = []
+    # one elimination for the tree values at u = 0 (unit mass at the base)
+    # and for the tree-value column of every free edge
+    rhs = [[Fraction(1) if v == g.base else Fraction(0) for v in interior]]
     for eid in free_ids:
         e = g.edge_by_id[eid]
-        rhs = [Fraction(0)] * len(interior)
+        col = [Fraction(0)] * len(interior)
         if e.tail in vindex:
-            rhs[vindex[e.tail]] -= 1
+            col[vindex[e.tail]] -= 1
         if e.head in vindex:
-            rhs[vindex[e.head]] += 1
-        columns.append(solve(rhs))
+            col[vindex[e.head]] += 1
+        rhs.append(col)
+    offset, *columns = mat_solve(m, rhs)
 
     # full affine map over all edges, rows in g.edges order
     rows = {}
@@ -384,8 +381,6 @@ def tree_orientation_sign(g: DirectedGraph, tree: SpanningTree) -> int:
     ref = tree_basis(g)[0]
     free_ids, rows = tree_coordinate_map(g, ref)
     target = cotree(g, tree)
-    from .rationals import mat_det
-
     det = mat_det([[rows[eid][1][k] for k in range(len(free_ids))] for eid in target])
     if det == 0:
         raise ValueError("degenerate tree chart; not a spanning tree?")

@@ -145,27 +145,24 @@ def sample_environment(g: DirectedGraph, w: DirichletWeights, seed: int) -> Envi
 # ---------------------------------------------------------------------------
 # killed chain linear algebra
 # ---------------------------------------------------------------------------
-
-def transition_matrix(g: DirectedGraph, env: Environment):
-    """Interior-to-interior transition matrix of an exact environment, as a list of rows."""
-    idx = {x: i for i, x in enumerate(g.interior)}
-    k = len(idx)
-    rows = [[Fraction(0)] * k for _ in range(k)]
-    for e in g.edges:
-        if e.head != g.cemetery:
-            rows[idx[e.tail]][idx[e.head]] += env.p[e.id]
-    return rows
-
+# I - P over the interior is assembled in `_survival_matrices` only.  The
+# Monte Carlo kernel `_occupation_batch` solves it in floats for a whole batch
+# of environments.  The single-environment functions solve it exactly: float
+# exit probabilities enter at their exact binary values and each result is
+# rounded to float once, so a float result is the correctly rounded exact
+# one.  A chain that does not reach the cemetery has det(I - P) = 0, which
+# `survival_determinant` returns and the other functions reject.
 
 def _survival_matrices(g: DirectedGraph, p: np.ndarray) -> np.ndarray:
-    """(n, k, k) stack of I - P over the interior, one per row of exit probabilities."""
+    """(n, k, k) stack of I - P over the interior, one per row of exit
+    probabilities, in the dtype of p (object for exact Fractions)."""
     vidx = {x: i for i, x in enumerate(g.interior)}
     n, k = p.shape[0], len(vidx)
-    pu = np.zeros((n, k, k))
+    pu = np.zeros((n, k, k), dtype=p.dtype)
     for j, e in enumerate(g.edges):
         if e.head != g.cemetery:
             pu[:, vidx[e.tail], vidx[e.head]] += p[:, j]
-    return np.broadcast_to(np.eye(k), (n, k, k)) - pu
+    return np.eye(k, dtype=p.dtype) - pu
 
 
 def _occupation_batch(g: DirectedGraph, p: np.ndarray):
@@ -180,61 +177,61 @@ def _occupation_batch(g: DirectedGraph, p: np.ndarray):
     return det, visits[:, tails] * p
 
 
-def _as_batch(g: DirectedGraph, env: Environment) -> np.ndarray:
-    return np.array([[float(env.p[eid]) for eid in g.edge_ids]])
-
-
 _SINGULAR = "survival system is singular; environment does not reach the cemetery"
 
 
+def _killed_chain(g: DirectedGraph, env: Environment):
+    """Exact exit probabilities of one environment by edge id, its exact I - P
+    as a list of rows, and the rounding of exact results to the environment's
+    scalar type."""
+    p = {eid: Fraction(env.p[eid]) for eid in g.edge_ids}
+    a = _survival_matrices(g, np.array([list(p.values())], dtype=object))[0].tolist()
+    return p, a, (lambda x: x) if env.is_exact() else float
+
+
+def _solve(a, rhs):
+    try:
+        return mat_solve(a, rhs)
+    except ValueError as exc:
+        raise ValueError(_SINGULAR) from exc
+
+
 def green_function(g: DirectedGraph, env: Environment) -> np.ndarray:
-    """Expected visit counts before absorption, as a dense interior matrix."""
-    try:
-        return np.linalg.inv(_survival_matrices(g, _as_batch(g, env))[0])
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(_SINGULAR) from exc
-
-
-def _float_occupation(g: DirectedGraph, env: Environment):
-    """det(I - P) and the edge-occupation flow of one environment, as a batch of one."""
-    try:
-        det, z = _occupation_batch(g, _as_batch(g, env))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(_SINGULAR) from exc
-    return float(det[0]), dict(zip(g.edge_ids, z[0].tolist()))
+    """Expected visit counts before absorption, as a dense interior matrix;
+    exact when the environment is exact."""
+    _, a, cast = _killed_chain(g, env)
+    k = len(a)
+    columns = _solve(a, [[int(i == j) for i in range(k)] for j in range(k)])
+    return np.array([[cast(col[i]) for col in columns] for i in range(k)])
 
 
 def edge_occupation(g: DirectedGraph, env: Environment) -> FlowPoint:
     """Expected crossing counts per edge; exact when the environment is exact."""
-    if not env.is_exact():
-        return FlowPoint(_float_occupation(g, env)[1])
-    interior = list(g.interior)
-    rows = transition_matrix(g, env)
-    k = len(interior)
+    p, a, cast = _killed_chain(g, env)
     # row of the Green function at the base: solve (I - P)^T w = e_base
-    at = [[(1 if i == j else 0) - rows[j][i] for j in range(k)] for i in range(k)]
-    rhs = [Fraction(1) if x == g.base else Fraction(0) for x in interior]
-    visits = dict(zip(interior, mat_solve(at, rhs)))
-    return FlowPoint({e.id: visits[e.tail] * env.p[e.id] for e in g.edges})
+    (visits,) = _solve([list(col) for col in zip(*a)], [[int(x == g.base) for x in g.interior]])
+    at = dict(zip(g.interior, visits))
+    return FlowPoint({e.id: cast(at[e.tail] * p[e.id]) for e in g.edges})
 
 
 def survival_determinant(g: DirectedGraph, env: Environment):
     """det(I - P) for the killed chain; exact Fraction for exact environments."""
-    if not env.is_exact():
-        return _float_occupation(g, env)[0]
-    rows = transition_matrix(g, env)
-    k = len(rows)
-    return mat_det([[(1 if i == j else 0) - rows[i][j] for j in range(k)] for i in range(k)])
+    _, a, cast = _killed_chain(g, env)
+    return cast(mat_det(a))
 
 
 def tree_probability(g: DirectedGraph, env: Environment, tree: SpanningTree):
     """Probability of a directed spanning tree under the walk's tree measure."""
     if not tree.directed:
         raise ValueError("tree probability is defined for directed spanning trees only")
-    num = 1
+    p, a, cast = _killed_chain(g, env)
+    det = mat_det(a)
+    if det == 0:
+        raise ValueError(_SINGULAR)
+    num = Fraction(1)
     for eid in tree.edges:
-        num = num * env.p[eid]
-    return num / survival_determinant(g, env)
+        num *= p[eid]
+    return cast(num / det)
 
 
 # ---------------------------------------------------------------------------

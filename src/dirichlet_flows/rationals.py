@@ -3,7 +3,8 @@
 All identity checks in this package (matrix-tree, commutation relations,
 flatness, the divergence pairing) are exact algebraic statements, so they run
 on stdlib Fractions; floats appear only in the numeric shadows.  Matrices here
-are desk-scale (tens of rows), so plain Gaussian elimination is enough.
+are desk-scale (tens of rows), so one plain Gauss-Jordan elimination serves
+rank, determinant and solve alike.
 
 Sparse matrices are dict-of-rows: {row: {col: Fraction}}, zero entries absent.
 """
@@ -41,69 +42,55 @@ def format_scalar(x) -> str:
 # dense Fraction matrices: list of rows
 # ---------------------------------------------------------------------------
 
-def mat_rank(rows: list[list]) -> int:
-    """Rank of a matrix with Fraction/int entries, by exact elimination."""
+def _row_reduce(rows: list[list], width: int) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Gauss-Jordan reduction of the rows over Fraction, pivoting in the first
+    `width` columns only: the reduced rows, the pivot columns, and the
+    determinant factor, the product of the pivots with the sign of the row
+    swaps, which is 0 when one of those columns has no pivot."""
     a = [[Fraction(x) for x in row] for row in rows]
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    rank = 0
-    col = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, m) if a[r][col] != 0), None)
+    pivots: list[int] = []
+    det = Fraction(1)
+    for col in range(width):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(a)) if a[r][col] != 0), None)
         if piv is None:
+            det = Fraction(0)
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        prow = a[rank]
-        for r in range(rank + 1, m):
-            if a[r][col] != 0:
-                f = a[r][col] / prow[col]
-                a[r] = [x - f * y for x, y in zip(a[r], prow)]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+        if piv != top:
+            a[top], a[piv] = a[piv], a[top]
+            det = -det
+        p = a[top][col]
+        det *= p
+        prow = a[top] = [x / p for x in a[top]]
+        for r, row in enumerate(a):
+            f = row[col]
+            if r != top and f != 0:
+                a[r] = [x - f * y if y else x for x, y in zip(row, prow)]
+        pivots.append(col)
+    return a, pivots, det
+
+
+def mat_rank(rows: list[list]) -> int:
+    """Rank of a matrix with Fraction/int entries."""
+    return len(_row_reduce(rows, len(rows[0]) if rows else 0)[1])
 
 
 def mat_det(rows: list[list]) -> Fraction:
     """Determinant of a square matrix with Fraction/int entries."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a non-square matrix")
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c] != 0:
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return det
-
-
-def mat_solve(rows: list[list], rhs: list) -> list[Fraction]:
-    """Solve A x = b exactly; raises ValueError if A is singular."""
     n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [a[r][n] for r in range(n)]
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    return _row_reduce(rows, n)[2]
+
+
+def mat_solve(rows: list[list], rhs: list[list]) -> list[list[Fraction]]:
+    """Solve A x = b exactly for each right-hand side b in rhs, one solution
+    per side; raises ValueError if A is singular."""
+    n = len(rows)
+    a, pivots, _ = _row_reduce([list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise ValueError("singular system")
+    return [[a[r][n + j] for r in range(n)] for j in range(len(rhs))]
 
 
 # ---------------------------------------------------------------------------

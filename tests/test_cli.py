@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from dirichlet_flows.builtin_graphs import BUILTIN, builtin_graph
+from dirichlet_flows.cli import _COMMANDS as COMMANDS
 from dirichlet_flows.cli import PARSE_ERROR, build_parser, main
 from dirichlet_flows.graphs import graph_to_dict
 
@@ -132,7 +133,9 @@ def test_split_transport_reads_alpha(capsys, tmp_path):
 
 
 def test_nonconvergence_is_a_fail_report(capsys):
-    status = main(["verify-identities", "--graph", "two-diamond"])
+    """At rate 0 on the b-c cycle its chart integral diverges."""
+    status = main(["verify-identities", "--graph", "two-diamond",
+                   "--lambda", "e1=1,e2=0,e3=0,e4=0,e5=0,e6=0"])
     report = json.loads(capsys.readouterr().out)
     assert status == 1 and report["pass"] is False and "error" not in report
     assert "panels" in report["results"]["nonconvergence"]
@@ -169,6 +172,12 @@ def test_one_sample_is_an_error_report(capsys, argv):
     assert "at least 2 samples" in report["error"]
 
 
+@pytest.mark.parametrize("option", ["--lambda", "--waypoint"])
+def test_overflowing_rate_is_an_error_report(capsys, option):
+    status, report = run_twice(capsys, ["transport", "--graph", "two-edge", option, "e1=1e400"])
+    assert status == PARSE_ERROR and report["pass"] is False
+
+
 def test_wilson_test_rejects_unreachable_cemetery(capsys):
     """x0 and a only hand the walk to each other: an error report, no walk."""
     status, report = run_twice(capsys, ["wilson-test", "--graph", "triangle",
@@ -195,7 +204,7 @@ def test_laplace_report_is_unchanged(capsys):
     """The results of laplace from one environment batch, as printed when the
     total and each tree's estimate drew their own batches."""
     main(["laplace", "--graph", "triangle", "--samples", "2000", "--seed", "5",
-          "--lambda", "e1=1,e2=2,e3=1/2", "--alpha", "e1=2,e4=1/2"])
+          "--lambda", "e1=1,e2=2,e3=1/2,e4=0", "--alpha", "e1=2,e4=1/2"])
     results = json.loads(capsys.readouterr().out)["results"]
     assert json.dumps(results, sort_keys=True) == (
         '{"laplace": {"n_samples": 2000, "seed": 5, "std_error": 0.003217668041067575, '
@@ -205,3 +214,33 @@ def test_laplace_report_is_unchanged(capsys):
         '0.038838297792077724}, "e3,e4": {"n_samples": 2000, "seed": 5, "std_error": '
         '0.0014969998071060733, "value": 0.03285800508397635}}, "sum_consistency": 0.0, '
         '"tree_sum": 0.11475890955049518}')
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_default_run_passes(capsys, command, graph):
+    """Every command on every bundled graph, at default arguments, prints one
+    strict JSON report that passes."""
+    status = main([command, "--graph", graph])
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert status == 0 and report["pass"] is True
+
+
+def test_waypoints_accept_rationals(capsys):
+    """A rational waypoint value is read as the decimal one is."""
+    ends = []
+    for first, second in (["e1=17/16", "e1=2,e2=3/2"], ["e1=1.0625", "e1=2,e2=1.5"]):
+        status = main(["transport", "--graph", "triangle", "--split",
+                       "--waypoint", first, "--waypoint", second])
+        report = json.loads(capsys.readouterr().out)
+        assert status == 0 and report["pass"] is True
+        ends.append(report["results"]["end"])
+    assert ends[0] == ends[1]
+
+
+def test_waypoints_accept_complex(capsys):
+    status, report = run_twice(capsys, ["transport", "--graph", "two-edge",
+                                        "--waypoint", "e1=2", "--waypoint", "e1=2+0.5j",
+                                        "--waypoint", "e1=3"])
+    assert status == 0 and report["pass"] is True
+    assert report["inputs"]["waypoints"][1] == {"e1": {"re": 2.0, "im": 0.5}}

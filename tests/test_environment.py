@@ -145,6 +145,34 @@ def test_tree_probability_two_edge(two_edge):
     assert tree_probability(two_edge, env, tree_of("e2")) == Fraction(3, 4)
 
 
+def test_single_environment_matches_batch_kernel():
+    """Float edge_occupation and survival_determinant, solved exactly and rounded
+    once, agree with the rows of the float Monte Carlo kernel."""
+    for i, g in enumerate(bundled_graphs() + random_graphs(seed=41, count=8)):
+        w = DirichletWeights.from_graph(g)
+        p = env_mod.sample_environment_batch(g, w, 20, seed=42 + i)
+        dets, flows = env_mod._occupation_batch(g, p)
+        for row, det, flow in zip(p, dets, flows):
+            env = Environment(dict(zip(g.edge_ids, row.tolist())))
+            assert survival_determinant(g, env) == pytest.approx(det, rel=1e-12)
+            z = edge_occupation(g, env)
+            assert [z[eid] for eid in g.edge_ids] == pytest.approx(flow, rel=1e-12)
+
+
+@pytest.mark.parametrize("scalar", [Fraction, float], ids=["exact", "float"])
+def test_singular_chain_outcome(triangle, scalar):
+    """x0 and a only hand the walk to each other: det(I - P) = 0, which the
+    matrix-tree sum also gives, and every solve raises the one ValueError."""
+    env = Environment({"e1": scalar(1), "e3": scalar(0), "e2": scalar(1), "e4": scalar(0)})
+    det = survival_determinant(triangle, env)
+    assert det == 0 and type(det) is scalar
+    for solve in (lambda: edge_occupation(triangle, env),
+                  lambda: green_function(triangle, env),
+                  lambda: tree_probability(triangle, env, tree_of("e3", "e4"))):
+        with pytest.raises(ValueError, match="survival system is singular"):
+            solve()
+
+
 def test_simulate_chain_deterministic_graph(chain):
     env = Environment({"e1": 1.0, "e2": 1.0})
     assert simulate_chain(chain, env, seed=0) == ["e1", "e2"]

@@ -51,10 +51,11 @@ def test_mat_det_against_numpy():
 
 def test_mat_solve_exact():
     a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    x = mat_solve(a, [Fraction(5), Fraction(10)])
-    assert x == [Fraction(1), Fraction(3)]
+    x = mat_solve(a, [[Fraction(5), Fraction(10)], [1, 0]])
+    assert x == [[Fraction(1), Fraction(3)], [Fraction(3, 5), Fraction(-1, 5)]]
+    assert mat_solve(a, []) == []
     with pytest.raises(ValueError):
-        mat_solve([[1, 2], [2, 4]], [1, 1])
+        mat_solve([[1, 2], [2, 4]], [[1, 1]])
 
 
 def test_sparse_ops():
