@@ -161,10 +161,12 @@ def _cmd_verify_thm21(g, args):
     w = _weights(g, args)
     lam = _rates(g, args)
     trees = [_tree_from_ids(g, args.tree)] if args.tree else env_mod.directed_trees(g)
+    # one Dirichlet batch for every tree's right-hand side
+    _, rhs = env_mod.mc_laplace_by_tree(g, w, lam, trees, args.samples, args.seed)
     per_tree = []
-    for t in trees:
+    for t, est in zip(trees, rhs):
         rep = int_mod.verify_theorem_2_1(g, w, lam, t, n=args.samples, seed=args.seed,
-                                         tol=args.tol, quad_tol=args.quad_tol)
+                                         tol=args.tol, quad_tol=args.quad_tol, rhs=est)
         rep["tree"] = list(t.key)
         per_tree.append(rep)
     ok = all(r["pass"] for r in per_tree)
@@ -207,12 +209,22 @@ def _cmd_verify_identities(g, args):
 
 
 def _cmd_check_commutation(g, args):
+    """Check the commutation relations of the connection's path and cycle
+    operators, exactly over Q: each operator is scaled to an integer matrix and
+    each commutator is computed modulo primes below 2^26, as many as an integer
+    bound on its entries asks for, so a zero residue is an exact zero."""
     w = _weights(g, args)
     report = conn_mod.check_commutation(g, w)
     return report, report["pass"]
 
 
 def _cmd_check_flatness(g, args):
+    """Check that the connection is flat: every commutator of its coefficient
+    matrices vanishes at random rational rates.  The check is exact over Q:
+    the coefficients are scaled to integer matrices and each commutator is
+    computed modulo primes below 2^26, as many as an integer bound on its
+    entries asks for; a nonzero entry is recovered exactly as max_residual.
+    With --float it runs in floating point to 1e-12 instead."""
     w = _weights(g, args)
     conn = conn_mod.build_connection(g, w)
     rng = env_mod.philox_stream(args.seed, 8)

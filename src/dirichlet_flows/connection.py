@@ -16,10 +16,16 @@ basis as a covector, so it solves dI = -Omega^T I; `transport` applies the
 transpose internally.  Everything structural is exact over Fractions; floats
 (or complex, off the real locus) appear only in numeric evaluation and in the
 ODE integration.
+
+The commutation and flatness checks are exact over Q without Fraction matrix
+products: scaled to integer matrices, each commutator is computed modulo
+primes below 2^26, as many as an integer bound on its entries asks for
+(`rationals.integer_residuals`), and a nonzero entry is recovered exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,17 +42,7 @@ from .combinatorics import (
 )
 from .environment import DirichletWeights
 from .graphs import DirectedGraph, require_valid
-from .rationals import (
-    Sparse,
-    format_scalar,
-    sp_add,
-    sp_commutator,
-    sp_matmul,
-    sp_max_abs,
-    sp_scale,
-    sp_set,
-    sp_to_dense,
-)
+from .rationals import IntSparse, Sparse, format_scalar, integer_residuals, sp_set, sp_to_dense
 
 
 class ExcludedLocusError(ValueError):
@@ -207,38 +203,74 @@ def connection_matrices_numeric(conn: ConnectionForm, lam) -> np.ndarray:
 # structure relations
 # ---------------------------------------------------------------------------
 
+def _integer_terms(conn: ConnectionForm) -> tuple[int, dict[TreeMatrix, IntSparse]]:
+    """L, the lcm of the denominators of every term entry (of the alpha_e in the
+    cycle operators), and each term matrix scaled by L to integers."""
+    mats = [mat for _, mat in conn.path_terms + conn.cycle_terms]
+    scale = math.lcm(*(v.denominator for mat in mats for row in mat.rows.values()
+                       for v in row.values()))
+    return scale, {mat: {i: {j: (v * scale).numerator for j, v in row.items()}
+                         for i, row in mat.rows.items()} for mat in mats}
+
+
+def _int_combination(pairs) -> IntSparse:
+    """The integer matrix sum of c * m over the (c, m) pairs."""
+    out: IntSparse = {}
+    for c, m in pairs:
+        for i, row in m.items():
+            acc = out.setdefault(i, {})
+            for j, v in row.items():
+                acc[j] = acc.get(j, 0) + c * v
+    return out
+
+
 def check_commutation(g: DirectedGraph, w) -> dict:
     """Exact check of the five commutation-relation families plus projectors.
 
     "Disjoint" means edge-disjoint throughout: the operators only see edge
     sets.  Items where no relation is claimed are still reported with their
-    observed commutation status.
+    observed commutation status.  Every item is one integer residual
+    X Y - Z W of the terms scaled by L, all decided in one batch.
     """
     alpha = _alpha_map(w)
     conn = build_connection(g, alpha)
-    p = {s: mat.rows for s, mat in conn.path_terms}
-    q = {c: mat.rows for c, mat in conn.cycle_terms}
-    paths, cycles = list(p), list(q)
-    items = []
+    scale, scaled = _integer_terms(conn)
+    mats: list[IntSparse] = []
+    identities: dict[Fraction, int] = {}
 
-    def record(relation, members, claimed, residual_zero):
+    def add(rows) -> int:
+        mats.append(rows)
+        return len(mats) - 1
+
+    p = {s: add(scaled[mat]) for s, mat in conn.path_terms}
+    q = {c: add(scaled[mat]) for c, mat in conn.cycle_terms}
+    paths, cycles = list(p), list(q)
+    items, quads = [], []
+
+    def record(relation, members, claimed, quad):
         items.append({
             "relation": relation,
             "members": [",".join(sorted(m.edges)) for m in members],
             "claimed": claimed,
-            "commutes": residual_zero,
-            "ok": (not claimed) or residual_zero,
         })
+        quads.append(quad)
+
+    def commutator(x, y):
+        return (x, y, y, x)
+
+    def projector(x, c):
+        """X^2 - c X, as X X - (cL I) X on the operators scaled by L; cL is an
+        integer, as c is 1 or a sum of alpha_e whose denominators divide L."""
+        if c not in identities:
+            identities[c] = add({i: {i: (c * scale).numerator} for i in range(conn.size)})
+        return (x, x, identities[c], x)
 
     # projector identities
     for s in paths:
-        sq = sp_matmul(p[s], p[s])
-        record("projector-path", [s], True,
-               sp_max_abs(sp_add(sq, sp_scale(p[s], Fraction(-1)))) == 0)
+        record("projector-path", [s], True, projector(p[s], 1))
     for c in cycles:
         total = sum((alpha[e] for e in c.edges), Fraction(0))
-        sq = sp_matmul(q[c], q[c])
-        record("projector-cycle", [c], True, sp_max_abs(sp_add(sq, sp_scale(q[c], -total))) == 0)
+        record("projector-cycle", [c], True, projector(q[c], total))
 
     # (i) cycle pairs
     genus2_pairs = []
@@ -248,17 +280,14 @@ def check_commutation(g: DirectedGraph, w) -> dict:
             union = ca.edges | cb.edges
             gen = genus(g, union)
             disjoint = not (ca.edges & cb.edges)
-            claimed = disjoint or gen != 2
-            zero = sp_max_abs(sp_commutator(q[ca], q[cb])) == 0
-            record("i", [ca, cb], claimed, zero)
+            record("i", [ca, cb], disjoint or gen != 2, commutator(q[ca], q[cb]))
             if gen == 2:
                 genus2_pairs.append((ca, cb, union))
 
     # (ii) path pairs
     for a in range(len(paths)):
         for b in range(a + 1, len(paths)):
-            zero = sp_max_abs(sp_commutator(p[paths[a]], p[paths[b]])) == 0
-            record("ii", [paths[a], paths[b]], True, zero)
+            record("ii", [paths[a], paths[b]], True, commutator(p[paths[a]], p[paths[b]]))
 
     # (iii) cycle/path pairs
     for c in cycles:
@@ -266,8 +295,7 @@ def check_commutation(g: DirectedGraph, w) -> dict:
             union = c.edges | s.edges
             disjoint = not (c.edges & s.edges)
             claimed = disjoint or genus(g, union) != 1
-            zero = sp_max_abs(sp_commutator(q[c], p[s])) == 0
-            record("iii", [c, s], claimed, zero)
+            record("iii", [c, s], claimed, commutator(q[c], p[s]))
 
     # (iv) genus-2 unions made of exactly three cycles
     seen = set()
@@ -281,10 +309,9 @@ def check_commutation(g: DirectedGraph, w) -> dict:
         total = inside[0].edges | inside[1].edges | inside[2].edges
         if genus(g, total) != 2:
             continue
-        ssum = sp_add(sp_add(q[inside[0]], q[inside[1]]), q[inside[2]])
+        ssum = add(_int_combination((1, mats[q[c]]) for c in inside))
         for ci in inside:
-            zero = sp_max_abs(sp_commutator(ssum, q[ci])) == 0
-            record("iv", [inside[0], inside[1], inside[2], ci], True, zero)
+            record("iv", [inside[0], inside[1], inside[2], ci], True, commutator(ssum, q[ci]))
 
     # (v) path pairs whose union holds a unique cycle
     for a in range(len(paths)):
@@ -295,28 +322,29 @@ def check_commutation(g: DirectedGraph, w) -> dict:
             inside = [c for c in cycles if c.edges <= union]
             if len(inside) != 1:
                 continue
-            ssum = sp_add(p[paths[a]], p[paths[b]])
-            zero = sp_max_abs(sp_commutator(ssum, q[inside[0]])) == 0
-            record("v", [paths[a], paths[b], inside[0]], True, zero)
+            ssum = add(_int_combination((1, mats[p[s]]) for s in (paths[a], paths[b])))
+            record("v", [paths[a], paths[b], inside[0]], True, commutator(ssum, q[inside[0]]))
 
+    nonzero = integer_residuals(mats, conn.size, quads)
+    for k, it in enumerate(items):
+        it["commutes"] = k not in nonzero
+        it["ok"] = (not it["claimed"]) or it["commutes"]
     return {"items": items, "pass": all(it["ok"] for it in items)}
 
 
 def check_flatness(conn: ConnectionForm, lambda_samples, exact: bool = True):
     """Max commutator residual of the coefficient matrices over the samples.
 
-    Exact mode returns a Fraction (zero means flat); float mode returns the
-    max residual relative to the product scale.
+    Exact mode returns a Fraction (zero means flat): at each sample the
+    coefficient M_e is scaled to the integer matrix N_e = D_e L M_e, with D_e
+    the lcm of the denominators of its weights in `ConnectionForm.terms`, and
+    every [N_a, N_b] of every sample goes into one batch of
+    `integer_residuals`.  Float mode returns the max residual relative to the
+    product scale.
     """
-    worst = Fraction(0) if exact else 0.0
-    for lam in lambda_samples:
-        if exact:
-            mats = [m.rows for m in connection_coefficients(conn, lam)]
-            for a in range(len(mats)):
-                for b in range(a + 1, len(mats)):
-                    r = sp_max_abs(sp_commutator(mats[a], mats[b]))
-                    worst = max(worst, r)
-        else:
+    if not exact:
+        worst = 0.0
+        for lam in lambda_samples:
             mats = connection_matrices_numeric(conn, lam)
             for a in range(len(mats)):
                 for b in range(a + 1, len(mats)):
@@ -324,6 +352,29 @@ def check_flatness(conn: ConnectionForm, lambda_samples, exact: bool = True):
                     ba = mats[b] @ mats[a]
                     scale = max(np.abs(ab).max(), np.abs(ba).max(), 1e-300)
                     worst = max(worst, float(np.abs(ab - ba).max() / scale))
+        return worst
+
+    scale, scaled = _integer_terms(conn)
+    mats: list[IntSparse] = []
+    denominators: list[int] = []
+    quads = []
+    for lam in lambda_samples:
+        lam = {k: Fraction(v) for k, v in lam.items()}
+        conn.check_membership(lam)
+        first = len(mats)
+        for eid in conn.edge_ids:
+            weighted = [(Fraction(wt), mat) for wt, mat in conn.terms(eid, lam)]
+            d = math.lcm(*(wt.denominator for wt, _ in weighted))
+            mats.append(_int_combination(((wt * d).numerator, scaled[mat])
+                                         for wt, mat in weighted))
+            denominators.append(d)
+        n_edges = len(conn.edge_ids)
+        quads += [(first + a, first + b, first + b, first + a)
+                  for a in range(n_edges) for b in range(a + 1, n_edges)]
+    worst = Fraction(0)
+    for k, peak in integer_residuals(mats, conn.size, quads).items():
+        a, b = quads[k][:2]
+        worst = max(worst, Fraction(peak, denominators[a] * denominators[b] * scale * scale))
     return worst
 
 

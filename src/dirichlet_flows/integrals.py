@@ -38,7 +38,7 @@ from .combinatorics import (
     tree_path,
     _is_directed_tree,
 )
-from .environment import DirichletWeights, mc_estimate_rhs, philox_stream
+from .environment import DirichletWeights, McEstimate, mc_estimate_rhs, philox_stream
 from .graphs import DirectedGraph, SplitGraph, split_graph
 
 
@@ -455,12 +455,14 @@ def pairing_identity_check(g: DirectedGraph, tree: SpanningTree, z: FlowPoint, l
 
 def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, tree: SpanningTree,
                        n: int = 100_000, seed: int = 0, tol: float = 1e-6,
-                       quad_tol: float = 1e-8) -> dict:
+                       quad_tol: float = 1e-8, rhs: McEstimate | None = None) -> dict:
     """Both sides of the tree-weighted Laplace identity, with a pass verdict.
 
     Left: the normalized flow integral on the vertex-split graph, by quadrature
     (Monte Carlo fallback above dimension 4).  Right: the Dirichlet-averaged
-    tree-weighted Laplace functional by Monte Carlo.
+    tree-weighted Laplace functional by Monte Carlo, `mc_estimate_rhs` at
+    (n, seed) unless given, e.g. from one `mc_laplace_by_tree` batch for
+    several trees.
     """
     if not tree.directed:
         raise ValueError("the identity is stated for directed spanning trees")
@@ -474,7 +476,8 @@ def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, tree: Spannin
         est = integrate_mc(spec, n, seed + 1)
     lhs = c_alpha * est.value
     lhs_err = c_alpha * est.error
-    rhs = mc_estimate_rhs(g, w, lam, tree, n, seed)
+    if rhs is None:
+        rhs = mc_estimate_rhs(g, w, lam, tree, n, seed)
     return {
         "lhs": {"value": lhs, "error": lhs_err, "method": est.method},
         "rhs": rhs.as_dict(),

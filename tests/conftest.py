@@ -3,6 +3,8 @@
 The oracles here deliberately avoid the library's enumeration code paths:
 cycles and trees are recognized by degree/connectivity filters over raw edge
 subsets, so the backtracking enumerators are checked against brute force.
+The matrix oracles multiply dense lists of Fractions, without the library's
+sparse helpers or its residue products.
 """
 
 from __future__ import annotations
@@ -68,6 +70,15 @@ def random_graph(rng: np.random.Generator, max_edges: int = 8) -> DirectedGraph:
         for k, (t, h) in enumerate(pairs)
     )
     return DirectedGraph(tuple(vertices), "delta", "x0", edges)
+
+
+def complete_graph(k: int) -> DirectedGraph:
+    """The complete digraph on k interior vertices, each also wired to the cemetery."""
+    interior = ["x0"] + [chr(ord("a") + i) for i in range(k - 1)]
+    pairs = [(t, h) for t in interior for h in interior if t != h]
+    pairs += [(t, "delta") for t in interior]
+    edges = tuple(Edge(f"e{i + 1}", t, h, Fraction(1)) for i, (t, h) in enumerate(pairs))
+    return DirectedGraph(tuple(interior) + ("delta",), "delta", "x0", edges)
 
 
 def random_graphs(seed: int, count: int, max_edges: int = 8):
@@ -179,3 +190,79 @@ def oracle_spanning_trees(g: DirectedGraph):
          if oracle_is_spanning_tree(g, c)),
         key=sorted,
     )
+
+
+# ---------------------------------------------------------------------------
+# dense Fraction matrix oracles
+# ---------------------------------------------------------------------------
+
+def oracle_dense(rows, n: int):
+    """Dense list-of-rows copy of a dict-of-rows matrix, entries as Fractions."""
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in rows.items():
+        for j, v in row.items():
+            out[i][j] = Fraction(v)
+    return out
+
+
+def oracle_matmul(a, b):
+    """Dense product, skipping the products with a zero factor."""
+    out = []
+    for arow in a:
+        acc = [Fraction(0)] * len(b[0])
+        for k, x in enumerate(arow):
+            if x:
+                acc = [s + x * y if y else s for s, y in zip(acc, b[k])]
+        out.append(acc)
+    return out
+
+
+def oracle_combine(*scaled):
+    """Sum of c * m over the (c, m) pairs of dense matrices."""
+    out = [[Fraction(0)] * len(row) for row in scaled[0][1]]
+    for c, m in scaled:
+        out = [[s + c * v if v else s for s, v in zip(orow, mrow)] for orow, mrow in zip(out, m)]
+    return out
+
+
+def oracle_max_abs(m) -> Fraction:
+    return max((abs(v) for row in m for v in row), default=Fraction(0))
+
+
+def oracle_commutator_is_zero(a, b) -> bool:
+    return oracle_matmul(a, b) == oracle_matmul(b, a)
+
+
+def oracle_operators(conn) -> dict:
+    """Dense term matrices of a connection, keyed like check_commutation's members."""
+    return {",".join(sorted(t.edges)): oracle_dense(mat.rows, conn.size)
+            for t, mat in conn.path_terms + conn.cycle_terms}
+
+
+def oracle_commutes(ops: dict, alpha, item) -> bool:
+    """Whether the relation of a check_commutation item holds, from dense products."""
+    m = [ops[key] for key in item["members"]]
+    relation = item["relation"]
+    if relation.startswith("projector"):
+        c = 1 if relation == "projector-path" else sum(
+            (Fraction(alpha[e]) for e in item["members"][0].split(",")), Fraction(0))
+        return oracle_matmul(m[0], m[0]) == oracle_combine((c, m[0]))
+    if relation == "iv":
+        return oracle_commutator_is_zero(oracle_combine((1, m[0]), (1, m[1]), (1, m[2])), m[3])
+    if relation == "v":
+        return oracle_commutator_is_zero(oracle_combine((1, m[0]), (1, m[1])), m[2])
+    return oracle_commutator_is_zero(*m)
+
+
+def oracle_flatness(conn, samples) -> Fraction:
+    """Max |[M_a, M_b]| entry over the samples, M_e summed densely from conn.terms."""
+    ops = {mat: oracle_dense(mat.rows, conn.size) for _, mat in conn.path_terms + conn.cycle_terms}
+    worst = Fraction(0)
+    for lam in samples:
+        mats = [oracle_combine(*((Fraction(wt), ops[mat]) for wt, mat in conn.terms(eid, lam)))
+                for eid in conn.edge_ids]
+        for a in range(len(mats)):
+            for b in range(a + 1, len(mats)):
+                ab, ba = oracle_matmul(mats[a], mats[b]), oracle_matmul(mats[b], mats[a])
+                worst = max(worst, oracle_max_abs(oracle_combine((1, ab), (-1, ba))))
+    return worst

@@ -56,6 +56,18 @@ def test_verify_thm21_accepts_directed_tree(capsys):
     assert status == (0 if report["pass"] else 1)
 
 
+def test_verify_thm21_all_trees_match_single_tree_runs(capsys):
+    """Every tree's entry of the all-trees report is that tree's --tree report:
+    the Dirichlet batch drawn once for all trees is the one each draws alone."""
+    argv = ["verify-thm21", "--graph", "triangle", "--samples", "5000", "--seed", "3"]
+    main(argv)
+    entries = json.loads(capsys.readouterr().out)["results"]["trees"]
+    assert len(entries) == 3
+    for entry in entries:
+        main(argv + ["--tree", *entry["tree"]])
+        assert json.loads(capsys.readouterr().out)["results"]["trees"] == [entry]
+
+
 @pytest.mark.parametrize("graph, tree", [
     ("two-edge", ["e1", "e2"]),  # too many edges
     ("triangle", ["e1", "e2"]),  # right size, but a cycle

@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -21,10 +23,19 @@ from dirichlet_flows import (
     tree_basis,
 )
 from dirichlet_flows.connection import sample_rates_off_kernels
+from dirichlet_flows.connection import TreeMatrix
 from dirichlet_flows.graphs import DirectedGraph, Edge
 from dirichlet_flows.rationals import sp_add, sp_commutator, sp_matmul, sp_max_abs, sp_scale
 
-from conftest import bundled_graphs, random_graphs, random_rational_weights
+from conftest import (
+    bundled_graphs,
+    complete_graph,
+    oracle_commutes,
+    oracle_flatness,
+    oracle_operators,
+    random_graphs,
+    random_rational_weights,
+)
 
 
 def figure_eight():
@@ -198,9 +209,77 @@ def test_commutation_random_graphs():
         assert rep["pass"], [it for it in rep["items"] if not it["ok"]]
 
 
+def _flags_match_oracle(g, w):
+    rep = check_commutation(g, w)
+    ops = oracle_operators(build_connection(g, w))
+    for it in rep["items"]:
+        assert it["commutes"] == oracle_commutes(ops, w, it), it
+    return rep
+
+
+def test_commutation_flags_match_dense_oracle():
+    rng = np.random.default_rng(43)
+    for g in bundled_graphs():
+        _flags_match_oracle(g, DirichletWeights.from_graph(g).alpha)
+    for g in random_graphs(seed=44, count=10):
+        _flags_match_oracle(g, random_rational_weights(g, rng))
+
+
+def test_commutation_flags_match_dense_oracle_on_k3():
+    g = complete_graph(3)
+    rng = np.random.default_rng(45)
+    choices = [Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2)]
+    w = {eid: choices[int(rng.integers(0, len(choices)))] for eid in g.edge_ids}
+    rep = _flags_match_oracle(g, w)
+    assert len(rep["items"]) == 1142 and rep["pass"]
+    assert not all(it["commutes"] for it in rep["items"])
+
+
+# weights with a denominator near 2^40: the scaled operators have entries
+# near 2^41, so every product bound is past 2^63 and needs several primes
+HUGE = {"e1": Fraction(1, 2**40 - 87), "e2": Fraction(3, 2), "e3": Fraction(5, 3),
+        "e4": Fraction(2**40 + 1, 2**40 - 87)}
+
+
+def test_commutation_past_int64_matches_oracle(triangle):
+    scale = lcm(*(a.denominator for a in HUGE.values()))
+    assert (scale * max(HUGE.values())) ** 2 > 2**63
+    assert _flags_match_oracle(triangle, HUGE)["pass"]
+
+
 # ---------------------------------------------------------------------------
 # flatness
 # ---------------------------------------------------------------------------
+
+def _broken(conn, delta=Fraction(1, 7)):
+    """conn with delta added to entry (0, 0) of its first cycle operator."""
+    (cyc, mat), *rest = conn.cycle_terms
+    rows = {i: dict(row) for i, row in mat.rows.items()}
+    rows.setdefault(0, {})[0] = rows[0].get(0, Fraction(0)) + delta
+    return replace(conn, cycle_terms=((cyc, TreeMatrix(mat.size, rows, mat.label)), *rest))
+
+
+@pytest.mark.parametrize("graph", ["triangle", "two-diamond"])
+def test_broken_connection_fails_with_the_exact_residual(request, graph):
+    g = request.getfixturevalue(graph.replace("-", "_"))
+    conn = build_connection(g, DirichletWeights.from_graph(g))
+    rng = np.random.default_rng(52)
+    samples = [sample_rates_off_kernels(conn, rng) for _ in range(3)]
+    assert check_flatness(conn, samples) == 0
+    broken = _broken(conn)
+    residual = check_flatness(broken, samples)
+    assert residual != 0 and residual == oracle_flatness(broken, samples)
+
+
+def test_flatness_past_int64_matches_oracle(triangle):
+    conn = build_connection(triangle, HUGE)
+    rng = np.random.default_rng(53)
+    samples = [sample_rates_off_kernels(conn, rng) for _ in range(3)]
+    assert check_flatness(conn, samples) == 0 == oracle_flatness(conn, samples)
+    broken = _broken(conn)
+    residual = check_flatness(broken, samples)
+    assert residual != 0 and residual == oracle_flatness(broken, samples)
+
 
 def test_flatness_exact_and_float(triangle):
     conn = build_connection(triangle, DirichletWeights.from_graph(triangle))
