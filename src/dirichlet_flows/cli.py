@@ -12,8 +12,9 @@ and ``prob_overrides``.  Identical inputs produce byte-identical reports.
 
 Exit status:
   0  every check passed
-  1  a check failed; a quadrature that does not converge is a failed check,
-     with its message under ``results``
+  1  a check failed; a quadrature that does not converge, or a transport ODE
+     that cannot be integrated, is a failed check, with its message under
+     ``results``
   2  usage error: a bad option or option value (argparse prints the usage to
      stderr), or an unknown edge, unreadable graph file, rate too large for a
      float or excluded rate point (printed as {command, error, pass: false})
@@ -24,13 +25,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import chdtrc
 
 from . import combinatorics as comb
 from . import connection as conn_mod
@@ -88,10 +89,78 @@ def _environment(g: DirectedGraph, args) -> env_mod.Environment:
     return env
 
 
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+
+
+def _stirling_error(k: float) -> float:
+    """log Gamma(k + 1) - log(sqrt(2 pi k) (k/e)^k), for k > 0."""
+    if k <= 15:
+        return math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k - _HALF_LOG_2PI
+    kk = k * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk) / k
+
+
+def _deviance(k: float, y: float) -> float:
+    """k log(k/y) + y - k, by its series in v = (k - y)/(k + y) near k = y."""
+    if abs(k - y) < 0.1 * (k + y):
+        v = (k - y) / (k + y)
+        s, term = (k - y) * v, 2 * k * v
+        for j in range(3, 1000, 2):
+            term *= v * v
+            s_next = s + term / j
+            if s_next == s:
+                break
+            s = s_next
+        return s
+    return k * math.log(k / y) + y - k
+
+
+def _log_poisson(k: float, y: float) -> float:
+    """log(e^-y y^k / Gamma(k + 1)) for k >= 0 and y > 0, in the saddle-point
+    form of C. Loader, "Fast and accurate computation of binomial
+    probabilities" (2000), which keeps full relative accuracy for large k."""
+    if k == 0:
+        return -y
+    return -_stirling_error(k) - _deviance(k, y) - _HALF_LOG_2PI - 0.5 * math.log(k)
+
+
+def chi2_sf(stat: float, df: int) -> float:
+    """Upper tail P(X > stat) of a chi-square law with integer df >= 1.
+
+    With y = stat/2 and k running over k0, k0 + 1, ..., df/2 - 1 (k0 = 0 for
+    even df, 1/2 for odd), the tail is sum_k e^-y y^k / Gamma(k + 1), plus
+    erfc(sqrt y) for odd df.  The largest term is taken in log form and the
+    others as ratios to it, so no term under- or overflows before it is scaled.
+    """
+    y = stat / 2
+    if y <= 0:
+        return 1.0
+    k0 = 0.5 * (df % 2)
+    tail = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+    n = df // 2
+    if n == 0:
+        return tail
+    # the terms grow while k < y - 1 and shrink after: walk both ways from the peak
+    peak = min(n - 1, max(0, math.floor(y - k0)))
+    total = term = 1.0
+    for j in range(peak, 0, -1):
+        term *= (k0 + j) / y
+        total += term
+        if term < 1e-17 * total:
+            break
+    term = 1.0
+    for j in range(peak + 1, n):
+        term *= y / (k0 + j)
+        total += term
+        if term < 1e-17 * total:
+            break
+    return tail + math.exp(_log_poisson(k0 + peak, y) + math.log(total))
+
+
 def _chi2_gate(stat: float, cells: int) -> tuple[float, bool]:
     """p-value of a chi-square statistic over `cells` cells (df = cells - 1) and
     its verdict at level 1e-3; a single cell always passes."""
-    pvalue = float(chdtrc(max(cells - 1, 1), stat))
+    pvalue = chi2_sf(stat, max(cells - 1, 1))
     return pvalue, pvalue >= 1e-3 or cells <= 1
 
 
@@ -510,7 +579,7 @@ def main(argv=None) -> int:
         else:
             inputs = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
             results, ok = _COMMANDS[args.command].run(g, args)
-    except int_mod.QuadratureNonConvergence as exc:
+    except (int_mod.QuadratureNonConvergence, conn_mod.TransportFailure) as exc:
         results, ok = {"nonconvergence": str(exc)}, False
     except (ValueError, OverflowError, OSError) as exc:
         print(json.dumps({"command": args.command, "error": str(exc), "pass": False},

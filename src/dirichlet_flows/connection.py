@@ -15,7 +15,10 @@ basis vector of tree T.  The vector of tree-chart integrals pairs with the
 basis as a covector, so it solves dI = -Omega^T I; `transport` applies the
 transpose internally.  Everything structural is exact over Fractions; floats
 (or complex, off the real locus) appear only in numeric evaluation and in the
-ODE integration.
+ODE integration.  `transport` integrates that ODE with the Dormand-Prince 5(4)
+pair (J. R. Dormand & P. J. Prince, "A family of embedded Runge-Kutta
+formulae", J. Comput. Appl. Math. 6, 1980) under the step control of scipy's
+RK45, in `solve_ivp`.
 
 The commutation and flatness checks are exact over Q without Fraction matrix
 products: scaled to integer matrices, each commutator is computed modulo
@@ -28,9 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .combinatorics import (
     SignedEdgeSet,
@@ -396,6 +399,106 @@ def sample_rates_off_kernels(conn: ConnectionForm, rng, denominator: int = 16,
 # parallel transport
 # ---------------------------------------------------------------------------
 
+class TransportFailure(RuntimeError):
+    """The transport ODE could not be integrated to the end of a segment."""
+
+
+class OdeResult(NamedTuple):
+    y: np.ndarray       # the start and the state after each accepted step, one column each
+    nfev: int           # right-hand side evaluations
+    success: bool
+    message: str
+
+
+# The Dormand-Prince 5(4) tableau: nodes, stage weights, the weights of the
+# fifth-order solution and of the error estimate (fifth minus fourth order,
+# the last one on the first-same-as-last stage).
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
+    """Integrate y' = fun(t, y) over t_span with the Dormand-Prince 5(4) pair.
+
+    The step control is scipy's RK45: the initial step of Hairer, Norsett &
+    Wanner (Solving ODEs I, Sec. II.4), the RMS norm of the error scaled by
+    atol + rtol |y|, a new step of safety 0.9 times error^(-1/5) clamped to
+    [0.2, 10] times the old one (at most 1 after a rejection), and failure
+    once the step falls below ten spacings of the floats at t.  The arithmetic
+    runs in scipy's order, so the end states agree with scipy's bit for bit.
+    """
+    t, t_end = map(float, t_span)
+    y = np.asarray(y0)
+    dtype = complex if np.iscomplexobj(y) else float
+    y = y.astype(dtype, copy=False)
+    nfev = 0
+
+    def f(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=dtype)
+
+    direction = np.sign(t_end - t) if t_end != t else 1.0
+    length = abs(t_end - t)
+    fy = f(t, y)
+    ys = [y]
+
+    h_abs = 0.0
+    if length > 0:
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = _rms(y / scale), _rms(fy / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+        d2 = _rms((f(t + h0 * direction, y + h0 * direction * fy) - fy) / scale) / h0
+        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+              else (0.01 / max(d1, d2)) ** (1 / 5))
+        h_abs = min(100 * h0, h1, length)
+
+    k = np.empty((7, y.size), dtype=dtype)
+    while direction * (t - t_end) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return OdeResult(np.vstack(ys).T, nfev, False,
+                                 "Required step size is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = np.abs(h)
+            k[0] = fy
+            for s in range(1, 6):
+                k[s] = f(t + _DP_C[s] * h, y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:-1].T, _DP_B)
+            k[-1] = f_new = f(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(k.T, _DP_E) * h / scale)
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        t, y, fy = t_new, y_new, f_new
+        ys.append(y)
+    return OdeResult(np.vstack(ys).T, nfev, True,
+                     "The solver successfully reached the end of the integration interval.")
+
+
 def _segment_guard(a: complex, b: complex) -> float:
     """Min modulus of a + t b over t in [0, 1]."""
     if b == 0:
@@ -450,9 +553,8 @@ def transport(conn: ConnectionForm, start_vector, waypoints, tol: float = 1e-10)
                 m += (b / (a + t * b)) * mat
             return -(m @ y)
 
-        sol = solve_ivp(rhs, (0.0, 1.0), y, method="RK45",
-                        rtol=100 * np.finfo(float).eps, atol=tol, dense_output=False)
+        sol = solve_ivp(rhs, (0.0, 1.0), y, rtol=100 * np.finfo(float).eps, atol=tol)
         if not sol.success:
-            raise RuntimeError(f"transport integration failed: {sol.message}")
+            raise TransportFailure(f"transport integration failed: {sol.message}")
         y = sol.y[:, -1]
     return y

@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dirichlet_flows import connection
 from dirichlet_flows.builtin_graphs import BUILTIN, builtin_graph
 from dirichlet_flows.cli import _COMMANDS as COMMANDS
-from dirichlet_flows.cli import PARSE_ERROR, build_parser, main
+from dirichlet_flows.cli import PARSE_ERROR, build_parser, chi2_sf, main
 from dirichlet_flows.graphs import graph_to_dict
 
 GRAPHS = sorted(BUILTIN)
@@ -151,6 +158,56 @@ def test_nonconvergence_is_a_fail_report(capsys):
     report = json.loads(capsys.readouterr().out)
     assert status == 1 and report["pass"] is False and "error" not in report
     assert "panels" in report["results"]["nonconvergence"]
+
+
+def test_failed_transport_is_a_fail_report(capsys, monkeypatch):
+    def failing(fun, t_span, y0, rtol, atol):
+        return connection.OdeResult(np.array(y0)[:, None], 1, False, "step collapsed")
+
+    monkeypatch.setattr(connection, "solve_ivp", failing)
+    status = main(["transport", "--graph", "two-edge"])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 1 and report["pass"] is False and "error" not in report
+    assert "step collapsed" in report["results"]["nonconvergence"]
+
+
+def test_cli_import_leaves_heavy_scipy_out():
+    """The CLI loads numpy and scipy.sparse only: the integrator and the
+    special functions are the package's own."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    heavy = ["scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg", "scipy.stats"]
+    code = ("import sys, dirichlet_flows.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"
+
+
+def test_chi2_tail_matches_scipy():
+    """chi2_sf agrees with scipy's chdtrc to 1e-12 relative for df 1-2000 and
+    statistics 0-1e5, wherever chdtrc is at least 1e-300.  chdtrc's own error
+    reaches ~1e-12 for df in the thousands and a statistic far from df; where
+    the two differ by more, chi2_sf must be within 1e-12 of the exact tail
+    (50-digit mpmath) and closer to it than chdtrc."""
+    from scipy.special import chdtrc
+
+    def exact(df, stat):
+        import mpmath
+
+        with mpmath.workdps(50):
+            return float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(stat) / 2,
+                                         mpmath.inf, regularized=True))
+
+    for df in range(1, 2001):
+        assert chi2_sf(0.0, df) == 1.0
+        for stat in [*np.geomspace(1e-3, 1e5, 15),
+                     *(df * f for f in (0.5, 0.9, 1, 1.1, 1.5, 2, 2.5, 3, 4))]:
+            ours, ref = chi2_sf(stat, df), float(chdtrc(df, stat))
+            assert math.isfinite(ours) and ours >= 0
+            if ref < 1e-300 or abs(ours / ref - 1) <= 1e-12:
+                continue
+            true = exact(df, stat)
+            assert abs(ours / true - 1) <= min(1e-12, abs(ref / true - 1)), (df, stat)
 
 
 @pytest.mark.parametrize("command", ["verify-thm21", "verify-identities"])

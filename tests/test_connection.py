@@ -22,7 +22,9 @@ from dirichlet_flows import (
     transport,
     tree_basis,
 )
-from dirichlet_flows.connection import sample_rates_off_kernels
+from dirichlet_flows import connection
+from dirichlet_flows.cli import main
+from dirichlet_flows.connection import sample_rates_off_kernels, solve_ivp
 from dirichlet_flows.connection import TreeMatrix
 from dirichlet_flows.graphs import DirectedGraph, Edge
 from dirichlet_flows.rationals import sp_add, sp_commutator, sp_matmul, sp_max_abs, sp_scale
@@ -386,3 +388,54 @@ def test_numeric_matrices_match_exact(triangle):
     numeric = connection_matrices_numeric(conn, {k: float(v) for k, v in lam.items()})
     for m, a in zip(exact, numeric):
         assert np.allclose(np.array(m.to_dense(as_float=True)), a, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the Dormand-Prince integrator against scipy's RK45
+# ---------------------------------------------------------------------------
+
+def _scipy_rk45(fun, t_span, y0, rtol, atol):
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(fun, t_span, y0, method="RK45", rtol=rtol, atol=atol)
+
+
+@pytest.mark.parametrize("argv", [
+    *[["transport", "--graph", g] for g in ("chain", "triangle", "two-diamond", "two-edge")],
+    ["transport", "--graph", "triangle", "--split",
+     "--waypoint", "e1=17/16", "--waypoint", "e1=2,e2=3/2"],
+    ["transport", "--graph", "two-edge",
+     "--waypoint", "e1=2", "--waypoint", "e1=2+0.5j", "--waypoint", "e1=3"],
+], ids=["chain", "triangle", "two-diamond", "two-edge", "triangle-split-open", "two-edge-complex"])
+def test_integrator_matches_scipy_rk45_bit_for_bit(capsys, monkeypatch, argv):
+    """Every segment the CLI's transport integrates ends on the same vector,
+    after as many right-hand side evaluations, as scipy's RK45."""
+    pairs = []
+
+    def both(fun, t_span, y0, rtol, atol):
+        # the reference runs now: transport rebinds the right-hand side's data per segment
+        pairs.append((solve_ivp(fun, t_span, y0, rtol=rtol, atol=atol),
+                      _scipy_rk45(fun, t_span, y0, rtol, atol)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(connection, "solve_ivp", both)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert pairs
+    for sol, ref in pairs:
+        assert sol.success and ref.success
+        assert np.array_equal(sol.y[:, -1], ref.y[:, -1])
+        assert sol.nfev == ref.nfev
+
+
+def test_integrator_fails_when_the_step_collapses():
+    """y' = y^2, y(0) = 1 blows up at t = 1: the step shrinks below the float
+    spacing there, as it does in scipy's RK45, after as many evaluations."""
+    def fun(t, y):
+        return y * y
+
+    sol = solve_ivp(fun, (0.0, 2.0), np.array([1.0]), rtol=1e-6, atol=1e-9)
+    ref = _scipy_rk45(fun, (0.0, 2.0), np.array([1.0]), 1e-6, 1e-9)
+    assert not sol.success and not ref.success
+    assert sol.message == ref.message and sol.nfev == ref.nfev
+    assert np.array_equal(sol.y[:, -1], ref.y[:, -1])

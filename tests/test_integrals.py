@@ -277,6 +277,19 @@ def test_c_alpha_values(two_edge, chain):
     assert constant_C_alpha(chain, DirichletWeights.from_graph(chain)) == pytest.approx(1.0)
 
 
+def test_lgamma_matches_scipy_gammaln_on_weights():
+    """math.lgamma against scipy's gammaln on the benchmark's edge weights and
+    on every vertex total of up to four of them."""
+    from itertools import combinations_with_replacement
+
+    from scipy.special import gammaln
+
+    weights = [0.5, 2 / 3, 1.0, 1.5, 2.0]
+    values = {sum(c) for r in range(1, 5) for c in combinations_with_replacement(weights, r)}
+    for v in values:
+        assert math.lgamma(v) == pytest.approx(float(gammaln(v)), rel=1e-13, abs=1e-13)
+
+
 def test_c_alpha_overflow():
     g = bundled_graphs()[0]
     w = DirichletWeights.from_graph(g, {"e1": 600, "e2": 600})
