@@ -15,12 +15,16 @@ and the cohomological exchange between adjacent tree integrals).
 Quadrature runs over the chamber itself: Fourier-Motzkin elimination of the
 chamber inequalities, in exact rationals, gives each nested level the interval
 of its coordinate given the outer ones, so no Gauss-Kronrod panel lies where
-the integrand vanishes.  The integrand returns 0 outside the chamber, so Monte
-Carlo proposals that leave it simply get weight zero.
+the integrand vanishes.  Each level integrates a whole batch of sibling
+integrals in lockstep, one adaptive heap per integral: a round evaluates the
+new panels of all of them with one vectorized call, so the integrand is called
+once per round rather than once per panel.  The integrand returns 0 outside
+the chamber, so Monte Carlo proposals that leave it simply get weight zero.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,7 +160,8 @@ class _Evaluator:
         if inside.any():
             zin = z[inside]
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                logv = -(zin @ self.lam) + (np.log(zin) * self.exps).sum(axis=1)
+                # row sums, not a BLAS gemv, whose last bits vary with the batch size
+                logv = -(zin * self.lam).sum(axis=1) + (np.log(zin) * self.exps).sum(axis=1)
                 out[inside] = np.exp(logv)
         return out
 
@@ -203,51 +208,25 @@ _MAX_PANELS = 4000
 _INNER_FRAC = 0.05
 
 
-def _gk_panel(vals: np.ndarray, deltas: np.ndarray, a: float, b: float):
-    """Kronrod value, error estimate, and inner-evaluation pollution for one panel."""
-    if not np.isfinite(vals).all():
-        return float("nan"), float("inf"), float("inf")
-    h = 0.5 * (b - a)
-    kron = h * float(_KW @ vals)
-    gauss = h * float(_GW @ vals)
-    err = abs(kron - gauss)
-    mean = kron / (b - a)
-    resasc = h * float(_KW @ np.abs(vals - mean))
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    inner = h * float(_KW @ deltas)
-    return kron, err, inner
+def _gk_panels(vals: np.ndarray, deltas: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Kronrod values, error estimates and inner-evaluation pollution of P panels.
 
-
-def _adaptive_1d(node_fn, tol: float):
-    """Adaptive GK15 over (0, 1); node_fn(points) -> (values, eval_errors)."""
-    import heapq
-
-    def make(a, b):
-        pts = 0.5 * (a + b) + 0.5 * (b - a) * _NODES
-        vals, deltas = node_fn(pts)
-        kron, err, inner = _gk_panel(vals, deltas, a, b)
-        return (-err, a, b, kron, err, inner)
-
-    heap = [make(0.0, 1.0)]
-    while True:
-        gk_total = sum(p[4] for p in heap)
-        if gk_total <= 0.45 * tol or len(heap) >= _MAX_PANELS:
-            break
-        prio, a, b, kron, err, inner = heapq.heappop(heap)
-        if prio >= 0.0 or b - a < 1e-15:
-            # unsplittable panel back on the books, deprioritized
-            heapq.heappush(heap, (0.0, a, b, kron, err, inner))
-            break
-        mid = 0.5 * (a + b)
-        heapq.heappush(heap, make(a, mid))
-        heapq.heappush(heap, make(mid, b))
-    value = sum(p[3] for p in heap)
-    err = sum(p[4] + p[5] for p in heap)
-    if not (err <= tol) or not np.isfinite(value):
-        raise QuadratureNonConvergence(
-            f"error estimate {err:.3e} above target {tol:.3e} after {len(heap)} panels")
-    return value, err
+    vals and deltas are (P, 15): the integrand and the error of its inner
+    evaluation at each panel's nodes.  A panel with a non-finite value gets
+    (nan, inf, inf).  Every sum is a row reduction, so a panel scores the
+    same, to the bit, in any batch.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = 0.5 * (b - a)
+        kron = h * (vals * _KW).sum(axis=1)
+        err = np.abs(kron - h * (vals * _GW).sum(axis=1))
+        resasc = h * (np.abs(vals - (kron / (b - a))[:, None]) * _KW).sum(axis=1)
+        r = 200.0 * err / resasc
+        scaled = resasc * np.fmin(1.0, r * np.sqrt(r))  # r ** 1.5 without pow's platform bits
+        err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+        inner = h * (deltas * _KW).sum(axis=1)
+    bad = ~np.isfinite(vals).all(axis=1)
+    return np.where(bad, np.nan, kron), np.where(bad, np.inf, err), np.where(bad, np.inf, inner)
 
 
 def _scaled(b: Fraction, a: tuple) -> tuple:
@@ -293,52 +272,86 @@ class _ChamberLimits:
             system = kept
         self.empty = any(b <= 0 for b, _ in system)
 
-    def interval(self, k: int, prefix) -> tuple[float, float]:
-        """(lo, hi) of u_k given u_0..u_{k-1}; hi is inf where nothing bounds u_k above."""
+    def intervals(self, k: int, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of u_k for each row u_0..u_{k-1} of the (m, k) prefixes; hi is
+        inf where nothing bounds u_k above.  Elementwise sums keep each row's
+        limits independent of the batch."""
         (lo_b, lo_a), (hi_b, hi_a) = self.levels[k]
-        prefix = np.asarray(prefix, dtype=float)
-        lo = float(np.max(lo_b + lo_a @ prefix))
-        hi = float(np.min(hi_b + hi_a @ prefix)) if len(hi_b) else math.inf
-        return lo, hi
+        lo = (lo_b + (prefixes[:, None, :] * lo_a).sum(axis=2)).max(axis=1)
+        if not len(hi_b):
+            return lo, np.full(len(lo), math.inf)
+        return lo, (hi_b + (prefixes[:, None, :] * hi_a).sum(axis=2)).min(axis=1)
 
 
-def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefix: tuple,
-                     tol: float, counter: list) -> tuple[float, float]:
-    """Integral over u_k..u_{d-1} at fixed u_0..u_{k-1}, with its error bound.
+def _settle(heap: list, tol: float, k: int, d: int) -> tuple[float, float]:
+    """Value and error bound of one finished integral from its panels."""
+    value = sum(p[3] for p in heap)
+    err = sum(p[4] + p[5] for p in heap)
+    if not (err <= tol) or not math.isfinite(value):
+        raise QuadratureNonConvergence(
+            f"level {k + 1} of {d}: error estimate {err:.3e} above target {tol:.3e} "
+            f"after {len(heap)} panels")
+    return value, err
 
-    u_k runs over its exact interval (lo, hi): affinely from (0, 1) where hi is
-    finite, as lo + t/(1-t) where it is not.  An empty interval gives 0.
+
+def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefixes: np.ndarray,
+                     tols: np.ndarray, counter: list) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals over u_k..u_{d-1} at each row of fixed u_0..u_{k-1}, with error bounds.
+
+    Row i's u_k runs over its exact interval (lo, hi): affinely from (0, 1)
+    where hi is finite, as lo + t/(1-t) where it is not.  An empty interval
+    gives (0, 0).  Each row keeps a heap of its own panels and splits the one
+    with the largest error until the panel errors sum to 0.45 tol_i or the
+    budget runs out; the first row to end above its target raises.  The rows
+    advance in lockstep: each round evaluates the new panels of every
+    unfinished row at once, by one recursive call on all their nodes.
     """
-    lo, hi = limits.interval(k, prefix)
-    if not hi > lo:
-        return 0.0, 0.0
     d = ev.dim
+    lo, hi = limits.intervals(k, prefixes)
+    values, errors = np.zeros(len(lo)), np.zeros(len(lo))
 
-    def node_fn(pts):
-        if math.isinf(hi):
-            with np.errstate(over="ignore", divide="ignore"):
-                us = lo + pts / (1.0 - pts)
-                jac = 1.0 / (1.0 - pts) ** 2
-        else:
-            us = lo + (hi - lo) * pts
-            jac = np.full_like(pts, hi - lo)
+    def node_fn(rows, a, b):
+        pts = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _NODES
+        lo_r, hi_r = lo[rows, None], hi[rows, None]
+        unbounded = np.isinf(hi_r)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            us = np.where(unbounded, lo_r + pts / (1.0 - pts), lo_r + (hi_r - lo_r) * pts)
+            jac = np.where(unbounded, 1.0 / (1.0 - pts) ** 2, hi_r - lo_r)
+        batch = np.column_stack([np.repeat(prefixes[rows], 15, axis=0), us.ravel()])
         if k == d - 1:
-            batch = np.empty((len(us), d))
-            batch[:, :k] = prefix
-            batch[:, k] = us
-            counter[0] += len(us)
+            counter[0] += len(batch)
             with np.errstate(over="ignore", invalid="ignore"):
-                return ev(batch) * jac, np.zeros_like(us)
-        vals = np.empty(len(us))
-        deltas = np.empty(len(us))
-        for i, u in enumerate(us):
-            v, e = _integrate_level(ev, limits, k + 1, prefix + (u,), tol * _INNER_FRAC,
-                                    counter)
-            vals[i] = v * jac[i]
-            deltas[i] = e * jac[i]
-        return vals, deltas
+                return ev(batch).reshape(pts.shape) * jac, np.zeros_like(pts)
+        vals, errs = _integrate_level(ev, limits, k + 1, batch,
+                                      np.repeat(tols[rows] * _INNER_FRAC, 15), counter)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return vals.reshape(pts.shape) * jac, errs.reshape(pts.shape) * jac
 
-    return _adaptive_1d(node_fn, tol)
+    targets = tols.tolist()
+    active = np.flatnonzero(hi > lo).tolist()
+    heaps = {i: [] for i in active}
+    rows, a, b = np.array(active, dtype=np.intp), np.zeros(len(active)), np.ones(len(active))
+    while active:
+        kron, err, inner = _gk_panels(*node_fn(rows, a, b), a, b)
+        for i, *panel in zip(rows.tolist(), (-err).tolist(), a.tolist(), b.tolist(),
+                             kron.tolist(), err.tolist(), inner.tolist()):
+            heapq.heappush(heaps[i], tuple(panel))
+        new = []  # (row, a, b) of the next round's panels, two per split
+        for i in active:
+            heap, tol = heaps[i], targets[i]
+            if sum(p[4] for p in heap) > 0.45 * tol and len(heap) < _MAX_PANELS:
+                prio, pa, pb, *rest = heapq.heappop(heap)
+                if not (prio >= 0.0 or pb - pa < 1e-15):
+                    mid = 0.5 * (pa + pb)
+                    new += [(i, pa, mid), (i, mid, pb)]
+                    continue
+                # unsplittable panel back on the books, deprioritized
+                heapq.heappush(heap, (0.0, pa, pb, *rest))
+            values[i], errors[i] = _settle(heaps.pop(i), tol, k, d)
+        active = [i for i, _, _ in new[::2]]
+        if new:
+            rows, a, b = map(np.array, zip(*new))
+    return values, errors
 
 
 def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
@@ -347,8 +360,12 @@ def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
 
     Level k integrates u_k over its exact interval given the outer
     coordinates (`_ChamberLimits`), so every Gauss-Kronrod panel lies where
-    the integrand is positive and smooth.  The reported error sums the panel
-    estimates and the weighted errors of inner evaluations.
+    the integrand is positive and smooth.  Each node of a level-k panel
+    holds one level-(k+1) integral; the integrals of all new panels of a
+    round go down as one batch, adapt side by side (each by its own panels,
+    as if alone) and come back together.  The reported error sums the panel
+    estimates and the weighted errors of inner evaluations; any integral that
+    misses its target raises `QuadratureNonConvergence`, naming its level.
     """
     ev = _Evaluator(spec, weight_edge)
     d = ev.dim
@@ -361,8 +378,8 @@ def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
     if limits.empty:
         return IntegralEstimate(0.0, 0.0, "quadrature", 0)
     counter = [0]
-    value, err = _integrate_level(ev, limits, 0, (), tol, counter)
-    return IntegralEstimate(value, err, "quadrature", counter[0])
+    value, err = _integrate_level(ev, limits, 0, np.zeros((1, 0)), np.array([tol]), counter)
+    return IntegralEstimate(float(value[0]), float(err[0]), "quadrature", counter[0])
 
 
 # ---------------------------------------------------------------------------

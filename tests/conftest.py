@@ -4,11 +4,15 @@ The oracles here deliberately avoid the library's enumeration code paths:
 cycles and trees are recognized by degree/connectivity filters over raw edge
 subsets, so the backtracking enumerators are checked against brute force.
 The matrix oracles multiply dense lists of Fractions, without the library's
-sparse helpers or its residue products.
+sparse helpers or its residue products.  The quadrature oracle integrates one
+chart integral at a time, one Gauss-Kronrod panel per integrand call, by the
+recursive scheme the library's lockstep batches must reproduce.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +20,7 @@ import numpy as np
 import pytest
 
 from dirichlet_flows import DirectedGraph, Environment, builtin_graph
+from dirichlet_flows import integrals as int_mod
 from dirichlet_flows.graphs import Edge
 
 
@@ -266,3 +271,86 @@ def oracle_flatness(conn, samples) -> Fraction:
                 ab, ba = oracle_matmul(mats[a], mats[b]), oracle_matmul(mats[b], mats[a])
                 worst = max(worst, oracle_max_abs(oracle_combine((1, ab), (-1, ba))))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# scalar nested quadrature oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_gk_panel(vals, deltas, a, b):
+    """Kronrod value, error estimate, and inner-evaluation pollution for one panel."""
+    if not np.isfinite(vals).all():
+        return float("nan"), float("inf"), float("inf")
+    h = 0.5 * (b - a)
+    kron = h * float((vals * int_mod._KW).sum())
+    gauss = h * float((vals * int_mod._GW).sum())
+    err = abs(kron - gauss)
+    mean = kron / (b - a)
+    resasc = h * float((np.abs(vals - mean) * int_mod._KW).sum())
+    if resasc != 0.0 and err != 0.0:
+        r = 200.0 * err / resasc
+        err = resasc * min(1.0, r * math.sqrt(r))
+    inner = h * float((deltas * int_mod._KW).sum())
+    return kron, err, inner
+
+
+def _oracle_adaptive_1d(node_fn, tol, where):
+    """Adaptive GK15 over (0, 1); node_fn(points) -> (values, eval_errors)."""
+    def make(a, b):
+        pts = 0.5 * (a + b) + 0.5 * (b - a) * int_mod._NODES
+        vals, deltas = node_fn(pts)
+        kron, err, inner = _oracle_gk_panel(vals, deltas, a, b)
+        return (-err, a, b, kron, err, inner)
+
+    heap = [make(0.0, 1.0)]
+    while True:
+        if sum(p[4] for p in heap) <= 0.45 * tol or len(heap) >= int_mod._MAX_PANELS:
+            break
+        prio, a, b, kron, err, inner = heapq.heappop(heap)
+        if prio >= 0.0 or b - a < 1e-15:
+            heapq.heappush(heap, (0.0, a, b, kron, err, inner))
+            break
+        mid = 0.5 * (a + b)
+        heapq.heappush(heap, make(a, mid))
+        heapq.heappush(heap, make(mid, b))
+    value = sum(p[3] for p in heap)
+    err = sum(p[4] + p[5] for p in heap)
+    if not (err <= tol) or not np.isfinite(value):
+        raise int_mod.QuadratureNonConvergence(f"{where}: {err:.3e} after {len(heap)} panels")
+    return value, err
+
+
+def _oracle_level(ev, limits, k, prefix, tol, counter):
+    (lo_b, lo_a), (hi_b, hi_a) = limits.levels[k]
+    lo = float(np.max(lo_b + (lo_a * prefix).sum(axis=1)))
+    hi = float(np.min(hi_b + (hi_a * prefix).sum(axis=1))) if len(hi_b) else math.inf
+    if not hi > lo:
+        return 0.0, 0.0
+    d = ev.dim
+
+    def node_fn(pts):
+        if math.isinf(hi):
+            us, jac = lo + pts / (1.0 - pts), 1.0 / (1.0 - pts) ** 2
+        else:
+            us, jac = lo + (hi - lo) * pts, np.full_like(pts, hi - lo)
+        if k == d - 1:
+            batch = np.empty((len(us), d))
+            batch[:, :k] = prefix
+            batch[:, k] = us
+            counter[0] += len(us)
+            return ev(batch) * jac, np.zeros_like(us)
+        inner = [_oracle_level(ev, limits, k + 1, prefix + (u,), tol * int_mod._INNER_FRAC,
+                               counter) for u in us]
+        return np.array([v for v, _ in inner]) * jac, np.array([e for _, e in inner]) * jac
+
+    return _oracle_adaptive_1d(node_fn, tol, f"level {k + 1} of {d}")
+
+
+def oracle_quadrature(spec, tol: float, weight_edge=None):
+    """(value, error, n_evals) of a chart integral, one integral and one panel at a time."""
+    ev = int_mod._Evaluator(spec, weight_edge)
+    limits = int_mod._ChamberLimits(ev.rows, ev.dim)
+    counter = [0]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value, err = _oracle_level(ev, limits, 0, (), tol, counter)
+    return value, err, counter[0]

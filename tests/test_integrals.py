@@ -26,7 +26,7 @@ from dirichlet_flows import integrals as int_mod
 from dirichlet_flows.combinatorics import SpanningTree, cotree
 from dirichlet_flows.graphs import DirectedGraph, Edge
 
-from conftest import bundled_graphs, random_graphs
+from conftest import bundled_graphs, oracle_quadrature, random_graphs
 
 
 def tree_of(*edges, directed=False):
@@ -161,28 +161,113 @@ def test_chamber_limits_match_chamber():
         offset = np.array([float(b) for b, _ in rows])
         coeffs = np.array([[float(c) for c in a] for _, a in rows])
         pts = rng.uniform(-0.25, 2.0, size=(100, d))
-        for u, inside in zip(pts, (offset + pts @ coeffs.T > 0).all(axis=1)):
-            within = True
-            for k in range(d):
-                lo, hi = limits.interval(k, u[:k])
-                assert math.isfinite(lo)
-                assert hi > lo or not within
-                within &= bool(lo < u[k] < hi)
-            assert within == inside
-            seen[bool(inside)] += 1
+        inside = (offset + pts @ coeffs.T > 0).all(axis=1)
+        within = np.ones(len(pts), dtype=bool)
+        for k in range(d):
+            lo, hi = limits.intervals(k, pts[:, :k])
+            assert np.isfinite(lo).all()
+            assert ((hi > lo) | ~within).all()
+            within &= (lo < pts[:, k]) & (pts[:, k] < hi)
+        assert (within == inside).all()
+        seen[True] += int(inside.sum())
+        seen[False] += int((~inside).sum())
     assert min(seen.values()) > 1000
 
 
-def test_empty_inner_interval_contributes_zero(triangle):
-    # chart {e3, e4}: u1 (z2) lies in (max(0, u0 - 1), u0), empty for u0 <= 0
+def _triangle_level_1(triangle):
+    """Chart {e3, e4} of the triangle: u1 (z2) lies in (max(0, u0 - 1), u0)."""
     spec = spec_for(triangle, ones(triangle), ones(triangle), tree_of("e3", "e4"))
     ev = int_mod._Evaluator(spec)
-    limits = int_mod._ChamberLimits(ev.rows, ev.dim)
-    lo, hi = limits.interval(1, (-0.5,))
-    assert hi <= lo
+    return ev, int_mod._ChamberLimits(ev.rows, ev.dim)
+
+
+def test_empty_inner_interval_contributes_zero(triangle):
+    # the interval of u1 is empty for u0 <= 0
+    ev, limits = _triangle_level_1(triangle)
+    prefixes = np.array([[-0.5]])
+    lo, hi = limits.intervals(1, prefixes)
+    assert hi[0] <= lo[0]
     counter = [0]
-    assert int_mod._integrate_level(ev, limits, 1, (-0.5,), 1e-8, counter) == (0.0, 0.0)
+    vals, errs = int_mod._integrate_level(ev, limits, 1, prefixes, np.array([1e-8]), counter)
+    assert (vals.tolist(), errs.tolist()) == ([0.0], [0.0])
     assert counter == [0]
+
+
+def _lone_calls(ev, limits, k, prefixes, tols):
+    """Each row's (value, error, evaluations) when it is integrated alone."""
+    out = []
+    for i in range(len(tols)):
+        counter = [0]
+        v, e = int_mod._integrate_level(ev, limits, k, prefixes[i:i + 1], tols[i:i + 1], counter)
+        out.append((v[0], e[0], counter[0]))
+    return out
+
+
+def test_batch_rows_equal_lone_calls(triangle):
+    """Empty and non-empty prefixes interleaved, each with its own target: the
+    empty rows give (0, 0) and the others exactly what they give alone."""
+    ev, limits = _triangle_level_1(triangle)
+    prefixes = np.array([[-0.5], [0.3], [0.0], [1.7], [-2.0], [0.9]])
+    tols = np.array([1e-8, 1e-8, 1e-8, 1e-12, 1e-8, 1e-6])
+    counter = [0]
+    vals, errs = int_mod._integrate_level(ev, limits, 1, prefixes, tols, counter)
+    lone = _lone_calls(ev, limits, 1, prefixes, tols)
+    assert list(zip(vals, errs)) == [(v, e) for v, e, _ in lone]
+    assert [n == 0 for _, _, n in lone] == (prefixes[:, 0] <= 0).tolist()
+    assert vals[[0, 2, 4]].tolist() == errs[[0, 2, 4]].tolist() == [0.0] * 3
+    assert counter[0] == sum(n for _, _, n in lone)
+    # one outer integral at three targets: three different panel sets
+    tols = np.array([1e-4, 1e-12, 1e-8])
+    counter = [0]
+    vals, errs = int_mod._integrate_level(ev, limits, 0, np.zeros((3, 0)), tols, counter)
+    lone = _lone_calls(ev, limits, 0, np.zeros((3, 0)), tols)
+    assert list(zip(vals, errs)) == [(v, e) for v, e, _ in lone]
+    assert lone[0][2] < lone[2][2] < lone[1][2] and counter[0] == sum(n for _, _, n in lone)
+
+
+def _oracle_charts():
+    """(graph, alpha, bridge ids) of the builtins, their split graphs and the
+    random graphs of `_chamber_systems`."""
+    for g in bundled_graphs():
+        yield g, g.alpha_map(), ()
+        split = split_graph(g)
+        alpha = int_mod.split_exponents(split, DirichletWeights.from_graph(g))
+        yield split.graph, alpha, split.bridge_ids
+    for g in random_graphs(seed=12, count=8):
+        yield g, g.alpha_map(), ()
+
+
+def test_batched_quadrature_matches_scalar_oracle():
+    """Lockstep batches take each integral's adaptive decisions as if it were
+    alone: every chart of dimension 1-3, at unit and generic rates, with and
+    without a weight edge, against one-integral-at-a-time recursion."""
+    cases = diverged = unbounded = 0
+    for g, alpha, bridges in _oracle_charts():
+        for generic in (False, True):
+            lam = {eid: 1.0 + generic * 2.0 ** -(k + 3) for k, eid in enumerate(g.edge_ids)}
+            lam.update({bid: 0.0 for bid in bridges})
+            for t in enumerate_spanning_trees(g):
+                spec = spec_for(g, alpha, lam, t)
+                ev = int_mod._Evaluator(spec)
+                limits = int_mod._ChamberLimits(ev.rows, ev.dim)
+                if not 1 <= ev.dim <= 3 or limits.empty:
+                    continue
+                has_unbounded_level = any(not len(hi_b) for _, (hi_b, _) in limits.levels)
+                for weight_edge in (None, min(cotree(g, t))):
+                    try:
+                        value, err, n_evals = oracle_quadrature(spec, 1e-8, weight_edge)
+                    except QuadratureNonConvergence:
+                        with pytest.raises(QuadratureNonConvergence):
+                            integrate_quadrature(spec, 1e-8, weight_edge)
+                        diverged += 1
+                        continue
+                    est = integrate_quadrature(spec, 1e-8, weight_edge)
+                    assert est.n_evals == n_evals
+                    assert abs(est.value - value) <= 1e-14 * abs(value)
+                    assert abs(est.error - err) <= 1e-12 * abs(err)
+                    cases += 1
+                    unbounded += has_unbounded_level
+    assert cases > 150 and diverged and unbounded > 100
 
 
 def test_quadrature_empty_chamber_is_zero():
@@ -225,6 +310,18 @@ def test_quadrature_nonconvergence_on_divergent_integral():
     spec = spec_for(g, ones(g), zeros(g), tree_of("e2", "e3"))
     with pytest.raises(QuadratureNonConvergence):
         integrate_quadrature(spec, tol=1e-8)
+
+
+def test_inner_level_nonconvergence_fails_fast_and_names_its_level(triangle):
+    """At weight 0 on e2 the integrand of chart {e3, e4} goes as 1/u1 near
+    u1 = 0, so the inner integrals whose interval (max(0, u0 - 1), u0) reaches
+    0 diverge: the first of the batch to give up raises."""
+    alpha = dict(ones(triangle), e2=0)
+    spec = spec_for(triangle, alpha, ones(triangle), tree_of("e3", "e4"))
+    with pytest.raises(QuadratureNonConvergence, match=r"^level 2 of 2: .* after \d+ panels$"):
+        integrate_quadrature(spec, tol=1e-8)
+    with pytest.raises(QuadratureNonConvergence, match="level 2 of 2"):
+        oracle_quadrature(spec, 1e-8)
 
 
 def test_quadrature_unbounded_direction_converges_with_decay():
