@@ -69,7 +69,7 @@ def _tree_from_ids(g: DirectedGraph, ids) -> comb.SpanningTree:
     _check_edge_refs(g, edges, "--tree")
     if not comb.is_spanning_tree(g, edges):
         raise ValueError(f"--tree {sorted(edges)} is not a spanning tree")
-    return comb.SpanningTree(edges, comb._is_directed_tree(g, edges))
+    return comb.spanning_tree(g, edges)
 
 
 def _environment(g: DirectedGraph, args) -> env_mod.Environment:

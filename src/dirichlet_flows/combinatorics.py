@@ -1,10 +1,19 @@
 """Exhaustive combinatorics on small directed graphs.
 
-Simple cycles and base-to-cemetery paths are enumerated over the *underlying*
-graph: a walk may traverse an edge against its direction, and the sign map of
-the result records +1/-1 per edge for traversal along/against.  Spanning
-trees, fundamental cycles, tree paths, the genus of an edge set, and the flow
-coordinates attached to a spanning tree all live here.
+Cycles and paths are walks in the *underlying* graph: a walk may traverse an
+edge against its direction, and its sign map records +1/-1 per edge for
+traversal along/against, in walk order (the order in which
+`SignedEdgeSet.form` adds its terms).  Two walks give every sign map here.
+The simple-walk search `_simple_walks` gives all simple cycles and all simple
+base-to-cemetery paths.  The tree walk `_tree_walk` gives the fundamental
+cycle of each cotree edge and the base-to-cemetery path of a spanning tree.
+
+A spanning tree T is a chart of the unit-mass flows, the edge vectors z with
+div z = unit mass at the base.  Such a flow is the unit flow along T's
+base-to-cemetery path plus u_e times the fundamental cycle of each cotree
+edge e, so the cotree values u are its coordinates.  Spanning trees, the
+genus of an edge set, chart orientations and arrangement bases also live
+here.
 
 Everything is exact (integers and Fractions) and deliberately exhaustive;
 the intended scale is |E| <= 16.
@@ -18,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .graphs import DirectedGraph
-from .rationals import mat_det, mat_rank, mat_solve
+from .rationals import mat_det, mat_rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,8 +36,13 @@ class SignedEdgeSet:
     edges: frozenset[str]
     signs: dict[str, int]
     kind: str  # "cycle" | "path"
-    directed: bool
-    vertices: tuple[str, ...]  # walk order; cycles omit the repeated start
+
+    @property
+    def directed(self) -> bool:
+        """A path runs along every edge; a cycle does in one of its orientations."""
+        if self.kind == "path":
+            return all(s == +1 for s in self.signs.values())
+        return len(set(self.signs.values())) == 1
 
     def sign(self, edge_id: str) -> int:
         return self.signs.get(edge_id, 0)
@@ -52,8 +66,6 @@ class SignedEdgeSet:
             self.edges,
             {k: -v for k, v in self.signs.items()},
             self.kind,
-            self.directed,
-            tuple(reversed(self.vertices)),
         )
 
     def __eq__(self, other):
@@ -106,12 +118,31 @@ def _undirected_adjacency(g: DirectedGraph, allowed=None):
     return adj
 
 
-def _canonical_cycle(edge_signs: dict[str, int], walk: tuple[str, ...], directed: bool) -> SignedEdgeSet:
-    # orient so the lexicographically smallest edge id gets +1
-    if edge_signs[min(edge_signs)] < 0:
-        edge_signs = {k: -v for k, v in edge_signs.items()}
-        walk = tuple(reversed(walk))
-    return SignedEdgeSet(frozenset(edge_signs), edge_signs, "cycle", directed, walk)
+def _simple_walks(g: DirectedGraph, start: str, stop: str, allowed):
+    """Sign maps of the simple walks start -> stop in the underlying graph.
+
+    A walk ends at its first arrival at `stop` (start == stop gives closed
+    walks), uses no edge twice and passes only through vertices in `allowed`.
+    Walks come in depth-first order over the edges in graph order.
+    """
+    adj = _undirected_adjacency(g)
+    signs: dict[str, int] = {}
+    visited = {start}
+
+    def extend(v):
+        for e, nxt, fwd in adj[v]:
+            if e.id in signs:
+                continue
+            if nxt == stop:
+                yield {**signs, e.id: fwd}
+            elif nxt in allowed and nxt not in visited:
+                signs[e.id] = fwd
+                visited.add(nxt)
+                yield from extend(nxt)
+                visited.discard(nxt)
+                del signs[e.id]
+
+    return extend(start)
 
 
 def enumerate_cycles(g: DirectedGraph) -> list[SignedEdgeSet]:
@@ -119,68 +150,28 @@ def enumerate_cycles(g: DirectedGraph) -> list[SignedEdgeSet]:
 
     A cycle is a set of >= 2 edges whose underlying closed walk visits distinct
     vertices; it is directed when some orientation traverses every edge
-    forwards.
+    forwards.  Each cycle is the first closed walk found from its smallest
+    vertex, flipped if needed so that its smallest edge id gets +1.
     """
-    adj = _undirected_adjacency(g)
-    order = {v: i for i, v in enumerate(sorted(g.vertices))}
-    found: dict[frozenset, SignedEdgeSet] = {}
-
-    def dfs(start, current, walk, used, signs):
-        for e, nxt, fwd in adj[current]:
-            if e.id in used:
-                continue
-            if nxt == start:
-                if len(used) >= 1:  # closing edge makes length >= 2
-                    key = frozenset(used | {e.id})
-                    if key not in found:
-                        allsigns = dict(signs)
-                        allsigns[e.id] = fwd
-                        directed = len(set(allsigns.values())) == 1
-                        found[key] = _canonical_cycle(allsigns, tuple(walk), directed)
-                continue
-            if nxt in walk or order[nxt] < order[start]:
-                continue
-            signs[e.id] = fwd
-            used.add(e.id)
-            walk.append(nxt)
-            dfs(start, nxt, walk, used, signs)
-            walk.pop()
-            used.discard(e.id)
-            del signs[e.id]
-
-    for start in sorted(g.vertices, key=order.get):
-        dfs(start, start, [start], set(), {})
-    return sorted(found.values(), key=lambda c: tuple(sorted(c.edges)))
+    order = sorted(g.vertices)
+    found: dict[frozenset, dict[str, int]] = {}
+    for i, start in enumerate(order):
+        for signs in _simple_walks(g, start, start, set(order[i + 1:])):
+            if len(signs) > 1:  # a loop edge closes a walk of one edge
+                found.setdefault(frozenset(signs), signs)
+    cycles = []
+    for edges, signs in found.items():
+        if signs[min(signs)] < 0:
+            signs = {k: -v for k, v in signs.items()}
+        cycles.append(SignedEdgeSet(edges, signs, "cycle"))
+    return sorted(cycles, key=lambda c: tuple(sorted(c.edges)))
 
 
 def enumerate_paths(g: DirectedGraph) -> list[SignedEdgeSet]:
     """All simple paths base -> cemetery in the underlying graph, oriented base->cemetery."""
-    adj = _undirected_adjacency(g)
-    results = []
-
-    def dfs(current, walk, used, signs):
-        for e, nxt, fwd in adj[current]:
-            if e.id in used or nxt in walk:
-                continue
-            if nxt == g.cemetery:
-                allsigns = dict(signs)
-                allsigns[e.id] = fwd
-                directed = all(s == +1 for s in allsigns.values())
-                results.append(
-                    SignedEdgeSet(frozenset(allsigns), allsigns, "path", directed,
-                                  tuple(walk) + (nxt,))
-                )
-                continue
-            signs[e.id] = fwd
-            used.add(e.id)
-            walk.append(nxt)
-            dfs(nxt, walk, used, signs)
-            walk.pop()
-            used.discard(e.id)
-            del signs[e.id]
-
-    dfs(g.base, [g.base], set(), {})
-    return sorted(results, key=lambda p: tuple(sorted(p.edges)))
+    paths = [SignedEdgeSet(frozenset(signs), signs, "path")
+             for signs in _simple_walks(g, g.base, g.cemetery, set(g.vertices))]
+    return sorted(paths, key=lambda p: tuple(sorted(p.edges)))
 
 
 def _closing_edges(g: DirectedGraph, edge_ids) -> int:
@@ -211,25 +202,21 @@ def is_spanning_tree(g: DirectedGraph, edge_ids) -> bool:
     return len(edge_ids) == len(g.vertices) - 1 and _closing_edges(g, edge_ids) == 0
 
 
-def _is_directed_tree(g: DirectedGraph, edge_ids) -> bool:
-    outdeg = {v: 0 for v in g.interior}
-    for eid in edge_ids:
-        outdeg[g.edge_by_id[eid].tail] += 1
-    return all(n == 1 for n in outdeg.values())
+def spanning_tree(g: DirectedGraph, edge_ids) -> SpanningTree:
+    """The spanning tree on edge ids that `is_spanning_tree` accepts, with its
+    directed flag: its |V| - 1 edges leave distinct interior vertices, so each
+    interior vertex is the tail of exactly one of them."""
+    edges = frozenset(edge_ids)
+    tails = {g.edge_by_id[eid].tail for eid in edges}
+    return SpanningTree(edges, len(tails) == len(edges) and g.cemetery not in tails)
 
 
 def enumerate_spanning_trees(g: DirectedGraph, directed_only: bool = False) -> list[SpanningTree]:
     """All spanning trees, sorted by their sorted edge-id tuple (the basis order)."""
     n = len(g.vertices)
-    trees = []
-    for combo in combinations(sorted(g.edge_ids), n - 1):
-        if is_spanning_tree(g, combo):
-            directed = _is_directed_tree(g, combo)
-            if directed_only and not directed:
-                continue
-            trees.append(SpanningTree(frozenset(combo), directed))
-    trees.sort(key=lambda t: t.key)
-    return trees
+    trees = [spanning_tree(g, combo) for combo in combinations(sorted(g.edge_ids), n - 1)
+             if is_spanning_tree(g, combo)]
+    return [t for t in trees if t.directed or not directed_only]
 
 
 def tree_basis(g: DirectedGraph) -> list[SpanningTree]:
@@ -237,53 +224,43 @@ def tree_basis(g: DirectedGraph) -> list[SpanningTree]:
     return enumerate_spanning_trees(g, directed_only=False)
 
 
-def _tree_walk(g: DirectedGraph, tree_edges: frozenset[str], src: str, dst: str):
-    """Unique simple walk src -> dst inside a tree; yields (edge, forward_sign)."""
+def _tree_walk(g: DirectedGraph, tree_edges: frozenset[str], src: str, dst: str) -> dict[str, int]:
+    """Sign map of the unique simple walk src -> dst inside a tree, in walk order."""
     adj = _undirected_adjacency(g, tree_edges)
-    stack = [(src, None)]
-    prev: dict[str, tuple] = {src: None}
+    prev: dict[str, tuple] = {src: None}  # vertex -> (previous vertex, edge id, sign)
+    stack = [src]
     while stack:
-        v, _ = stack.pop()
-        if v == dst:
-            break
+        v = stack.pop()
         for e, nxt, fwd in adj[v]:
             if nxt not in prev:
-                prev[nxt] = (v, e, fwd)
-                stack.append((nxt, None))
+                prev[nxt] = (v, e.id, fwd)
+                stack.append(nxt)
     if dst not in prev:
         raise ValueError(f"tree does not connect {src!r} to {dst!r}")
     steps = []
     v = dst
     while prev[v] is not None:
-        u, e, fwd = prev[v]
-        steps.append((e, fwd))
-        v = u
-    return list(reversed(steps))
+        v, eid, fwd = prev[v]
+        steps.append((eid, fwd))
+    return dict(reversed(steps))
 
 
 def fundamental_cycle(g: DirectedGraph, tree: SpanningTree, e0: str) -> SignedEdgeSet:
-    """The unique cycle in tree + e0, oriented along e0 (sign(e0) = +1)."""
+    """The unique cycle in tree + e0, oriented along e0 (sign(e0) = +1).
+
+    Its sign map runs e0 first, then head(e0) -> tail(e0) along the tree.
+    """
     if e0 in tree.edges:
         raise ValueError(f"edge {e0!r} is in the tree; a fundamental cycle needs a cotree edge")
     edge0 = g.edge_by_id[e0]
-    signs = {e0: +1}
-    walk = [edge0.tail, edge0.head]
-    for e, fwd in _tree_walk(g, tree.edges, edge0.head, edge0.tail):
-        signs[e.id] = fwd
-        walk.append(e.head if fwd == +1 else e.tail)
-    directed = len(set(signs.values())) == 1
-    return SignedEdgeSet(frozenset(signs), signs, "cycle", directed, tuple(walk[:-1]))
+    signs = {e0: +1, **_tree_walk(g, tree.edges, edge0.head, edge0.tail)}
+    return SignedEdgeSet(frozenset(signs), signs, "cycle")
 
 
 def tree_path(g: DirectedGraph, tree: SpanningTree) -> SignedEdgeSet:
     """The unique simple path base -> cemetery inside the tree."""
-    signs = {}
-    walk = [g.base]
-    for e, fwd in _tree_walk(g, tree.edges, g.base, g.cemetery):
-        signs[e.id] = fwd
-        walk.append(e.head if fwd == +1 else e.tail)
-    directed = all(s == +1 for s in signs.values())
-    return SignedEdgeSet(frozenset(signs), signs, "path", directed, tuple(walk))
+    signs = _tree_walk(g, tree.edges, g.base, g.cemetery)
+    return SignedEdgeSet(frozenset(signs), signs, "path")
 
 
 def genus(g: DirectedGraph, subset) -> int:
@@ -306,55 +283,21 @@ def cotree(g: DirectedGraph, tree: SpanningTree) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def _coordinate_map_cached(g: DirectedGraph, tree_edges: frozenset):
-    tree_ids = sorted(tree_edges)
-    free_ids = sorted(set(g.edge_ids) - tree_edges)
-    interior = list(g.interior)
-    vindex = {v: i for i, v in enumerate(interior)}
-
-    # divergence rows of the tree edges (square: |tree| == |interior|)
-    m = [[Fraction(0)] * len(tree_ids) for _ in interior]
-    for j, eid in enumerate(tree_ids):
-        e = g.edge_by_id[eid]
-        if e.tail in vindex:
-            m[vindex[e.tail]][j] += 1
-        if e.head in vindex:
-            m[vindex[e.head]][j] -= 1
-
-    # one elimination for the tree values at u = 0 (unit mass at the base)
-    # and for the tree-value column of every free edge
-    rhs = [[Fraction(1) if v == g.base else Fraction(0) for v in interior]]
-    for eid in free_ids:
-        e = g.edge_by_id[eid]
-        col = [Fraction(0)] * len(interior)
-        if e.tail in vindex:
-            col[vindex[e.tail]] -= 1
-        if e.head in vindex:
-            col[vindex[e.head]] += 1
-        rhs.append(col)
-    offset, *columns = mat_solve(m, rhs)
-
-    # full affine map over all edges, rows in g.edges order
-    rows = {}
-    for eid in g.edge_ids:
-        if eid in tree_edges:
-            i = tree_ids.index(eid)
-            rows[eid] = (offset[i], tuple(col[i] for col in columns))
-        else:
-            j = free_ids.index(eid)
-            rows[eid] = (Fraction(0), tuple(Fraction(1) if k == j else Fraction(0)
-                                            for k in range(len(free_ids))))
-    return tuple(free_ids), rows
-
-
 def tree_coordinate_map(g: DirectedGraph, tree: SpanningTree):
     """Affine map u -> z: for each edge id, (offset, coefficients over the free edges).
 
-    The free edges (cotree, sorted by id) are the coordinates; the tree-edge
-    values are the unique solution of div(z) = unit mass at the base.  All
-    entries are exact Fractions (in fact integers).
+    The free edges (cotree, sorted by id) are the coordinates.  The offset
+    column is the sign map of the tree path, and the column of a free edge e0
+    is the sign map of its fundamental cycle: z is the unit flow along the path
+    plus u_e0 times each cycle.  Every entry is a Fraction of integer value
+    (0 or +-1), so that dividing by one stays exact.
     """
-    return _coordinate_map_cached(g, frozenset(tree.edges))
+    free_ids = cotree(g, tree)
+    path = tree_path(g, tree)
+    cycles = [fundamental_cycle(g, tree, e0) for e0 in free_ids]
+    rows = {eid: (Fraction(path.sign(eid)), tuple(Fraction(c.sign(eid)) for c in cycles))
+            for eid in g.edge_ids}
+    return free_ids, rows
 
 
 def solve_tree_coordinates(g: DirectedGraph, tree: SpanningTree, u) -> FlowPoint:

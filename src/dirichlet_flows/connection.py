@@ -309,9 +309,6 @@ def check_commutation(g: DirectedGraph, w) -> dict:
         inside = [c for c in cycles if c.edges <= union]
         if len(inside) != 3:
             continue
-        total = inside[0].edges | inside[1].edges | inside[2].edges
-        if genus(g, total) != 2:
-            continue
         ssum = add(_int_combination((1, mats[q[c]]) for c in inside))
         for ci in inside:
             record("iv", [inside[0], inside[1], inside[2], ci], True, commutator(ssum, q[ci]))
@@ -322,11 +319,9 @@ def check_commutation(g: DirectedGraph, w) -> dict:
             union = paths[a].edges | paths[b].edges
             if genus(g, union) != 1:
                 continue
-            inside = [c for c in cycles if c.edges <= union]
-            if len(inside) != 1:
-                continue
+            (cycle,) = [c for c in cycles if c.edges <= union]  # genus 1: one cycle
             ssum = add(_int_combination((1, mats[p[s]]) for s in (paths[a], paths[b])))
-            record("v", [paths[a], paths[b], inside[0]], True, commutator(ssum, q[inside[0]]))
+            record("v", [paths[a], paths[b], cycle], True, commutator(ssum, q[cycle]))
 
     nonzero = integer_residuals(mats, conn.size, quads)
     for k, it in enumerate(items):

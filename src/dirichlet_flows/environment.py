@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .combinatorics import SpanningTree, FlowPoint, enumerate_spanning_trees
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, reach
 from .rationals import mat_det, mat_solve
 
 STEP_CAP = 10_000_000
@@ -85,12 +85,7 @@ def check_environment(g: DirectedGraph, env: Environment, tol: float = 1e-14) ->
                 raise ValueError(f"exit probabilities at {x!r} sum to {total}, not 1")
         elif abs(total - 1.0) > tol:
             raise ValueError(f"exit probabilities at {x!r} sum to {total!r}, not 1")
-    reached, frontier = {g.cemetery}, [g.cemetery]
-    while frontier:
-        for e in g.in_edges[frontier.pop()]:
-            if env.p[e.id] > 0 and e.tail not in reached:
-                reached.add(e.tail)
-                frontier.append(e.tail)
+    reached = reach(g, g.cemetery, backwards=True, usable=lambda e: env.p[e.id] > 0)
     stuck = [x for x in g.interior if x not in reached]
     if stuck:
         raise ValueError(f"no positive-probability path from {stuck} to the cemetery")

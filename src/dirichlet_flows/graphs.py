@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .rationals import parse_scalar
+from .rationals import format_scalar, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,20 @@ class DirectedGraph:
         return {e.id: e.alpha for e in self.edges}
 
 
+def reach(g: DirectedGraph, start: str, backwards: bool = False, usable=None) -> set[str]:
+    """The vertices reached from `start` along directed edges (against them if
+    `backwards`), using only the edges e with usable(e) when usable is given."""
+    reached, frontier = {start}, [start]
+    while frontier:
+        v = frontier.pop()
+        for e in (g.in_edges[v] if backwards else g.out_edges[v]):
+            nxt = e.tail if backwards else e.head
+            if nxt not in reached and (usable is None or usable(e)):
+                reached.add(nxt)
+                frontier.append(nxt)
+    return reached
+
+
 def validate(g: DirectedGraph) -> list[str]:
     """Check the standing assumptions; returns a list of violations (empty = ok).
 
@@ -93,27 +107,12 @@ def validate(g: DirectedGraph) -> list[str]:
         if e.tail == g.cemetery:
             violations.append(f"edge {e.id!r} with origin the cemetery {g.cemetery!r}")
 
-    # reach the cemetery: walk in-edges backwards from it
-    reaches = {g.cemetery}
-    frontier = [g.cemetery]
-    while frontier:
-        v = frontier.pop()
-        for e in g.in_edges[v]:
-            if e.tail not in reaches:
-                reaches.add(e.tail)
-                frontier.append(e.tail)
+    reaches = reach(g, g.cemetery, backwards=True)
     for v in g.interior:
         if v not in reaches:
             violations.append(f"no directed path from {v!r} to the cemetery")
 
-    reachable = {g.base}
-    frontier = [g.base]
-    while frontier:
-        v = frontier.pop()
-        for e in g.out_edges[v]:
-            if e.head not in reachable:
-                reachable.add(e.head)
-                frontier.append(e.head)
+    reachable = reach(g, g.base)
     for v in g.vertices:
         if v not in reachable:
             violations.append(f"no directed path from the base {g.base!r} to {v!r}")
@@ -209,8 +208,6 @@ def graph_from_dict(data: dict) -> DirectedGraph:
 
 
 def graph_to_dict(g: DirectedGraph) -> dict:
-    from .rationals import format_scalar
-
     return {
         "vertices": list(g.vertices),
         "cemetery": g.cemetery,

@@ -37,9 +37,9 @@ from .combinatorics import (
     cotree,
     fundamental_cycle,
     is_spanning_tree,
+    spanning_tree,
     tree_coordinate_map,
     tree_path,
-    _is_directed_tree,
 )
 from .environment import DirichletWeights, McEstimate, mc_estimate_rhs, philox_stream
 from .graphs import DirectedGraph, SplitGraph, split_graph
@@ -548,8 +548,7 @@ def cohomology_identity_check(spec: IntegrandSpec, e0: str, tol: float = 1e-6,
     rhs_err = 0.0
     terms = []
     for eid in sorted(cyc.edges):
-        edges = (spec.tree.edges | {e0}) - {eid}
-        swapped = SpanningTree(frozenset(edges), _is_directed_tree(g, edges))
+        swapped = spanning_tree(g, (spec.tree.edges | {e0}) - {eid})
         alt = IntegrandSpec(g, spec.alpha, spec.lam, swapped)
         est = integrate_quadrature(alt, quad_tol)
         coef = cyc.sign(eid) * float(spec.alpha[eid])  # sign is relative to e0's direction

@@ -3,6 +3,8 @@
 The oracles here deliberately avoid the library's enumeration code paths:
 cycles and trees are recognized by degree/connectivity filters over raw edge
 subsets, so the backtracking enumerators are checked against brute force.
+The coordinate-map oracle solves div z = unit mass at the base for the tree
+edges by Gauss-Jordan elimination, without the library's tree walks.
 The matrix oracles multiply dense lists of Fractions, without the library's
 sparse helpers or its residue products.  The quadrature oracle integrates one
 chart integral at a time, one Gauss-Kronrod panel per integrand call, by the
@@ -22,6 +24,7 @@ import pytest
 from dirichlet_flows import DirectedGraph, Environment, builtin_graph
 from dirichlet_flows import integrals as int_mod
 from dirichlet_flows.graphs import Edge
+from dirichlet_flows.rationals import mat_solve
 
 
 @pytest.fixture
@@ -195,6 +198,43 @@ def oracle_spanning_trees(g: DirectedGraph):
          if oracle_is_spanning_tree(g, c)),
         key=sorted,
     )
+
+
+def oracle_coordinate_map(g: DirectedGraph, tree):
+    """The tree chart's affine map u -> z, as `tree_coordinate_map` returns it,
+    from one exact solve of div z = unit mass at the base: the offset is the
+    tree-edge solution at u = 0, and the column of a cotree edge is the
+    tree-edge solution that cancels the divergence of its indicator."""
+    tree_ids = sorted(tree.edges)
+    free_ids = sorted(set(g.edge_ids) - tree.edges)
+    interior = list(g.interior)
+    vindex = {v: i for i, v in enumerate(interior)}
+
+    def div_column(eid, sign):
+        col = [Fraction(0)] * len(interior)
+        e = g.edge_by_id[eid]
+        if e.tail in vindex:
+            col[vindex[e.tail]] += sign
+        if e.head in vindex:
+            col[vindex[e.head]] -= sign
+        return col
+
+    # divergence rows of the tree edges (square: |tree| == |interior|)
+    tree_cols = [div_column(eid, 1) for eid in tree_ids]
+    m = [[col[i] for col in tree_cols] for i in range(len(interior))]
+    rhs = [[Fraction(1) if v == g.base else Fraction(0) for v in interior]]
+    rhs += [div_column(eid, -1) for eid in free_ids]
+    offset, *columns = mat_solve(m, rhs)
+
+    rows = {}
+    for eid in g.edge_ids:
+        if eid in tree.edges:
+            i = tree_ids.index(eid)
+            rows[eid] = (offset[i], tuple(col[i] for col in columns))
+        else:
+            j = free_ids.index(eid)
+            rows[eid] = (Fraction(0), tuple(Fraction(int(k == j)) for k in range(len(free_ids))))
+    return tuple(free_ids), rows
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,13 @@ from dirichlet_flows import (
     tree_path,
 )
 from dirichlet_flows.combinatorics import SpanningTree, tree_coordinate_map
+from dirichlet_flows.graphs import split_graph
 from dirichlet_flows.rationals import mat_rank
 
 from conftest import (
     bundled_graphs,
+    complete_graph,
+    oracle_coordinate_map,
     oracle_cycles,
     oracle_paths,
     oracle_spanning_trees,
@@ -143,6 +146,49 @@ def test_tree_path_triangle(triangle):
     assert tree_path(triangle, tree_of("e2", "e3")).edges == frozenset({"e3"})
 
 
+def _walk_vertices(g, signs, start):
+    """The vertices of the walk that traverses the sign map's edges in key order
+    from `start`, or None if some edge does not leave the vertex reached."""
+    walk = [start]
+    for eid, s in signs.items():
+        e = g.edge_by_id[eid]
+        tail, head = (e.tail, e.head) if s == +1 else (e.head, e.tail)
+        if tail != walk[-1]:
+            return None
+        walk.append(head)
+    return walk
+
+
+def test_sign_maps_trace_their_walks_in_order():
+    # SignedEdgeSet.form adds its terms in sign-map order, so the order is output
+    graphs = (bundled_graphs() + random_graphs(seed=15, count=10)
+              + [complete_graph(3), complete_graph(4)])
+    for g in graphs:
+        for p in enumerate_paths(g):
+            walk = _walk_vertices(g, p.signs, g.base)
+            assert walk is not None and walk[-1] == g.cemetery, (g.edge_ids, p)
+        for c in enumerate_cycles(g):
+            # the closed walk found first from the cycle's smallest vertex leaves
+            # it by the cycle's first edge there in graph order; the flip to the
+            # canonical orientation negates the signs in place
+            ends = [v for eid in c.edges for v in (g.edge_by_id[eid].tail, g.edge_by_id[eid].head)]
+            start = min(ends)
+            first = next(e.id for e in g.edges if e.id in c.edges and start in (e.tail, e.head))
+            assert next(iter(c.signs)) == first, (g.edge_ids, c)
+            walks = [_walk_vertices(g, signs, start)
+                     for signs in (c.signs, {k: -v for k, v in c.signs.items()})]
+            assert any(w is not None and w[-1] == start for w in walks), (g.edge_ids, c)
+        for t in tree_basis(g):
+            walk = _walk_vertices(g, tree_path(g, t).signs, g.base)
+            assert walk is not None and walk[-1] == g.cemetery, (g.edge_ids, t)
+            for e0 in cotree(g, t):
+                cyc = fundamental_cycle(g, t, e0)
+                assert next(iter(cyc.signs)) == e0
+                start = g.edge_by_id[e0].tail
+                walk = _walk_vertices(g, cyc.signs, start)
+                assert walk is not None and walk[-1] == start, (g.edge_ids, t, e0)
+
+
 # ---------------------------------------------------------------------------
 # genus
 # ---------------------------------------------------------------------------
@@ -232,18 +278,20 @@ def test_solve_tree_coordinates_divergence_exact():
                 assert z[eid] == u[eid]
 
 
-def test_coordinate_map_matches_cycle_and_path_structure():
-    # offset column = signed tree-path flow; coefficient columns = fundamental cycles
-    for g in bundled_graphs():
+def test_coordinate_map_matches_divergence_solve():
+    # the path-plus-cycles chart equals the exact solve of div z = unit mass at
+    # the base, Fraction entries and edge order included
+    builtins = bundled_graphs()
+    graphs = (builtins + [split_graph(g).graph for g in builtins]
+              + random_graphs(seed=33, count=10) + [complete_graph(3)])
+    for g in graphs:
         for t in tree_basis(g):
             free_ids, rows = tree_coordinate_map(g, t)
-            sigma = tree_path(g, t)
-            for eid in g.edge_ids:
-                assert rows[eid][0] == sigma.sign(eid)
-            for k, e0 in enumerate(free_ids):
-                cyc = fundamental_cycle(g, t, e0)
-                for eid in g.edge_ids:
-                    assert rows[eid][1][k] == cyc.sign(eid)
+            expected_ids, expected = oracle_coordinate_map(g, t)
+            assert free_ids == expected_ids
+            assert list(rows.items()) == list(expected.items()), (g.edge_ids, t)
+            for offset, coeffs in rows.values():
+                assert all(type(x) is Fraction for x in (offset, *coeffs))
 
 
 def test_solve_missing_coordinate(triangle):
