@@ -206,6 +206,7 @@ _GW[1:14:2] = np.concatenate([_WG7[:-1], [_WG7[-1]], _WG7[-2::-1]])
 
 _MAX_PANELS = 4000
 _INNER_FRAC = 0.05
+_ULP = math.ulp(1.0)  # 2^-52, twice the unit roundoff
 
 
 def _gk_panels(vals: np.ndarray, deltas: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -330,18 +331,32 @@ def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefixes: n
     targets = tols.tolist()
     active = np.flatnonzero(hi > lo).tolist()
     heaps = {i: [] for i in active}
+    # Each heap's running total of panel errors, and the sum of the total's
+    # sizes after each update: 2^-53 times that bounds the total's rounding,
+    # and 2^-53 len(heap) total that of the sum in heap order, the old rule.
+    # The total decides when to stop unless twice these bounds cannot tell
+    # it from the target; then the sum in heap order decides and restarts it.
+    totals, slack = dict.fromkeys(active, 0.0), dict.fromkeys(active, 0.0)
     rows, a, b = np.array(active, dtype=np.intp), np.zeros(len(active)), np.ones(len(active))
     while active:
         kron, err, inner = _gk_panels(*node_fn(rows, a, b), a, b)
         for i, *panel in zip(rows.tolist(), (-err).tolist(), a.tolist(), b.tolist(),
                              kron.tolist(), err.tolist(), inner.tolist()):
             heapq.heappush(heaps[i], tuple(panel))
+            totals[i] += panel[4]
+            slack[i] += abs(totals[i])
         new = []  # (row, a, b) of the next round's panels, two per split
         for i in active:
             heap, tol = heaps[i], targets[i]
-            if sum(p[4] for p in heap) > 0.45 * tol and len(heap) < _MAX_PANELS:
+            total, target = totals[i], 0.45 * tol
+            if not abs(total - target) > _ULP * (slack[i] + len(heap) * abs(total)):
+                total = totals[i] = sum(p[4] for p in heap)
+                slack[i] = len(heap) * total
+            if total > target and len(heap) < _MAX_PANELS:
                 prio, pa, pb, *rest = heapq.heappop(heap)
                 if not (prio >= 0.0 or pb - pa < 1e-15):
+                    totals[i] -= rest[1]
+                    slack[i] += abs(totals[i])
                     mid = 0.5 * (pa + pb)
                     new += [(i, pa, mid), (i, mid, pb)]
                     continue

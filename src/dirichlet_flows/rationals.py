@@ -8,9 +8,12 @@ elimination serves rank, determinant and solve alike.
 
 Matrix products are exact over Q through residues: once its operators are
 scaled to integers, a commutator is decided by `integer_residuals`, which
-computes it modulo primes below 2^26 in scipy.sparse int64 products, with as
-many primes as an integer bound on its entries asks for, and recovers a
-nonzero entry by the Chinese remainder theorem.
+computes it modulo primes below 2^26, with as many primes as an integer bound
+on its entries asks for, and recovers a nonzero entry by the Chinese
+remainder theorem.  Its kernel runs on numpy alone: the expand-and-merge
+sparse product (Gustavson, ACM TOMS 4, 1978) on a COO integer table, which
+expands and sorts each product once and sums it for all its primes as rows
+of one int64 array.
 
 Sparse matrices are dict-of-rows: {row: {col: value}}, zero entries absent.
 The Fraction helpers `sp_*` build them (`sp_set`, `sp_to_dense`); the others
@@ -25,7 +28,6 @@ from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
-from scipy import sparse
 
 Sparse = dict[int, dict[int, Fraction]]
 IntSparse = dict[int, dict[int, int]]
@@ -191,12 +193,14 @@ def sp_to_dense(a: Sparse | Mapping, n: int, as_float: bool = False):
 # ---------------------------------------------------------------------------
 
 # Residues below 2^26 multiply to less than 2^52, so a sum of fewer than 2^11
-# such products stays below 2^63: an int64 product of residue matrices is
-# exact while every row of the left factor holds fewer than 2^11 nonzeros.
+# such products stays below 2^63: an int64 sum of residue products is exact
+# while row i of A and row i of C hold fewer than 2^11 nonzeros together.
 _PRIME_LIMIT = 1 << 26
 _ROW_NNZ_LIMIT = 1 << 11
-# Work of one scipy product: its rows plus a bound on its multiply-adds.  A
-# batch is cut into chunks of whole blocks at this cap, which bounds memory.
+# Work of one kernel pass, which bounds memory.  A chunk of whole quads
+# expands to at most this many products, by a bound that takes every row as
+# its matrix's widest, unless one quad alone is more; each pass over a chunk
+# holds at most this many residues (primes x products), or one prime's.
 _CHUNK_CAP = 1 << 16
 
 _PRIMES: list[int] = []
@@ -235,59 +239,88 @@ def _primes_past(bound: int) -> list[int]:
     return _PRIMES[:k]
 
 
-def _residue_products(table, n: int, quads: np.ndarray, which: np.ndarray,
+def _residue_products(table, n: int, quads: np.ndarray, depth: np.ndarray,
                       primes: np.ndarray):
-    """Nonzero residues of A B - C D modulo primes[which[k]] for each row k =
-    (A, B, C, D) of quads, as arrays (k, i, j, residue).
+    """The nonzero entries of A B - C D for each row q = (A, B, C, D) of
+    quads, as arrays (q, i, j, residues): residues[:, t] is the entry modulo
+    primes[t] for t < depth[q].
 
     table = (ptr, width, i, j, residues) holds n x n matrices in COO form,
-    matrix r at ptr[r]:ptr[r+1] with at most width[r] nonzeros in a row, and
-    residues[q] the entries reduced modulo primes[q].  A chunk of K quads is
-    one scipy int64 product of the block-diagonal stacks
-    [A_1..A_K | C_1..C_K] and [B_1..B_K; -D_1..-D_K].
+    matrix r at ptr[r]:ptr[r+1] with its entries sorted by row and at most
+    width[r] nonzeros in a row, and residues[t] the entries reduced modulo
+    primes[t].  A chunk of quads expands each entry (i, k) of A against row k
+    of B, and of C against row k of D, sorts the products once by (quad, i,
+    j) and sums them, the C D ones negated, for all the chunk's primes at
+    once: one int64 row per prime.
     """
     ptr, width, ti, tj, residues = table
     size = np.diff(ptr)
+    # row k of matrix r is the table slice row_ptr[r n + k]:row_ptr[r n + k + 1]
+    row_ptr = np.zeros(len(size) * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(np.repeat(np.arange(len(size)), size) * n + ti,
+                          minlength=len(size) * n), out=row_ptr[1:])
     a, b, c, d = quads.T
     cost = n + size[a] * width[b] + size[c] * width[d]
     chunk = np.cumsum(cost) // _CHUNK_CAP
     edges = np.append(np.flatnonzero(np.diff(chunk, prepend=-1)), len(quads))
     found = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        q, w = quads[lo:hi], which[lo:hi]
-        m = primes[w]
-        k_n = len(q) * n
-
-        def gather(ids, row_shift, col_shift, negate=False):
-            lens = size[ids]
-            pos = np.repeat(ptr[ids] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-            k = np.repeat(np.arange(len(ids)), lens)
-            v = residues[w[k], pos].astype(np.int64)
-            if negate:
-                v = (m[k] - v) % m[k]
-            return v, ti[pos] + k * n + row_shift, tj[pos] + k * n + col_shift
-
-        def stack(first, second, shape):
-            data, rows, cols = (np.concatenate(pair) for pair in zip(first, second))
-            return sparse.csr_matrix((data, (rows, cols)), shape=shape)
-
-        left = stack(gather(q[:, 0], 0, 0), gather(q[:, 2], 0, k_n), (k_n, 2 * k_n))
-        widest = int(np.diff(left.indptr).max(initial=0))
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        # the left entries, A's then C's, each with the right row it meets
+        left = np.concatenate([a[lo:hi], c[lo:hi]])
+        lens = size[left]
+        pos = np.repeat(ptr[left] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        slot = np.repeat(np.arange(len(left)), lens)
+        block_row = slot % (hi - lo) * n + ti[pos]
+        widest = int(np.bincount(block_row).max(initial=0))
         if widest >= _ROW_NNZ_LIMIT:
             raise OverflowError(f"a row of {widest} nonzeros would overflow the int64 "
                                 f"residue product (limit {_ROW_NNZ_LIMIT - 1})")
-        right = stack(gather(q[:, 1], 0, 0), gather(q[:, 3], k_n, 0, negate=True),
-                      (2 * k_n, k_n))
-        prod = left @ right
-        del left, right
-        row_len = np.diff(prod.indptr)
-        prod.data %= np.repeat(np.repeat(m, n), row_len)
-        hit = np.flatnonzero(prod.data)
-        if len(hit):
-            row = np.repeat(np.arange(k_n), row_len)[hit]
-            found.append((row // n + lo, row % n, prod.indices[hit] % n, prod.data[hit]))
+        target = np.concatenate([b[lo:hi], d[lo:hi]])[slot] * n + tj[pos]
+        first = row_ptr[target]
+        count = row_ptr[target + 1] - first
+        total = int(count.sum())
+        if not total:
+            continue
+
+        # the products, sorted by entry (block row, j); numpy radix-sorts keys
+        # of 16 bits when asked for a stable sort, and sorts wider ones faster
+        # unstably; the order within an entry does not matter
+        rpos = np.repeat(first - np.cumsum(count) + count, count) + np.arange(total)
+        key = (np.repeat(block_row, count) * n + tj[rpos]).astype(
+            np.min_scalar_type((hi - lo) * n * n))
+        order = np.argsort(key, kind="stable" if key.itemsize <= 2 else None)
+        key, rpos = key[order], rpos[order]
+        lidx = np.repeat(np.arange(len(pos)), count)[order]
+        sign = np.where(slot < hi - lo, 1, -1)
+        last = np.flatnonzero(np.append(key[1:] != key[:-1], True))
+
+        # The chunk's primes in slices of rows x products <= _CHUNK_CAP.  An
+        # entry's sum is the difference of two running sums: int64 addition
+        # wraps modulo 2^64 and the sum itself lies in int64, so it is exact.
+        # An entry missing from a slice's nonzeros is zero modulo its primes.
+        step = max(1, _CHUNK_CAP // total)
+        hit = np.zeros(len(last), dtype=bool)
+        parts = []
+        for t in range(0, int(depth[lo:hi].max()), step):
+            res = residues[t:t + step]
+            prod = np.take(np.take(res, pos, axis=1) * sign, lidx, axis=1)
+            prod *= np.take(res, rpos, axis=1)
+            running = np.cumsum(prod, axis=1, out=prod)[:, last]
+            sums = np.diff(running, axis=1, prepend=0) % primes[t:t + step, None]
+            nonzero = sums.any(axis=0)
+            hit |= nonzero
+            parts.append((t, np.flatnonzero(nonzero), sums[:, nonzero]))
+        cols = np.flatnonzero(hit)
+        if not len(cols):
+            continue
+        by_prime = np.zeros((len(cols), len(primes)), dtype=np.int64)
+        for t, idx, sums in parts:
+            by_prime[np.searchsorted(cols, idx), t:t + len(sums)] = sums.T
+        entry = key[last[cols]].astype(np.int64)
+        found.append((entry // (n * n) + lo, entry // n % n, entry % n, by_prime))
     if not found:
-        return tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
+        return (*(np.zeros(0, dtype=np.int64) for _ in range(3)),
+                np.zeros((0, len(primes)), dtype=np.int64))
     return tuple(np.concatenate(part) for part in zip(*found))
 
 
@@ -299,24 +332,20 @@ def integer_residuals(mats: list[IntSparse], n: int, quads) -> dict[int, int]:
     exceeds twice the bound rownnz(A) max|A| max|B| + rownnz(C) max|C| max|D|
     on its entries, so residues that are zero modulo every prime mean an
     exact zero, and the Chinese remainder theorem recovers a nonzero entry.
-    All (quad, prime) blocks go through one batch of residue products.
+    All quads go through one batch of residue products.
     Returns {index of the quad: max |entry|} for the quads that are not zero.
     """
     if not quads:
         return {}
-    ri, rj, rv, sizes, peak, width = [], [], [], [], [], []
+    ri, rj, rv, ptr, peak = [], [], [], [0], []
     for rows in mats:
-        size = top = wide = 0
-        for i, row in rows.items():
-            ri.extend([i] * len(row))
-            rj.extend(row)
-            rv.extend(row.values())
-            size += len(row)
-            wide = max(wide, len(row))
-            top = max(top, max(map(abs, row.values()), default=0))
-        sizes.append(size)
-        peak.append(top)
-        width.append(wide)
+        for i, row in sorted(rows.items()):
+            ri += [i] * len(row)
+            rj += row
+            rv += row.values()
+        peak.append(max(map(abs, rv[ptr[-1]:]), default=0))
+        ptr.append(len(rv))
+    width = [max(map(len, rows.values()), default=0) for rows in mats]
     bounds = [2 * (width[a] * peak[a] * peak[b] + width[c] * peak[c] * peak[d])
               for a, b, c, d in quads]
     primes = _primes_past(max(bounds))
@@ -330,24 +359,16 @@ def integer_residuals(mats: list[IntSparse], n: int, quads) -> dict[int, int]:
     except OverflowError:
         values = np.array(rv, dtype=object)
     residues = np.empty((len(primes), len(values)), dtype=np.int32)
-    for q, p in enumerate(primes):
-        residues[q] = values % p
-    table = (np.concatenate([[0], np.cumsum(sizes)]), np.array(width),
+    for t, p in enumerate(primes):
+        residues[t] = values % p
+    table = (np.array(ptr), np.array(width),
              np.array(ri, dtype=np.int64), np.array(rj, dtype=np.int64), residues)
+    quad, _, _, by_prime = _residue_products(table, n, np.asarray(quads, dtype=np.int64),
+                                             counts, np.array(primes, dtype=np.int64))
 
-    # one item per (quad, prime)
-    origin = np.repeat(np.arange(len(quads)), counts)
-    which = np.arange(len(origin)) - np.repeat(np.cumsum(counts) - counts, counts)
-    item, ii, jj, res = _residue_products(table, n, np.asarray(quads, dtype=np.int64)[origin],
-                                          which, np.array(primes, dtype=np.int64))
-
-    # one row per nonzero entry (quad, i, j), its residues by prime; Garner's
-    # form of the Chinese remainder theorem, one prime at a time, in Python
-    # integers only when some entry needs more than one prime
-    keys, entry = np.unique((origin[item] * n + ii) * n + jj, return_inverse=True)
-    by_prime = np.zeros((len(keys), len(primes)), dtype=np.int64)
-    by_prime[entry, which[item]] = res
-    quad = keys // (n * n)
+    # Garner's form of the Chinese remainder theorem on each nonzero entry,
+    # one prime at a time, in Python integers only when some entry needs more
+    # than one prime; the entries of a quad are contiguous
     depth = counts[quad]
     deepest = int(depth.max(initial=1))
     x = by_prime[:, 0].astype(object if deepest > 1 else np.int64)

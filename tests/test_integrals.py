@@ -324,6 +324,18 @@ def test_inner_level_nonconvergence_fails_fast_and_names_its_level(triangle):
         oracle_quadrature(spec, 1e-8)
 
 
+def test_running_panel_error_total_keeps_the_stopping_rule(triangle):
+    """At rates e1 = e2 = 0 the inner integrals of chart {e1, e3} run to the
+    panel budget: the running error totals stop them where the sums in heap
+    order did, to the digit of the message."""
+    lam = dict(ones(triangle), e1=0.0, e2=0.0)
+    spec = spec_for(triangle, ones(triangle), lam, tree_of("e1", "e3"))
+    with pytest.raises(QuadratureNonConvergence) as exc:
+        integrate_quadrature(spec, tol=1e-8)
+    assert str(exc.value) == ("level 2 of 2: error estimate 4.814e-08 above target "
+                              "5.000e-10 after 4000 panels")
+
+
 def test_quadrature_unbounded_direction_converges_with_decay():
     g = _loop_return_graph()
     lam = {"e1": 1.0, "e2": 0.5, "e3": 0.25}

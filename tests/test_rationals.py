@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dirichlet_flows import rationals
 from dirichlet_flows.rationals import (
     _primes_past,
     format_scalar,
@@ -79,12 +80,15 @@ def test_sparse_ops():
 # integer residual products
 # ---------------------------------------------------------------------------
 
-def _dense_residual(mats, n, quad):
+def _dense_product(mats, n, quad):
     a, b, c, d = ([[m.get(i, {}).get(j, 0) for j in range(n)] for i in range(n)]
                   for m in (mats[k] for k in quad))
-    prod = [[sum(a[i][k] * b[k][j] - c[i][k] * d[k][j] for k in range(n)) for j in range(n)]
+    return [[sum(a[i][k] * b[k][j] - c[i][k] * d[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)]
-    return max(abs(v) for row in prod for v in row)
+
+
+def _dense_residual(mats, n, quad):
+    return max(abs(v) for row in _dense_product(mats, n, quad) for v in row)
 
 
 def test_integer_residuals_against_dense_products():
@@ -123,3 +127,71 @@ def test_row_below_the_nonzero_limit_is_exact():
     row = {0: {j: p - 1 for j in range(n - 1)}}
     col = {j: {0: p - 1} for j in range(n - 1)}
     assert integer_residuals([row, col, {}], n, [(0, 1, 2, 2)]) == {0: (n - 1) * (p - 1) ** 2}
+
+
+def _kernel_cases():
+    """Matrices whose quads need one prime (small entries) or several (entries
+    past 2^63, of both signs), an empty one, and a quad whose only nonzero
+    entry comes from C D."""
+    rng = np.random.default_rng(23)
+    n = 5
+
+    def random_matrix(top):
+        return {i: {int(j): int(rng.integers(1, 10)) * int(rng.choice([-1, 1])) * top
+                    for j in rng.choice(n, int(rng.integers(1, n + 1)), replace=False)}
+                for i in range(n) if rng.random() < 0.7}
+
+    small = [random_matrix(1) for _ in range(3)]
+    huge = [random_matrix(3**45) for _ in range(3)]  # |entries| up to 9 * 3^45 > 2^74
+    mats = small + huge + [{}, {0: {1: 5}}, {1: {2: -7}}]
+    quads = [(0, 1, 1, 0), (3, 4, 4, 3), (0, 2, 1, 2), (3, 5, 4, 3), (1, 0, 0, 1),
+             (6, 6, 6, 6), (0, 6, 6, 1), (4, 5, 5, 4), (6, 0, 7, 8), (6, 3, 4, 5),
+             (2, 2, 2, 2)]
+    return mats, n, quads
+
+
+def _spy_kernel(monkeypatch):
+    calls = []
+    kernel = rationals._residue_products
+
+    def spy(table, n, quads, depth, primes):
+        out = kernel(table, n, quads, depth, primes)
+        calls.append((depth, primes, out))
+        return out
+
+    monkeypatch.setattr(rationals, "_residue_products", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cap", [rationals._CHUNK_CAP, 1])
+def test_residue_kernel_against_dense_products(monkeypatch, cap):
+    """Every nonzero entry of every quad comes back with its residue modulo
+    each of the quad's primes, and only those entries do.  At the default cap
+    quads of one prime and of several share a chunk; at cap 1 each chunk is
+    one quad and each of its primes a slice of its own."""
+    monkeypatch.setattr(rationals, "_CHUNK_CAP", cap)
+    calls = _spy_kernel(monkeypatch)
+    mats, n, quads = _kernel_cases()
+    residuals = integer_residuals(mats, n, quads)
+    [(depth, primes, (quad, ii, jj, by_prime))] = calls
+    assert depth.min() == 1 and depth.max() >= 3
+    dense = [_dense_product(mats, n, q) for q in quads]
+    expected = {(k, i, j) for k, m in enumerate(dense)
+                for i in range(n) for j in range(n) if m[i][j]}
+    assert set(zip(quad.tolist(), ii.tolist(), jj.tolist())) == expected
+    for k, i, j, res in zip(quad.tolist(), ii.tolist(), jj.tolist(), by_prime.tolist()):
+        assert res[:depth[k]] == [dense[k][i][j] % p for p in primes[:depth[k]].tolist()]
+    for k, q in enumerate(quads):
+        assert residuals.get(k, 0) == _dense_residual(mats, n, q)
+    # -C D alone at (0, 2); the empty and self-commuting quads are zero
+    assert residuals[8] == 35 and not {5, 6, 10} & set(residuals)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_residue_kernel_on_a_multiple_of_one_prime_across_slices(monkeypatch, which):
+    """[A, B] = p (E_01 - E_00) needs two primes, each in a slice of its own:
+    a multiple of one of them is found by the other's slice alone."""
+    monkeypatch.setattr(rationals, "_CHUNK_CAP", 1)
+    p = _primes_past(rationals._PRIME_LIMIT)[which]
+    a, b = {0: {1: p}}, {0: {0: 1}}
+    assert integer_residuals([a, b], 2, [(0, 1, 1, 0), (0, 1, 0, 1)]) == {0: p}
