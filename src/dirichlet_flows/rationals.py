@@ -297,19 +297,21 @@ def _residue_products(table, n: int, quads: np.ndarray, depth: np.ndarray,
         # The chunk's primes in slices of rows x products <= _CHUNK_CAP.  An
         # entry's sum is the difference of two running sums: int64 addition
         # wraps modulo 2^64 and the sum itself lies in int64, so it is exact.
-        # An entry missing from a slice's nonzeros is zero modulo its primes.
+        # np.fmod, twice as fast as %, keeps the sum's sign; only the nonzero
+        # residues are brought into [0, p).  An entry missing from a slice's
+        # nonzeros is zero modulo its primes.
         step = max(1, _CHUNK_CAP // total)
         hit = np.zeros(len(last), dtype=bool)
         parts = []
         for t in range(0, int(depth[lo:hi].max()), step):
-            res = residues[t:t + step]
+            res, p = residues[t:t + step], primes[t:t + step, None]
             prod = np.take(np.take(res, pos, axis=1) * sign, lidx, axis=1)
             prod *= np.take(res, rpos, axis=1)
-            running = np.cumsum(prod, axis=1, out=prod)[:, last]
-            sums = np.diff(running, axis=1, prepend=0) % primes[t:t + step, None]
+            running = np.take(np.cumsum(prod, axis=1, out=prod), last, axis=1)
+            sums = np.fmod(np.diff(running, axis=1, prepend=0), p)
             nonzero = sums.any(axis=0)
             hit |= nonzero
-            parts.append((t, np.flatnonzero(nonzero), sums[:, nonzero]))
+            parts.append((t, np.flatnonzero(nonzero), sums[:, nonzero] % p))
         cols = np.flatnonzero(hit)
         if not len(cols):
             continue

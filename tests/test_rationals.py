@@ -189,8 +189,8 @@ def test_residue_kernel_against_dense_products(monkeypatch, cap):
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_residue_kernel_on_a_multiple_of_one_prime_across_slices(monkeypatch, which):
-    """[A, B] = p (E_01 - E_00) needs two primes, each in a slice of its own:
-    a multiple of one of them is found by the other's slice alone."""
+    """[A, B] = -p E_01 needs two primes, each in a slice of its own: a
+    multiple of one of them is found by the other's slice alone."""
     monkeypatch.setattr(rationals, "_CHUNK_CAP", 1)
     p = _primes_past(rationals._PRIME_LIMIT)[which]
     a, b = {0: {1: p}}, {0: {0: 1}}
