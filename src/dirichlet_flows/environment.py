@@ -140,13 +140,27 @@ def sample_environment(g: DirectedGraph, w: DirichletWeights, seed: int) -> Envi
 # ---------------------------------------------------------------------------
 # killed chain linear algebra
 # ---------------------------------------------------------------------------
-# I - P over the interior is assembled in `_survival_matrices` only.  The
-# Monte Carlo kernel `_occupation_batch` solves it in floats for a whole batch
-# of environments.  The single-environment functions solve it exactly: float
-# exit probabilities enter at their exact binary values and each result is
-# rounded to float once, so a float result is the correctly rounded exact
-# one.  A chain that does not reach the cemetery has det(I - P) = 0, which
-# `survival_determinant` returns and the other functions reject.
+# The single-environment functions solve I - P, assembled in
+# `_survival_matrices`, exactly: float exit probabilities enter at their exact
+# binary values and each result is rounded to float once, so a float result is
+# the correctly rounded exact one.  A chain that does not reach the cemetery
+# has det(I - P) = 0, which `survival_determinant` returns and the other
+# functions reject.
+#
+# The Monte Carlo kernel `_occupation_batch` runs Grassmann-Taksar-Heyman
+# elimination (Oper. Res. 33, 1985) on a block of environments at once, one
+# array over the block per (vertex, vertex) entry.  Eliminating vertex m
+# censors the chain to the vertices left: a walk from i that enters m leaves it
+# towards j (or the cemetery) with probability P_im P_mj / s_m, where the pivot
+# s_m is the sum of m's exits to the vertices left and to the cemetery, never
+# 1 - P_mm.  So nothing is subtracted, and det(I - P), the product of the
+# pivots, and the Green row are entrywise relatively accurate (O'Cinneide,
+# Numer. Math. 65, 1993), also when an exit probability is 1e-18 and its
+# complement rounds to 1.  The LU factors of I - P are U, with the pivots on
+# its diagonal and the exits -P_mj at m's elimination above it, and L, with
+# the multipliers -P_im / s_m below its unit diagonal.  The Green row w at the
+# base solves w (I - P) = e_base by a forward solve with U, run alongside the
+# elimination, and a back solve with L.  Both add positive terms only.
 
 def _survival_matrices(g: DirectedGraph, p: np.ndarray) -> np.ndarray:
     """(n, k, k) stack of I - P over the interior, one per row of exit
@@ -160,16 +174,59 @@ def _survival_matrices(g: DirectedGraph, p: np.ndarray) -> np.ndarray:
     return np.eye(k, dtype=p.dtype) - pu
 
 
+# rows per block of the batched kernels: a block's arrays stay in cache and in
+# the allocator's free lists, where arrays of a whole 100k batch are mapped
+# afresh, page by page, at every step
+BLOCK_ROWS = 8192
+
+
 def _occupation_batch(g: DirectedGraph, p: np.ndarray):
-    """det(I - P) and the edge-occupation flows of a batch of environments."""
-    a = _survival_matrices(g, p)
-    det = np.linalg.det(a)
-    rhs = np.zeros((len(p), len(g.interior), 1))
-    rhs[:, g.interior.index(g.base), 0] = 1.0
-    # Green-function row at the base, via the transposed survival system
-    visits = np.linalg.solve(np.transpose(a, (0, 2, 1)), rhs)[:, :, 0]
-    tails = np.array([g.interior.index(e.tail) for e in g.edges])
-    return det, visits[:, tails] * p
+    """det(I - P) and the edge-occupation flows of a batch of environments, by
+    GTH elimination block by block."""
+    det = np.empty(len(p))
+    flows = np.empty_like(p)
+    for lo in range(0, len(p), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        det[rows] = _gth(g, p[rows], flows[rows])
+    return det, flows
+
+
+def _gth(g: DirectedGraph, p: np.ndarray, flows: np.ndarray) -> np.ndarray:
+    """det(I - P) of a block of environments, eliminating the vertices in
+    interior order; writes their edge-occupation flows to `flows`."""
+    k = len(g.interior)
+    pos = {x: i for i, x in enumerate(g.interior)}
+    # exits[i][j]: exit probability from vertex i to vertex j (j == k: the
+    # cemetery) in the chain censored to the vertices not yet eliminated, kept
+    # only where some walk leads; the diagonal is never needed
+    exits = [{} for _ in range(k)]
+    pt = np.ascontiguousarray(p.T)
+    for j, e in enumerate(g.edges):
+        row, h = exits[pos[e.tail]], pos.get(e.head, k)
+        row[h] = row[h] + pt[j] if h in row else pt[j]
+    det = 1.0
+    y = []  # forward solve of y U = e_base; once l is eliminated, exits[l][m] = -U_lm
+    mult = [{} for _ in range(k)]  # the multipliers P_im / s_m, i > m
+    for m in range(k):
+        row = exits[m]
+        s = sum(row.values())
+        det = det * s
+        acc = sum(y[l] * exits[l].pop(m) for l in range(m) if m in exits[l])
+        y.append((acc + 1.0 if m == pos[g.base] else acc) / s)
+        for i in range(m + 1, k):
+            if m in exits[i]:
+                f = mult[m][i] = exits[i].pop(m) / s
+                for j, pmj in row.items():
+                    if j != i:
+                        exits[i][j] = exits[i][j] + f * pmj if j in exits[i] else f * pmj
+        row.pop(k, None)  # its exits to vertices wait for the forward solve
+    # back solve of w L = y; w is the Green row at the base
+    visits = [None] * k
+    for m in range(k - 1, -1, -1):
+        visits[m] = sum((visits[i] * f for i, f in mult[m].items()), y[m])
+    for j, e in enumerate(g.edges):
+        np.multiply(visits[pos[e.tail]], pt[j], out=flows[:, j])
+    return det
 
 
 _SINGULAR = "survival system is singular; environment does not reach the cemetery"

@@ -288,6 +288,17 @@ def test_laplace_report_is_unchanged(capsys):
         '"tree_sum": 0.11475890955049518}')
 
 
+@pytest.mark.parametrize("weight, seed", [("1/3", 1), ("1/3", 2)]
+                         + [("1/5", seed) for seed in range(21)])
+def test_laplace_below_unit_weights_reports_cleanly(capsys, weight, seed):
+    """laplace on two-diamond with every weight below 1, where some environments
+    have det(I - P) below 1e-18, prints a passing report and exits 0."""
+    alpha = ",".join(f"e{i}={weight}" for i in range(1, 7))
+    status = main(["laplace", "--graph", "two-diamond", "--alpha", alpha, "--seed", str(seed)])
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert status == 0 and report["pass"] is True and "error" not in report
+
+
 @pytest.mark.parametrize("graph", GRAPHS)
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_default_run_passes(capsys, command, graph):

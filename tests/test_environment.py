@@ -30,7 +30,7 @@ from dirichlet_flows import environment as env_mod
 from dirichlet_flows.combinatorics import SpanningTree, enumerate_paths
 from dirichlet_flows.graphs import DirectedGraph, Edge
 
-from conftest import bundled_graphs, random_graphs, random_rational_environment
+from conftest import bundled_graphs, complete_graph, random_graphs, random_rational_environment
 
 HALVES = {eid: Fraction(1, 2) for eid in ("e1", "e2", "e3", "e4")}
 
@@ -157,6 +157,61 @@ def test_single_environment_matches_batch_kernel():
             assert survival_determinant(g, env) == pytest.approx(det, rel=1e-12)
             z = edge_occupation(g, env)
             assert [z[eid] for eid in g.edge_ids] == pytest.approx(flow, rel=1e-12)
+
+
+def _tree_sum(g: DirectedGraph, p: np.ndarray) -> np.ndarray:
+    """Matrix-tree theorem: det(I - P) is the sum over the directed spanning
+    trees of the product of their exit probabilities, a sum of positive terms."""
+    col = {eid: j for j, eid in enumerate(g.edge_ids)}
+    return sum(p[:, [col[e] for e in sorted(t.edges)]].prod(axis=1)
+               for t in env_mod.directed_trees(g))
+
+
+def _assert_unit_source_flows(g: DirectedGraph, flows: np.ndarray):
+    """Kirchhoff's law at every interior vertex: outflow minus inflow is 1 at
+    the base and 0 elsewhere, within 1e-12 of the vertex's throughput."""
+    for x in g.interior:
+        out = sum(flows[:, j] for j, e in enumerate(g.edges) if e.tail == x)
+        inflow = sum((flows[:, j] for j, e in enumerate(g.edges) if e.head == x),
+                     np.zeros(len(flows)))
+        gap = np.abs(out - inflow - float(x == g.base))
+        assert (gap <= 1e-12 * np.maximum(out, 1.0)).all(), (x, gap.max())
+
+
+def test_batch_kernel_matches_matrix_tree_sum(monkeypatch):
+    """det(I - P) of the batch kernel is the directed-tree sum to 1e-13 relative,
+    and its flows carry a unit source at the base, at weights drawn from (0, 2].
+    Each row's results do not depend on the blocks the batch is cut into."""
+    rng = np.random.default_rng(43)
+    graphs = bundled_graphs() + random_graphs(seed=44, count=10) + [complete_graph(3)]
+    # the base need not come first among the interior vertices
+    g = graphs[2]
+    graphs.append(DirectedGraph(g.interior[::-1] + (g.cemetery,), g.cemetery, g.base, g.edges))
+    for i, g in enumerate(graphs):
+        w = DirichletWeights({eid: Fraction(int(rng.integers(1, 41)), 20) for eid in g.edge_ids})
+        p = env_mod.sample_environment_batch(g, w, 2000, seed=45 + i)
+        dets, flows = env_mod._occupation_batch(g, p)
+        np.testing.assert_allclose(dets, _tree_sum(g, p), rtol=1e-13, atol=0)
+        _assert_unit_source_flows(g, flows)
+        with monkeypatch.context() as m:
+            m.setattr(env_mod, "BLOCK_ROWS", 300)
+            blocked = env_mod._occupation_batch(g, p)
+        assert np.array_equal(blocked[0], dets) and np.array_equal(blocked[1], flows)
+
+
+def test_batch_kernel_keeps_tiny_determinants(two_diamond):
+    """At every weight 1/3, x0's exit to b can be ~1e-18, so its exit to a rounds
+    to 1 and a walks straight back to x0.  The 8 smallest determinants of seed
+    1 lie between 1e-19 and 1e-14; LU with partial pivoting returns 0, 0 and
+    6.48e-17 for the tree sums 2.63e-18, 1.02e-19 and 1.05e-16."""
+    w = DirichletWeights({eid: Fraction(1, 3) for eid in two_diamond.edge_ids})
+    p = env_mod.sample_environment_batch(two_diamond, w, 100_000, seed=1)
+    tree_sum = _tree_sum(two_diamond, p)
+    rows = np.argsort(tree_sum)[:8]
+    assert tree_sum[rows[0]] < 1e-18
+    dets, flows = env_mod._occupation_batch(two_diamond, p[rows])
+    np.testing.assert_allclose(dets, tree_sum[rows], rtol=1e-13, atol=0)
+    _assert_unit_source_flows(two_diamond, flows)
 
 
 @pytest.mark.parametrize("scalar", [Fraction, float], ids=["exact", "float"])

@@ -8,6 +8,7 @@ from dirichlet_flows import (
     DirichletWeights,
     IntegrandSpec,
     QuadratureNonConvergence,
+    builtin_graph,
     cohomology_identity_check,
     constant_C_alpha,
     enumerate_spanning_trees,
@@ -26,7 +27,7 @@ from dirichlet_flows import integrals as int_mod
 from dirichlet_flows.combinatorics import SpanningTree, cotree
 from dirichlet_flows.graphs import DirectedGraph, Edge
 
-from conftest import bundled_graphs, oracle_quadrature, random_graphs
+from conftest import bundled_graphs, complete_graph, oracle_quadrature, random_graphs
 
 
 def tree_of(*edges, directed=False):
@@ -372,6 +373,100 @@ def test_mc_deterministic(two_edge):
     a = integrate_mc(spec, 1000, seed=5)
     b = integrate_mc(spec, 1000, seed=5)
     assert a == b
+
+
+def oracle_integrate_mc(spec, n, seed):
+    """Value, error and Kish effective sample size of `integrate_mc`, in one
+    unblocked pass that draws its own proposal and tests every point."""
+    ev = int_mod._Evaluator(spec)
+    shapes = np.array([float(spec.alpha[eid]) for eid in ev.free_ids])
+    rates = np.array([float(spec.lam[eid]) or 1.0 for eid in ev.free_ids])
+    rng = int_mod.philox_stream(seed, 3)
+    u = np.empty((n, ev.dim))
+    for j in range(ev.dim):
+        u[:, j] = rng.standard_gamma(shapes[j], size=n) / rates[j]
+    z = ev.flows(u)
+    inside = (z > 0).all(axis=1)
+    zin = z[inside]
+    logv = -(zin @ ev.lam) + (np.log(zin) * ev.exps).sum(axis=1)
+    log_gamma = np.array([math.lgamma(s) for s in shapes])
+    logq = (shapes * np.log(rates) - log_gamma
+            + (shapes - 1.0) * np.log(u[inside]) - rates * u[inside]).sum(axis=1)
+    vals = np.zeros(n)
+    vals[inside] = np.exp(logv - logq)
+    ess = vals.sum() ** 2 / (vals ** 2).sum()
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)), ess
+
+
+def _split_specs(g, alpha, count=None):
+    w = DirichletWeights.from_graph(g, alpha)
+    lam = {eid: 1 + 2.0 ** -(k + 4) for k, eid in enumerate(g.edge_ids)}
+    trees = enumerate_spanning_trees(g, directed_only=True)[:count]
+    return [split_integrand_spec(split_graph(g), w, lam, t) for t in trees]
+
+
+def _shared_draw_specs():
+    """Every directed-tree chart of split K3 at unit weights, whose cotree shapes
+    agree, a split triangle chart, and K3 charts whose cotree shapes differ."""
+    return (_split_specs(complete_graph(3), {})
+            + _split_specs(builtin_graph("triangle"), {"e1": 2, "e4": Fraction(1, 2)}, 1)
+            + _split_specs(complete_graph(3), {"e2": Fraction(3, 2), "e7": Fraction(2, 3)}, 4))
+
+
+def test_mc_matches_unblocked_oracle_with_shared_draws():
+    """Every estimate equals, to the bit, the oracle's one-pass estimate at the
+    same (n, seed), whichever spec drew the shared proposal before it; a new
+    seed or n draws afresh.  The effective sample size is Kish's."""
+    n, seed = 20_000, 9
+    specs = _shared_draw_specs()
+    lone = []
+    for spec in specs:
+        int_mod._proposal_draws.cache_clear()
+        est = integrate_mc(spec, n, seed)
+        value, error, ess = oracle_integrate_mc(spec, n, seed)
+        assert (est.value, est.error) == (value, error)
+        assert est.ess == pytest.approx(ess, rel=1e-12) and 1 <= est.ess <= n
+        lone.append(est)
+    assert not int_mod._proposal_draws(seed, n, (1.0,) * 6).flags.writeable
+    for k, spec in enumerate(specs):
+        integrate_mc(specs[k - 1], n, seed)
+        assert integrate_mc(spec, n, seed) == lone[k]
+    spec = specs[0]
+    for n2, seed2 in [(n, seed + 1), (n + 1, seed)]:
+        misses = int_mod._proposal_draws.cache_info().misses
+        est = integrate_mc(spec, n2, seed2)
+        assert int_mod._proposal_draws.cache_info().misses == misses + 1
+        assert (est.value, est.error) == oracle_integrate_mc(spec, n2, seed2)[:2]
+
+
+def test_mc_chamber_test_does_not_depend_on_blocks(monkeypatch):
+    """The blocked, edge-by-edge chamber test selects exactly the points where
+    every flow of `flows` is positive, and one block gives the same estimate."""
+    n, seed = 20_000, 10
+    for spec in _shared_draw_specs():
+        ev = int_mod._Evaluator(spec)
+        u = np.random.default_rng(11).gamma(1.0, size=(n, ev.dim))
+        assert np.array_equal(ev.in_chamber(u), (ev.flows(u) > 0).all(axis=1))
+        blocked = integrate_mc(spec, n, seed)
+        with monkeypatch.context() as m:
+            m.setattr(int_mod, "BLOCK_ROWS", n)
+            assert integrate_mc(spec, n, seed) == blocked
+
+
+def test_verify_identity_reports_mc_effective_sample_size():
+    """The Monte Carlo left side of Theorem 2.1 carries the Kish effective sample
+    size; a quadrature left side does not."""
+    k3 = complete_graph(3)
+    w = DirichletWeights.from_graph(k3)
+    lam = {eid: 1.0 for eid in k3.edge_ids}
+    tree = enumerate_spanning_trees(k3, directed_only=True)[0]
+    rep = verify_theorem_2_1(k3, w, lam, tree, n=5000, seed=3)
+    assert rep["lhs"]["method"] == "monte-carlo" and 1 <= rep["lhs"]["ess"] <= 5000
+    triangle = builtin_graph("triangle")
+    rep = verify_theorem_2_1(triangle, DirichletWeights.from_graph(triangle),
+                             {eid: 1.0 for eid in triangle.edge_ids},
+                             tree_of("e3", "e4", directed=True), n=5000, seed=3)
+    assert rep["lhs"]["method"] == "quadrature" and "ess" not in rep["lhs"]
 
 
 # ---------------------------------------------------------------------------
