@@ -178,15 +178,15 @@ def _assert_unit_source_flows(g: DirectedGraph, flows: np.ndarray):
         assert (gap <= 1e-12 * np.maximum(out, 1.0)).all(), (x, gap.max())
 
 
-def test_batch_kernel_matches_matrix_tree_sum(monkeypatch):
+def test_batch_kernel_matches_matrix_tree_sum(monkeypatch, two_diamond):
     """det(I - P) of the batch kernel is the directed-tree sum to 1e-13 relative,
     and its flows carry a unit source at the base, at weights drawn from (0, 2].
     Each row's results do not depend on the blocks the batch is cut into."""
     rng = np.random.default_rng(43)
     graphs = bundled_graphs() + random_graphs(seed=44, count=10) + [complete_graph(3)]
     # the base need not come first among the interior vertices
-    g = graphs[2]
-    graphs.append(DirectedGraph(g.interior[::-1] + (g.cemetery,), g.cemetery, g.base, g.edges))
+    graphs.append(DirectedGraph(two_diamond.interior[::-1] + (two_diamond.cemetery,),
+                                two_diamond.cemetery, two_diamond.base, two_diamond.edges))
     for i, g in enumerate(graphs):
         w = DirichletWeights({eid: Fraction(int(rng.integers(1, 41)), 20) for eid in g.edge_ids})
         p = env_mod.sample_environment_batch(g, w, 2000, seed=45 + i)
