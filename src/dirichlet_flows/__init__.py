@@ -44,11 +44,9 @@ from .environment import (
     mc_laplace,
     mc_laplace_by_tree,
     sample_environment,
-    simulate_chain,
     simulate_chains,
     survival_determinant,
     tree_probability,
-    wilson_sample_tree,
     wilson_sample_trees,
 )
 from .integrals import (

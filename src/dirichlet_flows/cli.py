@@ -384,7 +384,8 @@ def _cmd_wilson_test(g, args):
     law, and the base-to-cemetery paths of the sampled trees against the
     loop-erased paths of as many chains.  gof_cells and path_cells count the
     cells of each gate; a gate with one cell always passes and checks nothing,
-    as on graphs with a single directed tree."""
+    as on graphs with a single directed tree.  A tree of probability 0 is no
+    cell: a sample on one fails the tree gate with p_value 0."""
     env = _environment(g, args)
     n = args.samples
     trees = env_mod.directed_trees(g)
@@ -392,9 +393,12 @@ def _cmd_wilson_test(g, args):
 
     counts = Counter(t.edges for t in env_mod.wilson_sample_trees(g, env, n, args.seed))
     observed = [counts[t.edges] for t in trees]
-    expected = [p * n for p in probs]
-    stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
-    pvalue, gof_ok = _chi2_gate(stat, len(trees))
+    # a tree of probability 0 is no cell: a sample on one took an impossible edge
+    cells = [(o, p * n) for o, p in zip(observed, probs) if p > 0]
+    stat = sum((o - e) ** 2 / e for o, e in cells)
+    pvalue, gof_ok = _chi2_gate(stat, len(cells))
+    if sum(o for o, _ in cells) < n:
+        pvalue, gof_ok = 0.0, False
 
     # tree-path marginal vs loop-erased chains: two-sample chi-square homogeneity
     path_counts = Counter()
@@ -413,7 +417,7 @@ def _cmd_wilson_test(g, args):
         "observed_counts": observed,
         "chi2": stat,
         "p_value": pvalue,
-        "gof_cells": len(trees),
+        "gof_cells": len(cells),
         "gof_pass": gof_ok,
         "path_marginal_tv": tv,
         "path_chi2": path_stat,

@@ -290,46 +290,65 @@ def tree_probability(g: DirectedGraph, env: Environment, tree: SpanningTree):
 # trajectory samplers
 # ---------------------------------------------------------------------------
 # All n walkers move in lockstep.  Vertices are numbered in g.interior order
-# with the cemetery last, edges in g.edges order.
+# with the cemetery last, edges in g.edges order.  Each lockstep step of a
+# walk draws rng.random(m), one uniform per walker still moving, in walker
+# order; nothing else draws from the stream.
+#
+# The step kernel works on flat indices into small tables.  Vertex i owns the
+# exit slots i * width .. i * width + width - 1 of the flat `slot` table, its
+# out-edges in g.out_edges order; `width` is the largest out-degree.  Threshold
+# column c holds, for every vertex, the float cumulative sum of its first c + 1
+# exit probabilities, or +inf where the vertex has no exit after slot c.  The
+# last exit has no threshold: it takes whatever u the rounded sum leaves over.
+# A walker at x with uniform u takes slot x * width + #{c : column_c[x] <= u},
+# one gather and compare per column, and never a padding slot.  Per-walker
+# tables (stop flags, recorded exits) are read and written at walker * row
+# length + vertex on their flat views.
 
 def _random_exits(g: DirectedGraph, env: Environment, rng):
     """The head vertex of every edge, and a chooser that draws one exit edge for
     each walker in walker order, one uniform each, from the chain in `env`."""
     check_environment(g, env)
-    k = len(g.interior)
     width = max(len(g.out_edges[x]) for x in g.interior)
-    # Row i: cumulative exit probabilities of vertex i with the last replaced by
-    # +inf, so the count of entries <= u is the slot of the exit taken and the
-    # last edge takes whatever u the rounded sum leaves over.
-    cum = np.full((k, width), np.inf)
-    slot = np.zeros((k, width), dtype=np.intp)
+    columns = np.full((width - 1, len(g.interior)), np.inf)
+    slot = np.zeros((len(g.interior), width), dtype=np.intp)
     eidx = {eid: j for j, eid in enumerate(g.edge_ids)}
     for i, x in enumerate(g.interior):
         out = g.out_edges[x]
-        cum[i, :len(out) - 1] = np.cumsum([float(env.p[e.id]) for e in out[:-1]])
+        columns[:len(out) - 1, i] = np.cumsum([float(env.p[e.id]) for e in out[:-1]])
         slot[i, :len(out)] = [eidx[e.id] for e in out]
+    slot = slot.reshape(-1)
     vidx = {x: i for i, x in enumerate(g.interior + (g.cemetery,))}
     head = np.array([vidx[e.head] for e in g.edges], dtype=np.intp)
 
     def choose(walkers, x):
-        return slot[x, (cum[x] <= rng.random(len(walkers))[:, None]).sum(axis=1)]
+        u = rng.random(len(walkers))
+        at = x * width
+        for column in columns:
+            at += np.take(column, x) <= u
+        return np.take(slot, at)
     return head, choose
 
 
 def _lockstep(head: np.ndarray, choose, walkers: np.ndarray, x: np.ndarray, stop: np.ndarray,
               cap: int):
     """Move each walker from its vertex in x along the edge choose(walkers, x)
-    picks until walker w stands on a vertex v with stop[w, v]; yields
-    (walkers, tails, edges) of every lockstep step.  A walker still moving
-    after `cap` steps raises IterationCapExceeded."""
+    picks until walker w stands on a vertex v with stop[w, v], or stop[v] when
+    `stop` is one row that all walkers share; yields (walkers, tails, edges)
+    of every lockstep step.  A walker still moving after `cap` steps raises
+    IterationCapExceeded."""
+    shared, row_length = stop.ndim == 1, stop.shape[-1]
+    stop = stop.reshape(-1)  # a view: the caller may set flags between steps
     for _ in range(cap):
         if not len(walkers):
             return
         e = choose(walkers, x)
         yield walkers, x, e
-        x = head[e]
-        going = ~stop[walkers, x]
-        walkers, x = walkers[going], x[going]
+        x = np.take(head, e)
+        stopped = np.take(stop, x if shared else walkers * row_length + x)
+        if stopped.any():
+            going = np.flatnonzero(~stopped)
+            walkers, x = np.take(walkers, going), np.take(x, going)
     if len(walkers):
         raise IterationCapExceeded(f"a walk did not stop within {cap} steps")
 
@@ -339,9 +358,8 @@ def _chains(g: DirectedGraph, env: Environment, n: int, seed: int):
     table, the start vertices and the stop table (the cemetery only)."""
     head, choose = _random_exits(g, env, philox_stream(seed, _CHAIN))
     k = len(g.interior)
-    stop = np.zeros((1, k + 1), dtype=bool)
-    stop[0, k] = True
-    stop = np.broadcast_to(stop, (n, k + 1))
+    stop = np.zeros(k + 1, dtype=bool)
+    stop[k] = True
     start = np.full(n, g.interior.index(g.base))
     return _lockstep(head, choose, np.arange(n), start, stop, STEP_CAP), head, start, stop
 
@@ -354,11 +372,6 @@ def simulate_chains(g: DirectedGraph, env: Environment, n: int, seed: int) -> li
         for w, e in zip(walkers.tolist(), edges.tolist()):
             trajectories[w].append(g.edge_ids[e])
     return trajectories
-
-
-def simulate_chain(g: DirectedGraph, env: Environment, seed: int) -> list[str]:
-    """One trajectory of the chain from the base until absorption, as edge ids."""
-    return simulate_chains(g, env, 1, seed)[0]
 
 
 def loop_erase(g: DirectedGraph, trajectory: list[str]) -> list[str]:
@@ -403,15 +416,17 @@ def loop_erased_paths(g: DirectedGraph, env: Environment, n: int, seed: int) -> 
     walks are those of `simulate_chains` at the same seed.
     """
     steps, head, start, stop = _chains(g, env, n, seed)
-    last = np.zeros((n, len(g.interior)), dtype=np.intp)
+    k = len(g.interior)
+    last = np.zeros(n * k, dtype=np.intp)
     for walkers, x, e in steps:
-        last[walkers, x] = e
-    on_path = np.zeros((n, len(g.edges)), dtype=bool)
+        last[walkers * k + x] = e
+    m = len(g.edges)
+    on_path = np.zeros(n * m, dtype=bool)
     # an erased path is simple, so it ends within |interior| steps
-    for walkers, _, e in _lockstep(head, lambda w, x: last[w, x], np.arange(n), start, stop,
-                                   len(g.interior)):
-        on_path[walkers, e] = True
-    rows, inverse = _distinct_rows(on_path)
+    for walkers, _, e in _lockstep(head, lambda w, x: np.take(last, w * k + x), np.arange(n),
+                                   start, stop, k):
+        on_path[walkers * m + e] = True
+    rows, inverse = _distinct_rows(on_path.reshape(n, m))
     return Counter({frozenset(g.edge_ids[j] for j in np.flatnonzero(row)): int(c)
                     for row, c in zip(rows, np.bincount(inverse))})
 
@@ -427,22 +442,21 @@ def wilson_sample_trees(g: DirectedGraph, env: Environment, n: int, seed: int) -
     k = len(g.interior)
     in_tree = np.zeros((n, k + 1), dtype=bool)
     in_tree[:, k] = True
+    flags = in_tree.reshape(-1)
     exits = np.zeros((n, k), dtype=np.intp)
+    last = exits.reshape(-1)
     for s in range(k):
         walkers = np.flatnonzero(~in_tree[:, s])
         start = np.full(len(walkers), s)
         for w, x, e in _lockstep(head, choose, walkers, start, in_tree, STEP_CAP):
-            exits[w, x] = e
-        for w, x, _ in _lockstep(head, lambda w, x: exits[w, x], walkers, start, in_tree, k):
-            in_tree[w, x] = True
+            last[w * k + x] = e
+        for w, x, _ in _lockstep(head, lambda w, x: np.take(last, w * k + x), walkers, start,
+                                 in_tree, k):
+            flags[w * (k + 1) + x] = True
     rows, inverse = _distinct_rows(exits)
-    trees = [SpanningTree(frozenset(g.edge_ids[j] for j in row), directed=True) for row in rows]
-    return [trees[i] for i in inverse]
-
-
-def wilson_sample_tree(g: DirectedGraph, env: Environment, seed: int) -> SpanningTree:
-    """One directed spanning tree via loop-erased walks rooted at the cemetery."""
-    return wilson_sample_trees(g, env, 1, seed)[0]
+    trees = np.empty(len(rows), dtype=object)
+    trees[:] = [SpanningTree(frozenset(g.edge_ids[j] for j in row), directed=True) for row in rows]
+    return trees.take(inverse).tolist()
 
 
 # ---------------------------------------------------------------------------

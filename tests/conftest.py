@@ -8,20 +8,24 @@ edges by Gauss-Jordan elimination, without the library's tree walks.
 The matrix oracles multiply dense lists of Fractions, without the library's
 sparse helpers or its residue products.  The quadrature oracle integrates one
 chart integral at a time, one Gauss-Kronrod panel per integrand call, by the
-recursive scheme the library's lockstep batches must reproduce.
+recursive scheme the library's lockstep batches must reproduce.  The lockstep
+walker oracle runs the three walkers on the two-dimensional gather kernel the
+library's flat-index step kernel must reproduce draw for draw.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from dirichlet_flows import DirectedGraph, Environment, builtin_graph
+from dirichlet_flows import DirectedGraph, Environment, SpanningTree, builtin_graph
+from dirichlet_flows import environment as env_mod
 from dirichlet_flows import integrals as int_mod
 from dirichlet_flows.graphs import Edge
 from dirichlet_flows.rationals import mat_solve
@@ -394,3 +398,91 @@ def oracle_quadrature(spec, tol: float, weight_edge=None):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         value, err = _oracle_level(ev, limits, 0, (), tol, counter)
     return value, err, counter[0]
+
+
+# ---------------------------------------------------------------------------
+# single-walk helpers and the lockstep walker oracle
+# ---------------------------------------------------------------------------
+
+def simulate_chain(g: DirectedGraph, env: Environment, seed: int) -> list[str]:
+    """One trajectory of the chain from the base until absorption, as edge ids."""
+    return env_mod.simulate_chains(g, env, 1, seed)[0]
+
+
+def wilson_sample_tree(g: DirectedGraph, env: Environment, seed: int) -> SpanningTree:
+    """One directed spanning tree via loop-erased walks rooted at the cemetery."""
+    return env_mod.wilson_sample_trees(g, env, 1, seed)[0]
+
+
+def _oracle_random_exits(g: DirectedGraph, env: Environment, rng):
+    """Edge heads and a chooser that gathers each walker's whole row of
+    cumulative exit probabilities and counts the entries <= its uniform."""
+    env_mod.check_environment(g, env)
+    k = len(g.interior)
+    width = max(len(g.out_edges[x]) for x in g.interior)
+    cum = np.full((k, width), np.inf)
+    slot = np.zeros((k, width), dtype=np.intp)
+    eidx = {eid: j for j, eid in enumerate(g.edge_ids)}
+    for i, x in enumerate(g.interior):
+        out = g.out_edges[x]
+        cum[i, :len(out) - 1] = np.cumsum([float(env.p[e.id]) for e in out[:-1]])
+        slot[i, :len(out)] = [eidx[e.id] for e in out]
+    vidx = {x: i for i, x in enumerate(g.interior + (g.cemetery,))}
+    head = np.array([vidx[e.head] for e in g.edges], dtype=np.intp)
+
+    def choose(walkers, x):
+        return slot[x, (cum[x] <= rng.random(len(walkers))[:, None]).sum(axis=1)]
+    return head, choose
+
+
+def _oracle_steps(head, choose, walkers, x, stop, cap):
+    """Lockstep steps (walkers, tails, edges) until walker w stands on a vertex
+    v with stop[w, v], compacting by boolean masks."""
+    for _ in range(cap):
+        if not len(walkers):
+            return
+        e = choose(walkers, x)
+        yield walkers, x, e
+        x = head[e]
+        going = ~stop[walkers, x]
+        walkers, x = walkers[going], x[going]
+    if len(walkers):
+        raise env_mod.IterationCapExceeded(f"a walk did not stop within {cap} steps")
+
+
+def oracle_lockstep(g: DirectedGraph, env: Environment, n: int, seed: int):
+    """(simulate_chains, loop_erased_paths, wilson_sample_trees) at (n, seed),
+    walked by the two-dimensional gather kernel from the same streams."""
+    k = len(g.interior)
+    base = g.interior.index(g.base)
+    stop = np.zeros((n, k + 1), dtype=bool)
+    stop[:, k] = True
+
+    head, choose = _oracle_random_exits(g, env, env_mod.philox_stream(seed, env_mod._CHAIN))
+    trajectories = [[] for _ in range(n)]
+    last = np.zeros((n, k), dtype=np.intp)
+    for walkers, x, e in _oracle_steps(head, choose, np.arange(n), np.full(n, base), stop,
+                                       env_mod.STEP_CAP):
+        last[walkers, x] = e
+        for w, j in zip(walkers.tolist(), e.tolist()):
+            trajectories[w].append(g.edge_ids[j])
+    paths = [[] for _ in range(n)]
+    for walkers, _, e in _oracle_steps(head, lambda w, x: last[w, x], np.arange(n),
+                                       np.full(n, base), stop, k):
+        for w, j in zip(walkers.tolist(), e.tolist()):
+            paths[w].append(g.edge_ids[j])
+    erased = Counter(frozenset(path) for path in paths)
+
+    head, choose = _oracle_random_exits(g, env, env_mod.philox_stream(seed, env_mod._WILSON))
+    in_tree = stop.copy()
+    exits = np.zeros((n, k), dtype=np.intp)
+    for s in range(k):
+        walkers = np.flatnonzero(~in_tree[:, s])
+        start = np.full(len(walkers), s)
+        for w, x, e in _oracle_steps(head, choose, walkers, start, in_tree, env_mod.STEP_CAP):
+            exits[w, x] = e
+        for w, x, _ in _oracle_steps(head, lambda w, x: exits[w, x], walkers, start, in_tree, k):
+            in_tree[w, x] = True
+    trees = [SpanningTree(frozenset(g.edge_ids[j] for j in row), directed=True)
+             for row in exits.tolist()]
+    return trajectories, erased, trees

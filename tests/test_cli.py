@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirichlet_flows import connection
+from dirichlet_flows import SpanningTree, connection
+from dirichlet_flows import environment as env_mod
 from dirichlet_flows.builtin_graphs import BUILTIN, builtin_graph
 from dirichlet_flows.cli import _COMMANDS as COMMANDS
 from dirichlet_flows.cli import PARSE_ERROR, build_parser, chi2_sf, main
@@ -264,6 +265,29 @@ def test_wilson_test_reports_gate_cells(capsys, graph, cells):
     main(["wilson-test", "--graph", graph, "--samples", "2000"])
     results = json.loads(capsys.readouterr().out)["results"]
     assert (results["gof_cells"], results["path_cells"]) == cells
+
+
+@pytest.mark.parametrize("prob", ["e1=0,e3=1", "e2=0,e4=1", "e1=1,e3=0"])
+def test_wilson_test_zero_probability_tree_is_no_cell(capsys, prob):
+    """A tree of probability 0 is left out of the tree gate, which passes."""
+    status, report = run_twice(capsys, ["wilson-test", "--graph", "triangle", "--prob", prob,
+                                        "--samples", "2000"])
+    assert status == 0 and report["pass"] is True
+    assert report["results"]["gof_cells"] == (1 if prob == "e1=1,e3=0" else 2)
+
+
+def test_wilson_test_fails_a_sample_on_a_zero_probability_tree(capsys, monkeypatch):
+    """A sampler that returns the tree {e1, e4}, of probability 0 at e1 = 0,
+    fails the tree gate with p_value 0."""
+    def sampler(g, env, n, seed):
+        return [SpanningTree(frozenset({"e1", "e4"}), directed=True)] * n
+    monkeypatch.setattr(env_mod, "wilson_sample_trees", sampler)
+    status, report = run_twice(capsys, ["wilson-test", "--graph", "triangle",
+                                        "--prob", "e1=0,e3=1", "--samples", "2000"])
+    assert status == 1 and report["pass"] is False and "error" not in report
+    results = report["results"]
+    assert results["gof_pass"] is False and results["p_value"] == 0.0
+    assert results["gof_cells"] == 2
 
 
 def test_wilson_test_help_says_one_cell_checks_nothing(capsys):

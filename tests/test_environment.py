@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,18 +20,24 @@ from dirichlet_flows import (
     mc_laplace,
     mc_laplace_by_tree,
     sample_environment,
-    simulate_chain,
     simulate_chains,
     survival_determinant,
     tree_probability,
-    wilson_sample_tree,
     wilson_sample_trees,
 )
 from dirichlet_flows import environment as env_mod
 from dirichlet_flows.combinatorics import SpanningTree, enumerate_paths
 from dirichlet_flows.graphs import DirectedGraph, Edge
 
-from conftest import bundled_graphs, complete_graph, random_graphs, random_rational_environment
+from conftest import (
+    bundled_graphs,
+    complete_graph,
+    oracle_lockstep,
+    random_graphs,
+    random_rational_environment,
+    simulate_chain,
+    wilson_sample_tree,
+)
 
 HALVES = {eid: Fraction(1, 2) for eid in ("e1", "e2", "e3", "e4")}
 
@@ -383,6 +390,92 @@ def test_lockstep_samplers_deterministic(triangle):
     assert simulate_chains(triangle, env, 200, seed=4) == simulate_chains(triangle, env, 200, seed=4)
     assert simulate_chains(triangle, env, 200, seed=4) != simulate_chains(triangle, env, 200, seed=5)
     assert loop_erased_paths(triangle, env, 200, seed=4) == loop_erased_paths(triangle, env, 200, 4)
+
+
+class GridStream:
+    """Uniforms k/16, k = 0..15, and the largest double below 1, so that walks
+    meet dyadic thresholds exactly, where `<=` and `<` part ways, and the top
+    of the unit interval."""
+
+    def __init__(self, seed, kind):
+        self.gen = np.random.default_rng([seed, kind])
+
+    def random(self, m):
+        return np.minimum(np.floor(self.gen.random(m) * 17) / 16, np.nextafter(1.0, 0.0))
+
+
+STREAMS = {"philox": env_mod.philox_stream, "grid": GridStream}
+
+
+def assert_walkers_match_oracle(g, env, n, seed):
+    """The three walkers give exactly what the two-dimensional gather kernel of
+    the oracle gives from the same streams; returns the chain trajectories."""
+    trajectories, erased, trees = oracle_lockstep(g, env, n, seed)
+    assert simulate_chains(g, env, n, seed) == trajectories, (g, n, seed)
+    assert loop_erased_paths(g, env, n, seed) == erased, (g, n, seed)
+    assert wilson_sample_trees(g, env, n, seed) == trees, (g, n, seed)
+    return trajectories
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_step_kernel_matches_oracle(triangle, two_diamond, monkeypatch, stream):
+    monkeypatch.setattr(env_mod, "philox_stream", STREAMS[stream])
+    monkeypatch.setattr(env_mod, "STEP_CAP", 100_000)  # a wrong kernel fails, not hangs
+    for g, env in lockstep_cases(triangle, two_diamond):
+        for n, seed in product((1, 7, 3000), (0, 1, 2)):
+            assert_walkers_match_oracle(g, env, n, seed)
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_zero_probability_exit_is_never_taken(monkeypatch, stream):
+    """Exits of probability 0 in the first (e1), a middle (e4) and the last
+    (e9) slot of the complete digraph on three vertices."""
+    monkeypatch.setattr(env_mod, "philox_stream", STREAMS[stream])
+    g = complete_digraph()
+    assert [[e.id for e in g.out_edges[x]] for x in g.interior] == [
+        ["e1", "e2", "e7"], ["e3", "e4", "e8"], ["e5", "e6", "e9"]]
+    zero, q = Fraction(0), Fraction(1, 4)
+    env = Environment({"e1": zero, "e2": q, "e7": 3 * q, "e3": 2 * q, "e4": zero, "e8": 2 * q,
+                       "e5": q, "e6": 3 * q, "e9": zero})
+    never = {"e1", "e4", "e9"}
+    for seed in range(3):
+        assert not never & {e for traj in simulate_chains(g, env, 2000, seed) for e in traj}
+        assert not never & {e for t in wilson_sample_trees(g, env, 2000, seed) for e in t.edges}
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_no_walker_takes_a_padding_slot(triangle, two_diamond, stream):
+    """On graphs whose vertices have fewer exits than the widest one, every step
+    leaves the walker's vertex by one of its own exits."""
+    cases = [(g, env) for g, env in lockstep_cases(triangle, two_diamond)
+             if len({len(g.out_edges[x]) for x in g.interior}) > 1]
+    assert len(cases) >= 3
+    for g, env in cases:
+        vidx = {x: i for i, x in enumerate(g.interior)}
+        tail = np.array([vidx[e.tail] for e in g.edges])
+        head, choose = env_mod._random_exits(g, env, STREAMS[stream](5, 1))
+        start = np.full(2000, vidx[g.base])
+        stop = np.zeros(len(g.interior) + 1, dtype=bool)
+        stop[-1] = True
+        for _, x, e in env_mod._lockstep(head, choose, np.arange(2000), start, stop, 10_000):
+            assert (tail[e] == x).all(), g
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_cumulative_sum_rounding_to_one(monkeypatch, stream):
+    """At x0 of the complete digraph the float sum of the first two exit
+    probabilities, 1/3 and 2/3 - 2^-60, rounds to 1.0: every u < 1 stays below
+    it, so the last exit, of probability 2^-60, is never taken, as in the oracle."""
+    monkeypatch.setattr(env_mod, "philox_stream", STREAMS[stream])
+    g = complete_digraph()
+    tiny = Fraction(1, 2**60)
+    env = Environment({"e1": Fraction(1, 3), "e2": Fraction(2, 3) - tiny, "e7": tiny,
+                       "e3": Fraction(1, 2), "e4": Fraction(1, 4), "e8": Fraction(1, 4),
+                       "e5": Fraction(1, 4), "e6": Fraction(1, 4), "e9": Fraction(1, 2)})
+    assert float(Fraction(1, 3)) + float(Fraction(2, 3) - tiny) == 1.0
+    for seed in range(3):
+        trajectories = assert_walkers_match_oracle(g, env, 500, seed)
+        assert not any("e7" in traj for traj in trajectories)
 
 
 def test_mc_estimate_rhs_symmetric_mean(two_edge):
