@@ -9,12 +9,20 @@ probabilistic side of the integral identities checked in `integrals`.
 
 Randomness contract: every draw comes from a counter-based Philox stream
 keyed (seed, kind), one stream per kind of draw, so results are bit-identical
-per seed.  The environment batch draws one gamma vector per edge, in graph
-edge order.  The walkers move all n samples in lockstep: every lockstep step
-draws one uniform per walker still moving, in walker order.  Sample i thus
-depends on n and on the other samples' walks, and a batch of one is a single
-walk.  The chain walks of `simulate_chains` and `loop_erased_paths` at one
-seed are the same walks.
+per seed.  The environment batch draws one gamma vector of all n samples per
+edge, in graph edge order.  The walkers move all n samples in lockstep: every
+lockstep step draws one uniform per walker still moving, in walker order.
+Sample i thus depends on n and on the other samples' walks, and a batch of
+one is a single walk.  The chain walks of `simulate_chains` and
+`loop_erased_paths` at one seed are the same walks.
+
+Batch layout: the Monte Carlo kernels keep an environment batch edge-major,
+one contiguous row of n samples per edge, and form every per-sample sum or
+product by elementwise operations on whole rows, in edge order.
+`sample_environment_batch` returns the transpose view of that array, of shape
+(n, |E|), so that a row of the view is one environment.  The killed-chain
+kernel reads either layout; its flows are row-major.  Each result is the same
+to the bit as from a row-major batch reduced along its rows.
 """
 
 from __future__ import annotations
@@ -117,18 +125,22 @@ def philox_stream(seed: int, kind: int) -> np.random.Generator:
 
 
 def sample_environment_batch(g: DirectedGraph, w: DirichletWeights, n: int, seed: int) -> np.ndarray:
-    """(n, |E|) matrix of exit probabilities, rows independent environments."""
+    """(n, |E|) matrix of exit probabilities, rows independent environments.
+
+    It is the transpose view of an edge-major (|E|, n) array: each edge's
+    gamma draws fill its row, and each vertex divides its rows by their sum,
+    added one after another in out-edge order."""
     rng = philox_stream(seed, _ENV)
-    gams = np.empty((n, len(g.edge_ids)))
-    for j, eid in enumerate(g.edge_ids):
-        gams[:, j] = rng.standard_gamma(float(w.alpha[eid]), size=n)
-    p = np.empty_like(gams)
+    p = np.empty((len(g.edge_ids), n))
+    for row, eid in zip(p, g.edge_ids):
+        rng.standard_gamma(float(w.alpha[eid]), size=n, out=row)
     index = {eid: j for j, eid in enumerate(g.edge_ids)}
     for x in g.interior:
-        cols = [index[e.id] for e in g.out_edges[x]]
-        block = gams[:, cols]
-        p[:, cols] = block / block.sum(axis=1, keepdims=True)
-    return p
+        rows = [p[index[e.id]] for e in g.out_edges[x]]
+        total = sum(rows[1:], rows[0])  # a vertex's only row is divided by itself
+        for row in rows:
+            row /= total
+    return p.T
 
 
 def sample_environment(g: DirectedGraph, w: DirichletWeights, seed: int) -> Environment:
@@ -184,7 +196,7 @@ def _occupation_batch(g: DirectedGraph, p: np.ndarray):
     """det(I - P) and the edge-occupation flows of a batch of environments, by
     GTH elimination block by block."""
     det = np.empty(len(p))
-    flows = np.empty_like(p)
+    flows = np.empty(p.shape)  # C-ordered, whatever the layout of p
     for lo in range(0, len(p), BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
         det[rows] = _gth(g, p[rows], flows[rows])
@@ -200,7 +212,7 @@ def _gth(g: DirectedGraph, p: np.ndarray, flows: np.ndarray) -> np.ndarray:
     # cemetery) in the chain censored to the vertices not yet eliminated, kept
     # only where some walk leads; the diagonal is never needed
     exits = [{} for _ in range(k)]
-    pt = np.ascontiguousarray(p.T)
+    pt = p.T  # one row per edge, contiguous when p is an edge-major batch
     for j, e in enumerate(g.edges):
         row, h = exits[pos[e.tail]], pos.get(e.head, k)
         row[h] = row[h] + pt[j] if h in row else pt[j]
@@ -395,16 +407,34 @@ def loop_erase(g: DirectedGraph, trajectory: list[str]) -> list[str]:
 
 
 def _distinct_rows(a: np.ndarray):
-    """The distinct rows of a 2-D array, in lexicographic order, and the position
-    of each row of `a` among them (np.unique(a, axis=0, return_inverse=True),
-    which sorts the rows as opaque bytes and is many times slower)."""
-    order = np.lexsort(a.T[::-1])
-    rows = a[order]
-    fresh = np.ones(len(a), dtype=bool)
-    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    inverse = np.empty(len(a), dtype=np.intp)
-    inverse[order] = np.cumsum(fresh) - 1
-    return rows[fresh], inverse
+    """The distinct rows of a 2-D array of non-negative integers, in
+    lexicographic order, and the position of each row of `a` among them, as
+    np.unique(a, axis=0, return_inverse=True) gives them (it sorts the rows
+    as opaque bytes and is many times slower).
+
+    Each row is read as one int64 in base one more than the largest entry,
+    its first column the most significant digit, so the keys sort as the
+    rows do; np.unique sorts and groups the keys, and the distinct rows are
+    the digits of the distinct keys.  Where the key would overflow int64,
+    np.lexsort sorts the rows instead."""
+    base = int(a.max(initial=0)) + 1
+    if base ** a.shape[1] > np.iinfo(np.int64).max:
+        order = np.lexsort(a.T[::-1])
+        rows = a[order]
+        fresh = np.ones(len(a), dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        inverse = np.empty(len(a), dtype=np.intp)
+        inverse[order] = np.cumsum(fresh) - 1
+        return rows[fresh], inverse
+    key = np.zeros(len(a), dtype=np.int64)
+    for column in a.T:
+        key *= base
+        key += column
+    keys, inverse = np.unique(key, return_inverse=True)
+    rows = np.empty((len(keys), a.shape[1]), dtype=a.dtype)
+    for c in reversed(range(a.shape[1])):
+        keys, rows[:, c] = np.divmod(keys, base)
+    return rows, inverse.reshape(-1)
 
 
 def loop_erased_paths(g: DirectedGraph, env: Environment, n: int, seed: int) -> Counter:
@@ -498,8 +528,12 @@ def mc_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int
     laplace = np.exp(-(z @ lvec))
     per_tree = []
     for t in trees:
-        tree_cols = [j for j, eid in enumerate(g.edge_ids) if eid in t.edges]
-        per_tree.append(_estimate(laplace * p[:, tree_cols].prod(axis=1) / det, seed))
+        # the tree's exit probabilities multiplied in edge order, row by row
+        weight = None
+        for row, eid in zip(p.T, g.edge_ids):
+            if eid in t.edges:
+                weight = row if weight is None else weight * row
+        per_tree.append(_estimate(laplace * weight / det, seed))
     return _estimate(laplace, seed), per_tree
 
 

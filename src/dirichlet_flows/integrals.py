@@ -147,6 +147,13 @@ class _Evaluator:
         self.exps = np.array(exps)
         if weight_edge is not None and weight_edge not in g.edge_by_id:
             raise ValueError(f"unknown weight edge {weight_edge!r}")
+        # the coordinate of each row that is a bare one (z_e = u_j, as for
+        # every cotree edge), and the other, mixed rows
+        self.bare = {i: list(coeffs).index(1) for i, (off, coeffs) in enumerate(self.rows)
+                     if off == 0 and sorted(coeffs) == [0] * (len(coeffs) - 1) + [1]}
+        self.mixed = [i for i in range(len(self.rows)) if i not in self.bare]
+        self.mixed_coeffs = self.coeffs[self.mixed]
+        self.mixed_offset = self.offset[self.mixed, None]
 
     @property
     def dim(self) -> int:
@@ -155,13 +162,18 @@ class _Evaluator:
     def flows(self, u: np.ndarray) -> np.ndarray:
         return self.offset + u @ self.coeffs.T
 
-    def in_chamber(self, u: np.ndarray) -> np.ndarray:
-        """Whether all flows are positive at each point: the test on `flows(u)`,
-        with the flows laid out edge by edge so that it reduces along rows.
-        Each flow is the same sum of the same products as in `flows`."""
-        zt = self.coeffs @ u.T
-        zt += self.offset[:, None]
-        return (zt > 0).all(axis=0)
+    def chamber(self, ut: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Which points of the (d, m) coordinate rows `ut` lie in the chamber
+        (every flow positive), as a mask, and the coordinates and the flows of
+        the mixed rows at those points, one row each.  A bare row is the test
+        u_j > 0, and every coordinate has one; each mixed flow is the same sum
+        of the same products as in `flows`."""
+        zt = self.mixed_coeffs @ ut
+        zt += self.mixed_offset
+        inside = (zt > 0).all(axis=0)
+        inside &= (ut > 0).all(axis=0)
+        at = np.flatnonzero(inside)
+        return inside, ut.take(at, axis=1), zt.take(at, axis=1)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         z = self.flows(np.atleast_2d(u))
@@ -411,17 +423,46 @@ def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
 # importance-sampled Monte Carlo
 # ---------------------------------------------------------------------------
 
+def _sum_rows(rows):
+    """Sum of equal-length 1-D arrays, elementwise, in the order in which
+    numpy's `.sum(axis=1)` adds the columns of the matrix that has them as
+    columns, so that the result is the same to the bit: one after another
+    below 8 rows, in eight interleaved partial sums from 8 to 128 rows (each
+    partial sum takes every eighth row, the last k mod 8 rows follow
+    one by one), and as the sum of two halves, cut at a multiple of 8, above
+    128.  A row given as None is an exact zero and is skipped, since x + 0 = x;
+    the sum of no rows is None.  A sum of one row is that row itself."""
+    def add(x, y):
+        return y if x is None else x if y is None else x + y
+    k = len(rows)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return add(_sum_rows(rows[:half]), _sum_rows(rows[half:]))
+    total = None
+    if k >= 8:
+        part = list(rows[:8])
+        for i in range(8, k - k % 8):
+            part[i % 8] = add(part[i % 8], rows[i])
+        total = add(add(add(part[0], part[1]), add(part[2], part[3])),
+                    add(add(part[4], part[5]), add(part[6], part[7])))
+        rows = rows[k - k % 8:]
+    for row in rows:
+        total = add(total, row)
+    return total
+
+
 @functools.lru_cache(maxsize=1)
 def _proposal_draws(seed: int, n: int, shapes: tuple) -> np.ndarray:
-    """Read-only (n, d) Gamma(shape, 1) draws of the proposal, column by column.
+    """Read-only (d, n) Gamma(shape, 1) draws of the proposal, one row per
+    coordinate, drawn row by row.
 
     They depend only on (seed, n, shapes), so the tree charts of one
     `verify-thm21` run, whose cotree exponents agree, share one draw.
     """
     rng = philox_stream(seed, 3)
-    raw = np.empty((n, len(shapes)))
-    for j, shape in enumerate(shapes):
-        raw[:, j] = rng.standard_gamma(shape, size=n)
+    raw = np.empty((len(shapes), n))
+    for row, shape in zip(raw, shapes):
+        rng.standard_gamma(shape, size=n, out=row)
     raw.setflags(write=False)
     return raw
 
@@ -434,6 +475,15 @@ def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
     rate = lambda_e (the exponential tilt of the integrand), falling back to
     rate 1 where lambda_e = 0; points outside the chamber get weight zero.
     The estimate carries the Kish effective sample size of the weights.
+
+    The kernel works on rows, one row of samples per coordinate and per
+    edge.  Block by block it tests the chamber, keeps the coordinates and
+    the mixed flows of the points inside and sums their log terms; a bare
+    row's flow is its coordinate, so one log u serves both the integrand and
+    the proposal density.  The sums of rows follow the order of a row-major
+    `.sum(axis=1)` (`_sum_rows`), and the rate term is one BLAS product of
+    the row-major flows of all points inside with the rates, so every weight
+    is the same to the bit as in one pass over all points at once.
     """
     if n < 2:
         raise ValueError(f"a standard error needs at least 2 samples, got {n}")
@@ -449,19 +499,35 @@ def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
     rates = np.array([_real_rate(spec.lam[eid], eid) or 1.0 for eid in ev.free_ids])
 
     raw = _proposal_draws(seed, n, tuple(shapes.tolist()))
-    # the chamber test by blocks; flows and logs only at the points inside
-    inside = np.concatenate([ev.in_chamber(raw[lo:lo + BLOCK_ROWS] / rates)
-                             for lo in range(0, n, BLOCK_ROWS)])
+    const = shapes * np.log(rates) - np.array([math.lgamma(s) for s in shapes])
+    exps = ev.exps.tolist()
+    # per block: the points inside, their flows row-major, and the sums of
+    # log terms of the integrand (rates aside) and of the proposal density,
+    # leaving out the terms whose exponent is 0
+    inside, flows, log_terms, logq = [], [], [], []
+    for lo in range(0, n, BLOCK_ROWS):
+        mask, u, zt = ev.chamber(raw[:, lo:lo + BLOCK_ROWS] / rates[:, None])
+        logu, logz = np.log(u), np.log(zt)
+        z = np.empty((u.shape[1], len(exps)))
+        logs = [None] * len(exps)
+        for i, j in ev.bare.items():
+            z[:, i], logs[i] = u[j], logu[j]
+        for i, zi, li in zip(ev.mixed, zt, logz):
+            z[:, i], logs[i] = zi, li
+        inside.append(mask)
+        flows.append(z)
+        log_terms.append(_sum_rows([None if w == 0 else logs[i] * w for i, w in enumerate(exps)]))
+        logq.append(_sum_rows([(c if s == 1 else c + (s - 1.0) * lu) - r * uj
+                               for c, s, r, lu, uj in zip(const, shapes, rates, logu, u)]))
+    inside = np.concatenate(inside)
     if not inside.any():
         raise ValueError("all proposal samples fell outside the chamber")
-    u = raw[inside] / rates
-    zin = ev.flows(u)
-    # log integrand minus log proposal density
-    logv = -(zin @ ev.lam) + (np.log(zin) * ev.exps).sum(axis=1)
-    log_gamma = np.array([math.lgamma(s) for s in shapes])
-    logq = (shapes * np.log(rates) - log_gamma
-            + (shapes - 1.0) * np.log(u) - rates * u).sum(axis=1)
-    weights = np.exp(logv - logq)
+    # log integrand minus log proposal density; the rate term is one BLAS
+    # product over all points inside, since its last bits vary with the batch
+    logv = -(np.concatenate(flows) @ ev.lam)
+    if log_terms[0] is not None:
+        logv += np.concatenate(log_terms)
+    weights = np.exp(logv - np.concatenate(logq))
     vals = np.zeros(n)
     vals[inside] = weights
     err = float(vals.std(ddof=1) / math.sqrt(n))

@@ -10,7 +10,10 @@ sparse helpers or its residue products.  The quadrature oracle integrates one
 chart integral at a time, one Gauss-Kronrod panel per integrand call, by the
 recursive scheme the library's lockstep batches must reproduce.  The lockstep
 walker oracle runs the three walkers on the two-dimensional gather kernel the
-library's flat-index step kernel must reproduce draw for draw.
+library's flat-index step kernel must reproduce draw for draw.  The Dirichlet
+batch oracles build the environment batch row-major and weight each tree by
+a product along rows, the layout whose bits the library's edge-major Monte
+Carlo kernels must reproduce.
 """
 
 from __future__ import annotations
@@ -486,3 +489,40 @@ def oracle_lockstep(g: DirectedGraph, env: Environment, n: int, seed: int):
     trees = [SpanningTree(frozenset(g.edge_ids[j] for j in row), directed=True)
              for row in exits.tolist()]
     return trajectories, erased, trees
+
+
+# ---------------------------------------------------------------------------
+# row-major Dirichlet batch oracles
+# ---------------------------------------------------------------------------
+
+def oracle_environment_batch(g: DirectedGraph, w, n: int, seed: int) -> np.ndarray:
+    """The (n, |E|) environment batch, row-major: each edge's gamma draws fill
+    its column, and each vertex's block of columns is divided by its row sums."""
+    rng = env_mod.philox_stream(seed, env_mod._ENV)
+    gams = np.empty((n, len(g.edge_ids)))
+    for j, eid in enumerate(g.edge_ids):
+        gams[:, j] = rng.standard_gamma(float(w.alpha[eid]), size=n)
+    p = np.empty_like(gams)
+    index = {eid: j for j, eid in enumerate(g.edge_ids)}
+    for x in g.interior:
+        cols = [index[e.id] for e in g.out_edges[x]]
+        block = gams[:, cols]
+        p[:, cols] = block / block.sum(axis=1, keepdims=True)
+    return p
+
+
+def oracle_mc_laplace_by_tree(g: DirectedGraph, w, lam, trees, n: int, seed: int):
+    """(value, std_error) of `mc_laplace_by_tree`'s Laplace estimate and of each
+    tree's, from the row-major batch, a tree's weight being the product along
+    each row of its columns."""
+    p = oracle_environment_batch(g, w, n, seed)
+    det, z = env_mod._occupation_batch(g, p)
+    laplace = np.exp(-(z @ env_mod._lambda_vector(g, lam)))
+
+    def estimate(vals):
+        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
+    per_tree = []
+    for t in trees:
+        cols = [j for j, eid in enumerate(g.edge_ids) if eid in t.edges]
+        per_tree.append(estimate(laplace * p[:, cols].prod(axis=1) / det))
+    return estimate(laplace), per_tree

@@ -10,6 +10,7 @@ from dirichlet_flows import (
     DirichletWeights,
     Environment,
     IterationCapExceeded,
+    builtin_graph,
     divergence,
     edge_occupation,
     enumerate_spanning_trees,
@@ -32,7 +33,9 @@ from dirichlet_flows.graphs import DirectedGraph, Edge
 from conftest import (
     bundled_graphs,
     complete_graph,
+    oracle_environment_batch,
     oracle_lockstep,
+    oracle_mc_laplace_by_tree,
     random_graphs,
     random_rational_environment,
     simulate_chain,
@@ -221,6 +224,66 @@ def test_batch_kernel_keeps_tiny_determinants(two_diamond):
     _assert_unit_source_flows(two_diamond, flows)
 
 
+def fan(k: int) -> DirectedGraph:
+    """One vertex with k parallel exits to the cemetery."""
+    return DirectedGraph(("x0", "delta"), "delta", "x0", tuple(
+        Edge(f"e{i + 1}", "x0", "delta", Fraction(1)) for i in range(k)))
+
+
+# vertices with one and two exits (two-diamond), three (K3) and eleven: from
+# eight columns on, a sum along contiguous rows would take numpy's pairwise
+# order, but the oracle's column blocks, strided copies, add one by one
+LAYOUT_GRAPHS = [builtin_graph("two-diamond"), complete_graph(3), fan(11)]
+# not a multiple of BLOCK_ROWS: the last block of the kernels is a short one
+LAYOUT_N = env_mod.BLOCK_ROWS + 1001
+
+
+@pytest.mark.parametrize("weight", ["1/3", "2/3", "1", "3/2"])
+def test_environment_batch_matches_row_major_oracle(weight):
+    """The edge-major batch, seen as (n, |E|), is the row-major oracle's to the
+    bit, and the killed-chain kernel reads either layout to the same bits."""
+    for i, g in enumerate(LAYOUT_GRAPHS):
+        w = DirichletWeights({eid: Fraction(weight) for eid in g.edge_ids})
+        p = env_mod.sample_environment_batch(g, w, LAYOUT_N, seed=61 + i)
+        want = oracle_environment_batch(g, w, LAYOUT_N, seed=61 + i)
+        assert p.shape == want.shape and p.T.flags.c_contiguous
+        assert np.ascontiguousarray(p).tobytes() == want.tobytes(), g
+        det, flows = env_mod._occupation_batch(g, p)
+        det_rm, flows_rm = env_mod._occupation_batch(g, want)
+        assert flows.flags.c_contiguous and flows_rm.flags.c_contiguous
+        assert det.tobytes() == det_rm.tobytes() and flows.tobytes() == flows_rm.tobytes(), g
+
+
+@pytest.mark.parametrize("weight", ["1/3", "2/3", "1", "3/2"])
+def test_mc_laplace_by_tree_matches_row_major_oracle(weight):
+    """Each tree's estimate, its weight a product of rows in edge order, is the
+    oracle's, whose weight is the product along each row of the batch."""
+    for i, g in enumerate(LAYOUT_GRAPHS):
+        w = DirichletWeights({eid: Fraction(weight) for eid in g.edge_ids})
+        lam = {eid: 1 + 2.0 ** -(k + 4) for k, eid in enumerate(g.edge_ids)}
+        trees = env_mod.directed_trees(g)
+        total, per_tree = mc_laplace_by_tree(g, w, lam, trees, LAYOUT_N, seed=65 + i)
+        want_total, want_trees = oracle_mc_laplace_by_tree(g, w, lam, trees, LAYOUT_N, 65 + i)
+        assert (total.value, total.std_error) == want_total
+        assert [(e.value, e.std_error) for e in per_tree] == want_trees, g
+
+
+def test_distinct_rows_match_numpy_unique():
+    """The distinct rows in lexicographic order and each row's position among
+    them, as np.unique gives them, by int64 keys and, where a key would
+    overflow, by lexsort: 70 flag columns, or entries near 2^40."""
+    rng = np.random.default_rng(71)
+    arrays = [rng.integers(0, 9, (5000, 3)), rng.integers(0, 2, (5000, 3)) + 7,
+              rng.random((5000, 9)) < 0.3, rng.random((2000, 70)) < 0.02,
+              rng.integers(0, 2, (3000, 3)) << 40, np.array([[4, 0, 2]]),
+              rng.random((1, 12)) < 0.5]
+    for a in arrays:
+        rows, inverse = env_mod._distinct_rows(a)
+        want_rows, want_inverse = np.unique(a, axis=0, return_inverse=True)
+        assert rows.dtype == a.dtype and np.array_equal(rows, want_rows)
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+
+
 @pytest.mark.parametrize("scalar", [Fraction, float], ids=["exact", "float"])
 def test_singular_chain_outcome(triangle, scalar):
     """x0 and a only hand the walk to each other: det(I - P) = 0, which the
@@ -328,14 +391,6 @@ def test_wilson_frequencies_rough(triangle):
 SKEWED = {"e1": Fraction(1, 3), "e3": Fraction(2, 3), "e2": Fraction(3, 4), "e4": Fraction(1, 4)}
 
 
-def complete_digraph() -> DirectedGraph:
-    """Every ordered pair of x0, a, b, plus an edge from each to the cemetery."""
-    inner = ("x0", "a", "b")
-    pairs = [(t, h) for t in inner for h in inner if t != h] + [(t, "delta") for t in inner]
-    return DirectedGraph(inner + ("delta",), "delta", "x0", tuple(
-        Edge(f"e{i + 1}", t, h, Fraction(1)) for i, (t, h) in enumerate(pairs)))
-
-
 def lockstep_cases(triangle, two_diamond):
     """(graph, environment) pairs for the lockstep samplers: the skewed triangle,
     two-diamond, the complete digraph on three vertices and random graphs, the
@@ -345,7 +400,7 @@ def lockstep_cases(triangle, two_diamond):
         "e1": Fraction(2, 3), "e5": Fraction(1, 3), "e2": Fraction(1),
         "e3": Fraction(1), "e4": Fraction(3, 5), "e6": Fraction(2, 5)}))]
     return cases + [(g, random_rational_environment(g, rng))
-                    for g in [complete_digraph()] + random_graphs(seed=38, count=6)]
+                    for g in [complete_graph(3)] + random_graphs(seed=38, count=6)]
 
 
 def chi2_pvalue(counts: Counter, law: dict, n: int) -> float:
@@ -431,7 +486,7 @@ def test_zero_probability_exit_is_never_taken(monkeypatch, stream):
     """Exits of probability 0 in the first (e1), a middle (e4) and the last
     (e9) slot of the complete digraph on three vertices."""
     monkeypatch.setattr(env_mod, "philox_stream", STREAMS[stream])
-    g = complete_digraph()
+    g = complete_graph(3)
     assert [[e.id for e in g.out_edges[x]] for x in g.interior] == [
         ["e1", "e2", "e7"], ["e3", "e4", "e8"], ["e5", "e6", "e9"]]
     zero, q = Fraction(0), Fraction(1, 4)
@@ -467,7 +522,7 @@ def test_cumulative_sum_rounding_to_one(monkeypatch, stream):
     probabilities, 1/3 and 2/3 - 2^-60, rounds to 1.0: every u < 1 stays below
     it, so the last exit, of probability 2^-60, is never taken, as in the oracle."""
     monkeypatch.setattr(env_mod, "philox_stream", STREAMS[stream])
-    g = complete_digraph()
+    g = complete_graph(3)
     tiny = Fraction(1, 2**60)
     env = Environment({"e1": Fraction(1, 3), "e2": Fraction(2, 3) - tiny, "e7": tiny,
                        "e3": Fraction(1, 2), "e4": Fraction(1, 4), "e8": Fraction(1, 4),

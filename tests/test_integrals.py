@@ -440,12 +440,76 @@ def test_mc_matches_unblocked_oracle_with_shared_draws():
 
 
 def test_mc_chamber_test_matches_flows():
-    """The edge-by-edge chamber test selects exactly the points where every flow
-    of `flows` is positive; the oracle test above runs it over several blocks."""
+    """The chamber test on coordinate rows selects exactly the points where every
+    flow of `flows` is positive, zero coordinates included, and returns their
+    coordinates and mixed flows to the bit; a bare row's flow is its coordinate.  The
+    oracle test above runs it over several blocks."""
     for spec in _shared_draw_specs():
         ev = int_mod._Evaluator(spec)
         u = np.random.default_rng(11).gamma(1.0, size=(20_000, ev.dim))
-        assert np.array_equal(ev.in_chamber(u), (ev.flows(u) > 0).all(axis=1))
+        u[::97, -1] = 0.0  # a gamma draw that underflowed
+        z = ev.flows(u)
+        inside, ut, zt = ev.chamber(np.ascontiguousarray(u.T))
+        assert np.array_equal(inside, (z > 0).all(axis=1))
+        assert not inside[::97].any()
+        assert np.array_equal(ut, u[inside].T)
+        assert np.array_equal(zt, z[inside][:, ev.mixed].T)
+        assert set(ev.bare.values()) == set(range(ev.dim))
+        assert all(np.array_equal(z[:, i], u[:, j]) for i, j in ev.bare.items())
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["dense", "zero-columns"])
+def test_sum_rows_matches_numpy_row_sums(zeros):
+    """The rows add up to `.sum(axis=1)` of the contiguous matrix whose columns
+    they are, to the bit, for 1-40 columns and past the 128-column halving;
+    an exact-zero column given as None is skipped."""
+    rng = np.random.default_rng(12)
+    for k in list(range(1, 41)) + [129, 300]:
+        a = rng.standard_normal((3000, k)) * np.exp(rng.uniform(-30, 30, (3000, k)))
+        skip = rng.random(k) < 0.3 if zeros else np.zeros(k, dtype=bool)
+        a[:, skip] = 0.0
+        total = int_mod._sum_rows([None if z else col for z, col in zip(skip, a.T.copy())])
+        want = a.sum(axis=1)
+        if skip.all():
+            assert total is None
+        else:
+            assert np.array_equal(total, want), k
+
+
+def oracle_weighted_mc(spec, n, seed, weight_edge):
+    """Value, error and effective sample size of `integrate_mc` with a weight
+    edge, in one unblocked pass over the proposal draws."""
+    ev = int_mod._Evaluator(spec, weight_edge)
+    shapes = np.array([float(spec.alpha[eid]) for eid in ev.free_ids])
+    rates = np.array([float(spec.lam[eid]) or 1.0 for eid in ev.free_ids])
+    rng = int_mod.philox_stream(seed, 3)
+    u = np.empty((n, ev.dim))
+    for j in range(ev.dim):
+        u[:, j] = rng.standard_gamma(shapes[j], size=n) / rates[j]
+    z = ev.flows(u)
+    inside = (z > 0).all(axis=1)
+    zin, uin = z[inside], u[inside]
+    logv = -(zin @ ev.lam) + (np.log(zin) * ev.exps).sum(axis=1)
+    logq = (shapes * np.log(rates) - np.array([math.lgamma(s) for s in shapes])
+            + (shapes - 1.0) * np.log(uin) - rates * uin).sum(axis=1)
+    vals = np.zeros(n)
+    vals[inside] = np.exp(logv - logq)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
+
+
+def test_weighted_mc_matches_unblocked_oracle():
+    """With a weight edge, a bridge, a tree edge or a cotree one, at weights
+    other than 1 on split K3, every estimate is the one-pass oracle's to the
+    bit."""
+    k3 = complete_graph(3)
+    specs = _split_specs(k3, {"e1": Fraction(3, 2), "e2": Fraction(2, 3), "e5": 2,
+                              "e7": Fraction(1, 3)}, 3)
+    for spec in specs:
+        cotree_edge = next(eid for eid in spec.graph.edge_ids if eid not in spec.tree.edges)
+        tree_edge = next(eid for eid in sorted(spec.tree.edges) if eid in k3.edge_by_id)
+        for e in (cotree_edge, tree_edge, split_graph(k3).bridge_ids[0]):
+            est = integrate_mc(spec, 20_000, 13, weight_edge=e)
+            assert (est.value, est.error) == oracle_weighted_mc(spec, 20_000, 13, e), e
 
 
 def test_verify_identity_reports_mc_effective_sample_size():
