@@ -21,9 +21,14 @@ formulae", J. Comput. Appl. Math. 6, 1980) under the step control of scipy's
 RK45, in `solve_ivp`.
 
 The commutation and flatness checks are exact over Q without Fraction matrix
-products: scaled to integer matrices, each commutator is computed modulo
-primes below 2^26, as many as an integer bound on its entries asks for
-(`rationals.integer_residuals`), and a nonzero entry is recovered exactly.
+products.  Each check scales the term matrices once by L, the lcm of their
+entries' denominators, into one integer COO table (`rationals.IntTable`);
+each commutator is computed modulo primes below 2^26, as many as an integer
+bound on its entries asks for.  Commutation decides each item by whether its
+product vanishes (`rationals.nonzero_quads`).  Flatness puts each sample's
+rates over a common denominator, so that its cycle forms and the integer
+coefficients of every M_e are Python integers, and sends all samples at once
+to `rationals.commutator_peaks`, which recovers a nonzero entry exactly.
 """
 
 from __future__ import annotations
@@ -45,7 +50,8 @@ from .combinatorics import (
 )
 from .environment import DirichletWeights
 from .graphs import DirectedGraph, require_valid
-from .rationals import IntSparse, Sparse, format_scalar, integer_residuals, sp_set, sp_to_dense
+from .rationals import (Sparse, commutator_peaks, format_scalar, int_table, nonzero_quads,
+                        sp_set, sp_to_dense, table_sum)
 
 
 class ExcludedLocusError(ValueError):
@@ -143,11 +149,17 @@ class ConnectionForm:
     def edge_ids(self) -> tuple[str, ...]:
         return self.graph.edge_ids
 
-    def check_membership(self, lam) -> None:
+    def check_membership(self, lam) -> list:
+        """The cycle forms at lam, in cycle order; raises ExcludedLocusError at
+        the first that vanishes.  At the numerators of rational rates over a
+        common denominator q they are the integers q L_c."""
+        forms = []
         for cyc, _ in self.cycle_terms:
-            if cyc.form(lam) == 0:
+            forms.append(cyc.form(lam))
+            if forms[-1] == 0:
                 raise ExcludedLocusError(
                     f"rates lie on the kernel of the form of {cyc!r}")
+        return forms
 
     def terms(self, eid: str, lam):
         """(weight, matrix) pairs whose weighted sum is the coefficient M_eid at lam.
@@ -206,25 +218,19 @@ def connection_matrices_numeric(conn: ConnectionForm, lam) -> np.ndarray:
 # structure relations
 # ---------------------------------------------------------------------------
 
-def _integer_terms(conn: ConnectionForm) -> tuple[int, dict[TreeMatrix, IntSparse]]:
+def _integer_terms(conn: ConnectionForm) -> tuple[int, list]:
     """L, the lcm of the denominators of every term entry (of the alpha_e in the
-    cycle operators), and each term matrix scaled by L to integers."""
+    cycle operators), and each term matrix scaled by L as a (rows, cols,
+    values) triple sorted by (row, col), path terms first."""
     mats = [mat for _, mat in conn.path_terms + conn.cycle_terms]
     scale = math.lcm(*(v.denominator for mat in mats for row in mat.rows.values()
                        for v in row.values()))
-    return scale, {mat: {i: {j: (v * scale).numerator for j, v in row.items()}
-                         for i, row in mat.rows.items()} for mat in mats}
-
-
-def _int_combination(pairs) -> IntSparse:
-    """The integer matrix sum of c * m over the (c, m) pairs."""
-    out: IntSparse = {}
-    for c, m in pairs:
-        for i, row in m.items():
-            acc = out.setdefault(i, {})
-            for j, v in row.items():
-                acc[j] = acc.get(j, 0) + c * v
-    return out
+    coo = []
+    for mat in mats:
+        entries = sorted((i, j, v.numerator * (scale // v.denominator))
+                         for i, row in mat.rows.items() for j, v in row.items())
+        coo.append(tuple(zip(*entries)) or ((), (), ()))
+    return scale, coo
 
 
 def check_commutation(g: DirectedGraph, w) -> dict:
@@ -237,16 +243,16 @@ def check_commutation(g: DirectedGraph, w) -> dict:
     """
     alpha = _alpha_map(w)
     conn = build_connection(g, alpha)
-    scale, scaled = _integer_terms(conn)
-    mats: list[IntSparse] = []
+    scale, mats = _integer_terms(conn)
+    terms = int_table(mats)
     identities: dict[Fraction, int] = {}
 
-    def add(rows) -> int:
-        mats.append(rows)
+    def add(coo) -> int:
+        mats.append(coo)
         return len(mats) - 1
 
-    p = {s: add(scaled[mat]) for s, mat in conn.path_terms}
-    q = {c: add(scaled[mat]) for c, mat in conn.cycle_terms}
+    p = {s: k for k, (s, _) in enumerate(conn.path_terms)}
+    q = {c: len(p) + k for k, (c, _) in enumerate(conn.cycle_terms)}
     paths, cycles = list(p), list(q)
     items, quads = [], []
 
@@ -265,7 +271,8 @@ def check_commutation(g: DirectedGraph, w) -> dict:
         """X^2 - c X, as X X - (cL I) X on the operators scaled by L; cL is an
         integer, as c is 1 or a sum of alpha_e whose denominators divide L."""
         if c not in identities:
-            identities[c] = add({i: {i: (c * scale).numerator} for i in range(conn.size)})
+            diagonal = range(conn.size)
+            identities[c] = add((diagonal, diagonal, [(c * scale).numerator] * conn.size))
         return (x, x, identities[c], x)
 
     # projector identities
@@ -309,7 +316,7 @@ def check_commutation(g: DirectedGraph, w) -> dict:
         inside = [c for c in cycles if c.edges <= union]
         if len(inside) != 3:
             continue
-        ssum = add(_int_combination((1, mats[q[c]]) for c in inside))
+        ssum = add(table_sum(terms, [q[c] for c in inside], conn.size))
         for ci in inside:
             record("iv", [inside[0], inside[1], inside[2], ci], True, commutator(ssum, q[ci]))
 
@@ -320,10 +327,10 @@ def check_commutation(g: DirectedGraph, w) -> dict:
             if genus(g, union) != 1:
                 continue
             (cycle,) = [c for c in cycles if c.edges <= union]  # genus 1: one cycle
-            ssum = add(_int_combination((1, mats[p[s]]) for s in (paths[a], paths[b])))
+            ssum = add(table_sum(terms, [p[paths[a]], p[paths[b]]], conn.size))
             record("v", [paths[a], paths[b], cycle], True, commutator(ssum, q[cycle]))
 
-    nonzero = integer_residuals(mats, conn.size, quads)
+    nonzero = nonzero_quads(int_table(mats), conn.size, quads)
     for k, it in enumerate(items):
         it["commutes"] = k not in nonzero
         it["ok"] = (not it["claimed"]) or it["commutes"]
@@ -333,12 +340,15 @@ def check_commutation(g: DirectedGraph, w) -> dict:
 def check_flatness(conn: ConnectionForm, lambda_samples, exact: bool = True):
     """Max commutator residual of the coefficient matrices over the samples.
 
-    Exact mode returns a Fraction (zero means flat): at each sample the
+    Exact mode returns a Fraction (zero means flat).  At each sample the rates
+    are put over their common denominator q, and the cycle forms q L_c are
+    computed once, as integers, which also runs the exclusion test.  The
     coefficient M_e is scaled to the integer matrix N_e = D_e L M_e, with D_e
-    the lcm of the denominators of its weights in `ConnectionForm.terms`, and
-    every [N_a, N_b] of every sample goes into one batch of
-    `integer_residuals`.  Float mode returns the max residual relative to the
-    product scale.
+    the lcm of the denominators of its weights in `ConnectionForm.terms`, so
+    that N_e is an integer combination of the term matrices scaled by L; every
+    [N_a, N_b] of every sample goes to `rationals.commutator_peaks`, which
+    assembles each N_e for all samples at once and expands each edge pair
+    once.  Float mode returns the max residual relative to the product scale.
     """
     if not exact:
         worst = 0.0
@@ -352,39 +362,53 @@ def check_flatness(conn: ConnectionForm, lambda_samples, exact: bool = True):
                     worst = max(worst, float(np.abs(ab - ba).max() / scale))
         return worst
 
-    scale, scaled = _integer_terms(conn)
-    mats: list[IntSparse] = []
-    denominators: list[int] = []
-    quads = []
+    scale, mats = _integer_terms(conn)
+    terms = [term for term, _ in conn.path_terms + conn.cycle_terms]
+    # per edge, the (index, sign) of each term with the edge
+    members = [[(k, term.sign(eid)) for k, term in enumerate(terms) if term.sign(eid)]
+               for eid in conn.edge_ids]
+    coefficients = [[] for _ in conn.edge_ids]
+    denominators = []
     for lam in lambda_samples:
         lam = {k: Fraction(v) for k, v in lam.items()}
-        conn.check_membership(lam)
-        first = len(mats)
-        for eid in conn.edge_ids:
-            weighted = [(Fraction(wt), mat) for wt, mat in conn.terms(eid, lam)]
-            d = math.lcm(*(wt.denominator for wt, _ in weighted))
-            mats.append(_int_combination(((wt * d).numerator, scaled[mat])
-                                         for wt, mat in weighted))
-            denominators.append(d)
-        n_edges = len(conn.edge_ids)
-        quads += [(first + a, first + b, first + b, first + a)
-                  for a in range(n_edges) for b in range(a + 1, n_edges)]
+        # in Python integers, also where a Fraction holds numpy ones
+        q = math.lcm(*(int(v.denominator) for v in lam.values()))
+        forms = conn.check_membership({k: int(v.numerator) * (q // int(v.denominator))
+                                       for k, v in lam.items()})
+        # the weight s_c(e) / L_c = s_c(e) q / (q L_c) of a cycle term in
+        # lowest terms is s_c(e) top / den; a path term's is s(e) / 1
+        dens, tops = [1] * len(conn.path_terms), [1] * len(conn.path_terms)
+        for form in forms:
+            g = math.gcd(q, form)
+            dens.append(abs(form) // g)
+            tops.append(q // g if form > 0 else -(q // g))
+        row = []
+        for ks, coef in zip(members, coefficients):
+            d = math.lcm(*(dens[k] for k, _ in ks))
+            coef.append([sign * tops[k] * (d // dens[k]) for k, sign in ks])
+            row.append(d)
+        denominators.append(row)
+    pairs = [(a, b) for a in range(len(members)) for b in range(a + 1, len(members))]
+    combos = [([k for k, _ in ks], coef) for ks, coef in zip(members, coefficients)]
+    peaks = commutator_peaks(int_table(mats), conn.size, combos, pairs)
     worst = Fraction(0)
-    for k, peak in integer_residuals(mats, conn.size, quads).items():
-        a, b = quads[k][:2]
-        worst = max(worst, Fraction(peak, denominators[a] * denominators[b] * scale * scale))
+    for (s, k), peak in peaks.items():
+        a, b = pairs[k]
+        d = denominators[s]
+        worst = max(worst, Fraction(peak, d[a] * d[b] * scale * scale))
     return worst
 
 
 def sample_rates_off_kernels(conn: ConnectionForm, rng, denominator: int = 16,
                              max_tries: int = 1000) -> dict[str, Fraction]:
-    """Random positive rational rates avoiding every cycle-form kernel."""
+    """Random positive rational rates avoiding every cycle-form kernel.
+
+    A candidate is tested on its numerators, whose cycle forms are integers."""
     for _ in range(max_tries):
-        lam = {eid: Fraction(int(rng.integers(1, 8 * denominator + 1)), denominator)
-               for eid in conn.edge_ids}
+        numerators = {eid: int(rng.integers(1, 8 * denominator + 1)) for eid in conn.edge_ids}
         try:
-            conn.check_membership(lam)
-            return lam
+            conn.check_membership(numerators)
+            return {eid: Fraction(k, denominator) for eid, k in numerators.items()}
         except ExcludedLocusError:
             continue
     raise RuntimeError("could not sample rates off the excluded locus")

@@ -10,7 +10,10 @@ probabilistic side of the integral identities checked in `integrals`.
 Randomness contract: every draw comes from a counter-based Philox stream
 keyed (seed, kind), one stream per kind of draw, so results are bit-identical
 per seed.  The environment batch draws one gamma vector of all n samples per
-edge, in graph edge order.  The walkers move all n samples in lockstep: every
+edge, in graph edge order.  An edge out of a vertex with some weight below
+1/16 draws a Gamma(alpha + 1) vector and then a uniform vector instead, and
+its vertex normalises its exits in log space (`sample_environment_batch`);
+other vertices draw as before.  The walkers move all n samples in lockstep: every
 lockstep step draws one uniform per walker still moving, in walker order.
 Sample i thus depends on n and on the other samples' walks, and a batch of
 one is a single walk.  The chain walks of `simulate_chains` and
@@ -124,19 +127,45 @@ def philox_stream(seed: int, kind: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed % 2**64, kind << 48]))
 
 
+# A Gamma(alpha) draw underflows to 0.0 with probability about
+# 2^(-1074 alpha) / Gamma(alpha + 1): below 2^-64 at alpha >= 1/16, but near
+# 1e-3 at alpha = 1/100, where every exit of a vertex can underflow and its
+# normalisation divide 0 by 0.
+LOG_DRAW_BELOW = Fraction(1, 16)
+# Such a vertex keeps every exit at least e^-700 / out-degree, a normal
+# float: an exit that underflowed to 0.0 would trap the chain.
+LOG_FLOOR = -700.0
+
+
 def sample_environment_batch(g: DirectedGraph, w: DirichletWeights, n: int, seed: int) -> np.ndarray:
     """(n, |E|) matrix of exit probabilities, rows independent environments.
 
     It is the transpose view of an edge-major (|E|, n) array: each edge's
     gamma draws fill its row, and each vertex divides its rows by their sum,
-    added one after another in out-edge order."""
+    added one after another in out-edge order.  A vertex with some exit
+    weight below LOG_DRAW_BELOW draws each exit in log space instead, as
+    log Gamma(alpha + 1) + log(U) / alpha with U uniform on (0, 1], whose
+    exponential is a Gamma(alpha) draw (Marsaglia & Tsang, ACM TOMS 26,
+    2000), and subtracts the largest of its logs before exponentiating."""
     rng = philox_stream(seed, _ENV)
+    logged = {x for x in g.interior
+              if any(w.alpha[e.id] < LOG_DRAW_BELOW for e in g.out_edges[x])}
     p = np.empty((len(g.edge_ids), n))
-    for row, eid in zip(p, g.edge_ids):
-        rng.standard_gamma(float(w.alpha[eid]), size=n, out=row)
+    for row, e in zip(p, g.edges):
+        alpha = float(w.alpha[e.id])
+        if e.tail in logged:
+            rng.standard_gamma(alpha + 1, size=n, out=row)
+            np.log(row, out=row)
+            row += np.log1p(-rng.random(n)) / alpha
+        else:
+            rng.standard_gamma(alpha, size=n, out=row)
     index = {eid: j for j, eid in enumerate(g.edge_ids)}
     for x in g.interior:
         rows = [p[index[e.id]] for e in g.out_edges[x]]
+        if x in logged:
+            top = np.maximum.reduce(rows)
+            for row in rows:
+                np.exp(np.maximum(row - top, LOG_FLOOR), out=row)
         total = sum(rows[1:], rows[0])  # a vertex's only row is divided by itself
         for row in rows:
             row /= total
@@ -526,6 +555,10 @@ def mc_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int
     p = sample_environment_batch(g, w, n, seed)
     det, z = _occupation_batch(g, p)
     laplace = np.exp(-(z @ lvec))
+    # A directed tree's weight is at most det, so where laplace underflows to
+    # 0.0 each tree's term is 0.0 too; det is set to 1 there, where a weight
+    # and det may both have underflowed.
+    det[laplace == 0] = 1.0
     per_tree = []
     for t in trees:
         # the tree's exit probabilities multiplied in edge order, row by row

@@ -307,10 +307,13 @@ def oracle_commutes(ops: dict, alpha, item) -> bool:
 
 
 def oracle_flatness(conn, samples) -> Fraction:
-    """Max |[M_a, M_b]| entry over the samples, M_e summed densely from conn.terms."""
+    """Max |[M_a, M_b]| entry over the samples, M_e summed densely from
+    conn.terms at the rates as Fractions, from Fraction forms and without the
+    library's integer forms, scaled operators or residue products."""
     ops = {mat: oracle_dense(mat.rows, conn.size) for _, mat in conn.path_terms + conn.cycle_terms}
     worst = Fraction(0)
     for lam in samples:
+        lam = {k: Fraction(v) for k, v in lam.items()}
         mats = [oracle_combine(*((Fraction(wt), ops[mat]) for wt, mat in conn.terms(eid, lam)))
                 for eid in conn.edge_ids]
         for a in range(len(mats)):

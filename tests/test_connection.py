@@ -26,6 +26,7 @@ from dirichlet_flows import connection
 from dirichlet_flows.cli import main
 from dirichlet_flows.connection import sample_rates_off_kernels, solve_ivp
 from dirichlet_flows.connection import TreeMatrix
+from dirichlet_flows.combinatorics import SignedEdgeSet
 from dirichlet_flows.graphs import DirectedGraph, Edge
 from dirichlet_flows.rationals import sp_add, sp_commutator, sp_matmul, sp_max_abs, sp_scale
 
@@ -253,12 +254,104 @@ def test_commutation_past_int64_matches_oracle(triangle):
 # flatness
 # ---------------------------------------------------------------------------
 
-def _broken(conn, delta=Fraction(1, 7)):
-    """conn with delta added to entry (0, 0) of its first cycle operator."""
-    (cyc, mat), *rest = conn.cycle_terms
+def _broken(conn, delta=Fraction(1, 7), which=0):
+    """conn with delta added to entry (0, 0) of its cycle operator `which`."""
+    terms = list(conn.cycle_terms)
+    cyc, mat = terms[which]
     rows = {i: dict(row) for i, row in mat.rows.items()}
-    rows.setdefault(0, {})[0] = rows[0].get(0, Fraction(0)) + delta
-    return replace(conn, cycle_terms=((cyc, TreeMatrix(mat.size, rows, mat.label)), *rest))
+    rows.setdefault(0, {})[0] = rows.get(0, {}).get(0, Fraction(0)) + delta
+    terms[which] = (cyc, TreeMatrix(mat.size, rows, mat.label))
+    return replace(conn, cycle_terms=tuple(terms))
+
+
+def _flipped(conn, which=0):
+    """conn with the sign of one edge of its path term `which` flipped."""
+    terms = list(conn.path_terms)
+    path, mat = terms[which]
+    eid = sorted(path.edges)[0]
+    terms[which] = (SignedEdgeSet(path.edges, {**path.signs, eid: -path.signs[eid]}, path.kind),
+                    mat)
+    return replace(conn, path_terms=tuple(terms))
+
+
+def _rates_off_kernels(conn, rng, denominators):
+    """Rates k/d with each edge's d drawn from denominators, off every kernel."""
+    while True:
+        lam = {eid: Fraction(int(rng.integers(1, 8 * d + 1)), int(d))
+               for eid, d in zip(conn.edge_ids, rng.choice(denominators, len(conn.edge_ids)))}
+        try:
+            conn.check_membership(lam)
+            return lam
+        except ExcludedLocusError:
+            continue
+
+
+def _assert_matches_oracle(conn, samples) -> list[Fraction]:
+    """check_flatness of conn reads 0, and of its flipped and broken copies the
+    oracle's residual; returns those residuals."""
+    assert check_flatness(conn, samples) == 0 == oracle_flatness(conn, samples)
+    variants = [_flipped(conn)] if conn.path_terms else []
+    if conn.cycle_terms:
+        variants += [_broken(conn), _broken(conn, Fraction(-3, 2), len(conn.cycle_terms) - 1)]
+    residuals = [check_flatness(variant, samples) for variant in variants]
+    assert residuals == [oracle_flatness(variant, samples) for variant in variants]
+    return residuals
+
+
+FLATNESS_GRAPHS = bundled_graphs() + random_graphs(seed=54, count=5)
+
+
+@pytest.mark.parametrize("k", range(len(FLATNESS_GRAPHS)))
+def test_flatness_matches_oracle(k):
+    """Exact flatness equals the dense oracle on the builtins and on random
+    graphs at random rational weights: 0 when flat, the oracle's residual when
+    an operator entry or a path sign is broken."""
+    g = FLATNESS_GRAPHS[k]
+    rng = np.random.default_rng(55 + k)
+    conn = build_connection(g, random_rational_weights(g, rng))
+    _assert_matches_oracle(conn, [sample_rates_off_kernels(conn, rng) for _ in range(3)])
+
+
+def test_flipped_path_sign_is_not_flat(triangle, two_diamond):
+    for g in (triangle, two_diamond):
+        conn = build_connection(g, DirichletWeights.from_graph(g))
+        rng = np.random.default_rng(56)
+        samples = [sample_rates_off_kernels(conn, rng) for _ in range(2)]
+        assert check_flatness(_flipped(conn), samples) == oracle_flatness(_flipped(conn), samples) != 0
+
+
+def test_flatness_matches_oracle_on_k3():
+    g = complete_graph(3)
+    rng = np.random.default_rng(57)
+    choices = [Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2)]
+    conn = build_connection(g, {eid: choices[int(rng.integers(0, 5))] for eid in g.edge_ids})
+    samples = [sample_rates_off_kernels(conn, rng)]
+    assert check_flatness(conn, samples) == 0
+    broken = _broken(conn, Fraction(1, 3), 7)
+    residual = check_flatness(broken, samples)
+    assert residual != 0 and residual == oracle_flatness(broken, samples)
+
+
+@pytest.mark.parametrize("count", [1, 40])
+def test_flatness_sample_list_lengths(two_diamond, count):
+    conn = build_connection(two_diamond, random_rational_weights(two_diamond,
+                                                                 np.random.default_rng(58)))
+    rng = np.random.default_rng(59 + count)
+    assert all(_assert_matches_oracle(conn, [sample_rates_off_kernels(conn, rng)
+                                             for _ in range(count)]))
+
+
+@pytest.mark.parametrize("graph", ["triangle", "two-diamond"])
+def test_flatness_mixed_denominators(request, graph):
+    """Rates k/16, k/3 and k/7 in one sample: their common denominator is 336."""
+    g = request.getfixturevalue(graph.replace("-", "_"))
+    conn = build_connection(g, DirichletWeights.from_graph(g))
+    rng = np.random.default_rng(60)
+    samples = [_rates_off_kernels(conn, rng, [16, 3, 7]) for _ in range(6)]
+    assert any(len({v.denominator for v in lam.values()}) == 3 for lam in samples)
+    # rates given as strings are read as the Fractions they spell
+    samples.append({eid: str(v) for eid, v in samples[0].items()})
+    assert all(_assert_matches_oracle(conn, samples))
 
 
 @pytest.mark.parametrize("graph", ["triangle", "two-diamond"])
@@ -281,6 +374,37 @@ def test_flatness_past_int64_matches_oracle(triangle):
     broken = _broken(conn)
     residual = check_flatness(broken, samples)
     assert residual != 0 and residual == oracle_flatness(broken, samples)
+    _assert_matches_oracle(conn, samples + [_rates_off_kernels(conn, rng, [16, 3, 7])])
+
+
+def test_flatness_reads_numpy_integer_rates_exactly(triangle):
+    """Rates whose Fractions hold numpy integers give the residual of the same
+    rates in Python integers, though L^2 times their forms is past int64."""
+    conn = _broken(build_connection(triangle, HUGE))
+    rates = {"e1": (97, 16), "e2": (1, 3), "e3": (87, 7), "e4": (44, 7)}
+    exact = [{eid: Fraction(n, d) for eid, (n, d) in rates.items()}]
+    numpy_ints = [{eid: Fraction(np.int64(n), np.int64(d)) for eid, (n, d) in rates.items()}]
+    residual = check_flatness(conn, exact)
+    assert residual == oracle_flatness(conn, exact) != 0
+    assert check_flatness(conn, numpy_ints) == residual
+
+
+def test_flatness_of_no_sample_is_zero(triangle):
+    assert check_flatness(build_connection(triangle, HUGE), []) == 0
+
+
+def test_sampled_rates_are_the_fraction_tests(triangle, two_diamond):
+    """The integer exclusion test accepts the candidates the Fraction forms
+    accept, with the same draws: the rates are the parent's."""
+    for g in (triangle, two_diamond, complete_graph(3)):
+        conn = build_connection(g, DirichletWeights.from_graph(g))
+        rng, ref = np.random.default_rng(61), np.random.default_rng(61)
+        for _ in range(20):
+            while True:
+                lam = {eid: Fraction(int(ref.integers(1, 129)), 16) for eid in conn.edge_ids}
+                if all(cyc.form(lam) != 0 for cyc, _ in conn.cycle_terms):
+                    break
+            assert sample_rates_off_kernels(conn, rng) == lam
 
 
 def test_flatness_exact_and_float(triangle):

@@ -238,7 +238,7 @@ LAYOUT_GRAPHS = [builtin_graph("two-diamond"), complete_graph(3), fan(11)]
 LAYOUT_N = env_mod.BLOCK_ROWS + 1001
 
 
-@pytest.mark.parametrize("weight", ["1/3", "2/3", "1", "3/2"])
+@pytest.mark.parametrize("weight", ["1/16", "1/3", "2/3", "1", "3/2"])
 def test_environment_batch_matches_row_major_oracle(weight):
     """The edge-major batch, seen as (n, |E|), is the row-major oracle's to the
     bit, and the killed-chain kernel reads either layout to the same bits."""
@@ -252,6 +252,29 @@ def test_environment_batch_matches_row_major_oracle(weight):
         det_rm, flows_rm = env_mod._occupation_batch(g, want)
         assert flows.flags.c_contiguous and flows_rm.flags.c_contiguous
         assert det.tobytes() == det_rm.tobytes() and flows.tobytes() == flows_rm.tobytes(), g
+
+
+@pytest.mark.parametrize("graph, weights", [
+    ("two-diamond", dict.fromkeys(("e1", "e2", "e3", "e4", "e5", "e6"), "1/100")),
+    # x0 mixes a weight of 1/100 with one of 3/2; a draws in log space at 1/20
+    ("triangle", {"e1": "1/100", "e2": "2", "e3": "3/2", "e4": "1/20"}),
+])
+def test_tiny_weights_draw_in_log_space(graph, weights):
+    """Below weight 1/16 a vertex draws its exits in log space: every exit is
+    positive and finite, each vertex's exits sum to 1, and each column's mean
+    lies within 4 standard errors of alpha_e / beta_x."""
+    g = builtin_graph(graph)
+    w = DirichletWeights({eid: Fraction(v) for eid, v in weights.items()})
+    n = 100_000
+    p = env_mod.sample_environment_batch(g, w, n, seed=7)
+    assert np.isfinite(p).all() and (p > 0).all()
+    beta = w.beta(g)
+    for x in g.interior:
+        cols = [g.edge_ids.index(e.id) for e in g.out_edges[x]]
+        assert np.abs(p[:, cols].sum(axis=1) - 1).max() < 1e-12
+    for j, e in enumerate(g.edges):
+        stderr = p[:, j].std(ddof=1) / np.sqrt(n)
+        assert abs(p[:, j].mean() - float(w.alpha[e.id] / beta[e.tail])) <= 4 * stderr, e.id
 
 
 @pytest.mark.parametrize("weight", ["1/3", "2/3", "1", "3/2"])

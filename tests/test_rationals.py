@@ -195,3 +195,61 @@ def test_residue_kernel_on_a_multiple_of_one_prime_across_slices(monkeypatch, wh
     p = _primes_past(rationals._PRIME_LIMIT)[which]
     a, b = {0: {1: p}}, {0: {0: 1}}
     assert integer_residuals([a, b], 2, [(0, 1, 1, 0), (0, 1, 0, 1)]) == {0: p}
+
+
+def _coo(rows):
+    entries = sorted((i, j, v) for i, row in rows.items() for j, v in row.items())
+    return tuple(zip(*entries)) or ((), (), ())
+
+
+def _dense_combination(mats, n, terms, coef):
+    out = [[0] * n for _ in range(n)]
+    for t, c in zip(terms, coef):
+        for i, row in mats[t].items():
+            for j, v in row.items():
+                out[i][j] += c * v
+    return out
+
+
+@pytest.mark.parametrize("cap", [rationals._CHUNK_CAP, 1])
+def test_commutator_peaks_against_dense_products(monkeypatch, cap):
+    """Every sample's [N_a, N_b] has the dense product's largest entry, with
+    samples of one prime and of several in one pair, coefficients past int64,
+    an edge whose terms cancel at one sample, and an edge of no term."""
+    monkeypatch.setattr(rationals, "_CHUNK_CAP", cap)
+    mats, n, _ = _kernel_cases()
+    rng = np.random.default_rng(29)
+    combos = [([0, 1, 6], [[1, 2, 5], [3, -1, 2], [10**25, 1, 1]]),
+              ([2, 7], [[1, 1], [-2, 3], [1, 3**50]]),
+              ([3, 4, 8], [[int(c) for c in rng.integers(-5, 6, 3)] for _ in range(3)]),
+              ([0, 0], [[1, -1], [2, -2], [1, 1]]),
+              ([], [[], [], []])]
+    pairs = [(a, b) for a in range(len(combos)) for b in range(a + 1, len(combos))]
+    table = rationals.int_table([_coo(m) for m in mats])
+    depths = []
+    kernel = rationals._sample_products
+    monkeypatch.setattr(rationals, "_sample_products",
+                        lambda *args: depths.append(args[3]) or kernel(*args))
+    peaks = rationals.commutator_peaks(table, n, combos, pairs)
+    [depth] = depths
+    assert depth.min() == 1 and (depth.min(axis=0) < depth.max(axis=0)).any()
+    for s in range(3):
+        dense = [_dense_combination(mats, n, terms, coef[s]) for terms, coef in combos]
+        for k, (a, b) in enumerate(pairs):
+            ab = [[sum(dense[a][i][m] * dense[b][m][j] - dense[b][i][m] * dense[a][m][j]
+                       for m in range(n)) for j in range(n)] for i in range(n)]
+            assert peaks.get((s, k), 0) == max(abs(v) for row in ab for v in row), (s, k)
+
+
+def test_nonzero_quads_are_the_nonzero_residuals():
+    mats, n, quads = _kernel_cases()
+    table = rationals.int_table([_coo(m) for m in mats])
+    assert rationals.nonzero_quads(table, n, quads) == set(integer_residuals(mats, n, quads))
+
+
+def test_table_sum_keeps_cancelled_entries():
+    a, b = {0: {1: 2, 2: 3}, 1: {0: 2**70}}, {0: {1: -2}, 2: {2: 4}}
+    table = rationals.int_table([_coo(a), _coo(b)])
+    rows, cols, values = rationals.table_sum(table, [0, 1], 3)
+    assert list(zip(rows.tolist(), cols.tolist(), values.tolist())) == [
+        (0, 1, 0), (0, 2, 3), (1, 0, 2**70), (2, 2, 4)]
