@@ -24,6 +24,7 @@ Exit status:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -554,7 +555,10 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves it
+    unchanged, and no handler mutates a default it hands out."""
     parser = argparse.ArgumentParser(
         prog="dirichlet-flows",
         description="Verification suites for walks in random Dirichlet environments "

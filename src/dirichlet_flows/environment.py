@@ -188,9 +188,9 @@ def sample_environment(g: DirectedGraph, w: DirichletWeights, seed: int) -> Envi
 # has det(I - P) = 0, which `survival_determinant` returns and the other
 # functions reject.
 #
-# The Monte Carlo kernel `_occupation_batch` runs Grassmann-Taksar-Heyman
-# elimination (Oper. Res. 33, 1985) on a block of environments at once, one
-# array over the block per (vertex, vertex) entry.  Eliminating vertex m
+# The Monte Carlo kernel `_gth` runs Grassmann-Taksar-Heyman elimination
+# (Oper. Res. 33, 1985) on a block of environments at once, one array over the
+# block per (vertex, vertex) entry.  Eliminating vertex m
 # censors the chain to the vertices left: a walk from i that enters m leaves it
 # towards j (or the cemetery) with probability P_im P_mj / s_m, where the pivot
 # s_m is the sum of m's exits to the vertices left and to the cemetery, never
@@ -217,24 +217,16 @@ def _survival_matrices(g: DirectedGraph, p: np.ndarray) -> np.ndarray:
 
 # rows per block of the batched kernels: a block's arrays stay in cache and in
 # the allocator's free lists, where arrays of a whole 100k batch are mapped
-# afresh, page by page, at every step
+# afresh, page by page, at every step.  A multiple of 8, so that a row of a
+# block keeps its place modulo the unrolling of a BLAS product over rows, and
+# with it the bits of its dot product.
 BLOCK_ROWS = 8192
-
-
-def _occupation_batch(g: DirectedGraph, p: np.ndarray):
-    """det(I - P) and the edge-occupation flows of a batch of environments, by
-    GTH elimination block by block."""
-    det = np.empty(len(p))
-    flows = np.empty(p.shape)  # C-ordered, whatever the layout of p
-    for lo in range(0, len(p), BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
-        det[rows] = _gth(g, p[rows], flows[rows])
-    return det, flows
 
 
 def _gth(g: DirectedGraph, p: np.ndarray, flows: np.ndarray) -> np.ndarray:
     """det(I - P) of a block of environments, eliminating the vertices in
-    interior order; writes their edge-occupation flows to `flows`."""
+    interior order; writes their edge-occupation flows to `flows`, an array
+    of the shape of p."""
     k = len(g.interior)
     pos = {x: i for i, x in enumerate(g.interior)}
     # exits[i][j]: exit probability from vertex i to vertex j (j == k: the
@@ -537,37 +529,63 @@ def _lambda_vector(g: DirectedGraph, lam) -> np.ndarray:
     return vec
 
 
-def _estimate(vals: np.ndarray, seed: int) -> McEstimate:
+def mean_and_std_error(vals: np.ndarray) -> tuple[float, float]:
+    """The mean of a contiguous 1-D float array and its standard error,
+    vals.std(ddof=1) / sqrt(n), overwriting vals.
+
+    Each is the same to the bit as numpy's: the same pairwise sums of the
+    values and of their squared deviations from the mean, taken in place
+    instead of in the two n-arrays numpy's variance allocates."""
     n = len(vals)
-    return McEstimate(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n)), n, seed)
+    mean = np.add.reduce(vals) / n
+    np.subtract(vals, mean, out=vals)
+    np.multiply(vals, vals, out=vals)
+    return float(mean), float(np.sqrt(np.add.reduce(vals) / (n - 1)) / np.sqrt(n))
 
 
 def mc_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int,
                        seed: int) -> tuple[McEstimate, list[McEstimate]]:
     """Average of exp(-<rates, occupation>) over sampled environments, and the
     average of the same values times each directed tree's probability weight,
-    all from one environment batch."""
+    all from one environment batch.
+
+    Beside the batch it holds three n-vectors: det(I - P), the Laplace
+    values, and one buffer that holds each tree's terms in turn; the flows
+    of a block of BLOCK_ROWS samples live only until their rate term is
+    taken.  Every result is the same to the bit as from the whole (n, |E|)
+    array of flows and one BLAS product of it with the rates, when BLAS runs
+    on one thread: the last bits of a threaded product also depend on where
+    its threads split the rows."""
     if not all(t.directed for t in trees):
         raise ValueError("the tree-weighted estimator needs a directed spanning tree")
     if n < 2:
         raise ValueError(f"a standard error needs at least 2 samples, got {n}")
     lvec = _lambda_vector(g, lam)
     p = sample_environment_batch(g, w, n, seed)
-    det, z = _occupation_batch(g, p)
-    laplace = np.exp(-(z @ lvec))
-    # A directed tree's weight is at most det, so where laplace underflows to
-    # 0.0 each tree's term is 0.0 too; det is set to 1 there, where a weight
-    # and det may both have underflowed.
-    det[laplace == 0] = 1.0
+    det, laplace = np.empty(n), np.empty(n)
+    flows = np.empty((min(n, BLOCK_ROWS), len(lvec)))
+    for lo in range(0, n, BLOCK_ROWS):
+        block = p[lo:lo + BLOCK_ROWS]
+        z, d, lap = flows[:len(block)], det[lo:lo + BLOCK_ROWS], laplace[lo:lo + BLOCK_ROWS]
+        d[:] = _gth(g, block, z)
+        np.exp(-(z @ lvec), out=lap)
+        # A directed tree's weight is at most det, so where laplace underflows
+        # to 0.0 each tree's term is 0.0 too; det is set to 1 there, where a
+        # weight and det may both have underflowed.
+        d[lap == 0] = 1.0
     per_tree = []
+    terms = np.empty(n)
     for t in trees:
-        # the tree's exit probabilities multiplied in edge order, row by row
-        weight = None
-        for row, eid in zip(p.T, g.edge_ids):
-            if eid in t.edges:
-                weight = row if weight is None else weight * row
-        per_tree.append(_estimate(laplace * weight / det, seed))
-    return _estimate(laplace, seed), per_tree
+        # the tree's exit probabilities multiplied in edge order, row by row,
+        # then times laplace and over det
+        rows = [row for row, eid in zip(p.T, g.edge_ids) if eid in t.edges]
+        np.copyto(terms, rows[0])
+        for row in rows[1:]:
+            terms *= row
+        terms *= laplace
+        terms /= det
+        per_tree.append(McEstimate(*mean_and_std_error(terms), n, seed))
+    return McEstimate(*mean_and_std_error(laplace), n, seed), per_tree
 
 
 def mc_estimate_rhs(g: DirectedGraph, w: DirichletWeights, lam, tree: SpanningTree,

@@ -42,7 +42,14 @@ from .combinatorics import (
     tree_coordinate_map,
     tree_path,
 )
-from .environment import BLOCK_ROWS, DirichletWeights, McEstimate, mc_estimate_rhs, philox_stream
+from .environment import (
+    BLOCK_ROWS,
+    DirichletWeights,
+    McEstimate,
+    mc_estimate_rhs,
+    mean_and_std_error,
+    philox_stream,
+)
 from .graphs import DirectedGraph, SplitGraph, split_graph
 
 
@@ -483,7 +490,11 @@ def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
     the proposal density.  The sums of rows follow the order of a row-major
     `.sum(axis=1)` (`_sum_rows`), and the rate term is one BLAS product of
     the row-major flows of all points inside with the rates, so every weight
-    is the same to the bit as in one pass over all points at once.
+    is the same to the bit as in one pass over all points at once.  The
+    flows and log sums of the points inside fill the leading rows of arrays
+    allocated once, and the estimate and its standard error come from
+    `mean_and_std_error` on the weights scattered into n zeros; the Kish
+    sums reuse the weights' array.
     """
     if n < 2:
         raise ValueError(f"a standard error needs at least 2 samples, got {n}")
@@ -501,39 +512,46 @@ def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
     raw = _proposal_draws(seed, n, tuple(shapes.tolist()))
     const = shapes * np.log(rates) - np.array([math.lgamma(s) for s in shapes])
     exps = ev.exps.tolist()
-    # per block: the points inside, their flows row-major, and the sums of
-    # log terms of the integrand (rates aside) and of the proposal density,
-    # leaving out the terms whose exponent is 0
-    inside, flows, log_terms, logq = [], [], [], []
+    # per block: the points inside, and at the next free rows of n-row
+    # arrays their flows row-major and the sums of log terms of the integrand
+    # (rates aside) and of the proposal density, leaving out the terms whose
+    # exponent is 0
+    inside = np.empty(n, dtype=bool)
+    flows, log_terms, logq = np.empty((n, len(exps))), np.zeros(n), np.empty(n)
+    count = 0
     for lo in range(0, n, BLOCK_ROWS):
         mask, u, zt = ev.chamber(raw[:, lo:lo + BLOCK_ROWS] / rates[:, None])
+        inside[lo:lo + BLOCK_ROWS] = mask
+        at = slice(count, count + u.shape[1])
+        count = at.stop
         logu, logz = np.log(u), np.log(zt)
-        z = np.empty((u.shape[1], len(exps)))
+        z = flows[at]
         logs = [None] * len(exps)
         for i, j in ev.bare.items():
             z[:, i], logs[i] = u[j], logu[j]
         for i, zi, li in zip(ev.mixed, zt, logz):
             z[:, i], logs[i] = zi, li
-        inside.append(mask)
-        flows.append(z)
-        log_terms.append(_sum_rows([None if w == 0 else logs[i] * w for i, w in enumerate(exps)]))
-        logq.append(_sum_rows([(c if s == 1 else c + (s - 1.0) * lu) - r * uj
-                               for c, s, r, lu, uj in zip(const, shapes, rates, logu, u)]))
-    inside = np.concatenate(inside)
-    if not inside.any():
+        terms = _sum_rows([None if w == 0 else logs[i] * w for i, w in enumerate(exps)])
+        if terms is not None:  # else its zeros stand for the empty sum
+            log_terms[at] = terms
+        logq[at] = _sum_rows([(c if s == 1 else c + (s - 1.0) * lu) - r * uj
+                              for c, s, r, lu, uj in zip(const, shapes, rates, logu, u)])
+    if not count:
         raise ValueError("all proposal samples fell outside the chamber")
     # log integrand minus log proposal density; the rate term is one BLAS
     # product over all points inside, since its last bits vary with the batch
-    logv = -(np.concatenate(flows) @ ev.lam)
-    if log_terms[0] is not None:
-        logv += np.concatenate(log_terms)
-    weights = np.exp(logv - np.concatenate(logq))
+    logv = -(flows[:count] @ ev.lam)
+    logv += log_terms[:count]
+    logv -= logq[:count]
+    weights = np.exp(logv, out=logv)
     vals = np.zeros(n)
     vals[inside] = weights
-    err = float(vals.std(ddof=1) / math.sqrt(n))
-    scaled = weights / weights.max()  # no overflow in the squares
-    ess = float(scaled.sum() ** 2 / (scaled ** 2).sum())
-    return IntegralEstimate(float(vals.mean()), err, "monte-carlo", n, ess)
+    value, err = mean_and_std_error(vals)
+    weights /= weights.max()  # no overflow in the squares
+    total = weights.sum()
+    weights *= weights
+    ess = float(total ** 2 / weights.sum())
+    return IntegralEstimate(value, err, "monte-carlo", n, ess)
 
 
 # ---------------------------------------------------------------------------

@@ -514,12 +514,20 @@ def oracle_environment_batch(g: DirectedGraph, w, n: int, seed: int) -> np.ndarr
     return p
 
 
+def gth_flows(g: DirectedGraph, p: np.ndarray):
+    """det(I - P) and the (n, |E|) C-ordered edge-occupation flows of a batch
+    of environments, from the GTH kernel over the whole batch as one block."""
+    flows = np.empty(p.shape)
+    return env_mod._gth(g, p, flows), flows
+
+
 def oracle_mc_laplace_by_tree(g: DirectedGraph, w, lam, trees, n: int, seed: int):
     """(value, std_error) of `mc_laplace_by_tree`'s Laplace estimate and of each
-    tree's, from the row-major batch, a tree's weight being the product along
-    each row of its columns."""
+    tree's, from the row-major batch, its whole array of flows and one BLAS
+    product of it with the rates, a tree's weight being the product along
+    each row of its columns, and numpy's mean and std."""
     p = oracle_environment_batch(g, w, n, seed)
-    det, z = env_mod._occupation_batch(g, p)
+    det, z = gth_flows(g, p)
     laplace = np.exp(-(z @ env_mod._lambda_vector(g, lam)))
 
     def estimate(vals):

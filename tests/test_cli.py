@@ -354,3 +354,27 @@ def test_waypoints_accept_complex(capsys):
                                         "--waypoint", "e1=3"])
     assert status == 0 and report["pass"] is True
     assert report["inputs"]["waypoints"][1] == {"e1": {"re": 2.0, "im": 0.5}}
+
+
+def test_parser_built_once_leaks_nothing_between_calls(capsys):
+    """`main` builds its parser once per process.  Three calls in one process,
+    with weight and rate overrides and repeated waypoints, with others, and
+    with none, print the bytes that fresh interpreters print."""
+    calls = [
+        ["transport", "--graph", "triangle", "--alpha", "e1=3/2", "--lambda", "e2=5/4",
+         "--waypoint", "e1=2", "--waypoint", "e1=2+0.5j", "--waypoint", "e1=3"],
+        ["transport", "--graph", "triangle", "--alpha", "e2=2/3", "--lambda", "e1=9/8",
+         "--waypoint", "e2=3", "--waypoint", "e2=5/2"],
+        ["transport", "--graph", "triangle"],
+    ]
+    in_process = []
+    for argv in calls:
+        main(argv)
+        in_process.append(capsys.readouterr().out)
+    assert build_parser() is build_parser()
+    src = Path(__file__).resolve().parents[1] / "src"
+    fresh = [subprocess.run([sys.executable, "-m", "dirichlet_flows.cli", *argv],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}).stdout
+             for argv in calls]
+    assert in_process == fresh

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -33,6 +34,7 @@ from dirichlet_flows.graphs import DirectedGraph, Edge
 from conftest import (
     bundled_graphs,
     complete_graph,
+    gth_flows,
     oracle_environment_batch,
     oracle_lockstep,
     oracle_mc_laplace_by_tree,
@@ -161,7 +163,7 @@ def test_single_environment_matches_batch_kernel():
     for i, g in enumerate(bundled_graphs() + random_graphs(seed=41, count=8)):
         w = DirichletWeights.from_graph(g)
         p = env_mod.sample_environment_batch(g, w, 20, seed=42 + i)
-        dets, flows = env_mod._occupation_batch(g, p)
+        dets, flows = gth_flows(g, p)
         for row, det, flow in zip(p, dets, flows):
             env = Environment(dict(zip(g.edge_ids, row.tolist())))
             assert survival_determinant(g, env) == pytest.approx(det, rel=1e-12)
@@ -188,10 +190,12 @@ def _assert_unit_source_flows(g: DirectedGraph, flows: np.ndarray):
         assert (gap <= 1e-12 * np.maximum(out, 1.0)).all(), (x, gap.max())
 
 
-def test_batch_kernel_matches_matrix_tree_sum(monkeypatch, two_diamond):
+def test_batch_kernel_matches_matrix_tree_sum(two_diamond):
     """det(I - P) of the batch kernel is the directed-tree sum to 1e-13 relative,
     and its flows carry a unit source at the base, at weights drawn from (0, 2].
-    Each row's results do not depend on the blocks the batch is cut into."""
+    Each row's determinant, flows and rate term do not depend on the blocks
+    the batch is cut into, the rate term being a BLAS product of a block's
+    flows with the rates."""
     rng = np.random.default_rng(43)
     graphs = bundled_graphs() + random_graphs(seed=44, count=10) + [complete_graph(3)]
     # the base need not come first among the interior vertices
@@ -200,13 +204,17 @@ def test_batch_kernel_matches_matrix_tree_sum(monkeypatch, two_diamond):
     for i, g in enumerate(graphs):
         w = DirichletWeights({eid: Fraction(int(rng.integers(1, 41)), 20) for eid in g.edge_ids})
         p = env_mod.sample_environment_batch(g, w, 2000, seed=45 + i)
-        dets, flows = env_mod._occupation_batch(g, p)
+        dets, flows = gth_flows(g, p)
         np.testing.assert_allclose(dets, _tree_sum(g, p), rtol=1e-13, atol=0)
         _assert_unit_source_flows(g, flows)
-        with monkeypatch.context() as m:
-            m.setattr(env_mod, "BLOCK_ROWS", 300)
-            blocked = env_mod._occupation_batch(g, p)
-        assert np.array_equal(blocked[0], dets) and np.array_equal(blocked[1], flows)
+        lvec = env_mod._lambda_vector(g, {eid: 1 + 2.0 ** -(k + 4)
+                                          for k, eid in enumerate(g.edge_ids)})
+        rates = flows @ lvec
+        for lo in range(0, len(p), 296):
+            rows = slice(lo, lo + 296)
+            det, block = gth_flows(g, p[rows])
+            assert np.array_equal(det, dets[rows]) and np.array_equal(block, flows[rows])
+            assert np.array_equal(block @ lvec, rates[rows])
 
 
 def test_batch_kernel_keeps_tiny_determinants(two_diamond):
@@ -219,7 +227,7 @@ def test_batch_kernel_keeps_tiny_determinants(two_diamond):
     tree_sum = _tree_sum(two_diamond, p)
     rows = np.argsort(tree_sum)[:8]
     assert tree_sum[rows[0]] < 1e-18
-    dets, flows = env_mod._occupation_batch(two_diamond, p[rows])
+    dets, flows = gth_flows(two_diamond, p[rows])
     np.testing.assert_allclose(dets, tree_sum[rows], rtol=1e-13, atol=0)
     _assert_unit_source_flows(two_diamond, flows)
 
@@ -248,8 +256,8 @@ def test_environment_batch_matches_row_major_oracle(weight):
         want = oracle_environment_batch(g, w, LAYOUT_N, seed=61 + i)
         assert p.shape == want.shape and p.T.flags.c_contiguous
         assert np.ascontiguousarray(p).tobytes() == want.tobytes(), g
-        det, flows = env_mod._occupation_batch(g, p)
-        det_rm, flows_rm = env_mod._occupation_batch(g, want)
+        det, flows = gth_flows(g, p)
+        det_rm, flows_rm = gth_flows(g, want)
         assert flows.flags.c_contiguous and flows_rm.flags.c_contiguous
         assert det.tobytes() == det_rm.tobytes() and flows.tobytes() == flows_rm.tobytes(), g
 
@@ -289,6 +297,44 @@ def test_mc_laplace_by_tree_matches_row_major_oracle(weight):
         want_total, want_trees = oracle_mc_laplace_by_tree(g, w, lam, trees, LAYOUT_N, 65 + i)
         assert (total.value, total.std_error) == want_total
         assert [(e.value, e.std_error) for e in per_tree] == want_trees, g
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 129, LAYOUT_N, 100_000])
+def test_mean_and_std_error_match_numpy(n):
+    """The in-place mean and standard error are numpy's mean() and
+    std(ddof=1) / sqrt(n) to the bit: on uniform values, on mostly-zero
+    vectors as importance sampling scatters its weights, and on values
+    spread over 1e-300..1e300, whose squared deviations overflow."""
+    rng = np.random.default_rng(n)
+    sparse = np.zeros(n)
+    inside = rng.random(n) < 0.05
+    inside[0] = True
+    sparse[inside] = rng.gamma(0.5, size=inside.sum()) * 1e-3
+    for vals in (rng.random(n), sparse, 10.0 ** rng.uniform(-300, 300, n)):
+        with np.errstate(over="ignore"):
+            want = np.array([vals.mean(), vals.std(ddof=1) / np.sqrt(n)])
+            got = np.array(env_mod.mean_and_std_error(vals.copy()))
+        assert got.tobytes() == want.tobytes(), (got, want)
+
+
+def test_mc_laplace_by_tree_memory_is_bounded():
+    """On K3 with its 16 directed trees, the estimator's traced peak stays
+    below the environment batch plus 8 n-vectors: no (n, |E|) array of flows
+    and no full-length temporaries per tree."""
+    g = complete_graph(3)
+    w = DirichletWeights.from_graph(g)
+    lam = {eid: 1 + 2.0 ** -(k + 4) for k, eid in enumerate(g.edge_ids)}
+    trees = env_mod.directed_trees(g)
+    assert len(trees) == 16
+    mc_laplace_by_tree(g, w, lam, trees, 2, seed=3)  # lazy imports stay out of the peak
+    n = 50_000
+    tracemalloc.start()
+    try:
+        mc_laplace_by_tree(g, w, lam, trees, n, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (len(g.edge_ids) + 8) * n * 8, peak
 
 
 def test_distinct_rows_match_numpy_unique():
