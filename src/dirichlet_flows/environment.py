@@ -543,6 +543,29 @@ def mean_and_std_error(vals: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.sqrt(np.add.reduce(vals) / (n - 1)) / np.sqrt(n))
 
 
+def _det_and_laplace(g: DirectedGraph, p: np.ndarray, lvec: np.ndarray):
+    """det(I - P) and the Laplace value exp(-<rates, occupation>) of each
+    environment of an (n, |E|) batch, by the GTH kernel over blocks of
+    BLOCK_ROWS rows into one reused array of flows.
+
+    BLOCK_ROWS is a multiple of 8, so on one BLAS thread each block's
+    product of flows and rates sums every row as one product over the whole
+    batch would: the values are the same to the bit."""
+    n = len(p)
+    det, laplace = np.empty(n), np.empty(n)
+    flows = np.empty((min(n, BLOCK_ROWS), len(lvec)))
+    for lo in range(0, n, BLOCK_ROWS):
+        block = p[lo:lo + BLOCK_ROWS]
+        z, d, lap = flows[:len(block)], det[lo:lo + BLOCK_ROWS], laplace[lo:lo + BLOCK_ROWS]
+        d[:] = _gth(g, block, z)
+        np.exp(-(z @ lvec), out=lap)
+        # A directed tree's weight is at most det, so where laplace underflows
+        # to 0.0 each tree's term is 0.0 too; det is set to 1 there, where a
+        # weight and det may both have underflowed.
+        d[lap == 0] = 1.0
+    return det, laplace
+
+
 def mc_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int,
                        seed: int) -> tuple[McEstimate, list[McEstimate]]:
     """Average of exp(-<rates, occupation>) over sampled environments, and the
@@ -562,17 +585,7 @@ def mc_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int
         raise ValueError(f"a standard error needs at least 2 samples, got {n}")
     lvec = _lambda_vector(g, lam)
     p = sample_environment_batch(g, w, n, seed)
-    det, laplace = np.empty(n), np.empty(n)
-    flows = np.empty((min(n, BLOCK_ROWS), len(lvec)))
-    for lo in range(0, n, BLOCK_ROWS):
-        block = p[lo:lo + BLOCK_ROWS]
-        z, d, lap = flows[:len(block)], det[lo:lo + BLOCK_ROWS], laplace[lo:lo + BLOCK_ROWS]
-        d[:] = _gth(g, block, z)
-        np.exp(-(z @ lvec), out=lap)
-        # A directed tree's weight is at most det, so where laplace underflows
-        # to 0.0 each tree's term is 0.0 too; det is set to 1 there, where a
-        # weight and det may both have underflowed.
-        d[lap == 0] = 1.0
+    det, laplace = _det_and_laplace(g, p, lvec)
     per_tree = []
     terms = np.empty(n)
     for t in trees:

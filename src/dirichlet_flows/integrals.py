@@ -474,35 +474,23 @@ def _proposal_draws(seed: int, n: int, shapes: tuple) -> np.ndarray:
     return raw
 
 
-def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
-                 weight_edge: str | None = None) -> IntegralEstimate:
-    """Gamma-proposal importance sampling over the cotree coordinates.
-
-    Each coordinate gets an independent Gamma(alpha_e, rate) proposal with
-    rate = lambda_e (the exponential tilt of the integrand), falling back to
-    rate 1 where lambda_e = 0; points outside the chamber get weight zero.
-    The estimate carries the Kish effective sample size of the weights.
+def _log_weights(ev: _Evaluator, spec: IntegrandSpec, n: int, seed: int):
+    """The chamber mask of n Gamma proposal points, and the log importance
+    weight, log integrand minus log proposal density, of each point inside,
+    in order, as the leading entries of an n-vector.
 
     The kernel works on rows, one row of samples per coordinate and per
     edge.  Block by block it tests the chamber, keeps the coordinates and
     the mixed flows of the points inside and sums their log terms; a bare
     row's flow is its coordinate, so one log u serves both the integrand and
     the proposal density.  The sums of rows follow the order of a row-major
-    `.sum(axis=1)` (`_sum_rows`), and the rate term is one BLAS product of
-    the row-major flows of all points inside with the rates, so every weight
-    is the same to the bit as in one pass over all points at once.  The
-    flows and log sums of the points inside fill the leading rows of arrays
-    allocated once, and the estimate and its standard error come from
-    `mean_and_std_error` on the weights scattered into n zeros; the Kish
-    sums reuse the weights' array.
+    `.sum(axis=1)` (`_sum_rows`), and the rate term is a BLAS product of
+    the row-major flows of the points inside with the rates, taken in chunks
+    that start at multiples of 8 points inside; so, when BLAS runs on one
+    thread, every weight is the same to the bit as in one pass over all
+    points at once.  Beside the proposal draw and the two results it holds
+    one block of flows and of log densities.
     """
-    if n < 2:
-        raise ValueError(f"a standard error needs at least 2 samples, got {n}")
-    ev = _Evaluator(spec, weight_edge)
-    d = ev.dim
-    if d == 0:
-        return IntegralEstimate(float(ev(np.zeros((1, 0)))[0]), 0.0, "monte-carlo", 1)
-
     shapes = np.array([float(spec.alpha[eid]) for eid in ev.free_ids])
     if (shapes <= 0).any():
         bad = [eid for eid, s in zip(ev.free_ids, shapes) if s <= 0]
@@ -512,20 +500,25 @@ def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
     raw = _proposal_draws(seed, n, tuple(shapes.tolist()))
     const = shapes * np.log(rates) - np.array([math.lgamma(s) for s in shapes])
     exps = ev.exps.tolist()
-    # per block: the points inside, and at the next free rows of n-row
-    # arrays their flows row-major and the sums of log terms of the integrand
-    # (rates aside) and of the proposal density, leaving out the terms whose
-    # exponent is 0
+    # Per block: the points inside; at the next free entries of logv the
+    # sums of log terms of the integrand (rates aside), leaving out the terms
+    # whose exponent is 0; and, after the up to 7 points inside carried over
+    # from the block before, their flows row-major and the log proposal
+    # densities.  logv then loses the rate term and the log density of every
+    # point inside but the last count % 8, which are carried.
     inside = np.empty(n, dtype=bool)
-    flows, log_terms, logq = np.empty((n, len(exps))), np.zeros(n), np.empty(n)
-    count = 0
+    logv = np.zeros(n)
+    size = min(n, BLOCK_ROWS) + 7
+    flows, logq = np.empty((size, len(exps))), np.empty(size)
+    count = carry = 0
     for lo in range(0, n, BLOCK_ROWS):
         mask, u, zt = ev.chamber(raw[:, lo:lo + BLOCK_ROWS] / rates[:, None])
         inside[lo:lo + BLOCK_ROWS] = mask
         at = slice(count, count + u.shape[1])
         count = at.stop
+        rows = slice(carry, carry + u.shape[1])
         logu, logz = np.log(u), np.log(zt)
-        z = flows[at]
+        z = flows[rows]
         logs = [None] * len(exps)
         for i, j in ev.bare.items():
             z[:, i], logs[i] = u[j], logu[j]
@@ -533,17 +526,43 @@ def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
             z[:, i], logs[i] = zi, li
         terms = _sum_rows([None if w == 0 else logs[i] * w for i, w in enumerate(exps)])
         if terms is not None:  # else its zeros stand for the empty sum
-            log_terms[at] = terms
-        logq[at] = _sum_rows([(c if s == 1 else c + (s - 1.0) * lu) - r * uj
-                              for c, s, r, lu, uj in zip(const, shapes, rates, logu, u)])
-    if not count:
+            logv[at] = terms
+        logq[rows] = _sum_rows([(c if s == 1 else c + (s - 1.0) * lu) - r * uj
+                                for c, s, r, lu, uj in zip(const, shapes, rates, logu, u)])
+        # The chunks start at multiples of 8 points inside, so one BLAS thread
+        # sums each row's products as in one product over all points inside;
+        # t - r is -r + t to the bit.
+        carry = count % 8 if lo + BLOCK_ROWS < n else 0
+        done, kept = slice(count - rows.stop, count - carry), slice(rows.stop - carry, rows.stop)
+        logv[done] -= flows[:kept.start] @ ev.lam
+        logv[done] -= logq[:kept.start]
+        flows[:carry], logq[:carry] = flows[kept], logq[kept]
+    return inside, logv[:count]
+
+
+def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
+                 weight_edge: str | None = None) -> IntegralEstimate:
+    """Gamma-proposal importance sampling over the cotree coordinates.
+
+    Each coordinate gets an independent Gamma(alpha_e, rate) proposal with
+    rate = lambda_e (the exponential tilt of the integrand), falling back to
+    rate 1 where lambda_e = 0; points outside the chamber get weight zero.
+    The estimate carries the Kish effective sample size of the weights.
+
+    The weights come from `_log_weights`; beside its proposal draw, the
+    chamber mask and the weights of the points inside, one more n-vector
+    holds the weights scattered into n zeros for `mean_and_std_error`, and
+    the Kish sums reuse the weights' own entries.
+    """
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {n}")
+    ev = _Evaluator(spec, weight_edge)
+    if ev.dim == 0:
+        return IntegralEstimate(float(ev(np.zeros((1, 0)))[0]), 0.0, "monte-carlo", 1)
+    inside, logw = _log_weights(ev, spec, n, seed)
+    if not len(logw):
         raise ValueError("all proposal samples fell outside the chamber")
-    # log integrand minus log proposal density; the rate term is one BLAS
-    # product over all points inside, since its last bits vary with the batch
-    logv = -(flows[:count] @ ev.lam)
-    logv += log_terms[:count]
-    logv -= logq[:count]
-    weights = np.exp(logv, out=logv)
+    weights = np.exp(logw, out=logw)
     vals = np.zeros(n)
     vals[inside] = weights
     value, err = mean_and_std_error(vals)

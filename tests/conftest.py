@@ -14,11 +14,22 @@ library's flat-index step kernel must reproduce draw for draw.  The Dirichlet
 batch oracles build the environment batch row-major and weight each tree by
 a product along rows, the layout whose bits the library's edge-major Monte
 Carlo kernels must reproduce.
+
+The Monte Carlo oracles take one BLAS product where the library takes one per
+block, and the two agree to the bit only on one BLAS thread: a threaded
+product's last bits also depend on where its threads split the rows.  So the
+BLAS thread count is set to 1 here, before numpy loads, unless the
+environment already sets it.
 """
 
 from __future__ import annotations
 
-import heapq
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import heapq  # noqa: E402 (numpy must load after the thread count is set)
 import math
 from collections import Counter
 from fractions import Fraction

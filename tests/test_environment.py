@@ -195,7 +195,8 @@ def test_batch_kernel_matches_matrix_tree_sum(two_diamond):
     and its flows carry a unit source at the base, at weights drawn from (0, 2].
     Each row's determinant, flows and rate term do not depend on the blocks
     the batch is cut into, the rate term being a BLAS product of a block's
-    flows with the rates."""
+    flows with the rates; for the rate term that holds on one BLAS thread,
+    which conftest sets unless OPENBLAS_NUM_THREADS is already set."""
     rng = np.random.default_rng(43)
     graphs = bundled_graphs() + random_graphs(seed=44, count=10) + [complete_graph(3)]
     # the base need not come first among the interior vertices
@@ -288,7 +289,10 @@ def test_tiny_weights_draw_in_log_space(graph, weights):
 @pytest.mark.parametrize("weight", ["1/3", "2/3", "1", "3/2"])
 def test_mc_laplace_by_tree_matches_row_major_oracle(weight):
     """Each tree's estimate, its weight a product of rows in edge order, is the
-    oracle's, whose weight is the product along each row of the batch."""
+    oracle's, whose weight is the product along each row of the batch and
+    whose rate term is one BLAS product over the whole batch, not one per
+    block.  The two agree to the bit on one BLAS thread, which conftest sets
+    unless OPENBLAS_NUM_THREADS is already set."""
     for i, g in enumerate(LAYOUT_GRAPHS):
         w = DirichletWeights({eid: Fraction(weight) for eid in g.edge_ids})
         lam = {eid: 1 + 2.0 ** -(k + 4) for k, eid in enumerate(g.edge_ids)}
@@ -297,6 +301,26 @@ def test_mc_laplace_by_tree_matches_row_major_oracle(weight):
         want_total, want_trees = oracle_mc_laplace_by_tree(g, w, lam, trees, LAYOUT_N, 65 + i)
         assert (total.value, total.std_error) == want_total
         assert [(e.value, e.std_error) for e in per_tree] == want_trees, g
+
+
+def test_blocked_laplace_values_match_whole_batch_product():
+    """Each environment's det(I - P) and Laplace value, from blocks of
+    BLOCK_ROWS rows, equal to the bit those of one BLAS product of the whole
+    batch's flows with the rates (det set to 1 where the value underflows),
+    on 9 and 11 columns, where a product cut at rows that are not multiples
+    of 4 moves the last bits of some rows.  This holds on one BLAS thread,
+    which conftest sets unless OPENBLAS_NUM_THREADS is already set."""
+    for i, g in enumerate(LAYOUT_GRAPHS):
+        for weight in ("1/3", "3/2"):
+            w = DirichletWeights({eid: Fraction(weight) for eid in g.edge_ids})
+            lvec = env_mod._lambda_vector(g, {eid: 1 + 2.0 ** -(k + 4)
+                                               for k, eid in enumerate(g.edge_ids)})
+            p = env_mod.sample_environment_batch(g, w, 4 * LAYOUT_N, seed=75 + i)
+            det, laplace = env_mod._det_and_laplace(g, p, lvec)
+            want_det, flows = gth_flows(g, p)
+            want = np.exp(-(flows @ lvec))
+            want_det[want == 0] = 1.0
+            assert np.array_equal(det, want_det) and np.array_equal(laplace, want), g
 
 
 @pytest.mark.parametrize("n", [2, 7, 8, 129, LAYOUT_N, 100_000])

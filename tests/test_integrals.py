@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -375,10 +376,11 @@ def test_mc_deterministic(two_edge):
     assert a == b
 
 
-def oracle_integrate_mc(spec, n, seed):
-    """Value, error and Kish effective sample size of `integrate_mc`, in one
-    unblocked pass that draws its own proposal and tests every point."""
-    ev = int_mod._Evaluator(spec)
+def oracle_log_weights(spec, n, seed, weight_edge=None):
+    """The chamber mask of `integrate_mc`'s proposal points and the log weights
+    of the points inside, in one unblocked pass that draws its own proposal,
+    tests every point and takes one BLAS product of all flows inside."""
+    ev = int_mod._Evaluator(spec, weight_edge)
     shapes = np.array([float(spec.alpha[eid]) for eid in ev.free_ids])
     rates = np.array([float(spec.lam[eid]) or 1.0 for eid in ev.free_ids])
     rng = int_mod.philox_stream(seed, 3)
@@ -387,13 +389,19 @@ def oracle_integrate_mc(spec, n, seed):
         u[:, j] = rng.standard_gamma(shapes[j], size=n) / rates[j]
     z = ev.flows(u)
     inside = (z > 0).all(axis=1)
-    zin = z[inside]
+    zin, uin = z[inside], u[inside]
     logv = -(zin @ ev.lam) + (np.log(zin) * ev.exps).sum(axis=1)
-    log_gamma = np.array([math.lgamma(s) for s in shapes])
-    logq = (shapes * np.log(rates) - log_gamma
-            + (shapes - 1.0) * np.log(u[inside]) - rates * u[inside]).sum(axis=1)
+    logq = (shapes * np.log(rates) - np.array([math.lgamma(s) for s in shapes])
+            + (shapes - 1.0) * np.log(uin) - rates * uin).sum(axis=1)
+    return inside, logv - logq
+
+
+def oracle_integrate_mc(spec, n, seed, weight_edge=None):
+    """Value, error and Kish effective sample size of `integrate_mc` from the
+    one-pass log weights and numpy's mean and std."""
+    inside, logw = oracle_log_weights(spec, n, seed, weight_edge)
     vals = np.zeros(n)
-    vals[inside] = np.exp(logv - logq)
+    vals[inside] = np.exp(logw)
     ess = vals.sum() ** 2 / (vals ** 2).sum()
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)), ess
 
@@ -416,7 +424,8 @@ def _shared_draw_specs():
 def test_mc_matches_unblocked_oracle_with_shared_draws():
     """Every estimate equals, to the bit, the oracle's one-pass estimate at the
     same (n, seed), whichever spec drew the shared proposal before it; a new
-    seed or n draws afresh.  The effective sample size is Kish's."""
+    seed or n draws afresh.  The effective sample size is Kish's.  Like every
+    bit-equality test of the log weights, this holds on one BLAS thread."""
     n, seed = 20_000, 9
     specs = _shared_draw_specs()
     lone = []
@@ -437,6 +446,43 @@ def test_mc_matches_unblocked_oracle_with_shared_draws():
         est = integrate_mc(spec, n2, seed2)
         assert int_mod._proposal_draws.cache_info().misses == misses + 1
         assert (est.value, est.error) == oracle_integrate_mc(spec, n2, seed2)[:2]
+
+
+@pytest.mark.parametrize("block_rows", [1001, int_mod.BLOCK_ROWS])
+def test_mc_log_weights_match_one_pass(monkeypatch, block_rows):
+    """The chamber mask and every log weight equal the one-pass oracle's to the
+    bit, with or without a weight edge, when the rate term is taken chunk by
+    chunk over blocks of 1001 points, whose counts inside are rarely
+    multiples of 8, and of the default size.  The bits of a BLAS product
+    depend on the thread count, so this holds for one BLAS thread, which
+    conftest sets unless OPENBLAS_NUM_THREADS is already set."""
+    monkeypatch.setattr(int_mod, "BLOCK_ROWS", block_rows)
+    n, seed = 20_000, 9
+    k3 = complete_graph(3)
+    specs = _shared_draw_specs()[::3]
+    specs += _split_specs(k3, {"e1": Fraction(3, 2), "e7": Fraction(1, 3)}, 2)
+    for spec, e in [(s, None) for s in specs] + [(specs[-1], split_graph(k3).bridge_ids[0])]:
+        inside, logw = int_mod._log_weights(int_mod._Evaluator(spec, e), spec, n, seed)
+        want_inside, want = oracle_log_weights(spec, n, seed, e)
+        assert np.array_equal(inside, want_inside)
+        assert np.array_equal(logw, want)
+
+
+def test_mc_memory_is_bounded():
+    """On a split K3 chart with its proposal drawn, the estimator's traced peak
+    stays below the chamber mask and two n-vectors of floats plus four
+    blocks of flows: no (n, |E|) array of the flows of all points inside."""
+    spec = _split_specs(complete_graph(3), {}, 1)[0]
+    n, seed = 200_000, 7
+    integrate_mc(spec, n, seed)  # the cached draw stays out of the peak
+    tracemalloc.start()
+    try:
+        integrate_mc(spec, n, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = (int_mod.BLOCK_ROWS + 7) * len(spec.graph.edge_ids) * 8
+    assert peak < 17 * n + 4 * block, peak
 
 
 def test_mc_chamber_test_matches_flows():
@@ -476,27 +522,6 @@ def test_sum_rows_matches_numpy_row_sums(zeros):
             assert np.array_equal(total, want), k
 
 
-def oracle_weighted_mc(spec, n, seed, weight_edge):
-    """Value, error and effective sample size of `integrate_mc` with a weight
-    edge, in one unblocked pass over the proposal draws."""
-    ev = int_mod._Evaluator(spec, weight_edge)
-    shapes = np.array([float(spec.alpha[eid]) for eid in ev.free_ids])
-    rates = np.array([float(spec.lam[eid]) or 1.0 for eid in ev.free_ids])
-    rng = int_mod.philox_stream(seed, 3)
-    u = np.empty((n, ev.dim))
-    for j in range(ev.dim):
-        u[:, j] = rng.standard_gamma(shapes[j], size=n) / rates[j]
-    z = ev.flows(u)
-    inside = (z > 0).all(axis=1)
-    zin, uin = z[inside], u[inside]
-    logv = -(zin @ ev.lam) + (np.log(zin) * ev.exps).sum(axis=1)
-    logq = (shapes * np.log(rates) - np.array([math.lgamma(s) for s in shapes])
-            + (shapes - 1.0) * np.log(uin) - rates * uin).sum(axis=1)
-    vals = np.zeros(n)
-    vals[inside] = np.exp(logv - logq)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
-
-
 def test_weighted_mc_matches_unblocked_oracle():
     """With a weight edge, a bridge, a tree edge or a cotree one, at weights
     other than 1 on split K3, every estimate is the one-pass oracle's to the
@@ -509,7 +534,7 @@ def test_weighted_mc_matches_unblocked_oracle():
         tree_edge = next(eid for eid in sorted(spec.tree.edges) if eid in k3.edge_by_id)
         for e in (cotree_edge, tree_edge, split_graph(k3).bridge_ids[0]):
             est = integrate_mc(spec, 20_000, 13, weight_edge=e)
-            assert (est.value, est.error) == oracle_weighted_mc(spec, 20_000, 13, e), e
+            assert (est.value, est.error) == oracle_integrate_mc(spec, 20_000, 13, e)[:2], e
 
 
 def test_verify_identity_reports_mc_effective_sample_size():
