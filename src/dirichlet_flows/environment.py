@@ -8,28 +8,36 @@ occupation flow, and the weighted-tree functionals estimated here are the
 probabilistic side of the integral identities checked in `integrals`.
 
 Randomness contract: every draw comes from a counter-based Philox stream
-keyed (seed, kind), one stream per kind of draw, so results are bit-identical
-per seed.  The environment batch draws one gamma vector of all n samples per
-edge, in graph edge order.  An edge out of a vertex with some weight below
-1/16 draws a Gamma(alpha + 1) vector and then a uniform vector instead, and
-its vertex normalises its exits in log space (`sample_environment_batch`);
-other vertices draw as before.  The walkers move all n samples in lockstep: every
-lockstep step draws one uniform per walker still moving, in walker order.
-Sample i thus depends on n and on the other samples' walks, and a batch of
-one is a single walk.  The chain walks of `simulate_chains` and
-`loop_erased_paths` at one seed are the same walks.
+keyed (seed, kind, block), so results are bit-identical per seed.  A Monte
+Carlo batch of n samples is cut into blocks of BLOCK_ROWS samples, the last
+one shorter, and block b draws from stream (seed, kind, b) alone (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011): each block is
+an independent batch, and no estimator holds anything of length n.  Block 0
+is the stream every other draw uses, so a batch of at most BLOCK_ROWS
+samples draws what one unblocked stream would.  Within a block the
+environment batch draws one gamma vector of the block's samples per edge, in
+graph edge order.  An edge out of a vertex with some weight below 1/16 draws
+a Gamma(alpha + 1) vector and then a uniform vector instead, and its vertex
+normalises its exits in log space (`sample_environment_batch`); other
+vertices draw as before.  The walkers move all n samples in lockstep from
+one stream: every lockstep step draws one uniform per walker still moving,
+in walker order.  Sample i thus depends on n and on the other samples'
+walks, and a batch of one is a single walk.  The chain walks of
+`simulate_chains` and `loop_erased_paths` at one seed are the same walks.
 
-Batch layout: the Monte Carlo kernels keep an environment batch edge-major,
-one contiguous row of n samples per edge, and form every per-sample sum or
-product by elementwise operations on whole rows, in edge order.
-`sample_environment_batch` returns the transpose view of that array, of shape
-(n, |E|), so that a row of the view is one environment.  The killed-chain
-kernel reads either layout; its flows are row-major.  Each result is the same
-to the bit as from a row-major batch reduced along its rows.
+Batch layout: the Monte Carlo kernels keep a block of environments
+edge-major, one contiguous row of samples per edge, and form every
+per-sample sum or product by elementwise operations on whole rows, in edge
+order; no per-sample sum is a BLAS product, so no result depends on the BLAS
+thread count.  `sample_environment_batch` returns the transpose view of an
+edge-major array, of shape (n, |E|), so that a row of the view is one
+environment.  Every estimate folds each block's mean and sum of squared
+deviations into running moments, block by block in block order (`Moments`).
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,13 +126,26 @@ class McEstimate:
         }
 
 
-# stream kinds; the second Philox key word is kind << 48
+# stream kinds; the second Philox key word is (kind << 48) | block
 _ENV, _CHAIN, _WILSON = 0, 1, 2
 
+# Samples per block of a Monte Carlo batch.  It is part of the stream
+# contract: block b of a batch draws from stream (seed, kind, b), so changing
+# it changes every batch of more than BLOCK_ROWS samples.  A block's arrays
+# stay in cache and in the allocator's free lists, where arrays of a whole
+# 100k batch are mapped afresh, page by page, at every step.
+BLOCK_ROWS = 8192
 
-def philox_stream(seed: int, kind: int) -> np.random.Generator:
-    """Counter-based generator of stream (seed, kind); bit-stable."""
-    return np.random.Generator(np.random.Philox(key=[seed % 2**64, kind << 48]))
+
+def philox_stream(seed: int, kind: int, block: int = 0) -> np.random.Generator:
+    """Counter-based generator of stream (seed, kind, block); bit-stable."""
+    return np.random.Generator(np.random.Philox(key=[seed % 2**64, (kind << 48) | block]))
+
+
+def _blocks(n: int):
+    """(block index, first sample, end) of each block of a batch of n samples."""
+    for b, lo in enumerate(range(0, n, BLOCK_ROWS)):
+        yield b, lo, min(lo + BLOCK_ROWS, n)
 
 
 # A Gamma(alpha) draw underflows to 0.0 with probability about
@@ -137,28 +158,26 @@ LOG_DRAW_BELOW = Fraction(1, 16)
 LOG_FLOOR = -700.0
 
 
-def sample_environment_batch(g: DirectedGraph, w: DirichletWeights, n: int, seed: int) -> np.ndarray:
-    """(n, |E|) matrix of exit probabilities, rows independent environments.
-
-    It is the transpose view of an edge-major (|E|, n) array: each edge's
-    gamma draws fill its row, and each vertex divides its rows by their sum,
-    added one after another in out-edge order.  A vertex with some exit
-    weight below LOG_DRAW_BELOW draws each exit in log space instead, as
-    log Gamma(alpha + 1) + log(U) / alpha with U uniform on (0, 1], whose
-    exponential is a Gamma(alpha) draw (Marsaglia & Tsang, ACM TOMS 26,
-    2000), and subtracts the largest of its logs before exponentiating."""
-    rng = philox_stream(seed, _ENV)
+def _draw_environments(g: DirectedGraph, w: DirichletWeights, rng, p: np.ndarray) -> None:
+    """Fill the edge-major (|E|, m) array p, whose rows are contiguous, with m
+    environments: each edge's gamma draws fill its row, and each vertex
+    divides its rows by their sum, added one after another in out-edge
+    order.  A vertex with some exit weight below LOG_DRAW_BELOW draws each
+    exit in log space instead, as log Gamma(alpha + 1) + log(U) / alpha with
+    U uniform on (0, 1], whose exponential is a Gamma(alpha) draw (Marsaglia
+    & Tsang, ACM TOMS 26, 2000), and subtracts the largest of its logs before
+    exponentiating."""
+    m = p.shape[1]
     logged = {x for x in g.interior
               if any(w.alpha[e.id] < LOG_DRAW_BELOW for e in g.out_edges[x])}
-    p = np.empty((len(g.edge_ids), n))
     for row, e in zip(p, g.edges):
         alpha = float(w.alpha[e.id])
         if e.tail in logged:
-            rng.standard_gamma(alpha + 1, size=n, out=row)
+            rng.standard_gamma(alpha + 1, size=m, out=row)
             np.log(row, out=row)
-            row += np.log1p(-rng.random(n)) / alpha
+            row += np.log1p(-rng.random(m)) / alpha
         else:
-            rng.standard_gamma(alpha, size=n, out=row)
+            rng.standard_gamma(alpha, size=m, out=row)
     index = {eid: j for j, eid in enumerate(g.edge_ids)}
     for x in g.interior:
         rows = [p[index[e.id]] for e in g.out_edges[x]]
@@ -169,6 +188,17 @@ def sample_environment_batch(g: DirectedGraph, w: DirichletWeights, n: int, seed
         total = sum(rows[1:], rows[0])  # a vertex's only row is divided by itself
         for row in rows:
             row /= total
+
+
+def sample_environment_batch(g: DirectedGraph, w: DirichletWeights, n: int, seed: int) -> np.ndarray:
+    """(n, |E|) matrix of exit probabilities, rows independent environments.
+
+    It is the transpose view of an edge-major (|E|, n) array whose columns
+    are the blocks of the batch, each drawn by `_draw_environments` from its
+    own stream."""
+    p = np.empty((len(g.edge_ids), n))
+    for b, lo, hi in _blocks(n):
+        _draw_environments(g, w, philox_stream(seed, _ENV, b), p[:, lo:hi])
     return p.T
 
 
@@ -213,14 +243,6 @@ def _survival_matrices(g: DirectedGraph, p: np.ndarray) -> np.ndarray:
         if e.head != g.cemetery:
             pu[:, vidx[e.tail], vidx[e.head]] += p[:, j]
     return np.eye(k, dtype=p.dtype) - pu
-
-
-# rows per block of the batched kernels: a block's arrays stay in cache and in
-# the allocator's free lists, where arrays of a whole 100k batch are mapped
-# afresh, page by page, at every step.  A multiple of 8, so that a row of a
-# block keeps its place modulo the unrolling of a BLAS product over rows, and
-# with it the bits of its dot product.
-BLOCK_ROWS = 8192
 
 
 def _gth(g: DirectedGraph, p: np.ndarray, flows: np.ndarray) -> np.ndarray:
@@ -529,41 +551,39 @@ def _lambda_vector(g: DirectedGraph, lam) -> np.ndarray:
     return vec
 
 
-def mean_and_std_error(vals: np.ndarray) -> tuple[float, float]:
-    """The mean of a contiguous 1-D float array and its standard error,
-    vals.std(ddof=1) / sqrt(n), overwriting vals.
+class Moments:
+    """Running count, mean and sum of squared deviations (M2) of a sample
+    fed block by block.
 
-    Each is the same to the bit as numpy's: the same pairwise sums of the
-    values and of their squared deviations from the mean, taken in place
-    instead of in the two n-arrays numpy's variance allocates."""
-    n = len(vals)
-    mean = np.add.reduce(vals) / n
-    np.subtract(vals, mean, out=vals)
-    np.multiply(vals, vals, out=vals)
-    return float(mean), float(np.sqrt(np.add.reduce(vals) / (n - 1)) / np.sqrt(n))
+    A block's mean and M2 are numpy's: the pairwise sum of its values over
+    its size, and the pairwise sum of their squared deviations from that
+    mean.  Blocks merge in the order they come by the update of Chan, Golub
+    & LeVeque (Amer. Stat. 37, 1983); after one block the estimate is
+    numpy's mean() and std(ddof=1) / sqrt(n) of it to the bit."""
 
+    __slots__ = ("count", "mean", "m2")
 
-def _det_and_laplace(g: DirectedGraph, p: np.ndarray, lvec: np.ndarray):
-    """det(I - P) and the Laplace value exp(-<rates, occupation>) of each
-    environment of an (n, |E|) batch, by the GTH kernel over blocks of
-    BLOCK_ROWS rows into one reused array of flows.
+    def __init__(self):
+        self.count, self.mean, self.m2 = 0, 0.0, 0.0
 
-    BLOCK_ROWS is a multiple of 8, so on one BLAS thread each block's
-    product of flows and rates sums every row as one product over the whole
-    batch would: the values are the same to the bit."""
-    n = len(p)
-    det, laplace = np.empty(n), np.empty(n)
-    flows = np.empty((min(n, BLOCK_ROWS), len(lvec)))
-    for lo in range(0, n, BLOCK_ROWS):
-        block = p[lo:lo + BLOCK_ROWS]
-        z, d, lap = flows[:len(block)], det[lo:lo + BLOCK_ROWS], laplace[lo:lo + BLOCK_ROWS]
-        d[:] = _gth(g, block, z)
-        np.exp(-(z @ lvec), out=lap)
-        # A directed tree's weight is at most det, so where laplace underflows
-        # to 0.0 each tree's term is 0.0 too; det is set to 1 there, where a
-        # weight and det may both have underflowed.
-        d[lap == 0] = 1.0
-    return det, laplace
+    def add(self, vals: np.ndarray) -> None:
+        """Fold in a contiguous block of values, overwriting it."""
+        m = len(vals)
+        mean = float(np.add.reduce(vals)) / m
+        np.subtract(vals, mean, out=vals)
+        np.multiply(vals, vals, out=vals)
+        m2 = float(np.add.reduce(vals))
+        if self.count:
+            share = m / (self.count + m)
+            delta = mean - self.mean
+            mean = self.mean + delta * share
+            m2 = self.m2 + m2 + delta * delta * (self.count * share)
+        self.count, self.mean, self.m2 = self.count + m, mean, m2
+
+    def estimate(self) -> tuple[float, float]:
+        """The mean and its standard error, sqrt(M2 / (n - 1)) / sqrt(n)."""
+        n = self.count
+        return self.mean, math.sqrt(self.m2 / (n - 1)) / math.sqrt(n)
 
 
 def mc_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int,
@@ -572,33 +592,50 @@ def mc_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int
     average of the same values times each directed tree's probability weight,
     all from one environment batch.
 
-    Beside the batch it holds three n-vectors: det(I - P), the Laplace
-    values, and one buffer that holds each tree's terms in turn; the flows
-    of a block of BLOCK_ROWS samples live only until their rate term is
-    taken.  Every result is the same to the bit as from the whole (n, |E|)
-    array of flows and one BLAS product of it with the rates, when BLAS runs
-    on one thread: the last bits of a threaded product also depend on where
-    its threads split the rows."""
+    The batch runs as independent blocks of BLOCK_ROWS samples, each drawn
+    from its own stream (`sample_environment_batch` gives the same batch).
+    Each block is drawn edge-major into one reused array, `_gth` gives its
+    flows and det(I - P), and its rate term is the sum of the rows rate_e *
+    flow_e, added in edge order.  A tree's term is its exit rows multiplied
+    in edge order, then times the Laplace value and over det.  Each estimate
+    folds the block's values into its running `Moments`, so nothing of
+    length n is held, and no result depends on the BLAS thread count."""
     if not all(t.directed for t in trees):
         raise ValueError("the tree-weighted estimator needs a directed spanning tree")
     if n < 2:
         raise ValueError(f"a standard error needs at least 2 samples, got {n}")
     lvec = _lambda_vector(g, lam)
-    p = sample_environment_batch(g, w, n, seed)
-    det, laplace = _det_and_laplace(g, p, lvec)
-    per_tree = []
-    terms = np.empty(n)
-    for t in trees:
-        # the tree's exit probabilities multiplied in edge order, row by row,
-        # then times laplace and over det
-        rows = [row for row, eid in zip(p.T, g.edge_ids) if eid in t.edges]
-        np.copyto(terms, rows[0])
-        for row in rows[1:]:
-            terms *= row
-        terms *= laplace
-        terms /= det
-        per_tree.append(McEstimate(*mean_and_std_error(terms), n, seed))
-    return McEstimate(*mean_and_std_error(laplace), n, seed), per_tree
+    rated = [(j, r) for j, r in enumerate(lvec.tolist()) if r != 0]  # 0 * flow adds nothing
+    tree_rows = [[j for j, eid in enumerate(g.edge_ids) if eid in t.edges] for t in trees]
+    size = min(n, BLOCK_ROWS)
+    pt, zt = np.empty((len(lvec), size)), np.empty((len(lvec), size))
+    rate, laplace, terms = np.empty(size), np.empty(size), np.empty(size)
+    total, per_tree = Moments(), [Moments() for _ in trees]
+    for b, lo, hi in _blocks(n):
+        m = hi - lo
+        p, z, r, lap, t = pt[:, :m], zt[:, :m], rate[:m], laplace[:m], terms[:m]
+        _draw_environments(g, w, philox_stream(seed, _ENV, b), p)
+        det = _gth(g, p.T, z.T)
+        r.fill(0.0)
+        for j, lj in rated:
+            np.multiply(z[j], lj, out=t)
+            r += t
+        np.negative(r, out=lap)
+        np.exp(lap, out=lap)
+        # A directed tree's weight is at most det, so where laplace underflows
+        # to 0.0 each tree's term is 0.0 too; det is set to 1 there, where a
+        # weight and det may both have underflowed.
+        det[lap == 0] = 1.0
+        for rows, moments in zip(tree_rows, per_tree):
+            np.copyto(t, p[rows[0]])
+            for j in rows[1:]:
+                t *= p[j]
+            t *= lap
+            t /= det
+            moments.add(t)
+        total.add(lap)
+    return (McEstimate(*total.estimate(), n, seed),
+            [McEstimate(*moments.estimate(), n, seed) for moments in per_tree])
 
 
 def mc_estimate_rhs(g: DirectedGraph, w: DirichletWeights, lam, tree: SpanningTree,

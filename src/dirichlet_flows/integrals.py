@@ -24,7 +24,6 @@ the chamber, so Monte Carlo proposals that leave it simply get weight zero.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -43,11 +42,11 @@ from .combinatorics import (
     tree_path,
 )
 from .environment import (
-    BLOCK_ROWS,
     DirichletWeights,
     McEstimate,
+    Moments,
+    _blocks,
     mc_estimate_rhs,
-    mean_and_std_error,
     philox_stream,
 )
 from .graphs import DirectedGraph, SplitGraph, split_graph
@@ -159,8 +158,9 @@ class _Evaluator:
         self.bare = {i: list(coeffs).index(1) for i, (off, coeffs) in enumerate(self.rows)
                      if off == 0 and sorted(coeffs) == [0] * (len(coeffs) - 1) + [1]}
         self.mixed = [i for i in range(len(self.rows)) if i not in self.bare]
-        self.mixed_coeffs = self.coeffs[self.mixed]
-        self.mixed_offset = self.offset[self.mixed, None]
+        # each mixed row's offset and nonzero coefficients, in coordinate order
+        self.mixed_terms = [(float(off), [(j, float(c)) for j, c in enumerate(coeffs) if c != 0])
+                            for off, coeffs in (self.rows[i] for i in self.mixed)]
 
     @property
     def dim(self) -> int:
@@ -169,18 +169,28 @@ class _Evaluator:
     def flows(self, u: np.ndarray) -> np.ndarray:
         return self.offset + u @ self.coeffs.T
 
-    def chamber(self, ut: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def chamber(self, ut: np.ndarray, zt: np.ndarray) -> np.ndarray:
         """Which points of the (d, m) coordinate rows `ut` lie in the chamber
-        (every flow positive), as a mask, and the coordinates and the flows of
-        the mixed rows at those points, one row each.  A bare row is the test
-        u_j > 0, and every coordinate has one; each mixed flow is the same sum
-        of the same products as in `flows`."""
-        zt = self.mixed_coeffs @ ut
-        zt += self.mixed_offset
+        (every flow positive), as a mask; writes the flows of the mixed rows
+        at every point to zt, one row each.  A bare row is the test u_j > 0,
+        and every coordinate has one.  A mixed flow is its offset plus each
+        nonzero coefficient times its coordinate row, added in coordinate
+        order: no BLAS product, whose bits would depend on the thread count."""
+        for z, (off, terms) in zip(zt, self.mixed_terms):
+            if not terms:
+                z.fill(off)
+            acc = off  # the offset enters with the first term, in one pass
+            for j, c in terms:
+                if c == 1.0:
+                    np.add(acc, ut[j], out=z)
+                elif c == -1.0:
+                    np.subtract(acc, ut[j], out=z)
+                else:
+                    np.add(acc, c * ut[j], out=z)
+                acc = z
         inside = (zt > 0).all(axis=0)
         inside &= (ut > 0).all(axis=0)
-        at = np.flatnonzero(inside)
-        return inside, ut.take(at, axis=1), zt.take(at, axis=1)
+        return inside
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         z = self.flows(np.atleast_2d(u))
@@ -430,114 +440,139 @@ def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
 # importance-sampled Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _sum_rows(rows):
-    """Sum of equal-length 1-D arrays, elementwise, in the order in which
-    numpy's `.sum(axis=1)` adds the columns of the matrix that has them as
-    columns, so that the result is the same to the bit: one after another
-    below 8 rows, in eight interleaved partial sums from 8 to 128 rows (each
-    partial sum takes every eighth row, the last k mod 8 rows follow
-    one by one), and as the sum of two halves, cut at a multiple of 8, above
-    128.  A row given as None is an exact zero and is skipped, since x + 0 = x;
-    the sum of no rows is None.  A sum of one row is that row itself."""
-    def add(x, y):
-        return y if x is None else x if y is None else x + y
-    k = len(rows)
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        return add(_sum_rows(rows[:half]), _sum_rows(rows[half:]))
-    total = None
-    if k >= 8:
-        part = list(rows[:8])
-        for i in range(8, k - k % 8):
-            part[i % 8] = add(part[i % 8], rows[i])
-        total = add(add(add(part[0], part[1]), add(part[2], part[3])),
-                    add(add(part[4], part[5]), add(part[6], part[7])))
-        rows = rows[k - k % 8:]
-    for row in rows:
-        total = add(total, row)
+_PROPOSAL = 3  # stream kind of the Gamma proposal draws
+
+
+def _sum_in_order(terms):
+    """Elementwise sum of freshly made arrays, added one after another in the
+    given order into the first; None when there are none."""
+    terms = iter(terms)
+    total = next(terms, None)
+    for term in terms:
+        total += term
     return total
 
 
-@functools.lru_cache(maxsize=1)
-def _proposal_draws(seed: int, n: int, shapes: tuple) -> np.ndarray:
-    """Read-only (d, n) Gamma(shape, 1) draws of the proposal, one row per
-    coordinate, drawn row by row.
+class _McChart:
+    """One tree chart's importance sampling, fed the proposal's Gamma draws
+    block by block.
 
-    They depend only on (seed, n, shapes), so the tree charts of one
-    `verify-thm21` run, whose cotree exponents agree, share one draw.
-    """
-    rng = philox_stream(seed, 3)
-    raw = np.empty((len(shapes), n))
-    for row, shape in zip(raw, shapes):
-        rng.standard_gamma(shape, size=n, out=row)
-    raw.setflags(write=False)
-    return raw
+    Each coordinate u_j has an independent Gamma(s_j, r_j) proposal with
+    s_j = alpha_e and r_j = lambda_e (the exponential tilt of the
+    integrand), or 1 where lambda_e = 0; its log density is
+    c_j + (s_j - 1) log u_j - r_j u_j, with c_j = s_j log r_j - lgamma(s_j).
+    u_j is the flow of the j-th cotree edge e_j, so coordinate j's proposal
+    terms merge with e_j's integrand terms into one coefficient of log z_e
+    and one of z_e: a point inside the chamber gets the log weight
 
+        sum_e a_e log z_e - sum_e b_e z_e - sum_j c_j,
 
-def _log_weights(ev: _Evaluator, spec: IntegrandSpec, n: int, seed: int):
-    """The chamber mask of n Gamma proposal points, and the log importance
-    weight, log integrand minus log proposal density, of each point inside,
-    in order, as the leading entries of an n-vector.
+    with a_e = exps_e - (s_j - 1) and b_e = lambda_e - r_j where e = e_j
+    (both 0 when e carries no weight and lambda_e > 0), and a_e = exps_e,
+    b_e = lambda_e on every other row.  Each coordinate's terms go to e_j's
+    row alone: another bare row of u_j, such as a tree edge on one
+    fundamental cycle only, keeps its own terms.  Each sum over edges is
+    taken over rows of the block's points inside, added one after another in
+    edge order, zero coefficients left out; the constant is the correctly
+    rounded sum of the c_j.  A point outside gets weight 0.  Each block's weights fold into
+    running `Moments`, and into the Kish sums sum w and sum w^2, both kept
+    scaled by exp(-M) for the largest log weight M so far."""
 
-    The kernel works on rows, one row of samples per coordinate and per
-    edge.  Block by block it tests the chamber, keeps the coordinates and
-    the mixed flows of the points inside and sums their log terms; a bare
-    row's flow is its coordinate, so one log u serves both the integrand and
-    the proposal density.  The sums of rows follow the order of a row-major
-    `.sum(axis=1)` (`_sum_rows`), and the rate term is a BLAS product of
-    the row-major flows of the points inside with the rates, taken in chunks
-    that start at multiples of 8 points inside; so, when BLAS runs on one
-    thread, every weight is the same to the bit as in one pass over all
-    points at once.  Beside the proposal draw and the two results it holds
-    one block of flows and of log densities.
-    """
-    shapes = np.array([float(spec.alpha[eid]) for eid in ev.free_ids])
-    if (shapes <= 0).any():
+    def __init__(self, spec: IntegrandSpec, weight_edge: str | None):
+        ev = self.ev = _Evaluator(spec, weight_edge)
+        shapes = [float(spec.alpha[eid]) for eid in ev.free_ids]
         bad = [eid for eid, s in zip(ev.free_ids, shapes) if s <= 0]
-        raise ValueError(f"gamma proposal needs positive exponents on cotree edges {bad}")
-    rates = np.array([_real_rate(spec.lam[eid], eid) or 1.0 for eid in ev.free_ids])
+        if bad:
+            raise ValueError(f"gamma proposal needs positive exponents on cotree edges {bad}")
+        self.shapes = tuple(shapes)
+        rates = [_real_rate(spec.lam[eid], eid) or 1.0 for eid in ev.free_ids]
+        self.rates = np.array(rates)[:, None]
+        self.const = math.fsum(s * math.log(r) - math.lgamma(s) for s, r in zip(shapes, rates))
+        a, b = ev.exps.tolist(), ev.lam.tolist()
+        for j, eid in enumerate(ev.free_ids):
+            i = spec.graph.edge_ids.index(eid)
+            a[i] -= shapes[j] - 1.0
+            b[i] -= rates[j]
+        self.logs = [(i, x) for i, x in enumerate(a) if x != 0]
+        self.rated = [(i, x) for i, x in enumerate(b) if x != 0]
+        self.bare_used = sorted({i for i, _ in self.logs + self.rated} & ev.bare.keys())
+        self.moments = Moments()
+        self.inside, self.top, self.s1, self.s2 = 0, -math.inf, 0.0, 0.0
 
-    raw = _proposal_draws(seed, n, tuple(shapes.tolist()))
-    const = shapes * np.log(rates) - np.array([math.lgamma(s) for s in shapes])
-    exps = ev.exps.tolist()
-    # Per block: the points inside; at the next free entries of logv the
-    # sums of log terms of the integrand (rates aside), leaving out the terms
-    # whose exponent is 0; and, after the up to 7 points inside carried over
-    # from the block before, their flows row-major and the log proposal
-    # densities.  logv then loses the rate term and the log density of every
-    # point inside but the last count % 8, which are carried.
-    inside = np.empty(n, dtype=bool)
-    logv = np.zeros(n)
-    size = min(n, BLOCK_ROWS) + 7
-    flows, logq = np.empty((size, len(exps))), np.empty(size)
-    count = carry = 0
-    for lo in range(0, n, BLOCK_ROWS):
-        mask, u, zt = ev.chamber(raw[:, lo:lo + BLOCK_ROWS] / rates[:, None])
-        inside[lo:lo + BLOCK_ROWS] = mask
-        at = slice(count, count + u.shape[1])
-        count = at.stop
-        rows = slice(carry, carry + u.shape[1])
-        logu, logz = np.log(u), np.log(zt)
-        z = flows[rows]
-        logs = [None] * len(exps)
-        for i, j in ev.bare.items():
-            z[:, i], logs[i] = u[j], logu[j]
-        for i, zi, li in zip(ev.mixed, zt, logz):
-            z[:, i], logs[i] = zi, li
-        terms = _sum_rows([None if w == 0 else logs[i] * w for i, w in enumerate(exps)])
-        if terms is not None:  # else its zeros stand for the empty sum
-            logv[at] = terms
-        logq[rows] = _sum_rows([(c if s == 1 else c + (s - 1.0) * lu) - r * uj
-                                for c, s, r, lu, uj in zip(const, shapes, rates, logu, u)])
-        # The chunks start at multiples of 8 points inside, so one BLAS thread
-        # sums each row's products as in one product over all points inside;
-        # t - r is -r + t to the bit.
-        carry = count % 8 if lo + BLOCK_ROWS < n else 0
-        done, kept = slice(count - rows.stop, count - carry), slice(rows.stop - carry, rows.stop)
-        logv[done] -= flows[:kept.start] @ ev.lam
-        logv[done] -= logq[:kept.start]
-        flows[:carry], logq[:carry] = flows[kept], logq[kept]
-    return inside, logv[:count]
+    def add(self, raw: np.ndarray, u: np.ndarray, zt: np.ndarray, vals: np.ndarray) -> None:
+        """Fold in a block of (d, m) Gamma(shape, 1) draws, given scratch arrays
+        for its coordinates, its mixed flows and its weights."""
+        ev = self.ev
+        np.divide(raw, self.rates, out=u)
+        inside = ev.chamber(u, zt)
+        vals.fill(0.0)
+        at = np.flatnonzero(inside)
+        if len(at):
+            flows = dict(zip(ev.mixed, zt.take(at, axis=1)))
+            for i in self.bare_used:
+                flows[i] = u[ev.bare[i]].take(at)
+            logw = _sum_in_order(np.log(flows[i]) * x for i, x in self.logs)
+            if logw is None:
+                logw = np.zeros(len(at))
+            rate = _sum_in_order(flows[i] * x for i, x in self.rated)
+            if rate is not None:
+                logw -= rate
+            logw -= self.const
+            vals[at] = np.exp(logw)
+            top = float(logw.max())
+            if top > self.top:
+                scale = math.exp(self.top - top)
+                self.s1, self.s2, self.top = self.s1 * scale, self.s2 * scale * scale, top
+            logw -= self.top
+            np.exp(logw, out=logw)
+            self.s1 += float(np.add.reduce(logw))
+            logw *= logw
+            self.s2 += float(np.add.reduce(logw))
+            self.inside += len(logw)
+        self.moments.add(vals)
+
+    def estimate(self, n: int) -> IntegralEstimate:
+        if not self.ev.dim:
+            return IntegralEstimate(float(self.ev(np.zeros((1, 0)))[0]), 0.0, "monte-carlo", 1)
+        if not self.inside:
+            raise ValueError("all proposal samples fell outside the chamber")
+        value, err = self.moments.estimate()
+        return IntegralEstimate(value, err, "monte-carlo", n, self.s1 * self.s1 / self.s2)
+
+
+def integrate_mc_charts(specs, n: int, seed: int,
+                        weight_edge: str | None = None) -> list[IntegralEstimate]:
+    """`integrate_mc` of several charts at one (n, seed), in one pass over
+    the proposal's blocks.
+
+    Block b of the proposal, BLOCK_ROWS points (the last block shorter),
+    draws its Gamma(shape, 1) coordinates row by row from stream (seed, 3,
+    b).  Charts whose cotree shapes agree, as every directed-tree chart of
+    one `verify-thm21` run at unit weights, share each block's draw, and
+    all of them take it while it is in cache; nothing of length n is held.
+    """
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {n}")
+    charts = [_McChart(spec, weight_edge) for spec in specs]
+    groups: dict[tuple, list[_McChart]] = {}
+    for chart in charts:
+        if chart.ev.dim:
+            groups.setdefault(chart.shapes, []).append(chart)
+    width = next(_blocks(n))[2]  # the first block is the widest
+    for shapes, group in groups.items():
+        # scratch arrays, reused block after block: fresh ones would be
+        # mapped page by page at every block
+        raw, u = np.empty((len(shapes), width)), np.empty((len(shapes), width))
+        vals = np.empty(width)
+        zt = np.empty((max(len(chart.ev.mixed) for chart in group), width))
+        for b, lo, hi in _blocks(n):
+            m = hi - lo
+            rng, block = philox_stream(seed, _PROPOSAL, b), raw[:, :m]
+            for row, shape in zip(block, shapes):
+                rng.standard_gamma(shape, size=m, out=row)
+            for chart in group:
+                chart.add(block, u[:, :m], zt[:len(chart.ev.mixed), :m], vals[:m])
+    return [chart.estimate(n) for chart in charts]
 
 
 def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
@@ -549,28 +584,12 @@ def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
     rate 1 where lambda_e = 0; points outside the chamber get weight zero.
     The estimate carries the Kish effective sample size of the weights.
 
-    The weights come from `_log_weights`; beside its proposal draw, the
-    chamber mask and the weights of the points inside, one more n-vector
-    holds the weights scattered into n zeros for `mean_and_std_error`, and
-    the Kish sums reuse the weights' own entries.
+    The n points run as independent blocks of BLOCK_ROWS points, block b
+    drawn from its own stream (`integrate_mc_charts` with one chart): each
+    block's weights fold into running moments and Kish sums, so nothing of
+    length n is held, and no weight depends on the BLAS thread count.
     """
-    if n < 2:
-        raise ValueError(f"a standard error needs at least 2 samples, got {n}")
-    ev = _Evaluator(spec, weight_edge)
-    if ev.dim == 0:
-        return IntegralEstimate(float(ev(np.zeros((1, 0)))[0]), 0.0, "monte-carlo", 1)
-    inside, logw = _log_weights(ev, spec, n, seed)
-    if not len(logw):
-        raise ValueError("all proposal samples fell outside the chamber")
-    weights = np.exp(logw, out=logw)
-    vals = np.zeros(n)
-    vals[inside] = weights
-    value, err = mean_and_std_error(vals)
-    weights /= weights.max()  # no overflow in the squares
-    total = weights.sum()
-    weights *= weights
-    ess = float(total ** 2 / weights.sum())
-    return IntegralEstimate(value, err, "monte-carlo", n, ess)
+    return integrate_mc_charts([spec], n, seed, weight_edge)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -615,37 +634,49 @@ def pairing_identity_check(g: DirectedGraph, tree: SpanningTree, z: FlowPoint, l
     return abs(inner - total)
 
 
+def mc_flow_sides(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int,
+                  seed: int) -> list[IntegralEstimate] | None:
+    """The flow-side integrals of Theorem 2.1 for several directed trees by
+    one `integrate_mc_charts` run at (n, seed + 1), or None where the split
+    dimension is at most 4 and quadrature computes them."""
+    if len(g.edge_ids) - len(g.interior) <= 4:
+        return None
+    split = split_graph(g)
+    return integrate_mc_charts([split_integrand_spec(split, w, lam, t) for t in trees],
+                               n, seed + 1)
+
+
 def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, tree: SpanningTree,
                        n: int = 100_000, seed: int = 0, tol: float = 1e-6,
-                       quad_tol: float = 1e-8, rhs: McEstimate | None = None) -> dict:
+                       quad_tol: float = 1e-8, rhs: McEstimate | None = None,
+                       lhs: IntegralEstimate | None = None) -> dict:
     """Both sides of the tree-weighted Laplace identity, with a pass verdict.
 
-    Left: the normalized flow integral on the vertex-split graph, by quadrature
-    (Monte Carlo fallback above dimension 4, reported with the Kish effective
-    sample size (sum w)^2 / sum w^2 of its importance weights w).  Right: the
-    Dirichlet-averaged tree-weighted Laplace functional by Monte Carlo,
-    `mc_estimate_rhs` at (n, seed) unless given, e.g. from one
-    `mc_laplace_by_tree` batch for several trees.
+    Left: the flow integral on the vertex-split graph, by quadrature (Monte
+    Carlo above dimension 4, `mc_flow_sides`, reported with the Kish
+    effective sample size (sum w)^2 / sum w^2 of its importance weights w),
+    times C_alpha; the integral is computed unless given, e.g. from one
+    `mc_flow_sides` run for several trees.  Right: the Dirichlet-averaged
+    tree-weighted Laplace functional by Monte Carlo, `mc_estimate_rhs` at
+    (n, seed) unless given, e.g. from one `mc_laplace_by_tree` batch for
+    several trees.
     """
     if not tree.directed:
         raise ValueError("the identity is stated for directed spanning trees")
-    split = split_graph(g)
-    spec = split_integrand_spec(split, w, lam, tree)
+    if lhs is None:
+        lhs = (mc_flow_sides(g, w, lam, [tree], n, seed)
+               or [integrate_quadrature(split_integrand_spec(split_graph(g), w, lam, tree),
+                                        quad_tol)])[0]
     c_alpha = constant_C_alpha(g, w)
-    d = len(g.edge_ids) - len(g.interior)
-    if d <= 4:
-        est = integrate_quadrature(spec, quad_tol)
-    else:
-        est = integrate_mc(spec, n, seed + 1)
-    lhs = {"value": c_alpha * est.value, "error": c_alpha * est.error, "method": est.method}
-    if est.ess is not None:
-        lhs["ess"] = est.ess
+    left = {"value": c_alpha * lhs.value, "error": c_alpha * lhs.error, "method": lhs.method}
+    if lhs.ess is not None:
+        left["ess"] = lhs.ess
     if rhs is None:
         rhs = mc_estimate_rhs(g, w, lam, tree, n, seed)
     return {
-        "lhs": lhs,
+        "lhs": left,
         "rhs": rhs.as_dict(),
-        **agreement(abs(lhs["value"] - rhs.value), lhs["error"], rhs.std_error, tol),
+        **agreement(abs(left["value"] - rhs.value), left["error"], rhs.std_error, tol),
     }
 
 

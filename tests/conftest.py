@@ -10,16 +10,18 @@ sparse helpers or its residue products.  The quadrature oracle integrates one
 chart integral at a time, one Gauss-Kronrod panel per integrand call, by the
 recursive scheme the library's lockstep batches must reproduce.  The lockstep
 walker oracle runs the three walkers on the two-dimensional gather kernel the
-library's flat-index step kernel must reproduce draw for draw.  The Dirichlet
-batch oracles build the environment batch row-major and weight each tree by
-a product along rows, the layout whose bits the library's edge-major Monte
-Carlo kernels must reproduce.
+library's flat-index step kernel must reproduce draw for draw.
 
-The Monte Carlo oracles take one BLAS product where the library takes one per
-block, and the two agree to the bit only on one BLAS thread: a threaded
-product's last bits also depend on where its threads split the rows.  So the
-BLAS thread count is set to 1 here, before numpy loads, unless the
-environment already sets it.
+The Monte Carlo oracles build a whole batch row-major, drawing each block of
+BLOCK_ROWS samples from its own stream and concatenating the blocks, and
+reduce it in one pass: each per-sample sum (a rate term, a log weight) is
+taken over the batch's columns in edge order, and each block's numpy mean
+and sum of squared deviations merge in block order (`oracle_moments`).  The
+library's edge-major kernels, which hold one block at a time, must give the
+same bits.  No Monte Carlo result goes through a BLAS product, so none
+depends on the BLAS thread count; the thread count is still set to 1 here,
+before numpy loads, unless the environment already sets it, as the
+benchmark and CI set it.
 """
 
 from __future__ import annotations
@@ -506,22 +508,60 @@ def oracle_lockstep(g: DirectedGraph, env: Environment, n: int, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# row-major Dirichlet batch oracles
+# Monte Carlo oracles: whole batches by blocks, one pass
 # ---------------------------------------------------------------------------
 
+def oracle_blocks(n: int):
+    """(block index, slice) of each block of a batch of n samples."""
+    rows = env_mod.BLOCK_ROWS
+    return [(b, slice(lo, lo + rows)) for b, lo in enumerate(range(0, n, rows))]
+
+
+def oracle_moments(vals: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of vals from each block's numpy mean and sum of
+    squared deviations, merged in block order by Chan, Golub & LeVeque's
+    pairwise update: n = n_a + n_b, mean = mean_a + delta n_b / n,
+    M2 = M2_a + M2_b + delta^2 n_a n_b / n, with delta = mean_b - mean_a;
+    the first block's are taken as they are."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for _, rows in oracle_blocks(len(vals)):
+        v = vals[rows]
+        block_mean = float(v.mean())
+        block_m2 = float(((v - block_mean) ** 2).sum())
+        if count:
+            share = len(v) / (count + len(v))
+            delta = block_mean - mean
+            block_mean = mean + delta * share
+            block_m2 = m2 + block_m2 + delta * delta * (count * share)
+        count, mean, m2 = count + len(v), block_mean, block_m2
+    return mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count)
+
+
+class RecordingMoments(env_mod.Moments):
+    """`environment.Moments` that keep a copy of every block fed to them, in
+    feeding order: the per-sample values an estimator feeds its moments."""
+    fed: list = []
+
+    def add(self, vals):
+        RecordingMoments.fed.append(vals.copy())
+        super().add(vals)
+
+
 def oracle_environment_batch(g: DirectedGraph, w, n: int, seed: int) -> np.ndarray:
-    """The (n, |E|) environment batch, row-major: each edge's gamma draws fill
-    its column, and each vertex's block of columns is divided by its row sums."""
-    rng = env_mod.philox_stream(seed, env_mod._ENV)
-    gams = np.empty((n, len(g.edge_ids)))
-    for j, eid in enumerate(g.edge_ids):
-        gams[:, j] = rng.standard_gamma(float(w.alpha[eid]), size=n)
-    p = np.empty_like(gams)
+    """The (n, |E|) environment batch, row-major: in each block, from the
+    block's own stream, each edge's gamma draws fill its column, and each
+    vertex's block of columns is divided by its row sums."""
+    p = np.empty((n, len(g.edge_ids)))
     index = {eid: j for j, eid in enumerate(g.edge_ids)}
-    for x in g.interior:
-        cols = [index[e.id] for e in g.out_edges[x]]
-        block = gams[:, cols]
-        p[:, cols] = block / block.sum(axis=1, keepdims=True)
+    for b, rows in oracle_blocks(n):
+        rng = env_mod.philox_stream(seed, env_mod._ENV, b)
+        gams = np.empty((len(range(n)[rows]), len(g.edge_ids)))
+        for j, eid in enumerate(g.edge_ids):
+            gams[:, j] = rng.standard_gamma(float(w.alpha[eid]), size=len(gams))
+        for x in g.interior:
+            cols = [index[e.id] for e in g.out_edges[x]]
+            block = gams[:, cols]
+            p[rows, cols] = block / block.sum(axis=1, keepdims=True)
     return p
 
 
@@ -532,19 +572,121 @@ def gth_flows(g: DirectedGraph, p: np.ndarray):
     return env_mod._gth(g, p, flows), flows
 
 
+def oracle_laplace_values(g: DirectedGraph, p: np.ndarray, lam):
+    """det(I - P) and the Laplace value exp(-rate) of each environment of a
+    batch, the rate being the sum of flow_e * rate_e over the edges in edge
+    order; det is 1 where the Laplace value underflows to 0."""
+    det, z = gth_flows(g, p)
+    lvec = env_mod._lambda_vector(g, lam)
+    rate = np.zeros(len(p))
+    for j in range(len(lvec)):
+        rate = rate + z[:, j] * lvec[j]
+    laplace = np.exp(-rate)
+    det[laplace == 0] = 1.0
+    return det, laplace
+
+
 def oracle_mc_laplace_by_tree(g: DirectedGraph, w, lam, trees, n: int, seed: int):
     """(value, std_error) of `mc_laplace_by_tree`'s Laplace estimate and of each
-    tree's, from the row-major batch, its whole array of flows and one BLAS
-    product of it with the rates, a tree's weight being the product along
-    each row of its columns, and numpy's mean and std."""
+    tree's, from the row-major batch, a tree's weight being the product along
+    each row of its columns, and `oracle_moments`."""
     p = oracle_environment_batch(g, w, n, seed)
-    det, z = gth_flows(g, p)
-    laplace = np.exp(-(z @ env_mod._lambda_vector(g, lam)))
-
-    def estimate(vals):
-        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
+    det, laplace = oracle_laplace_values(g, p, lam)
     per_tree = []
     for t in trees:
         cols = [j for j, eid in enumerate(g.edge_ids) if eid in t.edges]
-        per_tree.append(estimate(laplace * p[:, cols].prod(axis=1) / det))
-    return estimate(laplace), per_tree
+        per_tree.append(oracle_moments(laplace * p[:, cols].prod(axis=1) / det))
+    return oracle_moments(laplace), per_tree
+
+
+def oracle_flows(ev, u: np.ndarray) -> np.ndarray:
+    """(n, |E|) flows of the (n, d) coordinates u: each edge's offset plus
+    each nonzero coefficient times its coordinate, in coordinate order."""
+    z = np.empty((len(u), len(ev.rows)))
+    for i, (off, coeffs) in enumerate(ev.rows):
+        z[:, i] = float(off)
+        for j, c in enumerate(coeffs):
+            if c:
+                z[:, i] = z[:, i] + float(c) * u[:, j]
+    return z
+
+
+def oracle_proposal(spec, n, seed, weight_edge=None):
+    """The evaluator, Gamma shapes and rates of `integrate_mc`'s proposal, and
+    its (n, d) points: each block drawn from its own stream, one coordinate
+    after another, and the blocks concatenated."""
+    ev = int_mod._Evaluator(spec, weight_edge)
+    shapes = [float(spec.alpha[eid]) for eid in ev.free_ids]
+    rates = [float(spec.lam[eid]) or 1.0 for eid in ev.free_ids]
+    u = np.empty((n, ev.dim))
+    for b, rows in oracle_blocks(n):
+        rng = env_mod.philox_stream(seed, 3, b)
+        for j in range(ev.dim):
+            u[rows, j] = rng.standard_gamma(shapes[j], size=len(range(n)[rows]))
+    u /= np.array(rates)
+    return ev, shapes, rates, u
+
+
+def oracle_log_weights(spec, n, seed, weight_edge=None):
+    """The chamber mask of `integrate_mc`'s proposal points and the log weights
+    of the points inside, in one pass over the whole batch, every point
+    tested.  Coordinate j is the flow of the j-th cotree edge, so its
+    proposal's log terms merge into that edge's column alone: one
+    coefficient of log z and one of z per column, summed over the columns
+    in edge order."""
+    ev, shapes, rates, u = oracle_proposal(spec, n, seed, weight_edge)
+    z = oracle_flows(ev, u)
+    inside = (z > 0).all(axis=1) & (u > 0).all(axis=1)
+    zin = z[inside]
+    logz = np.log(zin)
+    a, b = ev.exps.tolist(), ev.lam.tolist()
+    for j, eid in enumerate(ev.free_ids):  # log q_j = c_j + (s_j - 1) log u - r_j u
+        col = spec.graph.edge_ids.index(eid)
+        a[col] -= shapes[j] - 1.0
+        b[col] -= rates[j]
+    logv, rate = np.zeros(len(zin)), np.zeros(len(zin))
+    for col, (x, r) in enumerate(zip(a, b)):
+        if x:
+            logv = logv + x * logz[:, col]
+        if r:
+            rate = rate + r * zin[:, col]
+    const = math.fsum(s * math.log(r) - math.lgamma(s) for s, r in zip(shapes, rates))
+    return inside, logv - rate - const
+
+
+def oracle_unmerged_log_weights(spec, n, seed, weight_edge=None):
+    """`oracle_log_weights` with nothing merged: the integrand's log over every
+    edge minus each coordinate's log proposal density, summed by numpy;
+    equal to the merged weights up to rounding."""
+    ev, shapes, rates, u = oracle_proposal(spec, n, seed, weight_edge)
+    shapes, rates = np.array(shapes), np.array(rates)
+    z = oracle_flows(ev, u)
+    inside = (z > 0).all(axis=1) & (u > 0).all(axis=1)
+    zin, uin = z[inside], u[inside]
+    logv = -(zin * ev.lam).sum(axis=1) + (np.log(zin) * ev.exps).sum(axis=1)
+    logq = (shapes * np.log(rates) - np.array([math.lgamma(s) for s in shapes])
+            + (shapes - 1.0) * np.log(uin) - rates * uin).sum(axis=1)
+    return inside, logv - logq
+
+
+def oracle_integrate_mc(spec, n, seed, weight_edge=None):
+    """Value, error and Kish effective sample size of `integrate_mc` from the
+    one-pass log weights and `oracle_moments`; the Kish sums of each block,
+    taken relative to the largest log weight so far, are rescaled whenever
+    a block raises it."""
+    inside, logw = oracle_log_weights(spec, n, seed, weight_edge)
+    vals = np.zeros(n)
+    vals[inside] = np.exp(logw)
+    top, s1, s2 = -math.inf, 0.0, 0.0
+    ends = np.cumsum([inside[rows].sum() for _, rows in oracle_blocks(n)])
+    for lo, hi in zip(np.concatenate([[0], ends[:-1]]), ends):
+        block = logw[lo:hi]
+        if not len(block):
+            continue
+        if block.max() > top:
+            scale = math.exp(top - block.max())
+            s1, s2, top = s1 * scale, s2 * scale * scale, float(block.max())
+        r = np.exp(block - top)
+        s1 += float(r.sum())
+        s2 += float((r * r).sum())
+    return (*oracle_moments(vals), s1 * s1 / s2)

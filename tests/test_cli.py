@@ -22,6 +22,8 @@ from dirichlet_flows.cli import _COMMANDS as COMMANDS
 from dirichlet_flows.cli import PARSE_ERROR, build_parser, chi2_sf, main
 from dirichlet_flows.graphs import graph_to_dict
 
+from conftest import complete_graph
+
 GRAPHS = sorted(BUILTIN)
 
 
@@ -354,6 +356,27 @@ def test_waypoints_accept_complex(capsys):
                                         "--waypoint", "e1=3"])
     assert status == 0 and report["pass"] is True
     assert report["inputs"]["waypoints"][1] == {"e1": {"re": 2.0, "im": 0.5}}
+
+
+@pytest.mark.parametrize("argv", [["laplace"], ["verify-thm21", "--samples", "50000"]],
+                         ids=["laplace", "verify-thm21"])
+def test_reports_do_not_depend_on_blas_threads(tmp_path, argv):
+    """The Monte Carlo reports on K3, several blocks on both sides of Theorem
+    2.1, print the same bytes on one BLAS thread and on two: no per-sample
+    sum is a BLAS product."""
+    path = tmp_path / "K3.json"
+    path.write_text(json.dumps(graph_to_dict(complete_graph(3))))
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-m", "dirichlet_flows.cli", argv[0],
+                              "--graph", str(path), *argv[1:]],
+                             capture_output=True, env=env)
+        assert run.returncode in (0, 1) and json.loads(run.stdout)["command"] == argv[0]
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_parser_built_once_leaks_nothing_between_calls(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -32,12 +33,15 @@ from dirichlet_flows.combinatorics import SpanningTree, enumerate_paths
 from dirichlet_flows.graphs import DirectedGraph, Edge
 
 from conftest import (
+    RecordingMoments,
     bundled_graphs,
     complete_graph,
     gth_flows,
     oracle_environment_batch,
+    oracle_laplace_values,
     oracle_lockstep,
     oracle_mc_laplace_by_tree,
+    oracle_moments,
     random_graphs,
     random_rational_environment,
     simulate_chain,
@@ -194,9 +198,7 @@ def test_batch_kernel_matches_matrix_tree_sum(two_diamond):
     """det(I - P) of the batch kernel is the directed-tree sum to 1e-13 relative,
     and its flows carry a unit source at the base, at weights drawn from (0, 2].
     Each row's determinant, flows and rate term do not depend on the blocks
-    the batch is cut into, the rate term being a BLAS product of a block's
-    flows with the rates; for the rate term that holds on one BLAS thread,
-    which conftest sets unless OPENBLAS_NUM_THREADS is already set."""
+    the batch is cut into."""
     rng = np.random.default_rng(43)
     graphs = bundled_graphs() + random_graphs(seed=44, count=10) + [complete_graph(3)]
     # the base need not come first among the interior vertices
@@ -208,14 +210,13 @@ def test_batch_kernel_matches_matrix_tree_sum(two_diamond):
         dets, flows = gth_flows(g, p)
         np.testing.assert_allclose(dets, _tree_sum(g, p), rtol=1e-13, atol=0)
         _assert_unit_source_flows(g, flows)
-        lvec = env_mod._lambda_vector(g, {eid: 1 + 2.0 ** -(k + 4)
-                                          for k, eid in enumerate(g.edge_ids)})
-        rates = flows @ lvec
+        lam = {eid: 1 + 2.0 ** -(k + 4) for k, eid in enumerate(g.edge_ids)}
+        _, laplace = oracle_laplace_values(g, p, lam)
         for lo in range(0, len(p), 296):
             rows = slice(lo, lo + 296)
             det, block = gth_flows(g, p[rows])
             assert np.array_equal(det, dets[rows]) and np.array_equal(block, flows[rows])
-            assert np.array_equal(block @ lvec, rates[rows])
+            assert np.array_equal(oracle_laplace_values(g, p[rows], lam)[1], laplace[rows])
 
 
 def test_batch_kernel_keeps_tiny_determinants(two_diamond):
@@ -288,11 +289,11 @@ def test_tiny_weights_draw_in_log_space(graph, weights):
 
 @pytest.mark.parametrize("weight", ["1/3", "2/3", "1", "3/2"])
 def test_mc_laplace_by_tree_matches_row_major_oracle(weight):
-    """Each tree's estimate, its weight a product of rows in edge order, is the
-    oracle's, whose weight is the product along each row of the batch and
-    whose rate term is one BLAS product over the whole batch, not one per
-    block.  The two agree to the bit on one BLAS thread, which conftest sets
-    unless OPENBLAS_NUM_THREADS is already set."""
+    """Each estimate, a tree's weight a product of rows in edge order, is the
+    oracle's to the bit: its batch is the row-major concatenation of the
+    blocks, a tree's weight the product along each row, the rate term one
+    edge-order sum over the whole batch, and the moments numpy's per block,
+    merged in block order."""
     for i, g in enumerate(LAYOUT_GRAPHS):
         w = DirichletWeights({eid: Fraction(weight) for eid in g.edge_ids})
         lam = {eid: 1 + 2.0 ** -(k + 4) for k, eid in enumerate(g.edge_ids)}
@@ -303,62 +304,109 @@ def test_mc_laplace_by_tree_matches_row_major_oracle(weight):
         assert [(e.value, e.std_error) for e in per_tree] == want_trees, g
 
 
-def test_blocked_laplace_values_match_whole_batch_product():
-    """Each environment's det(I - P) and Laplace value, from blocks of
-    BLOCK_ROWS rows, equal to the bit those of one BLAS product of the whole
-    batch's flows with the rates (det set to 1 where the value underflows),
-    on 9 and 11 columns, where a product cut at rows that are not multiples
-    of 4 moves the last bits of some rows.  This holds on one BLAS thread,
-    which conftest sets unless OPENBLAS_NUM_THREADS is already set."""
+def test_blocked_laplace_values_match_whole_batch_product(monkeypatch):
+    """Each environment's Laplace value and each tree's term, as the blocks of
+    BLOCK_ROWS samples feed them to the running moments, equal to the bit
+    those of the whole row-major batch (det set to 1 where the value
+    underflows), on 6, 9 and 11 columns."""
+    monkeypatch.setattr(env_mod, "Moments", RecordingMoments)
     for i, g in enumerate(LAYOUT_GRAPHS):
         for weight in ("1/3", "3/2"):
             w = DirichletWeights({eid: Fraction(weight) for eid in g.edge_ids})
-            lvec = env_mod._lambda_vector(g, {eid: 1 + 2.0 ** -(k + 4)
-                                               for k, eid in enumerate(g.edge_ids)})
-            p = env_mod.sample_environment_batch(g, w, 4 * LAYOUT_N, seed=75 + i)
-            det, laplace = env_mod._det_and_laplace(g, p, lvec)
-            want_det, flows = gth_flows(g, p)
-            want = np.exp(-(flows @ lvec))
-            want_det[want == 0] = 1.0
-            assert np.array_equal(det, want_det) and np.array_equal(laplace, want), g
+            lam = {eid: 1 + 2.0 ** -(k + 4) for k, eid in enumerate(g.edge_ids)}
+            trees = env_mod.directed_trees(g)
+            n = 4 * LAYOUT_N
+            RecordingMoments.fed = []
+            mc_laplace_by_tree(g, w, lam, trees, n, seed=75 + i)
+            # per block: each tree's terms in turn, then the Laplace values
+            fed = [np.concatenate(RecordingMoments.fed[k::len(trees) + 1])
+                   for k in range(len(trees) + 1)]
+            p = oracle_environment_batch(g, w, n, seed=75 + i)
+            det, laplace = oracle_laplace_values(g, p, lam)
+            assert np.array_equal(fed[-1], laplace), g
+            for t, terms in zip(trees, fed):
+                cols = [j for j, eid in enumerate(g.edge_ids) if eid in t.edges]
+                assert np.array_equal(terms, laplace * p[:, cols].prod(axis=1) / det), (g, t)
 
 
 @pytest.mark.parametrize("n", [2, 7, 8, 129, LAYOUT_N, 100_000])
 def test_mean_and_std_error_match_numpy(n):
-    """The in-place mean and standard error are numpy's mean() and
-    std(ddof=1) / sqrt(n) to the bit: on uniform values, on mostly-zero
-    vectors as importance sampling scatters its weights, and on values
-    spread over 1e-300..1e300, whose squared deviations overflow."""
+    """The running moments fed block by block give the mean and standard
+    error of the oracle's block-order merge of numpy's block moments to the
+    bit, numpy's mean() and std(ddof=1) / sqrt(n) to the bit within one
+    block, and to 1e-12 relative over several: on uniform values, on
+    mostly-zero vectors as importance sampling scatters its weights, and on
+    values spread over 1e-300..1e300, whose squared deviations overflow."""
     rng = np.random.default_rng(n)
     sparse = np.zeros(n)
     inside = rng.random(n) < 0.05
     inside[0] = True
     sparse[inside] = rng.gamma(0.5, size=inside.sum()) * 1e-3
     for vals in (rng.random(n), sparse, 10.0 ** rng.uniform(-300, 300, n)):
+        moments = env_mod.Moments()
         with np.errstate(over="ignore"):
+            for lo in range(0, n, env_mod.BLOCK_ROWS):
+                moments.add(vals[lo:lo + env_mod.BLOCK_ROWS].copy())
+            got = np.array(moments.estimate())
             want = np.array([vals.mean(), vals.std(ddof=1) / np.sqrt(n)])
-            got = np.array(env_mod.mean_and_std_error(vals.copy()))
-        assert got.tobytes() == want.tobytes(), (got, want)
+            assert got.tobytes() == np.array(oracle_moments(vals)).tobytes()
+        if n <= env_mod.BLOCK_ROWS:
+            assert got.tobytes() == want.tobytes(), (got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_mc_laplace_by_tree_memory_is_bounded():
     """On K3 with its 16 directed trees, the estimator's traced peak stays
-    below the environment batch plus 8 n-vectors: no (n, |E|) array of flows
-    and no full-length temporaries per tree."""
+    below 4 |E| + 24 rows of one block, at 50 000 and at 500 000 samples:
+    it holds one block at a time and nothing of length n."""
     g = complete_graph(3)
     w = DirichletWeights.from_graph(g)
     lam = {eid: 1 + 2.0 ** -(k + 4) for k, eid in enumerate(g.edge_ids)}
     trees = env_mod.directed_trees(g)
     assert len(trees) == 16
     mc_laplace_by_tree(g, w, lam, trees, 2, seed=3)  # lazy imports stay out of the peak
-    n = 50_000
-    tracemalloc.start()
-    try:
-        mc_laplace_by_tree(g, w, lam, trees, n, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < (len(g.edge_ids) + 8) * n * 8, peak
+    bound = (4 * len(g.edge_ids) + 24) * env_mod.BLOCK_ROWS * 8
+    for n in (50_000, 500_000):
+        peak = _traced_peak(lambda: mc_laplace_by_tree(g, w, lam, trees, n, seed=3))
+        assert peak < bound, (n, peak, bound)
+
+
+def test_block_zero_draws_what_one_stream_draws():
+    """Block 0 of every stream kind is the unblocked stream's key: a batch of
+    at most BLOCK_ROWS environments is the one drawn before the streams
+    were keyed by block, also where a vertex draws in log space."""
+    g = builtin_graph("two-diamond")
+    w = DirichletWeights.from_graph(g, {"e1": Fraction(1, 2), "e4": Fraction(3, 2)})
+    assert sample_environment(g, w, seed=2024).p == {
+        "e1": 0.4181946093976107, "e2": 1.0, "e3": 1.0, "e4": 0.8874717680126895,
+        "e5": 0.5818053906023892, "e6": 0.1125282319873105}
+    triangle = builtin_graph("triangle")
+    w = DirichletWeights({eid: Fraction(1, 100) for eid in triangle.edge_ids})
+    assert sample_environment(triangle, w, seed=7).p == {
+        "e1": 5.2237538568911e-25, "e2": 1.974775183181728e-19, "e3": 1.0, "e4": 1.0}
+    for g, alpha, seed, digest in [
+        (complete_graph(3), None, 5,
+         "9a22e135b20fd9212ba8f3280dffb9a9326b427a01c5a8a6d61684d7d3caafae"),
+        (builtin_graph("two-diamond"), {"e1": Fraction(1, 50), "e4": Fraction(3, 2)}, 6,
+         "164aef32e24a95bcb865ebea5b08f78a719fcfb891a944cdca5ebdd2af37ef82"),
+    ]:
+        p = env_mod.sample_environment_batch(g, DirichletWeights.from_graph(g, alpha),
+                                             env_mod.BLOCK_ROWS, seed)
+        assert hashlib.sha256(np.ascontiguousarray(p).tobytes()).hexdigest() == digest
+    key = env_mod.philox_stream(11, 3, 0).bit_generator.state["state"]["key"]
+    assert key.tolist() == [11, 3 << 48]
+    assert env_mod.philox_stream(11, 3, 5).bit_generator.state["state"]["key"].tolist() == [
+        11, (3 << 48) | 5]
 
 
 def test_distinct_rows_match_numpy_unique():

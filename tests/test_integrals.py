@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,7 @@ from dirichlet_flows import (
     integrand,
     integrate_mc,
     integrate_quadrature,
+    mc_laplace_by_tree,
     pairing_identity_check,
     solve_tree_coordinates,
     split_graph,
@@ -24,11 +26,22 @@ from dirichlet_flows import (
     tree_basis,
     verify_theorem_2_1,
 )
+from dirichlet_flows import environment as env_mod
 from dirichlet_flows import integrals as int_mod
 from dirichlet_flows.combinatorics import SpanningTree, cotree
 from dirichlet_flows.graphs import DirectedGraph, Edge
 
-from conftest import bundled_graphs, complete_graph, oracle_quadrature, random_graphs
+from conftest import (
+    RecordingMoments,
+    bundled_graphs,
+    complete_graph,
+    oracle_flows,
+    oracle_integrate_mc,
+    oracle_log_weights,
+    oracle_quadrature,
+    oracle_unmerged_log_weights,
+    random_graphs,
+)
 
 
 def tree_of(*edges, directed=False):
@@ -376,36 +389,6 @@ def test_mc_deterministic(two_edge):
     assert a == b
 
 
-def oracle_log_weights(spec, n, seed, weight_edge=None):
-    """The chamber mask of `integrate_mc`'s proposal points and the log weights
-    of the points inside, in one unblocked pass that draws its own proposal,
-    tests every point and takes one BLAS product of all flows inside."""
-    ev = int_mod._Evaluator(spec, weight_edge)
-    shapes = np.array([float(spec.alpha[eid]) for eid in ev.free_ids])
-    rates = np.array([float(spec.lam[eid]) or 1.0 for eid in ev.free_ids])
-    rng = int_mod.philox_stream(seed, 3)
-    u = np.empty((n, ev.dim))
-    for j in range(ev.dim):
-        u[:, j] = rng.standard_gamma(shapes[j], size=n) / rates[j]
-    z = ev.flows(u)
-    inside = (z > 0).all(axis=1)
-    zin, uin = z[inside], u[inside]
-    logv = -(zin @ ev.lam) + (np.log(zin) * ev.exps).sum(axis=1)
-    logq = (shapes * np.log(rates) - np.array([math.lgamma(s) for s in shapes])
-            + (shapes - 1.0) * np.log(uin) - rates * uin).sum(axis=1)
-    return inside, logv - logq
-
-
-def oracle_integrate_mc(spec, n, seed, weight_edge=None):
-    """Value, error and Kish effective sample size of `integrate_mc` from the
-    one-pass log weights and numpy's mean and std."""
-    inside, logw = oracle_log_weights(spec, n, seed, weight_edge)
-    vals = np.zeros(n)
-    vals[inside] = np.exp(logw)
-    ess = vals.sum() ** 2 / (vals ** 2).sum()
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)), ess
-
-
 def _split_specs(g, alpha, count=None):
     w = DirichletWeights.from_graph(g, alpha)
     lam = {eid: 1 + 2.0 ** -(k + 4) for k, eid in enumerate(g.edge_ids)}
@@ -421,105 +404,125 @@ def _shared_draw_specs():
             + _split_specs(complete_graph(3), {"e2": Fraction(3, 2), "e7": Fraction(2, 3)}, 4))
 
 
+def _two_diamond_specs():
+    """Every directed-tree chart of split two-diamond, at weights other than 1.
+    A cotree edge into a vertex with one in-edge, as e1 into a under the tree
+    {e5, e2, e3, e6}, shares its coordinate with that vertex's tree edges."""
+    return _split_specs(builtin_graph("two-diamond"), {"e1": Fraction(3, 2), "e4": 2})
+
+
 def test_mc_matches_unblocked_oracle_with_shared_draws():
     """Every estimate equals, to the bit, the oracle's one-pass estimate at the
-    same (n, seed), whichever spec drew the shared proposal before it; a new
-    seed or n draws afresh.  The effective sample size is Kish's.  Like every
-    bit-equality test of the log weights, this holds on one BLAS thread."""
+    same (n, seed), with the Kish effective sample size of its weights; the
+    charts of one `integrate_mc_charts` pass, which share each block's draw
+    where their cotree shapes agree, each give their lone estimate, and a new
+    seed or n draws afresh."""
     n, seed = 20_000, 9
     specs = _shared_draw_specs()
     lone = []
     for spec in specs:
-        int_mod._proposal_draws.cache_clear()
         est = integrate_mc(spec, n, seed)
         value, error, ess = oracle_integrate_mc(spec, n, seed)
-        assert (est.value, est.error) == (value, error)
-        assert est.ess == pytest.approx(ess, rel=1e-12) and 1 <= est.ess <= n
+        assert (est.value, est.error, est.ess) == (value, error, ess)
+        vals = np.zeros(n)
+        inside, logw = oracle_log_weights(spec, n, seed)
+        vals[inside] = np.exp(logw)
+        assert est.ess == pytest.approx(vals.sum() ** 2 / (vals ** 2).sum(), rel=1e-12)
+        assert 1 <= est.ess <= n
         lone.append(est)
-    assert not int_mod._proposal_draws(seed, n, (1.0,) * 6).flags.writeable
-    for k, spec in enumerate(specs):
-        integrate_mc(specs[k - 1], n, seed)
-        assert integrate_mc(spec, n, seed) == lone[k]
+    # the 16 unit-weight K3 charts share one draw; 21 charts take four
+    assert len({int_mod._McChart(spec, None).shapes for spec in specs}) == 4
+    assert int_mod.integrate_mc_charts(specs, n, seed) == lone
+    assert int_mod.integrate_mc_charts(specs[::-1], n, seed) == lone[::-1]
     spec = specs[0]
     for n2, seed2 in [(n, seed + 1), (n + 1, seed)]:
-        misses = int_mod._proposal_draws.cache_info().misses
         est = integrate_mc(spec, n2, seed2)
-        assert int_mod._proposal_draws.cache_info().misses == misses + 1
-        assert (est.value, est.error) == oracle_integrate_mc(spec, n2, seed2)[:2]
+        assert est != lone[0]
+        assert (est.value, est.error, est.ess) == oracle_integrate_mc(spec, n2, seed2)
 
 
-@pytest.mark.parametrize("block_rows", [1001, int_mod.BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [1001, env_mod.BLOCK_ROWS])
 def test_mc_log_weights_match_one_pass(monkeypatch, block_rows):
-    """The chamber mask and every log weight equal the one-pass oracle's to the
-    bit, with or without a weight edge, when the rate term is taken chunk by
-    chunk over blocks of 1001 points, whose counts inside are rarely
-    multiples of 8, and of the default size.  The bits of a BLAS product
-    depend on the thread count, so this holds for one BLAS thread, which
-    conftest sets unless OPENBLAS_NUM_THREADS is already set."""
-    monkeypatch.setattr(int_mod, "BLOCK_ROWS", block_rows)
+    """The weights fed to the running moments, block by block, are the
+    one-pass oracle's to the bit, exp(log weight) inside the chamber and 0
+    outside it, with or without a weight edge, for blocks of 1001 points
+    (a stream contract of its own) and of the default size."""
+    monkeypatch.setattr(env_mod, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(int_mod, "Moments", RecordingMoments)
     n, seed = 20_000, 9
     k3 = complete_graph(3)
-    specs = _shared_draw_specs()[::3]
+    specs = _shared_draw_specs()[::3] + _two_diamond_specs()
     specs += _split_specs(k3, {"e1": Fraction(3, 2), "e7": Fraction(1, 3)}, 2)
     for spec, e in [(s, None) for s in specs] + [(specs[-1], split_graph(k3).bridge_ids[0])]:
-        inside, logw = int_mod._log_weights(int_mod._Evaluator(spec, e), spec, n, seed)
-        want_inside, want = oracle_log_weights(spec, n, seed, e)
-        assert np.array_equal(inside, want_inside)
-        assert np.array_equal(logw, want)
+        RecordingMoments.fed = []
+        integrate_mc(spec, n, seed, weight_edge=e)
+        assert len(RecordingMoments.fed) == -(-n // block_rows)
+        inside, logw = oracle_log_weights(spec, n, seed, e)
+        want = np.zeros(n)
+        want[inside] = np.exp(logw)
+        assert np.array_equal(np.concatenate(RecordingMoments.fed), want)
 
 
 def test_mc_memory_is_bounded():
-    """On a split K3 chart with its proposal drawn, the estimator's traced peak
-    stays below the chamber mask and two n-vectors of floats plus four
-    blocks of flows: no (n, |E|) array of the flows of all points inside."""
+    """On a split K3 chart, the estimator's traced peak stays below 4 |E|
+    rows of one block, at 50 000 and at 500 000 points: it draws, tests and
+    weighs one block at a time and holds nothing of length n."""
     spec = _split_specs(complete_graph(3), {}, 1)[0]
-    n, seed = 200_000, 7
-    integrate_mc(spec, n, seed)  # the cached draw stays out of the peak
+    integrate_mc(spec, 2, 7)  # lazy imports and caches stay out of the peak
+    bound = 4 * len(spec.graph.edge_ids) * env_mod.BLOCK_ROWS * 8
+    for n in (50_000, 500_000):
+        tracemalloc.start()
+        try:
+            integrate_mc(spec, n, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (n, peak, bound)
+
+
+def test_no_monte_carlo_array_outlives_its_call():
+    """Once `integrate_mc` and `mc_laplace_by_tree` return, the traced memory
+    is back to its level before the call: no draw or block is cached."""
+    k3 = complete_graph(3)
+    spec = _split_specs(k3, {}, 1)[0]
+    w = DirichletWeights.from_graph(k3)
+    lam = {eid: 1 + 2.0 ** -(k + 4) for k, eid in enumerate(k3.edge_ids)}
+    trees = enumerate_spanning_trees(k3, directed_only=True)
+    calls = [lambda: integrate_mc(spec, 100_000, 7),
+             lambda: mc_laplace_by_tree(k3, w, lam, trees, 100_000, 7)]
+    for call in calls:
+        call()  # lazy imports and caches of the graph's charts stay out
     tracemalloc.start()
     try:
-        integrate_mc(spec, n, seed)
-        _, peak = tracemalloc.get_traced_memory()
+        for call in calls:
+            gc.collect()  # the interpreter's free lists hold no array
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - before < 4096
     finally:
         tracemalloc.stop()
-    block = (int_mod.BLOCK_ROWS + 7) * len(spec.graph.edge_ids) * 8
-    assert peak < 17 * n + 4 * block, peak
 
 
 def test_mc_chamber_test_matches_flows():
     """The chamber test on coordinate rows selects exactly the points where every
-    flow of `flows` is positive, zero coordinates included, and returns their
-    coordinates and mixed flows to the bit; a bare row's flow is its coordinate.  The
-    oracle test above runs it over several blocks."""
+    flow is positive, zero coordinates included, and writes the mixed flows
+    of every point to the bit, each flow its offset plus its coefficients
+    times the coordinates in coordinate order; a bare row's flow is its
+    coordinate.  The oracle tests above run it over several blocks."""
     for spec in _shared_draw_specs():
         ev = int_mod._Evaluator(spec)
         u = np.random.default_rng(11).gamma(1.0, size=(20_000, ev.dim))
         u[::97, -1] = 0.0  # a gamma draw that underflowed
-        z = ev.flows(u)
-        inside, ut, zt = ev.chamber(np.ascontiguousarray(u.T))
+        z = oracle_flows(ev, u)
+        zt = np.empty((len(ev.mixed), len(u)))
+        inside = ev.chamber(np.ascontiguousarray(u.T), zt)
         assert np.array_equal(inside, (z > 0).all(axis=1))
         assert not inside[::97].any()
-        assert np.array_equal(ut, u[inside].T)
-        assert np.array_equal(zt, z[inside][:, ev.mixed].T)
+        assert np.array_equal(zt, z[:, ev.mixed].T)
         assert set(ev.bare.values()) == set(range(ev.dim))
         assert all(np.array_equal(z[:, i], u[:, j]) for i, j in ev.bare.items())
-
-
-@pytest.mark.parametrize("zeros", [False, True], ids=["dense", "zero-columns"])
-def test_sum_rows_matches_numpy_row_sums(zeros):
-    """The rows add up to `.sum(axis=1)` of the contiguous matrix whose columns
-    they are, to the bit, for 1-40 columns and past the 128-column halving;
-    an exact-zero column given as None is skipped."""
-    rng = np.random.default_rng(12)
-    for k in list(range(1, 41)) + [129, 300]:
-        a = rng.standard_normal((3000, k)) * np.exp(rng.uniform(-30, 30, (3000, k)))
-        skip = rng.random(k) < 0.3 if zeros else np.zeros(k, dtype=bool)
-        a[:, skip] = 0.0
-        total = int_mod._sum_rows([None if z else col for z, col in zip(skip, a.T.copy())])
-        want = a.sum(axis=1)
-        if skip.all():
-            assert total is None
-        else:
-            assert np.array_equal(total, want), k
+        np.testing.assert_allclose(z, ev.flows(u), rtol=1e-14, atol=1e-13)
 
 
 def test_weighted_mc_matches_unblocked_oracle():
@@ -535,6 +538,30 @@ def test_weighted_mc_matches_unblocked_oracle():
         for e in (cotree_edge, tree_edge, split_graph(k3).bridge_ids[0]):
             est = integrate_mc(spec, 20_000, 13, weight_edge=e)
             assert (est.value, est.error) == oracle_integrate_mc(spec, 20_000, 13, e)[:2], e
+
+
+def test_mc_merges_each_proposal_term_once():
+    """Charts where a coordinate is the flow of several bare rows weigh each
+    point by the integrand over the proposal density with each coordinate's
+    log density taken once: the weights fed to the moments match the
+    unmerged oracle's to 1e-12, and the estimate agrees with quadrature."""
+    specs = _two_diamond_specs()
+    tree = frozenset({"e5", "e2", "e3", "e6"})
+    spec = next(s for s in specs if tree <= s.tree.edges)
+    coords = list(int_mod._Evaluator(spec).bare.values())
+    assert any(coords.count(j) > 1 for j in coords)  # e1, @a and e2 all read u_e1
+    n, seed = 20_000, 9
+    for s in specs + _shared_draw_specs()[::5]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(int_mod, "Moments", RecordingMoments)
+            RecordingMoments.fed = []
+            integrate_mc(s, n, seed)
+        inside, logw = oracle_unmerged_log_weights(s, n, seed)
+        want = np.zeros(n)
+        want[inside] = np.exp(logw)
+        np.testing.assert_allclose(np.concatenate(RecordingMoments.fed), want, rtol=1e-12, atol=0)
+    est, quad = integrate_mc(spec, 200_000, 3), integrate_quadrature(spec)
+    assert abs(est.value - quad.value) < 4 * est.error, (est, quad)
 
 
 def test_verify_identity_reports_mc_effective_sample_size():
