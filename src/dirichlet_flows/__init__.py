@@ -19,7 +19,6 @@ from .combinatorics import (
     FlowPoint,
     SignedEdgeSet,
     SpanningTree,
-    coordinate_family_is_basis,
     cotree,
     enumerate_cycles,
     enumerate_paths,
@@ -66,14 +65,11 @@ from .integrals import (
 from .connection import (
     ConnectionForm,
     ExcludedLocusError,
-    TreeMatrix,
     build_connection,
     check_commutation,
     check_flatness,
     connection_coefficients,
     connection_matrices_numeric,
-    omega_cycle,
-    omega_path,
     transport,
 )
 

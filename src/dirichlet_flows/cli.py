@@ -340,7 +340,7 @@ def _cmd_transport(g, args):
         # default: a small contractible rectangle in the first two coordinates,
         # with a step that moves each cycle form by at most half its value
         e_ids = sorted(g.edge_ids)[:2]
-        step = min([0.25] + [abs(cyc.form(lam0)) / 4 for cyc, _ in conn.cycle_terms])
+        step = min([0.25] + [abs(cyc.form(lam0)) / 4 for cyc in conn.cycle_terms])
 
         def moved(*eids):
             return {**lam0, **{eid: lam0[eid] + step for eid in eids}}

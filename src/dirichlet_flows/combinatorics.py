@@ -12,8 +12,7 @@ A spanning tree T is a chart of the unit-mass flows, the edge vectors z with
 div z = unit mass at the base.  Such a flow is the unit flow along T's
 base-to-cemetery path plus u_e times the fundamental cycle of each cotree
 edge e, so the cotree values u are its coordinates.  Spanning trees, the
-genus of an edge set, chart orientations and arrangement bases also live
-here.
+genus of an edge set and chart orientations also live here.
 
 Everything is exact (integers and Fractions) and deliberately exhaustive;
 the intended scale is |E| <= 16.
@@ -27,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .graphs import DirectedGraph
-from .rationals import mat_det, mat_rank
+from .rationals import mat_det
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,16 +56,6 @@ class SignedEdgeSet:
         for eid, s in self.signs.items():
             total = total + s * lam[eid]
         return total
-
-    def reoriented(self, along: str) -> "SignedEdgeSet":
-        """Same cycle with signs flipped, if needed, so that `along` gets +1."""
-        if self.signs[along] == +1:
-            return self
-        return SignedEdgeSet(
-            self.edges,
-            {k: -v for k, v in self.signs.items()},
-            self.kind,
-        )
 
     def __eq__(self, other):
         return (
@@ -328,29 +317,3 @@ def tree_orientation_sign(g: DirectedGraph, tree: SpanningTree) -> int:
     if det == 0:
         raise ValueError("degenerate tree chart; not a spanning tree?")
     return 1 if det > 0 else -1
-
-
-# ---------------------------------------------------------------------------
-# arrangement bases (rank test)
-# ---------------------------------------------------------------------------
-
-def cycle_space_basis(g: DirectedGraph) -> list[dict[str, int]]:
-    """A basis of signed cycle indicators: fundamental cycles of the first tree."""
-    ref = tree_basis(g)[0]
-    return [dict(fundamental_cycle(g, ref, e0).signs) for e0 in cotree(g, ref)]
-
-
-def coordinate_family_is_basis(g: DirectedGraph, subset) -> bool:
-    """Whether the edge-coordinate functions of `subset` form an arrangement basis.
-
-    Tests that the restrictions of z_e, e in subset, to the divergence-constraint
-    space are linearly independent and that the family is maximal.
-    """
-    subset = sorted(frozenset(subset))
-    basis = cycle_space_basis(g)
-    d = len(basis)
-    if len(subset) != d:
-        return False
-    rows = [[chi.get(eid, 0) for chi in basis] for eid in subset]
-    return mat_rank(rows) == d
-

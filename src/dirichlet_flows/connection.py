@@ -6,25 +6,29 @@ and the total matrix 1-form is
 
     Omega = sum_paths d(path form) * P_path + sum_cycles dlog(cycle form) * Q_cycle.
 
-Each term is built once, as a (SignedEdgeSet, TreeMatrix) pair whose set's
-signs are the coefficients of the term's linear form (`SignedEdgeSet.form`).
-`ConnectionForm.terms` weighs the pairs into one coefficient M_e.
+Each term is a SignedEdgeSet, whose signs are the coefficients of the term's
+linear form (`SignedEdgeSet.form`), and a matrix with entries 1 or +-alpha_e.
+`build_connection` writes every term matrix once, scaled by L, the lcm of
+their entries' denominators, into one integer COO table
+(`rationals.IntTable`), path terms first; `ConnectionForm.terms` weighs the
+terms into one coefficient M_e.  Every reader takes the terms from that
+table: the exact checks as integers, the numeric stack and `transport` as
+the table's values over L, correctly rounded to floats.
 
 Matrices follow the endomorphism convention: column T holds the image of the
 basis vector of tree T.  The vector of tree-chart integrals pairs with the
 basis as a covector, so it solves dI = -Omega^T I; `transport` applies the
-transpose internally.  Everything structural is exact over Fractions; floats
-(or complex, off the real locus) appear only in numeric evaluation and in the
-ODE integration.  `transport` integrates that ODE with the Dormand-Prince 5(4)
-pair (J. R. Dormand & P. J. Prince, "A family of embedded Runge-Kutta
-formulae", J. Comput. Appl. Math. 6, 1980) under the step control of scipy's
-RK45, in `solve_ivp`.
+transpose internally.  Everything structural is exact, in integers and
+Fractions; floats (or complex, off the real locus) appear only in numeric
+evaluation and in the ODE integration.  `transport` integrates that ODE with
+the Dormand-Prince 5(4) pair (J. R. Dormand & P. J. Prince, "A family of
+embedded Runge-Kutta formulae", J. Comput. Appl. Math. 6, 1980) under the
+step control of scipy's RK45, in `solve_ivp`.
 
 The commutation and flatness checks are exact over Q without Fraction matrix
-products.  Each check scales the term matrices once by L, the lcm of their
-entries' denominators, into one integer COO table (`rationals.IntTable`);
-each commutator is computed modulo primes below 2^26, as many as an integer
-bound on its entries asks for.  Commutation decides each item by whether its
+products.  They read the term matrices from the table, scaled by L; each
+commutator is computed modulo primes below 2^26, as many as an integer bound
+on its entries asks for.  Commutation decides each item by whether its
 product vanishes (`rationals.nonzero_quads`).  Flatness puts each sample's
 rates over a common denominator, so that its cycle forms and the integer
 coefficients of every M_e are Python integers, and sends all samples at once
@@ -50,45 +54,11 @@ from .combinatorics import (
 )
 from .environment import DirichletWeights
 from .graphs import DirectedGraph, require_valid
-from .rationals import (Sparse, commutator_peaks, format_scalar, int_table, nonzero_quads,
-                        sp_set, sp_to_dense, table_sum)
+from .rationals import IntTable, commutator_peaks, int_table, nonzero_quads, table_sum
 
 
 class ExcludedLocusError(ValueError):
     """The rate point lies on (or the path crosses) a cycle-form kernel."""
-
-
-@dataclass(frozen=True, eq=False)
-class TreeMatrix:
-    """Sparse square matrix over Fractions, indexed by the spanning-tree basis."""
-    size: int
-    rows: Sparse
-    label: str
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows.get(i, {}).get(j, Fraction(0))
-
-    def to_dense(self, as_float: bool = False):
-        return sp_to_dense(self.rows, self.size, as_float)
-
-    def to_numpy(self) -> np.ndarray:
-        m = np.zeros((self.size, self.size))
-        for i, row in self.rows.items():
-            for j, v in row.items():
-                m[i, j] = float(v)
-        return m
-
-    def as_triplets(self, basis=None) -> dict:
-        out = {
-            "rows": self.size,
-            "cols": self.size,
-            "label": self.label,
-            "entries": [[i, j, format_scalar(v)]
-                        for i in sorted(self.rows) for j, v in sorted(self.rows[i].items())],
-        }
-        if basis is not None:
-            out["basis"] = [list(t.key) for t in basis]
-        return out
 
 
 def _alpha_map(w) -> dict[str, Fraction]:
@@ -97,49 +67,20 @@ def _alpha_map(w) -> dict[str, Fraction]:
     return {k: Fraction(v) for k, v in w.items()}
 
 
-def omega_path(g: DirectedGraph, sigma: SignedEdgeSet,
-               basis: list[SpanningTree] | None = None) -> TreeMatrix:
-    """Diagonal projector onto the trees containing the path."""
-    basis = basis if basis is not None else tree_basis(g)
-    rows: Sparse = {}
-    for k, t in enumerate(basis):
-        if sigma.edges <= t.edges:
-            sp_set(rows, k, k, Fraction(1))
-    return TreeMatrix(len(basis), rows, f"path:{','.join(sorted(sigma.edges))}")
-
-
-def omega_cycle(g: DirectedGraph, cycle: SignedEdgeSet, w,
-                basis: list[SpanningTree] | None = None) -> TreeMatrix:
-    """Exchange operator of a cycle: column T maps into the trees T+e0-e, e in C.
-
-    The column for T is nonzero only when the cycle is a fundamental cycle of
-    T, i.e. exactly one cycle edge e0 lies outside T; the entry for swapping in
-    e0 and dropping e is alpha_e with sign +1/-1 as e runs along/against e0
-    around the cycle (independent of the cycle's stored orientation).
-    """
-    alpha = _alpha_map(w)
-    basis = basis if basis is not None else tree_basis(g)
-    index = {t.edges: k for k, t in enumerate(basis)}
-    rows: Sparse = {}
-    for j, t in enumerate(basis):
-        outside = cycle.edges - t.edges
-        if len(outside) != 1:
-            continue
-        (e0,) = outside
-        for e in cycle.edges:
-            target = (t.edges | {e0}) - {e}
-            i = index[frozenset(target)]
-            eps = cycle.sign(e0) * cycle.sign(e)
-            sp_set(rows, i, j, Fraction(eps) * alpha[e])
-    return TreeMatrix(len(basis), rows, f"cycle:{','.join(sorted(cycle.edges))}")
-
-
 @dataclass(frozen=True, eq=False)
 class ConnectionForm:
+    """The terms of the connection over the spanning-tree basis.
+
+    Term k of `table` is the matrix of the k-th term of path_terms +
+    cycle_terms scaled by `scale`, the lcm L of the denominators of its
+    entries, so that every entry is an integer.
+    """
     graph: DirectedGraph
     basis: tuple[SpanningTree, ...]
-    path_terms: tuple[tuple[SignedEdgeSet, TreeMatrix], ...]
-    cycle_terms: tuple[tuple[SignedEdgeSet, TreeMatrix], ...]
+    path_terms: tuple[SignedEdgeSet, ...]
+    cycle_terms: tuple[SignedEdgeSet, ...]
+    table: IntTable
+    scale: int
 
     @property
     def size(self) -> int:
@@ -154,7 +95,7 @@ class ConnectionForm:
         the first that vanishes.  At the numerators of rational rates over a
         common denominator q they are the integers q L_c."""
         forms = []
-        for cyc, _ in self.cycle_terms:
+        for cyc in self.cycle_terms:
             forms.append(cyc.form(lam))
             if forms[-1] == 0:
                 raise ExcludedLocusError(
@@ -162,28 +103,58 @@ class ConnectionForm:
         return forms
 
     def terms(self, eid: str, lam):
-        """(weight, matrix) pairs whose weighted sum is the coefficient M_eid at lam.
+        """(weight, k) pairs such that the sum of weight times term k of the
+        table, over L, is the coefficient M_eid at lam.
 
         A path term weighs its sign s_sigma(e), a cycle term s_c(e) / L_c(lam);
         terms without the edge are skipped.
         """
-        for term, mat in self.path_terms + self.cycle_terms:
+        for k, term in enumerate(self.path_terms + self.cycle_terms):
             s = term.sign(eid)
             if s:
-                yield (s / term.form(lam) if term.kind == "cycle" else s), mat
+                yield (s / term.form(lam) if term.kind == "cycle" else s), k
 
 
 def build_connection(g: DirectedGraph, w) -> ConnectionForm:
-    """All path and cycle terms of the connection over the full tree basis."""
+    """All path and cycle terms of the connection over the full tree basis.
+
+    A path term is the diagonal projector onto the trees containing the path.
+    A cycle term is the exchange operator of the cycle: its column T is
+    nonzero only when exactly one cycle edge e0 lies outside T, and then maps
+    T into the trees T + e0 - e, e in the cycle, with entry alpha_e signed +1
+    or -1 as e runs along or against e0 around the cycle (independent of the
+    cycle's stored orientation).  Both are written straight into the integer
+    table, scaled by L.
+    """
     require_valid(g)
+    alpha = _alpha_map(w)
     basis = tree_basis(g)
-    paths = tuple((s, omega_path(g, s, basis)) for s in enumerate_paths(g))
-    cycles = tuple((c, omega_cycle(g, c, w, basis)) for c in enumerate_cycles(g))
-    return ConnectionForm(g, tuple(basis), paths, cycles)
+    index = {t.edges: k for k, t in enumerate(basis)}
+    paths, cycles = enumerate_paths(g), enumerate_cycles(g)
+    scale = math.lcm(*(alpha[e].denominator for c in cycles for e in c.edges))
+    mats = []
+    for sigma in paths:
+        diagonal = [k for k, t in enumerate(basis) if sigma.edges <= t.edges]
+        mats.append((diagonal, diagonal, [scale] * len(diagonal)))
+    for cycle in cycles:
+        entries = []
+        for j, t in enumerate(basis):
+            outside = cycle.edges - t.edges
+            if len(outside) != 1:
+                continue
+            (e0,) = outside
+            for e in cycle.edges:
+                a = alpha[e]
+                entries.append((index[(t.edges | outside) - {e}], j,
+                                cycle.sign(e0) * cycle.sign(e) * a.numerator
+                                * (scale // a.denominator)))
+        mats.append(tuple(zip(*sorted(entries))) or ((), (), ()))
+    return ConnectionForm(g, tuple(basis), tuple(paths), tuple(cycles), int_table(mats), scale)
 
 
-def connection_coefficients(conn: ConnectionForm, lam) -> list[TreeMatrix]:
-    """Exact coefficient matrices M_i with Omega = sum_i M_i dlambda_i.
+def connection_coefficients(conn: ConnectionForm, lam) -> list[list[list[Fraction]]]:
+    """Exact coefficient matrices M_i with Omega = sum_i M_i dlambda_i, as
+    dense rows of Fractions.
 
     Requires exact rational rates off every cycle-form kernel; the offending
     cycle is reported otherwise.
@@ -192,46 +163,43 @@ def connection_coefficients(conn: ConnectionForm, lam) -> list[TreeMatrix]:
     conn.check_membership(lam)
     out = []
     for eid in conn.edge_ids:
-        m: Sparse = {}
-        for weight, mat in conn.terms(eid, lam):
-            for i, row in mat.rows.items():
-                for j, v in row.items():
-                    sp_set(m, i, j, weight * v)
-        out.append(TreeMatrix(conn.size, m, f"coefficient:{eid}"))
+        m = [[Fraction(0)] * conn.size for _ in range(conn.size)]
+        for weight, k in conn.terms(eid, lam):
+            for i, j, v in zip(*(part.tolist() for part in conn.table.matrix(k))):
+                m[i][j] += weight * Fraction(v, conn.scale)
+        out.append(m)
     return out
 
 
+def _float_terms(conn: ConnectionForm) -> list:
+    """Each term matrix as (rows, cols, values), its values the table's over L
+    as correctly rounded floats."""
+    values = np.array([v / conn.scale for v in conn.table.values.tolist()], dtype=float)
+    ptr = conn.table.ptr.tolist()
+    return [(conn.table.rows[lo:hi], conn.table.cols[lo:hi], values[lo:hi])
+            for lo, hi in zip(ptr, ptr[1:])]
+
+
 def connection_matrices_numeric(conn: ConnectionForm, lam) -> np.ndarray:
-    """Float/complex stack of the coefficient matrices, one per edge coordinate."""
+    """Float/complex stack of the coefficient matrices, one per edge coordinate.
+
+    Each weighted term is added at its own entries, term by term in term
+    order, which gives the bits of a sum of dense weighted term matrices."""
     vals = {k: complex(v) for k, v in lam.items()}
     conn.check_membership(vals)
     cplx = any(v.imag != 0 for v in vals.values())
-    dense = {mat: mat.to_numpy() for _, mat in conn.path_terms + conn.cycle_terms}
+    terms = _float_terms(conn)
     out = np.zeros((len(conn.edge_ids), conn.size, conn.size), dtype=complex if cplx else float)
-    for k, eid in enumerate(conn.edge_ids):
-        for weight, mat in conn.terms(eid, vals):
-            out[k] += (weight if cplx else weight.real) * dense[mat]
+    for m, eid in zip(out, conn.edge_ids):
+        for weight, k in conn.terms(eid, vals):
+            rows, cols, values = terms[k]
+            m[rows, cols] += (weight if cplx else weight.real) * values
     return out
 
 
 # ---------------------------------------------------------------------------
 # structure relations
 # ---------------------------------------------------------------------------
-
-def _integer_terms(conn: ConnectionForm) -> tuple[int, list]:
-    """L, the lcm of the denominators of every term entry (of the alpha_e in the
-    cycle operators), and each term matrix scaled by L as a (rows, cols,
-    values) triple sorted by (row, col), path terms first."""
-    mats = [mat for _, mat in conn.path_terms + conn.cycle_terms]
-    scale = math.lcm(*(v.denominator for mat in mats for row in mat.rows.values()
-                       for v in row.values()))
-    coo = []
-    for mat in mats:
-        entries = sorted((i, j, v.numerator * (scale // v.denominator))
-                         for i, row in mat.rows.items() for j, v in row.items())
-        coo.append(tuple(zip(*entries)) or ((), (), ()))
-    return scale, coo
-
 
 def check_commutation(g: DirectedGraph, w) -> dict:
     """Exact check of the five commutation-relation families plus projectors.
@@ -243,16 +211,16 @@ def check_commutation(g: DirectedGraph, w) -> dict:
     """
     alpha = _alpha_map(w)
     conn = build_connection(g, alpha)
-    scale, mats = _integer_terms(conn)
-    terms = int_table(mats)
+    scale, terms = conn.scale, conn.table
+    mats = [terms.matrix(k) for k in range(len(terms.ptr) - 1)]
     identities: dict[Fraction, int] = {}
 
     def add(coo) -> int:
         mats.append(coo)
         return len(mats) - 1
 
-    p = {s: k for k, (s, _) in enumerate(conn.path_terms)}
-    q = {c: len(p) + k for k, (c, _) in enumerate(conn.cycle_terms)}
+    p = {s: k for k, s in enumerate(conn.path_terms)}
+    q = {c: len(p) + k for k, c in enumerate(conn.cycle_terms)}
     paths, cycles = list(p), list(q)
     items, quads = [], []
 
@@ -337,6 +305,19 @@ def check_commutation(g: DirectedGraph, w) -> dict:
     return {"items": items, "pass": all(it["ok"] for it in items)}
 
 
+def _float_residual(mats: np.ndarray) -> float:
+    """Max commutator residual of the stacked matrices, relative to the scale of
+    the products."""
+    worst = 0.0
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            ab = mats[a] @ mats[b]
+            ba = mats[b] @ mats[a]
+            scale = max(np.abs(ab).max(), np.abs(ba).max(), 1e-300)
+            worst = max(worst, float(np.abs(ab - ba).max() / scale))
+    return worst
+
+
 def check_flatness(conn: ConnectionForm, lambda_samples, exact: bool = True):
     """Max commutator residual of the coefficient matrices over the samples.
 
@@ -353,17 +334,11 @@ def check_flatness(conn: ConnectionForm, lambda_samples, exact: bool = True):
     if not exact:
         worst = 0.0
         for lam in lambda_samples:
-            mats = connection_matrices_numeric(conn, lam)
-            for a in range(len(mats)):
-                for b in range(a + 1, len(mats)):
-                    ab = mats[a] @ mats[b]
-                    ba = mats[b] @ mats[a]
-                    scale = max(np.abs(ab).max(), np.abs(ba).max(), 1e-300)
-                    worst = max(worst, float(np.abs(ab - ba).max() / scale))
+            # one sample's stack at a time: it is freed before the next is built
+            worst = max(worst, _float_residual(connection_matrices_numeric(conn, lam)))
         return worst
 
-    scale, mats = _integer_terms(conn)
-    terms = [term for term, _ in conn.path_terms + conn.cycle_terms]
+    terms = conn.path_terms + conn.cycle_terms
     # per edge, the (index, sign) of each term with the edge
     members = [[(k, term.sign(eid)) for k, term in enumerate(terms) if term.sign(eid)]
                for eid in conn.edge_ids]
@@ -390,25 +365,30 @@ def check_flatness(conn: ConnectionForm, lambda_samples, exact: bool = True):
         denominators.append(row)
     pairs = [(a, b) for a in range(len(members)) for b in range(a + 1, len(members))]
     combos = [([k for k, _ in ks], coef) for ks, coef in zip(members, coefficients)]
-    peaks = commutator_peaks(int_table(mats), conn.size, combos, pairs)
+    peaks = commutator_peaks(conn.table, conn.size, combos, pairs)
     worst = Fraction(0)
     for (s, k), peak in peaks.items():
         a, b = pairs[k]
         d = denominators[s]
-        worst = max(worst, Fraction(peak, d[a] * d[b] * scale * scale))
+        worst = max(worst, Fraction(peak, d[a] * d[b] * conn.scale ** 2))
     return worst
 
 
-def sample_rates_off_kernels(conn: ConnectionForm, rng, denominator: int = 16,
-                             max_tries: int = 1000) -> dict[str, Fraction]:
+# sampled rates are k / _RATE_DENOMINATOR, 1 <= k <= 8 _RATE_DENOMINATOR
+_RATE_DENOMINATOR = 16
+_RATE_TRIES = 1000
+
+
+def sample_rates_off_kernels(conn: ConnectionForm, rng) -> dict[str, Fraction]:
     """Random positive rational rates avoiding every cycle-form kernel.
 
     A candidate is tested on its numerators, whose cycle forms are integers."""
-    for _ in range(max_tries):
-        numerators = {eid: int(rng.integers(1, 8 * denominator + 1)) for eid in conn.edge_ids}
+    for _ in range(_RATE_TRIES):
+        numerators = {eid: int(rng.integers(1, 8 * _RATE_DENOMINATOR + 1))
+                      for eid in conn.edge_ids}
         try:
             conn.check_membership(numerators)
-            return {eid: Fraction(k, denominator) for eid, k in numerators.items()}
+            return {eid: Fraction(k, _RATE_DENOMINATOR) for eid, k in numerators.items()}
         except ExcludedLocusError:
             continue
     raise RuntimeError("could not sample rates off the excluded locus")
@@ -545,8 +525,13 @@ def transport(conn: ConnectionForm, start_vector, waypoints, tol: float = 1e-10)
                 raise ValueError(f"rate of edge {eid!r} has negative real part on the path")
 
     # transposed matrices: the integrals solve dI = -Omega^T I
-    paths = [(sigma, mat.to_numpy().T) for sigma, mat in conn.path_terms]
-    cycles = [(cyc, mat.to_numpy().T) for cyc, mat in conn.cycle_terms]
+    dense = []
+    for rows, cols, values in _float_terms(conn):
+        mat = np.zeros((conn.size, conn.size))
+        mat[cols, rows] = values
+        dense.append(mat)
+    paths = list(zip(conn.path_terms, dense))
+    cycles = list(zip(conn.cycle_terms, dense[len(paths):]))
     y = np.asarray(start_vector, dtype=complex)
     if y.shape != (conn.size,):
         raise ValueError(f"start vector must have length {conn.size}")

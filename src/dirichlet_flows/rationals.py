@@ -22,9 +22,11 @@ combinations of table matrices, one per edge and sample, assembles each on
 its union pattern for all samples at once, and expands each pair once for
 all of them (flatness).
 
-Sparse Fraction matrices are dict-of-rows: {row: {col: value}}, zero entries
-absent.  The helpers `sp_*` build them (`sp_set`, `sp_to_dense`); the others
-are kept for the tests and for the benchmark's tracer, which wraps them.
+The connection's term matrices are built straight into one `IntTable`
+(`connection.build_connection`).  The sparse Fraction helpers `sp_*`, on
+dict-of-rows matrices {row: {col: value}} with zero entries absent, have no
+caller left in the package: they are kept for the tests and for the
+benchmark's tracer, which wraps them.
 """
 
 from __future__ import annotations
@@ -255,6 +257,11 @@ class IntTable(NamedTuple):
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
+
+    def matrix(self, r: int):
+        """Matrix r as a (rows, cols, values) triple of slices of the table."""
+        lo, hi = self.ptr[r], self.ptr[r + 1]
+        return self.rows[lo:hi], self.cols[lo:hi], self.values[lo:hi]
 
 
 def _int_values(values) -> np.ndarray:

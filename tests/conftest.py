@@ -5,10 +5,15 @@ cycles and trees are recognized by degree/connectivity filters over raw edge
 subsets, so the backtracking enumerators are checked against brute force.
 The coordinate-map oracle solves div z = unit mass at the base for the tree
 edges by Gauss-Jordan elimination, without the library's tree walks.
-The matrix oracles multiply dense lists of Fractions, without the library's
-sparse helpers or its residue products.  The quadrature oracle integrates one
-chart integral at a time, one Gauss-Kronrod panel per integrand call, by the
-recursive scheme the library's lockstep batches must reproduce.  The lockstep
+The connection's term matrices are built from their definitions as dense
+lists of Fractions (`oracle_term_matrices`), apart from the library's integer
+table, and the matrix oracles multiply dense lists of Fractions, without the
+library's residue products.  The numeric oracle sums dense weighted term
+matrices in term order; the library's sparse stack must give the same bits.
+The arrangement-basis oracle is a rank test on the fundamental cycles of one
+tree.  The quadrature oracle integrates one chart integral at a time, one
+Gauss-Kronrod panel per integrand call, by the recursive scheme the
+library's lockstep batches must reproduce.  The lockstep
 walker oracle runs the three walkers on the two-dimensional gather kernel the
 library's flat-index step kernel must reproduce draw for draw.
 
@@ -40,11 +45,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dirichlet_flows import DirectedGraph, Environment, SpanningTree, builtin_graph
+from dirichlet_flows import (DirectedGraph, DirichletWeights, Environment, SpanningTree,
+                             builtin_graph, cotree, enumerate_cycles, enumerate_paths,
+                             fundamental_cycle, tree_basis)
 from dirichlet_flows import environment as env_mod
 from dirichlet_flows import integrals as int_mod
 from dirichlet_flows.graphs import Edge
-from dirichlet_flows.rationals import mat_solve
+from dirichlet_flows.rationals import mat_rank, mat_solve
 
 
 @pytest.fixture
@@ -261,15 +268,6 @@ def oracle_coordinate_map(g: DirectedGraph, tree):
 # dense Fraction matrix oracles
 # ---------------------------------------------------------------------------
 
-def oracle_dense(rows, n: int):
-    """Dense list-of-rows copy of a dict-of-rows matrix, entries as Fractions."""
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i, row in rows.items():
-        for j, v in row.items():
-            out[i][j] = Fraction(v)
-    return out
-
-
 def oracle_matmul(a, b):
     """Dense product, skipping the products with a zero factor."""
     out = []
@@ -298,10 +296,57 @@ def oracle_commutator_is_zero(a, b) -> bool:
     return oracle_matmul(a, b) == oracle_matmul(b, a)
 
 
-def oracle_operators(conn) -> dict:
-    """Dense term matrices of a connection, keyed like check_commutation's members."""
-    return {",".join(sorted(t.edges)): oracle_dense(mat.rows, conn.size)
-            for t, mat in conn.path_terms + conn.cycle_terms}
+def oracle_term_matrices(g: DirectedGraph, w) -> list:
+    """(term, dense Fraction matrix) of every path term, then of every cycle
+    term, from their definitions over the tree basis.
+
+    A path's matrix is the diagonal projector onto the trees containing the
+    path.  A cycle's column T is nonzero only when the cycle is a fundamental
+    cycle of T, i.e. exactly one cycle edge e0 lies outside T; the entry for
+    swapping in e0 and dropping e is alpha_e with sign +1/-1 as e runs
+    along/against e0 around the cycle.
+    """
+    alpha = w.alpha if isinstance(w, DirichletWeights) else w
+    alpha = {k: Fraction(v) for k, v in alpha.items()}
+    basis = tree_basis(g)
+    n = len(basis)
+    index = {t.edges: k for k, t in enumerate(basis)}
+    out = []
+    for sigma in enumerate_paths(g):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for k, t in enumerate(basis):
+            if sigma.edges <= t.edges:
+                m[k][k] = Fraction(1)
+        out.append((sigma, m))
+    for cycle in enumerate_cycles(g):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for j, t in enumerate(basis):
+            outside = cycle.edges - t.edges
+            if len(outside) != 1:
+                continue
+            (e0,) = outside
+            for e in cycle.edges:
+                m[index[(t.edges | {e0}) - {e}]][j] += cycle.sign(e0) * cycle.sign(e) * alpha[e]
+        out.append((cycle, m))
+    return out
+
+
+def table_matrices(conn) -> list:
+    """The term matrices of a connection's integer table over its scale L, as
+    dense Fraction rows, in table order."""
+    out = []
+    for k in range(len(conn.table.ptr) - 1):
+        m = [[Fraction(0)] * conn.size for _ in range(conn.size)]
+        for i, j, v in zip(*(part.tolist() for part in conn.table.matrix(k))):
+            m[i][j] = Fraction(v, conn.scale)
+        out.append(m)
+    return out
+
+
+def oracle_operators(g: DirectedGraph, w) -> dict:
+    """Dense term matrices of the connection of (g, w), keyed like
+    check_commutation's members."""
+    return {",".join(sorted(t.edges)): m for t, m in oracle_term_matrices(g, w)}
 
 
 def oracle_commutes(ops: dict, alpha, item) -> bool:
@@ -319,21 +364,71 @@ def oracle_commutes(ops: dict, alpha, item) -> bool:
     return oracle_commutator_is_zero(*m)
 
 
+def _oracle_weights(conn, eid, lam):
+    """(weight, term index) of each term with the edge: a path term weighs its
+    sign s(e), a cycle term s(e) / L_c(lam)."""
+    for k, term in enumerate(conn.path_terms + conn.cycle_terms):
+        s = term.sign(eid)
+        if s:
+            yield (s / term.form(lam) if term.kind == "cycle" else s), k
+
+
 def oracle_flatness(conn, samples) -> Fraction:
-    """Max |[M_a, M_b]| entry over the samples, M_e summed densely from
-    conn.terms at the rates as Fractions, from Fraction forms and without the
-    library's integer forms, scaled operators or residue products."""
-    ops = {mat: oracle_dense(mat.rows, conn.size) for _, mat in conn.path_terms + conn.cycle_terms}
+    """Max |[M_a, M_b]| entry over the samples, M_e summed densely from the
+    table's term matrices over L at the rates as Fractions, from Fraction
+    forms and without the library's integer forms, scaled coefficients or
+    residue products."""
+    ops = table_matrices(conn)
     worst = Fraction(0)
     for lam in samples:
         lam = {k: Fraction(v) for k, v in lam.items()}
-        mats = [oracle_combine(*((Fraction(wt), ops[mat]) for wt, mat in conn.terms(eid, lam)))
+        mats = [oracle_combine(*((Fraction(wt), ops[k]) for wt, k in _oracle_weights(conn, eid, lam)))
                 for eid in conn.edge_ids]
         for a in range(len(mats)):
             for b in range(a + 1, len(mats)):
                 ab, ba = oracle_matmul(mats[a], mats[b]), oracle_matmul(mats[b], mats[a])
                 worst = max(worst, oracle_max_abs(oracle_combine((1, ab), (-1, ba))))
     return worst
+
+
+def oracle_numeric_matrices(conn, lam) -> np.ndarray:
+    """The float/complex coefficient stack as a sum of dense weighted term
+    matrices, edge by edge, term by term in term order; each term matrix is
+    dense, its entries the table's values over L as Fractions rounded to
+    floats."""
+    vals = {k: complex(v) for k, v in lam.items()}
+    cplx = any(v.imag != 0 for v in vals.values())
+    dense = [np.array([[float(v) for v in row] for row in m]) for m in table_matrices(conn)]
+    out = np.zeros((len(conn.edge_ids), conn.size, conn.size), dtype=complex if cplx else float)
+    for k, eid in enumerate(conn.edge_ids):
+        for weight, t in _oracle_weights(conn, eid, vals):
+            out[k] += (weight if cplx else weight.real) * dense[t]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# arrangement bases (rank test)
+# ---------------------------------------------------------------------------
+
+def cycle_space_basis(g: DirectedGraph) -> list[dict[str, int]]:
+    """A basis of signed cycle indicators: fundamental cycles of the first tree."""
+    ref = tree_basis(g)[0]
+    return [dict(fundamental_cycle(g, ref, e0).signs) for e0 in cotree(g, ref)]
+
+
+def coordinate_family_is_basis(g: DirectedGraph, subset) -> bool:
+    """Whether the edge-coordinate functions of `subset` form an arrangement basis.
+
+    Tests that the restrictions of z_e, e in subset, to the divergence-constraint
+    space are linearly independent and that the family is maximal.
+    """
+    subset = sorted(frozenset(subset))
+    basis = cycle_space_basis(g)
+    d = len(basis)
+    if len(subset) != d:
+        return False
+    rows = [[chi.get(eid, 0) for chi in basis] for eid in subset]
+    return mat_rank(rows) == d
 
 
 # ---------------------------------------------------------------------------

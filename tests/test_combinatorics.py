@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dirichlet_flows import (
-    coordinate_family_is_basis,
     cotree,
     divergence,
     enumerate_cycles,
@@ -24,6 +23,7 @@ from dirichlet_flows.rationals import mat_rank
 
 from conftest import (
     bundled_graphs,
+    coordinate_family_is_basis,
     complete_graph,
     oracle_coordinate_map,
     oracle_cycles,

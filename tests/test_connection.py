@@ -16,8 +16,6 @@ from dirichlet_flows import (
     enumerate_cycles,
     enumerate_paths,
     integral_vector,
-    omega_cycle,
-    omega_path,
     split_graph,
     transport,
     tree_basis,
@@ -25,19 +23,23 @@ from dirichlet_flows import (
 from dirichlet_flows import connection
 from dirichlet_flows.cli import main
 from dirichlet_flows.connection import sample_rates_off_kernels, solve_ivp
-from dirichlet_flows.connection import TreeMatrix
 from dirichlet_flows.combinatorics import SignedEdgeSet
 from dirichlet_flows.graphs import DirectedGraph, Edge
-from dirichlet_flows.rationals import sp_add, sp_commutator, sp_matmul, sp_max_abs, sp_scale
+from dirichlet_flows.rationals import int_table
 
 from conftest import (
     bundled_graphs,
     complete_graph,
+    oracle_combine,
     oracle_commutes,
     oracle_flatness,
+    oracle_matmul,
+    oracle_numeric_matrices,
     oracle_operators,
+    oracle_term_matrices,
     random_graphs,
     random_rational_weights,
+    table_matrices,
 )
 
 
@@ -56,7 +58,10 @@ def figure_eight():
 # ---------------------------------------------------------------------------
 
 def test_linear_form_two_edge_cycle(two_edge):
-    cyc = enumerate_cycles(two_edge)[0].reoriented(along="e2")
+    cyc = enumerate_cycles(two_edge)[0]
+    # the same cycle, oriented so that e2 gets +1
+    cyc = SignedEdgeSet(cyc.edges, {eid: s * cyc.sign("e2") for eid, s in cyc.signs.items()},
+                        cyc.kind)
     assert cyc.form({"e1": 3, "e2": 10}) == 7  # lam2 - lam1
 
 
@@ -68,13 +73,50 @@ def test_linear_form_triangle_path(triangle):
 
 
 # ---------------------------------------------------------------------------
-# the two operator families
+# the two operator families, in the integer term table
 # ---------------------------------------------------------------------------
 
+def _term_matrix(g, w, edges):
+    """The term matrix with the given edge set, read from the table over L."""
+    conn = build_connection(g, w)
+    terms = [frozenset(t.edges) for t in conn.path_terms + conn.cycle_terms]
+    return table_matrices(conn)[terms.index(frozenset(edges))]
+
+
+def _random_weights(g, rng):
+    """Random rational weights with denominators 1, 2, 3 and 7."""
+    return {eid: Fraction(int(rng.integers(1, 13)), int(rng.choice([1, 2, 3, 7])))
+            for eid in g.edge_ids}
+
+
+TABLE_GRAPHS = bundled_graphs() + [complete_graph(3)] + random_graphs(seed=33, count=8)
+
+
+@pytest.mark.parametrize("k", range(len(TABLE_GRAPHS)))
+def test_table_matches_term_oracle(k):
+    """The table over L equals the term matrices built from their definitions,
+    term by term, at the graph's weights and at random rational weights with
+    denominators 1, 2, 3 and 7, where L > 1 on a graph with a cycle; each
+    term's entries are nonzero integers sorted by (row, col), and L is the lcm
+    of the entries' denominators."""
+    g = TABLE_GRAPHS[k]
+    rng = np.random.default_rng(34 + k)
+    for w in (DirichletWeights.from_graph(g).alpha, _random_weights(g, rng)):
+        conn = build_connection(g, w)
+        oracle = oracle_term_matrices(g, w)
+        assert list(conn.path_terms + conn.cycle_terms) == [term for term, _ in oracle]
+        assert table_matrices(conn) == [m for _, m in oracle]
+        entries = [v for _, m in oracle for row in m for v in row if v]
+        assert conn.scale == lcm(*(v.denominator for v in entries))
+        for t in range(len(oracle)):
+            rows, cols, values = (part.tolist() for part in conn.table.matrix(t))
+            assert all(values) and list(zip(rows, cols)) == sorted(set(zip(rows, cols)))
+    if conn.cycle_terms:
+        assert conn.scale > 1
+
+
 def test_omega_path_triangle_diagonal(triangle):
-    paths = {frozenset(p.edges): p for p in enumerate_paths(triangle)}
-    m = omega_path(triangle, paths[frozenset({"e3"})])
-    dense = m.to_dense()
+    dense = _term_matrix(triangle, DirichletWeights.from_graph(triangle), {"e3"})
     diag = [dense[i][i] for i in range(5)]
     assert diag == [1, 0, 1, 0, 1]  # basis order: e1e3, e1e4, e2e3, e2e4, e3e4
     assert all(dense[i][j] == 0 for i in range(5) for j in range(5) if i != j)
@@ -82,32 +124,29 @@ def test_omega_path_triangle_diagonal(triangle):
 
 def test_omega_path_idempotent_everywhere():
     for g in bundled_graphs():
-        for p in enumerate_paths(g):
-            m = omega_path(g, p).rows
-            assert sp_max_abs(sp_add(sp_matmul(m, m), sp_scale(m, Fraction(-1)))) == 0
+        conn = build_connection(g, DirichletWeights.from_graph(g))
+        for m in table_matrices(conn)[:len(conn.path_terms)]:
+            assert oracle_matmul(m, m) == m
 
 
 def test_omega_path_chain_identity(chain):
-    p = enumerate_paths(chain)[0]
-    m = omega_path(chain, p)
-    assert m.size == 1 and m.to_dense() == [[Fraction(1)]]
+    conn = build_connection(chain, DirichletWeights.from_graph(chain))
+    assert conn.size == 1 and table_matrices(conn) == [[[Fraction(1)]]]
 
 
 def test_omega_cycle_two_edge_matrix(two_edge):
-    cyc = enumerate_cycles(two_edge)[0]
-    m = omega_cycle(two_edge, cyc, {"e1": 3, "e2": 5})
+    m = _term_matrix(two_edge, {"e1": 3, "e2": 5}, {"e1", "e2"})
     # basis (f_{e1}, f_{e2}); the swap signs are orientation-invariant
-    assert m.to_dense() == [[Fraction(5), Fraction(-5)], [Fraction(-3), Fraction(3)]]
+    assert m == [[Fraction(5), Fraction(-5)], [Fraction(-3), Fraction(3)]]
 
 
 def test_omega_cycle_triangle_columns(triangle):
     w = {eid: Fraction(k + 2) for k, eid in enumerate(triangle.edge_ids)}
-    cyc = [c for c in enumerate_cycles(triangle) if c.edges == frozenset({"e1", "e2"})][0]
-    m = omega_cycle(triangle, cyc, w)
+    m = _term_matrix(triangle, w, {"e1", "e2"})
     # column of tree {e1,e3}: alpha2 at itself, alpha1 at {e2,e3}
-    assert m.entry(0, 0) == w["e2"] and m.entry(2, 0) == w["e1"]
+    assert m[0][0] == w["e2"] and m[2][0] == w["e1"]
     # column of tree {e3,e4} is zero: two cycle edges are missing
-    assert all(m.entry(i, 4) == 0 for i in range(5))
+    assert all(m[i][4] == 0 for i in range(5))
 
 
 def test_omega_cycle_scaled_projector_identity():
@@ -115,19 +154,10 @@ def test_omega_cycle_scaled_projector_identity():
     rng = np.random.default_rng(31)
     for g in bundled_graphs() + random_graphs(seed=32, count=8):
         w = random_rational_weights(g, rng)
-        for c in enumerate_cycles(g):
-            m = omega_cycle(g, c, w).rows
+        conn = build_connection(g, w)
+        for c, m in zip(conn.cycle_terms, table_matrices(conn)[len(conn.path_terms):]):
             total = sum((w[eid] for eid in c.edges), Fraction(0))
-            assert sp_max_abs(sp_add(sp_matmul(m, m), sp_scale(m, -total))) == 0
-
-
-def test_tree_matrix_export(two_edge):
-    cyc = enumerate_cycles(two_edge)[0]
-    m = omega_cycle(two_edge, cyc, {"e1": 1, "e2": 1})
-    out = m.as_triplets(basis=tree_basis(two_edge))
-    assert out["rows"] == out["cols"] == 2
-    assert out["basis"] == [["e1"], ["e2"]]
-    assert [1, 0, "-1"] in out["entries"]
+            assert oracle_matmul(m, m) == oracle_combine((total, m))
 
 
 # ---------------------------------------------------------------------------
@@ -144,25 +174,21 @@ def test_build_connection_shapes(two_edge, triangle, chain):
 
 
 def test_connection_coefficients_two_edge(two_edge):
-    conn = build_connection(two_edge, DirichletWeights.from_graph(two_edge))
+    w = DirichletWeights.from_graph(two_edge)
+    conn = build_connection(two_edge, w)
     mats = connection_coefficients(conn, {"e1": 1, "e2": 2})
-    sigma1 = omega_path(two_edge, [p for p in enumerate_paths(two_edge)
-                                   if p.edges == frozenset({"e1"})][0]).rows
-    sigma2 = omega_path(two_edge, [p for p in enumerate_paths(two_edge)
-                                   if p.edges == frozenset({"e2"})][0]).rows
-    qc = omega_cycle(two_edge, enumerate_cycles(two_edge)[0],
-                     DirichletWeights.from_graph(two_edge)).rows
-    m1_expected = sp_add(sigma1, sp_scale(qc, Fraction(-1)))
-    m2_expected = sp_add(sigma2, qc)
-    assert sp_max_abs(sp_add(mats[0].rows, sp_scale(m1_expected, Fraction(-1)))) == 0
-    assert sp_max_abs(sp_add(mats[1].rows, sp_scale(m2_expected, Fraction(-1)))) == 0
+    sigma1 = _term_matrix(two_edge, w, {"e1"})
+    sigma2 = _term_matrix(two_edge, w, {"e2"})
+    qc = _term_matrix(two_edge, w, {"e1", "e2"})
+    assert mats[0] == oracle_combine((1, sigma1), (-1, qc))
+    assert mats[1] == oracle_combine((1, sigma2), (1, qc))
 
 
 def test_connection_coefficients_chain_constant(chain):
     conn = build_connection(chain, DirichletWeights.from_graph(chain))
     a = connection_coefficients(conn, {"e1": 1, "e2": 2})
     b = connection_coefficients(conn, {"e1": 7, "e2": 11})
-    assert all(x.rows == y.rows for x, y in zip(a, b))
+    assert a == b
 
 
 def test_connection_coefficients_excluded_locus(two_edge):
@@ -214,7 +240,7 @@ def test_commutation_random_graphs():
 
 def _flags_match_oracle(g, w):
     rep = check_commutation(g, w)
-    ops = oracle_operators(build_connection(g, w))
+    ops = oracle_operators(g, w)
     for it in rep["items"]:
         assert it["commutes"] == oracle_commutes(ops, w, it), it
     return rep
@@ -255,22 +281,27 @@ def test_commutation_past_int64_matches_oracle(triangle):
 # ---------------------------------------------------------------------------
 
 def _broken(conn, delta=Fraction(1, 7), which=0):
-    """conn with delta added to entry (0, 0) of its cycle operator `which`."""
-    terms = list(conn.cycle_terms)
-    cyc, mat = terms[which]
-    rows = {i: dict(row) for i, row in mat.rows.items()}
-    rows.setdefault(0, {})[0] = rows.get(0, {}).get(0, Fraction(0)) + delta
-    terms[which] = (cyc, TreeMatrix(mat.size, rows, mat.label))
-    return replace(conn, cycle_terms=tuple(terms))
+    """conn with delta added to entry (0, 0) of its cycle operator `which`; the
+    table is rescaled to L' = lcm(L, denominator of delta) first, so that
+    delta L' is an integer."""
+    scale = lcm(conn.scale, delta.denominator)
+    mats = []
+    for k in range(len(conn.table.ptr) - 1):
+        entries = {(i, j): v * (scale // conn.scale)
+                   for i, j, v in zip(*(part.tolist() for part in conn.table.matrix(k)))}
+        if k == len(conn.path_terms) + which:
+            entries[0, 0] = entries.get((0, 0), 0) + int(delta * scale)
+        mats.append(tuple(zip(*((i, j, v) for (i, j), v in sorted(entries.items()))))
+                    or ((), (), ()))
+    return replace(conn, table=int_table(mats), scale=scale)
 
 
 def _flipped(conn, which=0):
     """conn with the sign of one edge of its path term `which` flipped."""
     terms = list(conn.path_terms)
-    path, mat = terms[which]
+    path = terms[which]
     eid = sorted(path.edges)[0]
-    terms[which] = (SignedEdgeSet(path.edges, {**path.signs, eid: -path.signs[eid]}, path.kind),
-                    mat)
+    terms[which] = SignedEdgeSet(path.edges, {**path.signs, eid: -path.signs[eid]}, path.kind)
     return replace(conn, path_terms=tuple(terms))
 
 
@@ -402,7 +433,7 @@ def test_sampled_rates_are_the_fraction_tests(triangle, two_diamond):
         for _ in range(20):
             while True:
                 lam = {eid: Fraction(int(ref.integers(1, 129)), 16) for eid in conn.edge_ids}
-                if all(cyc.form(lam) != 0 for cyc, _ in conn.cycle_terms):
+                if all(cyc.form(lam) != 0 for cyc in conn.cycle_terms):
                     break
             assert sample_rates_off_kernels(conn, rng) == lam
 
@@ -511,7 +542,27 @@ def test_numeric_matrices_match_exact(triangle):
     exact = connection_coefficients(conn, lam)
     numeric = connection_matrices_numeric(conn, {k: float(v) for k, v in lam.items()})
     for m, a in zip(exact, numeric):
-        assert np.allclose(np.array(m.to_dense(as_float=True)), a, atol=1e-13)
+        assert np.allclose(np.array(m, dtype=float), a, atol=1e-13)
+
+
+NUMERIC_GRAPHS = bundled_graphs() + [complete_graph(3)]
+
+
+@pytest.mark.parametrize("k", range(len(NUMERIC_GRAPHS)))
+def test_numeric_matrices_are_the_dense_sum_to_the_bit(k):
+    """The stack added up at the table's entries has the bits of the sum of
+    dense weighted term matrices, at rational and at complex rates, at the
+    graph's weights and at weights with denominators 3 and 7."""
+    g = NUMERIC_GRAPHS[k]
+    rng = np.random.default_rng(62 + k)
+    for w in (DirichletWeights.from_graph(g).alpha, _random_weights(g, rng)):
+        conn = build_connection(g, w)
+        lam = sample_rates_off_kernels(conn, rng)
+        shifted = {eid: float(v) + 1j * int(rng.integers(1, 17)) / 16 for eid, v in lam.items()}
+        for rates, dtype in ((lam, float), (shifted, complex)):
+            numeric = connection_matrices_numeric(conn, rates)
+            assert numeric.dtype == dtype
+            assert numeric.tobytes() == oracle_numeric_matrices(conn, rates).tobytes()
 
 
 # ---------------------------------------------------------------------------
