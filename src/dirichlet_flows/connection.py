@@ -26,13 +26,14 @@ embedded Runge-Kutta formulae", J. Comput. Appl. Math. 6, 1980) under the
 step control of scipy's RK45, in `solve_ivp`.
 
 The commutation and flatness checks are exact over Q without Fraction matrix
-products.  They read the term matrices from the table, scaled by L; each
-commutator is computed modulo primes below 2^26, as many as an integer bound
-on its entries asks for.  Commutation decides each item by whether its
-product vanishes (`rationals.nonzero_quads`).  Flatness puts each sample's
-rates over a common denominator, so that its cycle forms and the integer
-coefficients of every M_e are Python integers, and sends all samples at once
-to `rationals.commutator_peaks`, which recovers a nonzero entry exactly.
+products.  Both send quads of integer combinations of the table's term
+matrices, scaled by L, to `rationals.residue_peaks`, which computes each
+product modulo primes below 2^26, as many as an integer bound on its entries
+asks for.  Commutation decides each item at one sample by whether its quad
+vanishes, without recovering an entry.  Flatness puts each sample's rates
+over a common denominator, so that its cycle forms and the integer
+coefficients of every M_e are Python integers, and sends the commutators of
+all samples at once; a nonzero entry is recovered exactly.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .combinatorics import (
 )
 from .environment import DirichletWeights
 from .graphs import DirectedGraph, require_valid
-from .rationals import IntTable, commutator_peaks, int_table, nonzero_quads, table_sum
+from .rationals import IntTable, int_table, residue_peaks
 
 
 class ExcludedLocusError(ValueError):
@@ -206,18 +207,23 @@ def check_commutation(g: DirectedGraph, w) -> dict:
 
     "Disjoint" means edge-disjoint throughout: the operators only see edge
     sets.  Items where no relation is claimed are still reported with their
-    observed commutation status.  Every item is one integer residual
-    X Y - Z W of the terms scaled by L, all decided in one batch.
+    observed commutation status.  Every item is one quad X Y - Z W of
+    integer combinations of the terms scaled by L: a term, a sum of terms, or
+    cL times the identity, which follows the terms in the table; all items
+    are decided at one sample, in one call of `rationals.residue_peaks`.
     """
     alpha = _alpha_map(w)
     conn = build_connection(g, alpha)
-    scale, terms = conn.scale, conn.table
-    mats = [terms.matrix(k) for k in range(len(terms.ptr) - 1)]
+    scale, n_terms = conn.scale, len(conn.table.ptr) - 1
+    diagonal = np.arange(conn.size)
+    table = int_table([conn.table.matrix(k) for k in range(n_terms)]
+                      + [(diagonal, diagonal, [1] * conn.size)])
+    combos = [([k], [[1]]) for k in range(n_terms)]
     identities: dict[Fraction, int] = {}
 
-    def add(coo) -> int:
-        mats.append(coo)
-        return len(mats) - 1
+    def add(terms, coef) -> int:
+        combos.append((terms, [coef]))
+        return len(combos) - 1
 
     p = {s: k for k, s in enumerate(conn.path_terms)}
     q = {c: len(p) + k for k, c in enumerate(conn.cycle_terms)}
@@ -239,8 +245,7 @@ def check_commutation(g: DirectedGraph, w) -> dict:
         """X^2 - c X, as X X - (cL I) X on the operators scaled by L; cL is an
         integer, as c is 1 or a sum of alpha_e whose denominators divide L."""
         if c not in identities:
-            diagonal = range(conn.size)
-            identities[c] = add((diagonal, diagonal, [(c * scale).numerator] * conn.size))
+            identities[c] = add([n_terms], [(c * scale).numerator])
         return (x, x, identities[c], x)
 
     # projector identities
@@ -284,7 +289,7 @@ def check_commutation(g: DirectedGraph, w) -> dict:
         inside = [c for c in cycles if c.edges <= union]
         if len(inside) != 3:
             continue
-        ssum = add(table_sum(terms, [q[c] for c in inside], conn.size))
+        ssum = add([q[c] for c in inside], [1] * len(inside))
         for ci in inside:
             record("iv", [inside[0], inside[1], inside[2], ci], True, commutator(ssum, q[ci]))
 
@@ -295,10 +300,10 @@ def check_commutation(g: DirectedGraph, w) -> dict:
             if genus(g, union) != 1:
                 continue
             (cycle,) = [c for c in cycles if c.edges <= union]  # genus 1: one cycle
-            ssum = add(table_sum(terms, [p[paths[a]], p[paths[b]]], conn.size))
+            ssum = add([p[paths[a]], p[paths[b]]], [1, 1])
             record("v", [paths[a], paths[b], cycle], True, commutator(ssum, q[cycle]))
 
-    nonzero = nonzero_quads(int_table(mats), conn.size, quads)
+    nonzero = residue_peaks(table, conn.size, combos, quads, entries=False)
     for k, it in enumerate(items):
         it["commutes"] = k not in nonzero
         it["ok"] = (not it["claimed"]) or it["commutes"]
@@ -327,9 +332,10 @@ def check_flatness(conn: ConnectionForm, lambda_samples, exact: bool = True):
     coefficient M_e is scaled to the integer matrix N_e = D_e L M_e, with D_e
     the lcm of the denominators of its weights in `ConnectionForm.terms`, so
     that N_e is an integer combination of the term matrices scaled by L; every
-    [N_a, N_b] of every sample goes to `rationals.commutator_peaks`, which
-    assembles each N_e for all samples at once and expands each edge pair
-    once.  Float mode returns the max residual relative to the product scale.
+    [N_a, N_b] of every sample is the quad (a, b, b, a) of
+    `rationals.residue_peaks`, which assembles each N_e for all samples at
+    once and expands each edge pair once.  Float mode returns the max residual
+    relative to the product scale.
     """
     if not exact:
         worst = 0.0
@@ -365,7 +371,7 @@ def check_flatness(conn: ConnectionForm, lambda_samples, exact: bool = True):
         denominators.append(row)
     pairs = [(a, b) for a in range(len(members)) for b in range(a + 1, len(members))]
     combos = [([k for k, _ in ks], coef) for ks, coef in zip(members, coefficients)]
-    peaks = commutator_peaks(conn.table, conn.size, combos, pairs)
+    peaks = residue_peaks(conn.table, conn.size, combos, [(a, b, b, a) for a, b in pairs])
     worst = Fraction(0)
     for (s, k), peak in peaks.items():
         a, b = pairs[k]

@@ -193,18 +193,41 @@ def split_graph(g: DirectedGraph) -> SplitGraph:
 # structured-text graph files
 # ---------------------------------------------------------------------------
 
+def _typed(value, kind: type, what: str):
+    """value, which must be of the JSON type kind: str, list or dict."""
+    if not isinstance(value, kind):
+        json_type = {str: "a string", list: "an array", dict: "an object"}[kind]
+        raise ValueError(f"{what} must be {json_type}, got {value!r}")
+    return value
+
+
+def _field(obj: dict, name: str, where: str, kind: type | None = None):
+    """obj[name], of the JSON type kind when one is given."""
+    if name not in obj:
+        raise ValueError(f"{where} missing field {name!r}")
+    return obj[name] if kind is None else _typed(obj[name], kind, f"{where} field {name!r}")
+
+
 def graph_from_dict(data: dict) -> DirectedGraph:
-    try:
-        vertices = tuple(str(v) for v in data["vertices"])
-        cemetery = str(data["cemetery"])
-        base = str(data["base"])
-        edges = tuple(
-            Edge(str(e["id"]), str(e["tail"]), str(e["head"]), parse_scalar(e["alpha"]))
-            for e in data["edges"]
-        )
-    except KeyError as exc:
-        raise ValueError(f"graph object missing field {exc}") from exc
-    return DirectedGraph(vertices, cemetery, base, edges)
+    """The graph of a graph object: an array of string vertex names, string
+    cemetery and base, and an array of edge objects, each with a string id,
+    tail and head and an alpha that is a number or a string like "2/3".  A
+    field of any other JSON type raises ValueError."""
+    top = "graph object"
+    _typed(data, dict, "a graph file")
+    vertices = tuple(_typed(v, str, "a vertex") for v in _field(data, "vertices", top, list))
+    edges = []
+    for e in _field(data, "edges", top, list):
+        eid = _field(_typed(e, dict, "an edge"), "id", "edge", str)
+        where = f"edge {eid!r}"
+        alpha = _field(e, "alpha", where)
+        try:
+            alpha = parse_scalar(alpha)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"{where} field 'alpha': {exc}") from None
+        edges.append(Edge(eid, _field(e, "tail", where, str), _field(e, "head", where, str), alpha))
+    return DirectedGraph(vertices, _field(data, "cemetery", top, str), _field(data, "base", top, str),
+                         tuple(edges))
 
 
 def graph_to_dict(g: DirectedGraph) -> dict:

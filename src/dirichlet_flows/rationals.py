@@ -8,19 +8,19 @@ elimination serves rank, determinant and solve alike.
 
 Matrix products are exact over Q through residues.  Integer matrices live
 in an `IntTable`: n x n matrices in COO form, each a slice of entries sorted
-by (row, col), with int64 values, or object ones past int64.  A product
-A B - C D of table matrices is computed modulo primes below 2^26, with as
-many primes as an integer bound on its entries asks for, and a nonzero entry
-is recovered by the Chinese remainder theorem.  The kernel runs on numpy
-alone, in the two phases of Gustavson's sparse product (ACM TOMS 4, 1978):
-a symbolic phase expands each entry of A against a row of B, and of C
-against D, and sorts the products by entry, once per pattern; a numeric
-phase sums them for every value set on that pattern, one prime of one
-sample per row of an int64 array.  `nonzero_quads` decides which products
-vanish (the commutation relations); `commutator_peaks` takes integer
-combinations of table matrices, one per edge and sample, assembles each on
-its union pattern for all samples at once, and expands each pair once for
-all of them (flatness).
+by (row, col), with int64 values, or object ones past int64.  The one entry
+to the residue kernel, `residue_peaks`, takes integer combinations N_e of
+table matrices, one coefficient row per sample, and quads N_a N_b - N_c N_d
+of them: a commutation relation is a quad of single terms, sums of terms or
+a multiple of the identity at one sample, flatness the commutators [N_a, N_b]
+of the connection's coefficients at every sample.  Each quad is computed
+modulo primes below 2^26, as many as an integer bound on its entries asks
+for, and a nonzero entry is recovered by the Chinese remainder theorem.  The
+kernel runs on numpy alone, in the two phases of Gustavson's sparse product
+(ACM TOMS 4, 1978): a symbolic phase expands each entry of N_a against a row
+of N_b, and of N_c against N_d, and sorts the products by entry, once per
+pattern; a numeric phase sums them for every value set on that pattern, one
+prime of one sample per row of an int64 array.
 
 The connection's term matrices are built straight into one `IntTable`
 (`connection.build_connection`).  The sparse Fraction helpers `sp_*`, on
@@ -39,7 +39,6 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 Sparse = dict[int, dict[int, Fraction]]
-IntSparse = dict[int, dict[int, int]]
 
 
 def parse_scalar(value) -> Fraction:
@@ -47,7 +46,10 @@ def parse_scalar(value) -> Fraction:
 
     Decimal strings are exact ("0.1" -> 1/10); Python floats convert via their
     binary value, which is exact but may surprise (0.1 -> 3602879701896397/2**55).
+    Booleans are not numbers here.
     """
+    if isinstance(value, bool):
+        raise TypeError(f"cannot parse scalar from bool: {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
@@ -206,11 +208,13 @@ def sp_to_dense(a: Sparse | Mapping, n: int, as_float: bool = False):
 # while row i of A and row i of C hold fewer than 2^11 nonzeros together.
 _PRIME_LIMIT = 1 << 26
 _ROW_NNZ_LIMIT = 1 << 11
-# Work of one kernel pass, which bounds memory.  A chunk of whole quads
-# expands to at most this many products, by a bound that takes every row as
-# its matrix's widest, unless one quad alone is more; each pass over a chunk
-# holds at most this many residues (rows x products, a row being one prime
-# of one sample), or one row's.
+# Work of one kernel pass, which bounds memory.  A chunk of whole
+# combinations holds at most this many term entries x samples, and a chunk
+# of whole quads expands to at most this many products, by a bound that
+# takes every row as its matrix's widest, unless one alone is more; each
+# pass over a chunk holds at most this many values (samples or rows x
+# entries or products, a row being one prime of one sample), or one
+# sample's or row's.
 _CHUNK_CAP = 1 << 16
 
 _PRIMES: list[int] = []
@@ -289,33 +293,11 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
-def table_sum(table: IntTable, members, n: int):
-    """The sum of the member matrices of the table, as a (rows, cols, values)
-    triple with one entry per position of any member, kept also where the
-    values cancel."""
-    idx = _ranges(table.ptr[members], np.diff(table.ptr)[members])
-    key = table.rows[idx] * n + table.cols[idx]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    values = np.add.reduceat(table.values[idx[order]], starts) if len(starts) else table.values[:0]
-    return key[starts] // n, key[starts] % n, values
-
-
-def _widths_and_peaks(table: IntTable, n: int) -> tuple[list[int], list[int]]:
-    """The most entries in one row, and the largest |value|, of each matrix of
-    the table."""
-    size = np.diff(table.ptr)
-    owner = np.repeat(np.arange(len(size)), size)
-    key = owner * n + table.rows
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    width = np.zeros(len(size), dtype=np.int64)
-    np.maximum.at(width, owner[starts], np.diff(np.append(starts, len(key))))
-    peak = np.zeros(len(size), dtype=table.values.dtype)
-    full = np.flatnonzero(size)
-    if len(full):
-        peak[full] = np.maximum.reduceat(np.abs(table.values), table.ptr[full])
-    return width.tolist(), peak.tolist()
+def _chunks(cost: np.ndarray) -> list[int]:
+    """Cut points of consecutive items into chunks of whole items that cost
+    at most _CHUNK_CAP together, apart from the first item of each chunk."""
+    cut = np.cumsum(cost) // _CHUNK_CAP
+    return np.append(np.flatnonzero(np.diff(cut, prepend=-1)), len(cost)).tolist()
 
 
 def _depths(bounds) -> tuple[np.ndarray, list[int], list[int]]:
@@ -419,12 +401,10 @@ def _sample_products(table, n: int, quads: np.ndarray, depth: np.ndarray, primes
     # A chunk of whole quads expands to at most _CHUNK_CAP products, by a
     # bound that takes every row as its matrix's widest, unless one quad
     # alone is more.
-    cost = n + size[a] * width[b] + size[c] * width[d]
-    chunk = np.cumsum(cost) // _CHUNK_CAP
-    edges = np.append(np.flatnonzero(np.diff(chunk, prepend=-1)), len(quads))
+    edges = _chunks(n + size[a] * width[b] + size[c] * width[d])
     grid = np.arange(n_primes)
     found = []
-    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+    for lo, hi in zip(edges, edges[1:]):
         expansion = _expand(ptr, ti, tj, row_ptr, n, quads[lo:hi])
         if expansion is None:
             continue
@@ -463,19 +443,6 @@ def _sample_products(table, n: int, quads: np.ndarray, depth: np.ndarray, primes
     return tuple(np.concatenate(part) for part in zip(*found))
 
 
-def _residue_products(table, n: int, quads: np.ndarray, depth: np.ndarray,
-                      primes: np.ndarray):
-    """`_sample_products` for a table of one sample: the nonzero entries of A
-    B - C D for each row q = (A, B, C, D) of quads, as arrays (q, i, j,
-    residues), residues[:, t] the entry modulo primes[t] for t < depth[q];
-    table = (ptr, width, i, j, residues) with residues[t] the entries modulo
-    primes[t]."""
-    ptr, width, ti, tj, residues = table
-    q, _, i, j, by_prime = _sample_products((ptr, width, ti, tj, residues[None]), n, quads,
-                                            depth[None], primes)
-    return q, i, j, by_prime
-
-
 def _crt_peaks(group: np.ndarray, by_prime: np.ndarray, depth: np.ndarray, primes,
                products) -> dict[int, int]:
     """The largest |entry| of each group, from each entry's residues
@@ -498,124 +465,118 @@ def _crt_peaks(group: np.ndarray, by_prime: np.ndarray, depth: np.ndarray, prime
     return dict(zip(group[starts].tolist(), np.maximum.reduceat(size, starts).tolist()))
 
 
-def _residue_table(table: IntTable, n: int, quads):
-    """The kernel's input for quads (A, B, C, D) of indices into the table:
-    each quad gets the fewest primes below 2^26 whose product exceeds twice
-    the bound rownnz(A) max|A| max|B| + rownnz(C) max|C| max|D| on its
-    entries, so residues that are zero modulo every prime mean an exact zero.
-    Returns the kernel table (residues below 2^26 kept as int32), the prime
-    count of each quad, the primes and their running products."""
-    width, peak = _widths_and_peaks(table, n)
-    bounds = [2 * (width[a] * peak[a] * peak[b] + width[c] * peak[c] * peak[d])
-              for a, b, c, d in quads]
-    depth, primes, products = _depths(bounds)
-    residues = np.empty((len(primes), len(table.values)), dtype=np.int32)
-    for t, p in enumerate(primes):
-        residues[t] = table.values % p
-    return (table.ptr, np.array(width), table.rows, table.cols, residues), depth, primes, products
-
-
-def integer_residuals(mats: list[IntSparse], n: int, quads) -> dict[int, int]:
-    """The largest |entry| of A B - C D, exactly, for each quad (A, B, C, D) of
-    indices into mats, n x n integer matrices whose entries may be of any size.
-
-    Each quad is computed modulo as many primes as `_residue_table` gives it,
-    and the Chinese remainder theorem recovers a nonzero entry.  All quads go
-    through one batch of residue products.
-    Returns {index of the quad: max |entry|} for the quads that are not zero.
-    """
-    if not quads:
-        return {}
-    coo = [sorted((i, j, v) for i, row in rows.items() for j, v in row.items()) for rows in mats]
-    table = int_table([tuple(zip(*entries)) or ((), (), ()) for entries in coo])
-    kernel_table, depth, primes, products = _residue_table(table, n, quads)
-    quad, _, _, by_prime = _residue_products(kernel_table, n, np.asarray(quads, dtype=np.int64),
-                                             depth, np.array(primes, dtype=np.int64))
-    return _crt_peaks(quad, by_prime, depth[quad], primes, products)
-
-
-def nonzero_quads(table: IntTable, n: int, quads) -> set[int]:
-    """The indices of the quads (A, B, C, D) of the table's matrices whose A B
-    - C D is not zero, decided exactly as by `integer_residuals`, without
-    recovering any entry."""
-    if not quads:
-        return set()
-    (ptr, width, ti, tj, residues), depth, primes, _ = _residue_table(table, n, quads)
-    return set(_sample_products((ptr, width, ti, tj, residues[None]), n,
-                                np.asarray(quads, dtype=np.int64), depth[None],
-                                np.array(primes, dtype=np.int64), entries=False).tolist())
-
-
-def commutator_peaks(table: IntTable, n: int, combos, pairs) -> dict[tuple[int, int], int]:
-    """The largest |entry| of N_a N_b - N_b N_a, exactly, for each sample s and
-    each pair k = (a, b) of pairs, as {(s, k): entry} for the nonzero ones.
+def residue_peaks(table: IntTable, n: int, combos, quads, entries: bool = True):
+    """The largest |entry| of N_a N_b - N_c N_d, exactly, for each sample s and
+    each quad k = (a, b, c, d) of quads, as {(s, k): entry} for the nonzero
+    ones; with entries false, the set of the quads that are nonzero at some
+    sample, without recovering any entry.
 
     combos[e] = (terms, coef) gives N_e at sample s as the sum over t of
     coef[s][t] times the table's matrix terms[t]; coef holds one row of
-    integers per sample.  All samples share N_e's pattern, the union of its
-    terms' patterns, where an entry that cancels stays as a zero, so widths,
-    bounds and prime counts are those of N_e summed entry by entry.  N_e is
-    assembled exactly once for the largest |entry| of each sample, and modulo
-    each prime for all samples at once: coef mod p at the terms' entries
-    times their values mod p, summed per pattern position, a sparse (samples
-    x terms)(terms x pattern) product in int64, exact while fewer than 2^11
-    terms meet at a position.  Each pair is then expanded once for all its
-    samples (`_sample_products`), each sample to its own prime count, and the
-    Chinese remainder theorem recovers the nonzero entries.
-    """
-    if not pairs or not len(combos[0][1]):
-        return {}
-    sizes = np.diff(table.ptr)
-    # per edge: its pattern's keys i n + j; the term and the value of each
-    # term entry, sorted by key, and the first entry at each key; coef
-    parts = []
-    width, peaks = [], []
-    for terms, coef in combos:
-        terms = np.asarray(terms, dtype=np.int64)
-        idx = _ranges(table.ptr[terms], sizes[terms])
-        local = np.repeat(np.arange(len(terms)), sizes[terms])
-        key = table.rows[idx] * n + table.cols[idx]
-        order = np.argsort(key, kind="stable")
-        key, idx, local = key[order], idx[order], local[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        values = table.values[idx]
-        coef = _int_values(coef)
-        # exact in int64 while every sum of products is
-        top = int(np.abs(coef).max(initial=0)) * int(np.abs(values).max(initial=0))
-        dtype = np.int64 if top * len(terms) < 1 << 63 else object
-        exact = np.zeros((len(coef), 0), dtype=np.int64)
-        if len(starts):
-            exact = np.add.reduceat(coef.astype(dtype)[:, local] * values.astype(dtype), starts,
-                                    axis=1)
-        peaks.append(np.abs(exact).max(axis=1, initial=0).tolist())
-        rows = key[starts] // n
-        width.append(int(np.diff(np.append(np.flatnonzero(np.diff(rows, prepend=-1)),
-                                           len(rows))).max(initial=0)))
-        parts.append((key[starts], local, values, coef, starts))
+    integers per sample, as many rows for every combination.  All samples
+    share N_e's pattern, the union of its terms' patterns, where an entry that
+    cancels stays as a zero.  Quad k at sample s gets the fewest primes below
+    2^26 whose product exceeds 2 (w_a |N_a| |N_b| + w_c |N_c| |N_d|), w the
+    most entries in one row of the pattern and |N| the largest |entry| at s,
+    so residues that are zero modulo every prime mean an exact zero.
 
-    n_samples = len(peaks[0])
-    bounds = [2 * (width[a] + width[b]) * peaks[a][s] * peaks[b][s]
-              for s in range(n_samples) for a, b in pairs]
-    depth, primes, products = _depths(bounds)
-    depth = depth.reshape(n_samples, len(pairs))
+    The combinations are assembled in chunks of whole ones, of at most
+    _CHUNK_CAP term entries x samples unless one alone is more: a chunk's
+    term entries are sorted once by (combination, i, j) and summed per
+    pattern position, exactly for |N|, then modulo each prime for all
+    samples at once, coef mod p times the values mod p in int64, exact while
+    fewer than 2^11 terms meet at a position.  Each chunk of quads is then
+    expanded once for all samples (`_sample_products`), each sample to its
+    own prime count, and the Chinese remainder theorem recovers the nonzero
+    entries.
+    """
+    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    if not len(quads) or not len(combos[0][1]):
+        return {} if entries else set()
+    n_samples = len(combos[0][1])
+    size = np.diff(table.ptr)
+    terms = np.array([k for ks, _ in combos for k in ks], dtype=np.int64)
+    n_terms = np.array([len(ks) for ks, _ in combos], dtype=np.int64)
+    first = np.append(0, np.cumsum(n_terms))
+    coef = _int_values([[x for _, c in combos for x in c[s]] for s in range(n_samples)])
+    # the term entries of each combination, and the chunks of combinations
+    load = np.append(0, np.cumsum(size[terms]))[first]
+    edges = _chunks(np.diff(load) * n_samples)
+
+    # per chunk, every term entry's table position and coefficient column,
+    # sorted by (combination, i, j), with the first entry at each position
+    chunks, patterns = [], []
+    width = np.zeros(len(combos), dtype=np.int64)
+    peak = np.zeros((len(combos), n_samples), dtype=object)
+    count = np.zeros(len(combos), dtype=np.int64)
+    for lo, hi in zip(edges, edges[1:]):
+        t = terms[first[lo]:first[hi]]
+        idx = _ranges(table.ptr[t], size[t])
+        col = np.repeat(np.arange(first[lo], first[hi]), size[t])
+        owner = np.repeat(np.repeat(np.arange(hi - lo), n_terms[lo:hi]), size[t])
+        key = (owner * n + table.rows[idx]) * n + table.cols[idx]
+        order = np.argsort(key)
+        key, idx, col = key[order], idx[order], col[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        if not len(starts):
+            continue
+        pattern = key[starts]
+        run = int(np.diff(np.append(starts, len(key))).max())
+        chunks.append((idx, col, starts, run))
+        patterns.append(pattern)
+        owner = pattern // (n * n)
+        count[lo:hi] = np.bincount(owner, minlength=hi - lo)
+        block = pattern // n
+        rows = np.flatnonzero(np.diff(block, prepend=-1))
+        np.maximum.at(width, lo + block[rows] // n, np.diff(np.append(rows, len(block))))
+        at = np.flatnonzero(np.diff(owner, prepend=-1))
+        values = table.values[idx]
+        big = int(np.abs(values).max()) * run
+        step = max(1, _CHUNK_CAP // len(idx))
+        for s in range(0, n_samples, step):
+            # exact sums, in int64 while no sum can leave it
+            weights = _int_values(coef[s:s + step, col])
+            prod = weights.astype(np.int64 if int(np.abs(weights).max()) * big < 1 << 63
+                                  else object, copy=False)
+            prod *= values.astype(prod.dtype, copy=False)
+            exact = np.add.reduceat(prod, starts, axis=1)
+            peak[lo + owner[at], s:s + step] = np.maximum.reduceat(np.abs(exact), at, axis=1).T
+    if not chunks:
+        return {} if entries else set()
+
+    a, b, c, d = quads.T
+    w = width.astype(object)[:, None]
+    bounds = 2 * (w[a] * peak[a] * peak[b] + w[c] * peak[c] * peak[d])
+    depth, primes, products = _depths(bounds.T.ravel().tolist())
+    depth = depth.reshape(n_samples, len(quads))
 
     # every N_e modulo each prime, at its pattern's slice of one row per
     # (sample, prime)
-    ptr = np.zeros(len(parts) + 1, dtype=np.int64)
-    np.cumsum([len(part[0]) for part in parts], out=ptr[1:])
-    residues = np.zeros((n_samples, len(primes), ptr[-1]), dtype=np.int32)
-    for (pattern, local, values, coef, starts), lo in zip(parts, ptr.tolist()):
-        if not len(pattern):
-            continue
-        for t, p in enumerate(primes):
-            prod = (coef % p).astype(np.int64)[:, local] * (values % p).astype(np.int64)
-            if coef.shape[1] >= _ROW_NNZ_LIMIT:
-                prod %= p
-            residues[:, t, lo:lo + len(pattern)] = np.add.reduceat(prod, starts, axis=1) % p
-    keys = np.concatenate([part[0] for part in parts])
-    table = (ptr, np.array(width), keys // n, keys % n, residues)
-    quads = np.array([(a, b, b, a) for a, b in pairs], dtype=np.int64)
-    quad, sample, _, _, by_prime = _sample_products(table, n, quads, depth,
-                                                    np.array(primes, dtype=np.int64))
-    peaks = _crt_peaks(sample * len(pairs) + quad, by_prime, depth[sample, quad], primes, products)
-    return {divmod(group, len(pairs)): peak for group, peak in peaks.items()}
+    residues = np.empty((n_samples, len(primes), int(count.sum())), dtype=np.int32)
+    for t, p in enumerate(primes):
+        coef_p = (coef % p).astype(np.int64)
+        values_p = (table.values % p).astype(np.int64)
+        offset = 0
+        for idx, col, starts, run in chunks:
+            values = values_p[idx]
+            step = max(1, _CHUNK_CAP // len(idx))
+            for s in range(0, n_samples, step):
+                prod = coef_p[s:s + step, col]
+                prod *= values
+                if run >= _ROW_NNZ_LIMIT:
+                    prod %= p
+                residues[s:s + step, t, offset:offset + len(starts)] = np.add.reduceat(
+                    prod, starts, axis=1) % p
+            offset += len(starts)
+    # the chunks and the patterns' keys are freed before the expansion
+    del chunks
+    ti, tj = np.divmod(np.concatenate(patterns) % (n * n), n)
+    del patterns
+    kernel_table = (np.append(0, np.cumsum(count)), width, ti, tj, residues)
+    found = _sample_products(kernel_table, n, quads, depth, np.array(primes, dtype=np.int64),
+                             entries)
+    if not entries:
+        return set(found.tolist())
+    quad, sample, _, _, by_prime = found
+    peaks = _crt_peaks(sample * len(quads) + quad, by_prime, depth[sample, quad], primes, products)
+    return {divmod(group, len(quads)): entry for group, entry in peaks.items()}

@@ -132,6 +132,41 @@ def test_usage_errors_exit_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def _two_edge_file(edge=(), **fields) -> dict:
+    """The two-edge graph object with some top-level fields, and some fields
+    of its first edge, replaced."""
+    data = graph_to_dict(builtin_graph("two-edge"))
+    data["edges"][0].update(edge)
+    return {**data, **fields}
+
+
+BAD_GRAPH_FILES = {
+    "array": [],
+    "vertices-number": _two_edge_file(vertices=5),
+    "vertex-number": _two_edge_file(vertices=["x0", 1, "delta"]),
+    "cemetery-array": _two_edge_file(cemetery=["delta"]),
+    "edges-string": _two_edge_file(edges="e1"),
+    "edge-number": _two_edge_file(edges=[5]),
+    "id-number": _two_edge_file({"id": 1}),
+    "head-null": _two_edge_file({"head": None}),
+    "alpha-null": _two_edge_file({"alpha": None}),
+    "alpha-array": _two_edge_file({"alpha": [1]}),
+    "alpha-true": _two_edge_file({"alpha": True}),
+    "alpha-zero-denominator": _two_edge_file({"alpha": "1/0"}),
+}
+
+
+@pytest.mark.parametrize("data", BAD_GRAPH_FILES.values(), ids=BAD_GRAPH_FILES)
+def test_malformed_graph_file_is_an_error_report(capsys, tmp_path, data):
+    """A graph file with a field of the wrong JSON type exits 2 with an error
+    report, not a traceback; a boolean is not a weight."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    status, report = run_twice(capsys, ["enumerate", "--graph", str(path)])
+    assert status == PARSE_ERROR
+    assert report == {"command": "enumerate", "error": report["error"], "pass": False}
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("graph", ["two-edge", "triangle"])
 def test_wilson_path_gate_at_small_n(capsys, graph, seed):

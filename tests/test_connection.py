@@ -20,7 +20,7 @@ from dirichlet_flows import (
     transport,
     tree_basis,
 )
-from dirichlet_flows import connection
+from dirichlet_flows import connection, rationals
 from dirichlet_flows.cli import main
 from dirichlet_flows.connection import sample_rates_off_kernels, solve_ivp
 from dirichlet_flows.combinatorics import SignedEdgeSet
@@ -361,6 +361,28 @@ def test_flatness_matches_oracle_on_k3():
     broken = _broken(conn, Fraction(1, 3), 7)
     residual = check_flatness(broken, samples)
     assert residual != 0 and residual == oracle_flatness(broken, samples)
+
+
+def test_k3_checks_do_not_depend_on_the_chunks(monkeypatch):
+    """K3 commutation flags and flatness residuals, of the connection and of a
+    broken copy, are the same when every chunk of combinations and of quads
+    is cut as small as it goes."""
+    g = complete_graph(3)
+    w = {eid: Fraction(1 + k % 4, 3) for k, eid in enumerate(g.edge_ids)}
+    conn = build_connection(g, w)
+    rng = np.random.default_rng(61)
+    samples = [sample_rates_off_kernels(conn, rng) for _ in range(2)]
+    broken = _broken(conn, Fraction(1, 3), 7)
+
+    def checks():
+        return (check_commutation(g, w), check_flatness(conn, samples),
+                check_flatness(broken, samples))
+
+    expected = checks()
+    assert expected[1] == 0 != expected[2]
+    assert not all(it["commutes"] for it in expected[0]["items"])
+    monkeypatch.setattr(rationals, "_CHUNK_CAP", 1)
+    assert checks() == expected
 
 
 @pytest.mark.parametrize("count", [1, 40])
