@@ -8,22 +8,23 @@ occupation flow, and the weighted-tree functionals estimated here are the
 probabilistic side of the integral identities checked in `integrals`.
 
 Randomness contract: every draw comes from a counter-based Philox stream
-keyed (seed, kind, block), so results are bit-identical per seed.  A Monte
-Carlo batch of n samples is cut into blocks of BLOCK_ROWS samples, the last
-one shorter, and block b draws from stream (seed, kind, b) alone (Salmon et
-al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011): each block is
-an independent batch, and no estimator holds anything of length n.  Block 0
-is the stream every other draw uses, so a batch of at most BLOCK_ROWS
-samples draws what one unblocked stream would.  Within a block the
-environment batch draws one gamma vector of the block's samples per edge, in
-graph edge order.  An edge out of a vertex with some weight below 1/16 draws
-a Gamma(alpha + 1) vector and then a uniform vector instead, and its vertex
-normalises its exits in log space (`sample_environment_batch`); other
-vertices draw as before.  The walkers move all n samples in lockstep from
-one stream: every lockstep step draws one uniform per walker still moving,
-in walker order.  Sample i thus depends on n and on the other samples'
-walks, and a batch of one is a single walk.  The chain walks of
-`simulate_chains` and `loop_erased_paths` at one seed are the same walks.
+keyed (seed, kind, block), so results are bit-identical per seed.  A batch
+of n environments or walkers is cut into blocks of BLOCK_ROWS samples, the
+last one shorter, and block b draws from stream (seed, kind, b) alone
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011):
+each block is an independent batch, and no sampler holds work arrays of
+length n.  Block 0 is the stream every other draw uses, so a batch of at
+most BLOCK_ROWS samples draws what one unblocked stream would.  Within a
+block the environment batch draws one gamma vector of the block's samples
+per edge, in graph edge order.  An edge out of a vertex with some weight
+below 1/16 draws a Gamma(alpha + 1) vector and then a uniform vector
+instead, and its vertex normalises its exits in log space
+(`sample_environment_batch`); other vertices draw as before.  The walkers of
+a block move in lockstep: every lockstep step draws one uniform per walker
+of the block still moving, in walker order.  A walk thus depends on its
+block and on the other walks of that block alone, and a batch of one is a
+single walk.  The chain walks of `simulate_chains` and `loop_erased_paths`
+at one seed are the same walks.
 
 Batch layout: the Monte Carlo kernels keep a block of environments
 edge-major, one contiguous row of samples per edge, and form every
@@ -129,11 +130,11 @@ class McEstimate:
 # stream kinds; the second Philox key word is (kind << 48) | block
 _ENV, _CHAIN, _WILSON = 0, 1, 2
 
-# Samples per block of a Monte Carlo batch.  It is part of the stream
-# contract: block b of a batch draws from stream (seed, kind, b), so changing
-# it changes every batch of more than BLOCK_ROWS samples.  A block's arrays
-# stay in cache and in the allocator's free lists, where arrays of a whole
-# 100k batch are mapped afresh, page by page, at every step.
+# Samples per block of a batch of environments or of walkers.  It is part of
+# the stream contract: block b of a batch draws from stream (seed, kind, b),
+# so changing it changes every batch of more than BLOCK_ROWS samples.  A
+# block's arrays stay in cache and in the allocator's free lists, where arrays
+# of a whole 100k batch are mapped afresh, page by page, at every step.
 BLOCK_ROWS = 8192
 
 
@@ -344,10 +345,11 @@ def tree_probability(g: DirectedGraph, env: Environment, tree: SpanningTree):
 # ---------------------------------------------------------------------------
 # trajectory samplers
 # ---------------------------------------------------------------------------
-# All n walkers move in lockstep.  Vertices are numbered in g.interior order
-# with the cemetery last, edges in g.edges order.  Each lockstep step of a
-# walk draws rng.random(m), one uniform per walker still moving, in walker
-# order; nothing else draws from the stream.
+# The walkers of a block (`_blocks`) move in lockstep, numbered from 0 in the
+# block.  Vertices are numbered in g.interior order with the cemetery last,
+# edges in g.edges order.  Each lockstep step of a walk draws rng.random(m)
+# from the block's stream, one uniform per walker of the block still moving,
+# in walker order; nothing else draws from the stream.
 #
 # The step kernel works on flat indices into small tables.  Vertex i owns the
 # exit slots i * width .. i * width + width - 1 of the flat `slot` table, its
@@ -360,9 +362,10 @@ def tree_probability(g: DirectedGraph, env: Environment, tree: SpanningTree):
 # tables (stop flags, recorded exits) are read and written at walker * row
 # length + vertex on their flat views.
 
-def _random_exits(g: DirectedGraph, env: Environment, rng):
-    """The head vertex of every edge, and a chooser that draws one exit edge for
-    each walker in walker order, one uniform each, from the chain in `env`."""
+def _random_exits(g: DirectedGraph, env: Environment):
+    """The head vertex of every edge, and a function from a stream to a chooser
+    that draws one exit edge for each walker in walker order, one uniform
+    each, from the chain in `env`; the tables are built once per call."""
     check_environment(g, env)
     width = max(len(g.out_edges[x]) for x in g.interior)
     columns = np.full((width - 1, len(g.interior)), np.inf)
@@ -376,13 +379,15 @@ def _random_exits(g: DirectedGraph, env: Environment, rng):
     vidx = {x: i for i, x in enumerate(g.interior + (g.cemetery,))}
     head = np.array([vidx[e.head] for e in g.edges], dtype=np.intp)
 
-    def choose(walkers, x):
-        u = rng.random(len(walkers))
-        at = x * width
-        for column in columns:
-            at += np.take(column, x) <= u
-        return np.take(slot, at)
-    return head, choose
+    def chooser(rng):
+        def choose(walkers, x):
+            u = rng.random(len(walkers))
+            at = x * width
+            for column in columns:
+                at += np.take(column, x) <= u
+            return np.take(slot, at)
+        return choose
+    return head, chooser
 
 
 def _lockstep(head: np.ndarray, choose, walkers: np.ndarray, x: np.ndarray, stop: np.ndarray,
@@ -409,23 +414,27 @@ def _lockstep(head: np.ndarray, choose, walkers: np.ndarray, x: np.ndarray, stop
 
 
 def _chains(g: DirectedGraph, env: Environment, n: int, seed: int):
-    """n chains from the base until absorption: their lockstep steps, the head
-    table, the start vertices and the stop table (the cemetery only)."""
-    head, choose = _random_exits(g, env, philox_stream(seed, _CHAIN))
+    """n chains from the base until absorption, block b from stream (seed,
+    _CHAIN, b): per block its first sample, its lockstep steps, the head
+    table, its start vertices and the stop table (the cemetery only)."""
+    head, chooser = _random_exits(g, env)
     k = len(g.interior)
     stop = np.zeros(k + 1, dtype=bool)
     stop[k] = True
-    start = np.full(n, g.interior.index(g.base))
-    return _lockstep(head, choose, np.arange(n), start, stop, STEP_CAP), head, start, stop
+    for b, lo, hi in _blocks(n):
+        start = np.full(hi - lo, g.interior.index(g.base))
+        steps = _lockstep(head, chooser(philox_stream(seed, _CHAIN, b)), np.arange(hi - lo),
+                          start, stop, STEP_CAP)
+        yield lo, steps, head, start, stop
 
 
 def simulate_chains(g: DirectedGraph, env: Environment, n: int, seed: int) -> list[list[str]]:
     """n trajectories of the chain from the base until absorption, as edge ids."""
     trajectories: list[list[str]] = [[] for _ in range(n)]
-    steps, *_ = _chains(g, env, n, seed)
-    for walkers, _, edges in steps:
-        for w, e in zip(walkers.tolist(), edges.tolist()):
-            trajectories[w].append(g.edge_ids[e])
+    for lo, steps, *_ in _chains(g, env, n, seed):
+        for walkers, _, edges in steps:
+            for w, e in zip((walkers + lo).tolist(), edges.tolist()):
+                trajectories[w].append(g.edge_ids[e])
     return trajectories
 
 
@@ -486,50 +495,61 @@ def loop_erased_paths(g: DirectedGraph, env: Environment, n: int, seed: int) -> 
     The chronological loop erasure of a walk from the base leaves every vertex
     on it by the walk's last exit from that vertex, so the walkers record only
     their last exits and the erased path follows them from the base.  The
-    walks are those of `simulate_chains` at the same seed.
+    walks are those of `simulate_chains` at the same seed, one block at a
+    time, with arrays sized to the block.
     """
-    steps, head, start, stop = _chains(g, env, n, seed)
-    k = len(g.interior)
-    last = np.zeros(n * k, dtype=np.intp)
-    for walkers, x, e in steps:
-        last[walkers * k + x] = e
-    m = len(g.edges)
-    on_path = np.zeros(n * m, dtype=bool)
-    # an erased path is simple, so it ends within |interior| steps
-    for walkers, _, e in _lockstep(head, lambda w, x: np.take(last, w * k + x), np.arange(n),
-                                   start, stop, k):
-        on_path[walkers * m + e] = True
-    rows, inverse = _distinct_rows(on_path.reshape(n, m))
-    return Counter({frozenset(g.edge_ids[j] for j in np.flatnonzero(row)): int(c)
-                    for row, c in zip(rows, np.bincount(inverse))})
+    k, m = len(g.interior), len(g.edges)
+    counts = Counter()
+    for _, steps, head, start, stop in _chains(g, env, n, seed):
+        size = len(start)
+        last = np.zeros(size * k, dtype=np.intp)
+        for walkers, x, e in steps:
+            last[walkers * k + x] = e
+        on_path = np.zeros(size * m, dtype=bool)
+        # an erased path is simple, so it ends within |interior| steps
+        for walkers, _, e in _lockstep(head, lambda w, x: np.take(last, w * k + x),
+                                       np.arange(size), start, stop, k):
+            on_path[walkers * m + e] = True
+        rows, inverse = _distinct_rows(on_path.reshape(size, m))
+        for row, c in zip(rows, np.bincount(inverse)):
+            counts[frozenset(g.edge_ids[j] for j in np.flatnonzero(row))] += int(c)
+    return counts
 
 
 def wilson_sample_trees(g: DirectedGraph, env: Environment, n: int, seed: int) -> list[SpanningTree]:
     """n directed spanning trees via loop-erased walks rooted at the cemetery (Wilson).
 
-    For each start vertex in g.interior order, every sample whose tree lacks
-    the start walks until it hits its tree, recording its last exit from each
-    vertex; the path that follows those exits from the start joins the tree.
+    Block b of the samples draws from stream (seed, _WILSON, b).  For each
+    start vertex in g.interior order, every sample of the block lacking it
+    walks until it hits its tree, recording its last exit from each vertex;
+    the path that follows those exits from the start joins the tree.
     """
-    head, choose = _random_exits(g, env, philox_stream(seed, _WILSON))
+    head, chooser = _random_exits(g, env)
     k = len(g.interior)
-    in_tree = np.zeros((n, k + 1), dtype=bool)
-    in_tree[:, k] = True
-    flags = in_tree.reshape(-1)
-    exits = np.zeros((n, k), dtype=np.intp)
-    last = exits.reshape(-1)
-    for s in range(k):
-        walkers = np.flatnonzero(~in_tree[:, s])
-        start = np.full(len(walkers), s)
-        for w, x, e in _lockstep(head, choose, walkers, start, in_tree, STEP_CAP):
-            last[w * k + x] = e
-        for w, x, _ in _lockstep(head, lambda w, x: np.take(last, w * k + x), walkers, start,
-                                 in_tree, k):
-            flags[w * (k + 1) + x] = True
-    rows, inverse = _distinct_rows(exits)
-    trees = np.empty(len(rows), dtype=object)
-    trees[:] = [SpanningTree(frozenset(g.edge_ids[j] for j in row), directed=True) for row in rows]
-    return trees.take(inverse).tolist()
+    trees: list[SpanningTree] = [None] * n
+    shared: dict[tuple, SpanningTree] = {}  # one tree object per exit row, across blocks
+    for b, lo, hi in _blocks(n):
+        choose = chooser(philox_stream(seed, _WILSON, b))
+        in_tree = np.zeros((hi - lo, k + 1), dtype=bool)
+        in_tree[:, k] = True
+        flags = in_tree.reshape(-1)
+        exits = np.zeros((hi - lo, k), dtype=np.intp)
+        last = exits.reshape(-1)
+        for s in range(k):
+            walkers = np.flatnonzero(~in_tree[:, s])
+            start = np.full(len(walkers), s)
+            for w, x, e in _lockstep(head, choose, walkers, start, in_tree, STEP_CAP):
+                last[w * k + x] = e
+            for w, x, _ in _lockstep(head, lambda w, x: np.take(last, w * k + x), walkers, start,
+                                     in_tree, k):
+                flags[w * (k + 1) + x] = True
+        rows, inverse = _distinct_rows(exits)
+        block = np.empty(len(rows), dtype=object)
+        block[:] = [shared.setdefault(row, SpanningTree(frozenset(g.edge_ids[j] for j in row),
+                                                         directed=True))
+                    for row in map(tuple, rows.tolist())]
+        trees[lo:hi] = block.take(inverse).tolist()
+    return trees
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ tree.  The quadrature oracle integrates one chart integral at a time, one
 Gauss-Kronrod panel per integrand call, by the recursive scheme the
 library's lockstep batches must reproduce.  The lockstep
 walker oracle runs the three walkers on the two-dimensional gather kernel the
-library's flat-index step kernel must reproduce draw for draw.
+library's flat-index step kernel must reproduce draw for draw, block by
+block from the same block-keyed streams.
 
 The Monte Carlo oracles build a whole batch row-major, drawing each block of
 BLOCK_ROWS samples from its own stream and concatenating the blocks, and
@@ -564,15 +565,16 @@ def _oracle_steps(head, choose, walkers, x, stop, cap):
         raise env_mod.IterationCapExceeded(f"a walk did not stop within {cap} steps")
 
 
-def oracle_lockstep(g: DirectedGraph, env: Environment, n: int, seed: int):
-    """(simulate_chains, loop_erased_paths, wilson_sample_trees) at (n, seed),
-    walked by the two-dimensional gather kernel from the same streams."""
+def _oracle_lockstep_block(g: DirectedGraph, env: Environment, n: int, seed: int, block: int):
+    """The three walkers' results for one block of n walkers, drawn from the
+    streams (seed, kind, block)."""
     k = len(g.interior)
     base = g.interior.index(g.base)
     stop = np.zeros((n, k + 1), dtype=bool)
     stop[:, k] = True
 
-    head, choose = _oracle_random_exits(g, env, env_mod.philox_stream(seed, env_mod._CHAIN))
+    head, choose = _oracle_random_exits(
+        g, env, env_mod.philox_stream(seed, env_mod._CHAIN, block))
     trajectories = [[] for _ in range(n)]
     last = np.zeros((n, k), dtype=np.intp)
     for walkers, x, e in _oracle_steps(head, choose, np.arange(n), np.full(n, base), stop,
@@ -587,7 +589,8 @@ def oracle_lockstep(g: DirectedGraph, env: Environment, n: int, seed: int):
             paths[w].append(g.edge_ids[j])
     erased = Counter(frozenset(path) for path in paths)
 
-    head, choose = _oracle_random_exits(g, env, env_mod.philox_stream(seed, env_mod._WILSON))
+    head, choose = _oracle_random_exits(
+        g, env, env_mod.philox_stream(seed, env_mod._WILSON, block))
     in_tree = stop.copy()
     exits = np.zeros((n, k), dtype=np.intp)
     for s in range(k):
@@ -599,6 +602,20 @@ def oracle_lockstep(g: DirectedGraph, env: Environment, n: int, seed: int):
             in_tree[w, x] = True
     trees = [SpanningTree(frozenset(g.edge_ids[j] for j in row), directed=True)
              for row in exits.tolist()]
+    return trajectories, erased, trees
+
+
+def oracle_lockstep(g: DirectedGraph, env: Environment, n: int, seed: int):
+    """(simulate_chains, loop_erased_paths, wilson_sample_trees) at (n, seed),
+    walked by the two-dimensional gather kernel: each block of BLOCK_ROWS
+    walkers from its own streams (seed, kind, b), the blocks' trajectories
+    and trees concatenated and their path counts added."""
+    trajectories, erased, trees = [], Counter(), []
+    for b, rows in oracle_blocks(n):
+        block = _oracle_lockstep_block(g, env, min(n, rows.stop) - rows.start, seed, b)
+        trajectories += block[0]
+        erased += block[1]
+        trees += block[2]
     return trajectories, erased, trees
 
 

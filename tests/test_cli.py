@@ -175,6 +175,15 @@ def test_wilson_path_gate_at_small_n(capsys, graph, seed):
     assert results["path_pass"] is True and results["path_p_value"] >= 1e-3
 
 
+def test_wilson_test_over_several_blocks(capsys):
+    """At 20 000 samples the walkers run as three blocks: the report is the
+    same bytes twice, counts every sample and PASSes."""
+    status, report = run_twice(capsys, ["wilson-test", "--graph", "triangle", "--samples", "20000"])
+    assert 20_000 > 2 * env_mod.BLOCK_ROWS
+    assert status == 0 and report["pass"] is True
+    assert sum(report["results"]["observed_counts"]) == 20_000
+
+
 def test_split_transport_reads_alpha(capsys, tmp_path):
     """--alpha on the split graph acts as a graph file with that weight does."""
     g = builtin_graph("two-edge")

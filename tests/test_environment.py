@@ -381,6 +381,47 @@ def test_mc_laplace_by_tree_memory_is_bounded():
         assert peak < bound, (n, peak, bound)
 
 
+def test_walker_memory_is_bounded(two_diamond):
+    """On two-diamond the traced peaks of loop_erased_paths, and of
+    wilson_sample_trees less its result list of n pointers, stay below 24
+    rows of 8 bytes per walker of one block, and differ by less than one
+    byte per block row between 50 000 and 500 000 walkers: the walkers run
+    one block at a time and hold no step array of length n."""
+    env = Environment(DIAMOND)
+    bound = 24 * env_mod.BLOCK_ROWS * 8
+    for sample, result_bytes in ((loop_erased_paths, lambda n: 0),
+                                 (wilson_sample_trees, lambda n: 8 * n)):
+        sample(two_diamond, env, 2, seed=3)  # lazy imports stay out of the peak
+        peaks = [_traced_peak(lambda: sample(two_diamond, env, n, seed=3)) - result_bytes(n)
+                 for n in (50_000, 500_000)]
+        assert max(peaks) < bound, (sample.__name__, peaks, bound)
+        assert abs(peaks[0] - peaks[1]) < env_mod.BLOCK_ROWS, (sample.__name__, peaks)
+
+
+def test_block_zero_walks_what_one_stream_walks(two_diamond):
+    """At n = BLOCK_ROWS the walkers run one block, on the unblocked streams:
+    the Wilson trees and loop-erased path counts are the ones drawn before
+    the walkers ran by blocks, on two-diamond and on the complete digraph on
+    three vertices."""
+    q = Fraction(1, 4)
+    cases = [
+        (two_diamond, Environment(DIAMOND),
+         9, "87d48df804c53bb2ddda833399a3d3f41ae3bfcd311068853142ec8bf9a3fe39",
+         "35d65bef94f06993ae94953ec79729282ede1c84c26a5aa8b03aea51d745e1d5"),
+        (complete_graph(3), Environment({
+            "e1": 2 * q, "e2": q, "e7": q, "e3": q, "e4": 2 * q, "e8": q,
+            "e5": Fraction(1, 3), "e6": Fraction(1, 3), "e9": Fraction(1, 3)}),
+         10, "1880100a005bed3b2c7001ee811f22a31e9c4fc8a44b54d1e8920afad50043aa",
+         "880f72559c21d30504c800e7121a92e492f30afaf8b5d4b27a34df636736ca34"),
+    ]
+    for g, env, seed, trees_digest, paths_digest in cases:
+        n = env_mod.BLOCK_ROWS
+        trees = [sorted(t.edges) for t in wilson_sample_trees(g, env, n, seed)]
+        paths = sorted((sorted(p), c) for p, c in loop_erased_paths(g, env, n, seed).items())
+        assert hashlib.sha256(repr(trees).encode()).hexdigest() == trees_digest, g
+        assert hashlib.sha256(repr(paths).encode()).hexdigest() == paths_digest, g
+
+
 def test_block_zero_draws_what_one_stream_draws():
     """Block 0 of every stream kind is the unblocked stream's key: a batch of
     at most BLOCK_ROWS environments is the one drawn before the streams
@@ -530,6 +571,9 @@ def test_wilson_frequencies_rough(triangle):
 
 # exit probabilities far from uniform; tree law (1/9, 2/9, 2/3)
 SKEWED = {"e1": Fraction(1, 3), "e3": Fraction(2, 3), "e2": Fraction(3, 4), "e4": Fraction(1, 4)}
+# two-diamond: x0 and c leave by two exits, a and b by one
+DIAMOND = {"e1": Fraction(2, 3), "e5": Fraction(1, 3), "e2": Fraction(1),
+           "e3": Fraction(1), "e4": Fraction(3, 5), "e6": Fraction(2, 5)}
 
 
 def lockstep_cases(triangle, two_diamond):
@@ -537,9 +581,7 @@ def lockstep_cases(triangle, two_diamond):
     two-diamond, the complete digraph on three vertices and random graphs, the
     last two with random rational environments."""
     rng = np.random.default_rng(37)
-    cases = [(triangle, Environment(SKEWED)), (two_diamond, Environment({
-        "e1": Fraction(2, 3), "e5": Fraction(1, 3), "e2": Fraction(1),
-        "e3": Fraction(1), "e4": Fraction(3, 5), "e6": Fraction(2, 5)}))]
+    cases = [(triangle, Environment(SKEWED)), (two_diamond, Environment(DIAMOND))]
     return cases + [(g, random_rational_environment(g, rng))
                     for g in [complete_graph(3)] + random_graphs(seed=38, count=6)]
 
@@ -573,12 +615,15 @@ def test_loop_erased_path_law(triangle, two_diamond):
         assert chi2_pvalue(loop_erased_paths(g, env, n, seed=22), law, n) >= 1e-3, g
 
 
-def test_last_exit_erasure_is_loop_erase(triangle, two_diamond):
-    """loop_erased_paths erases the very walks of simulate_chains at the same seed."""
-    for g, env in lockstep_cases(triangle, two_diamond):
-        erased = Counter(frozenset(loop_erase(g, traj))
-                         for traj in simulate_chains(g, env, 3000, seed=23))
-        assert loop_erased_paths(g, env, 3000, seed=23) == erased
+def test_last_exit_erasure_is_loop_erase(triangle, two_diamond, monkeypatch):
+    """loop_erased_paths erases the very walks of simulate_chains at the same
+    seed, in one block and in blocks of 1001 walkers."""
+    for rows in (env_mod.BLOCK_ROWS, 1001):
+        monkeypatch.setattr(env_mod, "BLOCK_ROWS", rows)
+        for g, env in lockstep_cases(triangle, two_diamond):
+            erased = Counter(frozenset(loop_erase(g, traj))
+                             for traj in simulate_chains(g, env, 3000, seed=23))
+            assert loop_erased_paths(g, env, 3000, seed=23) == erased, (g, rows)
 
 
 def test_lockstep_samplers_deterministic(triangle):
@@ -593,8 +638,8 @@ class GridStream:
     meet dyadic thresholds exactly, where `<=` and `<` part ways, and the top
     of the unit interval."""
 
-    def __init__(self, seed, kind):
-        self.gen = np.random.default_rng([seed, kind])
+    def __init__(self, seed, kind, block=0):
+        self.gen = np.random.default_rng([seed, kind, block])
 
     def random(self, m):
         return np.minimum(np.floor(self.gen.random(m) * 17) / 16, np.nextafter(1.0, 0.0))
@@ -615,11 +660,17 @@ def assert_walkers_match_oracle(g, env, n, seed):
 
 @pytest.mark.parametrize("stream", sorted(STREAMS))
 def test_step_kernel_matches_oracle(triangle, two_diamond, monkeypatch, stream):
+    """Draw for draw the oracle's walks, in one block and, at 1001 walkers per
+    block, in two full blocks and a short last one."""
     monkeypatch.setattr(env_mod, "philox_stream", STREAMS[stream])
     monkeypatch.setattr(env_mod, "STEP_CAP", 100_000)  # a wrong kernel fails, not hangs
     for g, env in lockstep_cases(triangle, two_diamond):
         for n, seed in product((1, 7, 3000), (0, 1, 2)):
             assert_walkers_match_oracle(g, env, n, seed)
+    monkeypatch.setattr(env_mod, "BLOCK_ROWS", 1001)
+    for g, env in lockstep_cases(triangle, two_diamond):
+        for seed in (0, 1, 2):
+            assert_walkers_match_oracle(g, env, 3000, seed)
 
 
 @pytest.mark.parametrize("stream", sorted(STREAMS))
@@ -649,7 +700,8 @@ def test_no_walker_takes_a_padding_slot(triangle, two_diamond, stream):
     for g, env in cases:
         vidx = {x: i for i, x in enumerate(g.interior)}
         tail = np.array([vidx[e.tail] for e in g.edges])
-        head, choose = env_mod._random_exits(g, env, STREAMS[stream](5, 1))
+        head, chooser = env_mod._random_exits(g, env)
+        choose = chooser(STREAMS[stream](5, 1))
         start = np.full(2000, vidx[g.base])
         stop = np.zeros(len(g.interior) + 1, dtype=bool)
         stop[-1] = True
