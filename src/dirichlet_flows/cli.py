@@ -5,10 +5,12 @@ the options it reads and its default sample count.  Each subcommand takes
 ``--graph``, ``--out`` and exactly those options; any other option is a usage
 error.
 
-Reports are JSON objects {command, inputs, results, pass}.  ``inputs`` holds
-the graph and the value of every option the command takes, defaults filled
-in; edge assignments are listed as ``alpha_overrides``, ``lambda_overrides``
-and ``prob_overrides``.  Identical inputs produce byte-identical reports.
+Reports are JSON objects {command, inputs, results, pass}, each printed as
+one line with sorted keys (``python -m json.tool`` indents one).  ``inputs``
+holds the graph and the value of every option the command takes, defaults
+filled in; edge assignments are listed as ``alpha_overrides``,
+``lambda_overrides`` and ``prob_overrides``.  Identical inputs produce
+byte-identical reports.
 Every Monte Carlo estimate adds its per-sample terms in a fixed order, with
 no BLAS product, whose last bits can depend on how its threads split the
 rows, so Monte Carlo estimates are the same at any BLAS thread count.  The
@@ -271,9 +273,10 @@ def _cmd_verify_identities(g, args):
     exchange = []
     base_tree = trees[0]
     spec = int_mod.IntegrandSpec(g, w.alpha, lam, base_tree)
+    charts = {}  # every swap e = e0 gives back the base tree
     for e0 in comb.cotree(g, base_tree):
         rep = int_mod.cohomology_identity_check(spec, e0, tol=args.tol,
-                                                quad_tol=args.quad_tol)
+                                                quad_tol=args.quad_tol, charts=charts)
         rep["tree"] = list(base_tree.key)
         rep["swap_edge"] = e0
         exchange.append(rep)
@@ -577,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, description=command.run.__doc__)
         p.add_argument("--graph", required=True,
                        help=f"graph file path or builtin name ({', '.join(sorted(BUILTIN))})")
-        p.add_argument("--out", help="also write the JSON report to this file")
+        p.add_argument("--out", help="also write the report, one JSON line with sorted keys, "
+                                     "to this file")
         for option in command.options:
             p.add_argument(f"--{option}", **_OPTIONS[option])
         if command.samples:
@@ -602,7 +606,7 @@ def main(argv=None) -> int:
                          sort_keys=True))
         return PARSE_ERROR
     report = {"command": args.command, "inputs": inputs, "results": results, "pass": bool(ok)}
-    text = json.dumps(report, sort_keys=True, indent=2, default=_encode)
+    text = json.dumps(report, sort_keys=True, default=_encode)
     print(text)
     if args.out:
         with open(args.out, "w") as fh:

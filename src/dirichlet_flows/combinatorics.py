@@ -8,14 +8,21 @@ The simple-walk search `_simple_walks` gives all simple cycles and all simple
 base-to-cemetery paths.  The tree walk `_tree_walk` gives the fundamental
 cycle of each cotree edge and the base-to-cemetery path of a spanning tree.
 
+Every other count has one kernel, the signed vertex-by-edge incidence matrix
+(`incidence`), with the edge indicator rows of edge sets (`edge_indicators`):
+the genus of S is |S| minus the rank of its incidence columns, a tree is a
+set of |V| - 1 edges whose minor without the cemetery row is +-1 (Kirchhoff),
+and `pair_genus` counts the edges and vertices that pairs of sets share.
+
 A spanning tree T is a chart of the unit-mass flows, the edge vectors z with
 div z = unit mass at the base.  Such a flow is the unit flow along T's
 base-to-cemetery path plus u_e times the fundamental cycle of each cotree
 edge e, so the cotree values u are its coordinates.  Spanning trees, the
 genus of an edge set and chart orientations also live here.
 
-Everything is exact (integers and Fractions) and deliberately exhaustive;
-the intended scale is |E| <= 16.
+Everything is exact (integers, Fractions, and float ranks and determinants of
+0/+-1 matrices, whose rounding errors are far below 1/2) and deliberately
+exhaustive; the intended scale is |E| <= 16.
 """
 
 from __future__ import annotations
@@ -23,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
+
+import numpy as np
 
 from .graphs import DirectedGraph
 from .rationals import mat_det
@@ -163,32 +172,40 @@ def enumerate_paths(g: DirectedGraph) -> list[SignedEdgeSet]:
     return sorted(paths, key=lambda p: tuple(sorted(p.edges)))
 
 
-def _closing_edges(g: DirectedGraph, edge_ids) -> int:
-    """How many of the edges close a cycle when added one by one (union-find)."""
-    parent: dict[str, str] = {}
+def incidence(g: DirectedGraph, edge_ids=None) -> np.ndarray:
+    """The signed vertex-by-edge incidence matrix, rows in `g.vertices` order:
+    column k is +1 at the tail and -1 at the head of edge id k (default: of
+    the k-th edge of the graph)."""
+    edges = g.edges if edge_ids is None else [g.edge_by_id[eid] for eid in edge_ids]
+    row = {v: k for k, v in enumerate(g.vertices)}
+    a = np.zeros((len(row), len(edges)), dtype=np.int64)
+    for k, e in enumerate(edges):
+        a[row[e.tail], k], a[row[e.head], k] = 1, -1
+    return a
 
-    def find(v):
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
 
-    closing = 0
-    for eid in edge_ids:
-        e = g.edge_by_id[eid]
-        a, b = find(e.tail), find(e.head)
-        if a == b:
-            closing += 1
-        else:
-            parent[a] = b
-    return closing
+def edge_indicators(g: DirectedGraph, edge_sets) -> np.ndarray:
+    """The 0/1 indicator rows of the edge sets over the edges in graph order."""
+    col = {eid: k for k, eid in enumerate(g.edge_ids)}
+    rows = np.zeros((len(edge_sets), len(col)), dtype=np.int64)
+    for r, edges in enumerate(edge_sets):
+        rows[r, [col[eid] for eid in edges]] = 1
+    return rows
+
+
+def _reduced_incidence(g: DirectedGraph, edge_ids) -> np.ndarray:
+    """The incidence columns of the edge ids without the cemetery row: |V| - 1
+    of them form a spanning tree exactly when their determinant is +-1, and
+    otherwise it is 0 (Kirchhoff's matrix-tree theorem)."""
+    return np.delete(incidence(g, edge_ids), g.vertices.index(g.cemetery), axis=0)
 
 
 def is_spanning_tree(g: DirectedGraph, edge_ids) -> bool:
-    """Whether the edge ids form a spanning tree: |V| - 1 edges and no cycle."""
-    edge_ids = frozenset(edge_ids)
-    return len(edge_ids) == len(g.vertices) - 1 and _closing_edges(g, edge_ids) == 0
+    """Whether the edge ids form a spanning tree: |V| - 1 edges whose reduced
+    incidence minor is nonzero."""
+    edge_ids = list(frozenset(edge_ids))
+    return (len(edge_ids) == len(g.vertices) - 1
+            and round(np.linalg.det(_reduced_incidence(g, edge_ids))) != 0)
 
 
 def spanning_tree(g: DirectedGraph, edge_ids) -> SpanningTree:
@@ -200,11 +217,22 @@ def spanning_tree(g: DirectedGraph, edge_ids) -> SpanningTree:
     return SpanningTree(edges, len(tails) == len(edges) and g.cemetery not in tails)
 
 
+# subsets whose minors are stacked at once in enumerate_spanning_trees
+_SUBSET_CHUNK = 4096
+
+
 def enumerate_spanning_trees(g: DirectedGraph, directed_only: bool = False) -> list[SpanningTree]:
-    """All spanning trees, sorted by their sorted edge-id tuple (the basis order)."""
-    n = len(g.vertices)
-    trees = [spanning_tree(g, combo) for combo in combinations(sorted(g.edge_ids), n - 1)
-             if is_spanning_tree(g, combo)]
+    """All spanning trees, sorted by their sorted edge-id tuple (the basis order):
+    the (|V| - 1)-subsets of the sorted edge ids, in combinations order, whose
+    reduced incidence minors are nonzero, stacked and tested at once."""
+    ids = sorted(g.edge_ids)
+    reduced = _reduced_incidence(g, ids)
+    subsets = combinations(range(len(ids)), len(g.vertices) - 1)
+    trees = []
+    while (chunk := np.array(list(islice(subsets, _SUBSET_CHUNK)))).size:
+        minors = reduced[:, chunk].transpose(1, 0, 2)
+        trees += [spanning_tree(g, [ids[k] for k in subset])
+                  for subset in chunk[np.rint(np.linalg.det(minors)) != 0].tolist()]
     return [t for t in trees if t.directed or not directed_only]
 
 
@@ -253,13 +281,25 @@ def tree_path(g: DirectedGraph, tree: SpanningTree) -> SignedEdgeSet:
 
 
 def genus(g: DirectedGraph, subset) -> int:
-    """Cyclomatic number |S| - |V(S)| + c(S) of the edge subset S.
-
-    Every edge that closes no cycle merges two components, so union-find
-    counts it as the edges that do.  It equals the dimension of the cycle
+    """Cyclomatic number |S| - |V(S)| + c(S) of the edge subset S: |S| minus
+    the rank of its incidence columns.  It equals the dimension of the cycle
     space of S: the rank of the signed indicators of the cycles inside S.
     """
-    return _closing_edges(g, frozenset(subset))
+    subset = list(frozenset(subset))
+    return len(subset) - (int(np.linalg.matrix_rank(incidence(g, subset))) if subset else 0)
+
+
+def pair_genus(g: DirectedGraph, rows: np.ndarray) -> np.ndarray:
+    """genus(X | Y) for every pair of `edge_indicators` rows X, Y of connected
+    edge sets (cycles, paths), as a square array: |E_X| + |E_Y| - |E_X & E_Y|
+    - (|V_X| + |V_Y| - |V_X & V_Y|) + (1 if X and Y share a vertex, else 2),
+    the shared counts being products of the edge rows and of the vertex rows.
+    """
+    vertices = (rows @ np.abs(incidence(g)).T > 0).astype(np.int64)
+    shared = vertices @ vertices.T
+    n_edges, n_vertices = rows.sum(axis=1), vertices.sum(axis=1)
+    return (n_edges[:, None] + n_edges - rows @ rows.T
+            - (n_vertices[:, None] + n_vertices - shared) + np.where(shared > 0, 1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,10 @@ import numpy as np
 from .combinatorics import (
     SignedEdgeSet,
     SpanningTree,
+    edge_indicators,
     enumerate_cycles,
     enumerate_paths,
-    genus,
+    pair_genus,
     tree_basis,
 )
 from .environment import DirichletWeights
@@ -130,25 +131,28 @@ def build_connection(g: DirectedGraph, w) -> ConnectionForm:
     require_valid(g)
     alpha = _alpha_map(w)
     basis = tree_basis(g)
-    index = {t.edges: k for k, t in enumerate(basis)}
     paths, cycles = enumerate_paths(g), enumerate_cycles(g)
     scale = math.lcm(*(alpha[e].denominator for c in cycles for e in c.edges))
+    # per tree, how many edges of each path, then of each cycle, it holds
+    inside = (edge_indicators(g, [t.edges for t in basis])
+              @ edge_indicators(g, [term.edges for term in paths + cycles]).T)
+    # edge sets as bit masks, and each edge's weight scaled by L
+    bit = {eid: 1 << k for k, eid in enumerate(g.edge_ids)}
+    masks = [sum(bit[eid] for eid in t.edges) for t in basis]
+    index = {m: k for k, m in enumerate(masks)}
+    weight = {eid: a.numerator * (scale // a.denominator) for eid, a in alpha.items()}
     mats = []
-    for sigma in paths:
-        diagonal = [k for k, t in enumerate(basis) if sigma.edges <= t.edges]
+    for k, sigma in enumerate(paths):
+        diagonal = np.flatnonzero(inside[:, k] == len(sigma.edges))
         mats.append((diagonal, diagonal, [scale] * len(diagonal)))
-    for cycle in cycles:
+    for k, cycle in enumerate(cycles, start=len(paths)):
+        sign = {bit[e]: cycle.sign(e) for e in cycle.edges}
+        signed = [(bit[e], cycle.sign(e) * weight[e]) for e in cycle.edges]
+        cycle_mask = sum(sign)
         entries = []
-        for j, t in enumerate(basis):
-            outside = cycle.edges - t.edges
-            if len(outside) != 1:
-                continue
-            (e0,) = outside
-            for e in cycle.edges:
-                a = alpha[e]
-                entries.append((index[(t.edges | outside) - {e}], j,
-                                cycle.sign(e0) * cycle.sign(e) * a.numerator
-                                * (scale // a.denominator)))
+        for j in np.flatnonzero(inside[:, k] == len(cycle.edges) - 1).tolist():
+            b0 = cycle_mask & ~masks[j]  # the one cycle edge e0 outside T
+            entries += [(index[(masks[j] | b0) & ~b], j, sign[b0] * v) for b, v in signed]
         mats.append(tuple(zip(*sorted(entries))) or ((), (), ()))
     return ConnectionForm(g, tuple(basis), tuple(paths), tuple(cycles), int_table(mats), scale)
 
@@ -207,106 +211,96 @@ def check_commutation(g: DirectedGraph, w) -> dict:
 
     "Disjoint" means edge-disjoint throughout: the operators only see edge
     sets.  Items where no relation is claimed are still reported with their
-    observed commutation status.  Every item is one quad X Y - Z W of
-    integer combinations of the terms scaled by L: a term, a sum of terms, or
-    cL times the identity, which follows the terms in the table; all items
-    are decided at one sample, in one call of `rationals.residue_peaks`.
+    observed commutation status.  Shared edges, genera of unions and cycles
+    inside unions are products of the terms' edge indicator rows.  Every item
+    is one quad X Y - Z W of integer combinations of the terms scaled by L: a
+    term, a sum of terms, or cL times the identity, which follows the terms in
+    the table; all items are decided at one sample, in one call of
+    `rationals.residue_peaks`.
     """
     alpha = _alpha_map(w)
     conn = build_connection(g, alpha)
-    scale, n_terms = conn.scale, len(conn.table.ptr) - 1
+    scale, t = conn.scale, conn.table
+    terms = conn.path_terms + conn.cycle_terms  # term k is matrix k of the table
     diagonal = np.arange(conn.size)
-    table = int_table([conn.table.matrix(k) for k in range(n_terms)]
-                      + [(diagonal, diagonal, [1] * conn.size)])
-    combos = [([k], [[1]]) for k in range(n_terms)]
+    table = IntTable(np.append(t.ptr, t.ptr[-1] + conn.size),
+                     np.concatenate([t.rows, diagonal]), np.concatenate([t.cols, diagonal]),
+                     np.concatenate([t.values, np.ones(conn.size, dtype=t.values.dtype)]))
+    combos = [([k], [[1]]) for k in range(len(terms))]
     identities: dict[Fraction, int] = {}
 
-    def add(terms, coef) -> int:
-        combos.append((terms, [coef]))
+    def add(members, coef) -> int:
+        combos.append((members, [coef]))
         return len(combos) - 1
 
-    p = {s: k for k, s in enumerate(conn.path_terms)}
-    q = {c: len(p) + k for k, c in enumerate(conn.cycle_terms)}
-    paths, cycles = list(p), list(q)
+    paths = range(len(conn.path_terms))
+    cycles = range(len(paths), len(terms))
+    label = [",".join(sorted(term.edges)) for term in terms]
+    rows = edge_indicators(g, [term.edges for term in terms])
+    genus = pair_genus(g, rows)
+    shared, genus_of = (rows @ rows.T).tolist(), genus.tolist()
     items, quads = [], []
 
     def record(relation, members, claimed, quad):
-        items.append({
-            "relation": relation,
-            "members": [",".join(sorted(m.edges)) for m in members],
-            "claimed": claimed,
-        })
+        """An item whose relation holds when the quad vanishes; a pair's
+        commutator is the quad (X, Y, Y, X)."""
+        items.append((relation, [label[k] for k in members], claimed))
         quads.append(quad)
-
-    def commutator(x, y):
-        return (x, y, y, x)
 
     def projector(x, c):
         """X^2 - c X, as X X - (cL I) X on the operators scaled by L; cL is an
         integer, as c is 1 or a sum of alpha_e whose denominators divide L."""
         if c not in identities:
-            identities[c] = add([n_terms], [(c * scale).numerator])
+            identities[c] = add([len(terms)], [(c * scale).numerator])
         return (x, x, identities[c], x)
 
+    def cycles_inside(unions: np.ndarray) -> np.ndarray:
+        """Per union row, the flags of the cycles with no edge outside it."""
+        return (1 - unions) @ rows[cycles.start:].T == 0
+
     # projector identities
-    for s in paths:
-        record("projector-path", [s], True, projector(p[s], 1))
-    for c in cycles:
-        total = sum((alpha[e] for e in c.edges), Fraction(0))
-        record("projector-cycle", [c], True, projector(q[c], total))
+    for k in paths:
+        record("projector-path", [k], True, projector(k, 1))
+    for k in cycles:
+        total = sum((alpha[e] for e in terms[k].edges), Fraction(0))
+        record("projector-cycle", [k], True, projector(k, total))
 
     # (i) cycle pairs
-    genus2_pairs = []
-    for a in range(len(cycles)):
-        for b in range(a + 1, len(cycles)):
-            ca, cb = cycles[a], cycles[b]
-            union = ca.edges | cb.edges
-            gen = genus(g, union)
-            disjoint = not (ca.edges & cb.edges)
-            record("i", [ca, cb], disjoint or gen != 2, commutator(q[ca], q[cb]))
-            if gen == 2:
-                genus2_pairs.append((ca, cb, union))
+    for a in cycles:
+        for b in range(a + 1, cycles.stop):
+            record("i", [a, b], not shared[a][b] or genus_of[a][b] != 2, (a, b, b, a))
 
     # (ii) path pairs
-    for a in range(len(paths)):
-        for b in range(a + 1, len(paths)):
-            record("ii", [paths[a], paths[b]], True, commutator(p[paths[a]], p[paths[b]]))
+    for a in paths:
+        for b in range(a + 1, paths.stop):
+            record("ii", [a, b], True, (a, b, b, a))
 
     # (iii) cycle/path pairs
-    for c in cycles:
-        for s in paths:
-            union = c.edges | s.edges
-            disjoint = not (c.edges & s.edges)
-            claimed = disjoint or genus(g, union) != 1
-            record("iii", [c, s], claimed, commutator(q[c], p[s]))
+    for a in cycles:
+        for b in paths:
+            record("iii", [a, b], not shared[a][b] or genus_of[a][b] != 1, (a, b, b, a))
 
-    # (iv) genus-2 unions made of exactly three cycles
-    seen = set()
-    for ca, cb, union in genus2_pairs:
-        if union in seen:
-            continue
-        seen.add(union)
-        inside = [c for c in cycles if c.edges <= union]
-        if len(inside) != 3:
-            continue
-        ssum = add([q[c] for c in inside], [1] * len(inside))
-        for ci in inside:
-            record("iv", [inside[0], inside[1], inside[2], ci], True, commutator(ssum, q[ci]))
+    # (iv) genus-2 unions of cycle pairs made of exactly three cycles, each
+    # union once: such a union is the union of its three cycles
+    a, b = np.nonzero(np.triu(genus[cycles.start:, cycles.start:] == 2, k=1))
+    inside = cycles_inside(rows[cycles.start + a] | rows[cycles.start + b])
+    triples = np.nonzero(inside[inside.sum(axis=1) == 3])[1].reshape(-1, 3) + cycles.start
+    for triple in dict.fromkeys(map(tuple, triples.tolist())):
+        ssum = add(list(triple), [1] * 3)
+        for k in triple:
+            record("iv", [*triple, k], True, (ssum, k, k, ssum))
 
-    # (v) path pairs whose union holds a unique cycle
-    for a in range(len(paths)):
-        for b in range(a + 1, len(paths)):
-            union = paths[a].edges | paths[b].edges
-            if genus(g, union) != 1:
-                continue
-            (cycle,) = [c for c in cycles if c.edges <= union]  # genus 1: one cycle
-            ssum = add([p[paths[a]], p[paths[b]]], [1, 1])
-            record("v", [paths[a], paths[b], cycle], True, commutator(ssum, q[cycle]))
+    # (v) path pairs whose union holds a unique cycle (genus 1: one cycle)
+    pa, pb = np.nonzero(np.triu(genus[:paths.stop, :paths.stop] == 1, k=1))
+    ks = np.nonzero(cycles_inside(rows[pa] | rows[pb]))[1] + cycles.start
+    for a, b, k in zip(pa.tolist(), pb.tolist(), ks.tolist()):
+        ssum = add([a, b], [1, 1])
+        record("v", [a, b, k], True, (ssum, k, k, ssum))
 
     nonzero = residue_peaks(table, conn.size, combos, quads, entries=False)
-    for k, it in enumerate(items):
-        it["commutes"] = k not in nonzero
-        it["ok"] = (not it["claimed"]) or it["commutes"]
+    items = [{"relation": relation, "members": members, "claimed": claimed,
+              "commutes": k not in nonzero, "ok": not claimed or k not in nonzero}
+             for k, (relation, members, claimed) in enumerate(items)]
     return {"items": items, "pass": all(it["ok"] for it in items)}
 
 

@@ -706,15 +706,20 @@ def integral_vector(g: DirectedGraph, alpha, lam, trees, quad_tol: float = 1e-8)
 
 
 def cohomology_identity_check(spec: IntegrandSpec, e0: str, tol: float = 1e-6,
-                              quad_tol: float = 1e-8) -> dict:
+                              quad_tol: float = 1e-8, charts: dict | None = None) -> dict:
     """Exchange identity between a tree integral and its adjacent tree integrals.
 
     The cycle form value times the z_{e0}-weighted tree integral equals the
     signed, weight-scaled sum of the integrals over the trees obtained by
     swapping e0 for each cycle edge.  (At unit weights the scaling disappears.)
+    `charts` maps the edge set of a tree to its integral at the weights and
+    rates of `spec` and at `quad_tol`: a swapped tree's integral is read from
+    it, or computed and added to it, so that checks sharing the dict
+    integrate each chart once.
     """
     if e0 in spec.tree.edges:
         raise ValueError(f"edge {e0!r} is in the chart tree")
+    charts = {} if charts is None else charts
     g = spec.graph
     cyc = fundamental_cycle(g, spec.tree, e0)
     l_c = float(cyc.form(spec.lam))
@@ -726,9 +731,11 @@ def cohomology_identity_check(spec: IntegrandSpec, e0: str, tol: float = 1e-6,
     rhs_err = 0.0
     terms = []
     for eid in sorted(cyc.edges):
-        swapped = spanning_tree(g, (spec.tree.edges | {e0}) - {eid})
-        alt = IntegrandSpec(g, spec.alpha, spec.lam, swapped)
-        est = integrate_quadrature(alt, quad_tol)
+        swapped = (spec.tree.edges | {e0}) - {eid}
+        if swapped not in charts:
+            alt = IntegrandSpec(g, spec.alpha, spec.lam, spanning_tree(g, swapped))
+            charts[swapped] = integrate_quadrature(alt, quad_tol)
+        est = charts[swapped]
         coef = cyc.sign(eid) * float(spec.alpha[eid])  # sign is relative to e0's direction
         rhs += coef * est.value
         rhs_err += abs(coef) * est.error

@@ -3,6 +3,8 @@
 The oracles here deliberately avoid the library's enumeration code paths:
 cycles and trees are recognized by degree/connectivity filters over raw edge
 subsets, so the backtracking enumerators are checked against brute force.
+The genus oracle counts the edges that close a cycle when added one by one
+to a union-find forest, without the library's incidence matrices.
 The coordinate-map oracle solves div z = unit mass at the base for the tree
 edges by Gauss-Jordan elimination, without the library's tree walks.
 The connection's term matrices are built from their definitions as dense
@@ -77,6 +79,15 @@ def chain():
 
 def bundled_graphs():
     return [builtin_graph(n) for n in ("two-edge", "triangle", "two-diamond", "chain")]
+
+
+def multigraph() -> DirectedGraph:
+    """Parallel edges x0 -> a and a -> delta, and a -> x0 antiparallel to both
+    x0 -> a: 2-cycles of parallel and of antiparallel edges."""
+    pairs = [("x0", "a"), ("x0", "a"), ("a", "x0"), ("a", "delta"), ("a", "delta"),
+             ("x0", "delta")]
+    edges = tuple(Edge(f"e{k + 1}", t, h, Fraction(k + 1, 2)) for k, (t, h) in enumerate(pairs))
+    return DirectedGraph(("x0", "a", "delta"), "delta", "x0", edges)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +229,28 @@ def oracle_is_spanning_tree(g: DirectedGraph, subset) -> bool:
         return False
     deg, comps = _degrees_and_components(g, subset)
     return comps == 1 and len(deg) == len(g.vertices)
+
+
+def oracle_genus(g: DirectedGraph, subset) -> int:
+    """How many of the edges close a cycle when added one by one (union-find)."""
+    parent: dict[str, str] = {}
+
+    def find(v):
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    closing = 0
+    for eid in frozenset(subset):
+        e = g.edge_by_id[eid]
+        a, b = find(e.tail), find(e.head)
+        if a == b:
+            closing += 1
+        else:
+            parent[a] = b
+    return closing
 
 
 def oracle_spanning_trees(g: DirectedGraph):

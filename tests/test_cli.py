@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -376,10 +377,35 @@ def test_laplace_below_unit_weights_reports_cleanly(capsys, weight, seed):
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_default_run_passes(capsys, command, graph):
     """Every command on every bundled graph, at default arguments, prints one
-    strict JSON report that passes."""
+    line: a strict JSON report with sorted keys, which re-dumps to the same
+    bytes, and which passes."""
     status = main([command, "--graph", graph])
-    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    (line,) = capsys.readouterr().out.splitlines()
+    report = json.loads(line, parse_constant=_reject_constant)
+    assert json.dumps(report, sort_keys=True) == line
     assert status == 0 and report["pass"] is True
+
+
+# sha256 of json.dumps(results, sort_keys=True) of the enumerate and
+# check-commutation reports on K3 and K4 at unit weights, as the union-find
+# genus and the one-pair-at-a-time classification gave them (K4 commutation
+# has 57 168 items)
+SCALE_DIGESTS = {
+    (3, "enumerate"): "9b37fb1bcbfe015f74ab8711e15b0611a466ac203e4c7ba0000e00702b76855f",
+    (3, "check-commutation"): "2d9f22468c910153508dd2d4f308bfcb17cee3c92fd9b128239d160e4cb0ba36",
+    (4, "enumerate"): "e4acb3c15d365738cf0c72b16cf1b022b8f97bb83171982fe9615e462ca39df5",
+    (4, "check-commutation"): "b36c82b0536db80aff2fe8905db70a175aa6fbde1c6b8c129961026e9902771c",
+}
+
+
+@pytest.mark.parametrize("k, command", sorted(SCALE_DIGESTS))
+def test_scale_graph_results_are_pinned(tmp_path, capsys, k, command):
+    path = tmp_path / f"K{k}.json"
+    path.write_text(json.dumps(graph_to_dict(complete_graph(k))))
+    assert main([command, "--graph", str(path)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == SCALE_DIGESTS[k, command]
 
 
 def test_waypoints_accept_rationals(capsys):

@@ -17,7 +17,13 @@ from dirichlet_flows import (
     tree_orientation_sign,
     tree_path,
 )
-from dirichlet_flows.combinatorics import SpanningTree, tree_coordinate_map
+from dirichlet_flows.combinatorics import (
+    SpanningTree,
+    edge_indicators,
+    is_spanning_tree,
+    pair_genus,
+    tree_coordinate_map,
+)
 from dirichlet_flows.graphs import split_graph
 from dirichlet_flows.rationals import mat_rank
 
@@ -25,8 +31,10 @@ from conftest import (
     bundled_graphs,
     coordinate_family_is_basis,
     complete_graph,
+    multigraph,
     oracle_coordinate_map,
     oracle_cycles,
+    oracle_genus,
     oracle_paths,
     oracle_spanning_trees,
     random_graphs,
@@ -54,7 +62,7 @@ def test_paths_match_oracle_everywhere():
 
 
 def test_trees_match_oracle_everywhere():
-    for g in bundled_graphs() + random_graphs(seed=13, count=10):
+    for g in bundled_graphs() + random_graphs(seed=13, count=10) + [multigraph()]:
         got = [t.edges for t in enumerate_spanning_trees(g)]
         assert got == oracle_spanning_trees(g)  # same canonical order
 
@@ -246,6 +254,36 @@ def _components(g, subset):
                 seen.add(u)
                 stack.extend(adj[u] - seen)
     return comps
+
+
+# the incidence kernel against the union-find oracle
+PAIR_GRAPHS = {**dict(zip(("two-edge", "triangle", "two-diamond", "chain"), bundled_graphs())),
+               **{f"random{k}": g for k, g in enumerate(random_graphs(seed=24, count=10))},
+               "K3": complete_graph(3), "K4": complete_graph(4), "multigraph": multigraph()}
+
+
+@pytest.mark.parametrize("g", list(PAIR_GRAPHS.values()), ids=list(PAIR_GRAPHS))
+def test_pair_genus_matches_union_find(g):
+    """The genus of the union of every pair of cycles and paths, both orders."""
+    sets = [s.edges for s in enumerate_cycles(g) + enumerate_paths(g)]
+    rows = edge_indicators(g, sets)
+    assert pair_genus(g, rows).tolist() == [[oracle_genus(g, x | y) for y in sets]
+                                            for x in sets]
+
+
+@pytest.mark.parametrize("g", [complete_graph(3), complete_graph(4), multigraph()],
+                         ids=["K3", "K4", "multigraph"])
+def test_is_spanning_tree_matches_union_find(g):
+    n = len(g.vertices) - 1
+    for subset in combinations(g.edge_ids, n):
+        assert is_spanning_tree(g, subset) == (oracle_genus(g, subset) == 0), subset
+
+
+def test_genus_matches_union_find_on_a_multigraph():
+    g = multigraph()
+    for r in range(len(g.edge_ids) + 1):
+        for subset in combinations(g.edge_ids, r):
+            assert genus(g, subset) == oracle_genus(g, subset), subset
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,11 @@ from dirichlet_flows.rationals import int_table
 from conftest import (
     bundled_graphs,
     complete_graph,
+    multigraph,
     oracle_combine,
     oracle_commutes,
     oracle_flatness,
+    oracle_genus,
     oracle_matmul,
     oracle_numeric_matrices,
     oracle_operators,
@@ -239,16 +241,28 @@ def test_commutation_random_graphs():
 
 
 def _flags_match_oracle(g, w):
+    """Every item's commutation flag against dense products; its claim and
+    its members against the union-find genus of the members' union."""
     rep = check_commutation(g, w)
     ops = oracle_operators(g, w)
     for it in rep["items"]:
         assert it["commutes"] == oracle_commutes(ops, w, it), it
+        sets = [frozenset(m.split(",")) for m in it["members"]]
+        if it["relation"] in ("i", "iii"):
+            disjoint = not sets[0] & sets[1]
+            claimed_genus = 2 if it["relation"] == "i" else 1
+            assert it["claimed"] == (disjoint or oracle_genus(g, sets[0] | sets[1])
+                                     != claimed_genus), it
+        elif it["relation"] == "iv":  # three cycles of a genus-2 union, then one of them
+            assert oracle_genus(g, sets[0] | sets[1] | sets[2]) == 2 and sets[3] in sets[:3], it
+        elif it["relation"] == "v":  # two paths of a genus-1 union, then its cycle
+            assert oracle_genus(g, sets[0] | sets[1]) == 1 and sets[2] <= sets[0] | sets[1], it
     return rep
 
 
 def test_commutation_flags_match_dense_oracle():
     rng = np.random.default_rng(43)
-    for g in bundled_graphs():
+    for g in bundled_graphs() + [multigraph()]:
         _flags_match_oracle(g, DirichletWeights.from_graph(g).alpha)
     for g in random_graphs(seed=44, count=10):
         _flags_match_oracle(g, random_rational_weights(g, rng))
