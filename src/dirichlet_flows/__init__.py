@@ -27,7 +27,6 @@ from .combinatorics import (
     genus,
     solve_tree_coordinates,
     tree_basis,
-    tree_orientation_sign,
     tree_path,
 )
 from .environment import (

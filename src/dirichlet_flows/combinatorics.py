@@ -17,8 +17,8 @@ and `pair_genus` counts the edges and vertices that pairs of sets share.
 A spanning tree T is a chart of the unit-mass flows, the edge vectors z with
 div z = unit mass at the base.  Such a flow is the unit flow along T's
 base-to-cemetery path plus u_e times the fundamental cycle of each cotree
-edge e, so the cotree values u are its coordinates.  Spanning trees, the
-genus of an edge set and chart orientations also live here.
+edge e, so the cotree values u are its coordinates.  Spanning trees and the
+genus of an edge set also live here.
 
 Everything is exact (integers, Fractions, and float ranks and determinants of
 0/+-1 matrices, whose rounding errors are far below 1/2) and deliberately
@@ -35,7 +35,6 @@ from itertools import combinations, islice
 import numpy as np
 
 from .graphs import DirectedGraph
-from .rationals import mat_det
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,18 +341,3 @@ def solve_tree_coordinates(g: DirectedGraph, tree: SpanningTree, u) -> FlowPoint
         z[eid] = off + sum((c * v for c, v in zip(coeffs, uvec) if c != 0), Fraction(0))
     return FlowPoint(z)
 
-
-def tree_orientation_sign(g: DirectedGraph, tree: SpanningTree) -> int:
-    """Sign of the tree chart relative to the lexicographically smallest tree.
-
-    The reference orientation declares the coordinates of the first tree in
-    basis order (by increasing edge id) positive; any other tree chart gets
-    the sign of the coordinate-change determinant.
-    """
-    ref = tree_basis(g)[0]
-    free_ids, rows = tree_coordinate_map(g, ref)
-    target = cotree(g, tree)
-    det = mat_det([[rows[eid][1][k] for k in range(len(free_ids))] for eid in target])
-    if det == 0:
-        raise ValueError("degenerate tree chart; not a spanning tree?")
-    return 1 if det > 0 else -1

@@ -556,19 +556,21 @@ def wilson_sample_trees(g: DirectedGraph, env: Environment, n: int, seed: int) -
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
 
-def _lambda_vector(g: DirectedGraph, lam) -> np.ndarray:
-    vec = np.empty(len(g.edge_ids))
-    for j, eid in enumerate(g.edge_ids):
+def real_rates(lam, edge_ids) -> list[float]:
+    """The rates of the given edges as floats: each real and not negative; a
+    complex rate passes when its imaginary part is zero."""
+    rates = []
+    for eid in edge_ids:
         v = lam[eid]
         if isinstance(v, complex):
             if v.imag != 0:
-                raise ValueError("complex rates are accepted only with zero imaginary part")
+                raise ValueError(f"rate for edge {eid!r} must be real, got {v}")
             v = v.real
         v = float(v)
         if v < 0:
-            raise ValueError(f"rate for edge {eid!r} has negative real part: {v}")
-        vec[j] = v
-    return vec
+            raise ValueError(f"rate for edge {eid!r} is negative: {v}")
+        rates.append(v)
+    return rates
 
 
 class Moments:
@@ -624,11 +626,11 @@ def mc_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int
         raise ValueError("the tree-weighted estimator needs a directed spanning tree")
     if n < 2:
         raise ValueError(f"a standard error needs at least 2 samples, got {n}")
-    lvec = _lambda_vector(g, lam)
-    rated = [(j, r) for j, r in enumerate(lvec.tolist()) if r != 0]  # 0 * flow adds nothing
+    rates = real_rates(lam, g.edge_ids)
+    rated = [(j, r) for j, r in enumerate(rates) if r != 0]  # 0 * flow adds nothing
     tree_rows = [[j for j, eid in enumerate(g.edge_ids) if eid in t.edges] for t in trees]
     size = min(n, BLOCK_ROWS)
-    pt, zt = np.empty((len(lvec), size)), np.empty((len(lvec), size))
+    pt, zt = np.empty((len(rates), size)), np.empty((len(rates), size))
     rate, laplace, terms = np.empty(size), np.empty(size), np.empty(size)
     total, per_tree = Moments(), [Moments() for _ in trees]
     for b, lo, hi in _blocks(n):

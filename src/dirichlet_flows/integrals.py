@@ -7,10 +7,14 @@ with unit mass at the base, and the integral of
 
 over the all-positive chamber is evaluated either by nested adaptive
 Gauss-Kronrod quadrature (dimension <= 4) or by gamma-proposal importance
-sampling.  The same machinery drives the verification of the tree-weighted
-Laplace identity on the vertex-split graph and of the two structural
-identities behind the flat connection (the divergence pairing, which is exact,
-and the cohomological exchange between adjacent tree integrals).
+sampling.  Both take the integrand from one kernel, `_Evaluator.log_values`:
+at points given by their coordinate rows it tests the chamber and sums
+a_e log z_e - b_e z_e over the edges, each flow formed as its offset plus
+coefficients times coordinate rows.  Quadrature passes the exponents and
+rates as (a, b); Monte Carlo passes them with the proposal's log density
+merged in.  Every sum is of rows added in a fixed order, with no BLAS
+product, so no value depends on the BLAS thread count.  Points outside the
+chamber get 0, so Monte Carlo proposals that leave it get weight zero.
 
 Quadrature runs over the chamber itself: Fourier-Motzkin elimination of the
 chamber inequalities, in exact rationals, gives each nested level the interval
@@ -18,8 +22,13 @@ of its coordinate given the outer ones, so no Gauss-Kronrod panel lies where
 the integrand vanishes.  Each level integrates a whole batch of sibling
 integrals in lockstep, one adaptive heap per integral: a round evaluates the
 new panels of all of them with one vectorized call, so the integrand is called
-once per round rather than once per panel.  The integrand returns 0 outside
-the chamber, so Monte Carlo proposals that leave it simply get weight zero.
+once per round rather than once per panel.
+
+`verify_theorem_2_1` is the one entry to the tree-weighted Laplace identity
+on the vertex-split graph, for a list of directed trees.  The same machinery
+checks the two structural identities behind the flat connection (the
+divergence pairing, which is exact, and the cohomological exchange between
+adjacent tree integrals).
 """
 
 from __future__ import annotations
@@ -43,26 +52,17 @@ from .combinatorics import (
 )
 from .environment import (
     DirichletWeights,
-    McEstimate,
     Moments,
     _blocks,
-    mc_estimate_rhs,
+    mc_laplace_by_tree,
     philox_stream,
+    real_rates,
 )
 from .graphs import DirectedGraph, SplitGraph, split_graph
 
 
 class QuadratureNonConvergence(RuntimeError):
     """The panel budget ran out before the error target was met."""
-
-
-def _real_rate(v, eid: str) -> float:
-    """Rates are real in integration; complex types pass with zero imaginary part."""
-    if isinstance(v, complex):
-        if v.imag != 0:
-            raise ValueError(f"rate for edge {eid!r} must be real to integrate, got {v}")
-        return v.real
-    return float(v)
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,7 @@ class IntegrandSpec:
                 raise ValueError(f"missing exponent for edge {eid!r}")
             if eid not in self.lam:
                 raise ValueError(f"missing rate for edge {eid!r}")
-            if _real_rate(self.lam[eid], eid) < 0:
-                raise ValueError(f"rate for edge {eid!r} is negative")
+        real_rates(self.lam, g.edge_ids)
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,8 @@ def split_integrand_spec(split: SplitGraph, w: DirichletWeights, lam,
 
 
 class _Evaluator:
-    """Vectorized integrand over batches of cotree-coordinate points."""
+    """The integrand of one tree chart at batches of points, each batch given
+    by its (d, m) cotree-coordinate rows."""
 
     def __init__(self, spec: IntegrandSpec, weight_edge: str | None = None):
         spec.validate()
@@ -139,9 +139,7 @@ class _Evaluator:
         free_ids, rows = tree_coordinate_map(g, spec.tree)
         self.free_ids = free_ids
         self.rows = [rows[eid] for eid in g.edge_ids]  # exact (offset, coefficients)
-        self.offset = np.array([float(off) for off, _ in self.rows])
-        self.coeffs = np.array([[float(c) for c in coeffs] for _, coeffs in self.rows])
-        self.lam = np.array([_real_rate(spec.lam[eid], eid) for eid in g.edge_ids])
+        self.lam = real_rates(spec.lam, g.edge_ids)
         exps = []
         for eid in g.edge_ids:
             w = float(spec.alpha[eid])
@@ -150,9 +148,12 @@ class _Evaluator:
             if eid == weight_edge:
                 w += 1.0
             exps.append(w)
-        self.exps = np.array(exps)
+        self.exps = exps
         if weight_edge is not None and weight_edge not in g.edge_by_id:
             raise ValueError(f"unknown weight edge {weight_edge!r}")
+        # the nonzero coefficients of log z_e and of z_e in the log integrand
+        self.logs = [(i, x) for i, x in enumerate(exps) if x != 0]
+        self.rated = [(i, x) for i, x in enumerate(self.lam) if x != 0]
         # the coordinate of each row that is a bare one (z_e = u_j, as for
         # every cotree edge), and the other, mixed rows
         self.bare = {i: list(coeffs).index(1) for i, (off, coeffs) in enumerate(self.rows)
@@ -165,9 +166,6 @@ class _Evaluator:
     @property
     def dim(self) -> int:
         return len(self.free_ids)
-
-    def flows(self, u: np.ndarray) -> np.ndarray:
-        return self.offset + u @ self.coeffs.T
 
     def chamber(self, ut: np.ndarray, zt: np.ndarray) -> np.ndarray:
         """Which points of the (d, m) coordinate rows `ut` lie in the chamber
@@ -192,17 +190,45 @@ class _Evaluator:
         inside &= (ut > 0).all(axis=0)
         return inside
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        z = self.flows(np.atleast_2d(u))
-        inside = (z > 0).all(axis=1)
-        out = np.zeros(z.shape[0])
-        if inside.any():
-            zin = z[inside]
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                # row sums, not a BLAS gemv, whose last bits vary with the batch size
-                logv = -(zin * self.lam).sum(axis=1) + (np.log(zin) * self.exps).sum(axis=1)
-                out[inside] = np.exp(logv)
-        return out
+    def log_values(self, ut: np.ndarray, zt: np.ndarray, logs, rated):
+        """The points of the (d, m) coordinate rows `ut` inside the chamber, as
+        indices, and sum_e a_e log z_e - sum_e b_e z_e at each of them, for
+        the nonzero (edge index, a_e) of `logs` and (edge index, b_e) of
+        `rated`; zt is scratch for the mixed flows (`chamber`).  Each sum is
+        of rows of the points inside, added one after another in the order
+        given, so a point's value does not depend on its batch."""
+        at = np.flatnonzero(self.chamber(ut, zt))
+        flows = dict(zip(self.mixed, zt.take(at, axis=1)))
+        for i, _ in logs + rated:
+            if i not in flows:
+                flows[i] = ut[self.bare[i]].take(at)
+        logv = _sum_in_order(np.log(flows[i]) * x for i, x in logs)
+        if logv is None:
+            logv = np.zeros(len(at))
+        rate = _sum_in_order(flows[i] * x for i, x in rated)
+        if rate is not None:
+            logv -= rate
+        return at, logv
+
+    def __call__(self, ut: np.ndarray) -> np.ndarray:
+        """The integrand at the points of the (d, m) coordinate rows `ut`: exp
+        of `log_values` at the exponents and rates, 0 outside the chamber."""
+        vals = np.zeros(ut.shape[1])
+        at, logv = self.log_values(ut, np.empty((len(self.mixed), len(vals))),
+                                   self.logs, self.rated)
+        with np.errstate(over="ignore"):
+            vals[at] = np.exp(logv)
+        return vals
+
+
+def _sum_in_order(terms):
+    """Elementwise sum of freshly made arrays, added one after another in the
+    given order into the first; None when there are none."""
+    terms = iter(terms)
+    total = next(terms, None)
+    for term in terms:
+        total += term
+    return total
 
 
 def integrand(spec: IntegrandSpec, u: dict) -> float:
@@ -216,9 +242,7 @@ def integrand(spec: IntegrandSpec, u: dict) -> float:
         if val <= 0:
             raise ValueError(f"coordinate for edge {eid!r} must be positive")
         vec.append(val)
-    if not vec:
-        return float(ev(np.zeros((1, 0)))[0])
-    return float(ev(np.array([vec]))[0])
+    return float(ev(np.array(vec).reshape(-1, 1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +385,7 @@ def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefixes: n
         if k == d - 1:
             counter[0] += len(batch)
             with np.errstate(over="ignore", invalid="ignore"):
-                return ev(batch).reshape(pts.shape) * jac, np.zeros_like(pts)
+                return ev(batch.T).reshape(pts.shape) * jac, np.zeros_like(pts)
         vals, errs = _integrate_level(ev, limits, k + 1, batch,
                                       np.repeat(tols[rows] * _INNER_FRAC, 15), counter)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -426,8 +450,7 @@ def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
     if d > 4:
         raise ValueError(f"quadrature supports dimension <= 4, got {d}")
     if d == 0:
-        val = float(ev(np.zeros((1, 0)))[0])
-        return IntegralEstimate(val, 0.0, "quadrature", 1)
+        return IntegralEstimate(float(ev(np.zeros((0, 1)))[0]), 0.0, "quadrature", 1)
     limits = _ChamberLimits(ev.rows, d)
     if limits.empty:
         return IntegralEstimate(0.0, 0.0, "quadrature", 0)
@@ -441,16 +464,6 @@ def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 _PROPOSAL = 3  # stream kind of the Gamma proposal draws
-
-
-def _sum_in_order(terms):
-    """Elementwise sum of freshly made arrays, added one after another in the
-    given order into the first; None when there are none."""
-    terms = iter(terms)
-    total = next(terms, None)
-    for term in terms:
-        total += term
-    return total
 
 
 class _McChart:
@@ -471,12 +484,12 @@ class _McChart:
     (both 0 when e carries no weight and lambda_e > 0), and a_e = exps_e,
     b_e = lambda_e on every other row.  Each coordinate's terms go to e_j's
     row alone: another bare row of u_j, such as a tree edge on one
-    fundamental cycle only, keeps its own terms.  Each sum over edges is
-    taken over rows of the block's points inside, added one after another in
-    edge order, zero coefficients left out; the constant is the correctly
-    rounded sum of the c_j.  A point outside gets weight 0.  Each block's weights fold into
-    running `Moments`, and into the Kish sums sum w and sum w^2, both kept
-    scaled by exp(-M) for the largest log weight M so far."""
+    fundamental cycle only, keeps its own terms.  The sums over edges are
+    the evaluator's `log_values` at these coefficients, in edge order; the
+    constant is the correctly rounded sum of the c_j.  A point outside gets
+    weight 0.  Each block's weights fold into running `Moments`, and into
+    the Kish sums sum w and sum w^2, both kept scaled by exp(-M) for the
+    largest log weight M so far."""
 
     def __init__(self, spec: IntegrandSpec, weight_edge: str | None):
         ev = self.ev = _Evaluator(spec, weight_edge)
@@ -485,38 +498,26 @@ class _McChart:
         if bad:
             raise ValueError(f"gamma proposal needs positive exponents on cotree edges {bad}")
         self.shapes = tuple(shapes)
-        rates = [_real_rate(spec.lam[eid], eid) or 1.0 for eid in ev.free_ids]
+        rates = [r or 1.0 for r in real_rates(spec.lam, ev.free_ids)]
         self.rates = np.array(rates)[:, None]
         self.const = math.fsum(s * math.log(r) - math.lgamma(s) for s, r in zip(shapes, rates))
-        a, b = ev.exps.tolist(), ev.lam.tolist()
+        a, b = list(ev.exps), list(ev.lam)
         for j, eid in enumerate(ev.free_ids):
             i = spec.graph.edge_ids.index(eid)
             a[i] -= shapes[j] - 1.0
             b[i] -= rates[j]
         self.logs = [(i, x) for i, x in enumerate(a) if x != 0]
         self.rated = [(i, x) for i, x in enumerate(b) if x != 0]
-        self.bare_used = sorted({i for i, _ in self.logs + self.rated} & ev.bare.keys())
         self.moments = Moments()
         self.inside, self.top, self.s1, self.s2 = 0, -math.inf, 0.0, 0.0
 
     def add(self, raw: np.ndarray, u: np.ndarray, zt: np.ndarray, vals: np.ndarray) -> None:
         """Fold in a block of (d, m) Gamma(shape, 1) draws, given scratch arrays
         for its coordinates, its mixed flows and its weights."""
-        ev = self.ev
         np.divide(raw, self.rates, out=u)
-        inside = ev.chamber(u, zt)
+        at, logw = self.ev.log_values(u, zt, self.logs, self.rated)
         vals.fill(0.0)
-        at = np.flatnonzero(inside)
         if len(at):
-            flows = dict(zip(ev.mixed, zt.take(at, axis=1)))
-            for i in self.bare_used:
-                flows[i] = u[ev.bare[i]].take(at)
-            logw = _sum_in_order(np.log(flows[i]) * x for i, x in self.logs)
-            if logw is None:
-                logw = np.zeros(len(at))
-            rate = _sum_in_order(flows[i] * x for i, x in self.rated)
-            if rate is not None:
-                logw -= rate
             logw -= self.const
             vals[at] = np.exp(logw)
             top = float(logw.max())
@@ -533,7 +534,7 @@ class _McChart:
 
     def estimate(self, n: int) -> IntegralEstimate:
         if not self.ev.dim:
-            return IntegralEstimate(float(self.ev(np.zeros((1, 0)))[0]), 0.0, "monte-carlo", 1)
+            return IntegralEstimate(float(self.ev(np.zeros((0, 1)))[0]), 0.0, "monte-carlo", 1)
         if not self.inside:
             raise ValueError("all proposal samples fell outside the chamber")
         value, err = self.moments.estimate()
@@ -634,50 +635,42 @@ def pairing_identity_check(g: DirectedGraph, tree: SpanningTree, z: FlowPoint, l
     return abs(inner - total)
 
 
-def mc_flow_sides(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int,
-                  seed: int) -> list[IntegralEstimate] | None:
-    """The flow-side integrals of Theorem 2.1 for several directed trees by
-    one `integrate_mc_charts` run at (n, seed + 1), or None where the split
-    dimension is at most 4 and quadrature computes them."""
-    if len(g.edge_ids) - len(g.interior) <= 4:
-        return None
-    split = split_graph(g)
-    return integrate_mc_charts([split_integrand_spec(split, w, lam, t) for t in trees],
-                               n, seed + 1)
-
-
-def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, tree: SpanningTree,
+def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
                        n: int = 100_000, seed: int = 0, tol: float = 1e-6,
-                       quad_tol: float = 1e-8, rhs: McEstimate | None = None,
-                       lhs: IntegralEstimate | None = None) -> dict:
-    """Both sides of the tree-weighted Laplace identity, with a pass verdict.
+                       quad_tol: float = 1e-8) -> list[dict]:
+    """Both sides of the tree-weighted Laplace identity for each directed tree
+    of `trees`, each tree's report with a pass verdict.
 
-    Left: the flow integral on the vertex-split graph, by quadrature (Monte
-    Carlo above dimension 4, `mc_flow_sides`, reported with the Kish
-    effective sample size (sum w)^2 / sum w^2 of its importance weights w),
-    times C_alpha; the integral is computed unless given, e.g. from one
-    `mc_flow_sides` run for several trees.  Right: the Dirichlet-averaged
-    tree-weighted Laplace functional by Monte Carlo, `mc_estimate_rhs` at
-    (n, seed) unless given, e.g. from one `mc_laplace_by_tree` batch for
-    several trees.
+    Left: the flow integral on the vertex-split graph, times C_alpha.  Up to
+    split dimension 4 quadrature computes it tree by tree.  Above, one
+    `integrate_mc_charts` pass at (n, seed + 1) computes every tree's, each
+    reported with the Kish effective sample size (sum w)^2 / sum w^2 of its
+    importance weights w.  Right: the Dirichlet-averaged tree-weighted
+    Laplace functional, every tree's from one `mc_laplace_by_tree` batch at
+    (n, seed).  Neither side of a tree depends on the other trees of the
+    list, so a tree's report is the one that the list of it alone gives.
     """
-    if not tree.directed:
-        raise ValueError("the identity is stated for directed spanning trees")
-    if lhs is None:
-        lhs = (mc_flow_sides(g, w, lam, [tree], n, seed)
-               or [integrate_quadrature(split_integrand_spec(split_graph(g), w, lam, tree),
-                                        quad_tol)])[0]
+    _, rhs = mc_laplace_by_tree(g, w, lam, trees, n, seed)
+    split = split_graph(g)
+    specs = [split_integrand_spec(split, w, lam, t) for t in trees]
+    if len(g.edge_ids) - len(g.interior) > 4:
+        lhs = integrate_mc_charts(specs, n, seed + 1)
+    else:
+        lhs = [integrate_quadrature(spec, quad_tol) for spec in specs]
     c_alpha = constant_C_alpha(g, w)
-    left = {"value": c_alpha * lhs.value, "error": c_alpha * lhs.error, "method": lhs.method}
-    if lhs.ess is not None:
-        left["ess"] = lhs.ess
-    if rhs is None:
-        rhs = mc_estimate_rhs(g, w, lam, tree, n, seed)
-    return {
-        "lhs": left,
-        "rhs": rhs.as_dict(),
-        **agreement(abs(left["value"] - rhs.value), left["error"], rhs.std_error, tol),
-    }
+    reports = []
+    for t, flow, right in zip(trees, lhs, rhs):
+        left = {"value": c_alpha * flow.value, "error": c_alpha * flow.error,
+                "method": flow.method}
+        if flow.ess is not None:
+            left["ess"] = flow.ess
+        reports.append({
+            "tree": list(t.key),
+            "lhs": left,
+            "rhs": right.as_dict(),
+            **agreement(abs(left["value"] - right.value), left["error"], right.std_error, tol),
+        })
+    return reports
 
 
 def integral_vector(g: DirectedGraph, alpha, lam, trees, quad_tol: float = 1e-8):

@@ -530,7 +530,7 @@ def _oracle_level(ev, limits, k, prefix, tol, counter):
             batch[:, :k] = prefix
             batch[:, k] = us
             counter[0] += len(us)
-            return ev(batch) * jac, np.zeros_like(us)
+            return ev(batch.T) * jac, np.zeros_like(us)
         inner = [_oracle_level(ev, limits, k + 1, prefix + (u,), tol * int_mod._INNER_FRAC,
                                counter) for u in us]
         return np.array([v for v, _ in inner]) * jac, np.array([e for _, e in inner]) * jac
@@ -722,10 +722,10 @@ def oracle_laplace_values(g: DirectedGraph, p: np.ndarray, lam):
     batch, the rate being the sum of flow_e * rate_e over the edges in edge
     order; det is 1 where the Laplace value underflows to 0."""
     det, z = gth_flows(g, p)
-    lvec = env_mod._lambda_vector(g, lam)
+    rates = env_mod.real_rates(lam, g.edge_ids)
     rate = np.zeros(len(p))
-    for j in range(len(lvec)):
-        rate = rate + z[:, j] * lvec[j]
+    for j in range(len(rates)):
+        rate = rate + z[:, j] * rates[j]
     laplace = np.exp(-rate)
     det[laplace == 0] = 1.0
     return det, laplace
@@ -784,7 +784,7 @@ def oracle_log_weights(spec, n, seed, weight_edge=None):
     inside = (z > 0).all(axis=1) & (u > 0).all(axis=1)
     zin = z[inside]
     logz = np.log(zin)
-    a, b = ev.exps.tolist(), ev.lam.tolist()
+    a, b = list(ev.exps), list(ev.lam)
     for j, eid in enumerate(ev.free_ids):  # log q_j = c_j + (s_j - 1) log u - r_j u
         col = spec.graph.edge_ids.index(eid)
         a[col] -= shapes[j] - 1.0

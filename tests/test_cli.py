@@ -67,16 +67,35 @@ def test_verify_thm21_accepts_directed_tree(capsys):
     assert status == (0 if report["pass"] else 1)
 
 
+def _single_tree_runs_match(capsys, argv, count):
+    """Run argv over all directed trees, then over each alone with --tree:
+    each tree's entry is the same, and there are `count` trees."""
+    main(argv)
+    entries = json.loads(capsys.readouterr().out)["results"]["trees"]
+    assert len(entries) == count
+    for entry in entries:
+        main(argv + ["--tree", *entry["tree"]])
+        assert json.loads(capsys.readouterr().out)["results"]["trees"] == [entry]
+    return entries
+
+
 def test_verify_thm21_all_trees_match_single_tree_runs(capsys):
     """Every tree's entry of the all-trees report is that tree's --tree report:
     the Dirichlet batch drawn once for all trees is the one each draws alone."""
     argv = ["verify-thm21", "--graph", "triangle", "--samples", "5000", "--seed", "3"]
-    main(argv)
-    entries = json.loads(capsys.readouterr().out)["results"]["trees"]
-    assert len(entries) == 3
-    for entry in entries:
-        main(argv + ["--tree", *entry["tree"]])
-        assert json.loads(capsys.readouterr().out)["results"]["trees"] == [entry]
+    entries = _single_tree_runs_match(capsys, argv, 3)
+    assert {e["lhs"]["method"] for e in entries} == {"quadrature"}
+
+
+def test_verify_thm21_k3_all_trees_match_single_tree_runs(tmp_path, capsys):
+    """On K3 (split dimension 6) every tree's flow side comes from one Monte
+    Carlo pass over three proposal blocks shared by all trees, and is still
+    the one that the tree alone gives."""
+    path = tmp_path / "K3.json"
+    path.write_text(json.dumps(graph_to_dict(complete_graph(3))))
+    argv = ["verify-thm21", "--graph", str(path), "--samples", "20000", "--seed", "5"]
+    entries = _single_tree_runs_match(capsys, argv, 16)
+    assert {e["lhs"]["method"] for e in entries} == {"monte-carlo"}
 
 
 @pytest.mark.parametrize("graph, tree", [
@@ -428,21 +447,24 @@ def test_waypoints_accept_complex(capsys):
     assert report["inputs"]["waypoints"][1] == {"e1": {"re": 2.0, "im": 0.5}}
 
 
-@pytest.mark.parametrize("argv", [["laplace"], ["verify-thm21", "--samples", "50000"]],
-                         ids=["laplace", "verify-thm21"])
+@pytest.mark.parametrize("argv", [["laplace", "--graph", "{K3}"],
+                                  ["verify-thm21", "--graph", "{K3}", "--samples", "50000"],
+                                  ["verify-identities", "--graph", "triangle"]],
+                         ids=["laplace", "verify-thm21", "verify-identities"])
 def test_reports_do_not_depend_on_blas_threads(tmp_path, argv):
     """The Monte Carlo reports on K3, several blocks on both sides of Theorem
-    2.1, print the same bytes on one BLAS thread and on two: no per-sample
-    sum is a BLAS product."""
+    2.1, and the quadrature report of the triangle's exchange identities
+    print the same bytes on one BLAS thread and on two: no per-sample sum
+    and no quadrature node is a BLAS product."""
     path = tmp_path / "K3.json"
     path.write_text(json.dumps(graph_to_dict(complete_graph(3))))
+    argv = [arg.format(K3=path) for arg in argv]
     src = Path(__file__).resolve().parents[1] / "src"
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        run = subprocess.run([sys.executable, "-m", "dirichlet_flows.cli", argv[0],
-                              "--graph", str(path), *argv[1:]],
+        run = subprocess.run([sys.executable, "-m", "dirichlet_flows.cli", *argv],
                              capture_output=True, env=env)
         assert run.returncode in (0, 1) and json.loads(run.stdout)["command"] == argv[0]
         outputs.append(run.stdout)

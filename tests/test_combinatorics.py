@@ -14,7 +14,6 @@ from dirichlet_flows import (
     genus,
     solve_tree_coordinates,
     tree_basis,
-    tree_orientation_sign,
     tree_path,
 )
 from dirichlet_flows.combinatorics import (
@@ -335,60 +334,6 @@ def test_coordinate_map_matches_divergence_solve():
 def test_solve_missing_coordinate(triangle):
     with pytest.raises(KeyError):
         solve_tree_coordinates(triangle, tree_of("e3", "e4"), {"e1": 1})
-
-
-# ---------------------------------------------------------------------------
-# orientation
-# ---------------------------------------------------------------------------
-
-def test_orientation_sign_reference_tree():
-    for g in bundled_graphs():
-        basis = tree_basis(g)
-        assert tree_orientation_sign(g, basis[0]) == +1
-        for t in basis:
-            assert tree_orientation_sign(g, t) in (-1, +1)
-
-
-def test_orientation_sign_two_edge(two_edge):
-    # reference chart is z_{e2}; the other tree's chart z_{e1} = 1 - z_{e2} flips
-    basis = tree_basis(two_edge)
-    assert tree_orientation_sign(two_edge, basis[0]) == +1
-    assert tree_orientation_sign(two_edge, basis[1]) == -1
-
-
-def test_orientation_sign_adjacent_trees():
-    # swapping one cotree edge changes the chart sign by the cycle sign times
-    # the permutation signs of the sorted orderings
-    for g in bundled_graphs() + random_graphs(seed=41, count=5):
-        basis = tree_basis(g)
-        for t in basis:
-            for e0 in cotree(g, t):
-                cyc = fundamental_cycle(g, t, e0)
-                for e in sorted(cyc.edges & t.edges):
-                    other = SpanningTree(frozenset((t.edges | {e0}) - {e}), False)
-                    s1 = tree_orientation_sign(g, t)
-                    s2 = tree_orientation_sign(g, other)
-                    perm = _insertion_parity(sorted(cotree(g, t)), e0, e)
-                    assert s1 * s2 == cyc.sign(e0) * cyc.sign(e) * perm
-
-
-def _insertion_parity(free_sorted, e0, e):
-    # parity of reordering (replace e0 by e in the sorted cotree list, then resort)
-    swapped = [e if x == e0 else x for x in free_sorted]
-    perm = sorted(range(len(swapped)), key=lambda i: swapped[i])
-    parity = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
 
 
 # ---------------------------------------------------------------------------

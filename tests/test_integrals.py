@@ -522,7 +522,35 @@ def test_mc_chamber_test_matches_flows():
         assert np.array_equal(zt, z[:, ev.mixed].T)
         assert set(ev.bare.values()) == set(range(ev.dim))
         assert all(np.array_equal(z[:, i], u[:, j]) for i, j in ev.bare.items())
-        np.testing.assert_allclose(z, ev.flows(u), rtol=1e-14, atol=1e-13)
+
+
+def test_integrand_matches_row_sum_formula():
+    """The evaluator's integrand is exp(-<rates, z> + <exps, log z>), the flows
+    z from `oracle_flows` and each inner product a numpy row sum, to 1e-12 at
+    every point inside the chamber, and 0 outside: every chart of dimension
+    1-4 of the builtins, their split graphs and random graphs, at generic
+    rates, with and without a weight edge."""
+    rng = np.random.default_rng(15)
+    charts = 0
+    for g, alpha, bridges in _oracle_charts():
+        lam = {eid: 1.0 + 2.0 ** -(k + 3) for k, eid in enumerate(g.edge_ids)}
+        lam.update({bid: 0.0 for bid in bridges})
+        for t in enumerate_spanning_trees(g):
+            free = cotree(g, t)
+            if not 1 <= len(free) <= 4:
+                continue
+            for weight_edge in (None, min(free)):
+                ev = int_mod._Evaluator(spec_for(g, alpha, lam, t), weight_edge)
+                u = rng.uniform(-0.25, 2.0, size=(200, ev.dim))
+                z = oracle_flows(ev, u)
+                inside = (z > 0).all(axis=1)
+                zin = z[inside]
+                want = np.exp(-(zin * ev.lam).sum(axis=1) + (np.log(zin) * ev.exps).sum(axis=1))
+                got = ev(np.ascontiguousarray(u.T))
+                assert not got[~inside].any()
+                np.testing.assert_allclose(got[inside], want, rtol=1e-12, atol=0)
+                charts += 1
+    assert charts > 100
 
 
 def test_weighted_mc_matches_unblocked_oracle():
@@ -571,12 +599,12 @@ def test_verify_identity_reports_mc_effective_sample_size():
     w = DirichletWeights.from_graph(k3)
     lam = {eid: 1.0 for eid in k3.edge_ids}
     tree = enumerate_spanning_trees(k3, directed_only=True)[0]
-    rep = verify_theorem_2_1(k3, w, lam, tree, n=5000, seed=3)
+    [rep] = verify_theorem_2_1(k3, w, lam, [tree], n=5000, seed=3)
     assert rep["lhs"]["method"] == "monte-carlo" and 1 <= rep["lhs"]["ess"] <= 5000
     triangle = builtin_graph("triangle")
-    rep = verify_theorem_2_1(triangle, DirichletWeights.from_graph(triangle),
-                             {eid: 1.0 for eid in triangle.edge_ids},
-                             tree_of("e3", "e4", directed=True), n=5000, seed=3)
+    [rep] = verify_theorem_2_1(triangle, DirichletWeights.from_graph(triangle),
+                               {eid: 1.0 for eid in triangle.edge_ids},
+                               [tree_of("e3", "e4", directed=True)], n=5000, seed=3)
     assert rep["lhs"]["method"] == "quadrature" and "ess" not in rep["lhs"]
 
 
@@ -687,16 +715,16 @@ def test_cohomology_rejects_tree_edge(two_edge):
 
 def test_verify_identity_two_edge_closed_form(two_edge):
     w = DirichletWeights.from_graph(two_edge)
-    rep = verify_theorem_2_1(two_edge, w, {"e1": 1.0, "e2": 0.0},
-                             tree_of("e1", directed=True), n=150_000, seed=8)
+    [rep] = verify_theorem_2_1(two_edge, w, {"e1": 1.0, "e2": 0.0},
+                               [tree_of("e1", directed=True)], n=150_000, seed=8)
     assert rep["pass"]
     assert rep["lhs"]["value"] == pytest.approx(1 - 2 / math.e, abs=1e-7)
 
 
 def test_verify_identity_beta_moment(two_edge):
     w = DirichletWeights.from_graph(two_edge, {"e1": 2})
-    rep = verify_theorem_2_1(two_edge, w, zeros(two_edge),
-                             tree_of("e1", directed=True), n=100_000, seed=9)
+    [rep] = verify_theorem_2_1(two_edge, w, zeros(two_edge),
+                               [tree_of("e1", directed=True)], n=100_000, seed=9)
     assert rep["pass"]
     assert rep["lhs"]["value"] == pytest.approx(2 / 3, abs=1e-7)
 
@@ -704,7 +732,7 @@ def test_verify_identity_beta_moment(two_edge):
 def test_verify_identity_requires_directed_tree(two_edge):
     w = DirichletWeights.from_graph(two_edge)
     with pytest.raises(ValueError, match="directed"):
-        verify_theorem_2_1(two_edge, w, zeros(two_edge), tree_of("e1"), 10, 0)
+        verify_theorem_2_1(two_edge, w, zeros(two_edge), [tree_of("e1")], 10, 0)
 
 
 def test_split_spec_rejects_bridge_rates(two_edge):
@@ -723,7 +751,7 @@ def test_split_bridge_coordinates_positive_on_chamber(triangle):
     ev = int_mod._Evaluator(spec)
     rng = np.random.default_rng(10)
     pts = rng.random((200, ev.dim)) * 2
-    z = ev.flows(pts)
+    z = oracle_flows(ev, pts)
     inside = (z > 0).all(axis=1)
     cols = [split.graph.edge_ids.index(b) for b in split.bridge_ids]
     assert inside.any()
