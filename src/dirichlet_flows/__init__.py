@@ -25,7 +25,6 @@ from .combinatorics import (
     enumerate_spanning_trees,
     fundamental_cycle,
     genus,
-    solve_tree_coordinates,
     tree_basis,
     tree_path,
 )
@@ -57,7 +56,6 @@ from .integrals import (
     integrand,
     integrate_mc,
     integrate_quadrature,
-    pairing_identity_check,
     split_integrand_spec,
     verify_theorem_2_1,
 )

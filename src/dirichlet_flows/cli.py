@@ -244,20 +244,14 @@ def _cmd_verify_thm21(g, args):
 
 
 def _cmd_verify_identities(g, args):
+    """Check the divergence pairing exactly at --samples random triples (a
+    flow, rational rates and a spanning tree), drawn and checked in integer
+    blocks of 8192 triples, and the exchange identity of every cotree edge of
+    the first spanning tree by quadrature."""
     w = _weights(g, args)
     lam = _rates(g, args)
-    rng = env_mod.philox_stream(args.seed, 7)
     trees = comb.enumerate_spanning_trees(g)
-
-    worst = Fraction(0)
-    chart = trees[0]
-    free = comb.cotree(g, chart)
-    for _ in range(args.samples):
-        u = {eid: Fraction(int(rng.integers(-32, 33)), 16) for eid in free}
-        z = comb.solve_tree_coordinates(g, chart, u)
-        rates = {eid: Fraction(int(rng.integers(-64, 65)), 8) for eid in g.edge_ids}
-        t = trees[int(rng.integers(0, len(trees)))]
-        worst = max(worst, int_mod.pairing_identity_check(g, t, z, rates))
+    worst = int_mod.pairing_residual(g, trees, args.samples, args.seed)
     pairing_ok = worst == 0
 
     exchange = []
@@ -298,7 +292,7 @@ def _cmd_check_flatness(g, args):
     With --float it runs in floating point to 1e-12 instead."""
     w = _weights(g, args)
     conn = conn_mod.build_connection(g, w)
-    rng = env_mod.philox_stream(args.seed, 8)
+    rng = env_mod.philox_stream(args.seed, env_mod._FLATNESS)
     samples = [conn_mod.sample_rates_off_kernels(conn, rng) for _ in range(args.samples)]
     exact = not args.float
     residual = conn_mod.check_flatness(conn, samples, exact=exact)

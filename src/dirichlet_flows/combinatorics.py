@@ -327,17 +327,3 @@ def tree_coordinate_map(g: DirectedGraph, tree: SpanningTree):
             for eid in g.edge_ids}
     return free_ids, rows
 
-
-def solve_tree_coordinates(g: DirectedGraph, tree: SpanningTree, u) -> FlowPoint:
-    """The unique flow point with the given values on the cotree edges."""
-    free_ids, rows = tree_coordinate_map(g, tree)
-    missing = [eid for eid in free_ids if eid not in u]
-    if missing:
-        raise KeyError(f"missing cotree coordinate values for {missing}")
-    uvec = [u[eid] for eid in free_ids]
-    z = {}
-    for eid in g.edge_ids:
-        off, coeffs = rows[eid]
-        z[eid] = off + sum((c * v for c, v in zip(coeffs, uvec) if c != 0), Fraction(0))
-    return FlowPoint(z)
-

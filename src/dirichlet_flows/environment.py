@@ -8,13 +8,16 @@ occupation flow, and the weighted-tree functionals estimated here are the
 probabilistic side of the integral identities checked in `integrals`.
 
 Randomness contract: every draw comes from a counter-based Philox stream
-keyed (seed, kind, block), so results are bit-identical per seed.  A batch
-of n environments or walkers is cut into blocks of BLOCK_ROWS samples, the
-last one shorter, and block b draws from stream (seed, kind, b) alone
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011):
-each block is an independent batch, and no sampler holds work arrays of
-length n.  Block 0 is the stream every other draw uses, so a batch of at
-most BLOCK_ROWS samples draws what one unblocked stream would.  Within a
+keyed (seed, kind, block), so results are bit-identical per seed.  The kinds
+are _ENV 0 (environments), _CHAIN 1 (chain walks), _WILSON 2 (Wilson's
+walks), _PROPOSAL 3 (the flow side's Gamma proposal), _PAIRING 7 (the
+divergence pairing's triples) and _FLATNESS 8 (the rates of check-flatness).
+A batch of n samples is cut into blocks of BLOCK_ROWS samples, the last one
+shorter, and block b draws from stream (seed, kind, b) alone (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011): each block is an
+independent batch, and no sampler holds work arrays of length n.  Block 0 is
+the stream every other draw uses, so a batch of at most BLOCK_ROWS samples
+draws what one unblocked stream would.  Within a
 block the environment batch draws one gamma vector of the block's samples
 per edge, in graph edge order.  An edge out of a vertex with some weight
 below 1/16 draws a Gamma(alpha + 1) vector and then a uniform vector
@@ -128,7 +131,7 @@ class McEstimate:
 
 
 # stream kinds; the second Philox key word is (kind << 48) | block
-_ENV, _CHAIN, _WILSON = 0, 1, 2
+_ENV, _CHAIN, _WILSON, _PROPOSAL, _PAIRING, _FLATNESS = 0, 1, 2, 3, 7, 8
 
 # Samples per block of a batch of environments or of walkers.  It is part of
 # the stream contract: block b of a batch draws from stream (seed, kind, b),

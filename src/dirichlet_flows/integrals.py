@@ -22,13 +22,14 @@ of its coordinate given the outer ones, so no Gauss-Kronrod panel lies where
 the integrand vanishes.  Each level integrates a whole batch of sibling
 integrals in lockstep, one adaptive heap per integral: a round evaluates the
 new panels of all of them with one vectorized call, so the integrand is called
-once per round rather than once per panel.
+once per round rather than once per panel.  A level that runs to infinity
+starts on four graded panels in t, its unbounded tail already bisected.
 
 `verify_theorem_2_1` is the one entry to the tree-weighted Laplace identity
-on the vertex-split graph, for a list of directed trees.  The same machinery
-checks the two structural identities behind the flat connection (the
-divergence pairing, which is exact, and the cohomological exchange between
-adjacent tree integrals).
+on the vertex-split graph, for a list of directed trees.  The same module
+checks the two structural identities behind the flat connection: the
+divergence pairing, exactly, on integer blocks of random triples
+(`pairing_residual`), and the exchange between adjacent tree integrals.
 """
 
 from __future__ import annotations
@@ -41,18 +42,18 @@ from fractions import Fraction
 import numpy as np
 
 from .combinatorics import (
-    FlowPoint,
     SpanningTree,
     cotree,
     fundamental_cycle,
     is_spanning_tree,
     spanning_tree,
     tree_coordinate_map,
-    tree_path,
 )
 from .environment import (
     DirichletWeights,
     Moments,
+    _PAIRING,
+    _PROPOSAL,
     _blocks,
     mc_laplace_by_tree,
     philox_stream,
@@ -269,6 +270,8 @@ _GW[1:14:2] = np.concatenate([_WG7[:-1], [_WG7[-1]], _WG7[-2::-1]])
 
 _MAX_PANELS = 4000
 _INNER_FRAC = 0.05
+# the first panels in t of a level whose u_k runs to infinity (`_integrate_level`)
+_GRADED = ((0.0, 0.5), (0.5, 0.75), (0.75, 0.875), (0.875, 1.0))
 _ULP = math.ulp(1.0)  # 2^-52, twice the unit roundoff
 
 
@@ -369,6 +372,12 @@ def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefixes: n
     budget runs out; the first row to end above its target raises.  The rows
     advance in lockstep: each round evaluates the new panels of every
     unfinished row at once, by one recursive call on all their nodes.
+
+    A bounded row starts on the panel (0, 1), an unbounded one on `_GRADED`,
+    three bisections toward t = 1, where the integrand decays like
+    exp(-c t/(1-t)): from (0, 1) every chart of the benchmark bisected there
+    three times.  Two-diamond's `verify-identities` took 40 695 evaluations
+    from (0, 1), and 23 175, 18 000, 28 125 and 40 500 from depths 2 to 5.
     """
     d = ev.dim
     lo, hi = limits.intervals(k, prefixes)
@@ -393,6 +402,8 @@ def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefixes: n
 
     targets = tols.tolist()
     active = np.flatnonzero(hi > lo).tolist()
+    new = [(i, pa, pb) for i in active  # (row, a, b) of each panel of the round
+           for pa, pb in (_GRADED if hi[i] == math.inf else ((0.0, 1.0),))]
     heaps = {i: [] for i in active}
     # Each heap's running total of panel errors, and the sum of the total's
     # sizes after each update: 2^-53 times that bounds the total's rounding,
@@ -400,8 +411,8 @@ def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefixes: n
     # The total decides when to stop unless twice these bounds cannot tell
     # it from the target; then the sum in heap order decides and restarts it.
     totals, slack = dict.fromkeys(active, 0.0), dict.fromkeys(active, 0.0)
-    rows, a, b = np.array(active, dtype=np.intp), np.zeros(len(active)), np.ones(len(active))
-    while active:
+    while new:
+        rows, a, b = map(np.array, zip(*new))
         kron, err, inner = _gk_panels(*node_fn(rows, a, b), a, b)
         for i, *panel in zip(rows.tolist(), (-err).tolist(), a.tolist(), b.tolist(),
                              kron.tolist(), err.tolist(), inner.tolist()):
@@ -427,8 +438,6 @@ def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefixes: n
                 heapq.heappush(heap, (0.0, pa, pb, *rest))
             values[i], errors[i] = _settle(heaps.pop(i), tol, k, d)
         active = [i for i, _, _ in new[::2]]
-        if new:
-            rows, a, b = map(np.array, zip(*new))
     return values, errors
 
 
@@ -462,9 +471,6 @@ def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 # importance-sampled Monte Carlo
 # ---------------------------------------------------------------------------
-
-_PROPOSAL = 3  # stream kind of the Gamma proposal draws
-
 
 class _McChart:
     """One tree chart's importance sampling, fed the proposal's Gamma draws
@@ -578,18 +584,9 @@ def integrate_mc_charts(specs, n: int, seed: int,
 
 def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
                  weight_edge: str | None = None) -> IntegralEstimate:
-    """Gamma-proposal importance sampling over the cotree coordinates.
-
-    Each coordinate gets an independent Gamma(alpha_e, rate) proposal with
-    rate = lambda_e (the exponential tilt of the integrand), falling back to
-    rate 1 where lambda_e = 0; points outside the chamber get weight zero.
-    The estimate carries the Kish effective sample size of the weights.
-
-    The n points run as independent blocks of BLOCK_ROWS points, block b
-    drawn from its own stream (`integrate_mc_charts` with one chart): each
-    block's weights fold into running moments and Kish sums, so nothing of
-    length n is held, and no weight depends on the BLAS thread count.
-    """
+    """Gamma-proposal importance sampling over the cotree coordinates, with
+    the Kish effective sample size of the weights: `integrate_mc_charts` of
+    one chart, whose proposal and weights `_McChart` describes."""
     return integrate_mc_charts([spec], n, seed, weight_edge)[0]
 
 
@@ -618,21 +615,38 @@ def agreement(diff: float, err_a: float, err_b: float, slack: float) -> dict:
     return {"diff": diff, "bound": bound, "pass": bool(diff <= bound)}
 
 
-def pairing_identity_check(g: DirectedGraph, tree: SpanningTree, z: FlowPoint, lam) -> object:
-    """Residual of <z, rates> = path form + sum of cotree coordinates times cycle forms.
-
-    Exact (zero) for rational inputs; the fundamental cycles are oriented along
-    their defining cotree edge, the tree path from base to cemetery.
+def pairing_residual(g: DirectedGraph, trees, n: int, seed: int) -> Fraction:
+    """Largest residual, exact, of the divergence pairing <z, rates> = path
+    form + sum over cotree edges e0 of z_e0 times the cycle form of e0, at n
+    random triples: a unit-mass flow z, its coordinates in the chart of
+    trees[0] multiples of 1/16 in [-2, 2], rates that are multiples of 1/8 in
+    [-8, 8], and a tree of `trees`.  Block b of BLOCK_ROWS triples draws from
+    stream (seed, 7, b) the numerators of the coordinates (a row per cotree
+    edge of the chart), of the rates (a row per edge) and the tree indices.
+    Both sides times 128 are then sums of integer products, exact in int64,
+    taken against sign tables of each tree's path and cycles built once.
     """
-    sigma = tree_path(g, tree)
-    total = sigma.form(lam)
-    for e0 in cotree(g, tree):
-        cyc = fundamental_cycle(g, tree, e0)
-        total = total + z[e0] * cyc.form(lam)
-    inner = 0
-    for eid in g.edge_ids:
-        inner = inner + z[eid] * lam[eid]
-    return abs(inner - total)
+    ids = g.edge_ids
+    col = {eid: k for k, eid in enumerate(ids)}
+    # signs[e, 0, t]: edge e on tree t's path; signs[e, 1 + k, t]: on the cycle of edge k
+    signs = np.zeros((len(ids), len(ids) + 1, len(trees)), dtype=np.int64)
+    for t, tree in enumerate(trees):
+        free, rows = tree_coordinate_map(g, tree)
+        at = [0] + [1 + col[f] for f in free]
+        for e, eid in enumerate(ids):
+            signs[e, at, t] = [int(rows[eid][0]), *map(int, rows[eid][1])]
+    free = [col[f] for f in cotree(g, trees[0])]
+    worst = 0
+    for b, lo, hi in _blocks(n):
+        rng = philox_stream(seed, _PAIRING, b)
+        u = rng.integers(-32, 33, size=(len(free), hi - lo))  # 16 u
+        rates = rng.integers(-64, 65, size=(len(ids), hi - lo))  # 8 rates
+        picks = rng.integers(0, len(trees), size=hi - lo)
+        z = sum((signs[:, 1 + k, :1] * x for k, x in zip(free, u)), 16 * signs[:, 0, :1])
+        forms = (signs.take(picks, axis=2) * rates[:, None]).sum(axis=0)  # 8 x each form
+        lhs, rhs = (z * rates).sum(axis=0), 16 * forms[0] + (z * forms[1:]).sum(axis=0)
+        worst = max(worst, int(np.abs(lhs - rhs).max()))
+    return Fraction(worst, 128)
 
 
 def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,

@@ -6,7 +6,10 @@ subsets, so the backtracking enumerators are checked against brute force.
 The genus oracle counts the edges that close a cycle when added one by one
 to a union-find forest, without the library's incidence matrices.
 The coordinate-map oracle solves div z = unit mass at the base for the tree
-edges by Gauss-Jordan elimination, without the library's tree walks.
+edges by Gauss-Jordan elimination, without the library's tree walks.  The
+pairing oracle checks one triple at a time in Fractions, from each tree's
+path and fundamental cycles as sign maps, where the library checks integer
+blocks against sign tables drawn from the coordinate maps.
 The connection's term matrices are built from their definitions as dense
 lists of Fractions (`oracle_term_matrices`), apart from the library's integer
 table, and the matrix oracles multiply dense lists of Fractions, without the
@@ -48,11 +51,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dirichlet_flows import (DirectedGraph, DirichletWeights, Environment, SpanningTree,
-                             builtin_graph, cotree, enumerate_cycles, enumerate_paths,
-                             fundamental_cycle, tree_basis)
+from dirichlet_flows import (DirectedGraph, DirichletWeights, Environment, FlowPoint,
+                             SpanningTree, builtin_graph, cotree, enumerate_cycles,
+                             enumerate_paths, fundamental_cycle, tree_basis, tree_path)
 from dirichlet_flows import environment as env_mod
 from dirichlet_flows import integrals as int_mod
+from dirichlet_flows.combinatorics import tree_coordinate_map
 from dirichlet_flows.graphs import Edge
 from dirichlet_flows.rationals import mat_rank, mat_solve
 
@@ -298,6 +302,61 @@ def oracle_coordinate_map(g: DirectedGraph, tree):
     return tuple(free_ids), rows
 
 
+def oracle_tree_coordinates(g: DirectedGraph, tree, u) -> FlowPoint:
+    """The unique flow point with the given values u on the cotree edges, each
+    edge's offset plus coefficients times u in Fractions."""
+    free_ids, rows = tree_coordinate_map(g, tree)
+    missing = [eid for eid in free_ids if eid not in u]
+    if missing:
+        raise KeyError(f"missing cotree coordinate values for {missing}")
+    uvec = [u[eid] for eid in free_ids]
+    z = {}
+    for eid in g.edge_ids:
+        off, coeffs = rows[eid]
+        z[eid] = off + sum((c * v for c, v in zip(coeffs, uvec) if c != 0), Fraction(0))
+    return FlowPoint(z)
+
+
+def oracle_tree_walks(g: DirectedGraph, tree):
+    """The tree's base-to-cemetery path and (e0, fundamental cycle of e0) for
+    each cotree edge e0, in cotree order."""
+    return tree_path(g, tree), [(e0, fundamental_cycle(g, tree, e0)) for e0 in cotree(g, tree)]
+
+
+def oracle_pairing_residual(g: DirectedGraph, tree, z: FlowPoint, lam, walks=None):
+    """|<z, rates> - (path form + sum of cotree coordinates times cycle forms)|
+    of one tree, in Fractions; the cycles are oriented along their cotree
+    edge.  `walks` is the tree's `oracle_tree_walks`, walked here if None."""
+    path, cycles = walks or oracle_tree_walks(g, tree)
+    total = path.form(lam)
+    for e0, cyc in cycles:
+        total = total + z[e0] * cyc.form(lam)
+    inner = 0
+    for eid in g.edge_ids:
+        inner = inner + z[eid] * lam[eid]
+    return abs(inner - total)
+
+
+def oracle_pairing(g: DirectedGraph, trees, n: int, seed: int) -> Fraction:
+    """`integrals.pairing_residual` one triple at a time in Fractions, from
+    the same integer draws of each block's stream."""
+    free = cotree(g, trees[0])
+    walks = [oracle_tree_walks(g, t) for t in trees]
+    worst = Fraction(0)
+    for b, rows in oracle_blocks(n):
+        m = len(range(n)[rows])
+        rng = env_mod.philox_stream(seed, 7, b)
+        us = rng.integers(-32, 33, size=(len(free), m)).T.tolist()
+        rates = rng.integers(-64, 65, size=(len(g.edge_ids), m)).T.tolist()
+        picks = rng.integers(0, len(trees), size=m).tolist()
+        for u, r, t in zip(us, rates, picks):
+            z = oracle_tree_coordinates(g, trees[0],
+                                        {eid: Fraction(x, 16) for eid, x in zip(free, u)})
+            lam = {eid: Fraction(x, 8) for eid, x in zip(g.edge_ids, r)}
+            worst = max(worst, oracle_pairing_residual(g, trees[t], z, lam, walks[t]))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # dense Fraction matrix oracles
 # ---------------------------------------------------------------------------
@@ -486,15 +545,19 @@ def _oracle_gk_panel(vals, deltas, a, b):
     return kron, err, inner
 
 
-def _oracle_adaptive_1d(node_fn, tol, where):
-    """Adaptive GK15 over (0, 1); node_fn(points) -> (values, eval_errors)."""
+def _oracle_adaptive_1d(node_fn, tol, where, graded):
+    """Adaptive GK15 over (0, 1), from the panel (0, 1), or from the graded
+    panels (0, 1/2), (1/2, 3/4), (3/4, 7/8), (7/8, 1) where `graded`;
+    node_fn(points) -> (values, eval_errors)."""
     def make(a, b):
         pts = 0.5 * (a + b) + 0.5 * (b - a) * int_mod._NODES
         vals, deltas = node_fn(pts)
         kron, err, inner = _oracle_gk_panel(vals, deltas, a, b)
         return (-err, a, b, kron, err, inner)
 
-    heap = [make(0.0, 1.0)]
+    heap = []
+    for a, b in [(0.0, 0.5), (0.5, 0.75), (0.75, 0.875), (0.875, 1.0)] if graded else [(0.0, 1.0)]:
+        heapq.heappush(heap, make(a, b))
     while True:
         if sum(p[4] for p in heap) <= 0.45 * tol or len(heap) >= int_mod._MAX_PANELS:
             break
@@ -535,7 +598,7 @@ def _oracle_level(ev, limits, k, prefix, tol, counter):
                                counter) for u in us]
         return np.array([v for v, _ in inner]) * jac, np.array([e for _, e in inner]) * jac
 
-    return _oracle_adaptive_1d(node_fn, tol, f"level {k + 1} of {d}")
+    return _oracle_adaptive_1d(node_fn, tol, f"level {k + 1} of {d}", math.isinf(hi))
 
 
 def oracle_quadrature(spec, tol: float, weight_edge=None):

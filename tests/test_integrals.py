@@ -19,8 +19,6 @@ from dirichlet_flows import (
     integrate_mc,
     integrate_quadrature,
     mc_laplace_by_tree,
-    pairing_identity_check,
-    solve_tree_coordinates,
     split_graph,
     split_integrand_spec,
     tree_basis,
@@ -35,10 +33,14 @@ from conftest import (
     RecordingMoments,
     bundled_graphs,
     complete_graph,
+    oracle_coordinate_map,
     oracle_flows,
     oracle_integrate_mc,
     oracle_log_weights,
+    oracle_pairing,
+    oracle_pairing_residual,
     oracle_quadrature,
+    oracle_tree_coordinates,
     oracle_unmerged_log_weights,
     random_graphs,
 )
@@ -231,8 +233,9 @@ def test_batch_rows_equal_lone_calls(triangle):
     assert [n == 0 for _, _, n in lone] == (prefixes[:, 0] <= 0).tolist()
     assert vals[[0, 2, 4]].tolist() == errs[[0, 2, 4]].tolist() == [0.0] * 3
     assert counter[0] == sum(n for _, _, n in lone)
-    # one outer integral at three targets: three different panel sets
-    tols = np.array([1e-4, 1e-12, 1e-8])
+    # one outer integral at three targets: three different panel sets (at
+    # 1e-4 and 1e-8 alike the outer level settles on its graded start)
+    tols = np.array([1e-8, 1e-12, 1e-10])
     counter = [0]
     vals, errs = int_mod._integrate_level(ev, limits, 0, np.zeros((3, 0)), tols, counter)
     lone = _lone_calls(ev, limits, 0, np.zeros((3, 0)), tols)
@@ -240,14 +243,82 @@ def test_batch_rows_equal_lone_calls(triangle):
     assert lone[0][2] < lone[2][2] < lone[1][2] and counter[0] == sum(n for _, _, n in lone)
 
 
-def _oracle_charts():
-    """(graph, alpha, bridge ids) of the builtins, their split graphs and the
-    random graphs of `_chamber_systems`."""
+def test_graded_panels_settle_in_one_round():
+    """An unbounded level whose graded start meets the target settles in one
+    round: 60 evaluations per row, the 4 graded panels of 15 nodes each."""
+    g = _loop_return_graph()
+    spec = spec_for(g, ones(g), {"e1": 1.0, "e2": 0.5, "e3": 0.25}, tree_of("e2", "e3"))
+    ev = int_mod._Evaluator(spec)
+    limits = int_mod._ChamberLimits(ev.rows, ev.dim)
+    assert limits.intervals(0, np.zeros((1, 0)))[1].tolist() == [math.inf]
+    counter = [0]
+    tols = np.array([1e-4, 1e-5, 1e-6])
+    vals, errs = int_mod._integrate_level(ev, limits, 0, np.zeros((3, 0)), tols, counter)
+    assert counter[0] == 3 * 60
+    assert (errs <= 0.45 * tols).all()
+    # z = (u, u, 1): the integral is e^{-1/4} / 2.25
+    assert np.abs(vals - math.exp(-0.25) / 2.25).max() <= errs.max()
+    counter = [0]
+    int_mod._integrate_level(ev, limits, 0, np.zeros((1, 0)), np.array([1e-8]), counter)
+    assert counter[0] > 60
+
+
+def test_dimension_two_charts_match_scipy_dblquad():
+    """Every dimension-2 chart of the builtins and of their split graphs at
+    generic rates, against scipy's dblquad over the same chamber: the inner
+    coordinate runs between the bounds of the rows of the oracle's coordinate
+    map, the outer one over (0, inf)."""
+    integrate = pytest.importorskip("scipy.integrate")
+    checked = 0
+    for g, alpha, bridges in _builtin_charts():
+        lam = {eid: 1.0 + 2.0 ** -(k + 3) for k, eid in enumerate(g.edge_ids)}
+        lam.update({bid: 0.0 for bid in bridges})
+        for t in enumerate_spanning_trees(g):
+            free, rows = oracle_coordinate_map(g, t)
+            if len(free) != 2:
+                continue
+            terms = [(float(off), float(a[0]), float(a[1]),
+                      float(alpha[eid]) - (eid in free), lam[eid])
+                     for eid, (off, a) in rows.items()]
+
+            def f(u1, u0):
+                z = [(b + a0 * u0 + a1 * u1, x, r) for b, a0, a1, x, r in terms]
+                if min(v for v, _, _ in z) <= 0:
+                    return 0.0
+                return math.exp(math.fsum(x * math.log(v) - r * v for v, x, r in z))
+
+            def inner(u0):
+                lo, hi = 0.0, math.inf
+                for b, a0, a1, _, _ in terms:
+                    c = b + a0 * u0
+                    if a1 > 0:
+                        lo = max(lo, -c / a1)
+                    elif a1 < 0:
+                        hi = min(hi, -c / a1)
+                    elif c <= 0:
+                        return 0.0, 0.0
+                return lo, max(lo, hi)
+
+            value, _ = integrate.dblquad(f, 0, math.inf, lambda u0: inner(u0)[0],
+                                         lambda u0: inner(u0)[1], epsabs=1e-13, epsrel=1e-12)
+            est = integrate_quadrature(spec_for(g, alpha, lam, t), 1e-8)
+            assert abs(est.value - value) <= 3 * est.error + 1e-12, (g.edge_ids, t)
+            checked += 1
+    assert checked == 5 + 12 + 4 + 16  # triangle, split triangle, two-diamond, split
+
+
+def _builtin_charts():
+    """(graph, alpha, bridge ids) of the builtins and their split graphs."""
     for g in bundled_graphs():
         yield g, g.alpha_map(), ()
         split = split_graph(g)
         alpha = int_mod.split_exponents(split, DirichletWeights.from_graph(g))
         yield split.graph, alpha, split.bridge_ids
+
+
+def _oracle_charts():
+    """`_builtin_charts`, then the random graphs of `_chamber_systems`."""
+    yield from _builtin_charts()
     for g in random_graphs(seed=12, count=8):
         yield g, g.alpha_map(), ()
 
@@ -647,9 +718,9 @@ def test_c_alpha_overflow():
 def test_pairing_identity_two_edge_closed_form(two_edge):
     # <z, lam> = lam1 + t (lam2 - lam1) for z = (1-t, t)
     t = Fraction(3, 7)
-    z = solve_tree_coordinates(two_edge, tree_of("e1"), {"e2": t})
+    z = oracle_tree_coordinates(two_edge, tree_of("e1"), {"e2": t})
     lam = {"e1": Fraction(5), "e2": Fraction(-2)}
-    assert pairing_identity_check(two_edge, tree_of("e1"), z, lam) == 0
+    assert oracle_pairing_residual(two_edge, tree_of("e1"), z, lam) == 0
 
 
 def test_pairing_identity_random_exact():
@@ -659,17 +730,26 @@ def test_pairing_identity_random_exact():
         for _ in range(20):
             chart = trees[int(rng.integers(0, len(trees)))]
             u = {eid: Fraction(int(rng.integers(-24, 25)), 8) for eid in cotree(g, chart)}
-            z = solve_tree_coordinates(g, chart, u)
+            z = oracle_tree_coordinates(g, chart, u)
             lam = {eid: Fraction(int(rng.integers(-40, 41)), 4) for eid in g.edge_ids}
             t = trees[int(rng.integers(0, len(trees)))]
-            assert pairing_identity_check(g, t, z, lam) == 0
+            assert oracle_pairing_residual(g, t, z, lam) == 0
 
 
 def test_pairing_identity_zero_rates(triangle):
-    z = solve_tree_coordinates(triangle, tree_of("e3", "e4"),
-                               {"e1": Fraction(1, 2), "e2": Fraction(1, 4)})
+    z = oracle_tree_coordinates(triangle, tree_of("e3", "e4"),
+                                {"e1": Fraction(1, 2), "e2": Fraction(1, 4)})
     lam = {eid: Fraction(0) for eid in triangle.edge_ids}
-    assert pairing_identity_check(triangle, tree_of("e3", "e4"), z, lam) == 0
+    assert oracle_pairing_residual(triangle, tree_of("e3", "e4"), z, lam) == 0
+
+
+@pytest.mark.parametrize("n", [1, 100, env_mod.BLOCK_ROWS + 1])
+def test_pairing_residual_matches_oracle(n):
+    """The integer blocks give the oracle's max residual, one triple at a
+    time in Fractions from the same draws, on the builtins and random graphs."""
+    for seed, g in enumerate(bundled_graphs() + random_graphs(seed=7, count=3)):
+        trees = enumerate_spanning_trees(g)
+        assert int_mod.pairing_residual(g, trees, n, seed) == oracle_pairing(g, trees, n, seed)
 
 
 def test_cohomology_identity_two_edge(two_edge):
