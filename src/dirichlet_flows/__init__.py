@@ -66,7 +66,6 @@ from .connection import (
     check_commutation,
     check_flatness,
     connection_coefficients,
-    connection_matrices_numeric,
     transport,
 )
 

@@ -289,15 +289,15 @@ def _cmd_check_flatness(g, args):
     the coefficients are scaled to integer matrices and each commutator is
     computed modulo primes below 2^26, as many as an integer bound on its
     entries asks for; a nonzero entry is recovered exactly as max_residual.
-    With --float it runs in floating point to 1e-12 instead."""
+    The samples are checked in blocks, so memory does not grow with
+    --samples."""
     w = _weights(g, args)
     conn = conn_mod.build_connection(g, w)
     rng = env_mod.philox_stream(args.seed, env_mod._FLATNESS)
     samples = [conn_mod.sample_rates_off_kernels(conn, rng) for _ in range(args.samples)]
-    exact = not args.float
-    residual = conn_mod.check_flatness(conn, samples, exact=exact)
-    ok = residual == 0 if exact else residual <= 1e-12
-    return {"samples": args.samples, "exact": exact, "max_residual": residual, "pass": ok}, ok
+    residual = conn_mod.check_flatness(conn, samples)
+    ok = residual == 0
+    return {"samples": args.samples, "max_residual": residual, "pass": ok}, ok
 
 
 def _worst_error(errs) -> float:
@@ -465,7 +465,7 @@ _COMMANDS = {
     "verify-identities": _Command(_cmd_verify_identities, ("alpha", "lambda", "seed", "samples",
                                                           "tol", "quad-tol"), 100),
     "check-commutation": _Command(_cmd_check_commutation, ("alpha",)),
-    "check-flatness": _Command(_cmd_check_flatness, ("alpha", "seed", "samples", "float"), 100),
+    "check-flatness": _Command(_cmd_check_flatness, ("alpha", "seed", "samples"), 100),
     "transport": _Command(_cmd_transport, ("alpha", "lambda", "tol", "quad-tol", "waypoint",
                                           "split")),
     "wilson-test": _Command(_cmd_wilson_test, ("prob", "seed", "samples"), 100_000),
@@ -545,8 +545,6 @@ _OPTIONS = {
                           "cycle form at the start if that is less)"),
     "split": dict(action="store_true",
                   help="transport on the vertex-split companion graph"),
-    "float": dict(action="store_true",
-                  help="check in floating point to 1e-12 instead of in exact rationals"),
 }
 
 

@@ -12,18 +12,18 @@ linear form (`SignedEdgeSet.form`), and a matrix with entries 1 or +-alpha_e.
 their entries' denominators, into one integer COO table
 (`rationals.IntTable`), path terms first; `ConnectionForm.terms` weighs the
 terms into one coefficient M_e.  Every reader takes the terms from that
-table: the exact checks as integers, the numeric stack and `transport` as
-the table's values over L, correctly rounded to floats.
+table: the exact checks as integers, `transport` as the table's values over
+L, correctly rounded to floats.
 
 Matrices follow the endomorphism convention: column T holds the image of the
 basis vector of tree T.  The vector of tree-chart integrals pairs with the
 basis as a covector, so it solves dI = -Omega^T I; `transport` applies the
 transpose internally.  Everything structural is exact, in integers and
-Fractions; floats (or complex, off the real locus) appear only in numeric
-evaluation and in the ODE integration.  `transport` integrates that ODE with
-the Dormand-Prince 5(4) pair (J. R. Dormand & P. J. Prince, "A family of
-embedded Runge-Kutta formulae", J. Comput. Appl. Math. 6, 1980) under the
-step control of scipy's RK45, in `solve_ivp`.
+Fractions; floats (or complex, off the real locus) appear only in the ODE
+integration.  `transport` integrates that ODE with the Dormand-Prince 5(4)
+pair (J. R. Dormand & P. J. Prince, "A family of embedded Runge-Kutta
+formulae", J. Comput. Appl. Math. 6, 1980) under the step control of scipy's
+RK45, in `solve_ivp`.
 
 The commutation and flatness checks are exact over Q without Fraction matrix
 products.  Both send quads of integer combinations of the table's term
@@ -33,7 +33,9 @@ asks for.  Commutation decides each item at one sample by whether its quad
 vanishes, without recovering an entry.  Flatness puts each sample's rates
 over a common denominator, so that its cycle forms and the integer
 coefficients of every M_e are Python integers, and sends the commutators of
-all samples at once; a nonzero entry is recovered exactly.
+the samples in blocks whose memory does not grow with the sample count; a
+nonzero entry is recovered exactly.  Flatness is only checked exactly: a zero
+is proved, not shown below a float tolerance.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import rationals
 from .combinatorics import (
     SignedEdgeSet,
     SpanningTree,
@@ -176,32 +179,6 @@ def connection_coefficients(conn: ConnectionForm, lam) -> list[list[list[Fractio
     return out
 
 
-def _float_terms(conn: ConnectionForm) -> list:
-    """Each term matrix as (rows, cols, values), its values the table's over L
-    as correctly rounded floats."""
-    values = np.array([v / conn.scale for v in conn.table.values.tolist()], dtype=float)
-    ptr = conn.table.ptr.tolist()
-    return [(conn.table.rows[lo:hi], conn.table.cols[lo:hi], values[lo:hi])
-            for lo, hi in zip(ptr, ptr[1:])]
-
-
-def connection_matrices_numeric(conn: ConnectionForm, lam) -> np.ndarray:
-    """Float/complex stack of the coefficient matrices, one per edge coordinate.
-
-    Each weighted term is added at its own entries, term by term in term
-    order, which gives the bits of a sum of dense weighted term matrices."""
-    vals = {k: complex(v) for k, v in lam.items()}
-    conn.check_membership(vals)
-    cplx = any(v.imag != 0 for v in vals.values())
-    terms = _float_terms(conn)
-    out = np.zeros((len(conn.edge_ids), conn.size, conn.size), dtype=complex if cplx else float)
-    for m, eid in zip(out, conn.edge_ids):
-        for weight, k in conn.terms(eid, vals):
-            rows, cols, values = terms[k]
-            m[rows, cols] += (weight if cplx else weight.real) * values
-    return out
-
-
 # ---------------------------------------------------------------------------
 # structure relations
 # ---------------------------------------------------------------------------
@@ -304,46 +281,29 @@ def check_commutation(g: DirectedGraph, w) -> dict:
     return {"items": items, "pass": all(it["ok"] for it in items)}
 
 
-def _float_residual(mats: np.ndarray) -> float:
-    """Max commutator residual of the stacked matrices, relative to the scale of
-    the products."""
-    worst = 0.0
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            ab = mats[a] @ mats[b]
-            ba = mats[b] @ mats[a]
-            scale = max(np.abs(ab).max(), np.abs(ba).max(), 1e-300)
-            worst = max(worst, float(np.abs(ab - ba).max() / scale))
-    return worst
+def check_flatness(conn: ConnectionForm, lambda_samples) -> Fraction:
+    """Max commutator residual of the coefficient matrices over the samples,
+    exactly: a Fraction, zero when the connection is flat at every sample.
 
-
-def check_flatness(conn: ConnectionForm, lambda_samples, exact: bool = True):
-    """Max commutator residual of the coefficient matrices over the samples.
-
-    Exact mode returns a Fraction (zero means flat).  At each sample the rates
-    are put over their common denominator q, and the cycle forms q L_c are
-    computed once, as integers, which also runs the exclusion test.  The
-    coefficient M_e is scaled to the integer matrix N_e = D_e L M_e, with D_e
-    the lcm of the denominators of its weights in `ConnectionForm.terms`, so
-    that N_e is an integer combination of the term matrices scaled by L; every
-    [N_a, N_b] of every sample is the quad (a, b, b, a) of
-    `rationals.residue_peaks`, which assembles each N_e for all samples at
-    once and expands each edge pair once.  Float mode returns the max residual
-    relative to the product scale.
+    At each sample the rates are put over their common denominator q, and the
+    cycle forms q L_c are computed once, as integers, which also runs the
+    exclusion test.  The coefficient M_e is scaled to the integer matrix N_e =
+    D_e L M_e, with D_e the lcm of the denominators of its weights in
+    `ConnectionForm.terms`, so that N_e is an integer combination of the term
+    matrices scaled by L; every [N_a, N_b] of a sample is the quad (a, b, b,
+    a) of `rationals.residue_peaks`.  The samples go to it in blocks of at
+    most _CHUNK_CAP term entries x samples, the bound of its chunks of
+    combinations, unless one sample alone is more: its residues of every N_e
+    at every sample and prime of a call are held at once, so the memory grows
+    with the block, not with the sample count.  Each block assembles each N_e
+    for its samples at once and expands each edge pair once.
     """
-    if not exact:
-        worst = 0.0
-        for lam in lambda_samples:
-            # one sample's stack at a time: it is freed before the next is built
-            worst = max(worst, _float_residual(connection_matrices_numeric(conn, lam)))
-        return worst
-
     terms = conn.path_terms + conn.cycle_terms
     # per edge, the (index, sign) of each term with the edge
     members = [[(k, term.sign(eid)) for k, term in enumerate(terms) if term.sign(eid)]
                for eid in conn.edge_ids]
-    coefficients = [[] for _ in conn.edge_ids]
-    denominators = []
+    # per sample and edge, the integer weights of N_e's terms, and D_e
+    coefficients, denominators = [], []
     for lam in lambda_samples:
         lam = {k: Fraction(v) for k, v in lam.items()}
         # in Python integers, also where a Fraction holds numpy ones
@@ -357,20 +317,26 @@ def check_flatness(conn: ConnectionForm, lambda_samples, exact: bool = True):
             g = math.gcd(q, form)
             dens.append(abs(form) // g)
             tops.append(q // g if form > 0 else -(q // g))
-        row = []
-        for ks, coef in zip(members, coefficients):
+        coef, row = [], []
+        for ks in members:
             d = math.lcm(*(dens[k] for k, _ in ks))
             coef.append([sign * tops[k] * (d // dens[k]) for k, sign in ks])
             row.append(d)
+        coefficients.append(coef)
         denominators.append(row)
     pairs = [(a, b) for a in range(len(members)) for b in range(a + 1, len(members))]
-    combos = [([k for k, _ in ks], coef) for ks, coef in zip(members, coefficients)]
-    peaks = residue_peaks(conn.table, conn.size, combos, [(a, b, b, a) for a, b in pairs])
+    quads = [(a, b, b, a) for a, b in pairs]
+    size = np.diff(conn.table.ptr)
+    load = sum(int(size[k]) for ks in members for k, _ in ks)
+    block = max(1, rationals._CHUNK_CAP // load)
     worst = Fraction(0)
-    for (s, k), peak in peaks.items():
-        a, b = pairs[k]
-        d = denominators[s]
-        worst = max(worst, Fraction(peak, d[a] * d[b] * conn.scale ** 2))
+    for lo in range(0, len(coefficients), block):
+        combos = [([k for k, _ in ks], [coef[e] for coef in coefficients[lo:lo + block]])
+                  for e, ks in enumerate(members)]
+        for (s, k), peak in residue_peaks(conn.table, conn.size, combos, quads).items():
+            a, b = pairs[k]
+            d = denominators[lo + s]
+            worst = max(worst, Fraction(peak, d[a] * d[b] * conn.scale ** 2))
     return worst
 
 
@@ -507,6 +473,17 @@ def _segment_guard(a: complex, b: complex) -> float:
     return min(abs(a + t * b) for t in candidates)
 
 
+def _transposed_terms(conn: ConnectionForm) -> np.ndarray:
+    """The term matrices, transposed and dense, their entries the table's
+    values over L as correctly rounded floats: the integrals solve dI =
+    -Omega^T I."""
+    t = conn.table
+    out = np.zeros((len(t.ptr) - 1, conn.size, conn.size))
+    term = np.repeat(np.arange(len(t.ptr) - 1), np.diff(t.ptr))
+    out[term, t.cols, t.rows] = [v / conn.scale for v in t.values.tolist()]
+    return out
+
+
 def transport(conn: ConnectionForm, start_vector, waypoints, tol: float = 1e-10) -> np.ndarray:
     """Parallel transport of a section along a piecewise-linear rate path.
 
@@ -524,12 +501,7 @@ def transport(conn: ConnectionForm, start_vector, waypoints, tol: float = 1e-10)
             if wp[eid].real < 0:
                 raise ValueError(f"rate of edge {eid!r} has negative real part on the path")
 
-    # transposed matrices: the integrals solve dI = -Omega^T I
-    dense = []
-    for rows, cols, values in _float_terms(conn):
-        mat = np.zeros((conn.size, conn.size))
-        mat[cols, rows] = values
-        dense.append(mat)
+    dense = _transposed_terms(conn)
     paths = list(zip(conn.path_terms, dense))
     cycles = list(zip(conn.cycle_terms, dense[len(paths):]))
     y = np.asarray(start_vector, dtype=complex)

@@ -14,7 +14,8 @@ The connection's term matrices are built from their definitions as dense
 lists of Fractions (`oracle_term_matrices`), apart from the library's integer
 table, and the matrix oracles multiply dense lists of Fractions, without the
 library's residue products.  The numeric oracle sums dense weighted term
-matrices in term order; the library's sparse stack must give the same bits.
+matrices in term order; the float terms `transport` reads, weighted in the
+same order, must give the same bits.
 The arrangement-basis oracle is a rank test on the fundamental cycles of one
 tree.  The quadrature oracle integrates one chart integral at a time, one
 Gauss-Kronrod panel per integrand call, by the recursive scheme the

@@ -44,8 +44,7 @@ def run_twice(capsys, argv):
     ["enumerate"],
     ["check-commutation"],
     ["check-flatness", "--samples", "5"],
-    ["check-flatness", "--samples", "5", "--float"],
-], ids=["enumerate", "check-commutation", "check-flatness", "check-flatness-float"])
+], ids=["enumerate", "check-commutation", "check-flatness"])
 def test_algebra_commands_pass(capsys, argv, graph):
     status, report = run_twice(capsys, argv + ["--graph", graph])
     assert status == 0 and report["pass"] is True
@@ -118,7 +117,7 @@ OPTIONS = {
     "verify-thm21": "alpha lambda tree seed samples tol quad-tol",
     "verify-identities": "alpha lambda seed samples tol quad-tol",
     "check-commutation": "alpha",
-    "check-flatness": "alpha seed samples float",
+    "check-flatness": "alpha seed samples",
     "transport": "alpha lambda tol quad-tol waypoint split",
     "wilson-test": "prob seed samples",
     "laplace": "alpha lambda seed samples",
@@ -131,7 +130,7 @@ def test_each_command_takes_exactly_its_options():
              for name, p in sub.choices.items()}
     assert taken == {name: {f"--{o}" for o in ("graph out " + opts).split()}
                      for name, opts in OPTIONS.items()}
-    assert sum(map(len, taken.values())) == 53
+    assert sum(map(len, taken.values())) == 52
 
 
 @pytest.mark.parametrize("argv", [
@@ -144,6 +143,7 @@ def test_each_command_takes_exactly_its_options():
     ["transport", "--quad-tol", "nan"],
     ["check-commutation", "--alpha", "e1"],
     ["laplace", "--lambda", "e1=1/0"],
+    ["check-flatness", "--float"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,6 @@ from dirichlet_flows import (
     check_commutation,
     check_flatness,
     connection_coefficients,
-    connection_matrices_numeric,
     enumerate_cycles,
     enumerate_paths,
     integral_vector,
@@ -380,12 +379,15 @@ def test_flatness_matches_oracle_on_k3():
 def test_k3_checks_do_not_depend_on_the_chunks(monkeypatch):
     """K3 commutation flags and flatness residuals, of the connection and of a
     broken copy, are the same when every chunk of combinations and of quads
-    is cut as small as it goes."""
+    is cut as small as it goes.  Flatness then sends one sample per block;
+    the samples' common denominators differ, so each block's peaks must be
+    scaled by the denominators of their own samples."""
     g = complete_graph(3)
     w = {eid: Fraction(1 + k % 4, 3) for k, eid in enumerate(g.edge_ids)}
     conn = build_connection(g, w)
     rng = np.random.default_rng(61)
-    samples = [sample_rates_off_kernels(conn, rng) for _ in range(2)]
+    samples = [_rates_off_kernels(conn, rng, d) for d in ([16], [3], [7], [16, 3, 7])]
+    assert len({lcm(*(v.denominator for v in lam.values())) for lam in samples}) == 4
     broken = _broken(conn, Fraction(1, 3), 7)
 
     def checks():
@@ -397,6 +399,31 @@ def test_k3_checks_do_not_depend_on_the_chunks(monkeypatch):
     assert not all(it["commutes"] for it in expected[0]["items"])
     monkeypatch.setattr(rationals, "_CHUNK_CAP", 1)
     assert checks() == expected
+
+
+def test_flatness_sends_the_samples_in_blocks(monkeypatch, triangle):
+    """Each call of the residue kernel gets the next block of samples, of at
+    most _CHUNK_CAP term entries x samples unless one sample alone is more:
+    100 samples of a builtin and 4 of K3 go as one block, 60 of K3 as
+    several."""
+    calls = []
+
+    def spy(table, n, combos, quads, **kwargs):
+        calls.append(len(combos[0][1]))
+        return rationals.residue_peaks(table, n, combos, quads, **kwargs)
+
+    monkeypatch.setattr(connection, "residue_peaks", spy)
+    for g, count in ((triangle, 100), (complete_graph(3), 4), (complete_graph(3), 60)):
+        conn = build_connection(g, DirichletWeights.from_graph(g))
+        rng = np.random.default_rng(63)
+        samples = [sample_rates_off_kernels(conn, rng) for _ in range(count)]
+        size = np.diff(conn.table.ptr)
+        load = sum(int(size[k]) for eid in conn.edge_ids for _, k in conn.terms(eid, samples[0]))
+        calls.clear()
+        assert check_flatness(conn, samples) == 0
+        assert sum(calls) == count and len(set(calls[:-1])) <= 1
+        assert calls[0] == 1 or calls[0] * load <= rationals._CHUNK_CAP
+        assert (len(calls) > 1) == (count == 60)
 
 
 @pytest.mark.parametrize("count", [1, 40])
@@ -474,12 +501,12 @@ def test_sampled_rates_are_the_fraction_tests(triangle, two_diamond):
             assert sample_rates_off_kernels(conn, rng) == lam
 
 
-def test_flatness_exact_and_float(triangle):
+def test_flatness_is_an_exact_zero(triangle):
     conn = build_connection(triangle, DirichletWeights.from_graph(triangle))
     rng = np.random.default_rng(51)
     samples = [sample_rates_off_kernels(conn, rng) for _ in range(25)]
-    assert check_flatness(conn, samples) == 0
-    assert check_flatness(conn, samples, exact=False) <= 1e-12
+    residual = check_flatness(conn, samples)
+    assert isinstance(residual, Fraction) and residual == 0
 
 
 def test_flatness_chain_trivial(chain):
@@ -572,13 +599,28 @@ def test_transport_rejects_negative_real_part(two_edge):
                    {"e1": -1.0, "e2": 2.0, "@x0": 0.0}])
 
 
+def _transport_stack(conn, lam) -> np.ndarray:
+    """The transposed coefficient stack at float or complex rates, from the
+    float terms transport reads, each weighted term added in term order."""
+    vals = {k: complex(v) for k, v in lam.items()}
+    cplx = any(v.imag != 0 for v in vals.values())
+    terms = connection._transposed_terms(conn)
+    out = np.zeros((len(conn.edge_ids), conn.size, conn.size), dtype=complex if cplx else float)
+    for m, eid in zip(out, conn.edge_ids):
+        for weight, k in conn.terms(eid, vals):
+            m += (weight if cplx else weight.real) * terms[k]
+    return out
+
+
 def test_numeric_matrices_match_exact(triangle):
+    """The float terms transport reads, weighted at float rates, are the
+    exact coefficient matrices, transposed."""
     conn = build_connection(triangle, DirichletWeights.from_graph(triangle))
     lam = {"e1": Fraction(1), "e2": Fraction(2), "e3": Fraction(3), "e4": Fraction(7)}
     exact = connection_coefficients(conn, lam)
-    numeric = connection_matrices_numeric(conn, {k: float(v) for k, v in lam.items()})
+    numeric = _transport_stack(conn, {k: float(v) for k, v in lam.items()})
     for m, a in zip(exact, numeric):
-        assert np.allclose(np.array(m, dtype=float), a, atol=1e-13)
+        assert np.allclose(np.array(m, dtype=float), a.T, atol=1e-13)
 
 
 NUMERIC_GRAPHS = bundled_graphs() + [complete_graph(3)]
@@ -586,19 +628,24 @@ NUMERIC_GRAPHS = bundled_graphs() + [complete_graph(3)]
 
 @pytest.mark.parametrize("k", range(len(NUMERIC_GRAPHS)))
 def test_numeric_matrices_are_the_dense_sum_to_the_bit(k):
-    """The stack added up at the table's entries has the bits of the sum of
-    dense weighted term matrices, at rational and at complex rates, at the
-    graph's weights and at weights with denominators 3 and 7."""
+    """The float terms transport reads are the table's values over L as
+    correctly rounded floats, transposed, and weighted at rational and at
+    complex rates they have the bits of the sum of dense weighted term
+    matrices, at the graph's weights and at weights with denominators 3
+    and 7."""
     g = NUMERIC_GRAPHS[k]
     rng = np.random.default_rng(62 + k)
     for w in (DirichletWeights.from_graph(g).alpha, _random_weights(g, rng)):
         conn = build_connection(g, w)
+        dense = [np.array([[float(v) for v in row] for row in m]).T for m in table_matrices(conn)]
+        assert connection._transposed_terms(conn).tobytes() == np.array(dense).tobytes()
         lam = sample_rates_off_kernels(conn, rng)
         shifted = {eid: float(v) + 1j * int(rng.integers(1, 17)) / 16 for eid, v in lam.items()}
         for rates, dtype in ((lam, float), (shifted, complex)):
-            numeric = connection_matrices_numeric(conn, rates)
+            numeric = _transport_stack(conn, rates)
             assert numeric.dtype == dtype
-            assert numeric.tobytes() == oracle_numeric_matrices(conn, rates).tobytes()
+            oracle = oracle_numeric_matrices(conn, rates).transpose(0, 2, 1)
+            assert numeric.tobytes() == np.ascontiguousarray(oracle).tobytes()
 
 
 # ---------------------------------------------------------------------------
