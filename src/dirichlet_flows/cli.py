@@ -284,20 +284,29 @@ def _cmd_check_commutation(g, args):
 
 
 def _cmd_check_flatness(g, args):
-    """Check that the connection is flat: every commutator of its coefficient
-    matrices vanishes at random rational rates.  The check is exact over Q:
-    the coefficients are scaled to integer matrices and each commutator is
-    computed modulo primes below 2^26, as many as an integer bound on its
-    entries asks for; a nonzero entry is recovered exactly as max_residual.
-    The samples are checked in blocks, so memory does not grow with
-    --samples."""
+    """Check that the connection is flat at every rate point off the
+    arrangement of the cycle forms, by a certificate: finitely many integer
+    identities between the connection's terms, of degree 0, -1 and -2 in the
+    rates (one for each edge pair; one for each cycle and each edge but the
+    cycle's first; the Kohno relations of each rank-2 flat of the cycle
+    forms), each decided exactly by computing it modulo primes below 2^26, as
+    many as an integer bound on its entries asks for.  The report counts the
+    identities by degree, and lists the failed ones.  --samples and --seed are
+    used only when an identity fails: the commutators of the coefficient
+    matrices are then evaluated exactly at --samples random rational rate
+    points drawn from --seed, and their largest entry is max_residual, a
+    witness.  When every identity holds, no rates are drawn and max_residual
+    is 0, proved at every rate point."""
     w = _weights(g, args)
     conn = conn_mod.build_connection(g, w)
-    rng = env_mod.philox_stream(args.seed, env_mod._FLATNESS)
-    samples = [conn_mod.sample_rates_off_kernels(conn, rng) for _ in range(args.samples)]
-    residual = conn_mod.check_flatness(conn, samples)
-    ok = residual == 0
-    return {"samples": args.samples, "max_residual": residual, "pass": ok}, ok
+    certificate = conn_mod.flatness_certificate(conn)
+    ok = not certificate["failed"]
+    results = {**certificate, "samples": 0, "max_residual": Fraction(0), "pass": ok}
+    if not ok:
+        rng = env_mod.philox_stream(args.seed, env_mod._FLATNESS)
+        samples = [conn_mod.sample_rates_off_kernels(conn, rng) for _ in range(args.samples)]
+        results.update(samples=args.samples, max_residual=conn_mod.check_flatness(conn, samples))
+    return results, ok
 
 
 def _worst_error(errs) -> float:

@@ -30,17 +30,49 @@ products.  Both send quads of integer combinations of the table's term
 matrices, scaled by L, to `rationals.residue_peaks`, which computes each
 product modulo primes below 2^26, as many as an integer bound on its entries
 asks for.  Commutation decides each item at one sample by whether its quad
-vanishes, without recovering an entry.  Flatness puts each sample's rates
-over a common denominator, so that its cycle forms and the integer
-coefficients of every M_e are Python integers, and sends the commutators of
-the samples in blocks whose memory does not grow with the sample count; a
-nonzero entry is recovered exactly.  Flatness is only checked exactly: a zero
-is proved, not shown below a float tolerance.
+vanishes, without recovering an entry.
+
+Flatness at every rate point reduces to finitely many integer identities
+(`flatness_certificate`).  The coefficient of d lambda_e is
+
+    M_e(lam) = sum_sigma s_sigma(e) P_sigma + sum_c s_c(e) Q_c / L_c(lam),
+
+each term is closed, so the connection is flat exactly when every [M_a, M_b]
+vanishes, and that commutator splits into parts homogeneous of degree 0, -1
+and -2 in lam, which must vanish one by one.  Degree 0 is [A_a, A_b], A_e =
+sum_sigma s_sigma(e) P_sigma; it vanishes when the projectors P_sigma are
+diagonal, as `build_connection` writes them, and the certificate checks its
+|E|(|E| - 1)/2 identities all the same.  Degree -1 is sum_c R_c / L_c with
+constant R_c, and distinct cycles have forms that are not proportional, so
+by partial fractions it vanishes cycle by cycle: sum_sigma [P_sigma, Q_c]
+(x) (v_sigma ^ v_c) = 0, v the signed edge vectors, which is the |E| - 1
+identities
+
+    [sum_sigma (s_sigma(a) s_c(p) - s_sigma(p) s_c(a)) P_sigma, Q_c] = 0
+
+of a pivot edge p of c and every other edge a.  Degree -2 is sum_{c<c'}
+[Q_c, Q_c'] omega_c ^ omega_c', omega = d log L; its 2-forms satisfy only the
+Arnold relations inside each rank-2 flat (Brieskorn's decomposition of the
+Orlik-Solomon algebra: P. Orlik & H. Terao, Arrangements of Hyperplanes,
+Springer 1992, ch. 3 and 5), so it vanishes exactly when [Q_c, sum_{c' in X}
+Q_c'] = 0 for every rank-2 flat X and every c in X, the relations of T.
+Kohno, Nagoya Math. J. 92 (1983).  A flat of the cycle forms holds two
+cycles, or three when their union is a theta graph (`_cycle_flats`).  All
+the identities go to `rationals.residue_peaks` in one call.
+
+`check_flatness` evaluates the commutators at sampled rational rates
+instead: it puts each sample's rates over a common denominator, so that its
+cycle forms and the integer coefficients of every M_e are Python integers,
+and sends the commutators of the samples in blocks whose memory does not
+grow with the sample count; a nonzero entry is recovered exactly.  It is the
+sampled oracle of the certificate, and gives the witness residual of a
+connection that the certificate finds not flat.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -183,6 +215,27 @@ def connection_coefficients(conn: ConnectionForm, lam) -> list[list[list[Fractio
 # structure relations
 # ---------------------------------------------------------------------------
 
+def _cycle_flats(rows: np.ndarray, genus: np.ndarray):
+    """The rank-2 flats of the cycle forms, from the cycles' edge indicator
+    rows and the genera of their pairwise unions (`pair_genus`): every pair
+    (a, b), a < b, with the flag that its flat holds the two cycles alone,
+    and each flat of three cycles once, as a sorted triple.
+
+    Two forms span a third cycle's form only when the union of the two cycles
+    is a theta graph: they share an edge and the union has genus 2, and then
+    it holds exactly three cycles.  Edge-disjoint cycles, and unions of any
+    other genus, span no third one.
+    """
+    shared, genus_of = (rows @ rows.T).tolist(), genus.tolist()
+    pairs = [(a, b, not shared[a][b] or genus_of[a][b] != 2)
+             for a in range(len(rows)) for b in range(a + 1, len(rows))]
+    a, b = np.nonzero(np.triu(genus == 2, k=1))
+    # per genus-2 union, the flags of the cycles with no edge outside it
+    inside = (1 - (rows[a] | rows[b])) @ rows.T == 0
+    triples = np.nonzero(inside[inside.sum(axis=1) == 3])[1].reshape(-1, 3)
+    return pairs, list(dict.fromkeys(map(tuple, triples.tolist())))
+
+
 def check_commutation(g: DirectedGraph, w) -> dict:
     """Exact check of the five commutation-relation families plus projectors.
 
@@ -242,10 +295,11 @@ def check_commutation(g: DirectedGraph, w) -> dict:
         total = sum((alpha[e] for e in terms[k].edges), Fraction(0))
         record("projector-cycle", [k], True, projector(k, total))
 
-    # (i) cycle pairs
-    for a in cycles:
-        for b in range(a + 1, cycles.stop):
-            record("i", [a, b], not shared[a][b] or genus_of[a][b] != 2, (a, b, b, a))
+    # (i) cycle pairs, and the flats of three cycles for (iv)
+    flat_pairs, triples = _cycle_flats(rows[cycles.start:], genus[cycles.start:, cycles.start:])
+    for a, b, alone in flat_pairs:
+        a, b = a + cycles.start, b + cycles.start
+        record("i", [a, b], alone, (a, b, b, a))
 
     # (ii) path pairs
     for a in paths:
@@ -259,11 +313,9 @@ def check_commutation(g: DirectedGraph, w) -> dict:
 
     # (iv) genus-2 unions of cycle pairs made of exactly three cycles, each
     # union once: such a union is the union of its three cycles
-    a, b = np.nonzero(np.triu(genus[cycles.start:, cycles.start:] == 2, k=1))
-    inside = cycles_inside(rows[cycles.start + a] | rows[cycles.start + b])
-    triples = np.nonzero(inside[inside.sum(axis=1) == 3])[1].reshape(-1, 3) + cycles.start
-    for triple in dict.fromkeys(map(tuple, triples.tolist())):
-        ssum = add(list(triple), [1] * 3)
+    for triple in triples:
+        triple = [k + cycles.start for k in triple]
+        ssum = add(triple, [1] * 3)
         for k in triple:
             record("iv", [*triple, k], True, (ssum, k, k, ssum))
 
@@ -279,6 +331,80 @@ def check_commutation(g: DirectedGraph, w) -> dict:
               "commutes": k not in nonzero, "ok": not claimed or k not in nonzero}
              for k, (relation, members, claimed) in enumerate(items)]
     return {"items": items, "pass": all(it["ok"] for it in items)}
+
+
+def flatness_certificate(conn: ConnectionForm) -> dict:
+    """Decide flatness at every rate point off the arrangement of the cycle
+    forms by the integer identities of the module docstring, in one call of
+    `rationals.residue_peaks`.
+
+    Returns {"identities": {degree: count}, "failed": [identity, ...]}, every
+    identity a quad X Y - Y X of the table's terms, scaled by L:
+      - degree 0, {"degree": 0, "edges": [a, b]}: [A_a, A_b];
+      - degree -1, {"degree": -1, "cycle": c, "edges": [p, a]}: [X, Q_c], X
+        the path terms weighed by s_sigma(a) s_c(p) - s_sigma(p) s_c(a), p the
+        first edge of c, which is s_c(p) A_a for an edge a off c;
+      - degree -2, {"degree": -2, "flat": [c, ...], "cycle": c}: [Q_c, sum of
+        Q over the flat], for each cycle of a flat of three and the first of
+        a flat of two, where it is [Q_c, Q_c'] (`_cycle_flats`).
+    The connection is flat exactly when "failed" is empty.
+    """
+    terms = conn.path_terms + conn.cycle_terms  # term k is matrix k of the table
+    n_paths, edges = len(conn.path_terms), conn.edge_ids
+    label = [",".join(sorted(term.edges)) for term in terms]
+    signs = np.array([[term.sign(e) for e in edges] for term in terms], dtype=np.int64)
+    combos = [([k], [[1]]) for k in range(len(terms))]
+    names, quads = [], []
+
+    def record(name, x, y):
+        """The identity [X, Y] = 0, the quad (X, Y, Y, X)."""
+        names.append(name)
+        quads.append((x, y, y, x))
+
+    def paths_weighed(weights) -> int:
+        """The combination of the path terms with these weights, zeros left out."""
+        members = np.flatnonzero(weights).tolist()
+        combos.append((members, [weights[members].tolist()]))
+        return len(combos) - 1
+
+    # degree 0: [A_a, A_b] for every edge pair
+    a_e = [paths_weighed(signs[:n_paths, e]) for e in range(len(edges))]
+    for a in range(len(edges)):
+        for b in range(a + 1, len(edges)):
+            record((0, a, b), a_e[a], a_e[b])
+    # degree -1: per cycle, its pivot edge p against every other edge a; off
+    # the cycle, s_c(a) = 0 and the weighed sum is s_c(p) A_a
+    for k in range(n_paths, len(terms)):
+        cycle, p = signs[k], int(np.flatnonzero(signs[k])[0])
+        for a in range(len(edges)):
+            if a != p:
+                x = (paths_weighed(signs[:n_paths, a] * cycle[p] - signs[:n_paths, p] * cycle[a])
+                     if cycle[a] else a_e[a])
+                record((-1, k, p, a), x, k)
+    # degree -2: the Kohno relations of the rank-2 flats
+    rows = edge_indicators(conn.graph, [term.edges for term in conn.cycle_terms])
+    pairs, triples = _cycle_flats(rows, pair_genus(conn.graph, rows))
+    for a, b, alone in pairs:
+        if alone:
+            a, b = a + n_paths, b + n_paths
+            record((-2, (a, b), a), a, b)
+    for triple in triples:
+        triple = tuple(k + n_paths for k in triple)
+        combos.append((list(triple), [[1] * 3]))
+        for k in triple:
+            record((-2, triple, k), len(combos) - 1, k)
+
+    def describe(name) -> dict:
+        if name[0] == 0:
+            return {"degree": 0, "edges": [edges[e] for e in name[1:]]}
+        if name[0] == -1:
+            return {"degree": -1, "cycle": label[name[1]], "edges": [edges[e] for e in name[2:]]}
+        return {"degree": -2, "flat": [label[k] for k in name[1]], "cycle": label[name[2]]}
+
+    nonzero = residue_peaks(conn.table, conn.size, combos, quads, entries=False)
+    counts = Counter(name[0] for name in names)
+    return {"identities": {f"degree {d}": counts[d] for d in (0, -1, -2)},
+            "failed": [describe(names[k]) for k in sorted(nonzero)]}
 
 
 def check_flatness(conn: ConnectionForm, lambda_samples) -> Fraction:

@@ -197,12 +197,15 @@ class _Evaluator:
         the nonzero (edge index, a_e) of `logs` and (edge index, b_e) of
         `rated`; zt is scratch for the mixed flows (`chamber`).  Each sum is
         of rows of the points inside, added one after another in the order
-        given, so a point's value does not depend on its batch."""
+        given, so a point's value does not depend on its batch.  When every
+        point is inside, as at every quadrature node, the flows are the rows
+        themselves, not copies."""
         at = np.flatnonzero(self.chamber(ut, zt))
-        flows = dict(zip(self.mixed, zt.take(at, axis=1)))
+        every = len(at) == ut.shape[1]
+        flows = dict(zip(self.mixed, zt if every else zt.take(at, axis=1)))
         for i, _ in logs + rated:
             if i not in flows:
-                flows[i] = ut[self.bare[i]].take(at)
+                flows[i] = ut[self.bare[i]] if every else ut[self.bare[i]].take(at)
         logv = _sum_in_order(np.log(flows[i]) * x for i, x in logs)
         if logv is None:
             logv = np.zeros(len(at))

@@ -46,6 +46,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import heapq  # noqa: E402 (numpy must load after the thread count is set)
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -59,7 +60,7 @@ from dirichlet_flows import environment as env_mod
 from dirichlet_flows import integrals as int_mod
 from dirichlet_flows.combinatorics import tree_coordinate_map
 from dirichlet_flows.graphs import Edge
-from dirichlet_flows.rationals import mat_rank, mat_solve
+from dirichlet_flows.rationals import int_table, mat_rank, mat_solve
 
 
 @pytest.fixture
@@ -483,6 +484,22 @@ def oracle_flatness(conn, samples) -> Fraction:
                 ab, ba = oracle_matmul(mats[a], mats[b]), oracle_matmul(mats[b], mats[a])
                 worst = max(worst, oracle_max_abs(oracle_combine((1, ab), (-1, ba))))
     return worst
+
+
+def broken_connection(conn, delta=Fraction(1, 7), which=0):
+    """conn with delta added to entry (0, 0) of its cycle operator `which`; the
+    table is rescaled to L' = lcm(L, denominator of delta) first, so that
+    delta L' is an integer."""
+    scale = math.lcm(conn.scale, delta.denominator)
+    mats = []
+    for k in range(len(conn.table.ptr) - 1):
+        entries = {(i, j): v * (scale // conn.scale)
+                   for i, j, v in zip(*(part.tolist() for part in conn.table.matrix(k)))}
+        if k == len(conn.path_terms) + which:
+            entries[0, 0] = entries.get((0, 0), 0) + int(delta * scale)
+        mats.append(tuple(zip(*((i, j, v) for (i, j), v in sorted(entries.items()))))
+                    or ((), (), ()))
+    return replace(conn, table=int_table(mats), scale=scale)
 
 
 def oracle_numeric_matrices(conn, lam) -> np.ndarray:

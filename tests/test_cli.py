@@ -23,7 +23,7 @@ from dirichlet_flows.cli import _COMMANDS as COMMANDS
 from dirichlet_flows.cli import PARSE_ERROR, build_parser, chi2_sf, main
 from dirichlet_flows.graphs import graph_to_dict
 
-from conftest import complete_graph
+from conftest import broken_connection, complete_graph
 
 GRAPHS = sorted(BUILTIN)
 
@@ -264,6 +264,48 @@ def test_verify_identities_keeps_numpy_ma_out():
     if run.stderr.split()[:1] == ["True"]:
         pytest.skip("numpy imports numpy.ma at import time")
     assert run.returncode == 0, run.stderr
+
+
+def test_check_flatness_keeps_numpy_random_out():
+    """A flat connection is decided by its certificate and no rates are
+    drawn, so numpy.random, which numpy 2 imports at the first draw, stays
+    out of a check-flatness process.  numpy before 2.0 imports numpy.random
+    with numpy itself, so there is nothing to check."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from dirichlet_flows.cli import main; "
+            "print('numpy.random' in sys.modules, file=sys.stderr); "
+            "status = main(['check-flatness', '--graph', 'triangle']); "
+            "sys.exit(status or 'numpy.random' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    if run.stderr.split()[:1] == ["True"]:
+        pytest.skip("numpy imports numpy.random at import time")
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["results"]["samples"] == 0
+
+
+def test_broken_connection_fails_check_flatness(capsys, monkeypatch):
+    """With 1/7 added to a diagonal entry of the triangle's 2-cycle term,
+    check-flatness FAILs and names the two failed identities, the Kohno
+    relations of that cycle and of the next one in their flat of three; its
+    witness is the exact residual of the sampled check at the --samples
+    rates drawn from --seed: nonzero, and the same in every run."""
+    build = connection.build_connection
+    monkeypatch.setattr(connection, "build_connection",
+                        lambda g, w: broken_connection(build(g, w)))
+    argv = ["check-flatness", "--graph", "triangle", "--seed", "3", "--samples", "4"]
+    status, report = run_twice(capsys, argv)
+    results = report["results"]
+    assert status == 1 and report["pass"] is False and results["pass"] is False
+    flat = ["e1,e2", "e1,e3,e4", "e2,e3,e4"]
+    assert results["failed"] == [{"degree": -2, "flat": flat, "cycle": "e1,e2"},
+                                 {"degree": -2, "flat": flat, "cycle": "e1,e3,e4"}]
+    g = builtin_graph("triangle")
+    conn = broken_connection(build(g, env_mod.DirichletWeights.from_graph(g)))
+    rng = env_mod.philox_stream(3, env_mod._FLATNESS)
+    samples = [connection.sample_rates_off_kernels(conn, rng) for _ in range(4)]
+    assert results["samples"] == 4
+    assert Fraction(results["max_residual"]) == connection.check_flatness(conn, samples) != 0
 
 
 def test_failed_transport_is_a_fail_report(capsys, monkeypatch):

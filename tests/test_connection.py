@@ -21,12 +21,19 @@ from dirichlet_flows import (
 )
 from dirichlet_flows import connection, rationals
 from dirichlet_flows.cli import main
-from dirichlet_flows.connection import sample_rates_off_kernels, solve_ivp
+from dirichlet_flows.connection import (
+    _cycle_flats,
+    flatness_certificate,
+    sample_rates_off_kernels,
+    solve_ivp,
+)
+from dirichlet_flows.combinatorics import edge_indicators, pair_genus
 from dirichlet_flows.combinatorics import SignedEdgeSet
 from dirichlet_flows.graphs import DirectedGraph, Edge
 from dirichlet_flows.rationals import int_table
 
 from conftest import (
+    broken_connection,
     bundled_graphs,
     complete_graph,
     multigraph,
@@ -293,22 +300,6 @@ def test_commutation_past_int64_matches_oracle(triangle):
 # flatness
 # ---------------------------------------------------------------------------
 
-def _broken(conn, delta=Fraction(1, 7), which=0):
-    """conn with delta added to entry (0, 0) of its cycle operator `which`; the
-    table is rescaled to L' = lcm(L, denominator of delta) first, so that
-    delta L' is an integer."""
-    scale = lcm(conn.scale, delta.denominator)
-    mats = []
-    for k in range(len(conn.table.ptr) - 1):
-        entries = {(i, j): v * (scale // conn.scale)
-                   for i, j, v in zip(*(part.tolist() for part in conn.table.matrix(k)))}
-        if k == len(conn.path_terms) + which:
-            entries[0, 0] = entries.get((0, 0), 0) + int(delta * scale)
-        mats.append(tuple(zip(*((i, j, v) for (i, j), v in sorted(entries.items()))))
-                    or ((), (), ()))
-    return replace(conn, table=int_table(mats), scale=scale)
-
-
 def _flipped(conn, which=0):
     """conn with the sign of one edge of its path term `which` flipped."""
     terms = list(conn.path_terms)
@@ -336,7 +327,7 @@ def _assert_matches_oracle(conn, samples) -> list[Fraction]:
     assert check_flatness(conn, samples) == 0 == oracle_flatness(conn, samples)
     variants = [_flipped(conn)] if conn.path_terms else []
     if conn.cycle_terms:
-        variants += [_broken(conn), _broken(conn, Fraction(-3, 2), len(conn.cycle_terms) - 1)]
+        variants += [broken_connection(conn), broken_connection(conn, Fraction(-3, 2), len(conn.cycle_terms) - 1)]
     residuals = [check_flatness(variant, samples) for variant in variants]
     assert residuals == [oracle_flatness(variant, samples) for variant in variants]
     return residuals
@@ -371,7 +362,7 @@ def test_flatness_matches_oracle_on_k3():
     conn = build_connection(g, {eid: choices[int(rng.integers(0, 5))] for eid in g.edge_ids})
     samples = [sample_rates_off_kernels(conn, rng)]
     assert check_flatness(conn, samples) == 0
-    broken = _broken(conn, Fraction(1, 3), 7)
+    broken = broken_connection(conn, Fraction(1, 3), 7)
     residual = check_flatness(broken, samples)
     assert residual != 0 and residual == oracle_flatness(broken, samples)
 
@@ -388,7 +379,7 @@ def test_k3_checks_do_not_depend_on_the_chunks(monkeypatch):
     rng = np.random.default_rng(61)
     samples = [_rates_off_kernels(conn, rng, d) for d in ([16], [3], [7], [16, 3, 7])]
     assert len({lcm(*(v.denominator for v in lam.values())) for lam in samples}) == 4
-    broken = _broken(conn, Fraction(1, 3), 7)
+    broken = broken_connection(conn, Fraction(1, 3), 7)
 
     def checks():
         return (check_commutation(g, w), check_flatness(conn, samples),
@@ -455,7 +446,7 @@ def test_broken_connection_fails_with_the_exact_residual(request, graph):
     rng = np.random.default_rng(52)
     samples = [sample_rates_off_kernels(conn, rng) for _ in range(3)]
     assert check_flatness(conn, samples) == 0
-    broken = _broken(conn)
+    broken = broken_connection(conn)
     residual = check_flatness(broken, samples)
     assert residual != 0 and residual == oracle_flatness(broken, samples)
 
@@ -465,7 +456,7 @@ def test_flatness_past_int64_matches_oracle(triangle):
     rng = np.random.default_rng(53)
     samples = [sample_rates_off_kernels(conn, rng) for _ in range(3)]
     assert check_flatness(conn, samples) == 0 == oracle_flatness(conn, samples)
-    broken = _broken(conn)
+    broken = broken_connection(conn)
     residual = check_flatness(broken, samples)
     assert residual != 0 and residual == oracle_flatness(broken, samples)
     _assert_matches_oracle(conn, samples + [_rates_off_kernels(conn, rng, [16, 3, 7])])
@@ -474,7 +465,7 @@ def test_flatness_past_int64_matches_oracle(triangle):
 def test_flatness_reads_numpy_integer_rates_exactly(triangle):
     """Rates whose Fractions hold numpy integers give the residual of the same
     rates in Python integers, though L^2 times their forms is past int64."""
-    conn = _broken(build_connection(triangle, HUGE))
+    conn = broken_connection(build_connection(triangle, HUGE))
     rates = {"e1": (97, 16), "e2": (1, 3), "e3": (87, 7), "e4": (44, 7)}
     exact = [{eid: Fraction(n, d) for eid, (n, d) in rates.items()}]
     numpy_ints = [{eid: Fraction(np.int64(n), np.int64(d)) for eid, (n, d) in rates.items()}]
@@ -518,6 +509,154 @@ def test_flatness_membership_failure(two_edge):
     conn = build_connection(two_edge, DirichletWeights.from_graph(two_edge))
     with pytest.raises(ExcludedLocusError):
         check_flatness(conn, [{"e1": Fraction(1), "e2": Fraction(1)}])
+
+
+# ---------------------------------------------------------------------------
+# the flatness certificate against the sampled checks
+# ---------------------------------------------------------------------------
+
+def _same_verdicts(conn, samples, oracle=True) -> bool:
+    """The certificate, check_flatness at the samples and (unless oracle is
+    false) the dense oracle at the first sample give one verdict; returns it,
+    True for flat."""
+    flat = not flatness_certificate(conn)["failed"]
+    assert (check_flatness(conn, samples) == 0) == flat
+    if oracle:
+        assert (oracle_flatness(conn, samples[:1]) == 0) == flat
+    return flat
+
+
+def _mutated(conn, term, kind):
+    """conn with the middle entry (i, j, v) of table term `term` changed:
+    "plus one" makes it v + 1, "sign" -v, and "move" moves it to (i', j), i'
+    the next row after i, cyclically, where the term has no entry in column j;
+    None when there is no such row."""
+    mats = [dict(((i, j), v) for i, j, v in zip(*(part.tolist() for part in conn.table.matrix(k))))
+            for k in range(len(conn.table.ptr) - 1)]
+    entries = mats[term]
+    (i, j), v = sorted(entries.items())[len(entries) // 2]
+    if kind == "plus one":
+        entries[i, j] = v + 1
+    elif kind == "sign":
+        entries[i, j] = -v
+    else:
+        row = next(((i + d) % conn.size for d in range(1, conn.size)
+                    if ((i + d) % conn.size, j) not in entries), None)
+        if row is None:
+            return None
+        entries[row, j] = entries.pop((i, j))
+    mats = [tuple(zip(*((i, j, v) for (i, j), v in sorted(m.items()) if v))) or ((), (), ())
+            for m in mats]
+    return replace(conn, table=int_table(mats))
+
+
+@pytest.mark.parametrize("k", range(len(FLATNESS_GRAPHS) + 1))
+def test_certificate_matches_sampled_oracle(k):
+    """The certificate, check_flatness and the dense oracle agree on every
+    builtin, on random graphs and on K3 at random rational weights: all find
+    the connection flat, and all find its flipped and broken copies not flat
+    on every graph with a cycle and more than two edges (on two-edge M_e1 +
+    M_e2 = I whatever the terms, and without a cycle each M_e is diagonal)."""
+    g = FLATNESS_GRAPHS[k] if k < len(FLATNESS_GRAPHS) else complete_graph(3)
+    rng = np.random.default_rng(70 + k)
+    conn = build_connection(g, random_rational_weights(g, rng))
+    samples = [sample_rates_off_kernels(conn, rng) for _ in range(3)]
+    assert _same_verdicts(conn, samples)
+    variants = [_flipped(conn)]
+    if conn.cycle_terms:
+        variants += [broken_connection(conn),
+                     broken_connection(conn, Fraction(-3, 2), len(conn.cycle_terms) - 1)]
+    verdicts = [_same_verdicts(variant, samples) for variant in variants]
+    assert not any(verdicts) or not conn.cycle_terms or len(g.edge_ids) == 2
+
+
+MUTATION_GRAPHS = bundled_graphs() + random_graphs(seed=71, count=4) + [complete_graph(3)]
+
+
+@pytest.mark.parametrize("k", range(len(MUTATION_GRAPHS)))
+def test_certificate_matches_sampled_oracle_on_table_mutations(k):
+    """One table entry changed (plus one, sign flipped, or moved to another
+    row) in the first path term, in the first and last cycle terms and in the
+    middle term: the certificate and the sampled checks give one verdict on
+    every mutation, and some mutations of every graph with a cycle and more
+    than two edges are not flat.  On K3 the dense oracle runs on the first
+    cycle term's mutations only."""
+    g = MUTATION_GRAPHS[k]
+    conn = build_connection(g, random_rational_weights(g, np.random.default_rng(72 + k)))
+    rng = np.random.default_rng(73 + k)
+    k3 = len(g.edge_ids) > 8
+    samples = [sample_rates_off_kernels(conn, rng) for _ in range(3)]
+    n_paths, n_terms = len(conn.path_terms), len(conn.table.ptr) - 1
+    terms = sorted({0, n_paths, n_terms - 1, n_terms // 2} - {n_terms})
+    mutations = [(t, _mutated(conn, t, kind)) for t in terms
+                 for kind in ("plus one", "sign", "move")]
+    verdicts = [_same_verdicts(mutated, samples, oracle=not k3 or t == n_paths)
+                for t, mutated in mutations if mutated is not None]
+    assert not all(verdicts) or not conn.cycle_terms or len(g.edge_ids) == 2
+
+
+def test_certificate_identity_counts(triangle):
+    """Triangle: 6 edge pairs, 3 cycles x 3 edges off their pivot, and its
+    three cycles form one flat of three.  K3: 36 edge pairs, 29 cycles x 8
+    edges, and 406 Kohno relations, one per pair of cycles (a flat of three
+    holds three pairs and gives three).  K4: 120, 3 630 and 29 161."""
+    expected = [(triangle, (6, 9, 3)), (complete_graph(3), (36, 232, 406)),
+                (complete_graph(4), (120, 3630, 29161))]
+    for g, counts in expected:
+        certificate = flatness_certificate(build_connection(g, DirichletWeights.from_graph(g)))
+        assert certificate == {"identities": dict(zip(("degree 0", "degree -1", "degree -2"),
+                                                      counts)),
+                               "failed": []}
+
+
+def test_certificate_decides_degree_zero(two_edge):
+    """The degree 0 identities decide a table whose path terms do not
+    commute: on two-edge with its cycle term emptied and an entry added off
+    the diagonal of the first path term, every identity of degree -1 and -2
+    holds, the one of degree 0 fails, and the sampled checks agree that the
+    connection is not flat."""
+    conn = build_connection(two_edge, DirichletWeights.from_graph(two_edge))
+    assert conn.size == 2 and len(conn.path_terms) == 2 and len(conn.cycle_terms) == 1
+    first = [part.tolist() for part in conn.table.matrix(0)]
+    mats = [tuple(zip(*sorted([*zip(*first), (0, 1, conn.scale)])))]
+    mats += [[part.tolist() for part in conn.table.matrix(1)], ((), (), ())]
+    conn = replace(conn, table=int_table(mats))
+    assert flatness_certificate(conn)["failed"] == [{"degree": 0, "edges": ["e1", "e2"]}]
+    assert not _same_verdicts(conn, [sample_rates_off_kernels(conn, np.random.default_rng(75))])
+
+
+def test_certificate_names_the_failing_identities(triangle):
+    """Adding 1/7 to one entry of the first cycle term breaks identities of
+    that cycle only: no degree 0 identity, and every failed one names it."""
+    conn = build_connection(triangle, DirichletWeights.from_graph(triangle))
+    failed = flatness_certificate(broken_connection(conn))["failed"]
+    cycle = ",".join(sorted(conn.cycle_terms[0].edges))
+    assert failed and all(f["degree"] != 0 for f in failed)
+    assert all(f["cycle"] == cycle or cycle in f.get("flat", ()) for f in failed)
+
+
+@pytest.mark.parametrize("g", [*bundled_graphs(), multigraph(), figure_eight(),
+                               *random_graphs(seed=74, count=8), complete_graph(3),
+                               complete_graph(4)])
+def test_cycle_flats_are_the_spans_of_cycle_pairs(g):
+    """A pair of cycles stands alone in its flat exactly when no third
+    cycle's signed edge vector is plus or minus the sum or difference of the
+    pair's, and the triples are exactly those of the pairs that span a third
+    cycle, each flat once."""
+    cycles = enumerate_cycles(g)
+    vectors = [np.array([c.sign(e) for e in g.edge_ids]) for c in cycles]
+    index = {tuple(sign * v): k for k, v in enumerate(vectors) for sign in (1, -1)}
+    rows = edge_indicators(g, [c.edges for c in cycles])
+    pairs, triples = _cycle_flats(rows, pair_genus(g, rows))
+    spanned = set()
+    assert [(a, b) for a, b, _ in pairs] == [(a, b) for a in range(len(cycles))
+                                              for b in range(a + 1, len(cycles))]
+    for a, b, alone in pairs:
+        third = {index[key] for v in (vectors[a] + vectors[b], vectors[a] - vectors[b])
+                 if (key := tuple(v)) in index}
+        assert alone == (not third), (a, b)
+        spanned |= {tuple(sorted({a, b} | third))} if third else set()
+    assert len(triples) == len(set(triples)) and set(triples) == spanned
 
 
 # ---------------------------------------------------------------------------
