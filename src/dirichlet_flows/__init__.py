@@ -45,6 +45,7 @@ from .environment import (
     survival_determinant,
     tree_probability,
     wilson_sample_trees,
+    wilson_tree_counts,
 )
 from .integrals import (
     IntegralEstimate,

@@ -396,7 +396,7 @@ def _cmd_wilson_test(g, args):
     trees = env_mod.directed_trees(g)
     probs = [float(env_mod.tree_probability(g, env, t)) for t in trees]
 
-    counts = Counter(t.edges for t in env_mod.wilson_sample_trees(g, env, n, args.seed))
+    counts = env_mod.wilson_tree_counts(g, env, n, args.seed)
     observed = [counts[t.edges] for t in trees]
     # a tree of probability 0 is no cell: a sample on one took an impossible edge
     cells = [(o, p * n) for o, p in zip(observed, probs) if p > 0]

@@ -364,6 +364,13 @@ def tree_probability(g: DirectedGraph, env: Environment, tree: SpanningTree):
 # one gather and compare per column, and never a padding slot.  Per-walker
 # tables (stop flags, recorded exits) are read and written at walker * row
 # length + vertex on their flat views.
+#
+# The samplers hand back whole blocks, never one walk at a time, except for
+# the trajectories of `simulate_chains`.  Wilson's walkers leave a table of
+# exit rows per block (`_wilson_exits`) and the chains a table of erased-path
+# edge flags; `wilson_tree_counts` and `loop_erased_paths` count the distinct
+# rows of each table (`_row_counts`) and build one edge set per distinct row,
+# and `wilson_sample_trees` lists one tree per sample from the same tables.
 
 def _random_exits(g: DirectedGraph, env: Environment):
     """The head vertex of every edge, and a function from a stream to a chooser
@@ -387,8 +394,8 @@ def _random_exits(g: DirectedGraph, env: Environment):
             u = rng.random(len(walkers))
             at = x * width
             for column in columns:
-                at += np.take(column, x) <= u
-            return np.take(slot, at)
+                at += column.take(x) <= u
+            return slot.take(at)
         return choose
     return head, chooser
 
@@ -400,18 +407,22 @@ def _lockstep(head: np.ndarray, choose, walkers: np.ndarray, x: np.ndarray, stop
     `stop` is one row that all walkers share; yields (walkers, tails, edges)
     of every lockstep step.  A walker still moving after `cap` steps raises
     IterationCapExceeded."""
-    shared, row_length = stop.ndim == 1, stop.shape[-1]
+    shared = stop.ndim == 1
+    # each walker's first flag in the flat stop table, kept from compaction to compaction
+    offset = None if shared else walkers * stop.shape[-1]
     stop = stop.reshape(-1)  # a view: the caller may set flags between steps
     for _ in range(cap):
         if not len(walkers):
             return
         e = choose(walkers, x)
         yield walkers, x, e
-        x = np.take(head, e)
-        stopped = np.take(stop, x if shared else walkers * row_length + x)
+        x = head.take(e)
+        stopped = stop.take(x if shared else offset + x)
         if stopped.any():
-            going = np.flatnonzero(~stopped)
-            walkers, x = np.take(walkers, going), np.take(x, going)
+            going = (~stopped).nonzero()[0]
+            walkers, x = walkers.take(going), x.take(going)
+            if not shared:
+                offset = offset.take(going)
     if len(walkers):
         raise IterationCapExceeded(f"a walk did not stop within {cap} steps")
 
@@ -461,16 +472,34 @@ def loop_erase(g: DirectedGraph, trajectory: list[str]) -> list[str]:
     return edges
 
 
+def _row_keys(a: np.ndarray, base: int) -> np.ndarray:
+    """Each row of a 2-D array of integers in [0, base) as one int64 in that
+    base, its first column the most significant digit, so that the keys sort
+    as the rows do."""
+    key = np.zeros(len(a), dtype=np.int64)
+    for column in a.T:
+        key *= base
+        key += column
+    return key
+
+
+def _key_rows(keys: np.ndarray, base: int, width: int, dtype) -> np.ndarray:
+    """The rows whose `_row_keys` in `base` are `keys`: their digits."""
+    rows = np.empty((len(keys), width), dtype=dtype)
+    for c in reversed(range(width)):
+        keys, rows[:, c] = np.divmod(keys, base)
+    return rows
+
+
 def _distinct_rows(a: np.ndarray):
     """The distinct rows of a 2-D array of non-negative integers, in
     lexicographic order, and the position of each row of `a` among them, as
     np.unique(a, axis=0, return_inverse=True) gives them (it sorts the rows
     as opaque bytes and is many times slower).
 
-    Each row is read as one int64 in base one more than the largest entry,
-    its first column the most significant digit, so the keys sort as the
-    rows do; np.unique sorts and groups the keys, and the distinct rows are
-    the digits of the distinct keys.  Where the key would overflow int64,
+    Each row is read as one int64 in base one more than the largest entry
+    (`_row_keys`); np.unique sorts and groups the keys, and the distinct rows
+    are the digits of the distinct keys.  Where the key would overflow int64,
     np.lexsort sorts the rows instead."""
     base = int(a.max(initial=0)) + 1
     if base ** a.shape[1] > np.iinfo(np.int64).max:
@@ -481,15 +510,24 @@ def _distinct_rows(a: np.ndarray):
         inverse = np.empty(len(a), dtype=np.intp)
         inverse[order] = np.cumsum(fresh) - 1
         return rows[fresh], inverse
-    key = np.zeros(len(a), dtype=np.int64)
-    for column in a.T:
-        key *= base
-        key += column
-    keys, inverse = np.unique(key, return_inverse=True)
-    rows = np.empty((len(keys), a.shape[1]), dtype=a.dtype)
-    for c in reversed(range(a.shape[1])):
-        keys, rows[:, c] = np.divmod(keys, base)
-    return rows, inverse.reshape(-1)
+    keys, inverse = np.unique(_row_keys(a, base), return_inverse=True)
+    return _key_rows(keys, base, a.shape[1], a.dtype), inverse.reshape(-1)
+
+
+def _row_counts(a: np.ndarray):
+    """The distinct rows of a 2-D array of non-negative integers, in
+    lexicographic order, and how many rows of `a` equal each, as
+    np.unique(a, axis=0, return_counts=True) gives them.  Where the range of
+    the row keys, base^width, is at most the number of rows, np.bincount
+    counts the keys without a sort; otherwise `_distinct_rows` sorts."""
+    base = int(a.max(initial=0)) + 1
+    size = base ** a.shape[1]
+    if size > len(a):
+        rows, inverse = _distinct_rows(a)
+        return rows, np.bincount(inverse)
+    counts = np.bincount(_row_keys(a, base), minlength=size)
+    keys = np.flatnonzero(counts)
+    return _key_rows(keys, base, a.shape[1], a.dtype), counts[keys]
 
 
 def loop_erased_paths(g: DirectedGraph, env: Environment, n: int, seed: int) -> Counter:
@@ -499,7 +537,8 @@ def loop_erased_paths(g: DirectedGraph, env: Environment, n: int, seed: int) -> 
     on it by the walk's last exit from that vertex, so the walkers record only
     their last exits and the erased path follows them from the base.  The
     walks are those of `simulate_chains` at the same seed, one block at a
-    time, with arrays sized to the block.
+    time, with arrays sized to the block; each block's paths are rows of edge
+    flags, counted per distinct row by `_row_counts`.
     """
     k, m = len(g.interior), len(g.edges)
     counts = Counter()
@@ -510,17 +549,20 @@ def loop_erased_paths(g: DirectedGraph, env: Environment, n: int, seed: int) -> 
             last[walkers * k + x] = e
         on_path = np.zeros(size * m, dtype=bool)
         # an erased path is simple, so it ends within |interior| steps
-        for walkers, _, e in _lockstep(head, lambda w, x: np.take(last, w * k + x),
+        for walkers, _, e in _lockstep(head, lambda w, x: last.take(w * k + x),
                                        np.arange(size), start, stop, k):
             on_path[walkers * m + e] = True
-        rows, inverse = _distinct_rows(on_path.reshape(size, m))
-        for row, c in zip(rows, np.bincount(inverse)):
-            counts[frozenset(g.edge_ids[j] for j in np.flatnonzero(row))] += int(c)
+        rows, row_counts = _row_counts(on_path.reshape(size, m))
+        for row, c in zip(rows, row_counts.tolist()):
+            counts[frozenset(g.edge_ids[j] for j in np.flatnonzero(row))] += c
     return counts
 
 
-def wilson_sample_trees(g: DirectedGraph, env: Environment, n: int, seed: int) -> list[SpanningTree]:
-    """n directed spanning trees via loop-erased walks rooted at the cemetery (Wilson).
+def _wilson_exits(g: DirectedGraph, env: Environment, n: int, seed: int):
+    """Wilson's algorithm on n samples, one block at a time: yields each
+    block's first sample and its exit table, whose row w holds the edge
+    indices by which the tree of sample lo + w leaves the interior vertices,
+    in g.interior order.
 
     Block b of the samples draws from stream (seed, _WILSON, b).  For each
     start vertex in g.interior order, every sample of the block lacking it
@@ -529,8 +571,6 @@ def wilson_sample_trees(g: DirectedGraph, env: Environment, n: int, seed: int) -
     """
     head, chooser = _random_exits(g, env)
     k = len(g.interior)
-    trees: list[SpanningTree] = [None] * n
-    shared: dict[tuple, SpanningTree] = {}  # one tree object per exit row, across blocks
     for b, lo, hi in _blocks(n):
         choose = chooser(philox_stream(seed, _WILSON, b))
         in_tree = np.zeros((hi - lo, k + 1), dtype=bool)
@@ -543,16 +583,41 @@ def wilson_sample_trees(g: DirectedGraph, env: Environment, n: int, seed: int) -
             start = np.full(len(walkers), s)
             for w, x, e in _lockstep(head, choose, walkers, start, in_tree, STEP_CAP):
                 last[w * k + x] = e
-            for w, x, _ in _lockstep(head, lambda w, x: np.take(last, w * k + x), walkers, start,
+            for w, x, _ in _lockstep(head, lambda w, x: last.take(w * k + x), walkers, start,
                                      in_tree, k):
                 flags[w * (k + 1) + x] = True
+        yield lo, exits
+
+
+def wilson_sample_trees(g: DirectedGraph, env: Environment, n: int, seed: int) -> list[SpanningTree]:
+    """n directed spanning trees via loop-erased walks rooted at the cemetery (Wilson).
+
+    The trees are those of the exit tables of `_wilson_exits`, one tree
+    object per distinct exit row; `wilson_tree_counts` counts the same trees
+    without listing them.
+    """
+    trees: list[SpanningTree] = [None] * n
+    shared: dict[tuple, SpanningTree] = {}  # one tree object per exit row, across blocks
+    for lo, exits in _wilson_exits(g, env, n, seed):
         rows, inverse = _distinct_rows(exits)
         block = np.empty(len(rows), dtype=object)
         block[:] = [shared.setdefault(row, SpanningTree(frozenset(g.edge_ids[j] for j in row),
                                                          directed=True))
                     for row in map(tuple, rows.tolist())]
-        trees[lo:hi] = block.take(inverse).tolist()
+        trees[lo:lo + len(exits)] = block.take(inverse).tolist()
     return trees
+
+
+def wilson_tree_counts(g: DirectedGraph, env: Environment, n: int, seed: int) -> Counter:
+    """Counts of the n directed spanning trees of `wilson_sample_trees` at the
+    same seed, each tree an edge-id frozenset; each block's exit rows of
+    `_wilson_exits` are counted per distinct row by `_row_counts`."""
+    counts = Counter()
+    for _, exits in _wilson_exits(g, env, n, seed):
+        rows, row_counts = _row_counts(exits)
+        for row, c in zip(rows.tolist(), row_counts.tolist()):
+            counts[frozenset(g.edge_ids[j] for j in row)] += c
+    return counts
 
 
 # ---------------------------------------------------------------------------

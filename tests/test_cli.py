@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -202,6 +203,29 @@ def test_wilson_test_over_several_blocks(capsys):
     assert 20_000 > 2 * env_mod.BLOCK_ROWS
     assert status == 0 and report["pass"] is True
     assert sum(report["results"]["observed_counts"]) == 20_000
+
+
+# sha256 of json.dumps(results, sort_keys=True) of wilson-test at 20 000
+# samples (three blocks) and the default seed, as the walkers drew them when
+# the CLI still counted the trees of wilson_sample_trees one sample at a time
+WILSON_DIGESTS = {
+    "triangle": "0f80a460cb8cf552b6470270816e5dfb639edd50cce47eb2d57452d641e404fa",
+    "K3": "1f55cde4b44c0ab3af8bb95a4921640cf1e199351fffcb88c7eeffbcb65ab9ca",
+}
+
+
+@pytest.mark.parametrize("graph", sorted(WILSON_DIGESTS))
+def test_wilson_test_draws_are_pinned(tmp_path, capsys, graph):
+    """The lockstep walks behind wilson-test keep their draws: the results on
+    triangle and on K3 are the pinned bytes."""
+    arg = graph
+    if graph == "K3":
+        arg = str(tmp_path / "K3.json")
+        Path(arg).write_text(json.dumps(graph_to_dict(complete_graph(3))))
+    assert main(["wilson-test", "--graph", arg, "--samples", "20000"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == WILSON_DIGESTS[graph]
 
 
 def test_split_transport_reads_alpha(capsys, tmp_path):
@@ -424,11 +448,11 @@ def test_wilson_test_zero_probability_tree_is_no_cell(capsys, prob):
 
 
 def test_wilson_test_fails_a_sample_on_a_zero_probability_tree(capsys, monkeypatch):
-    """A sampler that returns the tree {e1, e4}, of probability 0 at e1 = 0,
+    """A sampler that counts n trees {e1, e4}, of probability 0 at e1 = 0,
     fails the tree gate with p_value 0."""
     def sampler(g, env, n, seed):
-        return [SpanningTree(frozenset({"e1", "e4"}), directed=True)] * n
-    monkeypatch.setattr(env_mod, "wilson_sample_trees", sampler)
+        return Counter({frozenset({"e1", "e4"}): n})
+    monkeypatch.setattr(env_mod, "wilson_tree_counts", sampler)
     status, report = run_twice(capsys, ["wilson-test", "--graph", "triangle",
                                         "--prob", "e1=0,e3=1", "--samples", "2000"])
     assert status == 1 and report["pass"] is False and "error" not in report

@@ -27,6 +27,7 @@ from dirichlet_flows import (
     survival_determinant,
     tree_probability,
     wilson_sample_trees,
+    wilson_tree_counts,
 )
 from dirichlet_flows import environment as env_mod
 from dirichlet_flows.combinatorics import SpanningTree, enumerate_paths
@@ -382,14 +383,16 @@ def test_mc_laplace_by_tree_memory_is_bounded():
 
 
 def test_walker_memory_is_bounded(two_diamond):
-    """On two-diamond the traced peaks of loop_erased_paths, and of
-    wilson_sample_trees less its result list of n pointers, stay below 24
-    rows of 8 bytes per walker of one block, and differ by less than one
-    byte per block row between 50 000 and 500 000 walkers: the walkers run
-    one block at a time and hold no step array of length n."""
+    """On two-diamond the traced peaks of loop_erased_paths, of
+    wilson_tree_counts, and of wilson_sample_trees less its result list of n
+    pointers, stay below 24 rows of 8 bytes per walker of one block, and
+    differ by less than one byte per block row between 50 000 and 500 000
+    walkers: the walkers run one block at a time and hold no step array of
+    length n."""
     env = Environment(DIAMOND)
     bound = 24 * env_mod.BLOCK_ROWS * 8
     for sample, result_bytes in ((loop_erased_paths, lambda n: 0),
+                                 (wilson_tree_counts, lambda n: 0),
                                  (wilson_sample_trees, lambda n: 8 * n)):
         sample(two_diamond, env, 2, seed=3)  # lazy imports stay out of the peak
         peaks = [_traced_peak(lambda: sample(two_diamond, env, n, seed=3)) - result_bytes(n)
@@ -451,9 +454,11 @@ def test_block_zero_draws_what_one_stream_draws():
 
 
 def test_distinct_rows_match_numpy_unique():
-    """The distinct rows in lexicographic order and each row's position among
-    them, as np.unique gives them, by int64 keys and, where a key would
-    overflow, by lexsort: 70 flag columns, or entries near 2^40."""
+    """The distinct rows in lexicographic order, each row's position among
+    them and their counts, as np.unique gives them, by int64 keys and, where
+    a key would overflow, by lexsort: 70 flag columns, or entries near 2^40.
+    The counts come from a bincount of the keys where their range is at most
+    the number of rows (the first three arrays), and from the sort otherwise."""
     rng = np.random.default_rng(71)
     arrays = [rng.integers(0, 9, (5000, 3)), rng.integers(0, 2, (5000, 3)) + 7,
               rng.random((5000, 9)) < 0.3, rng.random((2000, 70)) < 0.02,
@@ -461,9 +466,13 @@ def test_distinct_rows_match_numpy_unique():
               rng.random((1, 12)) < 0.5]
     for a in arrays:
         rows, inverse = env_mod._distinct_rows(a)
-        want_rows, want_inverse = np.unique(a, axis=0, return_inverse=True)
+        want_rows, want_inverse, want_counts = np.unique(a, axis=0, return_inverse=True,
+                                                         return_counts=True)
         assert rows.dtype == a.dtype and np.array_equal(rows, want_rows)
         assert np.array_equal(inverse, want_inverse.reshape(-1))
+        rows, counts = env_mod._row_counts(a)
+        assert rows.dtype == a.dtype and np.array_equal(rows, want_rows)
+        assert np.array_equal(counts, want_counts)
 
 
 @pytest.mark.parametrize("scalar", [Fraction, float], ids=["exact", "float"])
@@ -656,6 +665,35 @@ def assert_walkers_match_oracle(g, env, n, seed):
     assert loop_erased_paths(g, env, n, seed) == erased, (g, n, seed)
     assert wilson_sample_trees(g, env, n, seed) == trees, (g, n, seed)
     return trajectories
+
+
+def test_wilson_tree_counts_are_the_sampled_trees(monkeypatch):
+    """wilson_tree_counts counts the trees that wilson_sample_trees lists and
+    that the oracle walks, at one walker, one block and one block and one
+    more, on every builtin, random graphs, K3 and K4.  The exit rows' key
+    range is base^|interior|: within a block on K3 (9^3), where a full block
+    is counted by key, and past it on K4 (16^4), where it is sorted."""
+    sort = env_mod._distinct_rows
+    sorted_shapes = []
+
+    def spy(a):
+        sorted_shapes.append(a.shape)
+        return sort(a)
+    rng = np.random.default_rng(47)
+    full_block_sorts = []
+    for g in (bundled_graphs() + random_graphs(seed=48, count=6)
+              + [complete_graph(3), complete_graph(4)]):
+        env = random_rational_environment(g, rng)
+        for n, seed in zip((1, env_mod.BLOCK_ROWS, env_mod.BLOCK_ROWS + 1), (0, 1, 2)):
+            want = Counter(t.edges for t in oracle_lockstep(g, env, n, seed)[2])
+            assert Counter(t.edges for t in wilson_sample_trees(g, env, n, seed)) == want
+            sorted_shapes.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(env_mod, "_distinct_rows", spy)
+                assert wilson_tree_counts(g, env, n, seed) == want, (g, n, seed)
+            if n == env_mod.BLOCK_ROWS:
+                full_block_sorts.append(list(sorted_shapes))
+    assert full_block_sorts[-2:] == [[], [(env_mod.BLOCK_ROWS, 4)]]
 
 
 @pytest.mark.parametrize("stream", sorted(STREAMS))
