@@ -316,9 +316,8 @@ def _worst_error(errs) -> float:
 def _cmd_transport(g, args):
     w = _weights(g, args)
     if args.split:
-        split = split_graph(g)
-        sys_graph = split.graph
-        alpha = int_mod.split_exponents(split, w)
+        split = split_graph(g, w.alpha)
+        sys_graph, alpha = split.graph, split.graph.alpha_map()
         bridge_zero = {bid: 0.0 for bid in split.bridge_ids}
     else:
         sys_graph, alpha, bridge_zero = g, w.alpha, {}

@@ -49,8 +49,8 @@ from fractions import Fraction
 import numpy as np
 
 from .combinatorics import SpanningTree, FlowPoint, enumerate_spanning_trees
-from .graphs import DirectedGraph, reach
-from .rationals import mat_det, mat_solve
+from .graphs import DirectedGraph, out_weights, reach
+from .rationals import _distinct, mat_det, mat_solve
 
 STEP_CAP = 10_000_000
 
@@ -70,10 +70,7 @@ class DirichletWeights:
                 raise ValueError(f"weight of edge {eid!r} must be positive, got {a}")
 
     def beta(self, g: DirectedGraph) -> dict[str, Fraction]:
-        return {
-            x: sum((self.alpha[e.id] for e in g.out_edges[x]), Fraction(0))
-            for x in g.interior
-        }
+        return out_weights(g, self.alpha)
 
     @classmethod
     def from_graph(cls, g: DirectedGraph, overrides=None) -> "DirichletWeights":
@@ -493,14 +490,12 @@ def _key_rows(keys: np.ndarray, base: int, width: int, dtype) -> np.ndarray:
 
 def _distinct_rows(a: np.ndarray):
     """The distinct rows of a 2-D array of non-negative integers, in
-    lexicographic order, and the position of each row of `a` among them, as
-    np.unique(a, axis=0, return_inverse=True) gives them (it sorts the rows
-    as opaque bytes and is many times slower).
+    lexicographic order, and the position of each row of `a` among them.
 
     Each row is read as one int64 in base one more than the largest entry
-    (`_row_keys`); np.unique sorts and groups the keys, and the distinct rows
-    are the digits of the distinct keys.  Where the key would overflow int64,
-    np.lexsort sorts the rows instead."""
+    (`_row_keys`); `rationals._distinct` sorts and groups the keys, and the
+    distinct rows are the digits of the distinct keys.  Where the key would
+    overflow int64, np.lexsort sorts the rows instead."""
     base = int(a.max(initial=0)) + 1
     if base ** a.shape[1] > np.iinfo(np.int64).max:
         order = np.lexsort(a.T[::-1])
@@ -510,16 +505,16 @@ def _distinct_rows(a: np.ndarray):
         inverse = np.empty(len(a), dtype=np.intp)
         inverse[order] = np.cumsum(fresh) - 1
         return rows[fresh], inverse
-    keys, inverse = np.unique(_row_keys(a, base), return_inverse=True)
-    return _key_rows(keys, base, a.shape[1], a.dtype), inverse.reshape(-1)
+    keys, inverse = _distinct(_row_keys(a, base))
+    return _key_rows(keys, base, a.shape[1], a.dtype), inverse
 
 
 def _row_counts(a: np.ndarray):
     """The distinct rows of a 2-D array of non-negative integers, in
-    lexicographic order, and how many rows of `a` equal each, as
-    np.unique(a, axis=0, return_counts=True) gives them.  Where the range of
-    the row keys, base^width, is at most the number of rows, np.bincount
-    counts the keys without a sort; otherwise `_distinct_rows` sorts."""
+    lexicographic order, and how many rows of `a` equal each.  Where the
+    range of the row keys, base^width, is at most the number of rows,
+    np.bincount counts the keys without a sort; otherwise `_distinct_rows`
+    sorts."""
     base = int(a.max(initial=0)) + 1
     size = base ** a.shape[1]
     if size > len(a):

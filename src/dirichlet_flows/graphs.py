@@ -144,6 +144,12 @@ def divergence(g: DirectedGraph, theta) -> dict[str, Fraction]:
     return div
 
 
+def out_weights(g: DirectedGraph, alpha) -> dict[str, Fraction]:
+    """The total weight beta_x of the out-edges of each interior vertex x,
+    under `alpha` (edge id -> weight)."""
+    return {x: sum((alpha[e.id] for e in g.out_edges[x]), Fraction(0)) for x in g.interior}
+
+
 # ---------------------------------------------------------------------------
 # vertex splitting
 # ---------------------------------------------------------------------------
@@ -153,9 +159,10 @@ class SplitGraph:
     """Bipartite vertex-split companion of a graph.
 
     Every interior vertex x is split into an in-copy x- and an out-copy x+,
-    joined by a bridge edge x- -> x+.  Original edges keep their ids and run
-    between out- and in-copies; the bridge at x gets weight -(total out-weight
-    of x in the original graph), so bridges carry negative weights by design.
+    joined by a bridge edge x- -> x+.  Original edges keep their ids and
+    weights and run between out- and in-copies; the bridge at x gets weight
+    -beta_x, minus the out-weight of x, so bridges carry negative weights by
+    design.  These weights are the exponents of Theorem 2.1's flow integral.
     """
     graph: DirectedGraph
     bridge_of: dict[str, str]  # interior vertex -> bridge edge id
@@ -165,13 +172,16 @@ class SplitGraph:
         return tuple(self.bridge_of.values())
 
 
-def split_graph(g: DirectedGraph) -> SplitGraph:
-    """Split every interior vertex into an in/out pair with a negative-weight bridge."""
+def split_graph(g: DirectedGraph, alpha=None) -> SplitGraph:
+    """Split every interior vertex into an in/out pair with a negative-weight
+    bridge, under the weights `alpha` (edge id -> weight), or under the
+    graph's own weights."""
+    alpha = g.alpha_map() if alpha is None else alpha
     minus = {x: f"{x}-" for x in g.interior}
     plus = {x: f"{x}+" for x in g.interior}
     vertices = tuple(minus[x] for x in g.interior) + tuple(plus[x] for x in g.interior) + (g.cemetery,)
 
-    beta = {x: sum((e.alpha for e in g.out_edges[x]), Fraction(0)) for x in g.interior}
+    beta = out_weights(g, alpha)
     bridge_of = {x: f"@{x}" for x in g.interior}
     taken = set(g.edge_ids)
     for x, bid in bridge_of.items():
@@ -181,7 +191,7 @@ def split_graph(g: DirectedGraph) -> SplitGraph:
     edges = []
     for e in g.edges:
         head = g.cemetery if e.head == g.cemetery else minus[e.head]
-        edges.append(Edge(e.id, plus[e.tail], head, e.alpha))
+        edges.append(Edge(e.id, plus[e.tail], head, alpha[e.id]))
     for x in g.interior:
         edges.append(Edge(bridge_of[x], minus[x], plus[x], -beta[x]))
 

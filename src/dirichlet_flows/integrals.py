@@ -6,15 +6,15 @@ with unit mass at the base, and the integral of
     exp(-<rates, z>) * prod_e z_e^{alpha_e} * prod_{e cotree} z_e^{-1}
 
 over the all-positive chamber is evaluated either by nested adaptive
-Gauss-Kronrod quadrature (dimension <= 4) or by gamma-proposal importance
-sampling.  Both take the integrand from one kernel, `_Evaluator.log_values`:
-at points given by their coordinate rows it tests the chamber and sums
-a_e log z_e - b_e z_e over the edges, each flow formed as its offset plus
-coefficients times coordinate rows.  Quadrature passes the exponents and
-rates as (a, b); Monte Carlo passes them with the proposal's log density
-merged in.  Every sum is of rows added in a fixed order, with no BLAS
-product, so no value depends on the BLAS thread count.  Points outside the
-chamber get 0, so Monte Carlo proposals that leave it get weight zero.
+Gauss-Kronrod quadrature (dimension at most MAX_QUAD_DIM) or by
+gamma-proposal importance sampling.  Both take the integrand from one kernel,
+`_Evaluator.log_values`: at points given by their coordinate rows it tests
+the chamber and sums a_e log z_e - b_e z_e over the edges, each flow formed
+as its offset plus coefficients times coordinate rows.  Quadrature passes the
+exponents and rates as (a, b); Monte Carlo passes them with the proposal's
+log density merged in.  Every sum is of rows added in a fixed order, with no
+BLAS product, so no value depends on the BLAS thread count.  Points outside
+the chamber get 0, so Monte Carlo proposals that leave it get weight zero.
 
 Quadrature runs over the chamber itself: Fourier-Motzkin elimination of the
 chamber inequalities, in exact rationals, gives each nested level the interval
@@ -62,6 +62,10 @@ from .environment import (
 from .graphs import DirectedGraph, SplitGraph, split_graph
 
 
+# The largest chart dimension that nested quadrature takes on.
+MAX_QUAD_DIM = 4
+
+
 class QuadratureNonConvergence(RuntimeError):
     """The panel budget ran out before the error target was met."""
 
@@ -99,35 +103,20 @@ class IntegralEstimate:
                 "method": self.method, "n_evals": self.n_evals}
 
 
-def split_exponents(split: SplitGraph, w: DirichletWeights) -> dict:
-    """Edge exponents on the vertex-split graph from weights of the original graph.
-
-    Original edges keep their weights; each bridge gets minus the total weight
-    of its vertex's out-edges.
-    """
-    alpha = dict(w.alpha)
-    for x, bid in split.bridge_of.items():
-        out_ids = [e.id for e in split.graph.out_edges[f"{x}+"]]
-        alpha[bid] = -sum((w.alpha[eid] for eid in out_ids), Fraction(0))
-    return alpha
-
-
-def split_integrand_spec(split: SplitGraph, w: DirichletWeights, lam,
-                         tree: SpanningTree) -> IntegrandSpec:
+def split_integrand_spec(split: SplitGraph, lam, tree: SpanningTree) -> IntegrandSpec:
     """Integrand on the vertex-split graph for a tree of the original graph.
 
-    Exponents come from `split_exponents`.  The tree is extended by every
-    bridge edge; rates vanish on bridges (their coordinates are sums of
-    original ones, so nothing is lost).
+    The exponents are the split graph's weights (`graphs.split_graph`).  The
+    tree is extended by every bridge edge; rates vanish on bridges (their
+    coordinates are sums of original ones, so nothing is lost).
     """
     g = split.graph
-    alpha = split_exponents(split, w)
     lam_hat = {eid: lam.get(eid, 0) for eid in g.edge_ids}
     for bid in split.bridge_ids:
         if complex(lam_hat[bid]) != 0:
             raise ValueError(f"rate on bridge edge {bid!r} must vanish")
     extended = SpanningTree(tree.edges | set(split.bridge_ids), tree.directed)
-    return IntegrandSpec(g, alpha, lam_hat, extended)
+    return IntegrandSpec(g, g.alpha_map(), lam_hat, extended)
 
 
 class _Evaluator:
@@ -459,8 +448,8 @@ def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
     """
     ev = _Evaluator(spec, weight_edge)
     d = ev.dim
-    if d > 4:
-        raise ValueError(f"quadrature supports dimension <= 4, got {d}")
+    if d > MAX_QUAD_DIM:
+        raise ValueError(f"quadrature supports dimension <= {MAX_QUAD_DIM}, got {d}")
     if d == 0:
         return IntegralEstimate(float(ev(np.zeros((0, 1)))[0]), 0.0, "quadrature", 1)
     limits = _ChamberLimits(ev.rows, d)
@@ -659,18 +648,18 @@ def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
     of `trees`, each tree's report with a pass verdict.
 
     Left: the flow integral on the vertex-split graph, times C_alpha.  Up to
-    split dimension 4 quadrature computes it tree by tree.  Above, one
-    `integrate_mc_charts` pass at (n, seed + 1) computes every tree's, each
-    reported with the Kish effective sample size (sum w)^2 / sum w^2 of its
-    importance weights w.  Right: the Dirichlet-averaged tree-weighted
+    split dimension MAX_QUAD_DIM quadrature computes it tree by tree.  Above,
+    one `integrate_mc_charts` pass at (n, seed + 1) computes every tree's,
+    each reported with the Kish effective sample size (sum w)^2 / sum w^2 of
+    its importance weights w.  Right: the Dirichlet-averaged tree-weighted
     Laplace functional, every tree's from one `mc_laplace_by_tree` batch at
     (n, seed).  Neither side of a tree depends on the other trees of the
     list, so a tree's report is the one that the list of it alone gives.
     """
     _, rhs = mc_laplace_by_tree(g, w, lam, trees, n, seed)
-    split = split_graph(g)
-    specs = [split_integrand_spec(split, w, lam, t) for t in trees]
-    if len(g.edge_ids) - len(g.interior) > 4:
+    split = split_graph(g, w.alpha)
+    specs = [split_integrand_spec(split, lam, t) for t in trees]
+    if len(g.edge_ids) - len(g.interior) > MAX_QUAD_DIM:
         lhs = integrate_mc_charts(specs, n, seed + 1)
     else:
         lhs = [integrate_quadrature(spec, quad_tol) for spec in specs]

@@ -228,6 +228,30 @@ def test_wilson_test_draws_are_pinned(tmp_path, capsys, graph):
     assert digest == WILSON_DIGESTS[graph]
 
 
+# sha256 of the report lines of verify-thm21 and of split transport with
+# --alpha overriding the graph's weights, as they were when the split
+# exponents were recomputed from --alpha apart from the split graph
+OVERRIDE_DIGESTS = {
+    ("verify-thm21", "triangle"): "69993e306ce0f2ef09dbf1bfe2b0dddf1f8b961e423b804f2fc75103591d0fd9",
+    ("transport", "triangle"): "81a72d3edb6718dffd7ad85375f83d1514c0a1a9bafb4be346d6b4d20509886d",
+    ("verify-thm21", "two-diamond"): "fb1ce4ed050234a9bc58337cd96250e242624d05fc3bac1d95d4a4626e7ad6f9",
+    ("transport", "two-diamond"): "0a419f59cc96cd2f89a4f28b6631048d1cac6610d3eaa283e83f750f40c527bd",
+}
+OVERRIDE_ARGV = {
+    "verify-thm21": ["--alpha", "e1=3/2,e3=2", "--samples", "20000"],
+    "transport": ["--split", "--alpha", "e1=3/2,e2=2"],
+}
+
+
+@pytest.mark.parametrize("command, graph", sorted(OVERRIDE_DIGESTS))
+def test_alpha_override_reports_are_pinned(capsys, command, graph):
+    """The split graph built under the --alpha weights integrates what the
+    exponents recomputed from --alpha did: the reports are the pinned bytes."""
+    assert main([command, "--graph", graph, *OVERRIDE_ARGV[command]]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == OVERRIDE_DIGESTS[command, graph]
+
+
 def test_split_transport_reads_alpha(capsys, tmp_path):
     """--alpha on the split graph acts as a graph file with that weight does."""
     g = builtin_graph("two-edge")

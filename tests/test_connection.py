@@ -665,11 +665,9 @@ def test_cycle_flats_are_the_spans_of_cycle_pairs(g):
 
 def _two_edge_split_system(two_edge):
     split = split_graph(two_edge)
-    w = DirichletWeights.from_graph(two_edge)
     from dirichlet_flows.integrals import split_integrand_spec
 
-    spec = split_integrand_spec(split, w, {"e1": 1.0, "e2": 2.0},
-                                tree_basis(two_edge)[0])
+    spec = split_integrand_spec(split, {"e1": 1.0, "e2": 2.0}, tree_basis(two_edge)[0])
     alpha = spec.alpha
     conn = build_connection(split.graph, alpha)
     return split, alpha, conn

@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dirichlet_flows import (
+    DirichletWeights,
     divergence,
     enumerate_cycles,
     enumerate_spanning_trees,
@@ -15,7 +17,7 @@ from dirichlet_flows import (
 )
 from dirichlet_flows.graphs import DirectedGraph, Edge
 
-from conftest import bundled_graphs
+from conftest import bundled_graphs, complete_graph, random_graphs, random_rational_weights
 
 
 def _g(vertices, base, edges):
@@ -93,6 +95,31 @@ def test_split_graph_triangle(triangle):
     assert h.edge_by_id["@a"].alpha == -(triangle.edge_by_id["e2"].alpha
                                          + triangle.edge_by_id["e4"].alpha)
     assert validate(h) == []
+
+
+def test_split_graph_carries_override_weights():
+    """Under weights other than the graph's own, every original edge of the
+    split graph carries its weight, and every bridge minus the out-weight of
+    its vertex, summed here edge by edge; DirichletWeights.beta gives those
+    totals too.  Without weights the split graph takes the graph's own."""
+    rng = np.random.default_rng(29)
+    moved = 0
+    for g in bundled_graphs() + [complete_graph(3)] + random_graphs(seed=12, count=8):
+        w = DirichletWeights(random_rational_weights(g, rng))
+        split = split_graph(g, w.alpha)
+        h = split.graph
+        for eid in g.edge_ids:
+            assert h.edge_by_id[eid].alpha == w.alpha[eid]
+        for x, bid in split.bridge_of.items():
+            total = Fraction(0)
+            for e in g.edges:
+                if e.tail == x:
+                    total += w.alpha[e.id]
+            assert h.edge_by_id[bid].alpha == -total
+            assert w.beta(g)[x] == total
+        assert split_graph(g) == split_graph(g, g.alpha_map())
+        moved += w.alpha != g.alpha_map()
+    assert moved >= 10
 
 
 def test_split_graph_bipartite():

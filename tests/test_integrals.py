@@ -22,6 +22,7 @@ from dirichlet_flows import (
     split_graph,
     split_integrand_spec,
     tree_basis,
+    validate,
     verify_theorem_2_1,
 )
 from dirichlet_flows import environment as env_mod
@@ -74,8 +75,7 @@ def test_integrand_two_edge_point(two_edge):
 
 def test_integrand_split_two_edge_point(two_edge):
     split = split_graph(two_edge)
-    spec = split_integrand_spec(split, DirichletWeights.from_graph(two_edge),
-                                zeros(two_edge), tree_of("e1", directed=True))
+    spec = split_integrand_spec(split, zeros(two_edge), tree_of("e1", directed=True))
     # z1 + z2 = 1 on the chamber, so the bridge factor (z1+z2)^-2 is 1
     assert integrand(spec, {"e2": 0.5}) == pytest.approx(0.5)
 
@@ -107,8 +107,7 @@ def test_quadrature_two_edge_half(two_edge):
 
 def test_quadrature_split_two_edge_closed_form(two_edge):
     split = split_graph(two_edge)
-    spec = split_integrand_spec(split, DirichletWeights.from_graph(two_edge),
-                                {"e1": 1.0, "e2": 0.0}, tree_of("e1", directed=True))
+    spec = split_integrand_spec(split, {"e1": 1.0, "e2": 0.0}, tree_of("e1", directed=True))
     est = integrate_quadrature(spec, tol=1e-10)
     assert abs(est.value - (1 - 2 / math.e)) <= 1e-10
 
@@ -312,8 +311,7 @@ def _builtin_charts():
     for g in bundled_graphs():
         yield g, g.alpha_map(), ()
         split = split_graph(g)
-        alpha = int_mod.split_exponents(split, DirichletWeights.from_graph(g))
-        yield split.graph, alpha, split.bridge_ids
+        yield split.graph, split.graph.alpha_map(), split.bridge_ids
 
 
 def _oracle_charts():
@@ -464,7 +462,7 @@ def _split_specs(g, alpha, count=None):
     w = DirichletWeights.from_graph(g, alpha)
     lam = {eid: 1 + 2.0 ** -(k + 4) for k, eid in enumerate(g.edge_ids)}
     trees = enumerate_spanning_trees(g, directed_only=True)[:count]
-    return [split_integrand_spec(split_graph(g), w, lam, t) for t in trees]
+    return [split_integrand_spec(split_graph(g, w.alpha), lam, t) for t in trees]
 
 
 def _shared_draw_specs():
@@ -815,18 +813,51 @@ def test_verify_identity_requires_directed_tree(two_edge):
         verify_theorem_2_1(two_edge, w, zeros(two_edge), [tree_of("e1")], 10, 0)
 
 
+def test_thm21_routes_at_the_quadrature_dimension_limit(monkeypatch):
+    """verify_theorem_2_1 integrates the flow side by quadrature up to split
+    dimension MAX_QUAD_DIM and by `integrate_mc_charts` above it: K3 without
+    e2 and e5 has split dimension 4, and K3 without e2 has dimension 5.
+    Spies stand in for both integrators, so no 4-dimensional quadrature runs,
+    and quadrature itself refuses dimension 5 with the limit in its message."""
+    real_quadrature = int_mod.integrate_quadrature
+    calls = []
+
+    def quadrature(spec, tol=1e-8, weight_edge=None):
+        calls.append(("quadrature", int_mod._Evaluator(spec).dim))
+        return int_mod.IntegralEstimate(1.0, 0.0, "quadrature", 1)
+
+    def mc_charts(specs, n, seed, weight_edge=None):
+        calls.extend(("monte-carlo", int_mod._Evaluator(spec).dim) for spec in specs)
+        return [int_mod.IntegralEstimate(1.0, 0.0, "monte-carlo", n, 1.0) for _ in specs]
+
+    monkeypatch.setattr(int_mod, "integrate_quadrature", quadrature)
+    monkeypatch.setattr(int_mod, "integrate_mc_charts", mc_charts)
+    k3 = complete_graph(3)
+    for dropped, method, dim in [(("e2", "e5"), "quadrature", 4), (("e2",), "monte-carlo", 5)]:
+        g = DirectedGraph(k3.vertices, k3.cemetery, k3.base,
+                          tuple(e for e in k3.edges if e.id not in dropped))
+        assert validate(g) == []
+        trees = enumerate_spanning_trees(g, directed_only=True)
+        lam = {eid: 1.0 for eid in g.edge_ids}
+        calls.clear()
+        reports = verify_theorem_2_1(g, DirichletWeights.from_graph(g), lam, trees, n=100)
+        assert calls == [(method, dim)] * len(trees)
+        assert [r["lhs"]["method"] for r in reports] == [method] * len(trees)
+    spec = split_integrand_spec(split_graph(g), lam, trees[0])
+    with pytest.raises(ValueError, match=r"quadrature supports dimension <= 4, got 5"):
+        real_quadrature(spec)
+
+
 def test_split_spec_rejects_bridge_rates(two_edge):
     split = split_graph(two_edge)
     with pytest.raises(ValueError, match="bridge"):
-        split_integrand_spec(split, DirichletWeights.from_graph(two_edge),
-                             {"e1": 1.0, "e2": 0.0, "@x0": 1.0},
+        split_integrand_spec(split, {"e1": 1.0, "e2": 0.0, "@x0": 1.0},
                              tree_of("e1", directed=True))
 
 
 def test_split_bridge_coordinates_positive_on_chamber(triangle):
     split = split_graph(triangle)
-    spec = split_integrand_spec(split, DirichletWeights.from_graph(triangle),
-                                {eid: 1.0 for eid in triangle.edge_ids},
+    spec = split_integrand_spec(split, {eid: 1.0 for eid in triangle.edge_ids},
                                 tree_of("e3", "e4", directed=True))
     ev = int_mod._Evaluator(spec)
     rng = np.random.default_rng(10)
