@@ -29,8 +29,8 @@ The commutation and flatness checks are exact over Q without Fraction matrix
 products.  Both send quads of integer combinations of the table's term
 matrices, scaled by L, to `rationals.residue_peaks`, which computes each
 product modulo primes below 2^26, as many as an integer bound on its entries
-asks for.  Commutation decides each item at one sample by whether its quad
-vanishes, without recovering an entry.
+asks for.  Commutation decides each item at one rate point by whether its
+quad vanishes, without recovering an entry.
 
 Flatness at every rate point reduces to finitely many integer identities
 (`flatness_certificate`).  The coefficient of d lambda_e is
@@ -63,10 +63,10 @@ the identities go to `rationals.residue_peaks` in one call.
 `check_flatness` evaluates the commutators at sampled rational rates
 instead: it puts each sample's rates over a common denominator, so that its
 cycle forms and the integer coefficients of every M_e are Python integers,
-and sends the commutators of the samples in blocks whose memory does not
-grow with the sample count; a nonzero entry is recovered exactly.  It is the
-sampled oracle of the certificate, and gives the witness residual of a
-connection that the certificate finds not flat.
+and sends each sample's commutators to the kernel in a call of its own, so
+that its memory does not grow with the sample count; a nonzero entry is
+recovered exactly.  It is the sampled oracle of the certificate, and gives
+the witness residual of a connection that the certificate finds not flat.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import rationals
 from .combinatorics import (
     SignedEdgeSet,
     SpanningTree,
@@ -245,7 +244,7 @@ def check_commutation(g: DirectedGraph, w) -> dict:
     inside unions are products of the terms' edge indicator rows.  Every item
     is one quad X Y - Z W of integer combinations of the terms scaled by L: a
     term, a sum of terms, or cL times the identity, which follows the terms in
-    the table; all items are decided at one sample, in one call of
+    the table; all items are decided at one rate point, in one call of
     `rationals.residue_peaks`.
     """
     alpha = _alpha_map(w)
@@ -256,11 +255,11 @@ def check_commutation(g: DirectedGraph, w) -> dict:
     table = IntTable(np.append(t.ptr, t.ptr[-1] + conn.size),
                      np.concatenate([t.rows, diagonal]), np.concatenate([t.cols, diagonal]),
                      np.concatenate([t.values, np.ones(conn.size, dtype=t.values.dtype)]))
-    combos = [([k], [[1]]) for k in range(len(terms))]
+    combos = [([k], [1]) for k in range(len(terms))]
     identities: dict[Fraction, int] = {}
 
     def add(members, coef) -> int:
-        combos.append((members, [coef]))
+        combos.append((members, coef))
         return len(combos) - 1
 
     paths = range(len(conn.path_terms))
@@ -353,7 +352,7 @@ def flatness_certificate(conn: ConnectionForm) -> dict:
     n_paths, edges = len(conn.path_terms), conn.edge_ids
     label = [",".join(sorted(term.edges)) for term in terms]
     signs = np.array([[term.sign(e) for e in edges] for term in terms], dtype=np.int64)
-    combos = [([k], [[1]]) for k in range(len(terms))]
+    combos = [([k], [1]) for k in range(len(terms))]
     names, quads = [], []
 
     def record(name, x, y):
@@ -364,7 +363,7 @@ def flatness_certificate(conn: ConnectionForm) -> dict:
     def paths_weighed(weights) -> int:
         """The combination of the path terms with these weights, zeros left out."""
         members = np.flatnonzero(weights).tolist()
-        combos.append((members, [weights[members].tolist()]))
+        combos.append((members, weights[members].tolist()))
         return len(combos) - 1
 
     # degree 0: [A_a, A_b] for every edge pair
@@ -390,7 +389,7 @@ def flatness_certificate(conn: ConnectionForm) -> dict:
             record((-2, (a, b), a), a, b)
     for triple in triples:
         triple = tuple(k + n_paths for k in triple)
-        combos.append((list(triple), [[1] * 3]))
+        combos.append((list(triple), [1] * 3))
         for k in triple:
             record((-2, triple, k), len(combos) - 1, k)
 
@@ -417,19 +416,16 @@ def check_flatness(conn: ConnectionForm, lambda_samples) -> Fraction:
     D_e L M_e, with D_e the lcm of the denominators of its weights in
     `ConnectionForm.terms`, so that N_e is an integer combination of the term
     matrices scaled by L; every [N_a, N_b] of a sample is the quad (a, b, b,
-    a) of `rationals.residue_peaks`.  The samples go to it in blocks of at
-    most _CHUNK_CAP term entries x samples, the bound of its chunks of
-    combinations, unless one sample alone is more: its residues of every N_e
-    at every sample and prime of a call are held at once, so the memory grows
-    with the block, not with the sample count.  Each block assembles each N_e
-    for its samples at once and expands each edge pair once.
+    a) of `rationals.residue_peaks`, which decides each sample in a call of
+    its own and keeps nothing between calls.
     """
     terms = conn.path_terms + conn.cycle_terms
     # per edge, the (index, sign) of each term with the edge
     members = [[(k, term.sign(eid)) for k, term in enumerate(terms) if term.sign(eid)]
                for eid in conn.edge_ids]
-    # per sample and edge, the integer weights of N_e's terms, and D_e
-    coefficients, denominators = [], []
+    pairs = [(a, b) for a in range(len(members)) for b in range(a + 1, len(members))]
+    quads = [(a, b, b, a) for a, b in pairs]
+    worst = Fraction(0)
     for lam in lambda_samples:
         lam = {k: Fraction(v) for k, v in lam.items()}
         # in Python integers, also where a Fraction holds numpy ones
@@ -443,25 +439,13 @@ def check_flatness(conn: ConnectionForm, lambda_samples) -> Fraction:
             g = math.gcd(q, form)
             dens.append(abs(form) // g)
             tops.append(q // g if form > 0 else -(q // g))
-        coef, row = [], []
+        combos, d = [], []
         for ks in members:
-            d = math.lcm(*(dens[k] for k, _ in ks))
-            coef.append([sign * tops[k] * (d // dens[k]) for k, sign in ks])
-            row.append(d)
-        coefficients.append(coef)
-        denominators.append(row)
-    pairs = [(a, b) for a in range(len(members)) for b in range(a + 1, len(members))]
-    quads = [(a, b, b, a) for a, b in pairs]
-    size = np.diff(conn.table.ptr)
-    load = sum(int(size[k]) for ks in members for k, _ in ks)
-    block = max(1, rationals._CHUNK_CAP // load)
-    worst = Fraction(0)
-    for lo in range(0, len(coefficients), block):
-        combos = [([k for k, _ in ks], [coef[e] for coef in coefficients[lo:lo + block]])
-                  for e, ks in enumerate(members)]
-        for (s, k), peak in residue_peaks(conn.table, conn.size, combos, quads).items():
+            d.append(math.lcm(*(dens[k] for k, _ in ks)))
+            combos.append(([k for k, _ in ks],
+                           [sign * tops[k] * (d[-1] // dens[k]) for k, sign in ks]))
+        for k, peak in residue_peaks(conn.table, conn.size, combos, quads).items():
             a, b = pairs[k]
-            d = denominators[lo + s]
             worst = max(worst, Fraction(peak, d[a] * d[b] * conn.scale ** 2))
     return worst
 

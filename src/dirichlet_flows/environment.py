@@ -212,12 +212,11 @@ def sample_environment(g: DirectedGraph, w: DirichletWeights, seed: int) -> Envi
 # ---------------------------------------------------------------------------
 # killed chain linear algebra
 # ---------------------------------------------------------------------------
-# The single-environment functions solve I - P, assembled in
-# `_survival_matrices`, exactly: float exit probabilities enter at their exact
-# binary values and each result is rounded to float once, so a float result is
-# the correctly rounded exact one.  A chain that does not reach the cemetery
-# has det(I - P) = 0, which `survival_determinant` returns and the other
-# functions reject.
+# The single-environment functions solve I - P, assembled in `_killed_chain`,
+# exactly: float exit probabilities enter at their exact binary values and
+# each result is rounded to float once, so a float result is the correctly
+# rounded exact one.  A chain that does not reach the cemetery has det(I - P)
+# = 0, which `survival_determinant` returns and the other functions reject.
 #
 # The Monte Carlo kernel `_gth` runs Grassmann-Taksar-Heyman elimination
 # (Oper. Res. 33, 1985) on a block of environments at once, one array over the
@@ -233,18 +232,6 @@ def sample_environment(g: DirectedGraph, w: DirichletWeights, seed: int) -> Envi
 # the multipliers -P_im / s_m below its unit diagonal.  The Green row w at the
 # base solves w (I - P) = e_base by a forward solve with U, run alongside the
 # elimination, and a back solve with L.  Both add positive terms only.
-
-def _survival_matrices(g: DirectedGraph, p: np.ndarray) -> np.ndarray:
-    """(n, k, k) stack of I - P over the interior, one per row of exit
-    probabilities, in the dtype of p (object for exact Fractions)."""
-    vidx = {x: i for i, x in enumerate(g.interior)}
-    n, k = p.shape[0], len(vidx)
-    pu = np.zeros((n, k, k), dtype=p.dtype)
-    for j, e in enumerate(g.edges):
-        if e.head != g.cemetery:
-            pu[:, vidx[e.tail], vidx[e.head]] += p[:, j]
-    return np.eye(k, dtype=p.dtype) - pu
-
 
 def _gth(g: DirectedGraph, p: np.ndarray, flows: np.ndarray) -> np.ndarray:
     """det(I - P) of a block of environments, eliminating the vertices in
@@ -293,7 +280,11 @@ def _killed_chain(g: DirectedGraph, env: Environment):
     as a list of rows, and the rounding of exact results to the environment's
     scalar type."""
     p = {eid: Fraction(env.p[eid]) for eid in g.edge_ids}
-    a = _survival_matrices(g, np.array([list(p.values())], dtype=object))[0].tolist()
+    vidx = {x: i for i, x in enumerate(g.interior)}
+    a = [[Fraction(int(i == j)) for j in range(len(vidx))] for i in range(len(vidx))]
+    for e in g.edges:
+        if e.head != g.cemetery:
+            a[vidx[e.tail]][vidx[e.head]] -= p[e.id]
     return p, a, (lambda x: x) if env.is_exact() else float
 
 

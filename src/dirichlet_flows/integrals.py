@@ -67,7 +67,7 @@ MAX_QUAD_DIM = 4
 
 
 class QuadratureNonConvergence(RuntimeError):
-    """The panel budget ran out before the error target was met."""
+    """The panel or evaluation budget ran out before the error target was met."""
 
 
 @dataclass(frozen=True)
@@ -261,6 +261,12 @@ _GW = np.zeros(15)
 _GW[1:14:2] = np.concatenate([_WG7[:-1], [_WG7[-1]], _WG7[-2::-1]])
 
 _MAX_PANELS = 4000
+# Integrand evaluations of one `integrate_quadrature` call: more than 20
+# times the most that any test, benchmark op or CI run takes (340 050), and
+# ~3 s of work on a 2-core x86-64 machine.  Nested levels multiply their
+# panels, so without it a chart of dimension 4 whose inner integrals all run
+# to _MAX_PANELS would not end in any useful time.
+_MAX_EVALS = 8_000_000
 _INNER_FRAC = 0.05
 # the first panels in t of a level whose u_k runs to infinity (`_integrate_level`)
 _GRADED = ((0.0, 0.5), (0.5, 0.75), (0.75, 0.875), (0.875, 1.0))
@@ -384,6 +390,10 @@ def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefixes: n
             jac = np.where(unbounded, 1.0 / (1.0 - pts) ** 2, hi_r - lo_r)
         batch = np.column_stack([np.repeat(prefixes[rows], 15, axis=0), us.ravel()])
         if k == d - 1:
+            if counter[0] + len(batch) > _MAX_EVALS:
+                raise QuadratureNonConvergence(
+                    f"level {k + 1} of {d}: the budget of {_MAX_EVALS} integrand evaluations "
+                    f"ran out after {counter[0]}")
             counter[0] += len(batch)
             with np.errstate(over="ignore", invalid="ignore"):
                 return ev(batch.T).reshape(pts.shape) * jac, np.zeros_like(pts)
@@ -444,7 +454,8 @@ def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
     round go down as one batch, adapt side by side (each by its own panels,
     as if alone) and come back together.  The reported error sums the panel
     estimates and the weighted errors of inner evaluations; any integral that
-    misses its target raises `QuadratureNonConvergence`, naming its level.
+    misses its target raises `QuadratureNonConvergence`, naming its level, and
+    so does a call whose integrand evaluations would pass _MAX_EVALS.
     """
     ev = _Evaluator(spec, weight_edge)
     d = ev.dim

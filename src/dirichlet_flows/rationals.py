@@ -9,18 +9,18 @@ elimination serves rank, determinant and solve alike.
 Matrix products are exact over Q through residues.  Integer matrices live
 in an `IntTable`: n x n matrices in COO form, each a slice of entries sorted
 by (row, col), with int64 values, or object ones past int64.  The one entry
-to the residue kernel, `residue_peaks`, takes integer combinations N_e of
-table matrices, one coefficient row per sample, and quads N_a N_b - N_c N_d
-of them: a commutation relation is a quad of single terms, sums of terms or
-a multiple of the identity at one sample, flatness the commutators [N_a, N_b]
-of the connection's coefficients at every sample.  Each quad is computed
-modulo primes below 2^26, as many as an integer bound on its entries asks
-for, and a nonzero entry is recovered by the Chinese remainder theorem.  The
-kernel runs on numpy alone, in the two phases of Gustavson's sparse product
-(ACM TOMS 4, 1978): a symbolic phase expands each entry of N_a against a row
-of N_b, and of N_c against N_d, and sorts the products by entry, once per
-pattern; a numeric phase sums them for every value set on that pattern, one
-prime of one sample per row of an int64 array.
+to the residue kernel, `residue_peaks`, decides one rate point: it takes
+integer combinations N_e of table matrices, one integer per term, and quads
+N_a N_b - N_c N_d of them.  A commutation relation is a quad of single
+terms, sums of terms or a multiple of the identity, a flatness identity the
+commutator of two such combinations, and a sampled flatness check makes one
+call per sample.  Each quad is computed modulo primes below 2^26, as many as
+an integer bound on its entries asks for, and a nonzero entry is recovered
+by the Chinese remainder theorem.  The kernel runs on numpy alone, in the
+two phases of Gustavson's sparse product (ACM TOMS 4, 1978): a symbolic
+phase expands each entry of N_a against a row of N_b, and of N_c against
+N_d, and sorts the products by entry; a numeric phase sums them for each
+prime, one prime per row of an int64 array.
 
 The connection's term matrices are built straight into one `IntTable`
 (`connection.build_connection`).  The sparse Fraction helpers `sp_*`, on
@@ -209,12 +209,11 @@ def sp_to_dense(a: Sparse | Mapping, n: int, as_float: bool = False):
 _PRIME_LIMIT = 1 << 26
 _ROW_NNZ_LIMIT = 1 << 11
 # Work of one kernel pass, which bounds memory.  A chunk of whole
-# combinations holds at most this many term entries x samples, and a chunk
-# of whole quads expands to at most this many products, by a bound that
-# takes every row as its matrix's widest, unless one alone is more; each
-# pass over a chunk holds at most this many values (samples or rows x
-# entries or products, a row being one prime of one sample), or one
-# sample's or row's.
+# combinations holds at most this many term entries, and a chunk of whole
+# quads expands to at most this many products, by a bound that takes every
+# row as its matrix's widest, unless one alone is more; each pass over a
+# chunk of quads holds at most this many values (primes x products), or one
+# prime's.
 _CHUNK_CAP = 1 << 16
 
 _PRIMES: list[int] = []
@@ -364,8 +363,9 @@ def _entry_sums(values, pos, sign, lidx, rpos, last, p):
 
 def _distinct(x: np.ndarray):
     """The sorted distinct values of x and the index of each element among
-    them (np.unique would import numpy.ma on its first call)."""
-    order = np.argsort(x, kind="stable")
+    them (np.unique would import numpy.ma on its first call).  The order
+    among equal values does not matter, so the sort need not be stable."""
+    order = np.argsort(x)
     x = x[order]
     first = np.append(True, x[1:] != x[:-1])[:len(x)]
     at = np.empty(len(x), dtype=np.int64)
@@ -373,26 +373,22 @@ def _distinct(x: np.ndarray):
     return x[first], at
 
 
-def _sample_products(table, n: int, quads: np.ndarray, depth: np.ndarray, primes: np.ndarray,
-                     entries: bool = True):
-    """The nonzero entries of A B - C D for each sample s and each row q = (A,
-    B, C, D) of quads, as arrays (q, s, i, j, residues): residues[:, t] is the
-    entry modulo primes[t] for t < depth[s, q].  With entries false, only the
-    sorted indices of the quads with a nonzero entry at some sample.
+def _products(table, n: int, quads: np.ndarray, depth: np.ndarray, primes: np.ndarray,
+              entries: bool = True):
+    """The nonzero entries of A B - C D for each row q = (A, B, C, D) of
+    quads, as arrays (q, i, j, residues): residues[:, t] is the entry modulo
+    primes[t] for t < depth[q].  With entries false, only the sorted indices
+    of the quads with a nonzero entry.
 
     table = (ptr, width, i, j, residues) holds n x n matrices in COO form,
     matrix r at ptr[r]:ptr[r+1] with its entries sorted by row and at most
-    width[r] nonzeros in a row.  The samples share that pattern, not its
-    values: residues[s, t] holds sample s's entries reduced modulo primes[t].
-    A chunk of quads is expanded and sorted once (`_expand`) and summed for
-    every sample and each of its primes as rows of one int64 array, sample s
-    to the deepest of its quads in the chunk, in slices of rows x products <=
-    _CHUNK_CAP.  An entry missing from a row's nonzeros is zero modulo its
-    prime.
+    width[r] nonzeros in a row; residues[t] holds their values reduced
+    modulo primes[t].  A chunk of quads is expanded and sorted once
+    (`_expand`) and summed for each prime up to the deepest of its quads, as
+    rows of one int64 array, in slices of rows x products <= _CHUNK_CAP.  An
+    entry missing from a row's nonzeros is zero modulo its prime.
     """
     ptr, width, ti, tj, residues = table
-    n_samples, n_primes = residues.shape[:2]
-    flat = residues.reshape(n_samples * n_primes, -1)
     size = np.diff(ptr)
     row_ptr = np.zeros(len(size) * n + 1, dtype=np.int64)
     np.cumsum(np.bincount(np.repeat(np.arange(len(size)), size) * n + ti,
@@ -402,43 +398,35 @@ def _sample_products(table, n: int, quads: np.ndarray, depth: np.ndarray, primes
     # bound that takes every row as its matrix's widest, unless one quad
     # alone is more.
     edges = _chunks(n + size[a] * width[b] + size[c] * width[d])
-    grid = np.arange(n_primes)
     found = []
     for lo, hi in zip(edges, edges[1:]):
         expansion = _expand(ptr, ti, tj, row_ptr, n, quads[lo:hi])
         if expansion is None:
             continue
         pos, sign, lidx, rpos, key, last = expansion
-        # the rows s * n_primes + t, for t below sample s's deepest quad
-        reach = depth[:, lo:hi].max(axis=1)
-        rows = (np.arange(n_samples)[:, None] * n_primes + grid)[grid < reach[:, None]]
         step = max(1, _CHUNK_CAP // len(rpos))
         hits = []
-        for ids in np.split(rows, range(step, len(rows), step)):
-            contiguous = ids[-1] - ids[0] == len(ids) - 1
-            values = flat[ids[0]:ids[-1] + 1] if contiguous else np.take(flat, ids, axis=0)
-            p = primes[ids % n_primes, None]
-            sums = _entry_sums(values, pos, sign, lidx, rpos, last, p)
+        for t in range(0, int(depth[lo:hi].max()), step):
+            p = primes[t:t + step, None]
+            sums = _entry_sums(residues[t:t + step], pos, sign, lidx, rpos, last, p)
             if np.count_nonzero(sums):
                 row, col = np.nonzero(sums)
-                hits.append((ids[row], col, sums[row, col] % p[row, 0]))
+                hits.append((row + t, col, sums[row, col] % p[row, 0]))
         if not hits:
             continue
-        ids, col, res = (np.concatenate(part) for part in zip(*hits))
+        t, col, res = (np.concatenate(part) for part in zip(*hits))
         if not entries:
             found.append(_distinct(key[last[col]] // (n * n))[0].astype(np.int64) + lo)
             continue
-        sample, t = np.divmod(ids, n_primes)
-        group, at = _distinct(sample * len(last) + col)
+        group, at = _distinct(col)
         by_prime = np.zeros((len(group), len(primes)), dtype=np.int64)
         by_prime[at, t] = res
-        sample, col = np.divmod(group, len(last))
-        entry = key[last[col]].astype(np.int64)
-        found.append((entry // (n * n) + lo, sample, entry // n % n, entry % n, by_prime))
+        entry = key[last[group]].astype(np.int64)
+        found.append((entry // (n * n) + lo, entry // n % n, entry % n, by_prime))
     if not entries:
         return np.concatenate(found + [np.zeros(0, dtype=np.int64)])
     if not found:
-        return (*(np.zeros(0, dtype=np.int64) for _ in range(4)),
+        return (*(np.zeros(0, dtype=np.int64) for _ in range(3)),
                 np.zeros((0, len(primes)), dtype=np.int64))
     return tuple(np.concatenate(part) for part in zip(*found))
 
@@ -466,48 +454,43 @@ def _crt_peaks(group: np.ndarray, by_prime: np.ndarray, depth: np.ndarray, prime
 
 
 def residue_peaks(table: IntTable, n: int, combos, quads, entries: bool = True):
-    """The largest |entry| of N_a N_b - N_c N_d, exactly, for each sample s and
-    each quad k = (a, b, c, d) of quads, as {(s, k): entry} for the nonzero
-    ones; with entries false, the set of the quads that are nonzero at some
-    sample, without recovering any entry.
+    """The largest |entry| of N_a N_b - N_c N_d, exactly, for each quad k =
+    (a, b, c, d) of quads, as {k: entry} for the nonzero ones; with entries
+    false, the set of the nonzero quads, without recovering any entry.
 
-    combos[e] = (terms, coef) gives N_e at sample s as the sum over t of
-    coef[s][t] times the table's matrix terms[t]; coef holds one row of
-    integers per sample, as many rows for every combination.  All samples
-    share N_e's pattern, the union of its terms' patterns, where an entry that
-    cancels stays as a zero.  Quad k at sample s gets the fewest primes below
-    2^26 whose product exceeds 2 (w_a |N_a| |N_b| + w_c |N_c| |N_d|), w the
-    most entries in one row of the pattern and |N| the largest |entry| at s,
-    so residues that are zero modulo every prime mean an exact zero.
+    combos[e] = (terms, coef) gives N_e as the sum over t of the integer
+    coef[t] times the table's matrix terms[t].  N_e's pattern is the union of
+    its terms' patterns, where an entry that cancels stays as a zero.  Quad k
+    gets the fewest primes below 2^26 whose product exceeds 2 (w_a |N_a| |N_b|
+    + w_c |N_c| |N_d|), w the most entries in one row of the pattern and |N|
+    the largest |entry|, so residues that are zero modulo every prime mean an
+    exact zero.
 
     The combinations are assembled in chunks of whole ones, of at most
-    _CHUNK_CAP term entries x samples unless one alone is more: a chunk's
-    term entries are sorted once by (combination, i, j) and summed per
-    pattern position, exactly for |N|, then modulo each prime for all
-    samples at once, coef mod p times the values mod p in int64, exact while
-    fewer than 2^11 terms meet at a position.  Each chunk of quads is then
-    expanded once for all samples (`_sample_products`), each sample to its
-    own prime count, and the Chinese remainder theorem recovers the nonzero
-    entries.
+    _CHUNK_CAP term entries unless one alone is more: a chunk's term entries
+    are sorted once by (combination, i, j) and summed per pattern position,
+    exactly for |N|, then modulo each prime, coef mod p times the values mod p
+    in int64, exact while fewer than 2^11 terms meet at a position.  The
+    quads are then expanded in chunks (`_products`), each summed to the prime
+    count of its deepest quad, and the Chinese remainder theorem recovers the
+    nonzero entries.
     """
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
-    if not len(quads) or not len(combos[0][1]):
+    if not len(quads):
         return {} if entries else set()
-    n_samples = len(combos[0][1])
     size = np.diff(table.ptr)
     terms = np.array([k for ks, _ in combos for k in ks], dtype=np.int64)
     n_terms = np.array([len(ks) for ks, _ in combos], dtype=np.int64)
     first = np.append(0, np.cumsum(n_terms))
-    coef = _int_values([[x for _, c in combos for x in c[s]] for s in range(n_samples)])
+    coef = _int_values([x for _, c in combos for x in c])
     # the term entries of each combination, and the chunks of combinations
-    load = np.append(0, np.cumsum(size[terms]))[first]
-    edges = _chunks(np.diff(load) * n_samples)
+    edges = _chunks(np.diff(np.append(0, np.cumsum(size[terms]))[first]))
 
-    # per chunk, every term entry's table position and coefficient column,
+    # per chunk, every term entry's table position and coefficient index,
     # sorted by (combination, i, j), with the first entry at each position
     chunks, patterns = [], []
     width = np.zeros(len(combos), dtype=np.int64)
-    peak = np.zeros((len(combos), n_samples), dtype=object)
+    peak = np.zeros(len(combos), dtype=object)
     count = np.zeros(len(combos), dtype=np.int64)
     for lo, hi in zip(edges, edges[1:]):
         t = terms[first[lo]:first[hi]]
@@ -530,53 +513,42 @@ def residue_peaks(table: IntTable, n: int, combos, quads, entries: bool = True):
         rows = np.flatnonzero(np.diff(block, prepend=-1))
         np.maximum.at(width, lo + block[rows] // n, np.diff(np.append(rows, len(block))))
         at = np.flatnonzero(np.diff(owner, prepend=-1))
+        # exact sums, in int64 while no sum can leave it
         values = table.values[idx]
+        weights = _int_values(coef[col])
         big = int(np.abs(values).max()) * run
-        step = max(1, _CHUNK_CAP // len(idx))
-        for s in range(0, n_samples, step):
-            # exact sums, in int64 while no sum can leave it
-            weights = _int_values(coef[s:s + step, col])
-            prod = weights.astype(np.int64 if int(np.abs(weights).max()) * big < 1 << 63
-                                  else object, copy=False)
-            prod *= values.astype(prod.dtype, copy=False)
-            exact = np.add.reduceat(prod, starts, axis=1)
-            peak[lo + owner[at], s:s + step] = np.maximum.reduceat(np.abs(exact), at, axis=1).T
+        prod = weights.astype(np.int64 if int(np.abs(weights).max()) * big < 1 << 63
+                              else object, copy=False)
+        prod *= values.astype(prod.dtype, copy=False)
+        exact = np.add.reduceat(prod, starts)
+        peak[lo + owner[at]] = np.maximum.reduceat(np.abs(exact), at)
     if not chunks:
         return {} if entries else set()
 
     a, b, c, d = quads.T
-    w = width.astype(object)[:, None]
+    w = width.astype(object)
     bounds = 2 * (w[a] * peak[a] * peak[b] + w[c] * peak[c] * peak[d])
-    depth, primes, products = _depths(bounds.T.ravel().tolist())
-    depth = depth.reshape(n_samples, len(quads))
+    depth, primes, products = _depths(bounds.tolist())
 
-    # every N_e modulo each prime, at its pattern's slice of one row per
-    # (sample, prime)
-    residues = np.empty((n_samples, len(primes), int(count.sum())), dtype=np.int32)
+    # every N_e modulo each prime, at its pattern's slice of that prime's row
+    residues = np.empty((len(primes), int(count.sum())), dtype=np.int32)
     for t, p in enumerate(primes):
         coef_p = (coef % p).astype(np.int64)
         values_p = (table.values % p).astype(np.int64)
         offset = 0
         for idx, col, starts, run in chunks:
-            values = values_p[idx]
-            step = max(1, _CHUNK_CAP // len(idx))
-            for s in range(0, n_samples, step):
-                prod = coef_p[s:s + step, col]
-                prod *= values
-                if run >= _ROW_NNZ_LIMIT:
-                    prod %= p
-                residues[s:s + step, t, offset:offset + len(starts)] = np.add.reduceat(
-                    prod, starts, axis=1) % p
+            prod = coef_p[col] * values_p[idx]
+            if run >= _ROW_NNZ_LIMIT:
+                prod %= p
+            residues[t, offset:offset + len(starts)] = np.add.reduceat(prod, starts) % p
             offset += len(starts)
     # the chunks and the patterns' keys are freed before the expansion
     del chunks
     ti, tj = np.divmod(np.concatenate(patterns) % (n * n), n)
     del patterns
     kernel_table = (np.append(0, np.cumsum(count)), width, ti, tj, residues)
-    found = _sample_products(kernel_table, n, quads, depth, np.array(primes, dtype=np.int64),
-                             entries)
+    found = _products(kernel_table, n, quads, depth, np.array(primes, dtype=np.int64), entries)
     if not entries:
         return set(found.tolist())
-    quad, sample, _, _, by_prime = found
-    peaks = _crt_peaks(sample * len(quads) + quad, by_prime, depth[sample, quad], primes, products)
-    return {divmod(group, len(quads)): entry for group, entry in peaks.items()}
+    quad, _, _, by_prime = found
+    return _crt_peaks(quad, by_prime, depth[quad], primes, products)

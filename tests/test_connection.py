@@ -370,9 +370,9 @@ def test_flatness_matches_oracle_on_k3():
 def test_k3_checks_do_not_depend_on_the_chunks(monkeypatch):
     """K3 commutation flags and flatness residuals, of the connection and of a
     broken copy, are the same when every chunk of combinations and of quads
-    is cut as small as it goes.  Flatness then sends one sample per block;
-    the samples' common denominators differ, so each block's peaks must be
-    scaled by the denominators of their own samples."""
+    is cut as small as it goes.  Flatness sends one sample per kernel call;
+    the samples' common denominators differ, so each call's peaks must be
+    scaled by the denominators of its own sample."""
     g = complete_graph(3)
     w = {eid: Fraction(1 + k % 4, 3) for k, eid in enumerate(g.edge_ids)}
     conn = build_connection(g, w)
@@ -392,15 +392,14 @@ def test_k3_checks_do_not_depend_on_the_chunks(monkeypatch):
     assert checks() == expected
 
 
-def test_flatness_sends_the_samples_in_blocks(monkeypatch, triangle):
-    """Each call of the residue kernel gets the next block of samples, of at
-    most _CHUNK_CAP term entries x samples unless one sample alone is more:
-    100 samples of a builtin and 4 of K3 go as one block, 60 of K3 as
-    several."""
+def test_flatness_calls_the_kernel_once_per_sample(monkeypatch, triangle):
+    """Each sample is one call of the residue kernel, whose combinations are
+    that sample's N_e, one integer per term in proportion to the weights of
+    `ConnectionForm.terms`: 100 samples of a builtin, 4 and 60 of K3."""
     calls = []
 
     def spy(table, n, combos, quads, **kwargs):
-        calls.append(len(combos[0][1]))
+        calls.append(combos)
         return rationals.residue_peaks(table, n, combos, quads, **kwargs)
 
     monkeypatch.setattr(connection, "residue_peaks", spy)
@@ -408,13 +407,17 @@ def test_flatness_sends_the_samples_in_blocks(monkeypatch, triangle):
         conn = build_connection(g, DirichletWeights.from_graph(g))
         rng = np.random.default_rng(63)
         samples = [sample_rates_off_kernels(conn, rng) for _ in range(count)]
-        size = np.diff(conn.table.ptr)
-        load = sum(int(size[k]) for eid in conn.edge_ids for _, k in conn.terms(eid, samples[0]))
         calls.clear()
         assert check_flatness(conn, samples) == 0
-        assert sum(calls) == count and len(set(calls[:-1])) <= 1
-        assert calls[0] == 1 or calls[0] * load <= rationals._CHUNK_CAP
-        assert (len(calls) > 1) == (count == 60)
+        assert len(calls) == count
+        for combos, lam in zip(calls, samples):
+            assert len(combos) == len(conn.edge_ids)
+            for (ks, coef), eid in zip(combos, conn.edge_ids):
+                weights = list(conn.terms(eid, lam))
+                assert ks == [k for _, k in weights]
+                assert all(type(c) is int for c in coef)
+                assert [Fraction(c, coef[0]) for c in coef] == [
+                    Fraction(w) / weights[0][0] for w, _ in weights]
 
 
 @pytest.mark.parametrize("count", [1, 40])

@@ -420,6 +420,22 @@ def test_running_panel_error_total_keeps_the_stopping_rule(triangle):
                               "5.000e-10 after 4000 panels")
 
 
+def test_evaluation_budget_stops_the_quadrature(triangle, monkeypatch):
+    """A call whose integrand evaluations would pass _MAX_EVALS raises and
+    names the budget; a budget of exactly the evaluations a chart takes
+    leaves its estimate as it was."""
+    spec = spec_for(triangle, ones(triangle), ones(triangle), tree_of("e3", "e4"))
+    est = integrate_quadrature(spec, tol=1e-8)
+    assert 0 < est.n_evals <= int_mod._MAX_EVALS // 20
+    monkeypatch.setattr(int_mod, "_MAX_EVALS", est.n_evals)
+    assert integrate_quadrature(spec, tol=1e-8) == est
+    monkeypatch.setattr(int_mod, "_MAX_EVALS", est.n_evals - 1)
+    with pytest.raises(QuadratureNonConvergence,
+                       match=rf"^level 2 of 2: the budget of {est.n_evals - 1} integrand "
+                             r"evaluations ran out after \d+$"):
+        integrate_quadrature(spec, tol=1e-8)
+
+
 def test_quadrature_unbounded_direction_converges_with_decay():
     g = _loop_return_graph()
     lam = {"e1": 1.0, "e2": 0.5, "e3": 0.25}

@@ -87,12 +87,11 @@ def _coo(rows):
 
 
 def _residuals(mats, n, quads, entries=True):
-    """residue_peaks at one sample, each dict-of-rows matrix of mats a
-    combination of itself alone: {quad: max |entry|}, or the nonzero quads."""
+    """residue_peaks with each dict-of-rows matrix of mats a combination of
+    itself alone: {quad: max |entry|}, or the nonzero quads."""
     table = rationals.int_table([_coo(m) for m in mats])
-    combos = [([k], [[1]]) for k in range(len(mats))]
-    out = rationals.residue_peaks(table, n, combos, quads, entries)
-    return {k: peak for (_, k), peak in out.items()} if entries else out
+    combos = [([k], [1]) for k in range(len(mats))]
+    return rationals.residue_peaks(table, n, combos, quads, entries)
 
 
 def _dense(rows, n):
@@ -182,16 +181,16 @@ def _kernel_cases():
 
 
 def _spy_kernel(monkeypatch):
-    """The (table, depth, primes, result) of every `_sample_products` call."""
+    """The (table, depth, primes, result) of every `_products` call."""
     calls = []
-    kernel = rationals._sample_products
+    kernel = rationals._products
 
     def spy(table, n, quads, depth, primes, entries=True):
         out = kernel(table, n, quads, depth, primes, entries)
         calls.append((table, depth, primes, out))
         return out
 
-    monkeypatch.setattr(rationals, "_sample_products", spy)
+    monkeypatch.setattr(rationals, "_products", spy)
     return calls
 
 
@@ -205,9 +204,8 @@ def test_residue_kernel_against_dense_products(monkeypatch, cap):
     calls = _spy_kernel(monkeypatch)
     mats, n, quads = _kernel_cases()
     residuals = _residuals(mats, n, quads)
-    [(_, depth, primes, (quad, sample, ii, jj, by_prime))] = calls
-    [depth] = depth
-    assert depth.min() == 1 and depth.max() >= 3 and not sample.any()
+    [(_, depth, primes, (quad, ii, jj, by_prime))] = calls
+    assert depth.min() == 1 and depth.max() >= 3
     dense = [_dense_product(mats, n, q) for q in quads]
     expected = {(k, i, j) for k, m in enumerate(dense)
                 for i in range(n) for j in range(n) if m[i][j]}
@@ -231,20 +229,25 @@ def test_residue_kernel_on_a_multiple_of_one_prime_across_slices(monkeypatch, wh
 
 
 def _check_combinations(monkeypatch, mats, n, combos, quads):
-    """residue_peaks of the combinations against their dense products, sample
-    by sample; returns the prime counts of the kernel's call."""
+    """residue_peaks of the combinations against their dense products, one
+    call per sample s, the rate point whose coefficients are coef[s] of each
+    combination (terms, coef); returns each call's prime counts, one row per
+    sample."""
     calls = _spy_kernel(monkeypatch)
     table = rationals.int_table([_coo(m) for m in mats])
-    peaks = rationals.residue_peaks(table, n, combos, quads)
-    [(_, depth, _, _)] = calls
-    for s in range(depth.shape[0]):
-        dense = [_dense_combination(mats, n, terms, coef[s]) for terms, coef in combos]
+    depths = []
+    for s in range(len(combos[0][1])):
+        at_s = [(terms, coef[s]) for terms, coef in combos]
+        calls.clear()
+        peaks = rationals.residue_peaks(table, n, at_s, quads)
+        [(_, depth, _, _)] = calls
+        depths.append(depth)
+        dense = [_dense_combination(mats, n, terms, coef) for terms, coef in at_s]
         for k, quad in enumerate(quads):
             product = _quad_product(*(dense[e] for e in quad))
-            assert peaks.get((s, k), 0) == max(abs(v) for row in product for v in row), (s, k)
-    assert rationals.residue_peaks(table, n, combos, quads, entries=False) == {
-        k for _, k in peaks}
-    return depth
+            assert peaks.get(k, 0) == max(abs(v) for row in product for v in row), (s, k)
+        assert rationals.residue_peaks(table, n, at_s, quads, entries=False) == set(peaks)
+    return np.array(depths)
 
 
 @pytest.mark.parametrize("cap", [rationals._CHUNK_CAP, 1])
@@ -299,15 +302,28 @@ def test_cancelled_entry_stays_in_the_pattern(monkeypatch):
     a, b = {0: {1: 2, 2: 3}, 1: {0: v}}, {0: {1: -2}, 2: {2: 4}}
     mats = [a, b, {i: {i: 1} for i in range(3)}]
     table = rationals.int_table([_coo(m) for m in mats])
-    combos = [([0, 1], [[1, 1]]), ([2], [[1]])]
+    combos = [([0, 1], [1, 1]), ([2], [1])]
     peaks = rationals.residue_peaks(table, 3, combos, [(0, 1, 1, 0), (0, 0, 1, 1)])
     [((ptr, width, ti, tj, residues), depth, primes, _)] = calls
     assert list(zip(ti[:ptr[1]].tolist(), tj[:ptr[1]].tolist())) == [(0, 1), (0, 2), (1, 0),
                                                                      (2, 2)]
     assert width.tolist() == [2, 1]
     # the bounds 2 (2 v 1 + 1 1 v) and 2 (2 v v + 1 1 1)
-    assert depth.tolist() == [[len(_primes_past(6 * v)), len(_primes_past(4 * v * v + 2))]]
-    assert residues[0, :, :ptr[1]].tolist() == [[0, 3, v % p, 4] for p in primes.tolist()]
+    assert depth.tolist() == [len(_primes_past(6 * v)), len(_primes_past(4 * v * v + 2))]
+    assert residues[:, :ptr[1]].tolist() == [[0, 3, v % p, 4] for p in primes.tolist()]
     total = _dense_combination(mats, 3, [0, 1], [1, 1])
     square = _quad_product(total, total, _dense(mats[2], 3), _dense(mats[2], 3))
-    assert peaks == {(0, 1): max(abs(x) for row in square for x in row)}
+    assert peaks == {1: max(abs(x) for row in square for x in row)}
+
+
+def test_distinct_matches_numpy_unique_on_many_ties():
+    """The distinct values and each element's index among them are
+    np.unique's, on keys where most values repeat many times."""
+    rng = np.random.default_rng(31)
+    for keys in (rng.integers(-150, 150, 8192), rng.choice([0, 7, 2**40], 1000),
+                 np.zeros(5, dtype=np.int64), np.zeros(0, dtype=np.int64)):
+        values, at = rationals._distinct(keys)
+        expected, inverse = np.unique(keys, return_inverse=True)
+        assert values.tolist() == expected.tolist()
+        assert at.tolist() == inverse.ravel().tolist()
+        assert (values[at] == keys).all()
