@@ -58,6 +58,7 @@ from .integrals import (
     integrate_mc,
     integrate_quadrature,
     split_integrand_spec,
+    thm21_certificate,
     verify_theorem_2_1,
 )
 from .connection import (

@@ -12,6 +12,7 @@ Every other count has one kernel, the signed vertex-by-edge incidence matrix
 (`incidence`), with the edge indicator rows of edge sets (`edge_indicators`):
 the genus of S is |S| minus the rank of its incidence columns, a tree is a
 set of |V| - 1 edges whose minor without the cemetery row is +-1 (Kirchhoff),
+the trees are counted by the matrix-tree theorems (`matrix_tree_counts`),
 and `pair_genus` counts the edges and vertices that pairs of sets share.
 
 A spanning tree T is a chart of the unit-mass flows, the edge vectors z with
@@ -35,6 +36,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .graphs import DirectedGraph
+from .rationals import mat_det
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,6 +235,19 @@ def enumerate_spanning_trees(g: DirectedGraph, directed_only: bool = False) -> l
         trees += [spanning_tree(g, [ids[k] for k in subset])
                   for subset in chunk[np.rint(np.linalg.det(minors)) != 0].tolist()]
     return [t for t in trees if t.directed or not directed_only]
+
+
+def matrix_tree_counts(g: DirectedGraph) -> tuple[int, int]:
+    """The number of spanning trees of the underlying multigraph and of
+    directed spanning trees (each interior vertex's one out-edge, all leading
+    to the cemetery), by the matrix-tree theorems, as exact integer
+    determinants without the cemetery's row and column: Kirchhoff's of the
+    Laplacian B B^T (B the `incidence` matrix), and Tutte's of the out-degree
+    Laplacian D_out - A, whose row x is the sum over the edges e out of x of
+    incidence column e."""
+    b = _reduced_incidence(g, g.edge_ids)
+    laplacian, out_laplacian = b @ b.T, (b == 1) @ b.T
+    return int(mat_det(laplacian.tolist())), int(mat_det(out_laplacian.tolist()))
 
 
 def tree_basis(g: DirectedGraph) -> list[SpanningTree]:

@@ -11,7 +11,8 @@ Randomness contract: every draw comes from a counter-based Philox stream
 keyed (seed, kind, block), so results are bit-identical per seed.  The kinds
 are _ENV 0 (environments), _CHAIN 1 (chain walks), _WILSON 2 (Wilson's
 walks), _PROPOSAL 3 (the flow side's Gamma proposal), _PAIRING 7 (the
-divergence pairing's triples) and _FLATNESS 8 (the rates of check-flatness).
+divergence pairing's triples), _FLATNESS 8 (the rates of check-flatness) and
+_THM21 9 (the points of Theorem 2.1's certificate).
 A batch of n samples is cut into blocks of BLOCK_ROWS samples, the last one
 shorter, and block b draws from stream (seed, kind, b) alone (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011): each block is an
@@ -128,7 +129,7 @@ class McEstimate:
 
 
 # stream kinds; the second Philox key word is (kind << 48) | block
-_ENV, _CHAIN, _WILSON, _PROPOSAL, _PAIRING, _FLATNESS = 0, 1, 2, 3, 7, 8
+_ENV, _CHAIN, _WILSON, _PROPOSAL, _PAIRING, _FLATNESS, _THM21 = 0, 1, 2, 3, 7, 8, 9
 
 # Samples per block of a batch of environments or of walkers.  It is part of
 # the stream contract: block b of a batch draws from stream (seed, kind, b),

@@ -8,13 +8,14 @@ with unit mass at the base, and the integral of
 over the all-positive chamber is evaluated either by nested adaptive
 Gauss-Kronrod quadrature (dimension at most MAX_QUAD_DIM) or by
 gamma-proposal importance sampling.  Both take the integrand from one kernel,
-`_Evaluator.log_values`: at points given by their coordinate rows it tests
-the chamber and sums a_e log z_e - b_e z_e over the edges, each flow formed
-as its offset plus coefficients times coordinate rows.  Quadrature passes the
-exponents and rates as (a, b); Monte Carlo passes them with the proposal's
-log density merged in.  Every sum is of rows added in a fixed order, with no
-BLAS product, so no value depends on the BLAS thread count.  Points outside
-the chamber get 0, so Monte Carlo proposals that leave it get weight zero.
+`_Evaluator.log_values`, at the exponents of `chart_exponents`: at points
+given by their coordinate rows it tests the chamber and sums a_e log z_e -
+b_e z_e over the edges, each flow formed as its offset plus coefficients
+times coordinate rows.  Quadrature passes the exponents and rates as (a, b);
+Monte Carlo passes them with the proposal's log density merged in.  Every sum
+is of rows added in a fixed order, with no BLAS product, so no value depends
+on the BLAS thread count.  Points outside the chamber get 0, so Monte Carlo
+proposals that leave it get weight zero.
 
 Quadrature runs over the chamber itself: Fourier-Motzkin elimination of the
 chamber inequalities, in exact rationals, gives each nested level the interval
@@ -26,10 +27,19 @@ once per round rather than once per panel.  A level that runs to infinity
 starts on four graded panels in t, its unbounded tail already bisected.
 
 `verify_theorem_2_1` is the one entry to the tree-weighted Laplace identity
-on the vertex-split graph, for a list of directed trees.  The same module
-checks the two structural identities behind the flat connection: the
-divergence pairing, exactly, on integer blocks of random triples
-(`pairing_residual`), and the exchange between adjacent tree integrals.
+on the vertex-split graph, for a list of directed trees.  What decides it is
+`thm21_certificate`: the identity is the change of variables from
+environments to occupation flows, and the certificate checks its Jacobian,
+the tree chart and the integrand's exponents exactly, modulo a 64-bit prime.
+Quadrature integrates the flow side as well up to dimension MAX_QUAD_DIM, and
+its agreement with the Dirichlet side's Monte Carlo average then gates the
+verdict too; above, no flow integral is computed.  Importance sampling
+(`integrate_mc`) decides no command's verdict.
+
+The same module checks the two structural identities behind the flat
+connection: the divergence pairing, exactly, on integer blocks of random
+triples (`pairing_residual`), and the exchange between adjacent tree
+integrals.
 """
 
 from __future__ import annotations
@@ -51,13 +61,16 @@ from .combinatorics import (
 )
 from .environment import (
     DirichletWeights,
+    Environment,
     Moments,
     _PAIRING,
     _PROPOSAL,
+    _THM21,
     _blocks,
     mc_laplace_by_tree,
     philox_stream,
     real_rates,
+    tree_probability,
 )
 from .graphs import DirectedGraph, SplitGraph, split_graph
 
@@ -119,6 +132,20 @@ def split_integrand_spec(split: SplitGraph, lam, tree: SpanningTree) -> Integran
     return IntegrandSpec(g, g.alpha_map(), lam_hat, extended)
 
 
+def chart_exponents(spec: IntegrandSpec, weight_edge: str | None = None) -> list[tuple]:
+    """The exponent of each flow z_e, in graph edge order, in the integrand of
+    the spec's tree chart, as (alpha_e, shifts): it is alpha_e plus the unit
+    shifts, -1 on each cotree edge (the chart's measure prod du / prod u)
+    and then +1 on `weight_edge`.  `_Evaluator` adds the shifts to
+    float(alpha_e) one after another; `thm21_certificate` adds them exactly."""
+    g = spec.graph
+    if weight_edge is not None and weight_edge not in g.edge_by_id:
+        raise ValueError(f"unknown weight edge {weight_edge!r}")
+    free = set(cotree(g, spec.tree))
+    return [(spec.alpha[eid], (-1,) * (eid in free) + (1,) * (eid == weight_edge))
+            for eid in g.edge_ids]
+
+
 class _Evaluator:
     """The integrand of one tree chart at batches of points, each batch given
     by its (d, m) cotree-coordinate rows."""
@@ -131,16 +158,12 @@ class _Evaluator:
         self.rows = [rows[eid] for eid in g.edge_ids]  # exact (offset, coefficients)
         self.lam = real_rates(spec.lam, g.edge_ids)
         exps = []
-        for eid in g.edge_ids:
-            w = float(spec.alpha[eid])
-            if eid in free_ids:
-                w -= 1.0
-            if eid == weight_edge:
-                w += 1.0
+        for alpha, shifts in chart_exponents(spec, weight_edge):
+            w = float(alpha)
+            for shift in shifts:
+                w += shift
             exps.append(w)
         self.exps = exps
-        if weight_edge is not None and weight_edge not in g.edge_by_id:
-            raise ValueError(f"unknown weight edge {weight_edge!r}")
         # the nonzero coefficients of log z_e and of z_e in the log integrand
         self.logs = [(i, x) for i, x in enumerate(exps) if x != 0]
         self.rated = [(i, x) for i, x in enumerate(self.lam) if x != 0]
@@ -652,41 +675,246 @@ def pairing_residual(g: DirectedGraph, trees, n: int, seed: int) -> Fraction:
     return Fraction(worst, 128)
 
 
+# The prime of `thm21_certificate`, the largest below 2^64, and its number
+# of points per tree.
+THM21_PRIME = 2**64 - 59
+THM21_POINTS = 1
+
+
+def _det_mod(rows: list[list[int]], p: int) -> int:
+    """The determinant modulo the prime p of the leading square block of
+    `rows`, by elimination in place.  Rows wider than the block are reduced
+    Gauss-Jordan: when the determinant is not 0, the block ends as the
+    identity and the columns past it as the block's inverse times what they
+    held.  Square rows are eliminated forward only."""
+    n, det = len(rows), 1
+    jordan = n and len(rows[0]) > n
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return 0
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        top = rows[c]
+        det = det * (top[c] if pivot == c else p - top[c]) % p
+        inv = pow(top[c], -1, p)
+        if jordan:
+            top[c:] = [x * inv % p for x in top[c:]]
+            inv = 1
+        for r in (range(n) if jordan else range(c + 1, n)):
+            row = rows[r]
+            f = row[c] * inv % p
+            if f and r != c:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], top[c:])]
+    return det
+
+
+class _Thm21Tree:
+    """What `thm21_certificate` needs of one directed tree T, built once:
+    its cotree, the exact exponent bookkeeping (c) and the split chart's
+    rows (b), with vertices by their index in g.interior (None for the
+    cemetery)."""
+
+    def __init__(self, g: DirectedGraph, w: DirichletWeights, split: SplitGraph,
+                 tree: SpanningTree, pos: dict):
+        if not tree.directed:
+            raise ValueError("the certificate of Theorem 2.1 needs a directed spanning tree")
+        self.tree = tree
+        self.free = cotree(g, tree)
+        self.exit = {g.edge_by_id[eid].tail: eid for eid in tree.edges}
+        edge = g.edge_by_id
+        # each cotree edge's tail, head, and the head of T's exit at its tail
+        self.cycles = [(pos[edge[f].tail], pos.get(edge[f].head),
+                        pos.get(edge[self.exit[edge[f].tail]].head)) for f in self.free]
+        spec = split_integrand_spec(split, {}, tree)
+        exps = {eid: alpha + sum(shifts)
+                for eid, (alpha, shifts) in zip(split.graph.edge_ids, chart_exponents(spec))}
+        # (c): log z_e = log t_tail(e) + log omega_e, a bridge's log z = log t_x,
+        # and the Jacobian adds log t_tail(f) for each cotree edge f and -log det
+        on_t = {x: exps[bid] for x, bid in split.bridge_of.items()}
+        for e in g.edges:
+            on_t[e.tail] += exps[e.id]
+        for f in self.free:
+            on_t[edge[f].tail] += 1
+        self.tree_exps = [(e, exps[e] - (w.alpha[e] - 1)) for e in g.edge_ids]
+        self.exponents = (not any(on_t.values())
+                          and all(k.denominator == 1 for _, k in self.tree_exps))
+        # (b): each split edge's row, and the edge and tail whose z it must give
+        # (no edge for a bridge, whose flow is t_x)
+        free_ids, rows = tree_coordinate_map(split.graph, spec.tree)
+        bridge_at = {bid: x for x, bid in split.bridge_of.items()}
+        self.coordinates = free_ids
+        # the rows' entries are Fractions of integer value: their numerators
+        self.rows = [(off.numerator, [(j, c.numerator) for j, c in enumerate(coeffs) if c],
+                      None if eid in bridge_at else eid,
+                      pos[bridge_at[eid] if eid in bridge_at else edge[eid].tail])
+                     for eid, (off, coeffs) in rows.items()]
+
+    def check(self, g: DirectedGraph, omega: dict, flows, p: int) -> tuple[bool, bool, bool]:
+        """(a), (b) and (c) of `thm21_certificate` at the point `omega` (every
+        edge's exit, modulo p); flows are the (tail, head, edge) of the edges
+        between interior vertices, as indices."""
+        n = len(g.interior)
+        # [I - P | I] reduced to [I | G], G = (I - P)^-1; a cemetery row of G is 0
+        a = [[int(i == j) for j in range(n)] * 2 for i in range(n)]
+        for x, y, eid in flows:
+            a[x][y] -= omega[eid]
+        a = [[v % p for v in row] for row in a]
+        det = _det_mod(a, p)
+        if not det:
+            return False, False, False
+        green, zero = [row[n:] for row in a], [0] * n
+        t = green[g.interior.index(g.base)]
+        # (a): d t / d omega_f = t_tail(f) (G[head f] - G[head of T's exit at tail f])
+        tails = [x for x, _, _ in self.cycles]
+        dt = []
+        for x, plus, minus in self.cycles:
+            g_plus = zero if plus is None else green[plus]
+            g_minus = zero if minus is None else green[minus]
+            dt.append([(u - v) * t[x] % p for u, v in zip(g_plus, g_minus)])
+        omegas = [omega[f] for f in self.free]
+        jac = [[((t[x] if i == j else 0) + o * d[x]) % p for j, d in enumerate(dt)]
+               for i, (x, o) in enumerate(zip(tails, omegas))]
+        jacobian = _det_mod(jac, p) * det % p == math.prod(t[x] for x in tails) % p
+        # (b): the split chart's rows at u = (z_f) give z_e = t_tail(e) omega_e
+        # on every edge and t_x on the bridge at x
+        u = [t[g.interior.index(g.edge_by_id[f].tail)] * omega[f] for f in self.coordinates]
+        chart = all((off + sum(c * u[j] for j, c in terms)
+                     - t[x] * (1 if eid is None else omega[eid])) % p == 0
+                    for off, terms, eid, x in self.rows)
+        # (c): tree_probability(T) = prod omega_e^(k_e) / det(I - P)
+        exponents = self.exponents
+        if exponents:
+            env = Environment({eid: Fraction(v) for eid, v in omega.items()})
+            try:
+                prob = tree_probability(g, env, self.tree)
+                mono = math.prod(pow(omega[e], int(k), p) for e, k in self.tree_exps)
+                exponents = (prob.numerator * det - mono * prob.denominator) % p == 0
+            except (ValueError, ZeroDivisionError):
+                exponents = False
+        return jacobian, chart, exponents
+
+
+def thm21_certificate(g: DirectedGraph, w: DirichletWeights, trees) -> list[dict]:
+    """Theorem 2.1 for each directed tree T of `trees`, decided as the change
+    of variables omega -> z from environments to occupation flows, at
+    THM21_POINTS points modulo the prime THM21_PRIME.
+
+    With t the Green row of the base (t_x the expected visits to x) and
+    z_e = t_tail(e) omega_e, the flow side's integrand on the vertex-split
+    graph, in T's chart u = (z_f) for f not in T, is exp(-<rates, z>) prod_e
+    z_e^(exponent_e) over the split edges (`chart_exponents`).  Its
+    integral over u equals the Dirichlet side's integral over the free exits
+    (omega_f), f not in T, of C_alpha prod omega^(alpha - 1) exp(-<rates, z>)
+    tree_probability(T) when three things hold.  For each of the points:
+      (a) the Jacobian identity det[dz_e/d omega_f]_{e,f not in T} det(I - P)
+          = prod_{e not in T} t_tail(e), with T's exit at each vertex 1 minus
+          its cotree exits, and d t / d omega_f = t_tail(f) (G[head f] -
+          G[head of T's exit at tail f]), G = (I - P)^-1, a cemetery row 0;
+      (b) the chart: the rows of `tree_coordinate_map` on the split graph,
+          at u, give z_e on every edge and t_x on the bridge at x;
+      (c) the exponents: rewritten over log omega_e, log t_x and log det(I -
+          P), the chart's exponents plus the Jacobian's (+1 on t_tail(f) for
+          each cotree edge f, -1 on det) are 0 on every t_x and alpha_e - 1 +
+          k_e on omega_e, exactly in Fractions, and tree_probability(T) equals
+          prod omega_e^(k_e) / det(I - P).
+    The points draw each edge's exit from stream (0, _THM21, 0), one row of
+    residues per point in graph edge order, and T's exits replace the draws
+    of its edges; so the points do not depend on the seed of the Dirichlet
+    side, nor on the other trees of the list.
+
+    (a) is proved, so its points are a regression check of this code.  Let
+    x(f) be the tail of f and t_x(u) the out-flow of x in the chart, affine
+    in u.  The inverse map is omega_f = u_f / t_x(f)(u), so d omega / du =
+    diag(1 / t_x(f)) (I - diag(omega) R S), with R_fx = [x = x(f)] and S_xg =
+    d t_x / d u_g.  Raising u_g by one adds g's fundamental cycle: S_xg is
+    entry x of (e_head(g) - e_head(T's exit at x(g))) (I - Q)^-1, Q the
+    transition matrix of T, nilpotent, and e_cemetery = 0.  By Sylvester's
+    identity det(I - diag(omega) R S) = det(I - W (I - Q)^-1), where row y of
+    W is the sum over cotree edges g out of y of omega_g (e_head(g) -
+    e_head(T's exit at y)), that is W = P - Q.  So it is det(I - P) / det(I -
+    Q) = det(I - P), and det d omega / du is the inverse of (a)'s ratio.
+
+    (b) and (c) check the code against that proof.  Each is a polynomial
+    identity in the free exits once its denominators (powers of det(I - P))
+    are cleared, of degree at most d = m (2n - 1) + 2n for m cotree edges and
+    n interior vertices ((a) has m (2n - 1) + n).  A wrong identity whose
+    reduction mod p is not zero vanishes at a uniformly drawn point with
+    probability at most d / p (Schwartz, J. ACM 27, 1980), so all the points
+    pass it with probability at most (d / p)^THM21_POINTS, the report's
+    false_pass_bound.  The rows of (b) have integer entries of size at most
+    1, and omega -> u has the inverse above over any field, so a wrong row is
+    wrong mod p too.  A point where det(I - P) = 0 mod p fails every check.
+
+    Each tree's report gives the prime, each point's cotree exits, the degree
+    bound, the false-pass bound, the verdict of (a), (b) and (c), and pass.
+    """
+    p = THM21_PRIME
+    split = split_graph(g, w.alpha)
+    pos = {x: i for i, x in enumerate(g.interior)}
+    flows = [(pos[e.tail], pos[e.head], e.id) for e in g.edges if e.head != g.cemetery]
+    draws = philox_stream(0, _THM21).integers(0, p, size=(THM21_POINTS, len(g.edge_ids)),
+                                              dtype=np.uint64).tolist()
+    reports = []
+    for tree in trees:
+        cert = _Thm21Tree(g, w, split, tree, pos)
+        at, checks = [], []
+        for draw in draws:
+            omega = dict(zip(g.edge_ids, draw))
+            for x, eid in cert.exit.items():
+                omega[eid] = (1 - sum(omega[e.id] for e in g.out_edges[x] if e.id != eid)) % p
+            at.append({f: omega[f] for f in cert.free})
+            checks.append(cert.check(g, omega, flows, p))
+        m, n = len(cert.free), len(g.interior)
+        degree = m * (2 * n - 1) + 2 * n
+        jacobian, chart, exponents = (all(c[k] for c in checks) for k in range(3))
+        reports.append({
+            "prime": p, "points": at, "degree_bound": degree,
+            "false_pass_bound": (degree / p) ** THM21_POINTS,
+            "jacobian": jacobian, "chart": chart, "exponents": exponents,
+            "pass": jacobian and chart and exponents,
+        })
+    return reports
+
+
 def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
                        n: int = 100_000, seed: int = 0, tol: float = 1e-6,
                        quad_tol: float = 1e-8) -> list[dict]:
-    """Both sides of the tree-weighted Laplace identity for each directed tree
-    of `trees`, each tree's report with a pass verdict.
+    """The tree-weighted Laplace identity for each directed tree of `trees`,
+    each tree's report with a pass verdict and the parts that decided it.
 
-    Left: the flow integral on the vertex-split graph, times C_alpha.  Up to
-    split dimension MAX_QUAD_DIM quadrature computes it tree by tree.  Above,
-    one `integrate_mc_charts` pass at (n, seed + 1) computes every tree's,
-    each reported with the Kish effective sample size (sum w)^2 / sum w^2 of
-    its importance weights w.  Right: the Dirichlet-averaged tree-weighted
+    `thm21_certificate` decides the identity for every tree.  The report
+    also carries the right side, the Dirichlet-averaged tree-weighted
     Laplace functional, every tree's from one `mc_laplace_by_tree` batch at
-    (n, seed).  Neither side of a tree depends on the other trees of the
-    list, so a tree's report is the one that the list of it alone gives.
+    (n, seed).  Up to split dimension MAX_QUAD_DIM quadrature computes the
+    left side too, the flow integral on the vertex-split graph times
+    C_alpha, tree by tree, and the `agreement` of the two sides decides the
+    verdict with the certificate.  Above it no flow integral is computed,
+    and the certificate alone decides.  Neither side of a tree depends on the
+    other trees of the list, so a tree's report is the one that the list of
+    it alone gives.
     """
     _, rhs = mc_laplace_by_tree(g, w, lam, trees, n, seed)
-    split = split_graph(g, w.alpha)
-    specs = [split_integrand_spec(split, lam, t) for t in trees]
-    if len(g.edge_ids) - len(g.interior) > MAX_QUAD_DIM:
-        lhs = integrate_mc_charts(specs, n, seed + 1)
-    else:
-        lhs = [integrate_quadrature(spec, quad_tol) for spec in specs]
-    c_alpha = constant_C_alpha(g, w)
+    certificates = thm21_certificate(g, w, trees)
+    quadrature = len(g.edge_ids) - len(g.interior) <= MAX_QUAD_DIM
+    if quadrature:
+        split = split_graph(g, w.alpha)
+        c_alpha = constant_C_alpha(g, w)
     reports = []
-    for t, flow, right in zip(trees, lhs, rhs):
-        left = {"value": c_alpha * flow.value, "error": c_alpha * flow.error,
-                "method": flow.method}
-        if flow.ess is not None:
-            left["ess"] = flow.ess
-        reports.append({
-            "tree": list(t.key),
-            "lhs": left,
-            "rhs": right.as_dict(),
-            **agreement(abs(left["value"] - right.value), left["error"], right.std_error, tol),
-        })
+    for t, cert, right in zip(trees, certificates, rhs):
+        report = {"tree": list(t.key), "certificate": cert, "rhs": right.as_dict(),
+                  "decided_by": ["certificate"]}
+        ok = cert["pass"]
+        if quadrature:
+            flow = integrate_quadrature(split_integrand_spec(split, lam, t), quad_tol)
+            left = {"value": c_alpha * flow.value, "error": c_alpha * flow.error,
+                    "method": flow.method}
+            gate = agreement(abs(left["value"] - right.value), left["error"],
+                             right.std_error, tol)
+            report.update(lhs=left, agreement=gate)
+            report["decided_by"].append("agreement")
+            ok = ok and gate["pass"]
+        report["pass"] = ok
+        reports.append(report)
     return reports
 
 

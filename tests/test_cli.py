@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirichlet_flows import SpanningTree, connection, integrals
+from dirichlet_flows import SpanningTree, combinatorics, connection, integrals
 from dirichlet_flows import environment as env_mod
 from dirichlet_flows.builtin_graphs import BUILTIN, builtin_graph
 from dirichlet_flows.cli import _COMMANDS as COMMANDS
@@ -60,6 +60,23 @@ def test_sampling_commands_report(capsys, argv, graph):
     assert status == (0 if report["pass"] else 1)
 
 
+def test_enumerate_fails_a_miscount(capsys, monkeypatch):
+    """enumerate FAILs when the enumerated trees disagree with the
+    matrix-tree theorems: here one directed tree of the triangle is lost."""
+    real = combinatorics.enumerate_spanning_trees
+
+    def one_short(g, directed_only=False):
+        trees = real(g, directed_only)
+        lost = next(t for t in trees if t.directed)
+        return [t for t in trees if t is not lost]
+    monkeypatch.setattr(combinatorics, "enumerate_spanning_trees", one_short)
+    status, report = run_twice(capsys, ["enumerate", "--graph", "triangle"])
+    assert status == 1 and report["pass"] is False
+    assert report["results"]["matrix_tree"] == {"spanning_trees": 5, "directed_trees": 3,
+                                                "pass": False}
+    assert report["results"]["spanning_trees"]["count"] == 4
+
+
 def test_verify_thm21_accepts_directed_tree(capsys):
     status, report = run_twice(
         capsys, ["verify-thm21", "--graph", "two-edge", "--tree", "e1", "--samples", "1000"])
@@ -88,14 +105,50 @@ def test_verify_thm21_all_trees_match_single_tree_runs(capsys):
 
 
 def test_verify_thm21_k3_all_trees_match_single_tree_runs(tmp_path, capsys):
-    """On K3 (split dimension 6) every tree's flow side comes from one Monte
-    Carlo pass over three proposal blocks shared by all trees, and is still
-    the one that the tree alone gives."""
+    """On K3 (split dimension 6) the certificate alone decides each tree, no
+    flow side is integrated, and every tree's entry, Dirichlet side over
+    three blocks included, is the one that the tree alone gives."""
     path = tmp_path / "K3.json"
     path.write_text(json.dumps(graph_to_dict(complete_graph(3))))
     argv = ["verify-thm21", "--graph", str(path), "--samples", "20000", "--seed", "5"]
     entries = _single_tree_runs_match(capsys, argv, 16)
-    assert {e["lhs"]["method"] for e in entries} == {"monte-carlo"}
+    assert all("lhs" not in e and e["decided_by"] == ["certificate"] for e in entries)
+    assert all(e["pass"] and e["certificate"]["pass"] for e in entries)
+
+
+def test_verify_thm21_k3_verdict_does_not_depend_on_the_seed(tmp_path, capsys):
+    """K3 at the default arguments PASSes at seeds 0, 1 and 2 with the same
+    certificate on all 16 trees: its points do not depend on --seed, which
+    draws only the Dirichlet side."""
+    path = tmp_path / "K3.json"
+    path.write_text(json.dumps(graph_to_dict(complete_graph(3))))
+    certificates = []
+    for seed in ("0", "1", "2"):
+        status = main(["verify-thm21", "--graph", str(path), "--seed", seed])
+        report = json.loads(capsys.readouterr().out)
+        assert status == 0 and report["pass"] is True
+        certificates.append([t["certificate"] for t in report["results"]["trees"]])
+    assert len(certificates[0]) == 16 and all(c["pass"] for c in certificates[0])
+    assert certificates[0] == certificates[1] == certificates[2]
+
+
+def test_no_command_runs_the_monte_carlo_flow_side(tmp_path, capsys, monkeypatch):
+    """Every command on the triangle, and verify-thm21 on K3, ends without
+    calling the importance sampler of the flow side (`integrate_mc`, which
+    runs through `integrate_mc_charts`)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Monte Carlo flow side was called")
+    monkeypatch.setattr(integrals, "integrate_mc_charts", refuse)
+    monkeypatch.setattr(integrals, "integrate_mc", refuse)
+    path = tmp_path / "K3.json"
+    path.write_text(json.dumps(graph_to_dict(complete_graph(3))))
+    runs = [[name, "--graph", "triangle",
+             *(["--samples", "2000"] if "samples" in command.options else [])]
+            for name, command in COMMANDS.items()]
+    runs.append(["verify-thm21", "--graph", str(path), "--samples", "2000"])
+    for argv in runs:
+        assert main(argv) == 0, argv
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 @pytest.mark.parametrize("graph, tree", [
@@ -123,6 +176,29 @@ OPTIONS = {
     "wilson-test": "prob seed samples",
     "laplace": "alpha lambda seed samples",
 }
+
+
+def _commands_built(parser) -> list[str]:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_parser_of_one_command_builds_only_it(capsys):
+    """`main` builds the parser of the command that argv names alone; with no
+    command or an unknown one it builds all ten.  Either way the usage line
+    lists all ten commands."""
+    assert _commands_built(build_parser("laplace")) == ["laplace"]
+    assert _commands_built(build_parser()) == list(COMMANDS)
+    assert (build_parser("laplace").format_usage() == build_parser().format_usage()
+            == build_parser("bogus").format_usage())
+    build_parser.cache_clear()
+    assert main(["validate", "--graph", "chain"]) == 0
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    capsys.readouterr()
+    assert build_parser.cache_info().currsize == 2
+    assert _commands_built(build_parser("validate")) == ["validate"]
+    assert build_parser.cache_info().currsize == 2  # main built those two, and only those
 
 
 def test_each_command_takes_exactly_its_options():
@@ -229,12 +305,14 @@ def test_wilson_test_draws_are_pinned(tmp_path, capsys, graph):
 
 
 # sha256 of the report lines of verify-thm21 and of split transport with
-# --alpha overriding the graph's weights, as they were when the split
-# exponents were recomputed from --alpha apart from the split graph
+# --alpha overriding the graph's weights.  Transport's are as they were when
+# the split exponents were recomputed from --alpha apart from the split
+# graph; verify-thm21's were pinned again when its reports gained the
+# certificate, with every lhs and rhs field the same bits as before.
 OVERRIDE_DIGESTS = {
-    ("verify-thm21", "triangle"): "69993e306ce0f2ef09dbf1bfe2b0dddf1f8b961e423b804f2fc75103591d0fd9",
+    ("verify-thm21", "triangle"): "c485d77345e682096b95c33fb9c26435eb38cd4da160ba874ad7c3e557f7c834",
     ("transport", "triangle"): "81a72d3edb6718dffd7ad85375f83d1514c0a1a9bafb4be346d6b4d20509886d",
-    ("verify-thm21", "two-diamond"): "fb1ce4ed050234a9bc58337cd96250e242624d05fc3bac1d95d4a4626e7ad6f9",
+    ("verify-thm21", "two-diamond"): "2568b06275ca841c80fea8175574f4ccca3cb8d80f597b971de92f31e7734778",
     ("transport", "two-diamond"): "0a419f59cc96cd2f89a4f28b6631048d1cac6610d3eaa283e83f750f40c527bd",
 }
 OVERRIDE_ARGV = {
@@ -537,7 +615,9 @@ def test_default_run_passes(capsys, command, graph):
 # sha256 of json.dumps(results, sort_keys=True) of the enumerate and
 # check-commutation reports on K3 and K4 at unit weights, as the union-find
 # genus and the one-pair-at-a-time classification gave them (K4 commutation
-# has 57 168 items)
+# has 57 168 items); enumerate's without its later matrix-tree block, which
+# MATRIX_TREE pins
+MATRIX_TREE = {3: (49, 16), 4: (729, 125)}
 SCALE_DIGESTS = {
     (3, "enumerate"): "9b37fb1bcbfe015f74ab8711e15b0611a466ac203e4c7ba0000e00702b76855f",
     (3, "check-commutation"): "2d9f22468c910153508dd2d4f308bfcb17cee3c92fd9b128239d160e4cb0ba36",
@@ -552,6 +632,10 @@ def test_scale_graph_results_are_pinned(tmp_path, capsys, k, command):
     path.write_text(json.dumps(graph_to_dict(complete_graph(k))))
     assert main([command, "--graph", str(path)]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
+    if command == "enumerate":
+        spanning, directed = MATRIX_TREE[k]
+        assert results.pop("matrix_tree") == {"spanning_trees": spanning,
+                                              "directed_trees": directed, "pass": True}
     digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert digest == SCALE_DIGESTS[k, command]
 

@@ -19,6 +19,7 @@ from dirichlet_flows.combinatorics import (
     SpanningTree,
     edge_indicators,
     is_spanning_tree,
+    matrix_tree_counts,
     pair_genus,
     tree_coordinate_map,
 )
@@ -276,6 +277,22 @@ def test_is_spanning_tree_matches_union_find(g):
     n = len(g.vertices) - 1
     for subset in combinations(g.edge_ids, n):
         assert is_spanning_tree(g, subset) == (oracle_genus(g, subset) == 0), subset
+
+
+@pytest.mark.parametrize("g", list(PAIR_GRAPHS.values()), ids=list(PAIR_GRAPHS))
+def test_matrix_tree_counts_match_the_union_find_enumeration(g):
+    """Kirchhoff's and Tutte's determinants count the spanning trees that the
+    union-find oracle finds and those of them whose edges leave distinct
+    interior vertices."""
+    trees = oracle_spanning_trees(g)
+    tails = [{g.edge_by_id[e].tail for e in t} for t in trees]
+    directed = [t for t, x in zip(trees, tails) if len(x) == len(t) and g.cemetery not in x]
+    assert matrix_tree_counts(g) == (len(trees), len(directed))
+
+
+def test_matrix_tree_counts_of_complete_digraphs():
+    assert matrix_tree_counts(complete_graph(3)) == (49, 16)
+    assert matrix_tree_counts(complete_graph(4)) == (729, 125)
 
 
 def test_genus_matches_union_find_on_a_multigraph():

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from dirichlet_flows import (
 from dirichlet_flows import environment as env_mod
 from dirichlet_flows import integrals as int_mod
 from dirichlet_flows.combinatorics import SpanningTree, cotree
-from dirichlet_flows.graphs import DirectedGraph, Edge
+from dirichlet_flows.graphs import DirectedGraph, Edge, SplitGraph
 
 from conftest import (
     RecordingMoments,
@@ -677,20 +678,25 @@ def test_mc_merges_each_proposal_term_once():
     assert abs(est.value - quad.value) < 4 * est.error, (est, quad)
 
 
-def test_verify_identity_reports_mc_effective_sample_size():
-    """The Monte Carlo left side of Theorem 2.1 carries the Kish effective sample
-    size; a quadrature left side does not."""
+def test_verify_identity_reports_what_decided_it():
+    """Above split dimension MAX_QUAD_DIM the certificate alone decides a
+    tree's verdict and no flow side is reported; at or below it the
+    quadrature left side, without an effective sample size, and its
+    agreement gate decide with the certificate."""
     k3 = complete_graph(3)
     w = DirichletWeights.from_graph(k3)
     lam = {eid: 1.0 for eid in k3.edge_ids}
     tree = enumerate_spanning_trees(k3, directed_only=True)[0]
     [rep] = verify_theorem_2_1(k3, w, lam, [tree], n=5000, seed=3)
-    assert rep["lhs"]["method"] == "monte-carlo" and 1 <= rep["lhs"]["ess"] <= 5000
+    assert "lhs" not in rep and "agreement" not in rep
+    assert rep["decided_by"] == ["certificate"] and rep["pass"] is rep["certificate"]["pass"] is True
     triangle = builtin_graph("triangle")
     [rep] = verify_theorem_2_1(triangle, DirichletWeights.from_graph(triangle),
                                {eid: 1.0 for eid in triangle.edge_ids},
                                [tree_of("e3", "e4", directed=True)], n=5000, seed=3)
     assert rep["lhs"]["method"] == "quadrature" and "ess" not in rep["lhs"]
+    assert rep["decided_by"] == ["certificate", "agreement"]
+    assert rep["pass"] is (rep["certificate"]["pass"] and rep["agreement"]["pass"]) is True
 
 
 # ---------------------------------------------------------------------------
@@ -831,10 +837,10 @@ def test_verify_identity_requires_directed_tree(two_edge):
 
 def test_thm21_routes_at_the_quadrature_dimension_limit(monkeypatch):
     """verify_theorem_2_1 integrates the flow side by quadrature up to split
-    dimension MAX_QUAD_DIM and by `integrate_mc_charts` above it: K3 without
-    e2 and e5 has split dimension 4, and K3 without e2 has dimension 5.
-    Spies stand in for both integrators, so no 4-dimensional quadrature runs,
-    and quadrature itself refuses dimension 5 with the limit in its message."""
+    dimension MAX_QUAD_DIM and integrates nothing above it: K3 without e2
+    and e5 has split dimension 4, and K3 without e2 has dimension 5.  Spies
+    stand in for the integrators, so no 4-dimensional quadrature runs, and
+    quadrature itself refuses dimension 5 with the limit in its message."""
     real_quadrature = int_mod.integrate_quadrature
     calls = []
 
@@ -849,7 +855,7 @@ def test_thm21_routes_at_the_quadrature_dimension_limit(monkeypatch):
     monkeypatch.setattr(int_mod, "integrate_quadrature", quadrature)
     monkeypatch.setattr(int_mod, "integrate_mc_charts", mc_charts)
     k3 = complete_graph(3)
-    for dropped, method, dim in [(("e2", "e5"), "quadrature", 4), (("e2",), "monte-carlo", 5)]:
+    for dropped, dim in [(("e2", "e5"), 4), (("e2",), 5)]:
         g = DirectedGraph(k3.vertices, k3.cemetery, k3.base,
                           tuple(e for e in k3.edges if e.id not in dropped))
         assert validate(g) == []
@@ -857,11 +863,172 @@ def test_thm21_routes_at_the_quadrature_dimension_limit(monkeypatch):
         lam = {eid: 1.0 for eid in g.edge_ids}
         calls.clear()
         reports = verify_theorem_2_1(g, DirichletWeights.from_graph(g), lam, trees, n=100)
-        assert calls == [(method, dim)] * len(trees)
-        assert [r["lhs"]["method"] for r in reports] == [method] * len(trees)
+        assert all(r["certificate"]["pass"] for r in reports)
+        if dim <= int_mod.MAX_QUAD_DIM:
+            assert calls == [("quadrature", dim)] * len(trees)
+            assert [r["lhs"]["method"] for r in reports] == ["quadrature"] * len(trees)
+        else:
+            assert calls == []
+            assert all("lhs" not in r and r["decided_by"] == ["certificate"] for r in reports)
     spec = split_integrand_spec(split_graph(g), lam, trees[0])
     with pytest.raises(ValueError, match=r"quadrature supports dimension <= 4, got 5"):
         real_quadrature(spec)
+
+
+def _certificates(g, alpha=None):
+    """The certificate of Theorem 2.1 for every directed tree of g."""
+    w = DirichletWeights.from_graph(g, alpha)
+    return int_mod.thm21_certificate(g, w, enumerate_spanning_trees(g, directed_only=True))
+
+
+def _miller_rabin_64(n: int) -> bool:
+    """Deterministic below 2^64 with the first twelve primes as bases."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["two-edge", "triangle", "two-diamond", "chain", "K3", "K4"])
+def test_thm21_certificate_passes(name):
+    """Every directed tree of every builtin, K3 and K4 passes all three
+    checks, at a prime of at least 2^61, with the degree bound of its
+    docstring and the Schwartz-Zippel bound it gives."""
+    g = complete_graph(int(name[1])) if name[0] == "K" else builtin_graph(name)
+    reports = _certificates(g)
+    assert len(reports) == {"K3": 16, "K4": 125}.get(name, len(reports))
+    p = int_mod.THM21_PRIME
+    assert p >= 2**61 and _miller_rabin_64(p)
+    for rep, tree in zip(reports, enumerate_spanning_trees(g, directed_only=True)):
+        assert rep["pass"] and rep["jacobian"] and rep["chart"] and rep["exponents"]
+        m, n = len(cotree(g, tree)), len(g.interior)
+        assert rep["prime"] == p and rep["degree_bound"] == m * (2 * n - 1) + 2 * n
+        assert rep["false_pass_bound"] == (rep["degree_bound"] / p) ** int_mod.THM21_POINTS
+        assert len(rep["points"]) == int_mod.THM21_POINTS
+        assert all(sorted(pt) == list(cotree(g, tree)) and all(0 <= v < p for v in pt.values())
+                   for pt in rep["points"])
+
+
+def test_thm21_certificate_passes_on_random_graphs_at_small_weights():
+    """On random graphs with weights from (0, 2], many below 1 where the flow
+    side's quadrature does not converge, every directed tree passes."""
+    rng = np.random.default_rng(31)
+    below_one = 0
+    for g in random_graphs(31, 12):
+        alpha = {eid: Fraction(int(rng.integers(1, 17)), 8) for eid in g.edge_ids}
+        below_one += sum(a < 1 for a in alpha.values())
+        reports = _certificates(g, alpha)
+        assert reports and all(rep["pass"] for rep in reports), g
+    assert below_one >= 10
+
+
+def test_thm21_certificate_jacobian_by_finite_differences(triangle):
+    """The identity of check (a), independently of the certificate: central
+    differences of the exact occupation flows (`edge_occupation`) in the free
+    exits give det[dz_e / d omega_f] det(I - P) = prod t_tail(e) on every
+    directed tree of the triangle and of K3."""
+    for g in (triangle, complete_graph(3)):
+        rng = np.random.default_rng(5)
+        for tree in enumerate_spanning_trees(g, directed_only=True):
+            free = cotree(g, tree)
+            exit_of = {g.edge_by_id[e].tail: e for e in tree.edges}
+            base = {f: float(rng.uniform(0.05, 0.3)) for f in free}
+
+            def occupation(omega):
+                p = dict(omega)
+                for x, e in exit_of.items():
+                    p[e] = 1 - sum(omega[f] for f in free if g.edge_by_id[f].tail == x)
+                env = env_mod.Environment(p)
+                return env_mod.edge_occupation(g, env), env
+            h = 1e-6
+            jac = np.empty((len(free), len(free)))
+            for j, f in enumerate(free):
+                up, _ = occupation({**base, f: base[f] + h})
+                down, _ = occupation({**base, f: base[f] - h})
+                jac[:, j] = [(up[e] - down[e]) / (2 * h) for e in free]
+            z, env = occupation(base)
+            t = {e: z[e] / env[e] for e in free}
+            ratio = np.linalg.det(jac) * env_mod.survival_determinant(g, env) / math.prod(t.values())
+            assert ratio == pytest.approx(1.0, rel=1e-6), tree
+
+
+def _heavy_bridge(split_graph_fn):
+    """split_graph with the first bridge's weight scaled by 1025/1024."""
+    def split(g, alpha=None):
+        s = split_graph_fn(g, alpha)
+        bid = s.bridge_ids[0]
+        edges = tuple(replace(e, alpha=e.alpha * Fraction(1025, 1024)) if e.id == bid else e
+                      for e in s.graph.edges)
+        return SplitGraph(replace(s.graph, edges=edges), s.bridge_of)
+    return split
+
+
+def _uncounted_cotree_edge(exponents_fn):
+    """chart_exponents without the -1 of the first cotree edge."""
+    def exponents(spec, weight_edge=None):
+        exps = exponents_fn(spec, weight_edge)
+        i = spec.graph.edge_ids.index(cotree(spec.graph, spec.tree)[0])
+        exps[i] = (exps[i][0], exps[i][1][1:])
+        return exps
+    return exponents
+
+
+def _tree_weight_short_one_exit(probability_fn):
+    """tree_probability whose tree weight leaves out an exit of T at a
+    vertex with more than one out-edge."""
+    def probability(g, env, tree):
+        e = next(e for e in sorted(tree.edges)
+                 if len(g.out_edges[g.edge_by_id[e].tail]) > 1)
+        return probability_fn(g, env, tree) / Fraction(env.p[e])
+    return probability
+
+
+@pytest.mark.parametrize("name", ["triangle", "K3"])
+@pytest.mark.parametrize("target, mutate", [
+    ("split_graph", _heavy_bridge),
+    ("chart_exponents", _uncounted_cotree_edge),
+    ("tree_probability", _tree_weight_short_one_exit),
+], ids=["bridge-weight", "cotree-exponent", "tree-weight"])
+def test_thm21_certificate_fails_a_wrong_integrand(monkeypatch, name, target, mutate):
+    """A bridge weight scaled by 1025/1024, a cotree edge's exponent left at
+    alpha_e, or a tree weight short of one exit each FAIL the exponent check
+    on every directed tree, and the Jacobian and chart checks still pass."""
+    g = complete_graph(3) if name == "K3" else builtin_graph(name)
+    monkeypatch.setattr(int_mod, target, mutate(getattr(int_mod, target)))
+    for rep in _certificates(g):
+        assert rep["jacobian"] and rep["chart"]
+        assert not rep["exponents"] and not rep["pass"]
+
+
+def test_thm21_certificate_fails_a_wrong_chart(monkeypatch):
+    """One coordinate sign flipped in the split chart's row of a tree edge
+    FAILs the chart check of that tree alone."""
+    g = builtin_graph("triangle")
+    tree = tree_of("e3", "e4", directed=True)
+    real = int_mod.tree_coordinate_map
+
+    def flipped(graph, t):
+        free, rows = real(graph, t)
+        if not tree.edges <= t.edges:
+            return free, rows
+        off, coeffs = rows["e3"]
+        assert coeffs[0] != 0
+        return free, {**rows, "e3": (off, (-coeffs[0], *coeffs[1:]))}
+    monkeypatch.setattr(int_mod, "tree_coordinate_map", flipped)
+    reports = _certificates(g)
+    trees = enumerate_spanning_trees(g, directed_only=True)
+    assert [r["chart"] for r in reports] == [t.edges != tree.edges for t in trees]
+    assert all(r["jacobian"] and r["exponents"] for r in reports)
 
 
 def test_split_spec_rejects_bridge_rates(two_edge):
