@@ -665,10 +665,10 @@ def test_waypoints_accept_complex(capsys):
                                   ["verify-identities", "--graph", "triangle"]],
                          ids=["laplace", "verify-thm21", "verify-identities"])
 def test_reports_do_not_depend_on_blas_threads(tmp_path, argv):
-    """The Monte Carlo reports on K3, several blocks on both sides of Theorem
-    2.1, and the quadrature report of the triangle's exchange identities
-    print the same bytes on one BLAS thread and on two: no per-sample sum
-    and no quadrature node is a BLAS product."""
+    """The Monte Carlo reports on K3, several blocks of laplace and of
+    Theorem 2.1's Dirichlet side, and the quadrature report of the
+    triangle's exchange identities print the same bytes on one BLAS thread
+    and on two: no per-sample sum and no quadrature node is a BLAS product."""
     path = tmp_path / "K3.json"
     path.write_text(json.dumps(graph_to_dict(complete_graph(3))))
     argv = [arg.format(K3=path) for arg in argv]
