@@ -255,7 +255,8 @@ def _cmd_verify_thm21(g, args):
     tree charts of the vertex-split graph have dimension at most 4, the flow
     side is integrated by quadrature to --quad-tol too, and its agreement
     with the Dirichlet side, within three standard errors plus --tol,
-    decides the verdict with the certificate."""
+    decides the verdict with the certificate; a tree whose quadrature does
+    not converge FAILs, with the reason in its report."""
     w = _weights(g, args)
     lam = _rates(g, args)
     trees = [_tree_from_ids(g, args.tree)] if args.tree else env_mod.directed_trees(g)
@@ -334,6 +335,18 @@ def _worst_error(errs) -> float:
     return float(np.nan_to_num(errs, nan=0.0).max())
 
 
+def _default_loop(g, conn, lam0) -> list[dict]:
+    """The path of transport without --waypoint: a small contractible
+    rectangle from lam0 in the first two edges of g by sorted id, with a step
+    that moves each cycle form of conn by at most half its value."""
+    e_ids = sorted(g.edge_ids)[:2]
+    step = min([0.25] + [abs(cyc.form(lam0)) / 4 for cyc in conn.cycle_terms])
+
+    def moved(*eids):
+        return {**lam0, **{eid: lam0[eid] + step for eid in eids}}
+    return [dict(lam0), moved(e_ids[0]), moved(*e_ids), moved(e_ids[-1]), dict(lam0)]
+
+
 def _cmd_transport(g, args):
     w = _weights(g, args)
     if args.split:
@@ -353,15 +366,7 @@ def _cmd_transport(g, args):
             pts.append({**lam0, **wp, **bridge_zero})
         loop = False
     else:
-        # default: a small contractible rectangle in the first two coordinates,
-        # with a step that moves each cycle form by at most half its value
-        e_ids = sorted(g.edge_ids)[:2]
-        step = min([0.25] + [abs(cyc.form(lam0)) / 4 for cyc in conn.cycle_terms])
-
-        def moved(*eids):
-            return {**lam0, **{eid: lam0[eid] + step for eid in eids}}
-        pts = [dict(lam0), moved(e_ids[0]), moved(*e_ids), moved(e_ids[-1]), dict(lam0)]
-        loop = True
+        pts, loop = _default_loop(g, conn, lam0), True
 
     def realize(pt):
         """The point as real rates, or None if a rate is complex."""

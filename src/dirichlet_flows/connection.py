@@ -12,18 +12,19 @@ linear form (`SignedEdgeSet.form`), and a matrix with entries 1 or +-alpha_e.
 their entries' denominators, into one integer COO table
 (`rationals.IntTable`), path terms first; `ConnectionForm.terms` weighs the
 terms into one coefficient M_e.  Every reader takes the terms from that
-table: the exact checks as integers, `transport` as the table's values over
-L, correctly rounded to floats.
+table, and none forms a dense term matrix: the exact checks read its entries
+as integers, `transport` as their values over L, correctly rounded to floats.
 
 Matrices follow the endomorphism convention: column T holds the image of the
 basis vector of tree T.  The vector of tree-chart integrals pairs with the
-basis as a covector, so it solves dI = -Omega^T I; `transport` applies the
-transpose internally.  Everything structural is exact, in integers and
-Fractions; floats (or complex, off the real locus) appear only in the ODE
-integration.  `transport` integrates that ODE with the Dormand-Prince 5(4)
-pair (J. R. Dormand & P. J. Prince, "A family of embedded Runge-Kutta
-formulae", J. Comput. Appl. Math. 6, 1980) under the step control of scipy's
-RK45, in `solve_ivp`.
+basis as a covector, so it solves dI = -Omega^T I; `transport` transposes as
+it reads the table, each entry (i, j) carrying I_i to component j.
+Everything structural is exact, in integers and Fractions; floats (or
+complex, off the real locus) appear only in the ODE integration.
+`transport` integrates that ODE with the Dormand-Prince 5(4) pair (J. R.
+Dormand & P. J. Prince, "A family of embedded Runge-Kutta formulae", J.
+Comput. Appl. Math. 6, 1980) under the step control of scipy's RK45, in
+`solve_ivp`.
 
 The commutation and flatness checks are exact over Q without Fraction matrix
 products.  Both send quads of integer combinations of the table's term
@@ -583,23 +584,16 @@ def _segment_guard(a: complex, b: complex) -> float:
     return min(abs(a + t * b) for t in candidates)
 
 
-def _transposed_terms(conn: ConnectionForm) -> np.ndarray:
-    """The term matrices, transposed and dense, their entries the table's
-    values over L as correctly rounded floats: the integrals solve dI =
-    -Omega^T I."""
-    t = conn.table
-    out = np.zeros((len(t.ptr) - 1, conn.size, conn.size))
-    term = np.repeat(np.arange(len(t.ptr) - 1), np.diff(t.ptr))
-    out[term, t.cols, t.rows] = [v / conn.scale for v in t.values.tolist()]
-    return out
-
-
 def transport(conn: ConnectionForm, start_vector, waypoints, tol: float = 1e-10) -> np.ndarray:
     """Parallel transport of a section along a piecewise-linear rate path.
 
     The section solves I'(t) = -Omega(lambda(t); lambda'(t))^T I(t); the path
     must keep every cycle form away from zero and every rate's real part
-    positive (checked segment by segment before integrating).
+    positive (checked segment by segment before integrating).  The right-hand
+    side reads the table's entries, their values over L correctly rounded:
+    entry (i, j) of term k adds the term's weight times its value times I_i
+    to component j.  On a segment a path term weighs sigma(lambda'), a cycle
+    term b / (a + t b), with a + t b its form along the segment.
     """
     if len(waypoints) < 2:
         raise ValueError("need at least two waypoints")
@@ -611,33 +605,31 @@ def transport(conn: ConnectionForm, start_vector, waypoints, tol: float = 1e-10)
             if wp[eid].real < 0:
                 raise ValueError(f"rate of edge {eid!r} has negative real part on the path")
 
-    dense = _transposed_terms(conn)
-    paths = list(zip(conn.path_terms, dense))
-    cycles = list(zip(conn.cycle_terms, dense[len(paths):]))
+    table, n = conn.table, conn.size
+    term = np.repeat(np.arange(len(table.ptr) - 1), np.diff(table.ptr))
+    value = np.array([v / conn.scale for v in table.values.tolist()])
     y = np.asarray(start_vector, dtype=complex)
-    if y.shape != (conn.size,):
-        raise ValueError(f"start vector must have length {conn.size}")
+    if y.shape != (n,):
+        raise ValueError(f"start vector must have length {n}")
 
     for wa, wb in zip(pts, pts[1:]):
         vel = {eid: wb[eid] - wa[eid] for eid in conn.edge_ids}
         # each cycle weight is b / (a + t b); membership along the whole
         # segment, not just its ends
-        cyc_data = []
-        for cyc, mat in cycles:
+        forms = []
+        for cyc in conn.cycle_terms:
             a, b = cyc.form(wa), cyc.form(vel)
             if _segment_guard(a, b) < 1e-12 * max(1.0, abs(a), abs(b)):
                 raise ExcludedLocusError(
                     f"path crosses the form kernel of {cyc!r}")
-            cyc_data.append((complex(a), complex(b), mat))
-        const = np.zeros((conn.size, conn.size), dtype=complex)
-        for sigma, mat in paths:
-            const += complex(sigma.form(vel)) * mat
+            forms.append((a, b))
+        a, b = np.array(forms, dtype=complex).reshape(-1, 2).T
+        paths = np.array([sigma.form(vel) for sigma in conn.path_terms], dtype=complex)
 
         def rhs(t, y):
-            m = const.copy()
-            for a, b, mat in cyc_data:
-                m += (b / (a + t * b)) * mat
-            return -(m @ y)
+            prod = np.concatenate([paths, b / (a + t * b)])[term] * value * y[table.rows]
+            return -(np.bincount(table.cols, prod.real, n)
+                     + 1j * np.bincount(table.cols, prod.imag, n))
 
         sol = solve_ivp(rhs, (0.0, 1.0), y, rtol=100 * np.finfo(float).eps, atol=tol)
         if not sol.success:

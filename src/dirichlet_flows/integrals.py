@@ -498,9 +498,10 @@ def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
 # importance-sampled Monte Carlo
 # ---------------------------------------------------------------------------
 
-class _McChart:
-    """One tree chart's importance sampling, fed the proposal's Gamma draws
-    block by block.
+def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
+                 weight_edge: str | None = None) -> IntegralEstimate:
+    """Gamma-proposal importance sampling over the cotree coordinates, with
+    the Kish effective sample size of the weights.
 
     Each coordinate u_j has an independent Gamma(s_j, r_j) proposal with
     s_j = alpha_e and r_j = lambda_e (the exponential tilt of the
@@ -519,101 +520,65 @@ class _McChart:
     fundamental cycle only, keeps its own terms.  The sums over edges are
     the evaluator's `log_values` at these coefficients, in edge order; the
     constant is the correctly rounded sum of the c_j.  A point outside gets
-    weight 0.  Each block's weights fold into running `Moments`, and into
-    the Kish sums sum w and sum w^2, both kept scaled by exp(-M) for the
-    largest log weight M so far."""
+    weight 0.
 
-    def __init__(self, spec: IntegrandSpec, weight_edge: str | None):
-        ev = self.ev = _Evaluator(spec, weight_edge)
-        shapes = [float(spec.alpha[eid]) for eid in ev.free_ids]
-        bad = [eid for eid, s in zip(ev.free_ids, shapes) if s <= 0]
-        if bad:
-            raise ValueError(f"gamma proposal needs positive exponents on cotree edges {bad}")
-        self.shapes = tuple(shapes)
-        rates = [r or 1.0 for r in real_rates(spec.lam, ev.free_ids)]
-        self.rates = np.array(rates)[:, None]
-        self.const = math.fsum(s * math.log(r) - math.lgamma(s) for s, r in zip(shapes, rates))
-        a, b = list(ev.exps), list(ev.lam)
-        for j, eid in enumerate(ev.free_ids):
-            i = spec.graph.edge_ids.index(eid)
-            a[i] -= shapes[j] - 1.0
-            b[i] -= rates[j]
-        self.logs = [(i, x) for i, x in enumerate(a) if x != 0]
-        self.rated = [(i, x) for i, x in enumerate(b) if x != 0]
-        self.moments = Moments()
-        self.inside, self.top, self.s1, self.s2 = 0, -math.inf, 0.0, 0.0
-
-    def add(self, raw: np.ndarray, u: np.ndarray, zt: np.ndarray, vals: np.ndarray) -> None:
-        """Fold in a block of (d, m) Gamma(shape, 1) draws, given scratch arrays
-        for its coordinates, its mixed flows and its weights."""
-        np.divide(raw, self.rates, out=u)
-        at, logw = self.ev.log_values(u, zt, self.logs, self.rated)
-        vals.fill(0.0)
-        if len(at):
-            logw -= self.const
-            vals[at] = np.exp(logw)
-            top = float(logw.max())
-            if top > self.top:
-                scale = math.exp(self.top - top)
-                self.s1, self.s2, self.top = self.s1 * scale, self.s2 * scale * scale, top
-            logw -= self.top
-            np.exp(logw, out=logw)
-            self.s1 += float(np.add.reduce(logw))
-            logw *= logw
-            self.s2 += float(np.add.reduce(logw))
-            self.inside += len(logw)
-        self.moments.add(vals)
-
-    def estimate(self, n: int) -> IntegralEstimate:
-        if not self.ev.dim:
-            return IntegralEstimate(float(self.ev(np.zeros((0, 1)))[0]), 0.0, "monte-carlo", 1)
-        if not self.inside:
-            raise ValueError("all proposal samples fell outside the chamber")
-        value, err = self.moments.estimate()
-        return IntegralEstimate(value, err, "monte-carlo", n, self.s1 * self.s1 / self.s2)
-
-
-def integrate_mc_charts(specs, n: int, seed: int,
-                        weight_edge: str | None = None) -> list[IntegralEstimate]:
-    """`integrate_mc` of several charts at one (n, seed), in one pass over
-    the proposal's blocks.
-
-    Block b of the proposal, BLOCK_ROWS points (the last block shorter),
+    Block k of the proposal, BLOCK_ROWS points (the last block shorter),
     draws its Gamma(shape, 1) coordinates row by row from stream (seed, 3,
-    b).  Charts whose cotree shapes agree, as every directed-tree chart of
-    one `verify-thm21` run at unit weights, share each block's draw, and
-    all of them take it while it is in cache; nothing of length n is held.
+    k); nothing of length n is held.  Each block's weights fold into running
+    `Moments`, and into the Kish sums sum w and sum w^2, both kept scaled by
+    exp(-M) for the largest log weight M so far.
     """
     if n < 2:
         raise ValueError(f"a standard error needs at least 2 samples, got {n}")
-    charts = [_McChart(spec, weight_edge) for spec in specs]
-    groups: dict[tuple, list[_McChart]] = {}
-    for chart in charts:
-        if chart.ev.dim:
-            groups.setdefault(chart.shapes, []).append(chart)
+    ev = _Evaluator(spec, weight_edge)
+    shapes = [float(spec.alpha[eid]) for eid in ev.free_ids]
+    bad = [eid for eid, s in zip(ev.free_ids, shapes) if s <= 0]
+    if bad:
+        raise ValueError(f"gamma proposal needs positive exponents on cotree edges {bad}")
+    if not ev.dim:
+        return IntegralEstimate(float(ev(np.zeros((0, 1)))[0]), 0.0, "monte-carlo", 1)
+    rates = [r or 1.0 for r in real_rates(spec.lam, ev.free_ids)]
+    const = math.fsum(s * math.log(r) - math.lgamma(s) for s, r in zip(shapes, rates))
+    a, b = list(ev.exps), list(ev.lam)
+    for j, eid in enumerate(ev.free_ids):
+        i = spec.graph.edge_ids.index(eid)
+        a[i] -= shapes[j] - 1.0
+        b[i] -= rates[j]
+    logs = [(i, x) for i, x in enumerate(a) if x != 0]
+    rated = [(i, x) for i, x in enumerate(b) if x != 0]
+    rates = np.array(rates)[:, None]
+    moments, inside, top, s1, s2 = Moments(), 0, -math.inf, 0.0, 0.0
+    # scratch arrays, reused block after block: fresh ones would be mapped
+    # page by page at every block
     width = next(_blocks(n))[2]  # the first block is the widest
-    for shapes, group in groups.items():
-        # scratch arrays, reused block after block: fresh ones would be
-        # mapped page by page at every block
-        raw, u = np.empty((len(shapes), width)), np.empty((len(shapes), width))
-        vals = np.empty(width)
-        zt = np.empty((max(len(chart.ev.mixed) for chart in group), width))
-        for b, lo, hi in _blocks(n):
-            m = hi - lo
-            rng, block = philox_stream(seed, _PROPOSAL, b), raw[:, :m]
-            for row, shape in zip(block, shapes):
-                rng.standard_gamma(shape, size=m, out=row)
-            for chart in group:
-                chart.add(block, u[:, :m], zt[:len(chart.ev.mixed), :m], vals[:m])
-    return [chart.estimate(n) for chart in charts]
-
-
-def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
-                 weight_edge: str | None = None) -> IntegralEstimate:
-    """Gamma-proposal importance sampling over the cotree coordinates, with
-    the Kish effective sample size of the weights: `integrate_mc_charts` of
-    one chart, whose proposal and weights `_McChart` describes."""
-    return integrate_mc_charts([spec], n, seed, weight_edge)[0]
+    raw, u = np.empty((len(shapes), width)), np.empty((len(shapes), width))
+    vals, zt = np.empty(width), np.empty((len(ev.mixed), width))
+    for k, lo, hi in _blocks(n):
+        m = hi - lo
+        rng = philox_stream(seed, _PROPOSAL, k)
+        for row, shape in zip(raw[:, :m], shapes):
+            rng.standard_gamma(shape, size=m, out=row)
+        np.divide(raw[:, :m], rates, out=u[:, :m])
+        at, logw = ev.log_values(u[:, :m], zt[:, :m], logs, rated)
+        vals[:m] = 0.0
+        if len(at):
+            logw -= const
+            vals[at] = np.exp(logw)
+            peak = float(logw.max())
+            if peak > top:
+                scale = math.exp(top - peak)
+                s1, s2, top = s1 * scale, s2 * scale * scale, peak
+            logw -= top
+            np.exp(logw, out=logw)
+            s1 += float(np.add.reduce(logw))
+            logw *= logw
+            s2 += float(np.add.reduce(logw))
+            inside += len(logw)
+        moments.add(vals[:m])
+    if not inside:
+        raise ValueError("all proposal samples fell outside the chamber")
+    value, err = moments.estimate()
+    return IntegralEstimate(value, err, "monte-carlo", n, s1 * s1 / s2)
 
 
 # ---------------------------------------------------------------------------
@@ -888,10 +853,11 @@ def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
     (n, seed).  Up to split dimension MAX_QUAD_DIM quadrature computes the
     left side too, the flow integral on the vertex-split graph times
     C_alpha, tree by tree, and the `agreement` of the two sides decides the
-    verdict with the certificate.  Above it no flow integral is computed,
-    and the certificate alone decides.  Neither side of a tree depends on the
-    other trees of the list, so a tree's report is the one that the list of
-    it alone gives.
+    verdict with the certificate; a tree whose quadrature does not converge
+    FAILs, the reason its left side and "lhs" what decided.  Above it no flow
+    integral is computed, and the certificate alone decides.  Neither side
+    of a tree depends on the other trees of the list, so a tree's report is
+    the one that the list of it alone gives.
     """
     _, rhs = mc_laplace_by_tree(g, w, lam, trees, n, seed)
     certificates = thm21_certificate(g, w, trees)
@@ -905,14 +871,19 @@ def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
                   "decided_by": ["certificate"]}
         ok = cert["pass"]
         if quadrature:
-            flow = integrate_quadrature(split_integrand_spec(split, lam, t), quad_tol)
-            left = {"value": c_alpha * flow.value, "error": c_alpha * flow.error,
-                    "method": flow.method}
-            gate = agreement(abs(left["value"] - right.value), left["error"],
-                             right.std_error, tol)
-            report.update(lhs=left, agreement=gate)
-            report["decided_by"].append("agreement")
-            ok = ok and gate["pass"]
+            try:
+                flow = integrate_quadrature(split_integrand_spec(split, lam, t), quad_tol)
+            except QuadratureNonConvergence as exc:
+                report["lhs"], ok = {"nonconvergence": str(exc)}, False
+                report["decided_by"].append("lhs")
+            else:
+                left = {"value": c_alpha * flow.value, "error": c_alpha * flow.error,
+                        "method": flow.method}
+                gate = agreement(abs(left["value"] - right.value), left["error"],
+                                 right.std_error, tol)
+                report.update(lhs=left, agreement=gate)
+                report["decided_by"].append("agreement")
+                ok = ok and gate["pass"]
         report["pass"] = ok
         reports.append(report)
     return reports

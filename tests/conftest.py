@@ -14,8 +14,9 @@ The connection's term matrices are built from their definitions as dense
 lists of Fractions (`oracle_term_matrices`), apart from the library's integer
 table, and the matrix oracles multiply dense lists of Fractions, without the
 library's residue products.  The numeric oracle sums dense weighted term
-matrices in term order; the float terms `transport` reads, weighted in the
-same order, must give the same bits.
+matrices in term order, and the transport oracle integrates with the dense
+transposed term matrices; `transport`, which reads the table's entries and
+sums their products per column, must agree with both to roundoff.
 The arrangement-basis oracle is a rank test on the fundamental cycles of one
 tree.  The quadrature oracle integrates one chart integral at a time, one
 Gauss-Kronrod panel per integrand call, by the recursive scheme the
@@ -515,6 +516,34 @@ def oracle_numeric_matrices(conn, lam) -> np.ndarray:
         for weight, t in _oracle_weights(conn, eid, vals):
             out[k] += (weight if cplx else weight.real) * dense[t]
     return out
+
+
+def oracle_transport(conn, start, waypoints, tol) -> np.ndarray:
+    """`transport` with dense term matrices: the table's matrices over L as
+    floats, transposed, weighted per segment and added in term order at
+    every evaluation, and integrated by scipy's RK45 at transport's
+    tolerances, without its checks of the path."""
+    from scipy.integrate import solve_ivp
+
+    dense = [np.array([[float(v) for v in row] for row in m]).T for m in table_matrices(conn)]
+    terms = conn.path_terms + conn.cycle_terms
+    y = np.asarray(start, dtype=complex)
+    pts = [{k: complex(v) for k, v in wp.items()} for wp in waypoints]
+    for wa, wb in zip(pts, pts[1:]):
+        vel = {eid: wb[eid] - wa[eid] for eid in conn.edge_ids}
+
+        def rhs(t, y):
+            m = np.zeros((conn.size, conn.size), dtype=complex)
+            for term, mat in zip(terms, dense):
+                a, b = term.form(wa), term.form(vel)
+                m += (b / (a + t * b) if term.kind == "cycle" else b) * mat
+            return -(m @ y)
+
+        sol = solve_ivp(rhs, (0.0, 1.0), y, method="RK45", rtol=100 * np.finfo(float).eps,
+                        atol=tol)
+        assert sol.success, sol.message
+        y = sol.y[:, -1]
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dirichlet_flows import (
     tree_basis,
 )
 from dirichlet_flows import connection, rationals
-from dirichlet_flows.cli import main
+from dirichlet_flows.cli import _default_loop, main
 from dirichlet_flows.connection import (
     _cycle_flats,
     flatness_certificate,
@@ -44,6 +44,7 @@ from conftest import (
     oracle_matmul,
     oracle_numeric_matrices,
     oracle_operators,
+    oracle_transport,
     oracle_term_matrices,
     random_graphs,
     random_rational_weights,
@@ -739,26 +740,41 @@ def test_transport_rejects_negative_real_part(two_edge):
                    {"e1": -1.0, "e2": 2.0, "@x0": 0.0}])
 
 
-def _transport_stack(conn, lam) -> np.ndarray:
+_STEP = 2.0 ** -10  # a velocity this small keeps sampled rates off every kernel
+
+
+def _rhs_stack(monkeypatch, conn, lam) -> np.ndarray:
     """The transposed coefficient stack at float or complex rates, from the
-    float terms transport reads, each weighted term added in term order."""
-    vals = {k: complex(v) for k, v in lam.items()}
-    cplx = any(v.imag != 0 for v in vals.values())
-    terms = connection._transposed_terms(conn)
-    out = np.zeros((len(conn.edge_ids), conn.size, conn.size), dtype=complex if cplx else float)
-    for m, eid in zip(out, conn.edge_ids):
-        for weight, k in conn.terms(eid, vals):
-            m += (weight if cplx else weight.real) * terms[k]
-    return out
+    right-hand side transport integrates: on the segment from lam along edge
+    e, at t = 0, it sends I to -_STEP M_e(lam)^T I, which a stand-in for
+    solve_ivp applies to each basis vector."""
+    rhs = []
+
+    def capture(fun, t_span, y0, rtol, atol):
+        rhs.append(fun)
+        return connection.OdeResult(y0[:, None], 0, True, "")
+
+    monkeypatch.setattr(connection, "solve_ivp", capture)
+    out = []
+    for eid in conn.edge_ids:
+        transport(conn, np.zeros(conn.size), [lam, {**lam, eid: lam[eid] + _STEP}])
+        out.append(np.array([rhs[-1](0.0, y) for y in np.eye(conn.size, dtype=complex)]).T)
+    return -np.array(out) / _STEP
 
 
-def test_numeric_matrices_match_exact(triangle):
-    """The float terms transport reads, weighted at float rates, are the
-    exact coefficient matrices, transposed."""
+def _assert_ulps(numeric, oracle, ulps=4):
+    """Each matrix of the stack within a few ulps of its largest entry."""
+    for m, o in zip(numeric, oracle):
+        assert np.abs(m - o).max() <= ulps * np.finfo(float).eps * np.abs(o).max()
+
+
+def test_numeric_matrices_match_exact(monkeypatch, triangle):
+    """The right-hand side of transport at float rates holds the exact
+    coefficient matrices, transposed."""
     conn = build_connection(triangle, DirichletWeights.from_graph(triangle))
     lam = {"e1": Fraction(1), "e2": Fraction(2), "e3": Fraction(3), "e4": Fraction(7)}
     exact = connection_coefficients(conn, lam)
-    numeric = _transport_stack(conn, {k: float(v) for k, v in lam.items()})
+    numeric = _rhs_stack(monkeypatch, conn, {k: float(v) for k, v in lam.items()})
     for m, a in zip(exact, numeric):
         assert np.allclose(np.array(m, dtype=float), a.T, atol=1e-13)
 
@@ -767,25 +783,62 @@ NUMERIC_GRAPHS = bundled_graphs() + [complete_graph(3)]
 
 
 @pytest.mark.parametrize("k", range(len(NUMERIC_GRAPHS)))
-def test_numeric_matrices_are_the_dense_sum_to_the_bit(k):
-    """The float terms transport reads are the table's values over L as
-    correctly rounded floats, transposed, and weighted at rational and at
-    complex rates they have the bits of the sum of dense weighted term
-    matrices, at the graph's weights and at weights with denominators 3
-    and 7."""
+def test_numeric_matrices_are_the_dense_sum_to_the_bit(monkeypatch, k):
+    """The right-hand side of transport, which reads the table's entries,
+    holds within a few ulps the sum of dense weighted term matrices, their
+    entries the table's values over L as correctly rounded floats,
+    transposed: at rational and at complex rates, at the graph's weights and
+    at weights with denominators 3 and 7."""
     g = NUMERIC_GRAPHS[k]
     rng = np.random.default_rng(62 + k)
     for w in (DirichletWeights.from_graph(g).alpha, _random_weights(g, rng)):
         conn = build_connection(g, w)
-        dense = [np.array([[float(v) for v in row] for row in m]).T for m in table_matrices(conn)]
-        assert connection._transposed_terms(conn).tobytes() == np.array(dense).tobytes()
         lam = sample_rates_off_kernels(conn, rng)
         shifted = {eid: float(v) + 1j * int(rng.integers(1, 17)) / 16 for eid, v in lam.items()}
-        for rates, dtype in ((lam, float), (shifted, complex)):
-            numeric = _transport_stack(conn, rates)
-            assert numeric.dtype == dtype
+        for rates in ({eid: float(v) for eid, v in lam.items()}, shifted):
+            numeric = _rhs_stack(monkeypatch, conn, rates)
             oracle = oracle_numeric_matrices(conn, rates).transpose(0, 2, 1)
-            assert numeric.tobytes() == np.ascontiguousarray(oracle).tobytes()
+            _assert_ulps(numeric, oracle)
+
+
+@pytest.mark.parametrize("graph", ["chain", "triangle", "two-diamond", "two-edge"])
+@pytest.mark.parametrize("split", [False, True], ids=["plain", "split"])
+def test_transport_matches_the_dense_oracle(monkeypatch, capsys, graph, split):
+    """The CLI's default loop on every builtin, with and without --split, ends
+    within 1e-12 relative of the transport oracle with dense term matrices."""
+    calls = []
+
+    def spy(conn, start, pts, tol):
+        calls.append((conn, start, pts, tol, transport(conn, start, pts, tol)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(connection, "transport", spy)
+    assert main(["transport", "--graph", graph, *(["--split"] if split else [])]) == 0
+    capsys.readouterr()
+    (conn, start, pts, tol, end), = calls
+    oracle = oracle_transport(conn, start, pts, tol)
+    assert np.abs(end - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_k3_transport_matches_the_dense_oracle():
+    """K3 from a random start vector (its charts are beyond quadrature), along
+    the CLI's default loop and along its first two sides, ends within 1e-12
+    relative of the transport oracle with dense term matrices.  The loop
+    comes back to its start, and at unit weights every cycle term is
+    symmetric, so only the open path at weights other than 1 tells the
+    right-hand side from its transpose."""
+    g = complete_graph(3)
+    rng = np.random.default_rng(63)
+    conn = build_connection(g, _random_weights(g, rng))
+    lam0 = {eid: 1 + 2.0 ** -(k + 3) for k, eid in enumerate(g.edge_ids, start=1)}
+    loop = _default_loop(g, conn, lam0)
+    start = rng.standard_normal(conn.size)
+    for pts in (loop, loop[:3]):
+        end = transport(conn, start, pts, tol=1e-9)
+        oracle = oracle_transport(conn, start, pts, 1e-9)
+        assert np.abs(end - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert np.abs(end - start).max() > 1e-3 * np.abs(start).max()
+    assert np.abs(transport(conn, start, loop, tol=1e-9) - start).max() <= 1e-8 * np.abs(start).max()
 
 
 # ---------------------------------------------------------------------------

@@ -482,9 +482,9 @@ def _split_specs(g, alpha, count=None):
     return [split_integrand_spec(split_graph(g, w.alpha), lam, t) for t in trees]
 
 
-def _shared_draw_specs():
-    """Every directed-tree chart of split K3 at unit weights, whose cotree shapes
-    agree, a split triangle chart, and K3 charts whose cotree shapes differ."""
+def _mc_specs():
+    """Every directed-tree chart of split K3 at unit weights, a split triangle
+    chart, and K3 charts at weights other than 1."""
     return (_split_specs(complete_graph(3), {})
             + _split_specs(builtin_graph("triangle"), {"e1": 2, "e4": Fraction(1, 2)}, 1)
             + _split_specs(complete_graph(3), {"e2": Fraction(3, 2), "e7": Fraction(2, 3)}, 4))
@@ -497,14 +497,12 @@ def _two_diamond_specs():
     return _split_specs(builtin_graph("two-diamond"), {"e1": Fraction(3, 2), "e4": 2})
 
 
-def test_mc_matches_unblocked_oracle_with_shared_draws():
+def test_mc_matches_unblocked_oracle():
     """Every estimate equals, to the bit, the oracle's one-pass estimate at the
-    same (n, seed), with the Kish effective sample size of its weights; the
-    charts of one `integrate_mc_charts` pass, which share each block's draw
-    where their cotree shapes agree, each give their lone estimate, and a new
-    seed or n draws afresh."""
+    same (n, seed), with the Kish effective sample size of its weights, and a
+    new seed or n draws afresh."""
     n, seed = 20_000, 9
-    specs = _shared_draw_specs()
+    specs = _mc_specs()
     lone = []
     for spec in specs:
         est = integrate_mc(spec, n, seed)
@@ -516,10 +514,6 @@ def test_mc_matches_unblocked_oracle_with_shared_draws():
         assert est.ess == pytest.approx(vals.sum() ** 2 / (vals ** 2).sum(), rel=1e-12)
         assert 1 <= est.ess <= n
         lone.append(est)
-    # the 16 unit-weight K3 charts share one draw; 21 charts take four
-    assert len({int_mod._McChart(spec, None).shapes for spec in specs}) == 4
-    assert int_mod.integrate_mc_charts(specs, n, seed) == lone
-    assert int_mod.integrate_mc_charts(specs[::-1], n, seed) == lone[::-1]
     spec = specs[0]
     for n2, seed2 in [(n, seed + 1), (n + 1, seed)]:
         est = integrate_mc(spec, n2, seed2)
@@ -537,7 +531,7 @@ def test_mc_log_weights_match_one_pass(monkeypatch, block_rows):
     monkeypatch.setattr(int_mod, "Moments", RecordingMoments)
     n, seed = 20_000, 9
     k3 = complete_graph(3)
-    specs = _shared_draw_specs()[::3] + _two_diamond_specs()
+    specs = _mc_specs()[::3] + _two_diamond_specs()
     specs += _split_specs(k3, {"e1": Fraction(3, 2), "e7": Fraction(1, 3)}, 2)
     for spec, e in [(s, None) for s in specs] + [(specs[-1], split_graph(k3).bridge_ids[0])]:
         RecordingMoments.fed = []
@@ -596,7 +590,7 @@ def test_mc_chamber_test_matches_flows():
     of every point to the bit, each flow its offset plus its coefficients
     times the coordinates in coordinate order; a bare row's flow is its
     coordinate.  The oracle tests above run it over several blocks."""
-    for spec in _shared_draw_specs():
+    for spec in _mc_specs():
         ev = int_mod._Evaluator(spec)
         u = np.random.default_rng(11).gamma(1.0, size=(20_000, ev.dim))
         u[::97, -1] = 0.0  # a gamma draw that underflowed
@@ -665,7 +659,7 @@ def test_mc_merges_each_proposal_term_once():
     coords = list(int_mod._Evaluator(spec).bare.values())
     assert any(coords.count(j) > 1 for j in coords)  # e1, @a and e2 all read u_e1
     n, seed = 20_000, 9
-    for s in specs + _shared_draw_specs()[::5]:
+    for s in specs + _mc_specs()[::5]:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(int_mod, "Moments", RecordingMoments)
             RecordingMoments.fed = []
@@ -848,12 +842,12 @@ def test_thm21_routes_at_the_quadrature_dimension_limit(monkeypatch):
         calls.append(("quadrature", int_mod._Evaluator(spec).dim))
         return int_mod.IntegralEstimate(1.0, 0.0, "quadrature", 1)
 
-    def mc_charts(specs, n, seed, weight_edge=None):
-        calls.extend(("monte-carlo", int_mod._Evaluator(spec).dim) for spec in specs)
-        return [int_mod.IntegralEstimate(1.0, 0.0, "monte-carlo", n, 1.0) for _ in specs]
+    def mc(spec, n, seed, weight_edge=None):
+        calls.append(("monte-carlo", int_mod._Evaluator(spec).dim))
+        return int_mod.IntegralEstimate(1.0, 0.0, "monte-carlo", n, 1.0)
 
     monkeypatch.setattr(int_mod, "integrate_quadrature", quadrature)
-    monkeypatch.setattr(int_mod, "integrate_mc_charts", mc_charts)
+    monkeypatch.setattr(int_mod, "integrate_mc", mc)
     k3 = complete_graph(3)
     for dropped, dim in [(("e2", "e5"), 4), (("e2",), 5)]:
         g = DirectedGraph(k3.vertices, k3.cemetery, k3.base,
