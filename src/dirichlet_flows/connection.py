@@ -608,6 +608,8 @@ def transport(conn: ConnectionForm, start_vector, waypoints, tol: float = 1e-10)
     table, n = conn.table, conn.size
     term = np.repeat(np.arange(len(table.ptr) - 1), np.diff(table.ptr))
     value = np.array([v / conn.scale for v in table.values.tolist()])
+    # the real and imaginary parts of an entry's product go to bins 2j and 2j + 1
+    bins = (2 * table.cols[:, None] + np.arange(2)).ravel()
     y = np.asarray(start_vector, dtype=complex)
     if y.shape != (n,):
         raise ValueError(f"start vector must have length {n}")
@@ -628,8 +630,7 @@ def transport(conn: ConnectionForm, start_vector, waypoints, tol: float = 1e-10)
 
         def rhs(t, y):
             prod = np.concatenate([paths, b / (a + t * b)])[term] * value * y[table.rows]
-            return -(np.bincount(table.cols, prod.real, n)
-                     + 1j * np.bincount(table.cols, prod.imag, n))
+            return -np.bincount(bins, prod.view(float), 2 * n).view(complex)
 
         sol = solve_ivp(rhs, (0.0, 1.0), y, rtol=100 * np.finfo(float).eps, atol=tol)
         if not sol.success:
