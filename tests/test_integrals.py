@@ -503,7 +503,6 @@ def test_mc_matches_unblocked_oracle():
     new seed or n draws afresh."""
     n, seed = 20_000, 9
     specs = _mc_specs()
-    lone = []
     for spec in specs:
         est = integrate_mc(spec, n, seed)
         value, error, ess = oracle_integrate_mc(spec, n, seed)
@@ -513,11 +512,10 @@ def test_mc_matches_unblocked_oracle():
         vals[inside] = np.exp(logw)
         assert est.ess == pytest.approx(vals.sum() ** 2 / (vals ** 2).sum(), rel=1e-12)
         assert 1 <= est.ess <= n
-        lone.append(est)
-    spec = specs[0]
+    spec, first = specs[0], integrate_mc(specs[0], n, seed)
     for n2, seed2 in [(n, seed + 1), (n + 1, seed)]:
         est = integrate_mc(spec, n2, seed2)
-        assert est != lone[0]
+        assert est != first
         assert (est.value, est.error, est.ess) == oracle_integrate_mc(spec, n2, seed2)
 
 
