@@ -480,7 +480,7 @@ class TransportFailure(RuntimeError):
 
 
 class OdeResult(NamedTuple):
-    y: np.ndarray       # the start and the state after each accepted step, one column each
+    y: np.ndarray       # the state after the last accepted step
     nfev: int           # right-hand side evaluations
     success: bool
     message: str
@@ -530,7 +530,6 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
     direction = np.sign(t_end - t) if t_end != t else 1.0
     length = abs(t_end - t)
     fy = f(t, y)
-    ys = [y]
 
     h_abs = 0.0
     if length > 0:
@@ -549,7 +548,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
         rejected = False
         while True:
             if h_abs < min_step:
-                return OdeResult(np.vstack(ys).T, nfev, False,
+                return OdeResult(y, nfev, False,
                                  "Required step size is less than spacing between numbers.")
             t_new = t + h_abs * direction
             if direction * (t_new - t_end) > 0:
@@ -570,8 +569,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
         t, y, fy = t_new, y_new, f_new
-        ys.append(y)
-    return OdeResult(np.vstack(ys).T, nfev, True,
+    return OdeResult(y, nfev, True,
                      "The solver successfully reached the end of the integration interval.")
 
 
@@ -635,5 +633,5 @@ def transport(conn: ConnectionForm, start_vector, waypoints, tol: float = 1e-10)
         sol = solve_ivp(rhs, (0.0, 1.0), y, rtol=100 * np.finfo(float).eps, atol=tol)
         if not sol.success:
             raise TransportFailure(f"transport integration failed: {sol.message}")
-        y = sol.y[:, -1]
+        y = sol.y
     return y

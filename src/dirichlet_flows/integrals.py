@@ -890,28 +890,13 @@ def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
 
 
 def integral_vector(g: DirectedGraph, alpha, lam, trees, quad_tol: float = 1e-8):
-    """Tree-chart integrals over a list of trees, flagging nonconvergent ones.
+    """Tree-chart integrals over a list of trees, and their error bounds.
 
-    Returns (values, errors, ok_flags); a tree whose integral does not
-    converge (possible off the directed extensions on split graphs) gets NaN
-    and ok=False rather than failing the whole vector.
+    Returns (values, errors).  A chart whose quadrature does not converge
+    raises its `QuadratureNonConvergence`: the vector is whole or absent.
     """
-    values, errors, ok = [], [], []
-    for t in trees:
-        spec = IntegrandSpec(g, alpha, lam, t)
-        try:
-            est = integrate_quadrature(spec, quad_tol)
-        except QuadratureNonConvergence:
-            est = None
-        if est is None or not math.isfinite(est.value):
-            values.append(float("nan"))
-            errors.append(float("nan"))
-            ok.append(False)
-        else:
-            values.append(est.value)
-            errors.append(est.error)
-            ok.append(True)
-    return np.array(values), np.array(errors), ok
+    ests = [integrate_quadrature(IntegrandSpec(g, alpha, lam, t), quad_tol) for t in trees]
+    return np.array([e.value for e in ests]), np.array([e.error for e in ests])
 
 
 def cohomology_identity_check(spec: IntegrandSpec, e0: str, tol: float = 1e-6,

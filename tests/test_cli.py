@@ -320,14 +320,16 @@ def test_wilson_test_draws_are_pinned(tmp_path, capsys, graph):
 # sha256 of the report lines of verify-thm21 and of split transport with
 # --alpha overriding the graph's weights.  Transport's were pinned again when
 # its right-hand side came to read the table's entries, with every end vector
-# within 3e-16 relative of the dense one's; verify-thm21's were pinned again
+# within 3e-16 relative of the dense one's, and again when its reports lost
+# the per-chart "converged" flags, each report otherwise the same; verify-thm21's
+# were pinned again
 # when its reports gained the certificate, with every lhs and rhs field the
 # same bits as before.
 OVERRIDE_DIGESTS = {
     ("verify-thm21", "triangle"): "c485d77345e682096b95c33fb9c26435eb38cd4da160ba874ad7c3e557f7c834",
-    ("transport", "triangle"): "83d8f0128b42c9d9388b572abfeec3270f3690fac2af7ac54757f87875db5d82",
+    ("transport", "triangle"): "1ad1e6c13fe88f4989041a485f9bc52edd4a3c1a66495217a2e768e76f466641",
     ("verify-thm21", "two-diamond"): "2568b06275ca841c80fea8175574f4ccca3cb8d80f597b971de92f31e7734778",
-    ("transport", "two-diamond"): "66d861c39fca8450258aab560961c328ea3f4bc74192b840a7c2f57c61718c3e",
+    ("transport", "two-diamond"): "7611f3516f26c5df1c1c526b4e34467e42ebaf6fd9e4009e8649fc79440c5237",
 }
 OVERRIDE_ARGV = {
     "verify-thm21": ["--alpha", "e1=3/2,e3=2", "--samples", "20000"],
@@ -359,12 +361,35 @@ def test_split_transport_reads_alpha(capsys, tmp_path):
 
 
 def test_nonconvergence_is_a_fail_report(capsys):
-    """At rate 0 on the b-c cycle its chart integral diverges."""
+    """At rate 0 on the b-c cycle its chart integral diverges: each exchange
+    identity that needs the chart FAILs with the quadrature's message, and
+    the exact pairing keeps its PASS."""
     status = main(["verify-identities", "--graph", "two-diamond",
                    "--lambda", "e1=1,e2=0,e3=0,e4=0,e5=0,e6=0"])
     report = json.loads(capsys.readouterr().out)
     assert status == 1 and report["pass"] is False and "error" not in report
+    results = report["results"]
+    assert results["pairing"] == {"triples": 100, "max_residual": "0", "pass": True}
+    failed = [rep for rep in results["exchange"] if not rep["pass"]]
+    assert failed and all("panels" in rep["nonconvergence"] for rep in failed)
+
+
+@pytest.mark.parametrize("path", [[], ["--waypoint", "e1=17/16", "--waypoint", "e1=2,e2=3/2"]],
+                         ids=["loop", "open"])
+@pytest.mark.parametrize("graph, weight", [("triangle", "1/3"), ("triangle", "1/2"),
+                                           ("two-diamond", "1/2")])
+def test_transport_fails_where_a_chart_does_not_converge(capsys, graph, weight, path):
+    """With every weight below 1 the charts' quadrature does not converge, so
+    transport has no whole vector to compare: it FAILs with the quadrature's
+    message.  A complex last waypoint leaves nothing to compare either, and
+    is a usage error."""
+    alpha = ",".join(f"{eid}={weight}" for eid in builtin_graph(graph).edge_ids)
+    status, report = run_twice(capsys, ["transport", "--graph", graph, "--alpha", alpha, *path])
+    assert status == 1 and report["pass"] is False
     assert "panels" in report["results"]["nonconvergence"]
+    status, report = run_twice(capsys, ["transport", "--graph", "two-edge", "--waypoint",
+                                        "e1=2", "--waypoint", "e1=2+0.5j"])
+    assert status == PARSE_ERROR and "last waypoint" in report["error"]
 
 
 def test_flipped_cycle_sign_fails_the_pairing(capsys, monkeypatch):
@@ -450,7 +475,7 @@ def test_broken_connection_fails_check_flatness(capsys, monkeypatch):
 
 def test_failed_transport_is_a_fail_report(capsys, monkeypatch):
     def failing(fun, t_span, y0, rtol, atol):
-        return connection.OdeResult(np.array(y0)[:, None], 1, False, "step collapsed")
+        return connection.OdeResult(np.array(y0), 1, False, "step collapsed")
 
     monkeypatch.setattr(connection, "solve_ivp", failing)
     status = main(["transport", "--graph", "two-edge"])
