@@ -266,15 +266,14 @@ def _cmd_verify_thm21(g, args):
     --seed nor --samples.  The report also gives the Dirichlet side, a Monte
     Carlo average over --samples environments drawn from --seed.  Where the
     tree charts of the vertex-split graph have dimension at most 4, the flow
-    side is integrated by quadrature to --quad-tol too, and its agreement
-    with the Dirichlet side, within three standard errors plus --tol,
-    decides the verdict with the certificate; a tree whose quadrature does
-    not converge FAILs, with the reason in its report."""
+    side is integrated by quadrature to 1e-8 too, and its agreement with the
+    Dirichlet side, within three standard errors plus 1e-6, decides the
+    verdict with the certificate; a tree whose quadrature does not converge
+    FAILs, with the reason in its report."""
     w = _weights(g, args)
     lam = _rates(g, args)
     trees = [_tree_from_ids(g, args.tree)] if args.tree else env_mod.directed_trees(g)
-    per_tree = int_mod.verify_theorem_2_1(g, w, lam, trees, args.samples, args.seed,
-                                          args.tol, args.quad_tol)
+    per_tree = int_mod.verify_theorem_2_1(g, w, lam, trees, args.samples, args.seed)
     return {"trees": per_tree}, all(r["pass"] for r in per_tree)
 
 
@@ -282,8 +281,10 @@ def _cmd_verify_identities(g, args):
     """Check the divergence pairing exactly at --samples random triples (a
     flow, rational rates and a spanning tree), drawn and checked in integer
     blocks of 8192 triples, and the exchange identity of every cotree edge of
-    the first spanning tree by quadrature.  An exchange identity whose charts
-    do not converge FAILs alone, with the quadrature's message."""
+    the first spanning tree by quadrature to 1e-8: its two sides agree within
+    three times their summed quadrature errors plus 1e-6.  An exchange
+    identity whose charts do not converge FAILs alone, with the quadrature's
+    message."""
     w = _weights(g, args)
     lam = _rates(g, args)
     trees = comb.enumerate_spanning_trees(g)
@@ -296,8 +297,7 @@ def _cmd_verify_identities(g, args):
     charts = {}  # every swap e = e0 gives back the base tree
     for e0 in comb.cotree(g, base_tree):
         try:
-            rep = int_mod.cohomology_identity_check(spec, e0, tol=args.tol,
-                                                    quad_tol=args.quad_tol, charts=charts)
+            rep = int_mod.cohomology_identity_check(spec, e0, charts=charts)
         except int_mod.QuadratureNonConvergence as exc:
             rep = {"nonconvergence": str(exc), "pass": False}
         rep["tree"] = list(base_tree.key)
@@ -364,8 +364,10 @@ def _cmd_transport(g, args):
     """Transport the tree-chart integrals along a path of rates.  The default
     path is a small loop, and the integrals must come back to their start;
     the --waypoint path is open, and its end must match the integrals at its
-    last waypoint, which must be real, like the first.  Every component is
-    compared, and a chart whose quadrature does not converge FAILs the run."""
+    last waypoint, which must be real, like the first.  The charts are
+    integrated by quadrature to 1e-8 and the ODE to 1e-9; every component
+    is compared, within three times the quadrature errors plus 1e-8, and a
+    chart whose quadrature does not converge FAILs the run."""
     w = _weights(g, args)
     if args.split:
         split = split_graph(g, w.alpha)
@@ -389,10 +391,9 @@ def _cmd_transport(g, args):
     for which, pt in (("first", pts[0]), ("last", pts[-1])):
         if any(complex(v).imag for v in pt.values()):
             raise ValueError(f"the {which} waypoint must be real to integrate the charts at it")
-    start, errs = int_mod.integral_vector(sys_graph, alpha, pts[0], conn.basis,
-                                          quad_tol=args.quad_tol)
-    tol = min(args.tol, 1e-9)
-    end = conn_mod.transport(conn, start, pts, tol=tol)
+    start, errs = int_mod.integral_vector(sys_graph, alpha, pts[0], conn.basis)
+    end = conn_mod.transport(conn, start, pts)
+    slack = 10 * conn_mod.TRANSPORT_TOL
 
     results = {
         "basis": [list(t.key) for t in conn.basis],
@@ -402,13 +403,12 @@ def _cmd_transport(g, args):
     }
     if loop:
         gate = int_mod.agreement(float(np.abs(end - start).max()), float(errs.max()), 0.0,
-                                 10 * tol)
+                                 slack)
         results.update(return_difference=gate["diff"], bound=gate["bound"])
         return results, gate["pass"]
-    direct, derrs = int_mod.integral_vector(sys_graph, alpha, pts[-1], conn.basis,
-                                            quad_tol=args.quad_tol)
+    direct, derrs = int_mod.integral_vector(sys_graph, alpha, pts[-1], conn.basis)
     gate = int_mod.agreement(float(np.abs(end - direct).max()), float(derrs.max()),
-                             float(errs.max()), 10 * tol)
+                             float(errs.max()), slack)
     results.update(direct=[{"re": float(v)} for v in direct],
                    difference=gate["diff"], bound=gate["bound"])
     return results, gate["pass"]
@@ -503,14 +503,13 @@ _COMMANDS = {
     "validate": _Command(_cmd_validate),
     "enumerate": _Command(_cmd_enumerate),
     "sample-env": _Command(_cmd_sample_env, ("alpha", "seed")),
-    "verify-thm21": _Command(_cmd_verify_thm21, ("alpha", "lambda", "tree", "seed", "samples",
-                                                "tol", "quad-tol"), 100_000),
-    "verify-identities": _Command(_cmd_verify_identities, ("alpha", "lambda", "seed", "samples",
-                                                          "tol", "quad-tol"), 100),
+    "verify-thm21": _Command(_cmd_verify_thm21, ("alpha", "lambda", "tree", "seed", "samples"),
+                             100_000),
+    "verify-identities": _Command(_cmd_verify_identities, ("alpha", "lambda", "seed", "samples"),
+                                  100),
     "check-commutation": _Command(_cmd_check_commutation, ("alpha",)),
     "check-flatness": _Command(_cmd_check_flatness, ("alpha", "seed", "samples"), 100),
-    "transport": _Command(_cmd_transport, ("alpha", "lambda", "tol", "quad-tol", "waypoint",
-                                          "split")),
+    "transport": _Command(_cmd_transport, ("alpha", "lambda", "waypoint", "split")),
     "wilson-test": _Command(_cmd_wilson_test, ("prob", "seed", "samples"), 100_000),
     "laplace": _Command(_cmd_laplace, ("alpha", "lambda", "seed", "samples"), 100_000),
 }
@@ -574,11 +573,6 @@ _OPTIONS = {
     "seed": dict(type=int, default=0, help="seed of the random streams (default: %(default)s)"),
     "samples": dict(type=_positive(int),
                     help="number of random draws (default: %(default)s)"),
-    "tol": dict(type=_positive(float), default=1e-6,
-                help="absolute slack of the agreement gate; transport also integrates its "
-                     "ODE to min(tol, 1e-9) (default: %(default)s)"),
-    "quad-tol": dict(type=_positive(float), default=1e-8,
-                     help="error target of the nested quadrature (default: %(default)s)"),
     "waypoint": dict(dest="waypoints", type=_assignments(_rate), action="append",
                      metavar="EDGE=VAL[,...]",
                      help="rates of one transport waypoint on top of the --lambda rates, "

@@ -582,7 +582,11 @@ def _segment_guard(a: complex, b: complex) -> float:
     return min(abs(a + t * b) for t in candidates)
 
 
-def transport(conn: ConnectionForm, start_vector, waypoints, tol: float = 1e-10) -> np.ndarray:
+TRANSPORT_TOL = 1e-9
+
+
+def transport(conn: ConnectionForm, start_vector, waypoints,
+              tol: float = TRANSPORT_TOL) -> np.ndarray:
     """Parallel transport of a section along a piecewise-linear rate path.
 
     The section solves I'(t) = -Omega(lambda(t); lambda'(t))^T I(t); the path
@@ -591,7 +595,8 @@ def transport(conn: ConnectionForm, start_vector, waypoints, tol: float = 1e-10)
     side reads the table's entries, their values over L correctly rounded:
     entry (i, j) of term k adds the term's weight times its value times I_i
     to component j.  On a segment a path term weighs sigma(lambda'), a cycle
-    term b / (a + t b), with a + t b its form along the segment.
+    term b / (a + t b), with a + t b its form along the segment.  Each
+    segment is integrated to the absolute tolerance tol.
     """
     if len(waypoints) < 2:
         raise ValueError("need at least two waypoints")

@@ -96,7 +96,10 @@ class Environment:
         return all(isinstance(v, Fraction) for v in self.p.values())
 
 
-def check_environment(g: DirectedGraph, env: Environment, tol: float = 1e-14) -> None:
+_SUM_TOL = 1e-14  # how far from 1 a float environment's exits at a vertex may sum
+
+
+def check_environment(g: DirectedGraph, env: Environment) -> None:
     """Raise ValueError unless the exit probabilities at every interior vertex sum
     to one and every interior vertex reaches the cemetery along positive ones."""
     for x in g.interior:
@@ -104,7 +107,7 @@ def check_environment(g: DirectedGraph, env: Environment, tol: float = 1e-14) ->
         if isinstance(total, Fraction):
             if total != 1:
                 raise ValueError(f"exit probabilities at {x!r} sum to {total}, not 1")
-        elif abs(total - 1.0) > tol:
+        elif abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"exit probabilities at {x!r} sum to {total!r}, not 1")
     reached = reach(g, g.cemetery, backwards=True, usable=lambda e: env.p[e.id] > 0)
     stuck = [x for x in g.interior if x not in reached]

@@ -595,12 +595,14 @@ def constant_C_alpha(g: DirectedGraph, w: DirichletWeights) -> float:
     return float(math.exp(logc))
 
 
-def agreement(diff: float, err_a: float, err_b: float, slack: float) -> dict:
+def agreement(diff: float, err_a: float, err_b: float, slack: float = 1e-6) -> dict:
     """Verdict on two estimates that differ by diff and carry errors err_a, err_b.
 
     They agree when diff is within three times the summed errors plus an
-    absolute slack.  Every comparison of two error-carrying estimates (both
-    sides of Theorem 2.1, of an exchange identity, of a transport) uses it.
+    absolute slack, 1e-6 unless the caller gives one (transport gives ten
+    times its ODE tolerance).  Every comparison of two error-carrying
+    estimates (both sides of Theorem 2.1, of an exchange identity, of a
+    transport) uses it.
     """
     bound = 3.0 * (err_a + err_b) + slack
     return {"diff": diff, "bound": bound, "pass": bool(diff <= bound)}
@@ -640,10 +642,8 @@ def pairing_residual(g: DirectedGraph, trees, n: int, seed: int) -> Fraction:
     return Fraction(worst, 128)
 
 
-# The prime of `thm21_certificate`, the largest below 2^64, and its number
-# of points per tree.
+# The prime of `thm21_certificate`, the largest below 2^64.
 THM21_PRIME = 2**64 - 59
-THM21_POINTS = 1
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:
@@ -761,8 +761,8 @@ class _Thm21Tree:
 
 def thm21_certificate(g: DirectedGraph, w: DirichletWeights, trees) -> list[dict]:
     """Theorem 2.1 for each directed tree T of `trees`, decided as the change
-    of variables omega -> z from environments to occupation flows, at
-    THM21_POINTS points modulo the prime THM21_PRIME.
+    of variables omega -> z from environments to occupation flows, at one
+    point modulo the prime THM21_PRIME.
 
     With t the Green row of the base (t_x the expected visits to x) and
     z_e = t_tail(e) omega_e, the flow side's integrand on the vertex-split
@@ -770,7 +770,7 @@ def thm21_certificate(g: DirectedGraph, w: DirichletWeights, trees) -> list[dict
     z_e^(exponent_e) over the split edges (`chart_exponents`).  Its
     integral over u equals the Dirichlet side's integral over the free exits
     (omega_f), f not in T, of C_alpha prod omega^(alpha - 1) exp(-<rates, z>)
-    tree_probability(T) when three things hold.  For each of the points:
+    tree_probability(T) when three things hold.  At the point:
       (a) the Jacobian identity det[dz_e/d omega_f]_{e,f not in T} det(I - P)
           = prod_{e not in T} t_tail(e), with T's exit at each vertex 1 minus
           its cotree exits, and d t / d omega_f = t_tail(f) (G[head f] -
@@ -782,12 +782,12 @@ def thm21_certificate(g: DirectedGraph, w: DirichletWeights, trees) -> list[dict
           each cotree edge f, -1 on det) are 0 on every t_x and alpha_e - 1 +
           k_e on omega_e, exactly in Fractions, and tree_probability(T) equals
           prod omega_e^(k_e) / det(I - P).
-    The points draw each edge's exit from stream (0, _THM21, 0), one row of
-    residues per point in graph edge order, and T's exits replace the draws
-    of its edges; so the points do not depend on the seed of the Dirichlet
-    side, nor on the other trees of the list.
+    The point draws each edge's exit from stream (0, _THM21, 0), one residue
+    per edge in graph edge order, and T's exits replace the draws of its
+    edges; so the point does not depend on the seed of the Dirichlet side,
+    nor on the other trees of the list.
 
-    (a) is proved, so its points are a regression check of this code.  Let
+    (a) is proved, so its check is a regression check of this code.  Let
     x(f) be the tail of f and t_x(u) the out-flow of x in the chart, affine
     in u.  The inverse map is omega_f = u_f / t_x(f)(u), so d omega / du =
     diag(1 / t_x(f)) (I - diag(omega) R S), with R_fx = [x = x(f)] and S_xg =
@@ -804,37 +804,32 @@ def thm21_certificate(g: DirectedGraph, w: DirichletWeights, trees) -> list[dict
     are cleared, of degree at most d = m (2n - 1) + 2n for m cotree edges and
     n interior vertices ((a) has m (2n - 1) + n).  A wrong identity whose
     reduction mod p is not zero vanishes at a uniformly drawn point with
-    probability at most d / p (Schwartz, J. ACM 27, 1980), so all the points
-    pass it with probability at most (d / p)^THM21_POINTS, the report's
+    probability at most d / p (Schwartz, J. ACM 27, 1980), the report's
     false_pass_bound.  The rows of (b) have integer entries of size at most
     1, and omega -> u has the inverse above over any field, so a wrong row is
     wrong mod p too.  A point where det(I - P) = 0 mod p fails every check.
 
-    Each tree's report gives the prime, each point's cotree exits, the degree
-    bound, the false-pass bound, the verdict of (a), (b) and (c), and pass.
+    Each tree's report gives the prime, the point's cotree exits (as a list
+    of one), the degree bound, the false-pass bound, the verdict of (a), (b)
+    and (c), and pass.
     """
     p = THM21_PRIME
     split = split_graph(g, w.alpha)
     pos = {x: i for i, x in enumerate(g.interior)}
     flows = [(pos[e.tail], pos[e.head], e.id) for e in g.edges if e.head != g.cemetery]
-    draws = philox_stream(0, _THM21).integers(0, p, size=(THM21_POINTS, len(g.edge_ids)),
-                                              dtype=np.uint64).tolist()
+    draw = philox_stream(0, _THM21).integers(0, p, size=len(g.edge_ids), dtype=np.uint64)
     reports = []
     for tree in trees:
         cert = _Thm21Tree(g, w, split, tree, pos)
-        at, checks = [], []
-        for draw in draws:
-            omega = dict(zip(g.edge_ids, draw))
-            for x, eid in cert.exit.items():
-                omega[eid] = (1 - sum(omega[e.id] for e in g.out_edges[x] if e.id != eid)) % p
-            at.append({f: omega[f] for f in cert.free})
-            checks.append(cert.check(g, omega, flows, p))
+        omega = dict(zip(g.edge_ids, draw.tolist()))
+        for x, eid in cert.exit.items():
+            omega[eid] = (1 - sum(omega[e.id] for e in g.out_edges[x] if e.id != eid)) % p
+        jacobian, chart, exponents = cert.check(g, omega, flows, p)
         m, n = len(cert.free), len(g.interior)
         degree = m * (2 * n - 1) + 2 * n
-        jacobian, chart, exponents = (all(c[k] for c in checks) for k in range(3))
         reports.append({
-            "prime": p, "points": at, "degree_bound": degree,
-            "false_pass_bound": (degree / p) ** THM21_POINTS,
+            "prime": p, "points": [{f: omega[f] for f in cert.free}], "degree_bound": degree,
+            "false_pass_bound": degree / p,
             "jacobian": jacobian, "chart": chart, "exponents": exponents,
             "pass": jacobian and chart and exponents,
         })
@@ -842,8 +837,7 @@ def thm21_certificate(g: DirectedGraph, w: DirichletWeights, trees) -> list[dict
 
 
 def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
-                       n: int = 100_000, seed: int = 0, tol: float = 1e-6,
-                       quad_tol: float = 1e-8) -> list[dict]:
+                       n: int = 100_000, seed: int = 0) -> list[dict]:
     """The tree-weighted Laplace identity for each directed tree of `trees`,
     each tree's report with a pass verdict and the parts that decided it.
 
@@ -872,7 +866,7 @@ def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
         ok = cert["pass"]
         if quadrature:
             try:
-                flow = integrate_quadrature(split_integrand_spec(split, lam, t), quad_tol)
+                flow = integrate_quadrature(split_integrand_spec(split, lam, t))
             except QuadratureNonConvergence as exc:
                 report["lhs"], ok = {"nonconvergence": str(exc)}, False
                 report["decided_by"].append("lhs")
@@ -880,7 +874,7 @@ def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
                 left = {"value": c_alpha * flow.value, "error": c_alpha * flow.error,
                         "method": flow.method}
                 gate = agreement(abs(left["value"] - right.value), left["error"],
-                                 right.std_error, tol)
+                                 right.std_error)
                 report.update(lhs=left, agreement=gate)
                 report["decided_by"].append("agreement")
                 ok = ok and gate["pass"]
@@ -889,27 +883,27 @@ def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
     return reports
 
 
-def integral_vector(g: DirectedGraph, alpha, lam, trees, quad_tol: float = 1e-8):
+def integral_vector(g: DirectedGraph, alpha, lam, trees):
     """Tree-chart integrals over a list of trees, and their error bounds.
 
     Returns (values, errors).  A chart whose quadrature does not converge
     raises its `QuadratureNonConvergence`: the vector is whole or absent.
     """
-    ests = [integrate_quadrature(IntegrandSpec(g, alpha, lam, t), quad_tol) for t in trees]
+    ests = [integrate_quadrature(IntegrandSpec(g, alpha, lam, t)) for t in trees]
     return np.array([e.value for e in ests]), np.array([e.error for e in ests])
 
 
-def cohomology_identity_check(spec: IntegrandSpec, e0: str, tol: float = 1e-6,
-                              quad_tol: float = 1e-8, charts: dict | None = None) -> dict:
+def cohomology_identity_check(spec: IntegrandSpec, e0: str, charts: dict | None = None) -> dict:
     """Exchange identity between a tree integral and its adjacent tree integrals.
 
     The cycle form value times the z_{e0}-weighted tree integral equals the
     signed, weight-scaled sum of the integrals over the trees obtained by
     swapping e0 for each cycle edge.  (At unit weights the scaling disappears.)
     `charts` maps the edge set of a tree to its integral at the weights and
-    rates of `spec` and at `quad_tol`: a swapped tree's integral is read from
-    it, or computed and added to it, so that checks sharing the dict
-    integrate each chart once.
+    rates of `spec`: a swapped tree's integral is read from it, or computed
+    and added to it, so that checks sharing the dict integrate each chart
+    once.  Both sides are integrated to `integrate_quadrature`'s default
+    target and compared by `agreement` at its default slack.
     """
     if e0 in spec.tree.edges:
         raise ValueError(f"edge {e0!r} is in the chart tree")
@@ -917,7 +911,7 @@ def cohomology_identity_check(spec: IntegrandSpec, e0: str, tol: float = 1e-6,
     g = spec.graph
     cyc = fundamental_cycle(g, spec.tree, e0)
     l_c = float(cyc.form(spec.lam))
-    weighted = integrate_quadrature(spec, quad_tol, weight_edge=e0)
+    weighted = integrate_quadrature(spec, weight_edge=e0)
     lhs = l_c * weighted.value
     lhs_err = abs(l_c) * weighted.error
 
@@ -928,7 +922,7 @@ def cohomology_identity_check(spec: IntegrandSpec, e0: str, tol: float = 1e-6,
         swapped = (spec.tree.edges | {e0}) - {eid}
         if swapped not in charts:
             alt = IntegrandSpec(g, spec.alpha, spec.lam, spanning_tree(g, swapped))
-            charts[swapped] = integrate_quadrature(alt, quad_tol)
+            charts[swapped] = integrate_quadrature(alt)
         est = charts[swapped]
         coef = cyc.sign(eid) * float(spec.alpha[eid])  # sign is relative to e0's direction
         rhs += coef * est.value
@@ -938,5 +932,5 @@ def cohomology_identity_check(spec: IntegrandSpec, e0: str, tol: float = 1e-6,
     return {
         "lhs": {"value": lhs, "error": lhs_err},
         "rhs": {"value": rhs, "error": rhs_err, "terms": terms},
-        **agreement(abs(lhs - rhs), lhs_err, rhs_err, tol),
+        **agreement(abs(lhs - rhs), lhs_err, rhs_err),
     }

@@ -181,11 +181,11 @@ OPTIONS = {
     "validate": "",
     "enumerate": "",
     "sample-env": "alpha seed",
-    "verify-thm21": "alpha lambda tree seed samples tol quad-tol",
-    "verify-identities": "alpha lambda seed samples tol quad-tol",
+    "verify-thm21": "alpha lambda tree seed samples",
+    "verify-identities": "alpha lambda seed samples",
     "check-commutation": "alpha",
     "check-flatness": "alpha seed samples",
-    "transport": "alpha lambda tol quad-tol waypoint split",
+    "transport": "alpha lambda waypoint split",
     "wilson-test": "prob seed samples",
     "laplace": "alpha lambda seed samples",
 }
@@ -220,7 +220,7 @@ def test_each_command_takes_exactly_its_options():
              for name, p in sub.choices.items()}
     assert taken == {name: {f"--{o}" for o in ("graph out " + opts).split()}
                      for name, opts in OPTIONS.items()}
-    assert sum(map(len, taken.values())) == 52
+    assert sum(map(len, taken.values())) == 46
 
 
 @pytest.mark.parametrize("argv", [
@@ -234,6 +234,9 @@ def test_each_command_takes_exactly_its_options():
     ["check-commutation", "--alpha", "e1"],
     ["laplace", "--lambda", "e1=1/0"],
     ["check-flatness", "--float"],
+    # the tolerances are constants: even the old defaults are usage errors
+    *([command, *option] for command in ("verify-thm21", "verify-identities", "transport")
+      for option in (["--tol", "1e-6"], ["--quad-tol", "1e-8"])),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -324,12 +327,14 @@ def test_wilson_test_draws_are_pinned(tmp_path, capsys, graph):
 # the per-chart "converged" flags, each report otherwise the same; verify-thm21's
 # were pinned again
 # when its reports gained the certificate, with every lhs and rhs field the
-# same bits as before.
+# same bits as before.  All four were pinned again when --tol and --quad-tol
+# left the CLI, after checking that each report equals the old one without
+# inputs.tol and inputs.quad_tol.
 OVERRIDE_DIGESTS = {
-    ("verify-thm21", "triangle"): "c485d77345e682096b95c33fb9c26435eb38cd4da160ba874ad7c3e557f7c834",
-    ("transport", "triangle"): "1ad1e6c13fe88f4989041a485f9bc52edd4a3c1a66495217a2e768e76f466641",
-    ("verify-thm21", "two-diamond"): "2568b06275ca841c80fea8175574f4ccca3cb8d80f597b971de92f31e7734778",
-    ("transport", "two-diamond"): "7611f3516f26c5df1c1c526b4e34467e42ebaf6fd9e4009e8649fc79440c5237",
+    ("verify-thm21", "triangle"): "bf2e34ec8490ad06ae9d9be7f5123fa617f2cf61d221723e5f0fcc4d7cdc17a1",
+    ("transport", "triangle"): "ed90a587593797fa5778c92108325fcec89526bd41e8915d01103841da9706d5",
+    ("verify-thm21", "two-diamond"): "b8aa9c1d8c3fe2127aa00be6a74036b73d4ea1af77c9e16fb20c4aea9bec3645",
+    ("transport", "two-diamond"): "196ed615cfcadfd47c53a0c846c10063a3cbd41dd9dcd507946de788db855adf",
 }
 OVERRIDE_ARGV = {
     "verify-thm21": ["--alpha", "e1=3/2,e3=2", "--samples", "20000"],

@@ -802,7 +802,7 @@ def test_transport_matches_the_dense_oracle(monkeypatch, capsys, graph, split):
     within 1e-12 relative of the transport oracle with dense term matrices."""
     calls = []
 
-    def spy(conn, start, pts, tol):
+    def spy(conn, start, pts, tol=connection.TRANSPORT_TOL):
         calls.append((conn, start, pts, tol, transport(conn, start, pts, tol)))
         return calls[-1][-1]
 
