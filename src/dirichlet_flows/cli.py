@@ -431,7 +431,7 @@ def _cmd_wilson_test(g, args):
     observed = [counts[t.edges] for t in trees]
     # a tree of probability 0 is no cell: a sample on one took an impossible edge
     cells = [(o, p * n) for o, p in zip(observed, probs) if p > 0]
-    stat = sum((o - e) ** 2 / e for o, e in cells)
+    stat = int_mod._left_sum((o - e) ** 2 / e for o, e in cells)
     pvalue, gof_ok = _chi2_gate(stat, len(cells))
     if sum(o for o, _ in cells) < n:
         pvalue, gof_ok = 0.0, False
@@ -443,8 +443,8 @@ def _cmd_wilson_test(g, args):
     lerw_counts = env_mod.loop_erased_paths(g, env, n, args.seed)
     keys = sorted(path_counts | lerw_counts, key=sorted)
     pairs = [(path_counts[k], lerw_counts[k]) for k in keys]
-    tv = 0.5 * sum(abs(a - b) for a, b in pairs) / n
-    path_stat = sum((a - b) ** 2 / (a + b) for a, b in pairs)
+    tv = 0.5 * int_mod._left_sum(abs(a - b) for a, b in pairs) / n
+    path_stat = int_mod._left_sum((a - b) ** 2 / (a + b) for a, b in pairs)
     path_pvalue, path_ok = _chi2_gate(path_stat, len(keys))
 
     results = {

@@ -24,7 +24,9 @@ the integrand vanishes.  Each level integrates a whole batch of sibling
 integrals in lockstep, one adaptive heap per integral: a round evaluates the
 new panels of all of them with one vectorized call, so the integrand is called
 once per round rather than once per panel.  A level that runs to infinity
-starts on four graded panels in t, its unbounded tail already bisected.
+starts on four graded panels in t, its unbounded tail already bisected; a
+bounded level with a pole of the integrand just beyond an end grades its
+panels toward that end by a sinh map.
 
 `verify_theorem_2_1` is the one entry to the tree-weighted Laplace identity
 on the vertex-split graph, for a list of directed trees.  What decides it is
@@ -157,13 +159,26 @@ class _Evaluator:
         self.free_ids = free_ids
         self.rows = [rows[eid] for eid in g.edge_ids]  # exact (offset, coefficients)
         self.lam = real_rates(spec.lam, g.edge_ids)
-        exps = []
-        for alpha, shifts in chart_exponents(spec, weight_edge):
+        exps, net = [], {}
+        for (off, coeffs), (alpha, shifts) in zip(self.rows, chart_exponents(spec, weight_edge)):
             w = float(alpha)
             for shift in shifts:
                 w += shift
+                alpha += shift
             exps.append(w)
+            row = _scaled(off, tuple(coeffs))
+            net[row] = net.get(row, 0) + alpha
         self.exps = exps
+        # The poles of each level: the affine forms whose flows' exponents sum
+        # below 0, by the last coordinate u_k they hold, as the `_bound_rows`
+        # of their zeros in u_k, those above the chamber (a_k < 0) first.
+        poles = [([], []) for _ in free_ids]
+        for (b, a), x in net.items():
+            k = max((j for j, c in enumerate(a) if c), default=None)
+            if x < 0 and k is not None:
+                poles[k][a[k] > 0].append((b, a))
+        self.poles = [(_bound_rows(above, k), _bound_rows(below, k))
+                      for k, (above, below) in enumerate(poles)]
         # the nonzero coefficients of log z_e and of z_e in the log integrand
         self.logs = [(i, x) for i, x in enumerate(exps) if x != 0]
         self.rated = [(i, x) for i, x in enumerate(self.lam) if x != 0]
@@ -284,8 +299,10 @@ _GW = np.zeros(15)
 _GW[1:14:2] = np.concatenate([_WG7[:-1], [_WG7[-1]], _WG7[-2::-1]])
 
 _MAX_PANELS = 4000
-# Integrand evaluations of one `integrate_quadrature` call: more than 20
-# times the most that any test, benchmark op or CI run takes (340 050), and
+# Integrand evaluations of one `integrate_quadrature` call: more than 50
+# times the most that any call which converges takes in the tests, the
+# benchmark ops or the CI runs (158 325, a chart of a random graph in the
+# scalar-oracle test; the benchmark's ops take at most 18 540 at seeds 0-7), and
 # ~3 s of work on a 2-core x86-64 machine.  Nested levels multiply their
 # panels, so without it a chart of dimension 4 whose inner integrals all run
 # to _MAX_PANELS would not end in any useful time.
@@ -371,10 +388,59 @@ class _ChamberLimits:
         return lo, (hi_b + (prefixes[:, None, :] * hi_a).sum(axis=2)).min(axis=1)
 
 
+def _nearest_poles(ev: _Evaluator, k: int, prefixes: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray):
+    """Each row's nearest zero of a pole of level k (`_Evaluator.poles`) beyond
+    its interval (lo, hi) of u_k, as (graded, rho, above): whether the row
+    takes `_sinh_map`, the zero's distance over hi - lo, and whether it lies
+    above hi rather than below lo.  A row takes no map where u_k is unbounded,
+    where no pole lies beyond, or where rho = 0: the pole's row binds at that
+    end.  Each zero is summed as `_ChamberLimits.intervals` sums a limit, so
+    the zero of a row that binds is the limit, to the bit."""
+    gaps = []
+    for (b, a), end, sign in zip(ev.poles[k], (hi, lo), (1.0, -1.0)):
+        if not len(b):
+            gaps.append(np.full(len(lo), math.inf))
+            continue
+        zeros = b + (prefixes[:, None, :] * a).sum(axis=2)
+        gaps.append((sign * (zeros - end[:, None])).min(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.minimum(*gaps) / (hi - lo)
+    return (rho > 0.0) & (rho < math.inf), rho, gaps[0] <= gaps[1]
+
+
+def _sinh_map(t: np.ndarray, lo, hi, rho, above):
+    """The points t of (0, 1) mapped onto (lo, hi), graded toward a pole at
+    distance rho (hi - lo) above hi (where `above`) or below lo, and the
+    Jacobian du/dt (Johnston & Elliott, IJNME 62, 2005).  With s = 2t - 1 and
+    mu = asinh(1/rho)/2,
+
+        u = hi + (hi - lo) rho sinh(mu (s - 1))  or  lo + (hi - lo) rho sinh(mu (s + 1)),
+
+    and du/dt = 2 (hi - lo) rho mu cosh(mu (s -+ 1)).  u is an offset from the
+    end nearest the pole, and mu (s -+ 1) is formed from t as 2 mu (t - 1) or
+    2 mu t, so the nodes of panels bisected toward that end keep their
+    digits.  As rho grows, mu -> 1/(2 rho) and the map tends to the affine
+    one, so it needs no threshold."""
+    mu, scale = 0.5 * np.arcsinh(1.0 / rho), (hi - lo) * rho
+    x = mu * (2.0 * (t - above))  # 2 mu (t - 1) above hi, 2 mu t below lo
+    return np.where(above, hi, lo) + scale * np.sinh(x), 2.0 * scale * mu * np.cosh(x)
+
+
+def _left_sum(terms):
+    """The terms added left to right from 0, as sum() adds them before Python
+    3.12: from 3.12 sum() compensates float rounding, so bits that reach a
+    report would depend on the version."""
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
+
+
 def _settle(heap: list, tol: float, k: int, d: int) -> tuple[float, float]:
     """Value and error bound of one finished integral from its panels."""
-    value = sum(p[3] for p in heap)
-    err = sum(p[4] + p[5] for p in heap)
+    value = _left_sum(p[3] for p in heap)
+    err = _left_sum(p[4] + p[5] for p in heap)
     if not (err <= tol) or not math.isfinite(value):
         raise QuadratureNonConvergence(
             f"level {k + 1} of {d}: error estimate {err:.3e} above target {tol:.3e} "
@@ -394,6 +460,15 @@ def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefixes: n
     advance in lockstep: each round evaluates the new panels of every
     unfinished row at once, by one recursive call on all their nodes.
 
+    A pole of the integrand (`_Evaluator.poles`: an affine form whose flows'
+    exponents sum below 0) lies outside the chamber, but may lie just beyond
+    a level's interval.  Where the nearest zero of one lies at a distance rho
+    (hi - lo) > 0 beyond a finite interval, `_sinh_map` toward it replaces
+    the affine map, packing the nodes toward that end; a far pole leaves the
+    map all but affine.  Affinely, the nested levels bisected toward such a
+    pole round after round: the split triangle's chart {e1, e4} took 43 770
+    evaluations at the benchmark's rates, and takes 18 330 graded.
+
     A bounded row starts on the panel (0, 1), an unbounded one on `_GRADED`,
     three bisections toward t = 1, where the integrand decays like
     exp(-c t/(1-t)): from (0, 1) every chart of the benchmark bisected there
@@ -403,6 +478,7 @@ def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefixes: n
     d = ev.dim
     lo, hi = limits.intervals(k, prefixes)
     values, errors = np.zeros(len(lo)), np.zeros(len(lo))
+    graded, rho, above = _nearest_poles(ev, k, prefixes, lo, hi)
 
     def node_fn(rows, a, b):
         pts = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _NODES
@@ -411,6 +487,10 @@ def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefixes: n
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             us = np.where(unbounded, lo_r + pts / (1.0 - pts), lo_r + (hi_r - lo_r) * pts)
             jac = np.where(unbounded, 1.0 / (1.0 - pts) ** 2, hi_r - lo_r)
+        mapped = np.flatnonzero(graded[rows])
+        if len(mapped):
+            i = rows[mapped, None]
+            us[mapped], jac[mapped] = _sinh_map(pts[mapped], lo[i], hi[i], rho[i], above[i])
         batch = np.column_stack([np.repeat(prefixes[rows], 15, axis=0), us.ravel()])
         if k == d - 1:
             if counter[0] + len(batch) > _MAX_EVALS:
@@ -449,7 +529,7 @@ def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefixes: n
             heap, tol = heaps[i], targets[i]
             total, target = totals[i], 0.45 * tol
             if not abs(total - target) > _ULP * (slack[i] + len(heap) * abs(total)):
-                total = totals[i] = sum(p[4] for p in heap)
+                total = totals[i] = _left_sum(p[4] for p in heap)
                 slack[i] = len(heap) * total
             if total > target and len(heap) < _MAX_PANELS:
                 prio, pa, pb, *rest = heapq.heappop(heap)
@@ -472,13 +552,16 @@ def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
 
     Level k integrates u_k over its exact interval given the outer
     coordinates (`_ChamberLimits`), so every Gauss-Kronrod panel lies where
-    the integrand is positive and smooth.  Each node of a level-k panel
-    holds one level-(k+1) integral; the integrals of all new panels of a
-    round go down as one batch, adapt side by side (each by its own panels,
-    as if alone) and come back together.  The reported error sums the panel
-    estimates and the weighted errors of inner evaluations; any integral that
-    misses its target raises `QuadratureNonConvergence`, naming its level, and
-    so does a call whose integrand evaluations would pass _MAX_EVALS.
+    the integrand is positive and smooth; where the zero of a flow with a
+    negative net exponent lies just beyond a bounded interval, its panels are
+    graded toward that end by a sinh map (`_integrate_level`).  Each node of
+    a level-k panel holds one level-(k+1) integral; the integrals of all new
+    panels of a round go down as one batch, adapt side by side (each by its
+    own panels, as if alone) and come back together.  The reported error sums
+    the panel estimates and the weighted errors of inner evaluations; any
+    integral that misses its target raises `QuadratureNonConvergence`, naming
+    its level, and so does a call whose integrand evaluations would pass
+    _MAX_EVALS.
     """
     ev = _Evaluator(spec, weight_edge)
     d = ev.dim
@@ -588,8 +671,8 @@ def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
 def constant_C_alpha(g: DirectedGraph, w: DirichletWeights) -> float:
     """Product of Gamma(vertex total) over Gamma(edge weight), in log space."""
     beta = w.beta(g)
-    logc = sum(math.lgamma(float(b)) for b in beta.values())
-    logc -= sum(math.lgamma(float(w.alpha[eid])) for eid in g.edge_ids)
+    logc = _left_sum(math.lgamma(float(b)) for b in beta.values())
+    logc -= _left_sum(math.lgamma(float(w.alpha[eid])) for eid in g.edge_ids)
     if logc > math.log(np.finfo(float).max):
         raise OverflowError(f"normalization constant overflows: log value {logc:.3e}")
     return float(math.exp(logc))

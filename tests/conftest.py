@@ -44,8 +44,10 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import heapq  # noqa: E402 (numpy must load after the thread count is set)
+import functools  # noqa: E402 (numpy must load after the thread count is set)
+import heapq
 import math
+import operator
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -592,6 +594,12 @@ def _oracle_gk_panel(vals, deltas, a, b):
     return kron, err, inner
 
 
+def _in_order(terms):
+    """The terms added left to right in heap order, on every Python version
+    (from 3.12 sum() compensates float rounding)."""
+    return functools.reduce(operator.add, terms, 0)
+
+
 def _oracle_adaptive_1d(node_fn, tol, where, graded):
     """Adaptive GK15 over (0, 1), from the panel (0, 1), or from the graded
     panels (0, 1/2), (1/2, 3/4), (3/4, 7/8), (7/8, 1) where `graded`;
@@ -606,7 +614,7 @@ def _oracle_adaptive_1d(node_fn, tol, where, graded):
     for a, b in [(0.0, 0.5), (0.5, 0.75), (0.75, 0.875), (0.875, 1.0)] if graded else [(0.0, 1.0)]:
         heapq.heappush(heap, make(a, b))
     while True:
-        if sum(p[4] for p in heap) <= 0.45 * tol or len(heap) >= int_mod._MAX_PANELS:
+        if _in_order(p[4] for p in heap) <= 0.45 * tol or len(heap) >= int_mod._MAX_PANELS:
             break
         prio, a, b, kron, err, inner = heapq.heappop(heap)
         if prio >= 0.0 or b - a < 1e-15:
@@ -615,24 +623,74 @@ def _oracle_adaptive_1d(node_fn, tol, where, graded):
         mid = 0.5 * (a + b)
         heapq.heappush(heap, make(a, mid))
         heapq.heappush(heap, make(mid, b))
-    value = sum(p[3] for p in heap)
-    err = sum(p[4] + p[5] for p in heap)
+    value = _in_order(p[3] for p in heap)
+    err = _in_order(p[4] + p[5] for p in heap)
     if not (err <= tol) or not np.isfinite(value):
         raise int_mod.QuadratureNonConvergence(f"{where}: {err:.3e} after {len(heap)} panels")
     return value, err
 
 
-def _oracle_level(ev, limits, k, prefix, tol, counter):
+def _oracle_poles(spec, ev, weight_edge):
+    """Each level's poles, as (offset, prefix coefficients, above) of their
+    zeros u_k = offset + coefficients . (u_0..u_{k-1}): the affine forms of
+    the chart's flows, each scaled to max |coefficient| = 1, whose exponents
+    add up below 0, at the last coordinate u_k they hold; above where the
+    zero bounds u_k from above (a_k < 0)."""
+    net = {}
+    for (off, coeffs), (alpha, shifts) in zip(ev.rows,
+                                              int_mod.chart_exponents(spec, weight_edge)):
+        m = max(abs(c) for c in coeffs) or 1
+        key = (off / m, tuple(c / m for c in coeffs))
+        net[key] = net.get(key, 0) + alpha + sum(shifts)
+    poles = [[] for _ in range(ev.dim)]
+    for (b, a), x in net.items():
+        held = [j for j, c in enumerate(a) if c]
+        if x < 0 and held:
+            k = held[-1]
+            poles[k].append((float(-b / a[k]), np.array([float(-c / a[k]) for c in a[:k]]),
+                             a[k] < 0))
+    return poles
+
+
+def _oracle_sinh_map(poles, prefix, lo, hi):
+    """The nodes' map u(t) and Jacobian toward the nearest pole zero beyond
+    (lo, hi), u = near + (hi - lo) rho sinh(mu (s -+ 1)), s = 2t - 1, for rho
+    its distance over hi - lo and mu = asinh(1/rho)/2; None where no pole lies
+    beyond or rho = 0.  numpy's sinh, cosh and arcsinh, as the kernel's: on
+    machines with SIMD builds they differ from math's in the last bit."""
+    gaps = {True: math.inf, False: math.inf}
+    for off, coeffs, above in poles:
+        zero = off + (coeffs * prefix).sum()
+        gaps[above] = min(gaps[above], zero - hi if above else lo - zero)
+    above = gaps[True] <= gaps[False]
+    rho = gaps[above] / (hi - lo)
+    if not 0.0 < rho < math.inf:
+        return None
+    near, scale, mu = (hi if above else lo), (hi - lo) * rho, 0.5 * float(np.arcsinh(1.0 / rho))
+
+    def node_map(pts):
+        us, jac = np.empty_like(pts), np.empty_like(pts)
+        for j, t in enumerate(pts.tolist()):
+            x = mu * (2.0 * (t - 1.0) if above else 2.0 * t)
+            us[j], jac[j] = near + scale * np.sinh(x), 2.0 * scale * mu * np.cosh(x)
+        return us, jac
+    return node_map
+
+
+def _oracle_level(ev, limits, poles, k, prefix, tol, counter):
     (lo_b, lo_a), (hi_b, hi_a) = limits.levels[k]
     lo = float(np.max(lo_b + (lo_a * prefix).sum(axis=1)))
     hi = float(np.min(hi_b + (hi_a * prefix).sum(axis=1))) if len(hi_b) else math.inf
     if not hi > lo:
         return 0.0, 0.0
     d = ev.dim
+    sinh_map = None if math.isinf(hi) else _oracle_sinh_map(poles[k], np.array(prefix), lo, hi)
 
     def node_fn(pts):
         if math.isinf(hi):
             us, jac = lo + pts / (1.0 - pts), 1.0 / (1.0 - pts) ** 2
+        elif sinh_map:
+            us, jac = sinh_map(pts)
         else:
             us, jac = lo + (hi - lo) * pts, np.full_like(pts, hi - lo)
         if k == d - 1:
@@ -641,8 +699,8 @@ def _oracle_level(ev, limits, k, prefix, tol, counter):
             batch[:, k] = us
             counter[0] += len(us)
             return ev(batch.T) * jac, np.zeros_like(us)
-        inner = [_oracle_level(ev, limits, k + 1, prefix + (u,), tol * int_mod._INNER_FRAC,
-                               counter) for u in us]
+        inner = [_oracle_level(ev, limits, poles, k + 1, prefix + (u,),
+                               tol * int_mod._INNER_FRAC, counter) for u in us.tolist()]
         return np.array([v for v, _ in inner]) * jac, np.array([e for _, e in inner]) * jac
 
     return _oracle_adaptive_1d(node_fn, tol, f"level {k + 1} of {d}", math.isinf(hi))
@@ -653,8 +711,9 @@ def oracle_quadrature(spec, tol: float, weight_edge=None):
     ev = int_mod._Evaluator(spec, weight_edge)
     limits = int_mod._ChamberLimits(ev.rows, ev.dim)
     counter = [0]
+    poles = _oracle_poles(spec, ev, weight_edge)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value, err = _oracle_level(ev, limits, 0, (), tol, counter)
+        value, err = _oracle_level(ev, limits, poles, 0, (), tol, counter)
     return value, err, counter[0]
 
 
