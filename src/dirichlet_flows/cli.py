@@ -24,9 +24,9 @@ Exit status:
      a tree of verify-thm21, an exchange identity of verify-identities, or a
      transport run (under ``results``, like an ODE that cannot be integrated)
   2  usage error: a bad option or option value (argparse prints the usage to
-     stderr), or an unknown edge, unreadable graph file, rate too large for a
-     float, excluded rate point or complex first or last transport waypoint
-     (printed as {command, error, pass: false})
+     stderr), or an unknown edge, unreadable graph file, unwritable --out
+     file, rate too large for a float, excluded rate point or complex first
+     or last transport waypoint (printed as {command, error, pass: false})
   3  the graph violates the standing assumptions
 """
 
@@ -621,6 +621,8 @@ def main(argv=None) -> int:
     name = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(name).parse_args(argv)
     try:
+        if args.out:  # opened to append, so an unwritable path fails before any work
+            open(args.out, "a").close()
         g = builtin_graph(args.graph) if args.graph in BUILTIN else load_graph(args.graph)
         violations = validate(g)
         if violations and args.command != "validate":

@@ -100,9 +100,13 @@ _SUM_TOL = 1e-14  # how far from 1 a float environment's exits at a vertex may s
 
 
 def check_environment(g: DirectedGraph, env: Environment) -> None:
-    """Raise ValueError unless the exit probabilities at every interior vertex sum
-    to one and every interior vertex reaches the cemetery along positive ones."""
+    """Raise ValueError unless every exit probability lies in [0, 1], those at
+    every interior vertex sum to one and every interior vertex reaches the
+    cemetery along positive ones."""
     for x in g.interior:
+        for e in g.out_edges[x]:
+            if not 0 <= env.p[e.id] <= 1:
+                raise ValueError(f"exit probability of {e.id!r} is {env.p[e.id]}, not in [0, 1]")
         total = sum(env.p[e.id] for e in g.out_edges[x])
         if isinstance(total, Fraction):
             if total != 1:

@@ -26,7 +26,10 @@ new panels of all of them with one vectorized call, so the integrand is called
 once per round rather than once per panel.  A level that runs to infinity
 starts on four graded panels in t, its unbounded tail already bisected; a
 bounded level with a pole of the integrand just beyond an end grades its
-panels toward that end by a sinh map.
+panels toward that end by a sinh map.  A pole is a chamber row whose flows'
+exponents sum below 0, so the elimination hands it to the level of its last
+coordinate as one of that level's limits, and one pass over a level's limits
+gives both its interval and the nearest pole beyond it.
 
 `verify_theorem_2_1` is the one entry to the tree-weighted Laplace identity
 on the vertex-split graph, for a list of directed trees.  What decides it is
@@ -169,16 +172,9 @@ class _Evaluator:
             row = _scaled(off, tuple(coeffs))
             net[row] = net.get(row, 0) + alpha
         self.exps = exps
-        # The poles of each level: the affine forms whose flows' exponents sum
-        # below 0, by the last coordinate u_k they hold, as the `_bound_rows`
-        # of their zeros in u_k, those above the chamber (a_k < 0) first.
-        poles = [([], []) for _ in free_ids]
-        for (b, a), x in net.items():
-            k = max((j for j, c in enumerate(a) if c), default=None)
-            if x < 0 and k is not None:
-                poles[k][a[k] > 0].append((b, a))
-        self.poles = [(_bound_rows(above, k), _bound_rows(below, k))
-                      for k, (above, below) in enumerate(poles)]
+        # the poles of the integrand: the chamber rows, scaled as
+        # `_ChamberLimits` scales them, whose flows' exponents sum below 0
+        self.poles = {row for row, x in net.items() if x < 0}
         # the nonzero coefficients of log z_e and of z_e in the log integrand
         self.logs = [(i, x) for i, x in enumerate(exps) if x != 0]
         self.rated = [(i, x) for i, x in enumerate(self.lam) if x != 0]
@@ -349,7 +345,8 @@ def _bound_rows(rows, k: int):
 
 
 class _ChamberLimits:
-    """Exact limits of each coordinate on the chamber offset + C.u > 0.
+    """Exact limits of each coordinate on the chamber offset + C.u > 0, and
+    which of them are poles of the integrand.
 
     Fourier-Motzkin elimination of u_{d-1}, ..., u_1 in exact rationals: the
     rows with a zero u_k coefficient are kept, each row with a positive one is
@@ -359,54 +356,51 @@ class _ChamberLimits:
     positive row and below every bound of a negative one.  Each free coordinate
     is an edge flow, so its own row u_k > 0 keeps every lower limit finite.
     The chamber is empty when a row without coefficients has offset <= 0.
+
+    Each row of the chamber is kept unchanged down to the level of its last
+    nonzero coefficient, so each of the `poles` (`_Evaluator.poles`) is a
+    limit of that level: a lower one where its zero bounds u_k from below,
+    an upper one where it bounds u_k from above.  `poles[k]` marks them, as
+    a mask of the lower and one of the upper rows of level k.
     """
 
-    def __init__(self, rows, d: int):
+    def __init__(self, rows, d: int, poles=frozenset()):
         system = {_scaled(b, tuple(a)) for b, a in rows}
-        self.levels = [None] * d
+        self.levels, self.poles = [None] * d, [None] * d
         for k in reversed(range(d)):
-            kept = {(b, a[:k]) for b, a in system if a[k] == 0}
+            kept = {(b, a) for b, a in system if a[k] == 0}
             lower = [(b, a) for b, a in system if a[k] > 0]
             upper = [(b, a) for b, a in system if a[k] < 0]
             self.levels[k] = (_bound_rows(lower, k), _bound_rows(upper, k))
+            self.poles[k] = tuple(np.array([row in poles for row in ends], dtype=bool)
+                                  for ends in (lower, upper))
             for bp, ap in lower:
                 for bn, an in upper:
                     s, t = -an[k], ap[k]
                     kept.add(_scaled(s * bp + t * bn,
-                                     tuple(s * x + t * y for x, y in zip(ap[:k], an[:k]))))
+                                     tuple(s * x + t * y for x, y in zip(ap, an))))
             system = kept
         self.empty = any(b <= 0 for b, _ in system)
 
-    def intervals(self, k: int, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) of u_k for each row u_0..u_{k-1} of the (m, k) prefixes; hi is
-        inf where nothing bounds u_k above.  Elementwise sums keep each row's
-        limits independent of the batch."""
+    def intervals(self, k: int, prefixes: np.ndarray):
+        """(lo, hi) of u_k for each row u_0..u_{k-1} of the (m, k) prefixes, and
+        the nearest pole of level k beyond it as (graded, rho, above): whether
+        the row takes `_sinh_map`, the pole's distance over hi - lo, and
+        whether it lies above hi rather than below lo.  hi is inf where nothing
+        bounds u_k above.  A row takes no map where u_k is unbounded, where no
+        pole lies beyond, or where rho = 0: the pole is the limit that binds.
+        Each limit is summed once, and elementwise, so each row's values do not
+        depend on the batch."""
         (lo_b, lo_a), (hi_b, hi_a) = self.levels[k]
-        lo = (lo_b + (prefixes[:, None, :] * lo_a).sum(axis=2)).max(axis=1)
-        if not len(hi_b):
-            return lo, np.full(len(lo), math.inf)
-        return lo, (hi_b + (prefixes[:, None, :] * hi_a).sum(axis=2)).min(axis=1)
-
-
-def _nearest_poles(ev: _Evaluator, k: int, prefixes: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray):
-    """Each row's nearest zero of a pole of level k (`_Evaluator.poles`) beyond
-    its interval (lo, hi) of u_k, as (graded, rho, above): whether the row
-    takes `_sinh_map`, the zero's distance over hi - lo, and whether it lies
-    above hi rather than below lo.  A row takes no map where u_k is unbounded,
-    where no pole lies beyond, or where rho = 0: the pole's row binds at that
-    end.  Each zero is summed as `_ChamberLimits.intervals` sums a limit, so
-    the zero of a row that binds is the limit, to the bit."""
-    gaps = []
-    for (b, a), end, sign in zip(ev.poles[k], (hi, lo), (1.0, -1.0)):
-        if not len(b):
-            gaps.append(np.full(len(lo), math.inf))
-            continue
-        zeros = b + (prefixes[:, None, :] * a).sum(axis=2)
-        gaps.append((sign * (zeros - end[:, None])).min(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.minimum(*gaps) / (hi - lo)
-    return (rho > 0.0) & (rho < math.inf), rho, gaps[0] <= gaps[1]
+        lower = lo_b + (prefixes[:, None, :] * lo_a).sum(axis=2)
+        upper = hi_b + (prefixes[:, None, :] * hi_a).sum(axis=2)
+        lo, hi = lower.max(axis=1), upper.min(axis=1, initial=math.inf)
+        below_poles, above_poles = self.poles[k]
+        above = (upper[:, above_poles] - hi[:, None]).min(axis=1, initial=math.inf)
+        below = (lo[:, None] - lower[:, below_poles]).min(axis=1, initial=math.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = np.minimum(above, below) / (hi - lo)
+        return lo, hi, (rho > 0.0) & (rho < math.inf), rho, above <= below
 
 
 def _sinh_map(t: np.ndarray, lo, hi, rho, above):
@@ -460,14 +454,17 @@ def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefixes: n
     advance in lockstep: each round evaluates the new panels of every
     unfinished row at once, by one recursive call on all their nodes.
 
-    A pole of the integrand (`_Evaluator.poles`: an affine form whose flows'
+    A pole of the integrand (`_Evaluator.poles`: a chamber row whose flows'
     exponents sum below 0) lies outside the chamber, but may lie just beyond
-    a level's interval.  Where the nearest zero of one lies at a distance rho
-    (hi - lo) > 0 beyond a finite interval, `_sinh_map` toward it replaces
-    the affine map, packing the nodes toward that end; a far pole leaves the
-    map all but affine.  Affinely, the nested levels bisected toward such a
-    pole round after round: the split triangle's chart {e1, e4} took 43 770
-    evaluations at the benchmark's rates, and takes 18 330 graded.
+    a level's interval: it is one of the limits of the level of its last
+    coordinate, marked in `_ChamberLimits.poles`, and `intervals` measures
+    it from the same limit values that give (lo, hi).  Where the nearest one
+    lies at a distance rho (hi - lo) > 0 beyond a finite interval,
+    `_sinh_map` toward it replaces the affine map, packing the nodes toward
+    that end; a far pole leaves the map all but affine.  Affinely, the
+    nested levels bisected toward such a pole round after round: the split
+    triangle's chart {e1, e4} took 43 770 evaluations at the benchmark's
+    rates, and takes 18 330 graded.
 
     A bounded row starts on the panel (0, 1), an unbounded one on `_GRADED`,
     three bisections toward t = 1, where the integrand decays like
@@ -476,9 +473,8 @@ def _integrate_level(ev: _Evaluator, limits: _ChamberLimits, k: int, prefixes: n
     from (0, 1), and 23 175, 18 000, 28 125 and 40 500 from depths 2 to 5.
     """
     d = ev.dim
-    lo, hi = limits.intervals(k, prefixes)
+    lo, hi, graded, rho, above = limits.intervals(k, prefixes)
     values, errors = np.zeros(len(lo)), np.zeros(len(lo))
-    graded, rho, above = _nearest_poles(ev, k, prefixes, lo, hi)
 
     def node_fn(rows, a, b):
         pts = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _NODES
@@ -569,7 +565,7 @@ def integrate_quadrature(spec: IntegrandSpec, tol: float = 1e-8,
         raise ValueError(f"quadrature supports dimension <= {MAX_QUAD_DIM}, got {d}")
     if d == 0:
         return IntegralEstimate(float(ev(np.zeros((0, 1)))[0]), 0.0, "quadrature", 1)
-    limits = _ChamberLimits(ev.rows, d)
+    limits = _ChamberLimits(ev.rows, d, ev.poles)
     if limits.empty:
         return IntegralEstimate(0.0, 0.0, "quadrature", 0)
     counter = [0]
@@ -756,90 +752,80 @@ def _det_mod(rows: list[list[int]], p: int) -> int:
     return det
 
 
-class _Thm21Tree:
-    """What `thm21_certificate` needs of one directed tree T, built once:
-    its cotree, the exact exponent bookkeeping (c) and the split chart's
-    rows (b), with vertices by their index in g.interior (None for the
-    cemetery)."""
-
-    def __init__(self, g: DirectedGraph, w: DirichletWeights, split: SplitGraph,
-                 tree: SpanningTree, pos: dict):
-        if not tree.directed:
-            raise ValueError("the certificate of Theorem 2.1 needs a directed spanning tree")
-        self.tree = tree
-        self.free = cotree(g, tree)
-        self.exit = {g.edge_by_id[eid].tail: eid for eid in tree.edges}
-        edge = g.edge_by_id
-        # each cotree edge's tail, head, and the head of T's exit at its tail
-        self.cycles = [(pos[edge[f].tail], pos.get(edge[f].head),
-                        pos.get(edge[self.exit[edge[f].tail]].head)) for f in self.free]
-        spec = split_integrand_spec(split, {}, tree)
-        exps = {eid: alpha + sum(shifts)
-                for eid, (alpha, shifts) in zip(split.graph.edge_ids, chart_exponents(spec))}
-        # (c): log z_e = log t_tail(e) + log omega_e, a bridge's log z = log t_x,
-        # and the Jacobian adds log t_tail(f) for each cotree edge f and -log det
-        on_t = {x: exps[bid] for x, bid in split.bridge_of.items()}
-        for e in g.edges:
-            on_t[e.tail] += exps[e.id]
-        for f in self.free:
-            on_t[edge[f].tail] += 1
-        self.tree_exps = [(e, exps[e] - (w.alpha[e] - 1)) for e in g.edge_ids]
-        self.exponents = (not any(on_t.values())
-                          and all(k.denominator == 1 for _, k in self.tree_exps))
-        # (b): each split edge's row, and the edge and tail whose z it must give
-        # (no edge for a bridge, whose flow is t_x)
-        free_ids, rows = tree_coordinate_map(split.graph, spec.tree)
-        bridge_at = {bid: x for x, bid in split.bridge_of.items()}
-        self.coordinates = free_ids
-        # the rows' entries are Fractions of integer value: their numerators
-        self.rows = [(off.numerator, [(j, c.numerator) for j, c in enumerate(coeffs) if c],
-                      None if eid in bridge_at else eid,
-                      pos[bridge_at[eid] if eid in bridge_at else edge[eid].tail])
-                     for eid, (off, coeffs) in rows.items()]
-
-    def check(self, g: DirectedGraph, omega: dict, flows, p: int) -> tuple[bool, bool, bool]:
-        """(a), (b) and (c) of `thm21_certificate` at the point `omega` (every
-        edge's exit, modulo p); flows are the (tail, head, edge) of the edges
-        between interior vertices, as indices."""
-        n = len(g.interior)
-        # [I - P | I] reduced to [I | G], G = (I - P)^-1; a cemetery row of G is 0
-        a = [[int(i == j) for j in range(n)] * 2 for i in range(n)]
-        for x, y, eid in flows:
-            a[x][y] -= omega[eid]
-        a = [[v % p for v in row] for row in a]
-        det = _det_mod(a, p)
-        if not det:
-            return False, False, False
+def _thm21_tree(g: DirectedGraph, w: DirichletWeights, split: SplitGraph, tree: SpanningTree,
+                draw: list, p: int) -> dict:
+    """The report of `thm21_certificate` on one directed tree T, at the point
+    `draw` (every edge's exit modulo p, in graph edge order) with T's exits
+    replaced, each 1 minus the other exits at its tail."""
+    if not tree.directed:
+        raise ValueError("the certificate of Theorem 2.1 needs a directed spanning tree")
+    edge, n = g.edge_by_id, len(g.interior)
+    pos = {x: i for i, x in enumerate(g.interior)}  # vertices by index; the cemetery has none
+    free = cotree(g, tree)
+    exit_at = {edge[eid].tail: eid for eid in tree.edges}
+    spec = split_integrand_spec(split, {}, tree)
+    exps = {eid: alpha + sum(shifts)
+            for eid, (alpha, shifts) in zip(split.graph.edge_ids, chart_exponents(spec))}
+    # (c): log z_e = log t_tail(e) + log omega_e, a bridge's log z = log t_x,
+    # and the Jacobian adds log t_tail(f) for each cotree edge f and -log det
+    on_t = {x: exps[bid] for x, bid in split.bridge_of.items()}
+    for e in g.edges:
+        on_t[e.tail] += exps[e.id]
+    for f in free:
+        on_t[edge[f].tail] += 1
+    tree_exps = [(e, exps[e] - (w.alpha[e] - 1)) for e in g.edge_ids]
+    exponents = not any(on_t.values()) and all(k.denominator == 1 for _, k in tree_exps)
+    omega = dict(zip(g.edge_ids, draw))
+    for x, eid in exit_at.items():
+        omega[eid] = (1 - sum(omega[e.id] for e in g.out_edges[x] if e.id != eid)) % p
+    # [I - P | I] reduced to [I | G], G = (I - P)^-1; a cemetery row of G is 0
+    a = [[int(i == j) for j in range(n)] * 2 for i in range(n)]
+    for e in g.edges:
+        if e.head != g.cemetery:
+            a[pos[e.tail]][pos[e.head]] -= omega[e.id]
+    a = [[v % p for v in row] for row in a]
+    det = _det_mod(a, p)
+    jacobian = chart = False  # a point where det(I - P) = 0 fails every check
+    exponents = exponents and det != 0
+    if det:
         green, zero = [row[n:] for row in a], [0] * n
-        t = green[g.interior.index(g.base)]
+        t = green[pos[g.base]]
         # (a): d t / d omega_f = t_tail(f) (G[head f] - G[head of T's exit at tail f])
-        tails = [x for x, _, _ in self.cycles]
+        tails = [pos[edge[f].tail] for f in free]
         dt = []
-        for x, plus, minus in self.cycles:
+        for f, x in zip(free, tails):
+            plus, minus = pos.get(edge[f].head), pos.get(edge[exit_at[edge[f].tail]].head)
             g_plus = zero if plus is None else green[plus]
             g_minus = zero if minus is None else green[minus]
             dt.append([(u - v) * t[x] % p for u, v in zip(g_plus, g_minus)])
-        omegas = [omega[f] for f in self.free]
-        jac = [[((t[x] if i == j else 0) + o * d[x]) % p for j, d in enumerate(dt)]
-               for i, (x, o) in enumerate(zip(tails, omegas))]
+        jac = [[((t[x] if i == j else 0) + omega[f] * d[x]) % p for j, d in enumerate(dt)]
+               for i, (x, f) in enumerate(zip(tails, free))]
         jacobian = _det_mod(jac, p) * det % p == math.prod(t[x] for x in tails) % p
-        # (b): the split chart's rows at u = (z_f) give z_e = t_tail(e) omega_e
-        # on every edge and t_x on the bridge at x
-        u = [t[g.interior.index(g.edge_by_id[f].tail)] * omega[f] for f in self.coordinates]
-        chart = all((off + sum(c * u[j] for j, c in terms)
-                     - t[x] * (1 if eid is None else omega[eid])) % p == 0
-                    for off, terms, eid, x in self.rows)
+        # (b): the split chart's rows, of integer entries, at u = (z_f) give
+        # z_e = t_tail(e) omega_e on every edge and t_x on the bridge at x
+        coordinates, rows = tree_coordinate_map(split.graph, spec.tree)
+        bridge_at = {bid: x for x, bid in split.bridge_of.items()}
+        u = [t[pos[edge[f].tail]] * omega[f] for f in coordinates]
+        chart = all((off.numerator + sum(c.numerator * u[j] for j, c in enumerate(coeffs) if c)
+                     - (t[pos[bridge_at[eid]]] if eid in bridge_at
+                        else t[pos[edge[eid].tail]] * omega[eid])) % p == 0
+                    for eid, (off, coeffs) in rows.items())
         # (c): tree_probability(T) = prod omega_e^(k_e) / det(I - P)
-        exponents = self.exponents
         if exponents:
             env = Environment({eid: Fraction(v) for eid, v in omega.items()})
             try:
-                prob = tree_probability(g, env, self.tree)
-                mono = math.prod(pow(omega[e], int(k), p) for e, k in self.tree_exps)
+                prob = tree_probability(g, env, tree)
+                mono = math.prod(pow(omega[e], int(k), p) for e, k in tree_exps)
                 exponents = (prob.numerator * det - mono * prob.denominator) % p == 0
             except (ValueError, ZeroDivisionError):
                 exponents = False
-        return jacobian, chart, exponents
+    degree = len(free) * (2 * n - 1) + 2 * n
+    return {
+        "prime": p, "points": [{f: omega[f] for f in free}], "degree_bound": degree,
+        "false_pass_bound": degree / p,
+        "jacobian": jacobian, "chart": chart, "exponents": exponents,
+        "pass": jacobian and chart and exponents,
+    }
 
 
 def thm21_certificate(g: DirectedGraph, w: DirichletWeights, trees) -> list[dict]:
@@ -898,25 +884,8 @@ def thm21_certificate(g: DirectedGraph, w: DirichletWeights, trees) -> list[dict
     """
     p = THM21_PRIME
     split = split_graph(g, w.alpha)
-    pos = {x: i for i, x in enumerate(g.interior)}
-    flows = [(pos[e.tail], pos[e.head], e.id) for e in g.edges if e.head != g.cemetery]
-    draw = philox_stream(0, _THM21).integers(0, p, size=len(g.edge_ids), dtype=np.uint64)
-    reports = []
-    for tree in trees:
-        cert = _Thm21Tree(g, w, split, tree, pos)
-        omega = dict(zip(g.edge_ids, draw.tolist()))
-        for x, eid in cert.exit.items():
-            omega[eid] = (1 - sum(omega[e.id] for e in g.out_edges[x] if e.id != eid)) % p
-        jacobian, chart, exponents = cert.check(g, omega, flows, p)
-        m, n = len(cert.free), len(g.interior)
-        degree = m * (2 * n - 1) + 2 * n
-        reports.append({
-            "prime": p, "points": [{f: omega[f] for f in cert.free}], "degree_bound": degree,
-            "false_pass_bound": degree / p,
-            "jacobian": jacobian, "chart": chart, "exponents": exponents,
-            "pass": jacobian and chart and exponents,
-        })
-    return reports
+    draw = philox_stream(0, _THM21).integers(0, p, size=len(g.edge_ids), dtype=np.uint64).tolist()
+    return [_thm21_tree(g, w, split, tree, draw, p) for tree in trees]
 
 
 def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,

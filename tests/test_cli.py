@@ -618,6 +618,34 @@ def test_wilson_test_rejects_unreachable_cemetery(capsys):
     assert "to the cemetery" in report["error"]
 
 
+def test_wilson_test_rejects_exits_outside_the_unit_interval(capsys):
+    """Exits 3/2 and -1/2 at x0 sum to one but are no probabilities: an
+    error report, no walk."""
+    status, report = run_twice(capsys, ["wilson-test", "--graph", "triangle",
+                                        "--prob", "e1=3/2,e3=-1/2", "--samples", "2000"])
+    assert status == PARSE_ERROR
+    assert report == {"command": "wilson-test", "pass": False,
+                      "error": "exit probability of 'e1' is 3/2, not in [0, 1]"}
+
+
+def test_out_gets_the_report_and_an_unwritable_out_is_a_usage_error(capsys, tmp_path,
+                                                                      monkeypatch):
+    """--out gets the printed report line.  An --out in a missing directory
+    exits 2 with one error line, decided before the graph is even loaded."""
+    path = tmp_path / "r.json"
+    assert main(["validate", "--graph", "chain", "--out", str(path)]) == 0
+    assert path.read_text() == capsys.readouterr().out
+    missing = tmp_path / "missing" / "r.json"
+
+    def no_graph(name):
+        raise AssertionError("the command ran")
+    monkeypatch.setattr(cli_mod, "builtin_graph", no_graph)
+    status, report = run_twice(capsys, ["validate", "--graph", "chain", "--out", str(missing)])
+    assert status == PARSE_ERROR
+    assert report == {"command": "validate", "error": report["error"], "pass": False}
+    assert str(missing) in report["error"] and not missing.parent.exists()
+
+
 @pytest.mark.parametrize("graph, cells", [("two-edge", (2, 2)), ("triangle", (3, 2)),
                                           ("two-diamond", (1, 1)), ("chain", (1, 1))])
 def test_wilson_test_reports_gate_cells(capsys, graph, cells):

@@ -547,6 +547,22 @@ def test_unreachable_cemetery_is_rejected(triangle):
                                                      "e2": Fraction(1, 2), "e4": Fraction(1, 2)}))
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
+def test_exits_outside_the_unit_interval_are_rejected(triangle, exact):
+    """Exits 3/2 and -1/2 at x0 sum to one, and a walk could still reach the
+    cemetery, but they are no probabilities."""
+    probs = {"e1": 1.5, "e3": -0.5, "e2": 0.5, "e4": 0.5}
+    env = Environment({e: Fraction(p) if exact else p for e, p in probs.items()})
+    for sample in (lambda: env_mod.check_environment(triangle, env),
+                   lambda: wilson_sample_trees(triangle, env, 10, seed=0)):
+        with pytest.raises(ValueError, match=r"^exit probability of 'e1' is (3/2|1\.5), "
+                                             r"not in \[0, 1\]$"):
+            sample()
+    # the ends of [0, 1] are probabilities
+    env_mod.check_environment(triangle, Environment({"e1": Fraction(0), "e3": Fraction(1),
+                                                     "e2": Fraction(0), "e4": Fraction(1)}))
+
+
 def test_loop_erase_hand_case(triangle):
     # x0 -> a -> x0 -> a -> delta: the x0-a-x0 excursion vanishes
     assert loop_erase(triangle, ["e1", "e2", "e1", "e4"]) == ["e1", "e4"]

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -46,6 +47,7 @@ from conftest import (
     oracle_tree_coordinates,
     oracle_unmerged_log_weights,
     random_graphs,
+    _oracle_poles,
 )
 
 
@@ -182,7 +184,7 @@ def test_chamber_limits_match_chamber():
         inside = (offset + pts @ coeffs.T > 0).all(axis=1)
         within = np.ones(len(pts), dtype=bool)
         for k in range(d):
-            lo, hi = limits.intervals(k, pts[:, :k])
+            lo, hi, *_ = limits.intervals(k, pts[:, :k])
             assert np.isfinite(lo).all()
             assert ((hi > lo) | ~within).all()
             within &= (lo < pts[:, k]) & (pts[:, k] < hi)
@@ -203,7 +205,7 @@ def test_empty_inner_interval_contributes_zero(triangle):
     # the interval of u1 is empty for u0 <= 0
     ev, limits = _triangle_level_1(triangle)
     prefixes = np.array([[-0.5]])
-    lo, hi = limits.intervals(1, prefixes)
+    lo, hi, *_ = limits.intervals(1, prefixes)
     assert hi[0] <= lo[0]
     counter = [0]
     vals, errs = int_mod._integrate_level(ev, limits, 1, prefixes, np.array([1e-8]), counter)
@@ -323,6 +325,52 @@ def _oracle_charts():
         yield g, g.alpha_map(), ()
 
 
+def _pole_masks(spec, weight_edge=None):
+    """Each level's masks of its lower and upper limits that are poles."""
+    ev = int_mod._Evaluator(spec, weight_edge)
+    return int_mod._ChamberLimits(ev.rows, ev.dim, ev.poles).poles
+
+
+def test_pole_masks_select_the_oracle_poles():
+    """Each level's pole masks select exactly the poles the oracle finds from
+    the chart's flows and exponents, with bit-equal offsets and
+    coefficients: those above the chamber among the upper limits, those below
+    among the lower ones.  Every chart up to dimension MAX_QUAD_DIM of the
+    builtins and their split graphs at equal weights 1/3 to 3/2, and of
+    random graphs at their own weights, with and without a weight edge."""
+    def charts():
+        for w in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2)):
+            for g in bundled_graphs():
+                alpha = {eid: w for eid in g.edge_ids}
+                yield g, alpha
+                split = split_graph(g, alpha).graph
+                yield split, split.alpha_map()
+        for g in random_graphs(seed=12, count=8):
+            yield g, g.alpha_map()
+
+    cases, poles = 0, Counter()
+    for g, alpha in charts():
+        for t in enumerate_spanning_trees(g):
+            spec = spec_for(g, alpha, ones(g), t)
+            for weight_edge in (None, min(cotree(g, t), default=None)):
+                ev = int_mod._Evaluator(spec, weight_edge)
+                if not 1 <= ev.dim <= int_mod.MAX_QUAD_DIM:
+                    continue
+                limits = int_mod._ChamberLimits(ev.rows, ev.dim, ev.poles)
+                for k, oracle in enumerate(_oracle_poles(spec, ev, weight_edge)):
+                    for ends, mask, above in zip(limits.levels[k], limits.poles[k],
+                                                 (False, True)):
+                        offsets, coeffs = ends[0][mask], ends[1][mask]
+                        found = sorted((o, tuple(c)) for o, c in zip(offsets.tolist(),
+                                                                     coeffs.tolist()))
+                        expected = sorted((o, tuple(c.tolist())) for o, c, up in oracle
+                                          if up == above)
+                        assert found == expected, (g.edge_ids, t, weight_edge, k)
+                        poles[above] += len(found)
+                cases += 1
+    assert cases > 400 and poles[True] > 30 and poles[False] > 500, (cases, poles)
+
+
 def test_batched_quadrature_matches_scalar_oracle():
     """Lockstep batches take each integral's adaptive decisions as if it were
     alone: every chart of dimension 1-3, at unit and generic rates, with and
@@ -353,8 +401,8 @@ def test_batched_quadrature_matches_scalar_oracle():
                     assert abs(est.error - err) <= 1e-12 * abs(err)
                     cases += 1
                     unbounded += has_unbounded_level
-                    poles = int_mod._Evaluator(spec, weight_edge).poles
-                    graded += any(len(b) for level in poles for b, _ in level)
+                    graded += any(m.any() for level in _pole_masks(spec, weight_edge)
+                                  for m in level)
     assert cases > 150 and diverged and unbounded > 100 and graded > 40
 
 
@@ -378,7 +426,7 @@ def test_sinh_graded_charts_take_fewer_evaluations(triangle):
     assert integrate_quadrature(split_integrand_spec(split, defaults,
                                                      tree_of("e1", "e3"))).n_evals <= 112_000
     reference = spec_for(triangle, ones(triangle), SEED7_RATES, tree_of("e3", "e4"))
-    assert not any(len(b) for level in int_mod._Evaluator(reference).poles for b, _ in level)
+    assert not any(m.any() for level in _pole_masks(reference) for m in level)
     assert integrate_quadrature(reference).n_evals == 900
 
 
