@@ -24,9 +24,10 @@ Exit status:
      a tree of verify-thm21, an exchange identity of verify-identities, or a
      transport run (under ``results``, like an ODE that cannot be integrated)
   2  usage error: a bad option or option value (argparse prints the usage to
-     stderr), or an unknown edge, unreadable graph file, unwritable --out
-     file, rate too large for a float, excluded rate point or complex first
-     or last transport waypoint (printed as {command, error, pass: false})
+     stderr), or an unknown edge, unreadable graph file, --out file that
+     cannot be opened or written (then no report is printed), rate too large
+     for a float, excluded rate point or complex first or last transport
+     waypoint (printed as {command, error, pass: false})
   3  the graph violates the standing assumptions
 """
 
@@ -263,13 +264,17 @@ def _cmd_verify_thm21(g, args):
     checked modulo a prime of 64 bits at a fixed point per tree (its
     Jacobian identity, the tree chart's coordinates, and the exponents of
     the integrand against the tree's probability), so it takes neither
-    --seed nor --samples.  The report also gives the Dirichlet side, a Monte
-    Carlo average over --samples environments drawn from --seed.  Where the
-    tree charts of the vertex-split graph have dimension at most 4, the flow
-    side is integrated by quadrature to 1e-8 too, and its agreement with the
-    Dirichlet side, within three standard errors plus 1e-6, decides the
-    verdict with the certificate; a tree whose quadrature does not converge
-    FAILs, with the reason in its report."""
+    --seed nor --samples.  The report also gives the Dirichlet side.  Where
+    the tree charts of the vertex-split graph have dimension at most 4, it
+    comes from a tensor Gauss-Jacobi rule over the environments, its error
+    the gap between two orders of the rule, and the flow side is integrated
+    by quadrature to 1e-8; their agreement, within three times their summed
+    errors plus 1e-6, decides the verdict with the certificate, and a tree
+    whose quadrature does not converge FAILs, with the reason in its
+    report.  There --seed and --samples change nothing
+    (--samples must still be at least 2).  Above dimension 4 the Dirichlet
+    side is a Monte Carlo average over --samples environments drawn from
+    --seed, and no flow side is integrated."""
     w = _weights(g, args)
     lam = _rates(g, args)
     trees = [_tree_from_ids(g, args.tree)] if args.tree else env_mod.directed_trees(g)
@@ -633,16 +638,23 @@ def main(argv=None) -> int:
     except (int_mod.QuadratureNonConvergence, conn_mod.TransportFailure) as exc:
         results, ok = {"nonconvergence": str(exc)}, False
     except (ValueError, OverflowError, OSError) as exc:
-        print(json.dumps({"command": args.command, "error": str(exc), "pass": False},
-                         sort_keys=True))
-        return PARSE_ERROR
+        return _usage_error(args.command, exc)
     report = {"command": args.command, "inputs": inputs, "results": results, "pass": bool(ok)}
     text = json.dumps(report, sort_keys=True, default=_encode)
+    if args.out:  # written before the report is printed, so a failed write prints nothing else
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _usage_error(args.command, exc)
     print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
     return PASS_OK if ok else VALIDATION_ERROR if violations else PASS_FAIL
+
+
+def _usage_error(command: str, exc: Exception) -> int:
+    """Print the one-line error report of a usage error and return its status."""
+    print(json.dumps({"command": command, "error": str(exc), "pass": False}, sort_keys=True))
+    return PARSE_ERROR
 
 
 if __name__ == "__main__":

@@ -670,6 +670,49 @@ class Moments:
         return self.mean, math.sqrt(self.m2 / (n - 1)) / math.sqrt(n)
 
 
+def _laplace_block(g: DirectedGraph, p: np.ndarray, z: np.ndarray, rated, tree_rows,
+                   lap: np.ndarray, t: np.ndarray, fold) -> None:
+    """The Dirichlet side's kernel on a block of environments, the edge-major
+    (|E|, m) array p: `_gth` gives their flows, written to z, and det(I -
+    P); lap gets each environment's Laplace value, exp of minus the sum of
+    the rows rate_e * flow_e of `rated`, added in edge order; and for each
+    tree k, its exit rows (`tree_rows[k]`) are multiplied into t in edge
+    order, then times lap and over det, and handed to fold(k, t), which may
+    overwrite t.  A directed tree's weight is at most det, so where lap
+    underflows to 0.0 each tree's term is 0.0 too; det is set to 1 there,
+    where a weight and det may both have underflowed."""
+    det = _gth(g, p.T, z.T)
+    lap.fill(0.0)
+    for j, lj in rated:
+        np.multiply(z[j], lj, out=t)
+        lap += t
+    np.negative(lap, out=lap)
+    np.exp(lap, out=lap)
+    det[lap == 0] = 1.0
+    for k, rows in enumerate(tree_rows):
+        np.copyto(t, p[rows[0]])
+        for j in rows[1:]:
+            t *= p[j]
+        t *= lap
+        t /= det
+        fold(k, t)
+
+
+def _laplace_inputs(g: DirectedGraph, lam, trees):
+    """The nonzero (edge index, rate) pairs of the rate term and each
+    directed tree's edge indices, for `_laplace_block`."""
+    if not all(t.directed for t in trees):
+        raise ValueError("the tree-weighted estimator needs a directed spanning tree")
+    rated = [(j, r) for j, r in enumerate(real_rates(lam, g.edge_ids)) if r != 0]
+    return rated, [[j for j, eid in enumerate(g.edge_ids) if eid in t.edges] for t in trees]
+
+
+def check_samples(n: int) -> None:
+    """Raise ValueError when n samples are too few for a standard error."""
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {n}")
+
+
 def mc_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int,
                        seed: int) -> tuple[McEstimate, list[McEstimate]]:
     """Average of exp(-<rates, occupation>) over sampled environments, and the
@@ -678,45 +721,22 @@ def mc_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int
 
     The batch runs as independent blocks of BLOCK_ROWS samples, each drawn
     from its own stream (`sample_environment_batch` gives the same batch).
-    Each block is drawn edge-major into one reused array, `_gth` gives its
-    flows and det(I - P), and its rate term is the sum of the rows rate_e *
-    flow_e, added in edge order.  A tree's term is its exit rows multiplied
-    in edge order, then times the Laplace value and over det.  Each estimate
-    folds the block's values into its running `Moments`, so nothing of
-    length n is held, and no result depends on the BLAS thread count."""
-    if not all(t.directed for t in trees):
-        raise ValueError("the tree-weighted estimator needs a directed spanning tree")
-    if n < 2:
-        raise ValueError(f"a standard error needs at least 2 samples, got {n}")
-    rates = real_rates(lam, g.edge_ids)
-    rated = [(j, r) for j, r in enumerate(rates) if r != 0]  # 0 * flow adds nothing
-    tree_rows = [[j for j, eid in enumerate(g.edge_ids) if eid in t.edges] for t in trees]
+    Each block is drawn edge-major into one reused array and goes through
+    `_laplace_block`.  Each estimate folds the block's values into its
+    running `Moments`, so nothing of length n is held, and no result depends
+    on the BLAS thread count."""
+    check_samples(n)
+    rated, tree_rows = _laplace_inputs(g, lam, trees)
     size = min(n, BLOCK_ROWS)
-    pt, zt = np.empty((len(rates), size)), np.empty((len(rates), size))
-    rate, laplace, terms = np.empty(size), np.empty(size), np.empty(size)
+    pt, zt = np.empty((len(g.edge_ids), size)), np.empty((len(g.edge_ids), size))
+    laplace, terms = np.empty(size), np.empty(size)
     total, per_tree = Moments(), [Moments() for _ in trees]
     for b, lo, hi in _blocks(n):
         m = hi - lo
-        p, z, r, lap, t = pt[:, :m], zt[:, :m], rate[:m], laplace[:m], terms[:m]
+        p, lap = pt[:, :m], laplace[:m]
         _draw_environments(g, w, philox_stream(seed, _ENV, b), p)
-        det = _gth(g, p.T, z.T)
-        r.fill(0.0)
-        for j, lj in rated:
-            np.multiply(z[j], lj, out=t)
-            r += t
-        np.negative(r, out=lap)
-        np.exp(lap, out=lap)
-        # A directed tree's weight is at most det, so where laplace underflows
-        # to 0.0 each tree's term is 0.0 too; det is set to 1 there, where a
-        # weight and det may both have underflowed.
-        det[lap == 0] = 1.0
-        for rows, moments in zip(tree_rows, per_tree):
-            np.copyto(t, p[rows[0]])
-            for j in rows[1:]:
-                t *= p[j]
-            t *= lap
-            t /= det
-            moments.add(t)
+        _laplace_block(g, p, zt[:, :m], rated, tree_rows, lap, terms[:m],
+                       lambda k, t: per_tree[k].add(t))
         total.add(lap)
     return (McEstimate(*total.estimate(), n, seed),
             [McEstimate(*moments.estimate(), n, seed) for moments in per_tree])

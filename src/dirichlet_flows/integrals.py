@@ -36,10 +36,15 @@ on the vertex-split graph, for a list of directed trees.  What decides it is
 `thm21_certificate`: the identity is the change of variables from
 environments to occupation flows, and the certificate checks its Jacobian,
 the tree chart and the integrand's exponents exactly, modulo a 64-bit prime.
-Quadrature integrates the flow side as well up to dimension MAX_QUAD_DIM, and
-its agreement with the Dirichlet side's Monte Carlo average then gates the
-verdict too; above, no flow integral is computed.  Importance sampling
-(`integrate_mc`) decides no command's verdict.
+Up to dimension MAX_QUAD_DIM, which is both sides' dimension, quadrature
+integrates the flow side as well, and the Dirichlet side comes from a tensor
+Gauss-Jacobi rule over the environments, stick-broken into Beta factors
+(`gauss_jacobi_laplace_by_tree`), with the gap between two rule orders as
+its error; the agreement of the two sides then gates the verdict too, and
+neither depends on a seed or a sample count.  Above, no flow integral is
+computed, and the Dirichlet side is `environment.mc_laplace_by_tree`'s
+Monte Carlo average.  Importance sampling (`integrate_mc`) decides no
+command's verdict.
 
 The same module checks the two structural identities behind the flat
 connection: the divergence pairing, exactly, on integer blocks of random
@@ -72,6 +77,9 @@ from .environment import (
     _PROPOSAL,
     _THM21,
     _blocks,
+    _laplace_block,
+    _laplace_inputs,
+    check_samples,
     mc_laplace_by_tree,
     philox_stream,
     real_rates,
@@ -111,7 +119,8 @@ class IntegrandSpec:
 @dataclass(frozen=True)
 class IntegralEstimate:
     value: float
-    error: float  # quadrature: error-target bound; monte-carlo: 1 sigma
+    error: float  # quadrature: error-target bound; monte-carlo: 1 sigma;
+    # gauss-jacobi: the gap between its two rule orders
     method: str
     n_evals: int
     ess: float | None = None  # monte-carlo: Kish effective sample size of the weights
@@ -607,8 +616,7 @@ def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
     `Moments`, and into the Kish sums sum w and sum w^2, both kept scaled by
     exp(-M) for the largest log weight M so far.
     """
-    if n < 2:
-        raise ValueError(f"a standard error needs at least 2 samples, got {n}")
+    check_samples(n)
     ev = _Evaluator(spec, weight_edge)
     shapes = [float(spec.alpha[eid]) for eid in ev.free_ids]
     bad = [eid for eid, s in zip(ev.free_ids, shapes) if s <= 0]
@@ -658,6 +666,141 @@ def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
         raise ValueError("all proposal samples fell outside the chamber")
     value, err = moments.estimate()
     return IntegralEstimate(value, err, "monte-carlo", n, s1 * s1 / s2)
+
+
+# ---------------------------------------------------------------------------
+# the Dirichlet side by a tensor Gauss-Jacobi rule
+# ---------------------------------------------------------------------------
+
+# The orders of the two tensor rules of `gauss_jacobi_laplace_by_tree`: its
+# value is the larger rule's, and its error the gap between the two.
+GAUSS_JACOBI_ORDERS = (16, 32)
+
+
+def _jacobi_terms(m: int, a: float, b: float, x: np.ndarray):
+    """P_m, (1 - x^2) P_m' and P_{m-1} at the points x, for the Jacobi
+    polynomials of the weight (1 - x)^a (1 + x)^b in their standard
+    normalisation: the three-term recurrence gives P_m and P_{m-1}, and
+
+        (2m + a + b)(1 - x^2) P_m' = m (a - b - (2m + a + b) x) P_m + 2 (m + a)(m + b) P_{m-1}."""
+    prev, cur = np.ones_like(x), 0.5 * ((a - b) + (a + b + 2.0) * x)
+    for n in range(1, m):
+        s = 2 * n + a + b
+        prev, cur = cur, ((((s + 1) * (a * a - b * b)) + (s + 1) * (s + 2) * s * x) * cur
+                          - 2.0 * (n + a) * (n + b) * (s + 2) * prev) \
+            / (2.0 * (n + 1) * (n + a + b + 1) * s)
+    s = 2 * m + a + b
+    return cur, (m * ((a - b) - s * x) * cur + 2.0 * (m + a) * (m + b) * prev) / s, prev
+
+
+def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss rule of the weight (1 - x)^a (1 + x)^b on (-1, 1),
+    a, b > -1: its nodes, ascending, and its weights, scaled to sum to 1.
+
+    The nodes are the zeros of P_m, found together by Newton's method on the
+    recurrence (`_jacobi_terms`; Hale & Townsend, SIAM J. Sci. Comput. 35,
+    2013), from the guesses cos((k + a/2 - 1/4) pi / (m + (a + b + 1)/2)),
+    k = 1..m.  Each step deflates the other nodes (Ehrlich-Aberth):
+
+        x_i <- x_i - P_m / (P_m' - P_m sum_{j != i} 1 / (x_i - x_j)),
+
+    so no two nodes settle on one zero, as plain Newton steps from these
+    guesses did at a or b of 8 and more.  Once no step moves a node by more
+    than 1e-8, the error is well below that step's square, and one plain
+    Newton step ends it.  At a zero (1 - x^2) P_m' is
+    2 (m + a)(m + b) P_{m-1} / (2m + a + b), so the weights, proportional
+    to 1 / ((1 - x^2) P_m'^2), are (1 - x^2) / P_{m-1}^2 over their sum.
+    Only the guesses take a transcendental function: the nodes and weights
+    come from + - * /, with no LAPACK eigensolver, whose bits depend on the
+    CPU, and no numpy.polynomial, whose import alone costs ~1 MB."""
+    scale = math.pi / (m + 0.5 * (a + b + 1.0))
+    x = np.array([math.cos((k + 0.5 * a - 0.25) * scale) for k in range(m, 0, -1)])
+    for _ in range(100):
+        p, dp, _ = _jacobi_terms(m, a, b, x)
+        gaps = x[:, None] - x
+        np.fill_diagonal(gaps, math.inf)
+        step = p / (dp / ((1.0 - x) * (1.0 + x)) - p * (1.0 / gaps).sum(axis=1))
+        x = x - step
+        if not np.abs(step).max() > 1e-8:
+            break
+    p, dp, _ = _jacobi_terms(m, a, b, x)
+    x = np.sort(x - p * ((1.0 - x) * (1.0 + x)) / dp)  # early steps may swap nodes
+    if not ((np.diff(x) > 0).all() and -1.0 < x[0] and x[-1] < 1.0):
+        raise ValueError(f"Gauss-Jacobi nodes of order {m} at ({a}, {b}) did not converge")
+    q = _jacobi_terms(m, a, b, x)[2]
+    w = (1.0 - x) * (1.0 + x) / (q * q)
+    return x, w / _left_sum(w.tolist())
+
+
+def _tensor_rule(g: DirectedGraph, w: DirichletWeights, lam, trees, m: int):
+    """Each directed tree's Dirichlet side by the tensor rule of order m, and
+    the rule's number of points, m^D.
+
+    Stick-breaking writes the Dirichlet law of a vertex's exits e_1..e_k, in
+    out-edge order, as independent V_i ~ Beta(alpha_i, alpha_{i+1} + ... +
+    alpha_k), i < k: omega_e_i = V_i (1 - V_1) ... (1 - V_{i-1}), and
+    omega_e_k is the product of all the 1 - V_i.  Each of the D = |E| -
+    |interior| factors gets the m-point `gauss_jacobi` rule of Beta(a, b),
+    V = (1 + x)/2 with 1 - V = (1 - x)/2 and Jacobi exponents (b - 1, a -
+    1).  The m^D points, factor by factor in interior and out-edge order
+    with the last factor's node changing fastest, go in blocks of
+    BLOCK_ROWS through `_laplace_block`, the Monte Carlo's kernel; a
+    point's weight is its factors' weights multiplied in factor order, and
+    each block's weighted terms are summed by numpy's pairwise sum and added
+    to the tree's total block after block."""
+    rated, tree_rows = _laplace_inputs(g, lam, trees)
+    index = {eid: j for j, eid in enumerate(g.edge_ids)}
+    rules, factors, sticks = {}, [], []
+    for vertex in g.interior:
+        out = g.out_edges[vertex]
+        sticks.append(([index[e.id] for e in out], len(factors)))
+        for i, e in enumerate(out[:-1]):
+            a, b = w.alpha[e.id], sum(w.alpha[f.id] for f in out[i + 1:])
+            if (a, b) not in rules:
+                x_j, w_j = gauss_jacobi(m, float(b - 1), float(a - 1))
+                rules[a, b] = 0.5 * (1.0 + x_j), 0.5 * (1.0 - x_j), w_j
+            factors.append(rules[a, b])
+    d, n = len(factors), m ** len(factors)
+    width = next(_blocks(n))[2]  # the first block is the widest
+    pt, zt = np.empty((len(g.edge_ids), width)), np.empty((len(g.edge_ids), width))
+    lap, terms, weight = np.empty(width), np.empty(width), np.empty(width)
+    totals = [0.0] * len(trees)
+
+    def fold(k, t):
+        t *= wt
+        totals[k] += float(np.add.reduce(t))
+    for _, lo, hi in _blocks(n):
+        size, points = hi - lo, np.arange(lo, hi)
+        p, wt = pt[:, :size], weight[:size]
+        wt.fill(1.0)
+        nodes = []
+        for f, (v, c, wf) in enumerate(factors):
+            at = points // m ** (d - 1 - f) % m
+            nodes.append((v.take(at), c.take(at)))
+            wt *= wf.take(at)
+        for rows, first in sticks:
+            rest = None  # the stick left: the product of the 1 - V so far
+            for j, (v, c) in zip(rows, nodes[first:first + len(rows) - 1]):
+                p[j] = v if rest is None else rest * v
+                rest = c if rest is None else rest * c
+            p[rows[-1]] = 1.0 if rest is None else rest
+        _laplace_block(g, p, zt[:, :size], rated, tree_rows, lap[:size], terms[:size], fold)
+    return totals, n
+
+
+def gauss_jacobi_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam,
+                                 trees) -> list[IntegralEstimate]:
+    """The Dirichlet side of Theorem 2.1 for each directed tree of `trees`:
+    the average over the product-Dirichlet law of exp(-<rates, occupation>)
+    times the tree's probability weight, by `_tensor_rule` at both orders of
+    GAUSS_JACOBI_ORDERS.  Each tree's value is the larger order's, its error
+    the gap to the smaller's, and n_evals counts the points of both rules.
+    Nothing is drawn, and a tree's estimate does not depend on the other
+    trees of the list."""
+    (coarse, n_coarse), (fine, n_fine) = (_tensor_rule(g, w, lam, trees, m)
+                                          for m in GAUSS_JACOBI_ORDERS)
+    return [IntegralEstimate(b, abs(b - a), "gauss-jacobi", n_coarse + n_fine)
+            for a, b in zip(coarse, fine)]
 
 
 # ---------------------------------------------------------------------------
@@ -895,22 +1038,29 @@ def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
 
     `thm21_certificate` decides the identity for every tree.  The report
     also carries the right side, the Dirichlet-averaged tree-weighted
-    Laplace functional, every tree's from one `mc_laplace_by_tree` batch at
-    (n, seed).  Up to split dimension MAX_QUAD_DIM quadrature computes the
-    left side too, the flow integral on the vertex-split graph times
-    C_alpha, tree by tree, and the `agreement` of the two sides decides the
-    verdict with the certificate; a tree whose quadrature does not converge
-    FAILs, the reason its left side and "lhs" what decided.  Above it no flow
-    integral is computed, and the certificate alone decides.  Neither side
-    of a tree depends on the other trees of the list, so a tree's report is
-    the one that the list of it alone gives.
+    Laplace functional.  Its dimension is the split chart's, D = |E| -
+    |interior|.  Up to D = MAX_QUAD_DIM the right side comes from the tensor
+    Gauss-Jacobi rule (`gauss_jacobi_laplace_by_tree`), and quadrature
+    computes the left side too, the flow integral on the vertex-split graph
+    times C_alpha, tree by tree; the `agreement` of the two sides, within
+    their errors, decides the verdict with the certificate, and a tree whose
+    quadrature does not converge FAILs, the reason its left side and "lhs"
+    what decided.  So there the report does not depend on (n, seed), though
+    n must still be at least 2.  Above it every tree's right side comes
+    from one `mc_laplace_by_tree` batch at (n, seed), no flow integral is
+    computed, and the certificate alone decides.  Neither side of a tree
+    depends on the other trees of the list, so a tree's report is the one
+    that the list of it alone gives.
     """
-    _, rhs = mc_laplace_by_tree(g, w, lam, trees, n, seed)
+    check_samples(n)
     certificates = thm21_certificate(g, w, trees)
     quadrature = len(g.edge_ids) - len(g.interior) <= MAX_QUAD_DIM
     if quadrature:
+        rhs = gauss_jacobi_laplace_by_tree(g, w, lam, trees)
         split = split_graph(g, w.alpha)
         c_alpha = constant_C_alpha(g, w)
+    else:
+        _, rhs = mc_laplace_by_tree(g, w, lam, trees, n, seed)
     reports = []
     for t, cert, right in zip(trees, certificates, rhs):
         report = {"tree": list(t.key), "certificate": cert, "rhs": right.as_dict(),
@@ -925,8 +1075,7 @@ def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
             else:
                 left = {"value": c_alpha * flow.value, "error": c_alpha * flow.error,
                         "method": flow.method}
-                gate = agreement(abs(left["value"] - right.value), left["error"],
-                                 right.std_error)
+                gate = agreement(abs(left["value"] - right.value), left["error"], right.error)
                 report.update(lhs=left, agreement=gate)
                 report["decided_by"].append("agreement")
                 ok = ok and gate["pass"]

@@ -922,11 +922,13 @@ def test_verify_identity_requires_directed_tree(two_edge):
 
 
 def test_thm21_routes_at_the_quadrature_dimension_limit(monkeypatch):
-    """verify_theorem_2_1 integrates the flow side by quadrature up to split
-    dimension MAX_QUAD_DIM and integrates nothing above it: K3 without e2
-    and e5 has split dimension 4, and K3 without e2 has dimension 5.  Spies
-    stand in for the integrators, so no 4-dimensional quadrature runs, and
-    quadrature itself refuses dimension 5 with the limit in its message."""
+    """verify_theorem_2_1 integrates the flow side by quadrature, and the
+    Dirichlet side by the tensor Gauss-Jacobi rule, up to split dimension
+    MAX_QUAD_DIM; above it the flow side is not integrated and the Dirichlet
+    side is Monte Carlo: K3 without e2 and e5 has split dimension 4, and K3
+    without e2 has dimension 5.  Spies stand in for the flow integrators,
+    so no 4-dimensional quadrature runs, and quadrature itself refuses
+    dimension 5 with the limit in its message."""
     real_quadrature = int_mod.integrate_quadrature
     calls = []
 
@@ -953,12 +955,84 @@ def test_thm21_routes_at_the_quadrature_dimension_limit(monkeypatch):
         if dim <= int_mod.MAX_QUAD_DIM:
             assert calls == [("quadrature", dim)] * len(trees)
             assert [r["lhs"]["method"] for r in reports] == ["quadrature"] * len(trees)
+            assert [r["rhs"]["method"] for r in reports] == ["gauss-jacobi"] * len(trees)
         else:
             assert calls == []
             assert all("lhs" not in r and r["decided_by"] == ["certificate"] for r in reports)
+            # a Monte Carlo estimate of the 100 samples asked for
+            assert all(set(r["rhs"]) == {"value", "std_error", "n_samples", "seed"}
+                       and r["rhs"]["n_samples"] == 100 for r in reports)
     spec = split_integrand_spec(split_graph(g), lam, trees[0])
     with pytest.raises(ValueError, match=r"quadrature supports dimension <= 4, got 5"):
         real_quadrature(spec)
+
+
+WEIGHTS = ["1/3", "1/2", "2/3", "1", "3/2", "2"]
+
+
+@pytest.mark.parametrize("m", [16, 32])
+def test_gauss_jacobi_matches_scipy(m):
+    """The Newton nodes and weights against scipy's roots_jacobi, whose
+    weights sum to the weight function's integral, 2^(a+b+1) B(a+1, b+1)."""
+    special = pytest.importorskip("scipy.special")
+    for a in map(Fraction, WEIGHTS):
+        for b in map(Fraction, WEIGHTS):
+            x, w = int_mod.gauss_jacobi(m, float(a), float(b))
+            x_ref, w_ref = special.roots_jacobi(m, float(a), float(b))
+            mass = 2 ** float(a + b + 1) * special.beta(float(a + 1), float(b + 1))
+            assert np.abs(x - x_ref).max() <= 4e-16, (a, b)
+            assert np.abs(w * mass - w_ref).max() <= 1e-13, (a, b)
+
+
+def _every_edge_at(g, weight):
+    return DirichletWeights({eid: Fraction(weight) for eid in g.edge_ids})
+
+
+@pytest.mark.parametrize("weight", WEIGHTS)
+@pytest.mark.parametrize("name", ["triangle", "two-diamond"])
+def test_gauss_jacobi_gap_bounds_the_next_order(name, weight):
+    """The reported error of the Dirichlet side, the gap between the rules
+    of order 16 and 32, bounds the gap between orders 32 and 64, on every
+    directed tree, with every edge at the weight."""
+    g = builtin_graph(name)
+    w, lam = _every_edge_at(g, weight), cli_mod.default_rates(g)
+    trees = env_mod.directed_trees(g)
+    coarse, fine = int_mod.GAUSS_JACOBI_ORDERS
+    finer, _ = int_mod._tensor_rule(g, w, lam, trees, 2 * fine)
+    for est, q64 in zip(int_mod.gauss_jacobi_laplace_by_tree(g, w, lam, trees), finer):
+        assert est.method == "gauss-jacobi" and est.n_evals == coarse ** 2 + fine ** 2
+        assert abs(est.value - q64) <= est.error, (weight, est, q64)
+
+
+@pytest.mark.parametrize("weight", ["1", "3/2", "2"])
+@pytest.mark.parametrize("name", ["two-edge", "triangle", "two-diamond", "chain"])
+def test_thm21_sides_agree_on_the_builtins(name, weight):
+    """At weights 1, 3/2 and 2 on every edge, the quadrature flow side and
+    the Gauss-Jacobi Dirichlet side of every directed tree agree within 1e-8
+    relative, and the verdict passes."""
+    g = builtin_graph(name)
+    for rep in verify_theorem_2_1(g, _every_edge_at(g, weight), cli_mod.default_rates(g),
+                                  env_mod.directed_trees(g)):
+        lhs, rhs = rep["lhs"]["value"], rep["rhs"]["value"]
+        assert rep["pass"] and abs(lhs - rhs) <= 1e-8 * abs(rhs), rep
+
+
+def test_stick_breaking_on_a_vertex_of_three_exits():
+    """On K3 without e2 and e5, vertex a keeps three exits, two Beta factors,
+    and the rule has dimension 4: each directed tree's value lies within
+    four standard errors of the Monte Carlo average of 200 000 samples."""
+    k3 = complete_graph(3)
+    g = DirectedGraph(k3.vertices, k3.cemetery, k3.base,
+                      tuple(e for e in k3.edges if e.id not in ("e2", "e5")))
+    assert [len(g.out_edges[x]) for x in g.interior] == [2, 3, 2]
+    w, lam = DirichletWeights.from_graph(g), cli_mod.default_rates(g)
+    trees = env_mod.directed_trees(g)
+    _, mc = mc_laplace_by_tree(g, w, lam, trees, 200_000, 1)
+    rule = int_mod.gauss_jacobi_laplace_by_tree(g, w, lam, trees)
+    assert len(trees) == 8
+    assert {est.n_evals for est in rule} == {sum(m ** 4 for m in int_mod.GAUSS_JACOBI_ORDERS)}
+    for est, ref in zip(rule, mc):
+        assert abs(est.value - ref.value) <= 4 * ref.std_error, (est, ref)
 
 
 def _certificates(g, alpha=None):
