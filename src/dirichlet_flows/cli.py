@@ -575,7 +575,8 @@ _OPTIONS = {
                                          "out-edges (default: uniform)"),
     "tree": dict(nargs="+", metavar="EDGE",
                  help="edge ids of one spanning tree (default: every directed spanning tree)"),
-    "seed": dict(type=int, default=0, help="seed of the random streams (default: %(default)s)"),
+    "seed": dict(type=int, default=0,
+                 help="seed of the random streams, taken modulo 2^64 (default: %(default)s)"),
     "samples": dict(type=_positive(int),
                     help="number of random draws (default: %(default)s)"),
     "waypoint": dict(dest="waypoints", type=_assignments(_rate), action="append",

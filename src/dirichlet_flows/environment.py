@@ -27,8 +27,8 @@ instead, and its vertex normalises its exits in log space
 a block move in lockstep: every lockstep step draws one uniform per walker
 of the block still moving, in walker order.  A walk thus depends on its
 block and on the other walks of that block alone, and a batch of one is a
-single walk.  The chain walks of `simulate_chains` and `loop_erased_paths`
-at one seed are the same walks.
+single walk.  One Wilson kernel gives the trees and, from the base alone,
+the loop-erased paths of the very chain walks of `simulate_chains`.
 
 Batch layout: the Monte Carlo kernels keep a block of environments
 edge-major, one contiguous row of samples per edge, and form every
@@ -147,8 +147,9 @@ BLOCK_ROWS = 8192
 
 
 def philox_stream(seed: int, kind: int, block: int = 0) -> np.random.Generator:
-    """Counter-based generator of stream (seed, kind, block); bit-stable."""
-    return np.random.Generator(np.random.Philox(key=[seed % 2**64, (kind << 48) | block]))
+    """Counter-based generator of stream (seed mod 2^64, kind, block); bit-stable."""
+    key = np.array([seed % 2**64, (kind << 48) | block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _blocks(n: int):
@@ -362,11 +363,12 @@ def tree_probability(g: DirectedGraph, env: Environment, tree: SpanningTree):
 # length + vertex on their flat views.
 #
 # The samplers hand back whole blocks, never one walk at a time, except for
-# the trajectories of `simulate_chains`.  Wilson's walkers leave a table of
-# exit rows per block (`_wilson_exits`) and the chains a table of erased-path
-# edge flags; `wilson_tree_counts` and `loop_erased_paths` count the distinct
-# rows of each table (`_row_counts`) and build one edge set per distinct row,
-# and `wilson_sample_trees` lists one tree per sample from the same tables.
+# the trajectories of `simulate_chains`.  Wilson's walkers (`_tree_exits`)
+# leave a table of exit rows per block, the trees from every interior vertex
+# and the loop-erased paths from the base alone, a vertex off a path holding
+# the exit |E|; `wilson_tree_counts` and `loop_erased_paths` count the
+# distinct rows (`_row_counts`) and build one edge set per distinct row, and
+# `wilson_sample_trees` lists one tree per sample from the same tables.
 
 def _random_exits(g: DirectedGraph, env: Environment):
     """The head vertex of every edge, and a function from a stream to a chooser
@@ -399,13 +401,11 @@ def _random_exits(g: DirectedGraph, env: Environment):
 def _lockstep(head: np.ndarray, choose, walkers: np.ndarray, x: np.ndarray, stop: np.ndarray,
               cap: int):
     """Move each walker from its vertex in x along the edge choose(walkers, x)
-    picks until walker w stands on a vertex v with stop[w, v], or stop[v] when
-    `stop` is one row that all walkers share; yields (walkers, tails, edges)
-    of every lockstep step.  A walker still moving after `cap` steps raises
-    IterationCapExceeded."""
-    shared = stop.ndim == 1
+    picks until walker w stands on a vertex v with stop[w, v]; yields
+    (walkers, tails, edges) of every lockstep step.  A walker still moving
+    after `cap` steps raises IterationCapExceeded."""
     # each walker's first flag in the flat stop table, kept from compaction to compaction
-    offset = None if shared else walkers * stop.shape[-1]
+    offset = walkers * stop.shape[1]
     stop = stop.reshape(-1)  # a view: the caller may set flags between steps
     for _ in range(cap):
         if not len(walkers):
@@ -413,36 +413,26 @@ def _lockstep(head: np.ndarray, choose, walkers: np.ndarray, x: np.ndarray, stop
         e = choose(walkers, x)
         yield walkers, x, e
         x = head.take(e)
-        stopped = stop.take(x if shared else offset + x)
+        stopped = stop.take(offset + x)
         if stopped.any():
             going = (~stopped).nonzero()[0]
-            walkers, x = walkers.take(going), x.take(going)
-            if not shared:
-                offset = offset.take(going)
+            walkers, x, offset = walkers.take(going), x.take(going), offset.take(going)
     if len(walkers):
         raise IterationCapExceeded(f"a walk did not stop within {cap} steps")
 
 
-def _chains(g: DirectedGraph, env: Environment, n: int, seed: int):
-    """n chains from the base until absorption, block b from stream (seed,
-    _CHAIN, b): per block its first sample, its lockstep steps, the head
-    table, its start vertices and the stop table (the cemetery only)."""
-    head, chooser = _random_exits(g, env)
-    k = len(g.interior)
-    stop = np.zeros(k + 1, dtype=bool)
-    stop[k] = True
-    for b, lo, hi in _blocks(n):
-        start = np.full(hi - lo, g.interior.index(g.base))
-        steps = _lockstep(head, chooser(philox_stream(seed, _CHAIN, b)), np.arange(hi - lo),
-                          start, stop, STEP_CAP)
-        yield lo, steps, head, start, stop
-
-
 def simulate_chains(g: DirectedGraph, env: Environment, n: int, seed: int) -> list[list[str]]:
-    """n trajectories of the chain from the base until absorption, as edge ids."""
+    """n trajectories of the chain from the base until absorption, as edge
+    ids; block b walks on stream (seed, _CHAIN, b)."""
+    head, chooser = _random_exits(g, env)
+    k, base = len(g.interior), g.interior.index(g.base)
     trajectories: list[list[str]] = [[] for _ in range(n)]
-    for lo, steps, *_ in _chains(g, env, n, seed):
-        for walkers, _, edges in steps:
+    for b, lo, hi in _blocks(n):
+        absorbed = np.zeros((hi - lo, k + 1), dtype=bool)
+        absorbed[:, k] = True
+        for walkers, _, edges in _lockstep(head, chooser(philox_stream(seed, _CHAIN, b)),
+                                           np.arange(hi - lo), np.full(hi - lo, base), absorbed,
+                                           STEP_CAP):
             for w, e in zip((walkers + lo).tolist(), edges.tolist()):
                 trajectories[w].append(g.edge_ids[e])
     return trajectories
@@ -524,75 +514,75 @@ def _row_counts(a: np.ndarray):
     return _key_rows(keys, base, a.shape[1], a.dtype), counts[keys]
 
 
-def loop_erased_paths(g: DirectedGraph, env: Environment, n: int, seed: int) -> Counter:
-    """Counts of the loop-erased paths of n chains, each path an edge-id frozenset.
+def _tree_exits(g: DirectedGraph, env: Environment, n: int, seed: int, kind: int, starts):
+    """Wilson's algorithm on n samples from the interior vertices `starts`
+    (indices into g.interior), one block at a time: yields each block's first
+    sample lo and its exit table, whose row w holds, in g.interior order, the
+    edge index by which the tree of sample lo + w leaves each vertex, or
+    len(g.edges) where the vertex is off that tree.
 
-    The chronological loop erasure of a walk from the base leaves every vertex
-    on it by the walk's last exit from that vertex, so the walkers record only
-    their last exits and the erased path follows them from the base.  The
-    walks are those of `simulate_chains` at the same seed, one block at a
-    time, with arrays sized to the block; each block's paths are rows of edge
-    flags, counted per distinct row by `_row_counts`.
-    """
-    k, m = len(g.interior), len(g.edges)
-    counts = Counter()
-    for _, steps, head, start, stop in _chains(g, env, n, seed):
-        size = len(start)
-        last = np.zeros(size * k, dtype=np.intp)
-        for walkers, x, e in steps:
-            last[walkers * k + x] = e
-        on_path = np.zeros(size * m, dtype=bool)
-        # an erased path is simple, so it ends within |interior| steps
-        for walkers, _, e in _lockstep(head, lambda w, x: last.take(w * k + x),
-                                       np.arange(size), start, stop, k):
-            on_path[walkers * m + e] = True
-        rows, row_counts = _row_counts(on_path.reshape(size, m))
-        for row, c in zip(rows, row_counts.tolist()):
-            counts[frozenset(g.edge_ids[j] for j in np.flatnonzero(row))] += c
-    return counts
-
-
-def _wilson_exits(g: DirectedGraph, env: Environment, n: int, seed: int):
-    """Wilson's algorithm on n samples, one block at a time: yields each
-    block's first sample and its exit table, whose row w holds the edge
-    indices by which the tree of sample lo + w leaves the interior vertices,
-    in g.interior order.
-
-    Block b of the samples draws from stream (seed, _WILSON, b).  For each
-    start vertex in g.interior order, every sample of the block lacking it
-    walks until it hits its tree, recording its last exit from each vertex;
-    the path that follows those exits from the start joins the tree.
+    Block b of the samples draws from stream (seed, kind, b).  For each start
+    in turn, every sample of the block lacking it walks until it hits its
+    tree, recording its last exit from each vertex; the path that follows
+    those exits from the start joins the tree.
     """
     head, chooser = _random_exits(g, env)
     k = len(g.interior)
     for b, lo, hi in _blocks(n):
-        choose = chooser(philox_stream(seed, _WILSON, b))
+        choose = chooser(philox_stream(seed, kind, b))
         in_tree = np.zeros((hi - lo, k + 1), dtype=bool)
         in_tree[:, k] = True
         flags = in_tree.reshape(-1)
         exits = np.zeros((hi - lo, k), dtype=np.intp)
         last = exits.reshape(-1)
-        for s in range(k):
+        for s in starts:
             walkers = np.flatnonzero(~in_tree[:, s])
             start = np.full(len(walkers), s)
             for w, x, e in _lockstep(head, choose, walkers, start, in_tree, STEP_CAP):
                 last[w * k + x] = e
+            # a tree path is simple, so it ends within |interior| steps
             for w, x, _ in _lockstep(head, lambda w, x: last.take(w * k + x), walkers, start,
                                      in_tree, k):
                 flags[w * (k + 1) + x] = True
+        # a vertex off the tree of sample w, at w * (k + 1) + x in the flags, gets the exit |E|
+        off = np.flatnonzero(~flags)
+        last[off - off // (k + 1)] = len(g.edges)
         yield lo, exits
+
+
+def _exit_counts(g: DirectedGraph, tables) -> Counter:
+    """Counts of the edge sets, as edge-id frozensets, of the rows of the
+    exit tables of `_tree_exits`, counted per distinct row by `_row_counts`."""
+    counts = Counter()
+    for _, exits in tables:
+        rows, row_counts = _row_counts(exits)
+        for row, c in zip(rows.tolist(), row_counts.tolist()):
+            counts[frozenset(g.edge_ids[j] for j in row if j < len(g.edges))] += c
+    return counts
+
+
+def loop_erased_paths(g: DirectedGraph, env: Environment, n: int, seed: int) -> Counter:
+    """Counts of the loop-erased paths of n chains, each path an edge-id frozenset.
+
+    The chronological loop erasure of a walk from the base is the branch that
+    Wilson's algorithm adds when it starts at the base alone (Wilson, STOC
+    1996), so `_tree_exits` from the base on the chain streams walks the
+    chains of `simulate_chains` at the same seed and leaves each erased path
+    as the exits of its vertices.
+    """
+    return _exit_counts(g, _tree_exits(g, env, n, seed, _CHAIN, [g.interior.index(g.base)]))
 
 
 def wilson_sample_trees(g: DirectedGraph, env: Environment, n: int, seed: int) -> list[SpanningTree]:
     """n directed spanning trees via loop-erased walks rooted at the cemetery (Wilson).
 
-    The trees are those of the exit tables of `_wilson_exits`, one tree
-    object per distinct exit row; `wilson_tree_counts` counts the same trees
-    without listing them.
+    The trees are those of the exit tables of `_tree_exits` from every
+    interior vertex in order, one tree object per distinct exit row;
+    `wilson_tree_counts` counts the same trees without listing them.
     """
     trees: list[SpanningTree] = [None] * n
     shared: dict[tuple, SpanningTree] = {}  # one tree object per exit row, across blocks
-    for lo, exits in _wilson_exits(g, env, n, seed):
+    for lo, exits in _tree_exits(g, env, n, seed, _WILSON, range(len(g.interior))):
         rows, inverse = _distinct_rows(exits)
         block = np.empty(len(rows), dtype=object)
         block[:] = [shared.setdefault(row, SpanningTree(frozenset(g.edge_ids[j] for j in row),
@@ -604,14 +594,8 @@ def wilson_sample_trees(g: DirectedGraph, env: Environment, n: int, seed: int) -
 
 def wilson_tree_counts(g: DirectedGraph, env: Environment, n: int, seed: int) -> Counter:
     """Counts of the n directed spanning trees of `wilson_sample_trees` at the
-    same seed, each tree an edge-id frozenset; each block's exit rows of
-    `_wilson_exits` are counted per distinct row by `_row_counts`."""
-    counts = Counter()
-    for _, exits in _wilson_exits(g, env, n, seed):
-        rows, row_counts = _row_counts(exits)
-        for row, c in zip(rows.tolist(), row_counts.tolist()):
-            counts[frozenset(g.edge_ids[j] for j in row)] += c
-    return counts
+    same seed, each tree an edge-id frozenset."""
+    return _exit_counts(g, _tree_exits(g, env, n, seed, _WILSON, range(len(g.interior))))
 
 
 # ---------------------------------------------------------------------------

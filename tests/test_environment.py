@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -453,6 +454,21 @@ def test_block_zero_draws_what_one_stream_draws():
         11, (3 << 48) | 5]
 
 
+def test_seeds_are_taken_modulo_2_64():
+    """Every seed keys its own stream modulo 2^64, without a float cast on
+    the way: -1 and 0, and 2^63 + 1 and 2^63, draw apart, and -1 draws what
+    2^64 - 1 draws."""
+    g = builtin_graph("two-diamond")
+    w = DirichletWeights.from_graph(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((-1, 0), (2**63 + 1, 2**63), (-2, 2**64 - 1)):
+            assert sample_environment(g, w, a).p != sample_environment(g, w, b).p, (a, b)
+        assert sample_environment(g, w, -1).p == sample_environment(g, w, 2**64 - 1).p
+        key = env_mod.philox_stream(-1, 3, 5).bit_generator.state["state"]["key"]
+    assert key.tolist() == [2**64 - 1, (3 << 48) | 5]
+
+
 def test_distinct_rows_match_numpy_unique():
     """The distinct rows in lexicographic order, each row's position among
     them and their counts, as np.unique gives them, by int64 keys and, where
@@ -685,10 +701,12 @@ def assert_walkers_match_oracle(g, env, n, seed):
 
 def test_wilson_tree_counts_are_the_sampled_trees(monkeypatch):
     """wilson_tree_counts counts the trees that wilson_sample_trees lists and
-    that the oracle walks, at one walker, one block and one block and one
-    more, on every builtin, random graphs, K3 and K4.  The exit rows' key
-    range is base^|interior|: within a block on K3 (9^3), where a full block
-    is counted by key, and past it on K4 (16^4), where it is sorted."""
+    that the oracle walks, and loop_erased_paths the paths that the oracle
+    erases, at one walker, one block and one block and one more, on every
+    builtin, random graphs, K3 and K4.  The exit rows' key range is
+    base^|interior|: within a block on K3 (9^3 for trees, 10^3 for paths,
+    whose rows hold the sentinel exit 9), where a full block is counted by
+    key, and past it on K4 (16^4 and 17^4), where it is sorted."""
     sort = env_mod._distinct_rows
     sorted_shapes = []
 
@@ -701,15 +719,19 @@ def test_wilson_tree_counts_are_the_sampled_trees(monkeypatch):
               + [complete_graph(3), complete_graph(4)]):
         env = random_rational_environment(g, rng)
         for n, seed in zip((1, env_mod.BLOCK_ROWS, env_mod.BLOCK_ROWS + 1), (0, 1, 2)):
-            want = Counter(t.edges for t in oracle_lockstep(g, env, n, seed)[2])
+            _, erased, trees = oracle_lockstep(g, env, n, seed)
+            want = Counter(t.edges for t in trees)
             assert Counter(t.edges for t in wilson_sample_trees(g, env, n, seed)) == want
-            sorted_shapes.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(env_mod, "_distinct_rows", spy)
-                assert wilson_tree_counts(g, env, n, seed) == want, (g, n, seed)
+            block_sorts = []
+            for count, counted in ((wilson_tree_counts, want), (loop_erased_paths, erased)):
+                sorted_shapes.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(env_mod, "_distinct_rows", spy)
+                    assert count(g, env, n, seed) == counted, (count.__name__, g, n, seed)
+                block_sorts.append(list(sorted_shapes))
             if n == env_mod.BLOCK_ROWS:
-                full_block_sorts.append(list(sorted_shapes))
-    assert full_block_sorts[-2:] == [[], [(env_mod.BLOCK_ROWS, 4)]]
+                full_block_sorts.append(block_sorts)
+    assert full_block_sorts[-2:] == [[[], []], [[(env_mod.BLOCK_ROWS, 4)]] * 2]
 
 
 @pytest.mark.parametrize("stream", sorted(STREAMS))
@@ -757,8 +779,8 @@ def test_no_walker_takes_a_padding_slot(triangle, two_diamond, stream):
         head, chooser = env_mod._random_exits(g, env)
         choose = chooser(STREAMS[stream](5, 1))
         start = np.full(2000, vidx[g.base])
-        stop = np.zeros(len(g.interior) + 1, dtype=bool)
-        stop[-1] = True
+        stop = np.zeros((2000, len(g.interior) + 1), dtype=bool)
+        stop[:, -1] = True
         for _, x, e in env_mod._lockstep(head, choose, np.arange(2000), start, stop, 10_000):
             assert (tail[e] == x).all(), g
 
