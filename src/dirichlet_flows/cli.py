@@ -264,17 +264,21 @@ def _cmd_verify_thm21(g, args):
     checked modulo a prime of 64 bits at a fixed point per tree (its
     Jacobian identity, the tree chart's coordinates, and the exponents of
     the integrand against the tree's probability), so it takes neither
-    --seed nor --samples.  The report also gives the Dirichlet side.  Where
-    the tree charts of the vertex-split graph have dimension at most 4, it
-    comes from a tensor Gauss-Jacobi rule over the environments, its error
-    the gap between two orders of the rule, and the flow side is integrated
-    by quadrature to 1e-8; their agreement, within three times their summed
-    errors plus 1e-6, decides the verdict with the certificate, and a tree
-    whose quadrature does not converge FAILs, with the reason in its
-    report.  There --seed and --samples change nothing
-    (--samples must still be at least 2).  Above dimension 4 the Dirichlet
-    side is a Monte Carlo average over --samples environments drawn from
-    --seed, and no flow side is integrated."""
+    --seed nor --samples.  The report also gives the Dirichlet side, from a
+    tensor Gauss-Jacobi rule over the environments, its error the gap
+    between two orders of the rule: where the tree charts of the
+    vertex-split graph have dimension at most 4, and above where the
+    orders that fit 2^16 points reach 6 and every edge weight is at least
+    1 (dimensions 5 and 6, as on K3).  Elsewhere (K4, or a weight below 1
+    above dimension 4) it is a Monte Carlo average over --samples
+    environments drawn from --seed; where the rule takes it, --seed and
+    --samples change nothing (--samples must still be at least 2).  A rule
+    that cannot be built FAILs every tree, with the reason in its report.
+    Up to dimension 4 the flow side is integrated by quadrature to 1e-8;
+    their agreement, within three times their summed errors plus 1e-6,
+    decides the verdict with the certificate, and a tree whose quadrature
+    does not converge FAILs, with the reason in its report.  Above
+    dimension 4 no flow side is integrated."""
     w = _weights(g, args)
     lam = _rates(g, args)
     trees = [_tree_from_ids(g, args.tree)] if args.tree else env_mod.directed_trees(g)
@@ -576,9 +580,11 @@ _OPTIONS = {
     "tree": dict(nargs="+", metavar="EDGE",
                  help="edge ids of one spanning tree (default: every directed spanning tree)"),
     "seed": dict(type=int, default=0,
-                 help="seed of the random streams, taken modulo 2^64 (default: %(default)s)"),
+                 help="seed of the random streams, taken modulo 2^64; unused where the "
+                      "command draws nothing (default: %(default)s)"),
     "samples": dict(type=_positive(int),
-                    help="number of random draws (default: %(default)s)"),
+                    help="number of random draws; unused, though checked, where the "
+                         "command draws nothing (default: %(default)s)"),
     "waypoint": dict(dest="waypoints", type=_assignments(_rate), action="append",
                      metavar="EDGE=VAL[,...]",
                      help="rates of one transport waypoint on top of the --lambda rates, "

@@ -664,12 +664,14 @@ def _laplace_block(g: DirectedGraph, p: np.ndarray, z: np.ndarray, rated, tree_r
     order, then times lap and over det, and handed to fold(k, t), which may
     overwrite t.  A directed tree's weight is at most det, so where lap
     underflows to 0.0 each tree's term is 0.0 too; det is set to 1 there,
-    where a weight and det may both have underflowed."""
+    where a weight and det may both have underflowed.  A rate term that
+    overflows is inf, and its Laplace value 0.0, without a warning."""
     det = _gth(g, p.T, z.T)
     lap.fill(0.0)
-    for j, lj in rated:
-        np.multiply(z[j], lj, out=t)
-        lap += t
+    with np.errstate(over="ignore"):
+        for j, lj in rated:
+            np.multiply(z[j], lj, out=t)
+            lap += t
     np.negative(lap, out=lap)
     np.exp(lap, out=lap)
     det[lap == 0] = 1.0

@@ -36,15 +36,18 @@ on the vertex-split graph, for a list of directed trees.  What decides it is
 `thm21_certificate`: the identity is the change of variables from
 environments to occupation flows, and the certificate checks its Jacobian,
 the tree chart and the integrand's exponents exactly, modulo a 64-bit prime.
-Up to dimension MAX_QUAD_DIM, which is both sides' dimension, quadrature
-integrates the flow side as well, and the Dirichlet side comes from a tensor
+The Dirichlet side, of the flow side's dimension, comes from a tensor
 Gauss-Jacobi rule over the environments, stick-broken into Beta factors
 (`gauss_jacobi_laplace_by_tree`), with the gap between two rule orders as
-its error; the agreement of the two sides then gates the verdict too, and
-neither depends on a seed or a sample count.  Above, no flow integral is
-computed, and the Dirichlet side is `environment.mc_laplace_by_tree`'s
-Monte Carlo average.  Importance sampling (`integrate_mc`) decides no
-command's verdict.
+its error: up to dimension MAX_QUAD_DIM at the orders GAUSS_JACOBI_ORDERS,
+and above at orders that fit GAUSS_JACOBI_POINTS points, where the larger
+is at least 6 and every edge weight at least 1.  Elsewhere above MAX_QUAD_DIM
+(K4, or a weight below 1) it is `environment.mc_laplace_by_tree`'s Monte
+Carlo average.  Up to MAX_QUAD_DIM quadrature integrates the flow side as
+well, the agreement of the two sides then gates the verdict too, and no
+side depends on a seed or a sample count; above, no flow integral is
+computed.  Importance sampling (`integrate_mc`) decides no command's
+verdict.
 
 The same module checks the two structural identities behind the flat
 connection: the divergence pairing, exactly, on integer blocks of random
@@ -93,7 +96,8 @@ MAX_QUAD_DIM = 4
 
 
 class QuadratureNonConvergence(RuntimeError):
-    """The panel or evaluation budget ran out before the error target was met."""
+    """The panel or evaluation budget ran out before the error target was
+    met, or the nodes of a Gauss-Jacobi rule did not converge."""
 
 
 @dataclass(frozen=True)
@@ -672,9 +676,19 @@ def integrate_mc(spec: IntegrandSpec, n: int, seed: int,
 # the Dirichlet side by a tensor Gauss-Jacobi rule
 # ---------------------------------------------------------------------------
 
-# The orders of the two tensor rules of `gauss_jacobi_laplace_by_tree`: its
-# value is the larger rule's, and its error the gap between the two.
+# The orders of the two tensor rules of `gauss_jacobi_laplace_by_tree` up to
+# dimension MAX_QUAD_DIM: its value is the larger rule's, and its error the
+# gap between the two.
 GAUSS_JACOBI_ORDERS = (16, 32)
+# Above MAX_QUAD_DIM, the most points of the larger rule: its order m is the
+# largest up to 32 with m^D points at most this, and the smaller is m // 2,
+# so (4, 9) at D = 5 and (3, 6) at D = 6.  On K3 the (3, 6) rule's 47 385
+# points take ~9 ms, where 100 000 Monte Carlo samples took ~20 ms (2-core
+# x86-64, in process).  There, at unit weights and the CLI's default rates,
+# it is within 3e-6 relative of the order-12 rule on all 16 trees, its gap
+# at least 34 times that distance; at four seeded weight mixes from {1, 3/2,
+# 2, 3, 5} on K3 and on K3 without e2 (D = 5) the gap was at least 24 times it.
+GAUSS_JACOBI_POINTS = 2 ** 16
 
 
 def _jacobi_terms(m: int, a: float, b: float, x: np.ndarray):
@@ -712,7 +726,9 @@ def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     to 1 / ((1 - x^2) P_m'^2), are (1 - x^2) / P_{m-1}^2 over their sum.
     Only the guesses take a transcendental function: the nodes and weights
     come from + - * /, with no LAPACK eigensolver, whose bits depend on the
-    CPU, and no numpy.polynomial, whose import alone costs ~1 MB."""
+    CPU, and no numpy.polynomial, whose import alone costs ~1 MB.  Nodes
+    that do not end ascending inside (-1, 1) raise QuadratureNonConvergence,
+    as order 32 does at (0, 19999): orders up to 16 converged up to 1e5."""
     scale = math.pi / (m + 0.5 * (a + b + 1.0))
     x = np.array([math.cos((k + 0.5 * a - 0.25) * scale) for k in range(m, 0, -1)])
     for _ in range(100):
@@ -726,7 +742,8 @@ def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     p, dp, _ = _jacobi_terms(m, a, b, x)
     x = np.sort(x - p * ((1.0 - x) * (1.0 + x)) / dp)  # early steps may swap nodes
     if not ((np.diff(x) > 0).all() and -1.0 < x[0] and x[-1] < 1.0):
-        raise ValueError(f"Gauss-Jacobi nodes of order {m} at ({a}, {b}) did not converge")
+        raise QuadratureNonConvergence(
+            f"Gauss-Jacobi nodes of order {m} at ({a}, {b}) did not converge")
     q = _jacobi_terms(m, a, b, x)[2]
     w = (1.0 - x) * (1.0 + x) / (q * q)
     return x, w / _left_sum(w.tolist())
@@ -753,7 +770,7 @@ def _tensor_rule(g: DirectedGraph, w: DirichletWeights, lam, trees, m: int):
     rules, factors, sticks = {}, [], []
     for vertex in g.interior:
         out = g.out_edges[vertex]
-        sticks.append(([index[e.id] for e in out], len(factors)))
+        sticks.append([index[e.id] for e in out])
         for i, e in enumerate(out[:-1]):
             a, b = w.alpha[e.id], sum(w.alpha[f.id] for f in out[i + 1:])
             if (a, b) not in rules:
@@ -773,19 +790,31 @@ def _tensor_rule(g: DirectedGraph, w: DirichletWeights, lam, trees, m: int):
         size, points = hi - lo, np.arange(lo, hi)
         p, wt = pt[:, :size], weight[:size]
         wt.fill(1.0)
-        nodes = []
-        for f, (v, c, wf) in enumerate(factors):
-            at = points // m ** (d - 1 - f) % m
-            nodes.append((v.take(at), c.take(at)))
-            wt *= wf.take(at)
-        for rows, first in sticks:
+        f = 0  # the factor of the next stick piece; sticks take them in order
+        for rows in sticks:
             rest = None  # the stick left: the product of the 1 - V so far
-            for j, (v, c) in zip(rows, nodes[first:first + len(rows) - 1]):
-                p[j] = v if rest is None else rest * v
-                rest = c if rest is None else rest * c
+            for j in rows[:-1]:
+                v, c, wf = factors[f]
+                at = points // m ** (d - 1 - f) % m
+                wt *= wf.take(at)
+                p[j] = v.take(at) if rest is None else rest * v.take(at)
+                rest = c.take(at) if rest is None else rest * c.take(at)
+                f += 1
             p[rows[-1]] = 1.0 if rest is None else rest
         _laplace_block(g, p, zt[:, :size], rated, tree_rows, lap[:size], terms[:size], fold)
     return totals, n
+
+
+def _gauss_jacobi_orders(d: int) -> tuple[int, int] | None:
+    """The orders of the two tensor rules at split dimension d: up to
+    MAX_QUAD_DIM GAUSS_JACOBI_ORDERS; above, (m // 2, m) for the largest
+    order m up to 32 whose m^d points fit GAUSS_JACOBI_POINTS, or None where
+    that m is below 6.  On K4 (D = 12) it is 2, and that rule sat 5.8
+    standard errors off 400 000 Monte Carlo samples."""
+    if d <= MAX_QUAD_DIM:
+        return GAUSS_JACOBI_ORDERS
+    m = max(k for k in range(1, GAUSS_JACOBI_ORDERS[1] + 1) if k ** d <= GAUSS_JACOBI_POINTS)
+    return (m // 2, m) if m >= 6 else None
 
 
 def gauss_jacobi_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam,
@@ -793,12 +822,20 @@ def gauss_jacobi_laplace_by_tree(g: DirectedGraph, w: DirichletWeights, lam,
     """The Dirichlet side of Theorem 2.1 for each directed tree of `trees`:
     the average over the product-Dirichlet law of exp(-<rates, occupation>)
     times the tree's probability weight, by `_tensor_rule` at both orders of
-    GAUSS_JACOBI_ORDERS.  Each tree's value is the larger order's, its error
+    `_gauss_jacobi_orders` at the split dimension D = |E| - |interior|:
+    GAUSS_JACOBI_ORDERS up to MAX_QUAD_DIM, and orders within the budget of
+    GAUSS_JACOBI_POINTS above, where a D whose budget allows no order 6
+    raises ValueError.  Each tree's value is the larger order's, its error
     the gap to the smaller's, and n_evals counts the points of both rules.
     Nothing is drawn, and a tree's estimate does not depend on the other
-    trees of the list."""
-    (coarse, n_coarse), (fine, n_fine) = (_tensor_rule(g, w, lam, trees, m)
-                                          for m in GAUSS_JACOBI_ORDERS)
+    trees of the list.  A Beta factor whose rule does not converge raises
+    QuadratureNonConvergence."""
+    d = len(g.edge_ids) - len(g.interior)
+    orders = _gauss_jacobi_orders(d)
+    if orders is None:
+        raise ValueError(f"no Gauss-Jacobi rule of order 6 fits {GAUSS_JACOBI_POINTS} "
+                         f"points at split dimension {d}")
+    (coarse, n_coarse), (fine, n_fine) = (_tensor_rule(g, w, lam, trees, m) for m in orders)
     return [IntegralEstimate(b, abs(b - a), "gauss-jacobi", n_coarse + n_fine)
             for a, b in zip(coarse, fine)]
 
@@ -1031,6 +1068,23 @@ def thm21_certificate(g: DirectedGraph, w: DirichletWeights, trees) -> list[dict
     return [_thm21_tree(g, w, split, tree, draw, p) for tree in trees]
 
 
+def _dirichlet_side(g: DirectedGraph, w: DirichletWeights, lam, trees, n: int, seed: int):
+    """Each directed tree's Dirichlet side for `verify_theorem_2_1`: by the
+    tensor rule, `gauss_jacobi_laplace_by_tree`, up to split dimension
+    MAX_QUAD_DIM, and above it where the budget allows the rule and every
+    edge weight is at least 1, so that every Beta factor has a bounded
+    density; elsewhere by `mc_laplace_by_tree` at (n, seed).  Below weight
+    1 the gap does not bound the rule's error: at weight 1/100 on every edge
+    of K3 the (3, 6) rule was 0.5% off the order-12 rule, 0.44 times its
+    gap, and 9 standard errors off 400 000 Monte Carlo samples; at 1/12, 0.68
+    times its gap."""
+    d = len(g.edge_ids) - len(g.interior)
+    if d <= MAX_QUAD_DIM or (_gauss_jacobi_orders(d)
+                             and all(w.alpha[eid] >= 1 for eid in g.edge_ids)):
+        return gauss_jacobi_laplace_by_tree(g, w, lam, trees)
+    return mc_laplace_by_tree(g, w, lam, trees, n, seed)[1]
+
+
 def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
                        n: int = 100_000, seed: int = 0) -> list[dict]:
     """The tree-weighted Laplace identity for each directed tree of `trees`,
@@ -1039,33 +1093,40 @@ def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
     `thm21_certificate` decides the identity for every tree.  The report
     also carries the right side, the Dirichlet-averaged tree-weighted
     Laplace functional.  Its dimension is the split chart's, D = |E| -
-    |interior|.  Up to D = MAX_QUAD_DIM the right side comes from the tensor
-    Gauss-Jacobi rule (`gauss_jacobi_laplace_by_tree`), and quadrature
-    computes the left side too, the flow integral on the vertex-split graph
-    times C_alpha, tree by tree; the `agreement` of the two sides, within
-    their errors, decides the verdict with the certificate, and a tree whose
+    |interior|.  It comes from the tensor Gauss-Jacobi rule
+    (`gauss_jacobi_laplace_by_tree`) up to D = MAX_QUAD_DIM, and above
+    where the rule's budgeted orders and the weights allow it; elsewhere
+    from one `mc_laplace_by_tree` batch at (n, seed) (`_dirichlet_side`).
+    A rule that cannot be built FAILs every tree, the reason its right side
+    and "rhs" what decided.  Up to D = MAX_QUAD_DIM quadrature computes the
+    left side too, the flow integral on the vertex-split graph times
+    C_alpha, tree by tree; the `agreement` of the two sides, within their
+    errors, decides the verdict with the certificate, and a tree whose
     quadrature does not converge FAILs, the reason its left side and "lhs"
-    what decided.  So there the report does not depend on (n, seed), though
-    n must still be at least 2.  Above it every tree's right side comes
-    from one `mc_laplace_by_tree` batch at (n, seed), no flow integral is
-    computed, and the certificate alone decides.  Neither side of a tree
-    depends on the other trees of the list, so a tree's report is the one
-    that the list of it alone gives.
+    what decided.  Above it no flow integral is computed, and the
+    certificate alone decides.  Where the rule gives the right side the
+    report does not depend on (n, seed), though n must still be at least 2.
+    Neither side of a tree depends on the other trees of the list, so a
+    tree's report is the one that the list of it alone gives.
     """
     check_samples(n)
     certificates = thm21_certificate(g, w, trees)
+    try:
+        rhs = [est.as_dict() for est in _dirichlet_side(g, w, lam, trees, n, seed)]
+    except QuadratureNonConvergence as exc:
+        rhs = [{"nonconvergence": str(exc)} for _ in trees]
     quadrature = len(g.edge_ids) - len(g.interior) <= MAX_QUAD_DIM
     if quadrature:
-        rhs = gauss_jacobi_laplace_by_tree(g, w, lam, trees)
         split = split_graph(g, w.alpha)
         c_alpha = constant_C_alpha(g, w)
-    else:
-        _, rhs = mc_laplace_by_tree(g, w, lam, trees, n, seed)
     reports = []
     for t, cert, right in zip(trees, certificates, rhs):
-        report = {"tree": list(t.key), "certificate": cert, "rhs": right.as_dict(),
+        report = {"tree": list(t.key), "certificate": cert, "rhs": right,
                   "decided_by": ["certificate"]}
         ok = cert["pass"]
+        if "nonconvergence" in right:
+            report["decided_by"].append("rhs")
+            ok = False
         if quadrature:
             try:
                 flow = integrate_quadrature(split_integrand_spec(split, lam, t))
@@ -1075,10 +1136,13 @@ def verify_theorem_2_1(g: DirectedGraph, w: DirichletWeights, lam, trees,
             else:
                 left = {"value": c_alpha * flow.value, "error": c_alpha * flow.error,
                         "method": flow.method}
-                gate = agreement(abs(left["value"] - right.value), left["error"], right.error)
-                report.update(lhs=left, agreement=gate)
-                report["decided_by"].append("agreement")
-                ok = ok and gate["pass"]
+                report["lhs"] = left
+                if "nonconvergence" not in right:
+                    gate = agreement(abs(left["value"] - right["value"]), left["error"],
+                                     right["error"])
+                    report["agreement"] = gate
+                    report["decided_by"].append("agreement")
+                    ok = ok and gate["pass"]
         report["pass"] = ok
         reports.append(report)
     return reports

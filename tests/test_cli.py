@@ -108,7 +108,8 @@ def test_verify_thm21_all_trees_match_single_tree_runs(capsys):
 def test_verify_thm21_k3_all_trees_match_single_tree_runs(tmp_path, capsys):
     """On K3 (split dimension 6) the certificate alone decides each tree, no
     flow side is integrated, and every tree's entry, Dirichlet side over
-    three blocks included, is the one that the tree alone gives."""
+    several blocks of rule points included, is the one that the tree alone
+    gives."""
     path = tmp_path / "K3.json"
     path.write_text(json.dumps(graph_to_dict(complete_graph(3))))
     argv = ["verify-thm21", "--graph", str(path), "--samples", "20000", "--seed", "5"]
@@ -133,13 +134,17 @@ def test_verify_thm21_nonconvergence_keeps_the_certificates(capsys):
         assert list(t["lhs"]) == ["nonconvergence"] and "panels" in t["lhs"]["nonconvergence"]
 
 
-@pytest.mark.parametrize("graph", ["two-edge", "triangle", "two-diamond", "chain"])
-def test_verify_thm21_results_do_not_depend_on_seed_or_samples(capsys, graph):
-    """Up to split dimension 4 neither side of Theorem 2.1 is drawn: the
-    results are the same at any --seed and --samples.  The triangle rates
-    and seeds 139 and 283 once failed a tree each, its Monte Carlo side
-    3.4 and 4.1 standard errors off the flow side."""
+@pytest.mark.parametrize("graph", ["two-edge", "triangle", "two-diamond", "chain", "K3"])
+def test_verify_thm21_results_do_not_depend_on_seed_or_samples(tmp_path, capsys, graph):
+    """Up to split dimension 4, and on K3 (dimension 6) at its unit weights,
+    no side of Theorem 2.1 is drawn: the results are the same at any --seed
+    and --samples.  The triangle rates and seeds 139 and 283 once failed a
+    tree each, its Monte Carlo side 3.4 and 4.1 standard errors off the flow
+    side."""
     lam = {"triangle": ["--lambda", "e1=33/32,e2=65/64,e3=129/128,e4=17/16"]}.get(graph, [])
+    if graph == "K3":
+        graph = str(tmp_path / "K3.json")
+        Path(graph).write_text(json.dumps(graph_to_dict(complete_graph(3))))
     results = []
     for extra in (["--seed", "139"], ["--seed", "283"], ["--seed", "7", "--samples", "2"]):
         status = main(["verify-thm21", "--graph", graph, *lam, *extra])
@@ -153,7 +158,7 @@ def test_verify_thm21_results_do_not_depend_on_seed_or_samples(capsys, graph):
 def test_verify_thm21_k3_verdict_does_not_depend_on_the_seed(tmp_path, capsys):
     """K3 at the default arguments PASSes at seeds 0, 1 and 2 with the same
     certificate on all 16 trees: its points do not depend on --seed, which
-    draws only the Dirichlet side."""
+    draws only a Monte Carlo Dirichlet side."""
     path = tmp_path / "K3.json"
     path.write_text(json.dumps(graph_to_dict(complete_graph(3))))
     certificates = []
@@ -181,6 +186,21 @@ def test_no_command_runs_the_monte_carlo_flow_side(tmp_path, capsys, monkeypatch
     for argv in runs:
         assert main(argv) == 0, argv
         assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_verify_thm21_rule_nonconvergence_keeps_the_certificates(capsys):
+    """At weight 20000 on two-edge's e1 the order-32 Gauss-Jacobi rule of
+    its Beta(20000, 1) factor does not converge: each tree FAILs with the
+    reason as its right side and keeps its passing certificate, and the run
+    exits 1, not with a usage error."""
+    status = main(["verify-thm21", "--graph", "two-edge", "--alpha", "e1=20000"])
+    report = json.loads(capsys.readouterr().out)
+    trees = report["results"]["trees"]
+    assert status == 1 and report["pass"] is False and len(trees) == 2
+    for t in trees:
+        assert t["certificate"]["pass"] is True and t["pass"] is False
+        assert t["decided_by"] == ["certificate", "rhs"] and "agreement" not in t
+        assert list(t["rhs"]) == ["nonconvergence"] and "order 32" in t["rhs"]["nonconvergence"]
 
 
 @pytest.mark.parametrize("graph, tree", [
@@ -633,6 +653,17 @@ def test_overflowing_rate_is_an_error_report(capsys, option):
     assert status == PARSE_ERROR and report["pass"] is False
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["verify-thm21", "laplace"])
+def test_huge_rate_reports_without_a_warning(capsys, command):
+    """A rate of 1e308 overflows the rate term of the Dirichlet side's kernel
+    to inf, whose Laplace value is 0: the report passes, and no overflow
+    warning is raised (this test turns warnings into errors)."""
+    status = main([command, "--graph", "triangle", "--lambda", "e1=1e308", "--samples", "1000"])
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert status == 0 and report["pass"] is True
+
+
 def test_wilson_test_rejects_unreachable_cemetery(capsys):
     """x0 and a only hand the walk to each other: an error report, no walk."""
     status, report = run_twice(capsys, ["wilson-test", "--graph", "triangle",
@@ -815,12 +846,12 @@ def test_waypoints_accept_complex(capsys):
                          ids=["laplace", "verify-thm21", "verify-identities",
                               "verify-thm21-triangle"])
 def test_reports_do_not_depend_on_blas_threads(tmp_path, argv):
-    """The Monte Carlo reports on K3, several blocks of laplace and of
-    Theorem 2.1's Dirichlet side, the quadrature report of the triangle's
-    exchange identities, and the triangle's Theorem 2.1 report, both sides
-    by quadrature, print the same bytes on one BLAS thread and on two: no
-    per-sample sum, no quadrature node and no Gauss-Jacobi point is a BLAS
-    product."""
+    """The reports on K3, several blocks of laplace's Monte Carlo and of
+    Theorem 2.1's Gauss-Jacobi Dirichlet side, the quadrature report of the
+    triangle's exchange identities, and the triangle's Theorem 2.1 report,
+    both sides by quadrature, print the same bytes on one BLAS thread and on
+    two: no per-sample sum, no quadrature node and no Gauss-Jacobi point is
+    a BLAS product."""
     path = tmp_path / "K3.json"
     path.write_text(json.dumps(graph_to_dict(complete_graph(3))))
     argv = [arg.format(K3=path) for arg in argv]

@@ -924,11 +924,15 @@ def test_verify_identity_requires_directed_tree(two_edge):
 def test_thm21_routes_at_the_quadrature_dimension_limit(monkeypatch):
     """verify_theorem_2_1 integrates the flow side by quadrature, and the
     Dirichlet side by the tensor Gauss-Jacobi rule, up to split dimension
-    MAX_QUAD_DIM; above it the flow side is not integrated and the Dirichlet
-    side is Monte Carlo: K3 without e2 and e5 has split dimension 4, and K3
-    without e2 has dimension 5.  Spies stand in for the flow integrators,
-    so no 4-dimensional quadrature runs, and quadrature itself refuses
-    dimension 5 with the limit in its message."""
+    MAX_QUAD_DIM; above it the flow side is not integrated, and the
+    Dirichlet side is the rule at the orders that fit GAUSS_JACOBI_POINTS
+    where the larger reaches 6 and every weight is at least 1, Monte Carlo
+    elsewhere: K3 without e2 and e5 has split dimension 4, and K3 without e2
+    dimension 5, (4, 9) within the budget; with one weight of 1/2 it takes
+    Monte Carlo, and so does K4, dimension 12, order 2 within the budget,
+    where the rule itself refuses.  Spies stand in for the flow integrators, so no 4-dimensional quadrature
+    runs, and quadrature itself refuses dimension 5 with the limit in its
+    message."""
     real_quadrature = int_mod.integrate_quadrature
     calls = []
 
@@ -943,26 +947,41 @@ def test_thm21_routes_at_the_quadrature_dimension_limit(monkeypatch):
     monkeypatch.setattr(int_mod, "integrate_quadrature", quadrature)
     monkeypatch.setattr(int_mod, "integrate_mc", mc)
     k3 = complete_graph(3)
+    cases = []
     for dropped, dim in [(("e2", "e5"), 4), (("e2",), 5)]:
         g = DirectedGraph(k3.vertices, k3.cemetery, k3.base,
                           tuple(e for e in k3.edges if e.id not in dropped))
         assert validate(g) == []
+        cases.append((g, DirichletWeights.from_graph(g), dim, "gauss-jacobi"))
+    cases.append((g, DirichletWeights.from_graph(g, {"e1": Fraction(1, 2)}), 5, "monte-carlo"))
+    k4 = complete_graph(4)
+    cases.append((k4, DirichletWeights.from_graph(k4), 12, "monte-carlo"))
+    for g, w, dim, method in cases:
+        assert len(g.edge_ids) - len(g.interior) == dim
         trees = enumerate_spanning_trees(g, directed_only=True)
         lam = {eid: 1.0 for eid in g.edge_ids}
         calls.clear()
-        reports = verify_theorem_2_1(g, DirichletWeights.from_graph(g), lam, trees, n=100)
+        reports = verify_theorem_2_1(g, w, lam, trees, n=100)
         assert all(r["certificate"]["pass"] for r in reports)
         if dim <= int_mod.MAX_QUAD_DIM:
             assert calls == [("quadrature", dim)] * len(trees)
             assert [r["lhs"]["method"] for r in reports] == ["quadrature"] * len(trees)
-            assert [r["rhs"]["method"] for r in reports] == ["gauss-jacobi"] * len(trees)
         else:
             assert calls == []
             assert all("lhs" not in r and r["decided_by"] == ["certificate"] for r in reports)
+        if method == "gauss-jacobi":
+            coarse, fine = (16, 32) if dim <= int_mod.MAX_QUAD_DIM else (4, 9)
+            assert all(r["rhs"]["method"] == method
+                       and r["rhs"]["n_evals"] == coarse ** dim + fine ** dim for r in reports)
+        else:
             # a Monte Carlo estimate of the 100 samples asked for
             assert all(set(r["rhs"]) == {"value", "std_error", "n_samples", "seed"}
                        and r["rhs"]["n_samples"] == 100 for r in reports)
-    spec = split_integrand_spec(split_graph(g), lam, trees[0])
+    with pytest.raises(ValueError, match=r"fits 65536 points at split dimension 12"):
+        int_mod.gauss_jacobi_laplace_by_tree(k4, DirichletWeights.from_graph(k4), lam, [])
+    g = cases[1][0]
+    spec = split_integrand_spec(split_graph(g), {eid: 1.0 for eid in g.edge_ids},
+                                enumerate_spanning_trees(g, directed_only=True)[0])
     with pytest.raises(ValueError, match=r"quadrature supports dimension <= 4, got 5"):
         real_quadrature(spec)
 
@@ -1002,6 +1021,30 @@ def test_gauss_jacobi_gap_bounds_the_next_order(name, weight):
     for est, q64 in zip(int_mod.gauss_jacobi_laplace_by_tree(g, w, lam, trees), finer):
         assert est.method == "gauss-jacobi" and est.n_evals == coarse ** 2 + fine ** 2
         assert abs(est.value - q64) <= est.error, (weight, est, q64)
+
+
+def test_budgeted_gauss_jacobi_gap_bounds_the_next_order_on_k3():
+    """Above MAX_QUAD_DIM the rule's orders fit GAUSS_JACOBI_POINTS: (3, 6)
+    on K3, split dimension 6.  Its reported error, the gap between them,
+    bounds the gap between orders 6 and 9 on all 16 directed trees, at unit
+    weights and at a seeded mix of weights from {1, 3/2, 2, 5}, at the CLI's
+    default rates.  At unit weights tree {e1, e4, e9} lies within its error
+    of 2.8210090620e-3, the order-10 reference of ROADMAP's measurements."""
+    g = complete_graph(3)
+    lam, trees = cli_mod.default_rates(g), env_mod.directed_trees(g)
+    rng = np.random.default_rng(40)
+    mix = DirichletWeights({eid: Fraction(rng.choice(["1", "3/2", "2", "5"]))
+                            for eid in g.edge_ids})
+    for w in (DirichletWeights.from_graph(g), mix):
+        rule = int_mod.gauss_jacobi_laplace_by_tree(g, w, lam, trees)
+        q9, _ = int_mod._tensor_rule(g, w, lam, trees, 9)
+        assert len(rule) == 16
+        for est, q in zip(rule, q9):
+            assert est.method == "gauss-jacobi" and est.n_evals == 3 ** 6 + 6 ** 6
+            assert abs(est.value - q) <= est.error, (w, est, q)
+        if w.alpha == g.alpha_map():
+            [est] = [e for e, t in zip(rule, trees) if t.edges == {"e1", "e4", "e9"}]
+            assert abs(est.value - 2.8210090620e-3) <= est.error, est
 
 
 @pytest.mark.parametrize("weight", ["1", "3/2", "2"])
